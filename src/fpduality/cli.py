@@ -31,10 +31,6 @@ def cmd_run(args, out=sys.stdout):
     except OSError as exc:
         out.write("error: cannot read %s: %s\n" % (args.file, exc))
         return 2
-    if args.budget_degree:
-        config.degree_budget = args.budget_degree
-    if args.size_cap:
-        config.size_cap = args.size_cap
     try:
         statements = parse_session(text)
     except ParseError as exc:
@@ -44,7 +40,12 @@ def cmd_run(args, out=sys.stdout):
             out,
         )
         return 2
-    session = Session(seed=args.seed or 0)
+    session = Session()
+    # after Session(), which restores the default budgets
+    if args.budget_degree is not None:
+        config.degree_budget = args.budget_degree
+    if args.size_cap is not None:
+        config.size_cap = args.size_cap
     for stmt in statements:
         report = execute(session, stmt)
         _emit(report.to_dict(), args.json, out)
@@ -93,7 +94,6 @@ def main(argv=None):
     run_p.add_argument("--json", action="store_true", help="one JSON object per report line")
     run_p.add_argument("--budget-degree", type=int, default=None)
     run_p.add_argument("--size-cap", type=int, default=None)
-    run_p.add_argument("--seed", type=int, default=None)
     st_p = sub.add_parser("selftest", help="run the built-in acceptance corpus")
     st_p.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)

@@ -13,11 +13,13 @@ from .groebner import (
     QuotientRing,
     VectorPoly,
     ambient_of,
-    modulus_gens,
+    modulus_tails,
     presentation_resolution,
+    reduce_in,
+    syzygy_heads,
     unit_vector,
 )
-from .modules import FPModule, ModuleMap, free_module
+from .modules import FPModule, ModuleMap, direct_sum, is_isomorphism
 
 
 def solve_in_span(target, columns, ring, rank):
@@ -25,11 +27,7 @@ def solve_in_span(target, columns, ring, rank):
     `ring`, or None.  The workhorse for all lifting problems."""
     amb = ambient_of(ring)
     cols = list(columns)
-    extra = []
-    for g in modulus_gens(ring):
-        for i in range(rank):
-            extra.append(unit_vector(amb, rank, i, g))
-    allcols = cols + extra
+    allcols = cols + modulus_tails(ring, rank)
     if not allcols:
         return [] if target.is_zero() else None
     mgb = ModuleGB(amb, rank, allcols)
@@ -62,11 +60,6 @@ class FreeComplex:
         if check:
             self._check_dd()
 
-    def _reduce(self, f):
-        if isinstance(self.ring, QuotientRing):
-            return self.ring.reduce(f)
-        return f
-
     def _check_dd(self):
         for d, cols in self.diffs.items():
             nxt = self.diffs.get(d + 1)
@@ -78,7 +71,7 @@ class FreeComplex:
                     t = col2.mul_poly(coeff)
                     acc = t if acc is None else acc + t
                 if acc is not None and not all(
-                    self._reduce(x).is_zero() for x in acc.components
+                    reduce_in(self.ring, x).is_zero() for x in acc.components
                 ):
                     raise AlgebraError("d o d != 0 at degree %d" % d)
 
@@ -261,35 +254,78 @@ def tensor_complex(X, Y):
 # cohomology
 
 class HDegree:
-    """Cohomology in one degree: presentation, representatives, coordinates."""
+    """Cohomology in one degree: presentation, representatives, coordinates.
 
-    def __init__(self, module, reps, boundary_cols, rank, ring):
+    The term is R^rank modulo relation_cols: the modulus tails for a free
+    complex, the term's own relations for a complex of modules."""
+
+    def __init__(self, module, reps, boundary_cols, relation_cols, rank):
         self.module = module
         self.reps = reps
-        self._boundary_cols = boundary_cols
-        self._rank = rank
-        self._ring = ring
+        self.boundary_cols = boundary_cols
+        self.relation_cols = relation_cols
+        self.rank = rank
         self._mgb = None
 
     def coords_of_cocycle(self, v):
         """Class of a cocycle vector in the presentation's generators."""
-        cols = list(self.reps) + list(self._boundary_cols)
-        amb = ambient_of(self._ring)
-        extra = []
-        for g in modulus_gens(self._ring):
-            for i in range(self._rank):
-                extra.append(unit_vector(amb, self._rank, i, g))
+        cols = list(self.reps) + list(self.boundary_cols) + list(self.relation_cols)
+        if not cols:
+            return [] if v.is_zero() else None
         if self._mgb is None:
-            self._mgb = ModuleGB(amb, self._rank, cols + extra) if cols + extra else None
-        if self._mgb is None:
-            return None if not v.is_zero() else []
+            self._mgb = ModuleGB(cols[0].ring, self.rank, cols)
         coeffs = self._mgb.lift(v)
         if coeffs is None:
             return None
         return coeffs[: len(self.reps)]
 
+    def classes_of(self, cocycles):
+        """Coordinate columns of the classes of the cocycles, or None when
+        one of them is None or not a cocycle class."""
+        cols = []
+        for v in cocycles:
+            coords = None if v is None else self.coords_of_cocycle(v)
+            if coords is None:
+                return None
+            cols.append(VectorPoly(self.module.ambient, coords))
+        return cols
+
     def is_zero(self):
         return self.module.is_zero_module()
+
+
+def _cohomology_degree(ring, rank, d_out, out_relations, d_in, relations):
+    """H at a term R^rank / relations of a complex.
+
+    The cocycles are the kernel of the outgoing differential columns d_out
+    (None when zero) modulo the next term's out_relations; H is presented
+    as the cocycles modulo the boundary columns d_in and the relations."""
+    if d_out is None:
+        reps = [unit_vector(ambient_of(ring), rank, i) for i in range(rank)]
+    else:
+        reps = syzygy_heads(list(d_out) + list(out_relations), rank, unique=True)
+    rels = syzygy_heads(reps + d_in + relations, len(reps)) if reps else []
+    return HDegree(FPModule(ring, len(reps), rels), reps, d_in, relations, rank)
+
+
+def certify_degreewise(h_src, h_tgt, induced):
+    """Per-degree certificate that a comparison map is a quasi-isomorphism.
+
+    h_src and h_tgt map degrees to HDegree.  A degree missing on one side
+    is certified iff the cohomology on both sides is missing or zero.
+    Otherwise induced(d, a, b) returns the ModuleMap H^d(source) ->
+    H^d(target), or None when some image is not a cocycle class, and the
+    degree is certified iff that map is an isomorphism."""
+    certified = {}
+    for d in sorted(set(h_src) | set(h_tgt)):
+        a = h_src.get(d)
+        b = h_tgt.get(d)
+        if a is None or b is None:
+            certified[d] = (a is None or a.is_zero()) and (b is None or b.is_zero())
+            continue
+        f = induced(d, a, b)
+        certified[d] = f is not None and is_isomorphism(f)
+    return certified
 
 
 class CohomologyReport:
@@ -315,59 +351,21 @@ def cohomology(T, over=None):
     over quotient rings adjoin their own modulus automatically.
     """
     ring = over or T.ring
-    amb = ambient_of(ring)
-    mods = modulus_gens(ring)
     out = {}
     lo, hi = T.support()
     for d in range(lo, hi + 1):
         r = T.rank(d)
         if r == 0:
             continue
-        # cocycles: v with D_d v = 0 modulo the modulus
-        dcols = T.diffs.get(d)
-        if dcols is None:
-            reps = [unit_vector(amb, r, i) for i in range(r)]
-        else:
-            s = T.rank(d + 1)
-            cols = list(dcols)
-            extra = []
-            for g in mods:
-                for i in range(s):
-                    extra.append(unit_vector(amb, s, i, g))
-            from .groebner import syzygies
-
-            # build the map R^r -> R^s and find its kernel mod modulus
-            big = cols + extra
-            reps = []
-            seen = set()
-            for z in syzygies(big):
-                head = VectorPoly(amb, z.components[:r])
-                if head.is_zero() or head.components in seen:
-                    continue
-                seen.add(head.components)
-                reps.append(head)
-        # boundaries
-        bcols = []
-        prev = T.diffs.get(d - 1)
-        if prev is not None:
-            bcols.extend(prev)
-        # presentation of H^d
-        k = len(reps)
-        rel_source = list(reps) + bcols
-        rels = []
-        if rel_source:
-            from .groebner import syzygies
-
-            extra = []
-            for g in mods:
-                for i in range(r):
-                    extra.append(unit_vector(amb, r, i, g))
-            for z in syzygies(rel_source + extra):
-                head = VectorPoly(amb, z.components[:k])
-                if not head.is_zero():
-                    rels.append(head)
-        module = FPModule(ring, k, rels)
-        out[d] = HDegree(module, reps, bcols, r, ring)
+        d_out = T.diffs.get(d)
+        out[d] = _cohomology_degree(
+            ring,
+            r,
+            d_out,
+            modulus_tails(ring, T.rank(d + 1)) if d_out else [],
+            list(T.diffs.get(d - 1, [])),
+            modulus_tails(ring, r),
+        )
     return CohomologyReport(out)
 
 
@@ -391,12 +389,6 @@ class ChainMap:
         if check:
             self.verify()
 
-    def _reduce_ok(self, v):
-        ring = self.target.ring
-        if isinstance(ring, QuotientRing):
-            return all(ring.reduce(c).is_zero() for c in v.components)
-        return v.is_zero()
-
     def column(self, d, j):
         if d in self.maps:
             return self.maps[d][j]
@@ -418,7 +410,6 @@ class ChainMap:
             if self.source.rank(d) == 0:
                 continue
             for j in range(self.source.rank(d)):
-                src_col = unit_vector(self.source.ambient, self.source.rank(d), j)
                 lhs = None
                 dcols = self.target.diffs.get(d)
                 fj = self.column(d, j)
@@ -437,18 +428,16 @@ class ChainMap:
                 zero = VectorPoly(amb, [amb.zero()] * r)
                 lhs = lhs if lhs is not None else zero
                 rhs = rhs if rhs is not None else zero
-                if r and not self._reduce_ok(lhs - rhs):
+                if r and not all(
+                    reduce_in(self.target.ring, c).is_zero() for c in (lhs - rhs).components
+                ):
                     raise AlgebraError("not a chain map at degree %d" % d)
 
     def induced_on_cohomology(self, d, h_src, h_tgt):
         """ModuleMap H^d(source) -> H^d(target) on the given reports."""
-        cols = []
-        for rep in h_src.reps:
-            img = self.apply(d, rep)
-            coords = h_tgt.coords_of_cocycle(img)
-            if coords is None:
-                raise AlgebraError("image of a cocycle is not a cocycle class")
-            cols.append(VectorPoly(self.target.ambient, coords))
+        cols = h_tgt.classes_of(self.apply(d, rep) for rep in h_src.reps)
+        if cols is None:
+            raise AlgebraError("image of a cocycle is not a cocycle class")
         return ModuleMap(h_src.module, h_tgt.module, cols, check=True)
 
 
@@ -461,9 +450,6 @@ class ResolutionComplex:
 
     def __init__(self, M, length_cap=None):
         amb = M.ambient
-        if isinstance(M.ring, QuotientRing):
-            # resolve over the ambient ring; relations already include modulus
-            pass
         stages = presentation_resolution(amb, M.ngens, M.relations, length_cap)
         terms = {0: M.ngens}
         diffs = {}
@@ -523,47 +509,37 @@ def koszul_complex(ring, elements):
     return K
 
 
-def lift_map_of_resolutions(f0_cols, resA, resB, ring):
-    """Lift a degree-0 map of resolved modules to a chain map resA -> resB.
+def lift_chain_map(f0_cols, source, target, ring):
+    """Lift a degree-0 map to a chain map source -> target of complexes
+    living in degrees <= 0.
 
-    f0_cols are columns A^{r_0} -> B^{s_0} covering the module map; lower
-    degrees are solved through the exactness of resB modulo the ring's
-    modulus.  Returns a ChainMap between the underlying complexes.
-    """
-    A, B = resA.complex, resB.complex
-    amb = B.ambient
+    f0_cols are columns source^0 -> target^0; each lower degree is solved
+    through the exactness of the target modulo the ring's modulus.  Returns
+    a verified ChainMap."""
+    amb = target.ambient
     maps = {0: list(f0_cols)}
-    lo, _hi = A.support()
+    lo, _hi = source.support()
     for d in range(-1, lo - 1, -1):
-        if A.rank(d) == 0:
+        if source.rank(d) == 0:
             break
         cols = []
-        dA = A.diffs.get(d)
-        dB = B.diffs.get(d)
-        for j in range(A.rank(d)):
-            # want x with d_B(x) = f_{d+1}(d_A e_j)
-            target = None
-            upper = maps.get(d + 1)
-            if dA is not None and upper is not None:
-                acc = VectorPoly(amb, [amb.zero()] * B.rank(d + 1))
-                for i, c in enumerate(dA[j].components):
-                    if not c.is_zero():
-                        acc = acc + upper[i].mul_poly(c)
-                target = acc
-            else:
-                target = VectorPoly(amb, [amb.zero()] * B.rank(d + 1))
-            if B.rank(d) == 0:
-                if target.is_zero():
-                    cols.append(VectorPoly(amb, []))
-                    continue
-                raise AlgebraError("no room to lift at degree %d" % d)
-            coeffs = solve_in_span(target, dB or [], ring, B.rank(d + 1))
+        for col in source.differential(d):
+            # want x with d_target(x) = f_{d+1}(d_source e_j)
+            image = VectorPoly(amb, [amb.zero()] * target.rank(d + 1))
+            for c, upper in zip(col.components, maps[d + 1]):
+                if not c.is_zero():
+                    image = image + upper.mul_poly(c)
+            coeffs = solve_in_span(image, target.diffs.get(d, []), ring, target.rank(d + 1))
             if coeffs is None:
                 raise AlgebraError("lifting failed at degree %d" % d)
-            x = VectorPoly(amb, list(coeffs) + [amb.zero()] * (B.rank(d) - len(coeffs)))
-            cols.append(x)
+            cols.append(VectorPoly(amb, list(coeffs) + [amb.zero()] * (target.rank(d) - len(coeffs))))
         maps[d] = cols
-    return ChainMap(A, B, maps, check=True)
+    return ChainMap(source, target, maps, check=True)
+
+
+def lift_map_of_resolutions(f0_cols, resA, resB, ring):
+    """Lift a degree-0 map of resolved modules to a chain map resA -> resB."""
+    return lift_chain_map(f0_cols, resA.complex, resB.complex, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +549,6 @@ class ModComplex:
     """Bounded complex of FPModules with ModuleMap differentials."""
 
     def __init__(self, ring, terms, diffs, check=True):
-        from .modules import ModuleMap
-
         self.ring = ring
         self.ambient = ambient_of(ring)
         self.terms = dict(terms)
@@ -598,38 +572,9 @@ class ModComplex:
         return (ds[0], ds[-1]) if ds else (0, -1)
 
 
-class ModHDegree:
-    """Cohomology of a ModComplex in one degree, with representatives."""
-
-    def __init__(self, module, reps, boundary_cols, host):
-        self.module = module
-        self.reps = reps
-        self.boundary_cols = boundary_cols
-        self.host = host
-        self._mgb = None
-
-    def coords_of_cocycle(self, v):
-        cols = list(self.reps) + list(self.boundary_cols) + list(self.host.relations)
-        amb = self.host.ambient
-        if self._mgb is None:
-            self._mgb = ModuleGB(amb, self.host.ngens, cols) if cols else None
-        if self._mgb is None:
-            return [] if v.is_zero() else None
-        coeffs = self._mgb.lift(v)
-        if coeffs is None:
-            return None
-        return coeffs[: len(self.reps)]
-
-    def is_zero(self):
-        return self.module.is_zero_module()
-
-
 def mod_cohomology(C, window=None):
     """Per-degree cohomology of a ModComplex; restricted to a degree window
     when the complex is only correct there (truncated resolutions)."""
-    from .groebner import syzygies
-    from .modules import FPModule
-
     out = {}
     lo, hi = C.support()
     for d in range(lo, hi + 1):
@@ -638,34 +583,16 @@ def mod_cohomology(C, window=None):
         M = C.module(d)
         if M is None:
             continue
-        amb = M.ambient
         f_out = C.diffs.get(d)
-        if f_out is None:
-            reps = [M.gen(i) for i in range(M.ngens)]
-        else:
-            N = f_out.target
-            cols = [f_out.columns[j] for j in range(M.ngens)]
-            big = cols + list(N.relations)
-            reps = []
-            seen = set()
-            for z in syzygies(big) if big else []:
-                head = VectorPoly(amb, z.components[: M.ngens])
-                if head.is_zero() or head.components in seen:
-                    continue
-                seen.add(head.components)
-                reps.append(head)
         f_in = C.diffs.get(d - 1)
-        bcols = list(f_in.columns) if f_in is not None else []
-        k = len(reps)
-        rels = []
-        src = list(reps) + bcols + list(M.relations)
-        if src:
-            for z in syzygies(src):
-                head = VectorPoly(amb, z.components[:k])
-                if not head.is_zero():
-                    rels.append(head)
-        module = FPModule(C.ring, k, rels)
-        out[d] = ModHDegree(module, reps, bcols, M)
+        out[d] = _cohomology_degree(
+            C.ring,
+            M.ngens,
+            f_out.columns if f_out is not None else None,
+            f_out.target.relations if f_out is not None else [],
+            list(f_in.columns) if f_in is not None else [],
+            list(M.relations),
+        )
     return out
 
 
@@ -673,8 +600,6 @@ def hom_from_free(K, T):
     """Hom(K, T) for K a bounded free complex and T a ModComplex over a
     compatible quotient ring: terms are direct sums of copies of T's terms,
     differential d(f) = d_T o f - (-1)^n f o d_K."""
-    from .modules import FPModule, ModuleMap, direct_sum
-
     ring = T.ring
     amb = ambient_of(ring)
     klo, khi = K.support()
@@ -742,23 +667,8 @@ def hom_from_free(K, T):
                         entry if sign == 1 else -entry
                     )
             cols[col_idx] = VectorPoly(amb, comps)
-        from .modules import ModuleMap as _MM
-
-        diffs[n] = _MM(src, tgt, cols, check=False)
+        diffs[n] = ModuleMap(src, tgt, cols, check=False)
     C = ModComplex(ring, terms, diffs, check=True)
     C.hom_bases = bases
     C.hom_offsets = offsets
-    return C
-
-
-def free_complex_as_mod(T, ring=None):
-    """View a FreeComplex as a ModComplex of free modules over `ring`."""
-    from .modules import FPModule, ModuleMap, free_module
-
-    ring = ring or T.ring
-    terms = {d: free_module(ring, T.rank(d)) for d in T.degrees()}
-    diffs = {}
-    for d, cols in T.diffs.items():
-        diffs[d] = ModuleMap(terms[d], terms[d + 1], cols, check=False)
-    C = ModComplex(ring, terms, diffs, check=False)
     return C

@@ -27,7 +27,7 @@ from .modules import (
     exterior_power,
     free_module,
     hom_module,
-    kernel_cokernel,
+    is_isomorphism,
     kernel_with_inclusion,
 )
 
@@ -107,7 +107,8 @@ def conormal_sequence(pi, rseq=None):
     )
     beta = ModuleMap(middle, omega, [omega.gen(j) for j in range(n)], check=False)
     # exactness certificates
-    assert beta.compose(alpha).is_zero_map()
+    if not beta.compose(alpha).is_zero_map():
+        raise AlgebraError("conormal sequence composite is not zero")
     coker_beta, _ = cokernel_with_projection(beta)
     if not coker_beta.is_zero_module():
         raise NotSurjective("differential surjectivity failed; inputs not as expected")
@@ -119,8 +120,7 @@ def conormal_sequence(pi, rseq=None):
             raise AlgebraError("conormal image misses the kernel; not exact")
         cols.append(VectorPoly(S, coords))
     into_kernel = ModuleMap(conormal, kerb, cols, check=True)
-    kk, ck = kernel_cokernel(into_kernel)
-    if not (kk.is_zero_module() and ck.is_zero_module()):
+    if not is_isomorphism(into_kernel):
         raise AlgebraError("conormal sequence is not exact on the left; not lci input")
     # splitting theta: solve beta_* (theta) = id in Hom(omega, -)
     hom_om = hom_module(omega, middle)
@@ -146,7 +146,8 @@ def conormal_sequence(pi, rseq=None):
     theta = hom_om.decode(sol[: hom_om.ngens])
     # theta is a section: beta o theta = id on omega
     check = beta.compose(theta) - ModuleMap.identity(omega)
-    assert check.is_zero_map()
+    if not check.is_zero_map():
+        raise AlgebraError("conormal splitting is not a section")
     return ConormalData(conormal, middle, omega, alpha, beta, theta, list(rseq), Rq)
 
 
@@ -240,8 +241,7 @@ def canonical_omega_regular(R, p_basis=None, pbasis_via_iso=None):
     # the basis differentials freely generate Omega_R
     dcols = [K.d(b) for b in p_basis]
     basis_map = ModuleMap(free_module(R, n), K.module, dcols, check=False)
-    kk, ck = kernel_cokernel(basis_map)
-    if not (kk.is_zero_module() and ck.is_zero_module()):
+    if not is_isomorphism(basis_map):
         raise NotCertifiedRegular("p-basis differentials do not form a free basis")
     lam = exterior_power(K.module, n)
     from itertools import combinations
@@ -249,8 +249,7 @@ def canonical_omega_regular(R, p_basis=None, pbasis_via_iso=None):
     subsets = list(combinations(range(amb.nvars), n))
     coords = wedge_coordinates(amb, dcols, subsets)
     gen_map = ModuleMap(free_module(R, 1), lam, [VectorPoly(amb, coords)], check=False)
-    kk, ck = kernel_cokernel(gen_map)
-    if not (kk.is_zero_module() and ck.is_zero_module()):
+    if not is_isomorphism(gen_map):
         raise NotCertifiedRegular("top wedge of the p-basis is not a free generator")
     label = wedge_label([str(b) for b in p_basis])
     omega = rank_one_complex(R, -n, label=label)

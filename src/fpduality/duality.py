@@ -13,10 +13,11 @@ from itertools import combinations
 
 from .complexes import (
     ChainMap,
+    certify_degreewise,
     cohomology,
     hom_complex,
     koszul_complex,
-    lift_map_of_resolutions,
+    lift_chain_map,
     rank_one_complex,
     resolution_complex,
     rhom_to_module,
@@ -64,7 +65,7 @@ from .modules import (
     cyclic_module,
     free_module,
     hom_module,
-    kernel_cokernel,
+    is_isomorphism,
 )
 from .polyring import MonomialOrder, PolyRing, RingMap
 
@@ -156,16 +157,7 @@ def fli_eta(S, rseq, M):
     cm = ChainMap(lhs, rhs, maps, check=True)
     lrep = cohomology(lhs)
     rrep = cohomology(rhs)
-    certified = {}
-    for d in set(lrep.degrees) | set(rrep.degrees):
-        hl = lrep.degrees.get(d)
-        hr = rrep.degrees.get(d)
-        if hl is None or hr is None:
-            certified[d] = (hl is None or hl.is_zero()) and (hr is None or hr.is_zero())
-            continue
-        f = cm.induced_on_cohomology(d, hl, hr)
-        ker, coker = kernel_cokernel(f)
-        certified[d] = ker.is_zero_module() and coker.is_zero_module()
+    certified = certify_degreewise(lrep.degrees, rrep.degrees, cm.induced_on_cohomology)
     return EtaData(K, lhs, rhs, cm, (lrep, rrep), certified)
 
 
@@ -174,53 +166,16 @@ def ext_two_pipelines(S, rseq, M):
     Buchberger resolution, with a certified comparison in each degree."""
     A = cyclic_module(S, rseq)
     K = koszul_complex(S, rseq)
-    HK, HK_bases = hom_complex(K, M)
+    HK, bases = hom_complex(K, M)
+    HK.hom_bases = bases
     HR = rhom_to_module(A, M)
     repK = cohomology(HK)
     repR = cohomology(HR)
-    res = HR.resolution
-    # lift the identity between the two resolutions of S/(rseq)
-    class _Wrap:
-        pass
-
-    wk = _Wrap()
-    wk.complex = K
-    lifted = lift_map_of_resolutions(
-        [unit_vector(ambient_of(S), 1, 0)], wk, res, S
-    )
-    # Hom(-, M) transpose of the lifted chain map: HK -> HR... direction:
-    # lifted: K -> res, so composition gives Hom(res, M) -> Hom(K, M)
-    amb = ambient_of(S)
-    maps = {}
-    for n in HR.degrees():
-        b_src = HR.hom_bases.get(n)
-        b_tgt = HK_bases.get(n)
-        if b_src is None:
-            continue
-        cols = []
-        for (i, a, b) in b_src.triples:
-            comps = [amb.zero()] * (len(b_tgt) if b_tgt else 0)
-            if b_tgt is not None:
-                for a2 in range(K.rank(i)):
-                    entry = lifted.column(i, a2).components[a]
-                    if entry.is_zero():
-                        continue
-                    pos = b_tgt.position.get((i, a2, b))
-                    if pos is not None:
-                        comps[pos] = comps[pos] + entry
-            cols.append(VectorPoly(amb, comps))
-        maps[n] = cols
-    cm = ChainMap(HR, HK, maps, check=True)
-    certified = {}
-    for d in sorted(set(repK.degrees) | set(repR.degrees)):
-        hk = repK.degrees.get(d)
-        hr = repR.degrees.get(d)
-        if hk is None or hr is None:
-            certified[d] = (hk is None or hk.is_zero()) and (hr is None or hr.is_zero())
-            continue
-        f = cm.induced_on_cohomology(d, hr, hk)
-        ker, coker = kernel_cokernel(f)
-        certified[d] = ker.is_zero_module() and coker.is_zero_module()
+    # lift the identity between the two resolutions of S/(rseq); its
+    # Hom(-, M) transpose runs Hom(res, M) -> Hom(K, M)
+    lifted = lift_chain_map([unit_vector(ambient_of(S), 1, 0)], K, HR.resolution.complex, S)
+    cm = hom_transpose_chain_map(lifted, HR, HK)
+    certified = certify_degreewise(repR.degrees, repK.degrees, cm.induced_on_cohomology)
     return repK, repR, certified
 
 
@@ -395,8 +350,7 @@ def xi_lci_class(pi, target_pbasis, rseq=None, pbasis_via_iso=None, theta_column
         raise AlgebraError("lci class is not a cocycle class; convention bug")
     source = free_module(Rq, 1)
     cand = ModuleMap(source, h.module, [VectorPoly(amb, coords)], check=False)
-    ker, coker = kernel_cokernel(cand)
-    certified = ker.is_zero_module() and coker.is_zero_module()
+    certified = is_isomorphism(cand)
     return XiIso(
         "lci",
         None,
@@ -781,8 +735,7 @@ def biduality_certificate(dc):
         return False
     amb = ambient_of(A)
     cand = ModuleMap(free_module(A, 1), H, [VectorPoly(amb, ident)], check=False)
-    ker, coker = kernel_cokernel(cand)
-    return ker.is_zero_module() and coker.is_zero_module()
+    return is_isomorphism(cand)
 
 
 # ---------------------------------------------------------------------------
@@ -792,59 +745,6 @@ def _rename_complex(T, target_ring, index_map):
     return T.apply_entrywise(
         lambda f: rename_poly(f, ambient_of(target_ring), index_map), ring=target_ring
     )
-
-
-def _resolution_wrapper(cx):
-    class _W:
-        pass
-
-    w = _W()
-    w.complex = cx
-    return w
-
-
-def _compare_same_ring_models(W1, W2, res1, res2, S, ring):
-    """Certified per-degree comparison of two RHom models of the same
-    module over one polynomial ring, through a lifted resolution map."""
-    amb = ambient_of(S)
-    lifted = lift_map_of_resolutions(
-        [unit_vector(amb, 1, 0)], _resolution_wrapper(res2), _resolution_wrapper(res1), S
-    )
-    maps = {}
-    for n in W1.degrees():
-        b_src = W1.hom_bases.get(n)
-        b_tgt = W2.hom_bases.get(n)
-        if b_src is None:
-            continue
-        cols = []
-        for (i, a, b) in b_src.triples:
-            comps = [amb.zero()] * (len(b_tgt) if b_tgt else 0)
-            if b_tgt is not None:
-                for a2 in range(res2.rank(i)):
-                    entry = lifted.column(i, a2).components[a]
-                    if entry.is_zero():
-                        continue
-                    pos = b_tgt.position.get((i, a2, b))
-                    if pos is not None:
-                        comps[pos] = comps[pos] + entry
-            cols.append(VectorPoly(amb, comps))
-        maps[n] = cols
-    cm = ChainMap(W1, W2, maps, check=True)
-    rep1 = cohomology(W1, over=ring)
-    rep2 = cohomology(W2, over=ring)
-    certified = {}
-    isos = {}
-    for dgr in sorted(set(rep1.degrees) | set(rep2.degrees)):
-        h1 = rep1.degrees.get(dgr)
-        h2 = rep2.degrees.get(dgr)
-        if h1 is None or h2 is None:
-            certified[dgr] = (h1 is None or h1.is_zero()) and (h2 is None or h2.is_zero())
-            continue
-        f = cm.induced_on_cohomology(dgr, h1, h2)
-        ker, coker = kernel_cokernel(f)
-        certified[dgr] = ker.is_zero_module() and coker.is_zero_module()
-        isos[dgr] = f
-    return certified, isos, (rep1, rep2)
 
 
 class PresentationComparison:
@@ -918,25 +818,11 @@ def _one_sided_collapse(A, pi_main, pi_other):
     A1 = QuotientRing(amb1, J1.gens)
     rep3 = cohomology(W3)
     rep1 = cohomology(W1)
-    certified = {}
-    for dgr in sorted(set(rep3.degrees) | set(rep1.degrees)):
-        h3 = rep3.degrees.get(dgr)
-        h1 = rep1.degrees.get(dgr)
-        if h3 is None or h1 is None:
-            certified[dgr] = (h3 is None or h3.is_zero()) and (h1 is None or h1.is_zero())
-            continue
-        cols = []
-        ok = True
-        for rep_vec in h3.reps:
-            img = collapse(rep_vec, dgr)
-            coords = h1.coords_of_cocycle(img)
-            if coords is None:
-                ok = False
-                break
-            cols.append(VectorPoly(amb1, coords))
-        if not ok:
-            certified[dgr] = False
-            continue
+
+    def induced(dgr, h3, h1):
+        cols = h1.classes_of(collapse(rep_vec, dgr) for rep_vec in h3.reps)
+        if cols is None:
+            return None
         # transport the joint-side presentation along the section
         # substitution before comparing over the base presentation
         transported = FPModule(
@@ -945,9 +831,9 @@ def _one_sided_collapse(A, pi_main, pi_other):
             [VectorPoly(amb1, [sigma(c) for c in r.components]) for r in h3.module.relations],
         )
         target = FPModule(A1, h1.module.ngens, h1.module.relations)
-        f = ModuleMap(transported, target, cols, check=True)
-        ker, coker = kernel_cokernel(f)
-        certified[dgr] = ker.is_zero_module() and coker.is_zero_module()
+        return ModuleMap(transported, target, cols, check=True)
+
+    certified = certify_degreewise(rep3.degrees, rep1.degrees, induced)
     return {
         "joint_model": W3,
         "joint_res": joint_res,
@@ -1008,7 +894,8 @@ def _collapse_linear_block(W3, joint_bases, Klin, d2, lifts, S1, S3, W1_bases):
             acc = acc + term
         back = list(range(n1)) + [0] * d2
         for mono in acc.terms:
-            assert not any(mono[n1:]), "substitution left fibre variables behind"
+            if any(mono[n1:]):
+                raise AlgebraError("substitution left fibre variables behind")
         return rename_poly(acc, amb1, back)
 
     def runner(vec, degree):
@@ -1051,25 +938,11 @@ def _compare_joint_models(A, side1, side2):
         lambda f: rename_poly(f, amb_b, perm), ring=amb_b
     )
     Wa_in_b.hom_bases = side1["joint_model"].hom_bases
-    lifted = lift_map_of_resolutions(
-        [unit_vector(amb_b, 1, 0)],
-        _resolution_wrapper(res_b),
-        _resolution_wrapper(res_a_in_b),
-        S3b,
-    )
+    lifted = lift_chain_map([unit_vector(amb_b, 1, 0)], res_b, res_a_in_b, S3b)
     cm = hom_transpose_chain_map(lifted, Wa_in_b, Wb)
     rep_a = cohomology(Wa_in_b)
     rep_b = side2["joint_report"]
-    certified = {}
-    for dgr in sorted(set(rep_a.degrees) | set(rep_b.degrees)):
-        ha = rep_a.degrees.get(dgr)
-        hb = rep_b.degrees.get(dgr)
-        if ha is None or hb is None:
-            certified[dgr] = (ha is None or ha.is_zero()) and (hb is None or hb.is_zero())
-            continue
-        f = cm.induced_on_cohomology(dgr, ha, hb)
-        ker, coker = kernel_cokernel(f)
-        certified[dgr] = ker.is_zero_module() and coker.is_zero_module()
+    certified = certify_degreewise(rep_a.degrees, rep_b.degrees, cm.induced_on_cohomology)
     return certified, (rep_a, rep_b)
 
 
@@ -1139,18 +1012,9 @@ def verify_frobenius_duality(A, e=1, length_cap=None):
     chi = _trace_pairing_chain_map(W, FW, FK, C2, C2_bases, dc, e)
     repFW = cohomology(FW)
     repC2 = cohomology(C2)
-    complex_certified = {}
-    for dgr in sorted(set(repFW.degrees) | set(repC2.degrees)):
-        h1 = repFW.degrees.get(dgr)
-        h2 = repC2.degrees.get(dgr)
-        if h1 is None or h2 is None:
-            complex_certified[dgr] = (h1 is None or h1.is_zero()) and (
-                h2 is None or h2.is_zero()
-            )
-            continue
-        f = chi.induced_on_cohomology(dgr, h1, h2)
-        ker, coker = kernel_cokernel(f)
-        complex_certified[dgr] = ker.is_zero_module() and coker.is_zero_module()
+    complex_certified = certify_degreewise(
+        repFW.degrees, repC2.degrees, chi.induced_on_cohomology
+    )
     # module-level: the canonical module and its pushforward
     low = dc.lowest_degree()
     h_om = dc.cohomology_report().degrees[low]
@@ -1176,9 +1040,7 @@ def verify_frobenius_duality(A, e=1, length_cap=None):
         for b_idx, b_mono in enumerate(FA.index.monomials):
             if b_mono not in mult_lifts:
                 f0 = FA.coords(amb.monomial(b_mono))
-                mult_lifts[b_mono] = lift_map_of_resolutions(
-                    [f0], _resolution_wrapper(K.complex), _resolution_wrapper(FK), S
-                )
+                mult_lifts[b_mono] = lift_chain_map([f0], K.complex, FK, S)
             lift = mult_lifts[b_mono]
             # compose: K^{i_top} -> (F_*K)^{i_top} -> omega in W-coordinates
             comp = [amb.zero()] * W.rank(low)
@@ -1206,8 +1068,7 @@ def verify_frobenius_duality(A, e=1, length_cap=None):
             raise AlgebraError("candidate map failed to encode in Hom")
         cols.append(VectorPoly(amb, coords))
     cand = ModuleMap(Fomega, Hom_module_side, cols, check=True)
-    ker, coker = kernel_cokernel(cand)
-    certified = ker.is_zero_module() and coker.is_zero_module()
+    certified = is_isomorphism(cand)
     gen_data = {
         "lowest_degree": low,
         "omega_generators": omega_mod.ngens,

@@ -15,7 +15,7 @@ from itertools import product
 from .config import config
 from .errors import AlgebraError, NoPBasis, SizeCapExceeded
 from .groebner import Ideal, QuotientRing, VectorPoly, ambient_of
-from .modules import FPModule, ModuleMap, free_module, kernel_cokernel
+from .modules import FPModule, ModuleMap, free_module, is_isomorphism, kernel_cokernel
 from .polyring import Polynomial
 from .complexes import FreeComplex
 
@@ -204,9 +204,7 @@ def is_p_generating(R, xs):
 
 def is_p_basis(R, xs):
     """True iff the restricted monomials in xs form a free basis over R^p."""
-    theta = _coordinate_map(R, xs)
-    ker, coker = kernel_cokernel(theta)
-    return coker.is_zero_module() and ker.is_zero_module()
+    return is_isomorphism(_coordinate_map(R, xs))
 
 
 def xs_coordinates(R, xs, u, e=1):

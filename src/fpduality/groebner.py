@@ -229,15 +229,6 @@ def normal_form_vector(v, gb, primary=None, order=None):
 # ---------------------------------------------------------------------------
 # Buchberger with Gebauer-Moeller pair elimination
 
-def _s_pair_data(f, g, primary, order):
-    lf = leading_term(f, primary, order)
-    lg = leading_term(g, primary, order)
-    if lf[0] != lg[0]:
-        return None
-    lcm = mono_lcm(lf[1], lg[1])
-    return (lf[0], lcm, lf, lg)
-
-
 def _reduced_basis(basis, primary, order):
     """Minimalize and tail-reduce; leads made monic, deterministic output."""
     leads = [leading_term(g, primary, order) for g in basis]
@@ -440,6 +431,30 @@ def syzygies(vectors):
     return mgb.syzygies
 
 
+def unique_nonzero(vectors):
+    """The nonzero vectors in order, each value kept at its first occurrence."""
+    out = []
+    seen = set()
+    for v in vectors:
+        if v.is_zero() or v.components in seen:
+            continue
+        seen.add(v.components)
+        out.append(v)
+    return out
+
+
+def syzygy_heads(cols, k, unique=False):
+    """First k entries of the syzygies of cols, zero heads dropped.
+
+    With cols = [f_1..f_k | g_1..], these generate the vectors c with
+    sum c_i f_i in the span of the g's: the kernel of the map given by the
+    first k columns, modulo the rest.  unique also drops repeated heads."""
+    heads = [VectorPoly(z.ring, z.components[:k]) for z in syzygies(cols)]
+    if unique:
+        return unique_nonzero(heads)
+    return [h for h in heads if not h.is_zero()]
+
+
 def groebner_basis(polys):
     """Reduced Groebner basis for a list of ring elements."""
     vecs = [vector_from_poly(f) for f in polys if not f.is_zero()]
@@ -618,6 +633,16 @@ def reduce_in(ring, f):
     if isinstance(ring, QuotientRing):
         return ring.reduce(f)
     return f
+
+
+def modulus_tails(ring, rank):
+    """The vectors g * e_i of R^rank for every modulus generator g of ring.
+
+    Adjoining them to a column list makes a Groebner computation over the
+    ambient polynomial ring compute over the quotient; empty for a
+    polynomial ring."""
+    amb = ambient_of(ring)
+    return [unit_vector(amb, rank, i, g) for g in modulus_gens(ring) for i in range(rank)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ from .groebner import (
     VectorPoly,
     ambient_of,
     modulus_gens,
-    syzygies,
+    modulus_tails,
+    reduce_in,
+    syzygy_heads,
+    unique_nonzero,
     unit_vector,
 )
 
@@ -37,9 +40,7 @@ class FPModule:
             if not r.is_zero():
                 rels.append(r)
         if normalize:
-            for g in modulus_gens(ring):
-                for i in range(ngens):
-                    rels.append(unit_vector(self.ambient, ngens, i, g))
+            rels.extend(modulus_tails(ring, ngens))
         self.relations = rels
         if grading is not None:
             grading = list(grading)
@@ -115,10 +116,8 @@ def ideal_module(ring, gens):
     cols = [VectorPoly(amb, [g]) for g in gens]
     for m in modulus_gens(ring):
         cols.append(VectorPoly(amb, [m]))
-    syz = syzygies(cols)
     k = len(gens)
-    rels = [VectorPoly(amb, s.components[:k]) for s in syz]
-    mod = FPModule(ring, k, rels)
+    mod = FPModule(ring, k, syzygy_heads(cols, k))
     mod.ideal_gens = list(gens)
     return mod
 
@@ -204,39 +203,12 @@ class ModuleMap:
 
 def kernel_with_inclusion(f):
     """Presentation of ker(f) plus the inclusion map into the source."""
-    amb = f.source.ambient
     m = f.source.ngens
-    n = f.target.ngens
-    cols = []
-    for j in range(m):
-        cols.append(f.columns[j])
-    cols.extend(f.target.relations)
-    syz = syzygies(cols) if cols else []
-    kernel_gens = []
-    for s in syz:
-        head = VectorPoly(amb, s.components[:m])
-        if not head.is_zero():
-            kernel_gens.append(f.source.nf(head))
+    heads = syzygy_heads(list(f.columns) + list(f.target.relations), m)
     # drop duplicates and zero images after reduction
-    seen = set()
-    uniq = []
-    for g in kernel_gens:
-        if g.is_zero():
-            continue
-        key = g.components
-        if key in seen:
-            continue
-        seen.add(key)
-        uniq.append(g)
-    kernel_gens = uniq
+    kernel_gens = unique_nonzero(f.source.nf(h) for h in heads)
     k = len(kernel_gens)
-    rel_cols = list(kernel_gens) + list(f.source.relations)
-    rels = []
-    if rel_cols:
-        for s in syzygies(rel_cols):
-            head = VectorPoly(amb, s.components[:k])
-            if not head.is_zero():
-                rels.append(head)
+    rels = syzygy_heads(kernel_gens + list(f.source.relations), k)
     ker = FPModule(f.source.ring, k, rels)
     incl = ModuleMap(ker, f.source, kernel_gens, check=False)
     return ker, incl
@@ -303,16 +275,7 @@ class HomModule(FPModule):
             # no conditions: Hom(R^m-span, N) = N^m
             raw_gens = [unit_vector(amb, nm, k) for k in range(nm)]
         else:
-            raw_gens = []
-            seen = set()
-            for s in syzygies(big_cols):
-                head = VectorPoly(amb, s.components[:nm])
-                if head.is_zero():
-                    continue
-                if head.components in seen:
-                    continue
-                seen.add(head.components)
-                raw_gens.append(head)
+            raw_gens = syzygy_heads(big_cols, nm, unique=True)
         # quotient by maps with columns inside the relation span of N
         mod_cols = []
         for j in range(m):
@@ -322,12 +285,7 @@ class HomModule(FPModule):
                     comps[vec_index(j, i)] = b.components[i]
                 mod_cols.append(VectorPoly(amb, comps))
         k = len(raw_gens)
-        rels = []
-        if raw_gens or mod_cols:
-            for s in syzygies(list(raw_gens) + mod_cols):
-                head = VectorPoly(amb, s.components[:k])
-                if not head.is_zero():
-                    rels.append(head)
+        rels = syzygy_heads(list(raw_gens) + mod_cols, k)
         self._vec_gens = raw_gens
         self._mod_cols = mod_cols
         self._vec_index = vec_index
@@ -584,11 +542,10 @@ def generic_rank(M):
     if q == 0 or m == 0:
         return m
     entries = [[rels[t].components[i] for t in range(q)] for i in range(m)]
-    reduce = M.ring.reduce if isinstance(M.ring, QuotientRing) else (lambda f: f)
     for size in range(min(m, q), 0, -1):
         for rowset in combinations(range(m), size):
             for colset in combinations(range(q), size):
                 sub = [[entries[i][t] for t in colset] for i in rowset]
-                if not reduce(_det(amb, sub)).is_zero():
+                if not reduce_in(M.ring, _det(amb, sub)).is_zero():
                     return m - size
     return m

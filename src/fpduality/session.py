@@ -270,16 +270,6 @@ def parse_session(text):
 # ---------------------------------------------------------------------------
 # values and serialization
 
-def _ring_of(value):
-    if isinstance(value, (QuotientRing, PolyRing)):
-        return value
-    if isinstance(value, FPModule):
-        return value.ring
-    if isinstance(value, FrobPushforward):
-        return value.ring
-    return None
-
-
 def serialize(value):
     """Deterministic payload for reports."""
     if isinstance(value, bool):
@@ -345,12 +335,15 @@ class Report:
 
 
 class Session:
-    """Name environment plus a transcript of executed commands."""
+    """Name environment plus a transcript of executed commands.
 
-    def __init__(self, seed=0):
+    A new session starts from the default budgets, so that settings made
+    by an earlier session in the process do not carry over."""
+
+    def __init__(self):
+        config.reset()
         self.env = {}
         self.transcript = []
-        self.seed = seed
         self.checks_passed = True
         self.had_error = False
 
@@ -725,16 +718,44 @@ BUILTINS = {
 # ---------------------------------------------------------------------------
 # statement execution
 
+# binding strength of each binary operator as the parser reads it; a unary
+# minus (_UNARY) binds tighter still, and atoms tightest
+_BINOP_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "^": 3}
+_UNARY = 4
+
+
+def _precedence(ast):
+    if ast[0] == "binop":
+        return _BINOP_PRECEDENCE[ast[1]]
+    if ast[0] == "neg":
+        return _UNARY
+    return _UNARY + 1
+
+
+def _operand(ast, least):
+    """unparse(ast), parenthesized when it binds looser than `least`."""
+    text = unparse(ast)
+    return "(%s)" % text if _precedence(ast) < least else text
+
+
 def unparse(ast):
+    """Source text that parses back to ast: parentheses appear only where
+    the precedence (sum < product < power < unary minus) needs them.  + - *
+    associate to the left, and a power takes unary operands."""
     kind = ast[0]
     if kind == "int":
         return str(ast[1])
     if kind == "name":
         return ast[1]
     if kind == "neg":
-        return "-" + unparse(ast[1])
+        return "-" + _operand(ast[1], _UNARY)
     if kind == "binop":
-        return "%s %s %s" % (unparse(ast[2]), ast[1], unparse(ast[3]))
+        op = ast[1]
+        if op == "^":
+            left, right = _UNARY, _UNARY
+        else:
+            left, right = _BINOP_PRECEDENCE[op], _BINOP_PRECEDENCE[op] + 1
+        return "%s %s %s" % (_operand(ast[2], left), op, _operand(ast[3], right))
     if kind == "list":
         return "[" + ", ".join(unparse(a) for a in ast[1]) + "]"
     if kind == "call":
@@ -784,8 +805,6 @@ def execute(session, stmt):
                 config.degree_budget = value
             elif dotted == "size.cap":
                 config.size_cap = value
-            elif dotted == "seed":
-                session.seed = value
             else:
                 raise SessionNameError("unknown setting %r" % dotted)
             report = Report(echo, "ok", {dotted: value})

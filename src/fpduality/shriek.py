@@ -12,14 +12,14 @@ modules.
 """
 
 from .complexes import (
-    ChainMap,
     FreeComplex,
     ModComplex,
+    certify_degreewise,
     hom_from_free,
     koszul_complex,
+    lift_chain_map,
     mod_cohomology,
     shift,
-    solve_in_span,
 )
 from .duality import canonical_dualizing
 from .errors import AlgebraError
@@ -28,9 +28,11 @@ from .groebner import (
     QuotientRing,
     VectorPoly,
     ambient_of,
-    modulus_gens,
+    modulus_tails,
+    reduce_in,
     rename_poly,
-    syzygies,
+    syzygy_heads,
+    unique_nonzero,
     unit_vector,
 )
 from .modules import (
@@ -39,7 +41,6 @@ from .modules import (
     direct_sum,
     hom_module,
     is_isomorphism,
-    kernel_cokernel,
 )
 from .polyring import PolyRing, RingMap
 
@@ -177,37 +178,20 @@ def truncated_resolution(ring, first_cols, length):
     (computed over the ambient with the modulus adjoined and projected).
     Exact in degrees > -length; stops early when a kernel vanishes."""
     amb = ambient_of(ring)
-    reduce = ring.reduce if isinstance(ring, QuotientRing) else (lambda f: f)
-    mods = modulus_gens(ring)
+
+    def reduced(v):
+        return VectorPoly(amb, [reduce_in(ring, x) for x in v.components])
+
     terms = {0: 1 if not first_cols else first_cols[0].rank}
-    cols = []
-    seen = set()
-    for c in first_cols:
-        c2 = VectorPoly(amb, [reduce(x) for x in c.components])
-        if c2.is_zero() or c2.components in seen:
-            continue
-        seen.add(c2.components)
-        cols.append(c2)
+    cols = unique_nonzero(reduced(c) for c in first_cols)
     diffs = {}
     level = 0
     while cols and level < length:
         level += 1
         terms[-level] = len(cols)
         diffs[-level] = cols
-        rank = cols[0].rank if cols else 0
-        extra = []
-        for g in mods:
-            for i in range(rank):
-                extra.append(unit_vector(amb, rank, i, g))
-        nxt = []
-        seen = set()
-        for z in syzygies(list(cols) + extra):
-            head = VectorPoly(amb, [reduce(c) for c in z.components[: len(cols)]])
-            if head.is_zero() or head.components in seen:
-                continue
-            seen.add(head.components)
-            nxt.append(head)
-        cols = nxt
+        heads = syzygy_heads(cols + modulus_tails(ring, cols[0].rank), len(cols))
+        cols = unique_nonzero(reduced(h) for h in heads)
     out = FreeComplex(ring, terms, diffs)
     out.exhausted = not cols
     return out
@@ -330,33 +314,15 @@ def _certify_mod_chain(U_src, U_tgt, maps, window):
     """Induced maps on mod_cohomology over the window, certified."""
     h_src = mod_cohomology(U_src, window=window)
     h_tgt = mod_cohomology(U_tgt, window=window)
-    certified = {}
-    for d in sorted(set(h_src) | set(h_tgt)):
-        a = h_src.get(d)
-        b = h_tgt.get(d)
-        if a is None or b is None:
-            certified[d] = (a is None or a.is_zero()) and (b is None or b.is_zero())
-            continue
+
+    def induced(d, a, b):
         f = maps.get(d)
         if f is None:
-            certified[d] = a.is_zero() and b.is_zero()
-            continue
-        cols = []
-        ok = True
-        for rep in a.reps:
-            img = f.apply_coords(rep)
-            coords = b.coords_of_cocycle(img)
-            if coords is None:
-                ok = False
-                break
-            cols.append(VectorPoly(b.module.ambient, coords))
-        if not ok:
-            certified[d] = False
-            continue
-        induced = ModuleMap(a.module, b.module, cols, check=True)
-        ker, coker = kernel_cokernel(induced)
-        certified[d] = ker.is_zero_module() and coker.is_zero_module()
-    return certified, h_src, h_tgt
+            return ModuleMap.zero(a.module, b.module)
+        cols = b.classes_of(f.apply_coords(rep) for rep in a.reps)
+        return None if cols is None else ModuleMap(a.module, b.module, cols, check=True)
+
+    return certify_degreewise(h_src, h_tgt, induced), h_src, h_tgt
 
 
 def verify_unit(A, M, m_shift=0, extra_length=1):
@@ -403,28 +369,18 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
     top_b = hb.get(m_shift)
     link1 = False
     if top_b is not None:
-        cols = []
-        ok = True
-        amb = P2
-        for g in range(M0.ngens):
-            term = U_b.terms[m_shift]
-            off = U_b.hom_offsets[m_shift][(-nP, 0)]
-            vec = [amb.zero()] * term.ngens
-            vec[off + g] = amb.one()
-            coords = top_b.coords_of_cocycle(VectorPoly(amb, vec))
-            if coords is None:
-                ok = False
-                break
-            cols.append(VectorPoly(amb, coords))
-        if ok:
+        term = U_b.terms[m_shift]
+        off = U_b.hom_offsets[m_shift][(-nP, 0)]
+        cols = top_b.classes_of(
+            unit_vector(P2, term.ngens, off + g) for g in range(M0.ngens)
+        )
+        if cols is not None:
             # the unit comparison is A-linear through the multiplication
             # map: certify over the diagonal quotient
             Amodel = env.diagonal_quotient
             M0A = FPModule(Amodel, M0.ngens, M0.relations)
             topA = FPModule(Amodel, top_b.module.ngens, top_b.module.relations)
-            cand1 = ModuleMap(M0A, topA, cols, check=True)
-            ker, coker = kernel_cokernel(cand1)
-            link1 = ker.is_zero_module() and coker.is_zero_module()
+            link1 = is_isomorphism(ModuleMap(M0A, topA, cols, check=True))
         others = all(h.is_zero() for d, h in hb.items() if d != m_shift)
         link1 = link1 and others
     # link 2 and 3: through M tensor W
@@ -477,7 +433,8 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
     length = nP + 1 + extra_length + max(0, m_shift - t_E)
     G = diagonal_resolution(env, length)
     U_A = hom_from_free(G, TcE)
-    mu = _lift_koszul_into_truncated(K, G, env)
+    # the identity of the diagonal lifts K -> G: G is exact within its truncation
+    mu = lift_chain_map([unit_vector(P2, G.rank(0), 0)], K, G, env.ring)
     maps_a3 = {}
     for n in sorted(U_A.terms):
         src = U_A.terms[n]
@@ -528,35 +485,6 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
     return UnitReport(certified, links, degrees)
 
 
-def _lift_koszul_into_truncated(K, G, env):
-    """Chain map K -> G over the enveloping ring lifting the identity of
-    the diagonal; exists because G is exact within its truncation."""
-    ring = env.ring
-    amb = env.ambient
-    maps = {0: [unit_vector(amb, G.rank(0), 0)]}
-    lo, _ = K.support()
-    for d in range(-1, lo - 1, -1):
-        if K.rank(d) == 0:
-            break
-        cols = []
-        dK = K.diffs.get(d)
-        dG = G.diffs.get(d)
-        for j in range(K.rank(d)):
-            upper = maps.get(d + 1)
-            target = VectorPoly(amb, [amb.zero()] * G.rank(d + 1))
-            if dK is not None and upper is not None:
-                for i, c in enumerate(dK[j].components):
-                    if not c.is_zero():
-                        target = target + upper[i].mul_poly(c)
-            coeffs = solve_in_span(target, dG or [], ring, G.rank(d + 1))
-            if coeffs is None:
-                raise AlgebraError("lift into the truncated resolution failed")
-            x = VectorPoly(amb, list(coeffs) + [amb.zero()] * (G.rank(d) - len(coeffs)))
-            cols.append(x)
-        maps[d] = cols
-    return ChainMap(K, G, maps, check=False)
-
-
 # ---------------------------------------------------------------------------
 # symmetry and associativity
 
@@ -571,46 +499,24 @@ def verify_symmetry(A, M, N, m_shift=0, n_shift=0, extra_length=1):
     perm = env.swap_map(0, 1)
     G = res_MN.resolution
     Gs = G.apply_entrywise(lambda f: rename_poly(f, P2, perm), ring=env.ring)
-    lam = _lift_between_truncated(res_NM.resolution, Gs, env)
+    lam = lift_chain_map([unit_vector(P2, Gs.rank(0), 0)], res_NM.resolution, Gs, env.ring)
     # sigma transports Hom(G, M x N) to Hom(Gs, N x M) up to the Koszul sign
     sign = (-1) ** ((m_shift % 2) * (n_shift % 2))
     T_MN = res_MN.target.module(m_shift + n_shift)
     T_NM = res_NM.target.module(m_shift + n_shift)
-    certified = {}
     U_MN, U_NM = res_MN.complex, res_NM.complex
-    window = res_MN.window
-    h_src = res_MN.homology
-    h_tgt = res_NM.homology
-    for d in sorted(set(h_src) | set(h_tgt)):
-        a = h_src.get(d)
-        b = h_tgt.get(d)
-        if a is None or b is None:
-            certified[d] = (a is None or a.is_zero()) and (b is None or b.is_zero())
-            continue
-        cols = []
-        ok = True
-        for rep in a.reps:
-            img = _swap_transport(rep, U_MN, U_NM, lam, env, perm, T_MN, T_NM, d, sign)
-            if img is None:
-                ok = False
-                break
-            coords = b.coords_of_cocycle(img)
-            if coords is None:
-                ok = False
-                break
-            cols.append(VectorPoly(P2, coords))
-        if not ok:
-            certified[d] = False
-            continue
-        f = ModuleMap(
-            FPModule(env.ring, a.module.ngens, a.module.relations),
-            b.module,
-            cols,
-            check=True,
+
+    def induced(d, a, b):
+        cols = b.classes_of(
+            _swap_transport(rep, U_MN, U_NM, lam, env, perm, T_MN, T_NM, d, sign)
+            for rep in a.reps
         )
-        ker, coker = kernel_cokernel(f)
-        certified[d] = ker.is_zero_module() and coker.is_zero_module()
-    return certified
+        if cols is None:
+            return None
+        source = FPModule(env.ring, a.module.ngens, a.module.relations)
+        return ModuleMap(source, b.module, cols, check=True)
+
+    return certify_degreewise(res_MN.homology, res_NM.homology, induced)
 
 
 def _swap_transport(rep, U_MN, U_NM, lam, env, perm, T_MN, T_NM, degree, sign):
@@ -640,36 +546,6 @@ def _swap_transport(rep, U_MN, U_NM, lam, env, perm, T_MN, T_NM, degree, sign):
                 continue
             out[off + g2] = out[off + g2] + cf2 * entry
     return VectorPoly(P2, out)
-
-
-def _lift_between_truncated(Gsrc, Gtgt, env):
-    """Lift the identity of the diagonal between two truncated resolutions
-    over the enveloping ring."""
-    ring = env.ring
-    amb = env.ambient
-    maps = {0: [unit_vector(amb, Gtgt.rank(0), 0)]}
-    lo, _ = Gsrc.support()
-    for d in range(-1, lo - 1, -1):
-        if Gsrc.rank(d) == 0:
-            break
-        cols = []
-        dS = Gsrc.diffs.get(d)
-        dT = Gtgt.diffs.get(d)
-        for j in range(Gsrc.rank(d)):
-            upper = maps.get(d + 1)
-            target = VectorPoly(amb, [amb.zero()] * Gtgt.rank(d + 1))
-            if dS is not None and upper is not None:
-                for i, c in enumerate(dS[j].components):
-                    if not c.is_zero():
-                        target = target + upper[i].mul_poly(c)
-            coeffs = solve_in_span(target, dT or [], ring, Gtgt.rank(d + 1))
-            if coeffs is None:
-                raise AlgebraError("lift between truncated resolutions failed")
-            cols.append(
-                VectorPoly(amb, list(coeffs) + [amb.zero()] * (Gtgt.rank(d) - len(coeffs)))
-            )
-        maps[d] = cols
-    return ChainMap(Gsrc, Gtgt, maps, check=False)
 
 
 def find_certified_iso(M, N, max_sum=2):
@@ -788,6 +664,4 @@ def exterior_hom_comparison(A, M, N, M2, N2):
             if coords is None:
                 return False
             cols.append(VectorPoly(amb, coords))
-    cand = ModuleMap(lhs, rhs, cols, check=True)
-    ker, coker = kernel_cokernel(cand)
-    return ker.is_zero_module() and coker.is_zero_module()
+    return is_isomorphism(ModuleMap(lhs, rhs, cols, check=True))

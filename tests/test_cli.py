@@ -150,3 +150,78 @@ class TestCommandLine:
         f.write_text("ring R = ;")
         out = self._run("run", str(f))
         assert out.returncode == 2
+
+
+class TestSettings:
+    @pytest.mark.parametrize(
+        "flag, script, error_kind",
+        [
+            ("budget_degree", "ring S = Fp(2)[x,y];\nprint ideal(S, x^2, x*y);\n", "DegreeBudgetExceeded"),
+            ("size_cap", "ring S = Fp(2)[x];\nlet M = frobenius_pushforward(S, 1);\n", "SizeCapExceeded"),
+        ],
+        ids=["budget-degree", "size-cap"],
+    )
+    def test_zero_flag_is_applied(self, tmp_path, flag, script, error_kind):
+        import argparse
+
+        from fpduality.cli import cmd_run
+        from fpduality.config import config
+
+        f = tmp_path / "zero.session"
+        f.write_text(script)
+        args = argparse.Namespace(file=str(f), json=True, budget_degree=None, size_cap=None)
+        setattr(args, flag, 0)
+        out = io.StringIO()
+        try:
+            code = cmd_run(args, out=out)
+        finally:
+            config.reset()
+        last = json.loads(out.getvalue().splitlines()[-1])
+        assert code == 1
+        assert last["status"] == "error" and last["error_kind"] == error_kind
+
+    def test_settings_do_not_leak_into_later_sessions(self):
+        from fpduality.config import DEFAULT_DEGREE_BUDGET, DEFAULT_SIZE_CAP, config
+
+        try:
+            run_script("set budget.degree = 5;\nset size.cap = 7;\n")
+            assert (config.degree_budget, config.size_cap) == (5, 7)
+            Session()
+            assert (config.degree_budget, config.size_cap) == (DEFAULT_DEGREE_BUDGET, DEFAULT_SIZE_CAP)
+        finally:
+            config.reset()
+
+    def test_seed_is_not_a_setting(self):
+        _s, reports = run_script("set seed = 3;")
+        assert reports[0].status == "error"
+        assert reports[0].error_kind == "NameError"
+        assert "unknown setting" in reports[0].message
+
+
+@pytest.mark.parametrize("expr", ["(x+1)*y", "x - (y - 1)", "(x+y)^2", "-(x+y)", "x*y - z^2"])
+def test_unparse_round_trip(expr):
+    from fpduality.session import unparse
+
+    ast = parse_session("print %s;" % expr)[0][1]
+    assert parse_session("print %s;" % unparse(ast))[0][1] == ast
+
+
+def test_unparse_echo_keeps_parentheses():
+    _s, reports = run_script("ring S = Fp(2)[x,y];\nprint ideal(S, (x+1)*y);\n")
+    assert reports[1].command == "print ideal(S, (x + 1) * y);"
+
+
+def test_selftest_json_matches_golden_stream():
+    """`fpdual selftest --json` run in process is byte-identical to the
+    stream recorded in benchmark/golden/selftest.jsonl."""
+    import argparse
+    import os
+
+    from fpduality.cli import cmd_selftest
+
+    golden = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark", "golden", "selftest.jsonl")
+    with open(golden, encoding="utf-8") as fh:
+        expected = fh.read()
+    out = io.StringIO()
+    cmd_selftest(argparse.Namespace(json=True), out=out)
+    assert out.getvalue() == expected

@@ -255,3 +255,41 @@ class TestLifting:
         f = cm.induced_on_cohomology(0, rep.degrees[0], rep.degrees[0])
         # multiplication by x on S/(x) is zero
         assert f.is_zero_map()
+
+
+class TestCertifyDegreewise:
+    """The per-degree quasi-isomorphism certificate on the Koszul complex
+    of x over F_2[x]: H^-1 = 0 and H^0 = S/(x)."""
+
+    def _koszul(self):
+        S = ring(2, "x")
+        x = S.var("x")
+        K = koszul_complex(S, [x])
+        return S, x, K, cohomology(K).degrees
+
+    def test_missing_degree_needs_zero_cohomology(self):
+        from fpduality.complexes import certify_degreewise
+
+        _S, _x, _K, h = self._koszul()
+
+        def never(d, a, b):
+            raise AssertionError("no degree is present on both sides")
+
+        assert certify_degreewise({-1: h[-1]}, {}, never) == {-1: True}
+        assert certify_degreewise({}, {0: h[0]}, never) == {0: False}
+
+    def test_identity_and_non_isomorphism(self):
+        from fpduality.complexes import certify_degreewise
+
+        S, x, K, h = self._koszul()
+        ident = ChainMap(K, K, {0: [VectorPoly(S, [S.one()])], -1: [VectorPoly(S, [S.one()])]})
+        assert certify_degreewise(h, h, ident.induced_on_cohomology) == {-1: True, 0: True}
+        # multiplication by x is zero on H^0 = S/(x) != 0
+        times_x = ChainMap(K, K, {0: [VectorPoly(S, [x])], -1: [VectorPoly(S, [x])]})
+        assert certify_degreewise(h, h, times_x.induced_on_cohomology) == {-1: True, 0: False}
+
+    def test_no_induced_map_is_not_certified(self):
+        from fpduality.complexes import certify_degreewise
+
+        _S, _x, _K, h = self._koszul()
+        assert certify_degreewise(h, h, lambda d, a, b: None) == {-1: False, 0: False}
