@@ -24,7 +24,9 @@ def _emit(report_dict, as_json, out):
         )
 
 
-def cmd_run(args, out=sys.stdout):
+def cmd_run(args, out=None):
+    if out is None:
+        out = sys.stdout
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -52,7 +54,9 @@ def cmd_run(args, out=sys.stdout):
     return 0 if (session.checks_passed and not session.had_error) else 1
 
 
-def cmd_selftest(args, out=sys.stdout):
+def cmd_selftest(args, out=None):
+    if out is None:
+        out = sys.stdout
     all_passed = True
     rows = []
     for crit, name, passed, payload, note in run_corpus():

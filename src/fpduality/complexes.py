@@ -9,8 +9,8 @@ construction (after reduction when a quotient ring is attached).
 
 from .errors import AlgebraError, RingMismatch
 from .groebner import (
-    ModuleGB,
     QuotientRing,
+    SpanSolver,
     VectorPoly,
     ambient_of,
     modulus_tails,
@@ -24,17 +24,8 @@ from .modules import FPModule, ModuleMap, direct_sum, is_isomorphism
 
 def solve_in_span(target, columns, ring, rank):
     """Coefficients c with sum c_i columns_i = target modulo the modulus of
-    `ring`, or None.  The workhorse for all lifting problems."""
-    amb = ambient_of(ring)
-    cols = list(columns)
-    allcols = cols + modulus_tails(ring, rank)
-    if not allcols:
-        return [] if target.is_zero() else None
-    mgb = ModuleGB(amb, rank, allcols)
-    coeffs = mgb.lift(target)
-    if coeffs is None:
-        return None
-    return coeffs[: len(cols)]
+    `ring`, or None.  Build a SpanSolver to solve many targets."""
+    return SpanSolver(list(columns), ring, rank).solve(target)
 
 
 class FreeComplex:
@@ -57,6 +48,7 @@ class FreeComplex:
             if any(not c.is_zero() for c in cols):
                 self.diffs[d] = cols
         self.labels = labels or {}
+        self._solvers = {}
         if check:
             self._check_dd()
 
@@ -92,6 +84,18 @@ class FreeComplex:
 
     def degrees(self):
         return sorted(self.terms)
+
+    def span_solver(self, d, ring):
+        """SpanSolver for d(x) = y, x in C^d, modulo the modulus of ring.
+
+        Cached per degree when ring is the complex's own ring object."""
+        if ring is not self.ring:
+            return SpanSolver(self.diffs.get(d, []), ring, self.rank(d + 1))
+        solver = self._solvers.get(d)
+        if solver is None:
+            solver = SpanSolver(self.diffs.get(d, []), ring, self.rank(d + 1))
+            self._solvers[d] = solver
+        return solver
 
     def apply_entrywise(self, fn, ring=None):
         """New complex with every matrix entry mapped through fn."""
@@ -265,19 +269,18 @@ class HDegree:
         self.boundary_cols = boundary_cols
         self.relation_cols = relation_cols
         self.rank = rank
-        self._mgb = None
+        self._solver = None
 
     def coords_of_cocycle(self, v):
         """Class of a cocycle vector in the presentation's generators."""
-        cols = list(self.reps) + list(self.boundary_cols) + list(self.relation_cols)
-        if not cols:
-            return [] if v.is_zero() else None
-        if self._mgb is None:
-            self._mgb = ModuleGB(cols[0].ring, self.rank, cols)
-        coeffs = self._mgb.lift(v)
-        if coeffs is None:
-            return None
-        return coeffs[: len(self.reps)]
+        if self._solver is None:
+            self._solver = SpanSolver(
+                self.reps,
+                self.module.ambient,
+                self.rank,
+                extra=list(self.boundary_cols) + list(self.relation_cols),
+            )
+        return self._solver.solve(v)
 
     def classes_of(self, cocycles):
         """Coordinate columns of the classes of the cocycles, or None when
@@ -523,13 +526,14 @@ def lift_chain_map(f0_cols, source, target, ring):
         if source.rank(d) == 0:
             break
         cols = []
+        solver = target.span_solver(d, ring)
         for col in source.differential(d):
             # want x with d_target(x) = f_{d+1}(d_source e_j)
             image = VectorPoly(amb, [amb.zero()] * target.rank(d + 1))
             for c, upper in zip(col.components, maps[d + 1]):
                 if not c.is_zero():
                     image = image + upper.mul_poly(c)
-            coeffs = solve_in_span(image, target.diffs.get(d, []), ring, target.rank(d + 1))
+            coeffs = solver.solve(image)
             if coeffs is None:
                 raise AlgebraError("lifting failed at degree %d" % d)
             cols.append(VectorPoly(amb, list(coeffs) + [amb.zero()] * (target.rank(d) - len(coeffs))))

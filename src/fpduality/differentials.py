@@ -13,6 +13,7 @@ from .complexes import FreeComplex, rank_one_complex, solve_in_span
 from .groebner import (
     Ideal,
     QuotientRing,
+    SpanSolver,
     VectorPoly,
     ambient_of,
     elimination_kernel,
@@ -114,8 +115,9 @@ def conormal_sequence(pi, rseq=None):
         raise NotSurjective("differential surjectivity failed; inputs not as expected")
     kerb, incl = kernel_with_inclusion(beta)
     cols = []
+    into = SpanSolver(incl.columns, Rq, n)
     for j in range(conormal.ngens):
-        coords = solve_in_span(alpha.columns[j], incl.columns, Rq, n)
+        coords = into.solve(alpha.columns[j])
         if coords is None:
             raise AlgebraError("conormal image misses the kernel; not exact")
         cols.append(VectorPoly(S, coords))

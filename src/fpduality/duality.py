@@ -22,7 +22,6 @@ from .complexes import (
     resolution_complex,
     rhom_to_module,
     shift,
-    solve_in_span,
     tensor_complex,
 )
 from .differentials import (
@@ -49,6 +48,7 @@ from .frobenius import (
 from .groebner import (
     Ideal,
     QuotientRing,
+    SpanSolver,
     VectorPoly,
     ambient_of,
     elimination_kernel,
@@ -572,9 +572,9 @@ def xi_via_factorization(R, roots, e):
             comps[monos.index(a)] = va
         push_cols.append(VectorPoly(amb, comps))
     functional = []
+    basis_change = SpanSolver(push_cols, R, len(monos))
     for a_idx, a in enumerate(monos):
-        target = unit_vector(amb, len(monos), a_idx)
-        sol = solve_in_span(target, push_cols, R, len(monos))
+        sol = basis_change.solve(unit_vector(amb, len(monos), a_idx))
         if sol is None:
             raise AlgebraError("basis change to the restricted monomials failed")
         acc = amb.zero()

@@ -38,7 +38,7 @@ class VectorPoly:
     def __init__(self, ring, components):
         components = tuple(components)
         for c in components:
-            if c.ring != ring:
+            if c.ring is not ring and c.ring != ring:
                 raise RingMismatch("vector components must share one ambient ring")
         self.ring = ring
         self.components = components
@@ -51,23 +51,46 @@ class VectorPoly:
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
 
+    def _check(self, other):
+        if self.ring is not other.ring and self.ring != other.ring:
+            raise RingMismatch("operands live in %r and %r" % (self.ring, other.ring))
+
+    def _zero_like(self):
+        return VectorPoly(self.ring, [self.ring.zero()] * self.rank)
+
+    # Polynomials are immutable, so a zero slot is passed through unchanged
+    # instead of being rebuilt: most slots of an augmented vector are zero.
+
     def __add__(self, other):
-        return VectorPoly(self.ring, [a + b for a, b in zip(self.components, other.components)])
+        self._check(other)
+        return VectorPoly(
+            self.ring,
+            [(a + b if a.terms else b) if b.terms else a for a, b in zip(self.components, other.components)],
+        )
 
     def __sub__(self, other):
-        return VectorPoly(self.ring, [a - b for a, b in zip(self.components, other.components)])
+        self._check(other)
+        return VectorPoly(
+            self.ring,
+            [(a - b if a.terms else -b) if b.terms else a for a, b in zip(self.components, other.components)],
+        )
 
     def __neg__(self):
-        return VectorPoly(self.ring, [-a for a in self.components])
+        return VectorPoly(self.ring, [-a if a.terms else a for a in self.components])
 
     def scale(self, c):
-        return VectorPoly(self.ring, [a.scale(c) for a in self.components])
+        if c % self.ring.p == 0:
+            return self._zero_like()
+        return VectorPoly(self.ring, [a.scale(c) if a.terms else a for a in self.components])
 
     def mul_term(self, mono, coeff):
-        return VectorPoly(self.ring, [a.mul_term(mono, coeff) for a in self.components])
+        if coeff % self.ring.p == 0:
+            return self._zero_like()
+        return VectorPoly(self.ring, [a.mul_term(mono, coeff) if a.terms else a for a in self.components])
 
     def mul_poly(self, f):
-        return VectorPoly(self.ring, [a * f for a in self.components])
+        self._check(f)
+        return VectorPoly(self.ring, [a * f if a.terms else a for a in self.components])
 
     def __eq__(self, other):
         return (
@@ -398,12 +421,13 @@ class ModuleGB:
             raise AlgebraError("vector rank %d does not match module rank %d" % (v.rank, self.rank))
         quots, rem = division(v, self.basis, primary=self.rank, order=self.order)
         k = len(self.generators)
-        coeffs = [self.ring.zero() for _ in range(k)]
+        coeffs = [self.ring.zero()] * k
         for q, cert in zip(quots, self.certificates):
             if q.is_zero():
                 continue
-            for idx in range(k):
-                coeffs[idx] = coeffs[idx] + q * cert.components[idx]
+            for idx, c in enumerate(cert.components):
+                if c.terms:
+                    coeffs[idx] = coeffs[idx] + q * c
         return coeffs, rem
 
     def normal_form(self, v):
@@ -443,16 +467,22 @@ def unique_nonzero(vectors):
     return out
 
 
+def heads(vectors, k, unique=False):
+    """First k entries of the vectors, zero heads dropped; unique also
+    drops repeated heads."""
+    out = [VectorPoly(z.ring, z.components[:k]) for z in vectors]
+    if unique:
+        return unique_nonzero(out)
+    return [h for h in out if not h.is_zero()]
+
+
 def syzygy_heads(cols, k, unique=False):
     """First k entries of the syzygies of cols, zero heads dropped.
 
     With cols = [f_1..f_k | g_1..], these generate the vectors c with
     sum c_i f_i in the span of the g's: the kernel of the map given by the
     first k columns, modulo the rest.  unique also drops repeated heads."""
-    heads = [VectorPoly(z.ring, z.components[:k]) for z in syzygies(cols)]
-    if unique:
-        return unique_nonzero(heads)
-    return [h for h in heads if not h.is_zero()]
+    return heads(syzygies(cols), k, unique)
 
 
 def groebner_basis(polys):
@@ -643,6 +673,33 @@ def modulus_tails(ring, rank):
     polynomial ring."""
     amb = ambient_of(ring)
     return [unit_vector(amb, rank, i, g) for g in modulus_gens(ring) for i in range(rank)]
+
+
+class SpanSolver:
+    """Solves sum c_i columns_i = v in R^rank, modulo the extra columns and
+    the modulus of ring.
+
+    The Groebner basis of columns + extra + modulus tails is built once, at
+    construction, and only when that list is not empty; solve() then costs
+    one division per target."""
+
+    def __init__(self, columns, ring, rank, extra=()):
+        self.ncols = len(columns)
+        allcols = list(columns) + list(extra) + modulus_tails(ring, rank)
+        self.mgb = ModuleGB(ambient_of(ring), rank, allcols) if allcols else None
+
+    @property
+    def syzygies(self):
+        return self.mgb.syzygies if self.mgb is not None else []
+
+    def solve(self, v):
+        """Coefficients c on the columns, or None when v is not spanned."""
+        if self.mgb is None:
+            return [] if v.is_zero() else None
+        coeffs = self.mgb.lift(v)
+        if coeffs is None:
+            return None
+        return coeffs[: self.ncols]
 
 
 # ---------------------------------------------------------------------------

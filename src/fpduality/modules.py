@@ -15,8 +15,10 @@ from .groebner import (
     Ideal,
     ModuleGB,
     QuotientRing,
+    SpanSolver,
     VectorPoly,
     ambient_of,
+    heads,
     modulus_gens,
     modulus_tails,
     reduce_in,
@@ -75,17 +77,6 @@ class FPModule:
 
     def is_zero_module(self):
         return all(self.element_is_zero(self.gen(i)) for i in range(self.ngens))
-
-    def lift_element(self, v, extra_columns=()):
-        """Coefficients of v on [extra_columns | relations], or None."""
-        cols = list(extra_columns) + list(self.relations)
-        if not cols:
-            return [] if v.is_zero() else None
-        mgb = ModuleGB(self.ambient, self.ngens, cols)
-        coeffs = mgb.lift(v)
-        if coeffs is None:
-            return None
-        return coeffs[: len(extra_columns)]
 
     def __repr__(self):
         return "FPModule(ngens=%d, nrels=%d over %r)" % (
@@ -285,9 +276,10 @@ class HomModule(FPModule):
                     comps[vec_index(j, i)] = b.components[i]
                 mod_cols.append(VectorPoly(amb, comps))
         k = len(raw_gens)
-        rels = syzygy_heads(list(raw_gens) + mod_cols, k)
+        # one basis serves the relations (its syzygy heads) and encode()
+        self._span = SpanSolver(raw_gens, amb, nm, extra=mod_cols)
+        rels = heads(self._span.syzygies, k)
         self._vec_gens = raw_gens
-        self._mod_cols = mod_cols
         self._vec_index = vec_index
         super().__init__(M.ring, k, rels)
 
@@ -313,20 +305,10 @@ class HomModule(FPModule):
 
     def encode(self, f):
         """Coordinates of an explicit ModuleMap in this presentation."""
-        amb = self.ambient
-        M, N = self.hom_source, self.hom_target
         comps = []
-        for j in range(M.ngens):
+        for j in range(self.hom_source.ngens):
             comps.extend(f.columns[j].components)
-        vec = VectorPoly(amb, comps)
-        cols = list(self._vec_gens) + self._mod_cols
-        if not cols:
-            return [] if vec.is_zero() else None
-        mgb = ModuleGB(amb, N.ngens * M.ngens, cols)
-        coeffs = mgb.lift(vec)
-        if coeffs is None:
-            return None
-        return coeffs[: len(self._vec_gens)]
+        return self._span.solve(VectorPoly(self.ambient, comps))
 
 
 def hom_module(M, N):

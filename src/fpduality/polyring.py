@@ -148,7 +148,7 @@ class PolyRing:
 
     # structural equality: same field, variables and order
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.p == other.p
             and self.variables == other.variables
@@ -194,7 +194,7 @@ class Polynomial:
         return max(sum(m) for m in self.terms)
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch("operands live in %r and %r" % (self.ring, other.ring))
 
     def __add__(self, other):

@@ -225,3 +225,22 @@ def test_selftest_json_matches_golden_stream():
     out = io.StringIO()
     cmd_selftest(argparse.Namespace(json=True), out=out)
     assert out.getvalue() == expected
+
+
+def test_main_writes_to_redirected_stdout():
+    """main() resolves sys.stdout when it runs, so redirect_stdout captures
+    the selftest stream (compared with the golden file, never written)."""
+    import contextlib
+    import os
+
+    from fpduality.cli import main
+
+    golden = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark", "golden", "selftest.jsonl")
+    with open(golden, encoding="utf-8") as fh:
+        expected = fh.read()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["selftest", "--json"])
+    assert out.getvalue() == expected
+    all_pass = all(json.loads(line)["status"] == "pass" for line in expected.splitlines())
+    assert code == (0 if all_pass else 1)

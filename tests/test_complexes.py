@@ -9,12 +9,14 @@ from fpduality.complexes import (
     cohomology,
     hom_complex,
     koszul_complex,
+    lift_chain_map,
     lift_map_of_resolutions,
     module_as_complex,
     rank_one_complex,
     resolution_complex,
     rhom_to_module,
     shift,
+    solve_in_span,
     tensor_complex,
 )
 from fpduality.groebner import QuotientRing, VectorPoly
@@ -255,6 +257,33 @@ class TestLifting:
         f = cm.induced_on_cohomology(0, rep.degrees[0], rep.degrees[0])
         # multiplication by x on S/(x) is zero
         assert f.is_zero_map()
+
+    def test_repeated_lifts_into_one_target_agree(self):
+        # the second lift reuses the target's per-degree span bases
+        S = ring(3, "x", "y")
+        x, y = S.gens()
+        r1 = resolution_complex(cyclic_module(S, [x ** 2, y ** 3]))
+        r2 = resolution_complex(cyclic_module(S, [x, y]))
+        f0 = [VectorPoly(S, [S.one()])]
+        first = lift_chain_map(f0, r1.complex, r2.complex, S)
+        second = lift_chain_map(f0, r1.complex, r2.complex, S)
+        assert first.maps == second.maps
+
+    def test_span_solver_cached_only_for_own_ring(self):
+        S = ring(3, "x", "y")
+        x, y = S.gens()
+        A = QuotientRing(S, [x * y])
+        T = koszul_complex(A, [x, y])
+        same = QuotientRing(ring(3, "x", "y"), [x * y])
+        assert same == A and same is not A
+        cached = T.span_solver(-1, A)
+        assert T.span_solver(-1, A) is cached
+        other = T.span_solver(-1, same)
+        assert other is not cached and T.span_solver(-1, same) is not other
+        for f in (x, y, x + y, x ** 2 - y, S.one(), S.zero()):
+            v = VectorPoly(S, [f])
+            expected = solve_in_span(v, T.diffs[-1], A, 1)
+            assert cached.solve(v) == other.solve(v) == expected
 
 
 class TestCertifyDegreewise:

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpduality.config import config
-from fpduality.errors import DegreeBudgetExceeded
+from fpduality.errors import DegreeBudgetExceeded, RingMismatch
 from fpduality.fp import inv_mod
 from fpduality.groebner import (
     Ideal,
@@ -382,3 +384,46 @@ class TestQuotientRing:
         amb = ring(2, "x", "y")
         A = QuotientRing(amb, [amb.var("x") * amb.var("y")])
         assert A.standard_monomials() is None
+
+
+# ---------------------------------------------------------------------------
+# VectorPoly passes zero slots through: same values as componentwise work
+
+_VR = PolyRing(5, ("x", "y"))
+_poly = st.one_of(
+    st.just(_VR.zero()),
+    st.lists(
+        st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 4)),
+        max_size=4,
+    ).map(_VR.from_terms),
+)
+_vector_pair = st.integers(1, 4).flatmap(
+    lambda r: st.tuples(st.lists(_poly, min_size=r, max_size=r), st.lists(_poly, min_size=r, max_size=r))
+)
+
+
+def _same(v, comps):
+    expected = VectorPoly(_VR, comps)
+    return v == expected and hash(v) == hash(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vector_pair, st.integers(-6, 6), st.tuples(st.integers(0, 2), st.integers(0, 2)), _poly)
+def test_vector_ops_match_componentwise(pair, c, mono, f):
+    a, b = pair
+    u, w = VectorPoly(_VR, a), VectorPoly(_VR, b)
+    assert _same(u + w, [s + t for s, t in zip(a, b)])
+    assert _same(u - w, [s - t for s, t in zip(a, b)])
+    assert _same(-u, [-s for s in a])
+    assert _same(u.scale(c), [s.scale(c) for s in a])
+    assert _same(u.mul_term(mono, c), [s.mul_term(mono, c) for s in a])
+    assert _same(u.mul_poly(f), [s * f for s in a])
+
+
+def test_zero_vectors_of_different_rings_do_not_mix():
+    u = VectorPoly(_VR, [_VR.zero()])
+    w = VectorPoly(PolyRing(5, ("x", "z")), [PolyRing(5, ("x", "z")).zero()])
+    with pytest.raises(RingMismatch):
+        u + w
+    with pytest.raises(RingMismatch):
+        u - w

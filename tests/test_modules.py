@@ -94,6 +94,34 @@ class TestHom:
             g = H.decode(coords)
             assert f.equals(g)
 
+    def test_encode_matches_fresh_basis(self):
+        # Hom(Lambda^2 F_*R, Q) on the elliptic curve of criterion 1: encode
+        # lifts through the constructor's basis; a freshly built one over
+        # the same columns must give the same coordinates
+        from fpduality.frobenius import frobenius_pushforward
+        from fpduality.groebner import ModuleGB
+
+        amb = ring(2, "x", "y")
+        x, y = amb.gens()
+        R = QuotientRing(amb, [y ** 2 + x * y + y + x ** 3 + x + 1])
+        L = exterior_power(frobenius_pushforward(R, 1).module, 2)
+        Q = ideal_module(R, [x + 1, y + 1])
+        H = hom_module(L, Q)
+        m, n = L.ngens, Q.ngens
+        mod_cols = []
+        for j in range(m):
+            for b in Q.relations:
+                comps = [amb.zero()] * (n * m)
+                comps[j * n : (j + 1) * n] = b.components
+                mod_cols.append(VectorPoly(amb, comps))
+        fresh = ModuleGB(amb, n * m, list(H._vec_gens) + mod_cols)
+        for i in range(H.ngens):
+            f = H.decode(i)
+            vec = VectorPoly(amb, [c for col in f.columns for c in col.components])
+            expected = fresh.lift(vec)
+            assert expected is not None
+            assert H.encode(f) == expected[: H.ngens]
+
 
 class TestTensor:
     def test_unit(self):
