@@ -31,6 +31,7 @@ from .modules import (
     is_isomorphism,
     kernel_cokernel,
     minimal_generators_at,
+    prune,
     tensor_module,
 )
 from .complexes import (

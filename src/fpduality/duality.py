@@ -66,6 +66,7 @@ from .modules import (
     free_module,
     hom_module,
     is_isomorphism,
+    prune,
 )
 from .polyring import MonomialOrder, PolyRing, RingMap
 
@@ -1017,12 +1018,15 @@ def verify_frobenius_duality(A, e=1, length_cap=None):
     )
     # module-level: the canonical module and its pushforward
     low = dc.lowest_degree()
-    h_om = dc.cohomology_report().degrees[low]
-    omega_mod = FPModule(A_work, h_om.module.ngens, h_om.module.relations)
+    h_om = dc.canonical_module()
+    omega_mod = dc.canonical_module_over_ring()
     Fomega = pushforward_module(omega_mod, e)
     pidx = Fomega.pushforward_index
     FA = frobenius_pushforward(A_work, e)
-    Hom_module_side = hom_module(FA.module, omega_mod)
+    # Hom out of the pruned F_* A: a map is its values on the kept monomials
+    FA_pruned, FA_in, _ = prune(FA.module)
+    kept = [FA.index.monomials[col.components.index(amb.one())] for col in FA_in.columns]
+    Hom_module_side = hom_module(FA_pruned, omega_mod)
     # candidate on each generator F_*(x^a z_j) of F_* omega_A
     mult_lifts = {}
     cols = []
@@ -1037,7 +1041,7 @@ def verify_frobenius_duality(A, e=1, length_cap=None):
         # psi is a functional on (F_*K)^{i_top}; evaluate on multiplication
         # lifts to get an A-map F_*A -> omega_A
         hom_cols = []
-        for b_idx, b_mono in enumerate(FA.index.monomials):
+        for b_mono in kept:
             if b_mono not in mult_lifts:
                 f0 = FA.coords(amb.monomial(b_mono))
                 mult_lifts[b_mono] = lift_chain_map([f0], K.complex, FK, S)
@@ -1062,7 +1066,7 @@ def verify_frobenius_duality(A, e=1, length_cap=None):
             if cls is None:
                 raise AlgebraError("assembled value is not a cocycle class")
             hom_cols.append(VectorPoly(amb, cls))
-        value_map = ModuleMap(FA.module, omega_mod, hom_cols, check=True)
+        value_map = ModuleMap(FA_pruned, omega_mod, hom_cols, check=True)
         coords = Hom_module_side.encode(value_map)
         if coords is None:
             raise AlgebraError("candidate map failed to encode in Hom")

@@ -35,15 +35,14 @@ class FPModule:
         self.ring = ring
         self.ambient = ambient_of(ring)
         self.ngens = ngens
-        rels = []
-        for r in relations:
+        rels = list(relations)
+        for r in rels:
             if r.rank != ngens:
                 raise AlgebraError("relation of length %d in a module of rank %d" % (r.rank, ngens))
-            if not r.is_zero():
-                rels.append(r)
         if normalize:
             rels.extend(modulus_tails(ring, ngens))
-        self.relations = rels
+        # a repeated relation only adds a trivial syzygy to every basis built
+        self.relations = unique_nonzero(rels)
         if grading is not None:
             grading = list(grading)
             if len(grading) != ngens:
@@ -192,12 +191,17 @@ class ModuleMap:
 # ---------------------------------------------------------------------------
 # kernels, cokernels, certification
 
+def _kernel_generators(f):
+    """Generators of ker(f) in normal form modulo the source relations, so
+    that none is zero in the source: ker(f) = 0 iff the list is empty."""
+    heads = syzygy_heads(list(f.columns) + list(f.target.relations), f.source.ngens)
+    # drop duplicates and zero images after reduction
+    return unique_nonzero(f.source.nf(h) for h in heads)
+
+
 def kernel_with_inclusion(f):
     """Presentation of ker(f) plus the inclusion map into the source."""
-    m = f.source.ngens
-    heads = syzygy_heads(list(f.columns) + list(f.target.relations), m)
-    # drop duplicates and zero images after reduction
-    kernel_gens = unique_nonzero(f.source.nf(h) for h in heads)
+    kernel_gens = _kernel_generators(f)
     k = len(kernel_gens)
     rels = syzygy_heads(kernel_gens + list(f.source.relations), k)
     ker = FPModule(f.source.ring, k, rels)
@@ -224,8 +228,83 @@ def kernel_cokernel(f):
 
 
 def is_isomorphism(f):
-    ker, coker = kernel_cokernel(f)
-    return ker.is_zero_module() and coker.is_zero_module()
+    """Certify f by the vanishing of its kernel and cokernel, computed for
+    from_tgt . f . to_src between the pruned source and target; the explicit
+    isomorphisms of prune() make this the same verdict as for f."""
+    src, to_src, _ = prune(f.source)
+    tgt, _, from_tgt = prune(f.target)
+    if src is not f.source:
+        f = f.compose(to_src)
+    if tgt is not f.target:
+        f = from_tgt.compose(f)
+    coker, _ = cokernel_with_projection(f)
+    return prune(coker)[0].is_zero_module() and not _kernel_generators(f)
+
+
+# ---------------------------------------------------------------------------
+# minimal presentations
+
+def prune(M):
+    """(P, to_M, from_M): M presented with a generator eliminated wherever a
+    relation has a nonzero constant entry, plus inverse isomorphisms.
+
+    When the pruned relations reach a higher degree than those of M, P is M.
+    to_M sends each generator of P to the generator of M it keeps;
+    from_M . to_M is the identity of P and to_M . from_M the identity of M
+    modulo its relations.  When nothing is eliminated, P is M itself, with
+    the relation basis it may already hold."""
+    amb = M.ambient
+    m = M.ngens
+    # modulus tails are set aside and adjoined again for the kept
+    # generators: each tail of an eliminated generator is a combination of
+    # those
+    tails = {t.components for t in modulus_tails(M.ring, m)}
+    has_tails = tails <= {r.components for r in M.relations}
+    rels = [list(r.components) for r in M.relations if not (has_tails and r.components in tails)]
+    express = [list(M.gen(k).components) for k in range(m)]
+    kept = list(range(m))
+    # with the tails adjoined again, entries only matter modulo the modulus
+    reduce = (lambda f: reduce_in(M.ring, f)) if has_tails else (lambda f: f)
+
+    def substitute(vec, r, j, inv):
+        # e_j = -(1/c) sum_{i != j} r_i e_i, with c = r_j = 1/inv
+        if not vec[j].terms:
+            return vec
+        factor = vec[j].scale(inv)
+        return [reduce(vec[i] - factor * r[i]) if r[i].terms else vec[i] for i in range(m)]
+
+    while True:
+        pivots = [
+            (sum(1 for i in kept if r[i].terms), t, j)
+            for t, r in enumerate(rels)
+            for j in kept
+            if r[j].constant_value()
+        ]
+        if not pivots:
+            break
+        _, t, j = min(pivots)
+        r = rels.pop(t)
+        inv = inv_mod(r[j].constant_value(), amb.p)
+        rels = [substitute(s, r, j, inv) for s in rels]
+        express = [substitute(v, r, j, inv) for v in express]
+        kept.remove(j)
+    # fill-in above the largest degree of M can make every later basis far
+    # costlier than the generators saved: keep M then
+    degree = max((c.total_degree() for r in M.relations for c in r.components), default=0)
+    if len(kept) == m or any(e.total_degree() > degree for r in rels for e in r):
+        ident = ModuleMap.identity(M)
+        return M, ident, ident
+    grading = [M.grading[k] for k in kept] if M.grading is not None else None
+    P = FPModule(
+        M.ring,
+        len(kept),
+        [VectorPoly(amb, [r[i] for i in kept]) for r in rels],
+        grading=grading,
+        normalize=has_tails,
+    )
+    to_M = ModuleMap(P, M, [M.gen(k) for k in kept], check=False)
+    from_M = ModuleMap(M, P, [VectorPoly(amb, [v[i] for i in kept]) for v in express], check=False)
+    return P, to_M, from_M
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +325,25 @@ class HomModule(FPModule):
         def vec_index(j, i):
             return j * n + i
 
+        # A relation g*e_j of M asks that g*phi(e_j) lie in the relation
+        # span of N, which holds for every phi when N's relations contain
+        # each g*e_i (the modulus tails, say): such a condition is dropped.
+        n_rels = {b.components for b in N.relations}
+
+        def automatic(a):
+            entries = [c for c in a.components if c.terms]
+            return len(entries) == 1 and all(
+                unit_vector(amb, n, i, entries[0]).components in n_rels for i in range(n)
+            )
+
+        conditions = [a for a in M.relations if not automatic(a)]
         # columns of the stacked condition map R^{nm} -> R^{n * q}
-        q = len(M.relations)
+        q = len(conditions)
         big_cols = []
         for j in range(m):
             for i in range(n):
                 comps = [amb.zero()] * (n * q)
-                for t, a in enumerate(M.relations):
+                for t, a in enumerate(conditions):
                     if not a.components[j].is_zero():
                         comps[t * n + i] = a.components[j]
                 big_cols.append(VectorPoly(amb, comps))

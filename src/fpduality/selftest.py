@@ -18,7 +18,6 @@ from .frobenius import frobenius_pushforward, pbasis_trace_generator
 from .gabber import gabber_truncation, verify_kernel_bracket
 from .groebner import Ideal, QuotientRing, elimination_kernel
 from .modules import (
-    FPModule,
     cyclic_module,
     exterior_power,
     generic_rank,
@@ -36,13 +35,6 @@ def _elliptic():
     x, y = amb.gens()
     curve = y ** 2 + x * y + y + x ** 3 + x + 1
     return amb, QuotientRing(amb, [curve])
-
-
-def _omega_module(A):
-    dc = canonical_dualizing(A)
-    low = dc.lowest_degree()
-    h = dc.cohomology_report().degrees[low]
-    return FPModule(A, h.module.ngens, h.module.relations), low
 
 
 def c1_elliptic_rank():
@@ -196,12 +188,14 @@ def c7_unit_and_rigidifier():
     A = QuotientRing(PolyRing(2, ("x",)), [])
     x = A.ambient.var("x")
     results["line_module"] = verify_unit(A, cyclic_module(A)).certified
-    om, low = _omega_module(A)
+    dc = canonical_dualizing(A)
+    om, low = dc.canonical_module_over_ring(), dc.lowest_degree()
     results["line_omega_rigidifier"] = verify_unit(A, om, m_shift=low).certified
     results["line_torsion"] = verify_unit(A, cyclic_module(A, [x])).certified
     amb = PolyRing(2, ("x",))
     Ad = QuotientRing(amb, [amb.var("x") ** 2])
-    omd, lowd = _omega_module(Ad)
+    dcd = canonical_dualizing(Ad)
+    omd, lowd = dcd.canonical_module_over_ring(), dcd.lowest_degree()
     results["dual_numbers_omega"] = verify_unit(Ad, omd, m_shift=lowd).certified
     sym = verify_symmetry(A, om, om, low, low)
     results["symmetry_omega"] = all(sym.values())

@@ -416,13 +416,6 @@ def _module_arg(v):
     raise AlgebraError("expected a module")
 
 
-def _omega_of(A):
-    dc = canonical_dualizing(A)
-    low = dc.lowest_degree()
-    h = dc.cohomology_report().degrees[low]
-    return FPModule(A, h.module.ngens, h.module.relations), low
-
-
 def _quotient(v):
     if isinstance(v, QuotientRing):
         return v
@@ -550,8 +543,7 @@ def _b_gabber(ip, args):
 
 def _b_omega(ip, args):
     A = _quotient(ip.ring_at(args[0]))
-    om, low = _omega_of(A)
-    return om
+    return canonical_dualizing(A).canonical_module_over_ring()
 
 
 def _b_omega_degrees(ip, args):
@@ -610,8 +602,8 @@ def _b_unit(ip, args):
 
 def _b_rigidifier(ip, args):
     A = _quotient(ip.ring_at(args[0]))
-    om, low = _omega_of(A)
-    return verify_unit(A, om, m_shift=low).certified
+    dc = canonical_dualizing(A)
+    return verify_unit(A, dc.canonical_module_over_ring(), m_shift=dc.lowest_degree()).certified
 
 
 def _b_symmetry(ip, args):

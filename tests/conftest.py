@@ -1,3 +1,6 @@
+import pytest
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     try:
         from test_acceptance import RESULT_LINES
@@ -7,3 +10,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in RESULT_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def hom_condition_systems(monkeypatch):
+    """(rows, columns) of each Hom condition system built while the test
+    runs: HomModule reads its raw generators off syzygy_heads(..., unique=True)."""
+    import fpduality.modules as modules
+
+    shapes = []
+    original = modules.syzygy_heads
+
+    def recorded(cols, k, unique=False):
+        if unique and cols:
+            shapes.append((cols[0].rank, len(cols)))
+        return original(cols, k, unique)
+
+    monkeypatch.setattr(modules, "syzygy_heads", recorded)
+    return shapes

@@ -244,3 +244,20 @@ def test_main_writes_to_redirected_stdout():
     assert out.getvalue() == expected
     all_pass = all(json.loads(line)["status"] == "pass" for line in expected.splitlines())
     assert code == (0 if all_pass else 1)
+
+
+def test_duality_ladder_matches_golden_reports():
+    """The six duality-ladder scripts, run through parse_session/execute in
+    one session, reproduce the reports recorded in benchmark/golden/ladder.json
+    (read, never written)."""
+    import os
+
+    golden = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark", "golden", "ladder.json")
+    with open(golden, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert len(expected) == 6
+    session = Session()
+    for name, reports in sorted(expected.items()):
+        script = "\n".join(report["command"] for report in reports)
+        got = [execute(session, stmt).to_dict() for stmt in parse_session(script)]
+        assert got == reports, name

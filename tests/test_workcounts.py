@@ -1,18 +1,29 @@
-"""Work-count guards: deterministic ModuleGB build counts on fixed workloads.
+"""Work-count guards: deterministic ModuleGB build counts and presentation
+sizes on fixed workloads.
 
-An algorithmic regression that rebuilds Groebner bases shows here as a
-count above its bound, with no timing noise.  Bounds are the counts
-measured when the per-owner basis reuse landed (41 and 708 builds before).
+An algorithmic regression that rebuilds Groebner bases, or that feeds them
+larger presentations, shows here as a count above its bound, with no timing
+noise.  The build bounds are the counts measured when the per-owner basis
+reuse landed (41 builds before) and when presentations were trimmed (676
+corpus builds before).  The stacked-system bounds are rows x columns of the
+Hom condition system, measured when automatic Hom conditions were dropped
+(18 x 45 and 68 x 182 before).
 """
 
 import pytest
 
 import fpduality.groebner as groebner
+import fpduality.modules as modules
+from fpduality.duality import canonical_dualizing
+from fpduality.frobenius import frobenius_pushforward
+from fpduality.polyring import PolyRing
 from fpduality.selftest import run_corpus
 from fpduality.session import Session, execute, parse_session
 
 CUSP_DUALITY_BUILDS = 24
-CORPUS_BUILDS = 676
+CORPUS_BUILDS = 535
+CUSP_HOM_SYSTEM = 9 * 27
+ELLIPTIC_DET_HOM_SYSTEM = 32 * 76
 
 CUSP_SCRIPT = "ring A = Fp(3)[x,y] / (y^2 - x^3);\ncheck frobenius_duality(A);\n"
 
@@ -56,3 +67,29 @@ def test_corpus_builds(builds):
     first = _corpus_builds(builds)
     assert first <= CORPUS_BUILDS
     assert _corpus_builds(builds) == first
+
+
+def test_cusp_hom_system_size(hom_condition_systems):
+    # hom_module(F_*A, omega_A) on F_3[x,y]/(y^2 - x^3)
+    amb = PolyRing(3, ("x", "y"))
+    x, y = amb.gens()
+    A = groebner.QuotientRing(amb, [y ** 2 - x ** 3])
+    omega = canonical_dualizing(A).canonical_module_over_ring()
+    hom_condition_systems.clear()
+    modules.hom_module(frobenius_pushforward(A).module, omega)
+    [(rows, cols)] = hom_condition_systems
+    assert rows * cols <= CUSP_HOM_SYSTEM
+
+
+def test_elliptic_determinant_hom_system_size(hom_condition_systems):
+    # hom_module(Lambda^2 F_*R, Q) of the elliptic determinant clause
+    amb = PolyRing(2, ("x", "y"))
+    x, y = amb.gens()
+    R = groebner.QuotientRing(amb, [y ** 2 + x * y + y + x ** 3 + x + 1])
+    L = modules.exterior_power(frobenius_pushforward(R).module, 2)
+    Q = modules.ideal_module(R, [x + 1, y + 1])
+    hom_condition_systems.clear()
+    H = modules.hom_module(L, Q)
+    [(rows, cols)] = hom_condition_systems
+    assert rows * cols <= ELLIPTIC_DET_HOM_SYSTEM
+    assert H.ngens == 18
