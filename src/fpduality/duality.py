@@ -1025,7 +1025,7 @@ def verify_frobenius_duality(A, e=1, length_cap=None):
     FA = frobenius_pushforward(A_work, e)
     # Hom out of the pruned F_* A: a map is its values on the kept monomials
     FA_pruned, FA_in, _ = prune(FA.module)
-    kept = [FA.index.monomials[col.components.index(amb.one())] for col in FA_in.columns]
+    kept = [FA.index.monomials[k] for k in FA_in.kept]
     Hom_module_side = hom_module(FA_pruned, omega_mod)
     # candidate on each generator F_*(x^a z_j) of F_* omega_A
     mult_lifts = {}

@@ -49,6 +49,7 @@ class FPModule:
                 raise AlgebraError("one degree per generator required")
         self.grading = grading
         self._relgb = None
+        self._pruned = None
 
     def relgb(self):
         if self._relgb is None:
@@ -248,11 +249,26 @@ def prune(M):
     """(P, to_M, from_M): M presented with a generator eliminated wherever a
     relation has a nonzero constant entry, plus inverse isomorphisms.
 
-    When the pruned relations reach a higher degree than those of M, P is M.
-    to_M sends each generator of P to the generator of M it keeps;
+    to_M sends generator i of P to generator to_M.kept[i] of M;
     from_M . to_M is the identity of P and to_M . from_M the identity of M
     modulo its relations.  When nothing is eliminated, P is M itself, with
-    the relation basis it may already hold."""
+    the relation basis it may already hold.  The elimination is done once
+    per module and kept on it, so P and its basis are shared by every call."""
+    if M._pruned is None:
+        M._pruned = _eliminate_units(M)
+    P, kept, express = M._pruned
+    if P is None:
+        P = M
+    to_M = ModuleMap(P, M, [M.gen(k) for k in kept], check=False)
+    to_M.kept = kept
+    from_M = ModuleMap(M, P, express, check=False)
+    return P, to_M, from_M
+
+
+def _eliminate_units(M):
+    """(P, kept, express) for prune(M): P is None when no generator goes,
+    kept lists the generators of M that P keeps and express[k] is the image
+    of generator k of M in P."""
     amb = M.ambient
     m = M.ngens
     # modulus tails are set aside and adjoined again for the kept
@@ -288,12 +304,8 @@ def prune(M):
         rels = [substitute(s, r, j, inv) for s in rels]
         express = [substitute(v, r, j, inv) for v in express]
         kept.remove(j)
-    # fill-in above the largest degree of M can make every later basis far
-    # costlier than the generators saved: keep M then
-    degree = max((c.total_degree() for r in M.relations for c in r.components), default=0)
-    if len(kept) == m or any(e.total_degree() > degree for r in rels for e in r):
-        ident = ModuleMap.identity(M)
-        return M, ident, ident
+    if len(kept) == m:
+        return None, kept, [M.gen(k) for k in range(m)]
     grading = [M.grading[k] for k in kept] if M.grading is not None else None
     P = FPModule(
         M.ring,
@@ -302,9 +314,7 @@ def prune(M):
         grading=grading,
         normalize=has_tails,
     )
-    to_M = ModuleMap(P, M, [M.gen(k) for k in kept], check=False)
-    from_M = ModuleMap(M, P, [VectorPoly(amb, [v[i] for i in kept]) for v in express], check=False)
-    return P, to_M, from_M
+    return P, kept, [VectorPoly(amb, [v[i] for i in kept]) for v in express]
 
 
 # ---------------------------------------------------------------------------

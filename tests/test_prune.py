@@ -65,8 +65,8 @@ def test_prune_gives_inverse_isomorphisms(M):
     ModuleMap(M, P, from_M.columns, check=True)
     assert from_M.compose(to_M).equals(ModuleMap.identity(P))
     assert to_M.compose(from_M).equals(ModuleMap.identity(M))
-    # unless M is kept for fill-in, no relation of P has a constant entry left
-    assert P is M or not any(c.constant_value() for r in P.relations for c in r.components)
+    # no relation of P has a constant entry left
+    assert not any(c.constant_value() for r in P.relations for c in r.components)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -89,6 +89,15 @@ def test_prune_without_units_returns_the_module():
     P, to_M, from_M = prune(M)
     assert P is M and P.relgb() is gb
     assert to_M.equals(ModuleMap.identity(M)) and from_M.equals(ModuleMap.identity(M))
+
+
+def test_prune_is_kept_on_the_module():
+    M = FPModule(CUSP, 2, [VectorPoly(S, [X, S.one()]), VectorPoly(S, [Y, X])])
+    P, _, _ = prune(M)
+    gb = P.relgb()
+    Q, to_M, _ = prune(M)
+    assert Q is P and Q.relgb() is gb
+    assert P.ngens == 1 and to_M.kept == [0]
 
 
 def test_prune_to_zero_module():

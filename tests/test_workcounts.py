@@ -7,7 +7,8 @@ noise.  The build bounds are the counts measured when the per-owner basis
 reuse landed (41 builds before) and when presentations were trimmed (676
 corpus builds before).  The stacked-system bounds are rows x columns of the
 Hom condition system, measured when automatic Hom conditions were dropped
-(18 x 45 and 68 x 182 before).
+(18 x 45 and 68 x 182 before).  Certifying five maps out of one prunable
+module built 7 bases before the pruned module was kept on its owner.
 """
 
 import pytest
@@ -16,12 +17,14 @@ import fpduality.groebner as groebner
 import fpduality.modules as modules
 from fpduality.duality import canonical_dualizing
 from fpduality.frobenius import frobenius_pushforward
+from fpduality.groebner import VectorPoly
 from fpduality.polyring import PolyRing
 from fpduality.selftest import run_corpus
 from fpduality.session import Session, execute, parse_session
 
 CUSP_DUALITY_BUILDS = 24
 CORPUS_BUILDS = 535
+REPEATED_CERTIFICATION_BUILDS = 6
 CUSP_HOM_SYSTEM = 9 * 27
 ELLIPTIC_DET_HOM_SYSTEM = 32 * 76
 
@@ -67,6 +70,29 @@ def test_corpus_builds(builds):
     first = _corpus_builds(builds)
     assert first <= CORPUS_BUILDS
     assert _corpus_builds(builds) == first
+
+
+def test_repeated_certification_builds(builds):
+    # five multiplication maps on a module whose prune drops two of its three
+    # generators: the pruned source and its basis are built once
+    amb = PolyRing(3, ("x", "y"))
+    x, y = amb.gens()
+    A = groebner.QuotientRing(amb, [y ** 2 - x ** 3])
+    zero, one = amb.zero(), amb.one()
+    M = modules.FPModule(A, 3, [
+        VectorPoly(amb, [x, zero, zero]),
+        VectorPoly(amb, [y, one, zero]),
+        VectorPoly(amb, [x * y, zero, amb.const(2)]),
+    ])
+    builds[0] = 0
+    verdicts = [
+        modules.is_isomorphism(
+            modules.ModuleMap(M, M, [M.gen(i).mul_poly(g) for i in range(3)], check=False)
+        )
+        for g in (x, y, x + y, amb.const(2), one)
+    ]
+    assert verdicts == [False, False, False, True, True]
+    assert builds[0] <= REPEATED_CERTIFICATION_BUILDS
 
 
 def test_cusp_hom_system_size(hom_condition_systems):
