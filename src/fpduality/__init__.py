@@ -36,7 +36,6 @@ from .modules import (
 )
 from .complexes import (
     FreeComplex,
-    ModComplex,
     ChainMap,
     cohomology,
     hom_complex,

@@ -1,10 +1,16 @@
-"""Bounded cochain complexes of free modules.
+"""Bounded cochain complexes of free modules, optionally modulo relations.
+
+A term may carry relation columns: term d is then the finitely presented
+module FPModule(ring, rank(d), relations[d]); a term without relations is
+free over the ring.  Hom and tensor products take a free first factor and
+copy the relations of the second factor blockwise.
 
 Cohomological indexing throughout.  Sign conventions are fixed once for the
 whole artifact: the differential of Hom(X, Y) is f -> d_Y o f - (-1)^n f o
 d_X for f of degree n, and the tensor differential carries the Koszul sign
 (-1)^i on the second factor.  d o d = 0 is asserted after every
-construction (after reduction when a quotient ring is attached).
+construction (modulo the modulus of the ring, then modulo the term
+relations).
 """
 
 from .errors import AlgebraError, RingMismatch
@@ -19,7 +25,7 @@ from .groebner import (
     syzygy_heads,
     unit_vector,
 )
-from .modules import FPModule, ModuleMap, direct_sum, is_isomorphism
+from .modules import FPModule, ModuleMap, is_isomorphism
 
 
 def solve_in_span(target, columns, ring, rank):
@@ -29,9 +35,12 @@ def solve_in_span(target, columns, ring, rank):
 
 
 class FreeComplex:
-    """Bounded complex of free modules; matrices are lists of columns."""
+    """Bounded complex of free modules, optionally modulo per-degree
+    relations; matrices are lists of columns."""
 
-    def __init__(self, ring, terms, diffs, labels=None, check=True):
+    hom_bases = None  # degree -> BasisIndex, on the complexes hom_complex builds
+
+    def __init__(self, ring, terms, diffs, labels=None, check=True, relations=None):
         self.ring = ring
         self.ambient = ambient_of(ring)
         self.terms = {d: r for d, r in terms.items() if r > 0}
@@ -48,6 +57,12 @@ class FreeComplex:
             if any(not c.is_zero() for c in cols):
                 self.diffs[d] = cols
         self.labels = labels or {}
+        self._modules = {
+            d: FPModule(ring, self.terms[d], rels)
+            for d, rels in (relations or {}).items()
+            if d in self.terms
+        }
+        self.relations = {d: M.relations for d, M in self._modules.items()}
         self._solvers = {}
         if check:
             self._check_dd()
@@ -62,13 +77,31 @@ class FreeComplex:
                 for coeff, col2 in zip(c.components, nxt):
                     t = col2.mul_poly(coeff)
                     acc = t if acc is None else acc + t
-                if acc is not None and not all(
-                    reduce_in(self.ring, x).is_zero() for x in acc.components
-                ):
+                if acc is not None and not self.vanishes(d + 2, acc):
                     raise AlgebraError("d o d != 0 at degree %d" % d)
 
     def rank(self, d):
         return self.terms.get(d, 0)
+
+    def term(self, d):
+        """Term d as an FPModule: free unless it carries relations."""
+        if d in self._modules:
+            return self._modules[d]
+        return FPModule(self.ring, self.rank(d), [])
+
+    def term_relations(self, d, ring=None):
+        """Relation columns of term d: its own relations, or the modulus
+        tails of ring (the complex's ring by default) for a free term."""
+        if d in self.relations:
+            return self.relations[d]
+        return modulus_tails(ring or self.ring, self.rank(d))
+
+    def vanishes(self, d, v):
+        """Whether v is zero in term d: modulo the modulus of the ring, or
+        else modulo the relations of the term."""
+        if all(reduce_in(self.ring, x).is_zero() for x in v.components):
+            return True
+        return d in self.relations and self.term(d).element_is_zero(v)
 
     def support(self):
         if not self.terms:
@@ -98,12 +131,22 @@ class FreeComplex:
         return solver
 
     def apply_entrywise(self, fn, ring=None):
-        """New complex with every matrix entry mapped through fn."""
-        diffs = {}
+        """New complex with every matrix and relation entry mapped through
+        fn; Hom bases carry over, since the terms keep their ranks."""
         amb = ambient_of(ring) if ring is not None else self.ambient
-        for d, cols in self.diffs.items():
-            diffs[d] = [VectorPoly(amb, [fn(c) for c in col.components]) for col in cols]
-        return FreeComplex(ring or self.ring, dict(self.terms), diffs, labels=dict(self.labels))
+
+        def mapped(vectors):
+            return [VectorPoly(amb, [fn(c) for c in v.components]) for v in vectors]
+
+        out = FreeComplex(
+            ring or self.ring,
+            dict(self.terms),
+            {d: mapped(cols) for d, cols in self.diffs.items()},
+            labels=dict(self.labels),
+            relations={d: mapped(rels) for d, rels in self.relations.items()},
+        )
+        out.hom_bases = self.hom_bases
+        return out
 
     def __repr__(self):
         lo, hi = self.support()
@@ -111,17 +154,9 @@ class FreeComplex:
         return "FreeComplex[%d..%d](%s over %r)" % (lo, hi, ranks, self.ring)
 
 
-def zero_complex(ring):
-    return FreeComplex(ring, {}, {})
-
-
 def rank_one_complex(ring, degree, label=None):
     labels = {degree: [label]} if label else None
     return FreeComplex(ring, {degree: 1}, {}, labels=labels)
-
-
-def module_as_complex(ring, rank, degree=0):
-    return FreeComplex(ring, {degree: rank}, {})
 
 
 def shift(T, k):
@@ -132,7 +167,8 @@ def shift(T, k):
     for d, cols in T.diffs.items():
         diffs[d - k] = [c if sign == 1 else -c for c in cols]
     labels = {d - k: v for d, v in T.labels.items()}
-    return FreeComplex(T.ring, terms, diffs, labels=labels, check=False)
+    relations = {d - k: rels for d, rels in T.relations.items()}
+    return FreeComplex(T.ring, terms, diffs, labels=labels, check=False, relations=relations)
 
 
 class BasisIndex:
@@ -146,28 +182,54 @@ class BasisIndex:
         return len(self.triples)
 
 
+def _product_terms(X, Y, degrees, partner):
+    """Bases and relations of the terms of Hom(X, Y) or X tensor Y.
+
+    Term n has one block Y^j, j = partner(n, i), for each basis element a
+    of X^i; its basis lists the triples (i, a, b).  X must be free.  The
+    relations of Y are copied into every block, in direct_sum order."""
+    if X.relations:
+        raise AlgebraError("the first factor of Hom or tensor must be free")
+    bases = {}
+    relations = {}
+    for n in degrees:
+        triples = []
+        blocks = []
+        for i in X.degrees():
+            j = partner(n, i)
+            r = Y.rank(j)
+            if r == 0:
+                continue
+            for a in range(X.rank(i)):
+                blocks.append((len(triples), j))
+                triples.extend((i, a, b) for b in range(r))
+        if not triples:
+            continue
+        bases[n] = BasisIndex(triples)
+        if Y.relations:
+            zero = X.ambient.zero()
+            relations[n] = [
+                VectorPoly(
+                    X.ambient,
+                    [zero] * off + list(rel.components) + [zero] * (len(triples) - off - rel.rank),
+                )
+                for off, j in blocks
+                for rel in Y.term_relations(j)
+            ]
+    return bases, relations
+
+
 def hom_complex(X, Y):
-    """Hom(X, Y) with differential d_Y o f - (-1)^n f o d_X."""
+    """Hom(X, Y) with differential d_Y o f - (-1)^n f o d_X, for X free.
+
+    Returns the complex and its bases, which it also keeps as .hom_bases."""
     if ambient_of(X.ring) != ambient_of(Y.ring):
         raise RingMismatch("Hom of complexes over different ambient rings")
     amb = X.ambient
     ring = Y.ring if isinstance(Y.ring, QuotientRing) else X.ring
     xlo, xhi = X.support()
     ylo, yhi = Y.support()
-    if X.rank(0) == 0 and not X.terms:
-        return zero_complex(ring), {}
-    bases = {}
-    for n in range(ylo - xhi, yhi - xlo + 1):
-        triples = []
-        for i in X.degrees():
-            j = i + n
-            if Y.rank(j) == 0:
-                continue
-            for a in range(X.rank(i)):
-                for b in range(Y.rank(j)):
-                    triples.append((i, a, b))
-        if triples:
-            bases[n] = BasisIndex(triples)
+    bases, relations = _product_terms(X, Y, range(ylo - xhi, yhi - xlo + 1), lambda n, i: i + n)
     terms = {n: len(bi) for n, bi in bases.items()}
     diffs = {}
     for n, bi in bases.items():
@@ -198,29 +260,20 @@ def hom_complex(X, Y):
                         comps[pos] = comps[pos] + (entry if sign == 1 else -entry)
             cols.append(VectorPoly(amb, comps))
         diffs[n] = cols
-    return FreeComplex(ring, terms, diffs), bases
+    H = FreeComplex(ring, terms, diffs, relations=relations)
+    H.hom_bases = bases
+    return H, bases
 
 
 def tensor_complex(X, Y):
-    """Total complex of X tensor Y with Koszul signs."""
+    """Total complex of X tensor Y with Koszul signs, for X free."""
     if ambient_of(X.ring) != ambient_of(Y.ring):
         raise RingMismatch("tensor of complexes over different ambient rings")
     amb = X.ambient
     ring = X.ring if isinstance(X.ring, QuotientRing) else Y.ring
     xlo, xhi = X.support()
     ylo, yhi = Y.support()
-    bases = {}
-    for n in range(xlo + ylo, xhi + yhi + 1):
-        triples = []
-        for i in X.degrees():
-            j = n - i
-            if Y.rank(j) == 0:
-                continue
-            for a in range(X.rank(i)):
-                for b in range(Y.rank(j)):
-                    triples.append((i, a, b))
-        if triples:
-            bases[n] = BasisIndex(triples)
+    bases, relations = _product_terms(X, Y, range(xlo + ylo, xhi + yhi + 1), lambda n, i: n - i)
     terms = {n: len(bi) for n, bi in bases.items()}
     diffs = {}
     for n, bi in bases.items():
@@ -251,7 +304,7 @@ def tensor_complex(X, Y):
                         comps[pos] = comps[pos] + (entry if sign == 1 else -entry)
             cols.append(VectorPoly(amb, comps))
         diffs[n] = cols
-    return FreeComplex(ring, terms, diffs), bases
+    return FreeComplex(ring, terms, diffs, relations=relations), bases
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +314,7 @@ class HDegree:
     """Cohomology in one degree: presentation, representatives, coordinates.
 
     The term is R^rank modulo relation_cols: the modulus tails for a free
-    complex, the term's own relations for a complex of modules."""
+    term, the term's own relations otherwise."""
 
     def __init__(self, module, reps, boundary_cols, relation_cols, rank):
         self.module = module
@@ -295,20 +348,6 @@ class HDegree:
 
     def is_zero(self):
         return self.module.is_zero_module()
-
-
-def _cohomology_degree(ring, rank, d_out, out_relations, d_in, relations):
-    """H at a term R^rank / relations of a complex.
-
-    The cocycles are the kernel of the outgoing differential columns d_out
-    (None when zero) modulo the next term's out_relations; H is presented
-    as the cocycles modulo the boundary columns d_in and the relations."""
-    if d_out is None:
-        reps = [unit_vector(ambient_of(ring), rank, i) for i in range(rank)]
-    else:
-        reps = syzygy_heads(list(d_out) + list(out_relations), rank, unique=True)
-    rels = syzygy_heads(reps + d_in + relations, len(reps)) if reps else []
-    return HDegree(FPModule(ring, len(reps), rels), reps, d_in, relations, rank)
 
 
 def certify_degreewise(h_src, h_tgt, induced):
@@ -347,36 +386,48 @@ class CohomologyReport:
         return ds[0] if ds else None
 
 
-def cohomology(T, over=None):
-    """Per-degree kernel/image presentations of a free complex.
+def cohomology(T, over=None, window=None):
+    """Per-degree kernel/image presentations of a complex.
 
-    `over` may supply a QuotientRing whose modulus is adjoined; complexes
-    over quotient rings adjoin their own modulus automatically.
+    The cocycles in degree d are the kernel of the outgoing differential
+    modulo the relations of term d+1; H^d presents them modulo the
+    boundaries and the relations of term d.  `over` may supply a
+    QuotientRing whose modulus is adjoined to the free terms and over which
+    H is presented; complexes over quotient rings adjoin their own modulus
+    automatically.  `window` restricts the degrees, for complexes that are
+    only correct there (truncated resolutions).
     """
     ring = over or T.ring
     out = {}
     lo, hi = T.support()
+    if window is not None:
+        lo, hi = max(lo, window[0]), min(hi, window[1])
     for d in range(lo, hi + 1):
         r = T.rank(d)
         if r == 0:
             continue
         d_out = T.diffs.get(d)
-        out[d] = _cohomology_degree(
-            ring,
-            r,
-            d_out,
-            modulus_tails(ring, T.rank(d + 1)) if d_out else [],
-            list(T.diffs.get(d - 1, [])),
-            modulus_tails(ring, r),
-        )
+        if d_out is None:
+            reps = [unit_vector(ambient_of(ring), r, i) for i in range(r)]
+        else:
+            reps = syzygy_heads(d_out + T.term_relations(d + 1, ring), r, unique=True)
+        d_in = list(T.diffs.get(d - 1, []))
+        relations = T.term_relations(d, ring)
+        rels = syzygy_heads(reps + d_in + relations, len(reps)) if reps else []
+        out[d] = HDegree(FPModule(ring, len(reps), rels), reps, d_in, relations, r)
     return CohomologyReport(out)
+
+
+def mod_cohomology(C, window=None):
+    """The per-degree dict of cohomology(C, window=window)."""
+    return cohomology(C, window=window).degrees
 
 
 # ---------------------------------------------------------------------------
 # chain maps
 
 class ChainMap:
-    """Map of free complexes; maps[d] is a list of columns C^d_src -> C^d_tgt."""
+    """Map of complexes; maps[d] is a list of columns C^d_src -> C^d_tgt."""
 
     def __init__(self, source, target, maps, check=True):
         self.source = source
@@ -408,7 +459,7 @@ class ChainMap:
         return acc
 
     def verify(self):
-        """d_tgt o f = f o d_src, modulo the target's modulus."""
+        """d_tgt o f = f o d_src in the target's terms."""
         for d in self.source.degrees():
             if self.source.rank(d) == 0:
                 continue
@@ -431,9 +482,7 @@ class ChainMap:
                 zero = VectorPoly(amb, [amb.zero()] * r)
                 lhs = lhs if lhs is not None else zero
                 rhs = rhs if rhs is not None else zero
-                if r and not all(
-                    reduce_in(self.target.ring, c).is_zero() for c in (lhs - rhs).components
-                ):
+                if r and not self.target.vanishes(d + 1, lhs - rhs):
                     raise AlgebraError("not a chain map at degree %d" % d)
 
     def induced_on_cohomology(self, d, h_src, h_tgt):
@@ -472,8 +521,7 @@ def rhom_to_module(M, T, length_cap=None):
     """R Hom(M, T) for M an FPModule over a polynomial ring, T a bounded
     free complex: Hom of the free resolution into T."""
     res = resolution_complex(M, length_cap)
-    H, bases = hom_complex(res.complex, T)
-    H.hom_bases = bases
+    H, _ = hom_complex(res.complex, T)
     H.resolution = res
     return H
 
@@ -547,132 +595,39 @@ def lift_map_of_resolutions(f0_cols, resA, resB, ring):
 
 
 # ---------------------------------------------------------------------------
-# complexes of finitely presented modules
+# Hom transposes
 
-class ModComplex:
-    """Bounded complex of FPModules with ModuleMap differentials."""
+def hom_transpose_vector(lifted, v, b_src, b_tgt):
+    """Precompose one element of Hom(Y, T)^n with a chain map lifted: X -> Y.
 
-    def __init__(self, ring, terms, diffs, check=True):
-        self.ring = ring
-        self.ambient = ambient_of(ring)
-        self.terms = dict(terms)
-        self.diffs = dict(diffs)
-        if check:
-            for d, f in self.diffs.items():
-                nxt = self.diffs.get(d + 1)
-                if nxt is not None:
-                    comp = nxt.compose(f)
-                    if not comp.is_zero_map():
-                        raise AlgebraError("d o d != 0 at degree %d" % d)
-
-    def module(self, d):
-        return self.terms.get(d)
-
-    def degrees(self):
-        return sorted(self.terms)
-
-    def support(self):
-        ds = self.degrees()
-        return (ds[0], ds[-1]) if ds else (0, -1)
-
-
-def mod_cohomology(C, window=None):
-    """Per-degree cohomology of a ModComplex; restricted to a degree window
-    when the complex is only correct there (truncated resolutions)."""
-    out = {}
-    lo, hi = C.support()
-    for d in range(lo, hi + 1):
-        if window is not None and not (window[0] <= d <= window[1]):
+    v has coordinates on b_src, the basis of Hom(Y, T)^n; the result has
+    coordinates on b_tgt, the basis of Hom(X, T)^n."""
+    amb = v.ring
+    out = [amb.zero()] * len(b_tgt)
+    for pos, cf in enumerate(v.components):
+        if cf.is_zero():
             continue
-        M = C.module(d)
-        if M is None:
-            continue
-        f_out = C.diffs.get(d)
-        f_in = C.diffs.get(d - 1)
-        out[d] = _cohomology_degree(
-            C.ring,
-            M.ngens,
-            f_out.columns if f_out is not None else None,
-            f_out.target.relations if f_out is not None else [],
-            list(f_in.columns) if f_in is not None else [],
-            list(M.relations),
-        )
-    return out
-
-
-def hom_from_free(K, T):
-    """Hom(K, T) for K a bounded free complex and T a ModComplex over a
-    compatible quotient ring: terms are direct sums of copies of T's terms,
-    differential d(f) = d_T o f - (-1)^n f o d_K."""
-    ring = T.ring
-    amb = ambient_of(ring)
-    klo, khi = K.support()
-    tlo, thi = T.support()
-    bases = {}
-    for n in range(tlo - khi, thi - klo + 1):
-        triples = []
-        for i in K.degrees():
-            Tj = T.module(i + n)
-            if Tj is None:
+        i, aY, b = b_src.triples[pos]
+        for aX in range(lifted.source.rank(i)):
+            entry = lifted.column(i, aX).components[aY]
+            if entry.is_zero():
                 continue
-            for a in range(K.rank(i)):
-                for g in range(Tj.ngens):
-                    triples.append((i, a, g))
-        if triples:
-            bases[n] = triples
-    terms = {}
-    offsets = {}
-    for n, triples in bases.items():
-        mods = []
-        offs = []
-        acc = 0
-        seen_ia = []
-        for i in K.degrees():
-            Tj = T.module(i + n)
-            if Tj is None:
-                continue
-            for a in range(K.rank(i)):
-                seen_ia.append((i, a))
-                offs.append(((i, a), acc))
-                mods.append(Tj)
-                acc += Tj.ngens
-        terms[n] = direct_sum(mods) if mods else FPModule(ring, 0, [])
-        offsets[n] = dict(offs)
-    diffs = {}
-    for n in sorted(terms):
-        if (n + 1) not in terms:
-            continue
-        src = terms[n]
-        tgt = terms[n + 1]
-        cols = [VectorPoly(amb, [amb.zero()] * tgt.ngens) for _ in range(src.ngens)]
-        sign = -1 if n % 2 == 0 else 1  # -(-1)^n
-        for (i, a, g) in bases[n]:
-            col_idx = offsets[n][(i, a)] + g
-            comps = [amb.zero()] * tgt.ngens
-            # d_T o f part
-            dT = T.diffs.get(i + n)
-            if dT is not None and (i, a) in offsets[n + 1]:
-                img = dT.columns[g]
-                base = offsets[n + 1][(i, a)]
-                for g2, entry in enumerate(img.components):
-                    comps[base + g2] = comps[base + g2] + entry
-            # f o d_K part
-            dK = K.diffs.get(i - 1)
-            if dK is not None:
-                for a2 in range(K.rank(i - 1)):
-                    entry = dK[a2].components[a]
-                    if entry.is_zero():
-                        continue
-                    key = (i - 1, a2)
-                    if key not in offsets[n + 1]:
-                        continue
-                    base = offsets[n + 1][key]
-                    comps[base + g] = comps[base + g] + (
-                        entry if sign == 1 else -entry
-                    )
-            cols[col_idx] = VectorPoly(amb, comps)
-        diffs[n] = ModuleMap(src, tgt, cols, check=False)
-    C = ModComplex(ring, terms, diffs, check=True)
-    C.hom_bases = bases
-    C.hom_offsets = offsets
-    return C
+            q = b_tgt.position.get((i, aX, b))
+            if q is not None:
+                out[q] = out[q] + cf * entry
+    return VectorPoly(amb, out)
+
+
+def hom_transpose_chain_map(lifted, W_src, W_tgt):
+    """Hom(-, T) of a chain map of resolutions: W_src = Hom(Y, T) maps to
+    W_tgt = Hom(X, T) by precomposition with lifted: X -> Y."""
+    amb = W_tgt.ambient
+    maps = {}
+    for n, b_src in W_src.hom_bases.items():
+        b_tgt = W_tgt.hom_bases.get(n)
+        if b_tgt is not None:
+            maps[n] = [
+                hom_transpose_vector(lifted, unit_vector(amb, len(b_src), k), b_src, b_tgt)
+                for k in range(len(b_src))
+            ]
+    return ChainMap(W_src, W_tgt, maps, check=True)

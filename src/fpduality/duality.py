@@ -16,6 +16,8 @@ from .complexes import (
     certify_degreewise,
     cohomology,
     hom_complex,
+    hom_transpose_chain_map,
+    hom_transpose_vector,
     koszul_complex,
     lift_chain_map,
     rank_one_complex,
@@ -167,8 +169,7 @@ def ext_two_pipelines(S, rseq, M):
     Buchberger resolution, with a certified comparison in each degree."""
     A = cyclic_module(S, rseq)
     K = koszul_complex(S, rseq)
-    HK, bases = hom_complex(K, M)
-    HK.hom_bases = bases
+    HK, _ = hom_complex(K, M)
     HR = rhom_to_module(A, M)
     repK = cohomology(HK)
     repR = cohomology(HR)
@@ -700,8 +701,7 @@ def canonical_dualizing(A, pi=None, length_cap=None):
             S = A
             om = canonical_omega_regular(S)
             res = resolution_complex(free_module(S, 1))
-            W, bases = hom_complex(res.complex, om.complex)
-            W.hom_bases = bases
+            W, _ = hom_complex(res.complex, om.complex)
             W.resolution = res
             return DualizingComplex(A, W, res, om, "identity presentation")
         S = A.ambient
@@ -720,8 +720,7 @@ def canonical_dualizing(A, pi=None, length_cap=None):
     om = canonical_omega_regular(S)
     M = cyclic_module(S, gens)
     res = resolution_complex(M, length_cap)
-    W, bases = hom_complex(res.complex, om.complex)
-    W.hom_bases = bases
+    W, _ = hom_complex(res.complex, om.complex)
     W.resolution = res
     return DualizingComplex(A, W, res, om, provenance)
 
@@ -806,12 +805,10 @@ def _one_sided_collapse(A, pi_main, pi_other):
     Klin = koszul_complex(S3, lin)
     joint_res, joint_bases = tensor_complex(res1_in_S3, Klin)
     om3 = canonical_omega_regular(S3)
-    W3, W3_bases = hom_complex(joint_res, om3.complex)
-    W3.hom_bases = W3_bases
+    W3, _ = hom_complex(joint_res, om3.complex)
     # own model over S1
     om1 = canonical_omega_regular(S1)
     W1, W1_bases = hom_complex(res1.complex, om1.complex)
-    W1.hom_bases = W1_bases
     A3 = QuotientRing(S3, [rename_poly(g, S3, idx1) for g in J1.gens] + lin)
     collapse, sigma = _collapse_linear_block(
         W3, joint_bases, Klin, len(lin), lifts, S1, S3, W1_bases
@@ -938,39 +935,12 @@ def _compare_joint_models(A, side1, side2):
     Wa_in_b = side1["joint_model"].apply_entrywise(
         lambda f: rename_poly(f, amb_b, perm), ring=amb_b
     )
-    Wa_in_b.hom_bases = side1["joint_model"].hom_bases
     lifted = lift_chain_map([unit_vector(amb_b, 1, 0)], res_b, res_a_in_b, S3b)
     cm = hom_transpose_chain_map(lifted, Wa_in_b, Wb)
     rep_a = cohomology(Wa_in_b)
     rep_b = side2["joint_report"]
     certified = certify_degreewise(rep_a.degrees, rep_b.degrees, cm.induced_on_cohomology)
     return certified, (rep_a, rep_b)
-
-
-def hom_transpose_chain_map(lifted, W_src, W_tgt):
-    """Hom(-, T) of a chain map of resolutions: W_src = Hom(Y, T) maps to
-    W_tgt = Hom(X, T) by precomposition with lifted: X -> Y."""
-    amb = W_tgt.ambient
-    maps = {}
-    for n in W_src.degrees():
-        b_src = W_src.hom_bases.get(n)
-        b_tgt = W_tgt.hom_bases.get(n)
-        if b_src is None:
-            continue
-        cols = []
-        for (i, aY, b) in b_src.triples:
-            comps = [amb.zero()] * (len(b_tgt) if b_tgt else 0)
-            if b_tgt is not None:
-                for aX in range(lifted.source.rank(i)):
-                    entry = lifted.column(i, aX).components[aY]
-                    if entry.is_zero():
-                        continue
-                    pos = b_tgt.position.get((i, aX, b))
-                    if pos is not None:
-                        comps[pos] = comps[pos] + entry
-            cols.append(VectorPoly(amb, comps))
-        maps[n] = cols
-    return ChainMap(W_src, W_tgt, maps, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,8 +979,8 @@ def verify_frobenius_duality(A, e=1, length_cap=None):
     # complex-level: F_* W versus Hom_S(F_* K, omega_S) via the trace pairing
     FW = pushforward_complex(W, e)
     FK = pushforward_complex(K.complex, e)
-    C2, C2_bases = hom_complex(FK, dc.omega_S.complex)
-    chi = _trace_pairing_chain_map(W, FW, FK, C2, C2_bases, dc, e)
+    C2, _ = hom_complex(FK, dc.omega_S.complex)
+    chi = _trace_pairing_chain_map(W, FW, FK, C2, e)
     repFW = cohomology(FW)
     repC2 = cohomology(C2)
     complex_certified = certify_degreewise(
@@ -1045,24 +1015,11 @@ def verify_frobenius_duality(A, e=1, length_cap=None):
             if b_mono not in mult_lifts:
                 f0 = FA.coords(amb.monomial(b_mono))
                 mult_lifts[b_mono] = lift_chain_map([f0], K.complex, FK, S)
-            lift = mult_lifts[b_mono]
             # compose: K^{i_top} -> (F_*K)^{i_top} -> omega in W-coordinates
-            comp = [amb.zero()] * W.rank(low)
-            b_low = W.hom_bases.get(low)
-            bC2 = C2_bases.get(low)
-            for posC2, cf in enumerate(psi.components):
-                if cf.is_zero():
-                    continue
-                (i, aF, bo) = bC2.triples[posC2]
-                # precompose with the lift column entries at degree i
-                for aK in range(K.complex.rank(i)):
-                    entry = lift.column(i, aK).components[aF]
-                    if entry.is_zero():
-                        continue
-                    posW = b_low.position.get((i, aK, bo))
-                    if posW is not None:
-                        comp[posW] = comp[posW] + cf * entry
-            cls = h_om.coords_of_cocycle(VectorPoly(amb, comp))
+            comp = hom_transpose_vector(
+                mult_lifts[b_mono], psi, C2.hom_bases[low], W.hom_bases[low]
+            )
+            cls = h_om.coords_of_cocycle(comp)
             if cls is None:
                 raise AlgebraError("assembled value is not a cocycle class")
             hom_cols.append(VectorPoly(amb, cls))
@@ -1087,7 +1044,7 @@ def verify_frobenius_duality(A, e=1, length_cap=None):
     )
 
 
-def _trace_pairing_chain_map(W, FW, FK, C2, C2_bases, dc, e):
+def _trace_pairing_chain_map(W, FW, FK, C2, e):
     """F_*(Hom(K, omega)) -> Hom(F_*K, omega): the signed permutation
     F_*(x^m phi) -> [F_*(x^m' k) -> trace(F_*(x^{m+m'} phi(k)))], nonzero
     exactly when m' = (q-1) - m componentwise."""
@@ -1099,7 +1056,7 @@ def _trace_pairing_chain_map(W, FW, FK, C2, C2_bases, dc, e):
     for dgr in FW.degrees():
         fw_idx = FW.pushforward_indices[dgr]
         bW = W.hom_bases.get(dgr)
-        bC2 = C2_bases.get(dgr)
+        bC2 = C2.hom_bases.get(dgr)
         cols = []
         for col in range(fw_idx.total):
             m = fw_idx.monomials[col // fw_idx.r]

@@ -13,13 +13,14 @@ modules.
 
 from .complexes import (
     FreeComplex,
-    ModComplex,
     certify_degreewise,
-    hom_from_free,
+    cohomology,
+    hom_complex,
+    hom_transpose_vector,
     koszul_complex,
     lift_chain_map,
-    mod_cohomology,
     shift,
+    tensor_complex,
 )
 from .duality import canonical_dualizing
 from .errors import AlgebraError
@@ -38,7 +39,6 @@ from .groebner import (
 from .modules import (
     FPModule,
     ModuleMap,
-    direct_sum,
     hom_module,
     is_isomorphism,
 )
@@ -118,7 +118,7 @@ class EnvelopingRing:
         return perm
 
 
-def external_tensor(env, modules, grading=None):
+def external_tensor(env, modules):
     """External product of one module per copy, over the enveloping ring."""
     if len(modules) != env.copies:
         raise AlgebraError("need one module per tensor slot")
@@ -197,6 +197,12 @@ def truncated_resolution(ring, first_cols, length):
     return out
 
 
+def _in_one_degree(M, degree, ring=None):
+    """The module M, over ring (default: its own ring), as a complex
+    concentrated in one degree."""
+    return FreeComplex(ring or M.ring, {degree: M.ngens}, {}, relations={degree: M.relations})
+
+
 def diagonal_resolution(env, length):
     """Truncated resolution of the base ring over the enveloping ring."""
     amb = env.ambient
@@ -238,15 +244,14 @@ def shriek_tensor(A, M, N, m_shift=0, n_shift=0, env=None, extra_length=1):
     # below in general, so the upper edge is a reporting choice
     window = (t0 - 2 * nP, t0 + nP)
     T = external_tensor(env, [M, N])
-    Tc = ModComplex(env.ring, {t0: T}, {})
     length = (window[1] - window[0]) + 1 + extra_length
     G = diagonal_resolution(env, length)
-    U = hom_from_free(G, Tc)
+    U, _ = hom_complex(G, _in_one_degree(T, t0))
     usable_top = t0 + length - 1 if not G.exhausted else t0 + length + 10
-    hom = mod_cohomology(U, window=(window[0], min(window[1], usable_top)))
+    hom = cohomology(U, window=(window[0], min(window[1], usable_top))).degrees
     res = ShriekResult(env, U, hom, window, (m_shift, n_shift))
     res.resolution = G
-    res.target = Tc
+    res.target = T
     return res
 
 
@@ -260,69 +265,55 @@ class UnitReport:
         self.degrees = degrees
 
 
-def _module_times_free_complex(M0, W, ring):
-    """M0 tensor W for a module and a free complex, as a ModComplex: the
-    term at degree j is a direct sum of W-rank copies of M0."""
-    amb = ambient_of(ring)
-    terms = {}
-    for d in W.degrees():
-        terms[d] = direct_sum([M0] * W.rank(d)) if W.rank(d) else FPModule(ring, 0, [])
-    diffs = {}
-    for d, cols in W.diffs.items():
-        src, tgt = terms[d], terms[d + 1]
-        out_cols = []
-        for w in range(W.rank(d)):
-            for g in range(M0.ngens):
-                comps = [amb.zero()] * tgt.ngens
-                col = cols[w]
-                for w2, entry in enumerate(col.components):
-                    if entry.is_zero():
-                        continue
-                    comps[w2 * M0.ngens + g] = entry
-                out_cols.append(VectorPoly(amb, comps))
-        diffs[d] = ModuleMap(src, tgt, out_cols, check=False)
-    return ModComplex(ring, terms, diffs, check=True)
+def _hom_map_from_target_map(U_src, U_tgt, blocks):
+    """Postcomposition Hom(K, T1) -> Hom(K, T2) with per-degree maps of the
+    targets, blocks[j] listing the columns of T1^j -> T2^j.
+
+    Returns image(d, v): the image of one element v of Hom(K, T1)^d, or None
+    when Hom(K, T2) has no term in degree d."""
+
+    def image(d, v):
+        b_src = U_src.hom_bases[d]
+        b_tgt = U_tgt.hom_bases.get(d)
+        if b_tgt is None:
+            return None
+        amb = v.ring
+        out = [amb.zero()] * len(b_tgt)
+        for pos, cf in enumerate(v.components):
+            if cf.is_zero():
+                continue
+            i, a, g = b_src.triples[pos]
+            blk = blocks.get(i + d)
+            if blk is None:
+                continue
+            for g2, entry in enumerate(blk[g].components):
+                q = b_tgt.position.get((i, a, g2))
+                if q is not None and not entry.is_zero():
+                    out[q] = out[q] + cf * entry
+        return VectorPoly(amb, out)
+
+    return image
 
 
-def _hom_map_from_target_map(U_src, U_tgt, K, tmap_blocks):
-    """Chain maps between hom_from_free complexes induced by per-degree
-    target maps; tmap_blocks[j] is a ModuleMap T1^j -> T2^j (or None)."""
-    maps = {}
-    for n in sorted(U_src.terms):
-        src = U_src.terms[n]
-        tgt = U_tgt.terms.get(n)
-        if tgt is None:
-            continue
-        amb = src.ambient
-        cols = []
-        for (i, a, g) in U_src.hom_bases[n]:
-            comps = [amb.zero()] * tgt.ngens
-            blk = tmap_blocks.get(i + n)
-            if blk is not None:
-                off_src = U_src.hom_offsets[n][(i, a)]
-                off_tgt = U_tgt.hom_offsets[n].get((i, a))
-                if off_tgt is not None:
-                    img = blk.columns[g]
-                    for g2, entry in enumerate(img.components):
-                        comps[off_tgt + g2] = entry
-            cols.append(VectorPoly(amb, comps))
-        maps[n] = ModuleMap(src, tgt, cols, check=False)
-    return maps
-
-
-def _certify_mod_chain(U_src, U_tgt, maps, window):
-    """Induced maps on mod_cohomology over the window, certified."""
-    h_src = mod_cohomology(U_src, window=window)
-    h_tgt = mod_cohomology(U_tgt, window=window)
+def _certify_mod_chain(h_src, h_tgt, image, window):
+    """Certify, per degree of the window, the map induced on cohomology by
+    image(d, v), the image of a cocycle v; a missing image (None) is the
+    zero map.  An image that is not a cocycle class leaves its degree
+    uncertified."""
+    lo, hi = window
 
     def induced(d, a, b):
-        f = maps.get(d)
-        if f is None:
+        imgs = [image(d, rep) for rep in a.reps]
+        if any(v is None for v in imgs):
             return ModuleMap.zero(a.module, b.module)
-        cols = b.classes_of(f.apply_coords(rep) for rep in a.reps)
+        cols = b.classes_of(imgs)
         return None if cols is None else ModuleMap(a.module, b.module, cols, check=True)
 
-    return certify_degreewise(h_src, h_tgt, induced), h_src, h_tgt
+    return certify_degreewise(
+        {d: h for d, h in h_src.items() if lo <= d <= hi},
+        {d: h for d, h in h_tgt.items() if lo <= d <= hi},
+        induced,
+    )
 
 
 def verify_unit(A, M, m_shift=0, extra_length=1):
@@ -358,21 +349,18 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
     om_mod = FPModule(A, h_om.module.ngens, h_om.module.relations)
     T_E = external_tensor(env, [M, om_mod])
     t_E = m_shift + low
-    TcE = ModComplex(env.ring, {t_E: T_E}, {})
     diag = [P2.var(i) - P2.var(nP + i) for i in range(nP)]
     K = koszul_complex(Q2, diag)
     # link 1: M against the volume model
     omega_R_degree = m_shift - dc.omega_S.n
-    T_b = ModComplex(Q2, {omega_R_degree: M0}, {})
-    U_b = hom_from_free(K, T_b)
-    hb = mod_cohomology(U_b)
+    U_b, _ = hom_complex(K, _in_one_degree(M0, omega_R_degree))
+    hb = cohomology(U_b).degrees
     top_b = hb.get(m_shift)
     link1 = False
     if top_b is not None:
-        term = U_b.terms[m_shift]
-        off = U_b.hom_offsets[m_shift][(-nP, 0)]
+        bi = U_b.hom_bases[m_shift]
         cols = top_b.classes_of(
-            unit_vector(P2, term.ngens, off + g) for g in range(M0.ngens)
+            unit_vector(P2, len(bi), bi.position[(-nP, 0, g)]) for g in range(M0.ngens)
         )
         if cols is not None:
             # the unit comparison is A-linear through the multiplication
@@ -385,90 +373,54 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
         link1 = link1 and others
     # link 2 and 3: through M tensor W
     Wsh = shift(W1, -m_shift)
-    T_W = _module_times_free_complex(M0, Wsh, Q2)
-    U_1 = hom_from_free(K, T_W)
+    T_W, _ = tensor_complex(Wsh, _in_one_degree(M0, 0))
+    U_1, _ = hom_complex(K, T_W)
     # evaluation W -> omega_R picks the Hom(K_0, omega) coordinate
     ev_blocks = {}
-    bW = W.hom_bases
     deg_ev = omega_R_degree
-    src_T = T_W.module(deg_ev)
-    if src_T is not None:
+    if Wsh.rank(deg_ev):
         # the W-coordinate of the evaluation slot
-        triples = bW[-dc.omega_S.n].triples
         ev_slot = None
-        for pos, (i, a, b) in enumerate(triples):
+        for pos, (i, a, b) in enumerate(W.hom_bases[-dc.omega_S.n].triples):
             if i == 0:
                 ev_slot = pos
-        cols = []
-        amb = P2
-        for w in range(Wsh.rank(deg_ev)):
-            for g in range(M0.ngens):
-                comps = [amb.zero()] * M0.ngens
-                if w == ev_slot:
-                    comps[g] = amb.one()
-                cols.append(VectorPoly(amb, comps))
-        ev_blocks[deg_ev] = ModuleMap(src_T, M0, cols, check=False)
-    maps_a1 = _hom_map_from_target_map(U_1, U_b, K, ev_blocks)
-    cert_a1, _h1, _h2 = _certify_mod_chain(
-        U_1, U_b, maps_a1, (omega_R_degree, m_shift)
-    )
-    # projection W -> top cohomology, paired with M: T_W -> T_E-as-Q2
-    T_E_q2 = FPModule(Q2, T_E.ngens, T_E.relations)
+        zero = VectorPoly(P2, [P2.zero()] * M0.ngens)
+        ev_blocks[deg_ev] = [
+            unit_vector(P2, M0.ngens, g) if w == ev_slot else zero
+            for w in range(Wsh.rank(deg_ev))
+            for g in range(M0.ngens)
+        ]
+    image_a1 = _hom_map_from_target_map(U_1, U_b, ev_blocks)
+    # projection W -> top cohomology, paired with M: T_W -> T_E over Q2;
+    # generator (g, w) of M tensor omega has index g * ngens + w
     pr_blocks = {}
-    src_T = T_W.module(t_E)
-    if src_T is not None:
-        cols = []
-        amb = P2
-        for w in range(Wsh.rank(t_E)):
-            for g in range(M0.ngens):
-                comps = [amb.zero()] * T_E_q2.ngens
-                # generator (g, w) of M tensor omega: index g * ngens + w
-                comps[g * om_mod.ngens + w] = amb.one()
-                cols.append(VectorPoly(amb, comps))
-        pr_blocks[t_E] = ModuleMap(src_T, T_E_q2, cols, check=False)
-    U_2 = hom_from_free(K, ModComplex(Q2, {t_E: T_E_q2}, {}))
-    maps_a2 = _hom_map_from_target_map(U_1, U_2, K, pr_blocks)
-    cert_a2, _h1b, h2b = _certify_mod_chain(U_1, U_2, maps_a2, (t_E, m_shift))
+    if Wsh.rank(t_E):
+        pr_blocks[t_E] = [
+            unit_vector(P2, T_E.ngens, g * om_mod.ngens + w)
+            for w in range(Wsh.rank(t_E))
+            for g in range(M0.ngens)
+        ]
+    U_2, _ = hom_complex(K, _in_one_degree(T_E, t_E, ring=Q2))
+    image_a2 = _hom_map_from_target_map(U_1, U_2, pr_blocks)
     # link 4: the diagonal resolution against the Koszul model
     length = nP + 1 + extra_length + max(0, m_shift - t_E)
     G = diagonal_resolution(env, length)
-    U_A = hom_from_free(G, TcE)
+    U_A, _ = hom_complex(G, _in_one_degree(T_E, t_E))
     # the identity of the diagonal lifts K -> G: G is exact within its truncation
     mu = lift_chain_map([unit_vector(P2, G.rank(0), 0)], K, G, env.ring)
-    maps_a3 = {}
-    for n in sorted(U_A.terms):
-        src = U_A.terms[n]
-        tgt = U_2.terms.get(n)
-        if tgt is None:
-            continue
-        amb = P2
-        cols = []
-        for (i, aG, g) in U_A.hom_bases[n]:
-            comps = [amb.zero()] * tgt.ngens
-            for aK in range(K.rank(i)):
-                entry = mu.column(i, aK).components[aG] if i in mu.maps else None
-                if entry is None or entry.is_zero():
-                    continue
-                off = U_2.hom_offsets[n].get((i, aK))
-                if off is not None:
-                    comps[off + g] = comps[off + g] + entry
-            cols.append(VectorPoly(amb, comps))
-        src_q2 = FPModule(Q2, src.ngens, src.relations)
-        maps_a3[n] = ModuleMap(src_q2, tgt, cols, check=False)
-    # certify in the window where the truncation is exact
+
+    def image_a3(d, v):
+        return hom_transpose_vector(mu, v, U_A.hom_bases[d], U_2.hom_bases[d])
+
+    # certify in the window where the truncation is exact, with every
+    # cohomology presented over Q2
     win = (t_E, m_shift)
-    U_A_q2 = ModComplex(
-        Q2,
-        {d: FPModule(Q2, m.ngens, m.relations) for d, m in U_A.terms.items()},
-        {d: ModuleMap(
-            FPModule(Q2, f.source.ngens, f.source.relations),
-            FPModule(Q2, f.target.ngens, f.target.relations),
-            f.columns,
-            check=False,
-        ) for d, f in U_A.diffs.items()},
-        check=False,
-    )
-    cert_a3, hA, _h2c = _certify_mod_chain(U_A_q2, U_2, maps_a3, win)
+    h1 = cohomology(U_1, window=(min(omega_R_degree, t_E), m_shift)).degrees
+    h2 = cohomology(U_2, window=win).degrees
+    hA = cohomology(U_A, over=Q2, window=win).degrees
+    cert_a1 = _certify_mod_chain(h1, hb, image_a1, (omega_R_degree, m_shift))
+    cert_a2 = _certify_mod_chain(h1, h2, image_a2, win)
+    cert_a3 = _certify_mod_chain(hA, h2, image_a3, win)
     links = {
         "unit_class": link1,
         "evaluation": cert_a1,
@@ -502,50 +454,37 @@ def verify_symmetry(A, M, N, m_shift=0, n_shift=0, extra_length=1):
     lam = lift_chain_map([unit_vector(P2, Gs.rank(0), 0)], res_NM.resolution, Gs, env.ring)
     # sigma transports Hom(G, M x N) to Hom(Gs, N x M) up to the Koszul sign
     sign = (-1) ** ((m_shift % 2) * (n_shift % 2))
-    T_MN = res_MN.target.module(m_shift + n_shift)
-    T_NM = res_NM.target.module(m_shift + n_shift)
+    T_MN, T_NM = res_MN.target, res_NM.target
     U_MN, U_NM = res_MN.complex, res_NM.complex
 
     def induced(d, a, b):
         cols = b.classes_of(
-            _swap_transport(rep, U_MN, U_NM, lam, env, perm, T_MN, T_NM, d, sign)
+            _swap_transport(rep, U_MN.hom_bases[d], U_NM.hom_bases[d], lam, perm, T_MN, T_NM, sign)
             for rep in a.reps
         )
         if cols is None:
             return None
-        source = FPModule(env.ring, a.module.ngens, a.module.relations)
-        return ModuleMap(source, b.module, cols, check=True)
+        return ModuleMap(a.module, b.module, cols, check=True)
 
     return certify_degreewise(res_MN.homology, res_NM.homology, induced)
 
 
-def _swap_transport(rep, U_MN, U_NM, lam, env, perm, T_MN, T_NM, degree, sign):
+def _swap_transport(rep, b_MN, b_NM, lam, perm, T_MN, T_NM, sign):
     """Transport a Hom-class along the swap: rename coefficients, permute
-    the external-product generators, precompose with the lifted map."""
-    P2 = env.ambient
-    # first: sigma-rename the functional and reindex M x N -> N x M
-    tgt_term = U_NM.terms.get(degree)
-    if tgt_term is None:
-        return None
-    out = [P2.zero()] * tgt_term.ngens
-    base_src = U_MN.hom_bases[degree]
+    the external-product generators, precompose with the lifted map.
+
+    The swapped class lies in Hom(G renamed, N x M), whose basis has the
+    same shape as b_MN since the ranks agree."""
+    P2 = rep.ring
+    swapped = [P2.zero()] * len(b_MN)
     for pos, cf in enumerate(rep.components):
         if cf.is_zero():
             continue
-        (i, aG, g) = base_src[pos]
+        i, aG, g = b_MN.triples[pos]
         mg, ng = T_MN.slot_of(g)
-        g2 = T_NM.index_of((ng, mg))
-        cf2 = rename_poly(cf, P2, perm).scale(sign % P2.p)
-        # precompose with lam at degree i: spread over the G_NM basis
-        for aK in range(lam.source.rank(i)):
-            entry = lam.column(i, aK).components[aG] if i in lam.maps else None
-            if entry is None or entry.is_zero():
-                continue
-            off = U_NM.hom_offsets[degree].get((i, aK))
-            if off is None:
-                continue
-            out[off + g2] = out[off + g2] + cf2 * entry
-    return VectorPoly(P2, out)
+        q = b_MN.position[(i, aG, T_NM.index_of((ng, mg)))]
+        swapped[q] = rename_poly(cf, P2, perm).scale(sign % P2.p)
+    return hom_transpose_vector(lam, VectorPoly(P2, swapped), b_MN, b_NM)
 
 
 def find_certified_iso(M, N, max_sum=2):
@@ -588,13 +527,12 @@ def verify_associativity(A, M, N, K_mod, shifts=(0, 0, 0), extra_length=1):
     env3 = EnvelopingRing(A, 3)
     T3 = external_tensor(env3, [M, N, K_mod])
     t0 = shifts[0] + shifts[1] + shifts[2]
-    Tc3 = ModComplex(env3.ring, {t0: T3}, {})
     nP = A.ambient.nvars
     window3 = (t0 - 4 * nP, t0 + 2 * nP)
     length = (window3[1] - window3[0]) + 1 + extra_length
     G3 = diagonal_resolution(env3, length)
-    U3 = hom_from_free(G3, Tc3)
-    h3 = mod_cohomology(U3, window=window3)
+    U3, _ = hom_complex(G3, _in_one_degree(T3, t0))
+    h3 = cohomology(U3, window=window3).degrees
     direct_nonzero = sorted(d for d, h in h3.items() if not h.is_zero())
     it_nonzero = iterated.nonzero_degrees()
     if direct_nonzero != it_nonzero:
@@ -616,7 +554,6 @@ def _restrict_relations(module, A):
     ambA = A.ambient
     n = ambA.nvars
     big = module.ambient
-    copies = big.nvars // n
     index = [i % n for i in range(big.nvars)]
     out = []
     for r in module.relations:

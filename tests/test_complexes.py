@@ -11,7 +11,6 @@ from fpduality.complexes import (
     koszul_complex,
     lift_chain_map,
     lift_map_of_resolutions,
-    module_as_complex,
     rank_one_complex,
     resolution_complex,
     rhom_to_module,
@@ -20,7 +19,14 @@ from fpduality.complexes import (
     tensor_complex,
 )
 from fpduality.groebner import QuotientRing, VectorPoly
-from fpduality.modules import FPModule, ModuleMap, cyclic_module, free_module, is_isomorphism
+from fpduality.modules import (
+    FPModule,
+    ModuleMap,
+    cyclic_module,
+    direct_sum,
+    free_module,
+    is_isomorphism,
+)
 from fpduality.polyring import PolyRing
 
 
@@ -159,6 +165,68 @@ class TestHomTensor:
         cm = ChainMap(left, right, maps)  # verify() checks commutation
         for n in left.degrees():
             assert left.rank(n) == right.rank(n)
+
+
+class TestRelations:
+    """Terms with relations: the Koszul complex on x, y over F_3[x,y] into
+    complexes of copies of S/(x^2)."""
+
+    def _koszul_and_quotient(self):
+        S = ring(3, "x", "y")
+        x, y = S.gens()
+        return S, x, koszul_complex(S, [x, y]), cyclic_module(S, [x ** 2])
+
+    def _multiplication_by_x(self, relations):
+        # S/(x^2) -x-> S/(x^2) -x-> S/(x^2): d o d = x^2 is zero only modulo x^2
+        S, x, _K, Q = self._koszul_and_quotient()
+        mult = [VectorPoly(S, [x])]
+        rels = {d: Q.relations for d in range(3)} if relations else None
+        return FreeComplex(S, {0: 1, 1: 1, 2: 1}, {0: mult, 1: mult}, relations=rels)
+
+    def test_hom_and_tensor_copy_relations_blockwise(self):
+        _S, _x, K, Q = self._koszul_and_quotient()
+        Y = FreeComplex(Q.ring, {1: 1}, {}, relations={1: Q.relations})
+        H, hom_bases = hom_complex(K, Y)
+        T, tensor_bases = tensor_complex(K, Y)
+        assert H.hom_bases is hom_bases
+        for C, bases in ((H, hom_bases), (T, tensor_bases)):
+            assert C.degrees() == sorted(bases) and len(C.degrees()) == 3
+            for n in C.degrees():
+                blocks = [Q] * len(bases[n])
+                assert C.relations[n] == direct_sum(blocks).relations
+                assert C.term(n).relations == C.relations[n]
+
+    def test_dd_vanishes_modulo_the_relations(self):
+        _S, _x, K, _Q = self._koszul_and_quotient()
+        with pytest.raises(AlgebraError):
+            self._multiplication_by_x(relations=False)
+        Y = self._multiplication_by_x(relations=True)
+        for C, _bases in (hom_complex(K, Y), tensor_complex(K, Y)):
+            nonzero = 0
+            for d, cols in C.diffs.items():
+                nxt = C.diffs.get(d + 1)
+                if nxt is None:
+                    continue
+                for c in cols:
+                    comp = VectorPoly(C.ambient, [C.ambient.zero()] * C.rank(d + 2))
+                    for coeff, col in zip(c.components, nxt):
+                        comp = comp + col.mul_poly(coeff)
+                    nonzero += not comp.is_zero()
+                    assert C.term(d + 2).element_is_zero(comp)
+            assert nonzero
+
+    def test_cohomology_modulo_relations(self):
+        # H^0 = (x)/(x^2), H^1 = 0, H^2 = S/(x)
+        Y = self._multiplication_by_x(relations=True)
+        assert cohomology(Y).nonzero_degrees() == [0, 2]
+
+    def test_first_factor_must_be_free(self):
+        _S, _x, K, Q = self._koszul_and_quotient()
+        Y = FreeComplex(Q.ring, {0: 1}, {}, relations={0: Q.relations})
+        with pytest.raises(AlgebraError):
+            hom_complex(Y, K)
+        with pytest.raises(AlgebraError):
+            tensor_complex(Y, K)
 
 
 class TestRHom:

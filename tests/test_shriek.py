@@ -232,3 +232,74 @@ class TestCharThree:
         D3 = QuotientRing(amb, [amb.var("x") ** 2])
         om3, low3 = omega_module(D3)
         assert verify_unit(D3, om3, m_shift=low3).certified
+
+
+class TestUnitClauseEquivalence:
+    """Pinned outputs on the inputs of selftest clause 7: the unit report,
+    the homology presentations of M shriek-tensor omega, and the symmetry
+    certificate.  Any change to the complex layer must leave them as they
+    are, relation vector by relation vector."""
+
+    UNIT = {
+        "line_module": (
+            {"unit_class": True, "evaluation": {-1: True, 0: True},
+             "projection": {-1: True, 0: True}, "diagonal_model": {-1: True, 0: True}},
+            [0],
+            {-1: (0, []), 0: (1, ["(x + x')"])},
+        ),
+        "line_omega_rigidifier": (
+            {"unit_class": True, "evaluation": {-2: True, -1: True},
+             "projection": {-2: True, -1: True}, "diagonal_model": {-2: True, -1: True}},
+            [-1],
+            {-2: (0, []), -1: (1, ["(x + x')"])},
+        ),
+        "line_torsion": (
+            {"unit_class": True, "evaluation": {-1: True, 0: True},
+             "projection": {-1: True, 0: True}, "diagonal_model": {-1: True, 0: True}},
+            [0],
+            {-1: (1, ["(1)"]), 0: (1, ["(x)", "(x')"])},
+        ),
+        "dual_numbers_omega": (
+            {"unit_class": True, "evaluation": {-1: True, 0: True},
+             "projection": {0: True}, "diagonal_model": {0: True}},
+            [0],
+            {
+                0: (2, ["(1, 0)", "(0, x'^2)", "(0, x + x')", "(x^2, 0)", "(0, x^2)", "(x'^2, 0)"]),
+                1: (2, ["(1, 0)", "(0, 1)", "(x^2, 0)", "(0, x^2)", "(x'^2, 0)", "(0, x'^2)"]),
+            },
+        ),
+    }
+
+    @staticmethod
+    def _inputs(name):
+        A = line()
+        om, low = omega_module(A)
+        if name == "line_module":
+            return A, cyclic_module(A), 0, om, low
+        if name == "line_omega_rigidifier":
+            return A, om, low, om, low
+        if name == "line_torsion":
+            return A, cyclic_module(A, [A.ambient.var("x")]), 0, om, low
+        D = dual_numbers()
+        omd, lowd = omega_module(D)
+        return D, omd, lowd, omd, lowd
+
+    @pytest.mark.parametrize("name", sorted(UNIT))
+    def test_unit_report_and_homology(self, name):
+        links, degrees, homology = self.UNIT[name]
+        A, M, m_shift, om, low = self._inputs(name)
+        rep = verify_unit(A, M, m_shift=m_shift)
+        assert rep.certified
+        assert rep.links == links
+        assert rep.degrees == degrees
+        res = shriek_tensor(A, M, om, m_shift, low)
+        got = {
+            d: (h.module.ngens, [repr(r) for r in h.module.relations])
+            for d, h in res.homology.items()
+        }
+        assert got == homology
+
+    def test_symmetry_of_omega(self):
+        A = line()
+        om, low = omega_module(A)
+        assert verify_symmetry(A, om, om, low, low) == {-2: True, -1: True}

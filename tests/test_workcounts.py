@@ -4,10 +4,12 @@ sizes on fixed workloads.
 An algorithmic regression that rebuilds Groebner bases, or that feeds them
 larger presentations, shows here as a count above its bound, with no timing
 noise.  The build bounds are the counts measured when the per-owner basis
-reuse landed (41 builds before) and when presentations were trimmed (676
-corpus builds before).  The stacked-system bounds are rows x columns of the
-Hom condition system, measured when automatic Hom conditions were dropped
-(18 x 45 and 68 x 182 before).  Certifying five maps out of one prunable
+reuse landed (41 builds before), when presentations were trimmed (676
+corpus builds before) and when complexes of modules became free complexes
+with per-degree relations, each cohomology of the unit clause computed
+once (206 unit-clause and 535 corpus builds before).  The stacked-system
+bounds are rows x columns of the Hom condition system, measured when
+automatic Hom conditions were dropped (18 x 45 and 68 x 182 before).  Certifying five maps out of one prunable
 module built 7 bases before the pruned module was kept on its owner.
 """
 
@@ -19,11 +21,12 @@ from fpduality.duality import canonical_dualizing
 from fpduality.frobenius import frobenius_pushforward
 from fpduality.groebner import VectorPoly
 from fpduality.polyring import PolyRing
-from fpduality.selftest import run_corpus
+from fpduality.selftest import c7_unit_and_rigidifier, run_corpus
 from fpduality.session import Session, execute, parse_session
 
 CUSP_DUALITY_BUILDS = 24
-CORPUS_BUILDS = 535
+CORPUS_BUILDS = 483
+UNIT_CLAUSE_BUILDS = 154
 REPEATED_CERTIFICATION_BUILDS = 6
 CUSP_HOM_SYSTEM = 9 * 27
 ELLIPTIC_DET_HOM_SYSTEM = 32 * 76
@@ -70,6 +73,17 @@ def test_corpus_builds(builds):
     first = _corpus_builds(builds)
     assert first <= CORPUS_BUILDS
     assert _corpus_builds(builds) == first
+
+
+def test_unit_clause_builds(builds):
+    counts = []
+    for _ in range(2):
+        builds[0] = 0
+        passed, _payload = c7_unit_and_rigidifier()
+        assert passed
+        counts.append(builds[0])
+    assert counts[0] <= UNIT_CLAUSE_BUILDS
+    assert counts[1] == counts[0]
 
 
 def test_repeated_certification_builds(builds):
