@@ -30,6 +30,7 @@ from .differentials import (
     KahlerModule,
     canonical_omega_regular,
     conormal_sequence,
+    wedge_coordinates,
     wedge_label,
 )
 from .errors import (
@@ -39,6 +40,7 @@ from .errors import (
     NotRegularSequence,
     NotSurjective,
 )
+from .fp import inv_mod
 from .frobenius import (
     frobenius_decompose,
     frobenius_pushforward,
@@ -52,12 +54,14 @@ from .groebner import (
     QuotientRing,
     SpanSolver,
     VectorPoly,
+    adjoin_variables,
     ambient_of,
     elimination_kernel,
     groebner_basis,
-    modulus_gens,
     normal_form,
+    preimage,
     rename_poly,
+    ring_map_is_surjective,
     unit_vector,
 )
 from .modules import (
@@ -70,7 +74,7 @@ from .modules import (
     is_isomorphism,
     prune,
 )
-from .polyring import MonomialOrder, PolyRing, RingMap
+from .polyring import MonomialOrder, PolyRing, Polynomial, RingMap
 
 
 # ---------------------------------------------------------------------------
@@ -184,30 +188,15 @@ def ext_two_pipelines(S, rseq, M):
 # ---------------------------------------------------------------------------
 # shriek functors for the basic shapes
 
-def polynomial_extension(R, names):
-    """R -> R[y..]: returns (extended polynomial ring, index map)."""
-    amb = ambient_of(R)
-    if isinstance(R, QuotientRing):
-        raise AlgebraError("polynomial extensions are taken over polynomial rings here")
-    fresh = []
-    taken = set(amb.variables)
-    for nm in names:
-        cand = nm
-        while cand in taken:
-            cand = "@" + cand
-        taken.add(cand)
-        fresh.append(cand)
-    big = PolyRing(amb.p, amb.variables + tuple(fresh), amb.order)
-    return big, list(range(amb.nvars))
-
-
 def upper_shriek_smooth(R, T, d, names=None):
     """f^sharp along R -> R[y_1..y_d]: base change and twist by the top
     relative forms in degree -d."""
     if d == 0:
         return T, None
+    if isinstance(R, QuotientRing):
+        raise AlgebraError("polynomial extensions are taken over polynomial rings here")
     names = names or ["y%d" % (i + 1) for i in range(d)]
-    big, idx = polynomial_extension(R, names)
+    big, idx = adjoin_variables(R, names)
     Tup = T.apply_entrywise(lambda f: rename_poly(f, big, idx), ring=big)
     label = wedge_label(big.variables[ambient_of(R).nvars :])
     twist = rank_one_complex(big, -d, label=label)
@@ -231,8 +220,6 @@ def upper_shriek_finite(f, T, generating_set=None, length_cap=None):
     )
     if same and not isinstance(tgt, QuotientRing):
         return T
-    from .gabber import ring_map_is_surjective
-
     if not ring_map_is_surjective(f):
         raise NotFinite("only surjections and Frobenius are supported directly")
     J = elimination_kernel(f)
@@ -269,10 +256,8 @@ def xi_smooth(R, d, names=None):
     if isinstance(R, QuotientRing):
         raise NotCertifiedRegular("smooth comparisons run over polynomial rings here")
     names = names or ["y%d" % (i + 1) for i in range(d)]
-    big, idx = polynomial_extension(R, names)
+    big, _idx = adjoin_variables(R, names)
     m = amb.nvars
-    from .differentials import wedge_label
-
     sign = xi_smooth_sign(m, d, amb.p)
     return XiIso(
         "smooth",
@@ -315,9 +300,7 @@ def xi_lci_class(pi, target_pbasis, rseq=None, pbasis_via_iso=None, theta_column
             raise AlgebraError("supplied sequence does not generate the kernel")
         Rq = QuotientRing(S, rs)
         K = KahlerModule(Rq)
-        from .modules import free_module as _free
-
-        middle = _free(Rq, n)
+        middle = free_module(Rq, n)
         theta = ModuleMap(K.module, middle, theta_columns, check=True)
         beta = ModuleMap(middle, K.module, [K.module.gen(j) for j in range(n)], check=False)
         section = beta.compose(theta) - ModuleMap.identity(K.module)
@@ -376,24 +359,26 @@ def xi_lci_class(pi, target_pbasis, rseq=None, pbasis_via_iso=None, theta_column
 # ---------------------------------------------------------------------------
 # monic triangular systems and residues
 
-def monic_triangular_system(Sy, J, n_base, d):
-    """t_j in J monic in y_j with coefficients in the earlier variables.
-
-    Sy has the base variables first and the y-block last; candidates are
-    read off a lex Groebner basis with y_d > ... > y_1 > base block."""
-    from .fp import inv_mod
-
-    if d == 0:
-        return []
+def _y_first_lex(Sy, n_base, d):
+    """Sy reordered for lex with y_d > ... > y_1 > base block; returns the
+    ring and the index maps there and back."""
     perm = [n_base + j for j in reversed(range(d))] + list(range(n_base))
     big = PolyRing(Sy.p, [Sy.variables[i] for i in perm], MonomialOrder("lex"))
     fwd = [0] * Sy.nvars
     for newpos, old in enumerate(perm):
         fwd[old] = newpos
+    return big, fwd, perm
+
+
+def monic_triangular_system(Sy, J, n_base, d):
+    """t_j in J monic in y_j with coefficients in the earlier variables.
+
+    Sy has the base variables first and the y-block last; candidates are
+    read off a lex Groebner basis with y_d > ... > y_1 > base block."""
+    if d == 0:
+        return []
+    big, fwd, back = _y_first_lex(Sy, n_base, d)
     gb = groebner_basis([rename_poly(g, big, fwd) for g in J.gens])
-    back = [0] * Sy.nvars
-    for newpos, old in enumerate(perm):
-        back[newpos] = old
     system = [None] * d
     for g in gb:
         f = rename_poly(g, Sy, back)
@@ -421,21 +406,12 @@ def residue_top_coefficient(u, tsystem, Sy, n_base, d):
     degs = []
     for j, t in enumerate(tsystem):
         degs.append(max(m[n_base + j] for m in t.terms))
-    gb = groebner_basis(tsystem) if tsystem else []
     # the t_i have pairwise coprime pure-power leading terms under lex with
     # the y-block dominant, so they form a Groebner basis already; reduce
     # in a lex ring where the y-block dominates
-    perm = list(range(n_base, n_base + d))[::-1] + list(range(n_base))
-    names = [Sy.variables[i] for i in perm]
-    big = PolyRing(Sy.p, names, MonomialOrder("lex"))
-    fwd = [0] * Sy.nvars
-    for newpos, old in enumerate(perm):
-        fwd[old] = newpos
+    big, fwd, back = _y_first_lex(Sy, n_base, d)
     tl = [rename_poly(t, big, fwd) for t in tsystem]
     nf = normal_form(rename_poly(u, big, fwd), tl)
-    back = [0] * Sy.nvars
-    for newpos, old in enumerate(perm):
-        back[newpos] = old
     r = rename_poly(nf, Sy, back)
     target = tuple(dg - 1 for dg in degs)
     amb_base_terms = {}
@@ -445,8 +421,6 @@ def residue_top_coefficient(u, tsystem, Sy, n_base, d):
             continue
         base = mono[:n_base] + (0,) * d
         amb_base_terms[base] = cf
-    from .polyring import Polynomial
-
     return Polynomial(Sy, amb_base_terms)
 
 
@@ -493,7 +467,7 @@ def xi_via_factorization(R, roots, e):
             raise AlgebraError("the first roots must be the ring variables")
     d = len(roots)
     ynames = ["y%d" % (j + 1) for j in range(d)]
-    Sy, idx = polynomial_extension(R, ynames)
+    Sy, _idx = adjoin_variables(R, ynames)
     # fresh target copy of R
     tnames = ["@c%s" % v for v in amb.variables]
     Tcopy = PolyRing(p, tnames, amb.order)
@@ -502,8 +476,6 @@ def xi_via_factorization(R, roots, e):
     for m in roots:
         g_images.append(rename_poly(m, Tcopy, tidx))
     g = RingMap(Sy, Tcopy, g_images, check=False)
-    from .gabber import ring_map_is_surjective
-
     if not ring_map_is_surjective(g):
         raise NotSurjective("the chosen roots do not generate the target")
     J = elimination_kernel(g)
@@ -643,8 +615,6 @@ def commutation_sign_check(p, c, d, with_theta_part=True):
     rows_dx = [unit_vector(S, n, c + m + k) for k in range(d)]
     rows_theta = [unit_vector(S, n, c)] if m else []
     subsets = [tuple(range(n))]
-    from .differentials import wedge_coordinates
-
     path_a = wedge_coordinates(
         S, [VectorPoly(S, r.components) for r in rows_dr + rows_dx + rows_theta], subsets
     )[0]
@@ -711,8 +681,6 @@ def canonical_dualizing(A, pi=None, length_cap=None):
         S = pi.source
         if isinstance(S, QuotientRing):
             raise AlgebraError("presentations must come from polynomial rings")
-        from .gabber import ring_map_is_surjective
-
         if not ring_map_is_surjective(pi):
             raise NotSurjective("the presentation map is not surjective")
         gens = list(elimination_kernel(pi).gens)
@@ -762,8 +730,8 @@ def compare_presentations(A, pi1, pi2):
     Koszul block at the lifted images of the other side's variables; the
     joint models for the two orderings are compared through lifted
     resolutions.  Every link is certified per degree."""
-    side1 = _one_sided_collapse(A, pi1, pi2)
-    side2 = _one_sided_collapse(A, pi2, pi1)
+    side1 = _one_sided_collapse(pi1, pi2)
+    side2 = _one_sided_collapse(pi2, pi1)
     # both collapses land on the same joint ring up to variable reordering;
     # compare the two joint models through a renaming plus lifted resolution
     cert12, joint_pair = _compare_joint_models(A, side1, side2)
@@ -781,20 +749,22 @@ def compare_presentations(A, pi1, pi2):
     )
 
 
-def _one_sided_collapse(A, pi_main, pi_other):
+def _one_sided_collapse(pi_main, pi_other):
     """Joint model over S_main[y-block] collapsed onto the S_main model."""
     S1 = pi_main.source
     S2 = pi_other.source
     amb1 = ambient_of(S1)
     amb2 = ambient_of(S2)
     n1, n2 = amb1.nvars, amb2.nvars
-    names = ["@j%s" % v for v in amb2.variables]
-    S3, idx1 = polynomial_extension(S1, names)
+    if isinstance(S1, QuotientRing):
+        raise AlgebraError("polynomial extensions are taken over polynomial rings here")
+    S3, idx1 = adjoin_variables(S1, ["@j%s" % v for v in amb2.variables])
     # lifts of the images of the other side's variables
     lifts = []
-    for i in range(n2):
-        target_elt = pi_other.images[i]
-        lift = _lift_through_presentation(A, pi_main, target_elt)
+    for target_elt in pi_other.images:
+        lift = preimage(pi_main, target_elt)
+        if lift is None:
+            raise NotSurjective("element has no polynomial preimage; map not onto")
         lifts.append(rename_poly(lift, S3, idx1))
     lin = [S3.var(n1 + i) - lifts[i] for i in range(n2)]
     # resolution of A over S1, renamed into S3
@@ -844,31 +814,6 @@ def _one_sided_collapse(A, pi_main, pi_other):
         "index": idx1,
         "ring": A3,
     }
-
-
-def _lift_through_presentation(A, pi, element):
-    """A preimage in the source of pi of an element of A (written in the
-    ambient of A), found through the tag-variable normal form."""
-    S = pi.source
-    amb_s = ambient_of(S)
-    tgt_amb = ambient_of(pi.target)
-    n = tgt_amb.nvars
-    k = amb_s.nvars
-    names = list(tgt_amb.variables) + ["@l%d" % j for j in range(k)]
-    big = PolyRing(tgt_amb.p, names, MonomialOrder("block", n) if n else tgt_amb.order)
-    idx_t = list(range(n))
-    gens = [rename_poly(g, big, idx_t) for g in modulus_gens(pi.target)]
-    for j in range(k):
-        gens.append(big.var(n + j) - rename_poly(pi.images[j], big, idx_t))
-    gb = groebner_basis(gens)
-    nf = normal_form(rename_poly(element, big, idx_t), gb)
-    for mono in nf.terms:
-        if any(mono[:n]):
-            raise NotSurjective("element has no polynomial preimage; map not onto")
-    back = [0] * big.nvars
-    for j in range(k):
-        back[n + j] = j
-    return rename_poly(nf, amb_s, back)
 
 
 def _collapse_linear_block(W3, joint_bases, Klin, d2, lifts, S1, S3, W1_bases):

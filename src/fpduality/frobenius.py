@@ -14,7 +14,7 @@ from itertools import product
 
 from .config import config
 from .errors import AlgebraError, NoPBasis, SizeCapExceeded
-from .groebner import Ideal, QuotientRing, VectorPoly, ambient_of
+from .groebner import Ideal, SpanSolver, VectorPoly, ambient_of, reduce_in
 from .modules import FPModule, ModuleMap, free_module, is_isomorphism, kernel_cokernel
 from .polyring import Polynomial
 from .complexes import FreeComplex
@@ -185,9 +185,7 @@ def _coordinate_map(R, xs, e=1):
         for g, k in zip(xs, a):
             if k:
                 u = u * (g ** k)
-        if isinstance(R, QuotientRing):
-            u = R.reduce(u)
-        cols.append(push.coords(u))
+        cols.append(push.coords(reduce_in(R, u)))
     source = free_module(R, len(tuples))
     theta = ModuleMap(source, push.module, cols, check=False)
     theta.tuple_monomials = tuples
@@ -207,28 +205,35 @@ def is_p_basis(R, xs):
     return is_isomorphism(_coordinate_map(R, xs))
 
 
-def xs_coordinates(R, xs, u, e=1):
-    """c_a with u = sum c_a^{p^e} xs^a (a below p^e), or None.
+class CoordinateSolver:
+    """Solves u = sum c_a^{p^e} xs^a (a below p^e) for many u.
 
     The untwisted coordinates of F^e_*(u) on the restricted monomials of
-    the tuple, solved through the canonical pushforward presentation.
-    """
-    from .complexes import solve_in_span
+    the tuple, solved through the canonical pushforward presentation; the
+    coordinate map and its Groebner basis are built once per tuple."""
 
-    theta = _coordinate_map(R, xs, e)
-    push = theta.push
-    target = push.coords(u if not isinstance(R, QuotientRing) else R.reduce(u))
-    cols = list(theta.columns) + list(push.module.relations)
-    coeffs = solve_in_span(target, cols, R, push.module.ngens)
-    if coeffs is None:
-        return None
-    out = {}
-    for a, c in zip(theta.tuple_monomials, coeffs[: len(theta.tuple_monomials)]):
-        if isinstance(R, QuotientRing):
-            c = R.reduce(c)
-        if not c.is_zero():
-            out[a] = c
-    return out
+    def __init__(self, R, xs, e=1):
+        self.ring = R
+        self.theta = _coordinate_map(R, xs, e)
+        push = self.theta.push
+        self.span = SpanSolver(self.theta.columns, R, push.module.ngens, extra=push.module.relations)
+
+    def solve(self, u):
+        """dict a -> c_a over the nonzero coordinates, or None."""
+        coeffs = self.span.solve(self.theta.push.coords(reduce_in(self.ring, u)))
+        if coeffs is None:
+            return None
+        out = {}
+        for a, c in zip(self.theta.tuple_monomials, coeffs):
+            c = reduce_in(self.ring, c)
+            if not c.is_zero():
+                out[a] = c
+        return out
+
+
+def xs_coordinates(R, xs, u, e=1):
+    """c_a with u = sum c_a^{p^e} xs^a (a below p^e), or None."""
+    return CoordinateSolver(R, xs, e).solve(u)
 
 
 def pbasis_trace_generator(R, xs, omega_complex):
@@ -265,6 +270,7 @@ def pbasis_trace_generator(R, xs, omega_complex):
     # monomial spans Hom(F_*R, omega); the evaluation matrix is invertible
     from .modules import _det
 
+    coordinates = CoordinateSolver(R, xs)
     rows = []
     for b in tuples:
         row = []
@@ -275,14 +281,11 @@ def pbasis_trace_generator(R, xs, omega_complex):
             for g, k in zip(xs, combined):
                 if k:
                     u = u * (g ** k)
-            coords = xs_coordinates(R, xs, u)
+            coords = coordinates.solve(u)
             entry = coords.get(top) if coords else None
             row.append(entry if entry is not None else amb.zero())
         rows.append(row)
-    det = _det(amb, rows)
-    if isinstance(R, QuotientRing):
-        det = R.reduce(det)
-    cval = det.constant_value()
+    cval = reduce_in(R, _det(amb, rows)).constant_value()
     phi.freeness_certificate = cval is not None and cval != 0
     if not phi.freeness_certificate:
         raise AlgebraError("trace generator does not freely generate; not a p-basis?")

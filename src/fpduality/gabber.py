@@ -8,38 +8,19 @@ quotients.
 """
 
 from .errors import AlgebraError, NotPGenerating, NotSurjective
-from .frobenius import bracket_power, is_p_generating, xs_coordinates
+from .frobenius import CoordinateSolver, bracket_power, is_p_generating
 from .groebner import (
     QuotientRing,
+    adjoin_variables,
     ambient_of,
+    are_inverse,
     elimination_kernel,
-    groebner_basis,
     modulus_gens,
-    normal_form,
+    reduce_in,
     rename_poly,
+    ring_map_is_surjective,
 )
-from .polyring import MonomialOrder, PolyRing, RingMap
-
-
-def _fresh_names(existing, wanted):
-    out = []
-    taken = set(existing)
-    for name in wanted:
-        cand = name
-        while cand in taken:
-            cand = "@" + cand
-        taken.add(cand)
-        out.append(cand)
-    return out
-
-
-def _extend_ring(R, new_names):
-    """Ambient of R with extra variables; returns (ring, index map old->new)."""
-    amb = ambient_of(R)
-    names = _fresh_names(amb.variables, new_names)
-    big = PolyRing(amb.p, amb.variables + tuple(names), amb.order)
-    index = list(range(amb.nvars))
-    return big, index, names
+from .polyring import RingMap
 
 
 class GabberStage:
@@ -59,10 +40,9 @@ class GabberStage:
         R0 = self.phi.target
         amb0 = ambient_of(R0)
         p = amb0.p
-        reduce0 = R0.reduce if isinstance(R0, QuotientRing) else (lambda f: f)
         for f in list(amb0.gens()) + list(samples):
             lhs = self.phi.apply(self.iota.apply(f))
-            if not reduce0(lhs - f ** p).is_zero():
+            if not reduce_in(R0, lhs - f ** p).is_zero():
                 return False
         R1 = self.ring
         amb1 = ambient_of(R1)
@@ -81,7 +61,7 @@ def gabber_step(R, xs, check_p_generating=True, level=1, root_stub="X"):
     if check_p_generating and not is_p_generating(R, xs):
         raise NotPGenerating("the tuple does not p-generate the ring")
     names = ["%s%d_%d" % (root_stub, j + 1, level) for j in range(len(xs))]
-    big, index, names = _extend_ring(R, names)
+    big, index = adjoin_variables(R, names)
     n0 = amb.nvars
     mod = [rename_poly(g, big, index) for g in modulus_gens(R)]
     roots = [big.var(n0 + j) for j in range(len(xs))]
@@ -89,12 +69,8 @@ def gabber_step(R, xs, check_p_generating=True, level=1, root_stub="X"):
         mod.append(roots[j] ** p - rename_poly(x, big, index))
     R1 = QuotientRing(big, mod)
     iota = RingMap(R, R1, [R1.reduce(big.var(i)) for i in range(n0)], check=True)
-    phi_images = []
-    reduceR = R.reduce if isinstance(R, QuotientRing) else (lambda f: f)
-    for i in range(n0):
-        phi_images.append(reduceR(amb.var(i) ** p))
-    for x in xs:
-        phi_images.append(reduceR(x))
+    phi_images = [reduce_in(R, amb.var(i) ** p) for i in range(n0)]
+    phi_images += [reduce_in(R, x) for x in xs]
     phi = RingMap(R1, R, phi_images, check=True)
     ker = elimination_kernel(iota)
     stage = GabberStage(
@@ -149,26 +125,6 @@ def gabber_truncation(R, xs, e, root_stub="X"):
     return GabberTruncation(R, xs, stages, pi)
 
 
-def ring_map_is_surjective(phi):
-    """Tag-variable subalgebra membership test for surjectivity."""
-    tgt = phi.target
-    tgt_amb = ambient_of(tgt)
-    n = tgt_amb.nvars
-    k = len(phi.images)
-    names = list(tgt_amb.variables) + _fresh_names(tgt_amb.variables, ["@g%d" % j for j in range(k)])
-    big = PolyRing(tgt_amb.p, names, MonomialOrder("block", n) if n else tgt_amb.order)
-    idx = list(range(n))
-    gens = [rename_poly(g, big, idx) for g in modulus_gens(tgt)]
-    for j, img in enumerate(phi.images):
-        gens.append(big.var(n + j) - rename_poly(img, big, idx))
-    gb = groebner_basis(gens)
-    for i in range(n):
-        nf = normal_form(rename_poly(tgt_amb.var(i), big, idx), gb)
-        if any(any(m[:n][j] for j in range(n)) for m in nf.terms):
-            return False
-    return True
-
-
 def verify_kernel_bracket(S, pi, e):
     """ker(pi_e) = (ker pi)^{[p^e]} through the lifted tower stages.
 
@@ -204,11 +160,10 @@ def phi_inverse_for_pbasis(stage):
     R1 = stage.ring
     amb1 = ambient_of(R1)
     n0 = amb.nvars
-    xs = stage.phi.images[n0:]
+    coordinates = CoordinateSolver(R, stage.phi.images[n0:])
     images = []
     for i in range(n0):
-        v = amb.var(i)
-        coords = xs_coordinates(R, xs, v if not isinstance(R, QuotientRing) else R.reduce(v))
+        coords = coordinates.solve(amb.var(i))
         if coords is None:
             return None
         acc = amb1.zero()
@@ -224,18 +179,7 @@ def phi_inverse_for_pbasis(stage):
         rho = RingMap(R, R1, images, check=True)
     except AlgebraError:
         return None
-    # certify both composites are the identity on generators
-    for i in range(n0):
-        v = amb.var(i)
-        if not (R.reduce(stage.phi.apply(rho.apply(v)) - v).is_zero()
-                if isinstance(R, QuotientRing)
-                else (stage.phi.apply(rho.apply(v)) - v).is_zero()):
-            return None
-    for i in range(amb1.nvars):
-        w = amb1.var(i)
-        if not R1.reduce(rho.apply(stage.phi.apply(w)) - w).is_zero():
-            return None
-    return rho
+    return rho if are_inverse(rho, stage.phi) else None
 
 
 def extend_pgens_check(R, xs, ys, e):
@@ -258,9 +202,10 @@ def extend_pgens_check(R, xs, ys, e):
     n0 = amb.nvars
     nx = len(xs)
     # lifts g_i of y_i into the stage-e ring via p^e-th root coordinates
+    coordinates = CoordinateSolver(R, xs, e)
     lifts = []
     for y in ys:
-        coords = xs_coordinates(R, xs, y if not isinstance(R, QuotientRing) else R.reduce(y), e=e)
+        coords = coordinates.solve(y)
         if coords is None:
             raise NotPGenerating("cannot expand the extra element in the tuple")
         acc = ambx.zero()
@@ -275,7 +220,7 @@ def extend_pgens_check(R, xs, ys, e):
         lifts.append(acc)
     # T2: adjoin one variable per y with (Y - g)^{p^e} = 0
     names = ["t%d" % (i + 1) for i in range(len(ys))]
-    big, idx, names = _extend_ring(TX.ring, names)
+    big, idx = adjoin_variables(TX.ring, names)
     mod = [rename_poly(g, big, idx) for g in modulus_gens(TX.ring)]
     tvars = [big.var(ambx.nvars + i) for i in range(len(ys))]
     glifts = [rename_poly(g, big, idx) for g in lifts]
@@ -303,13 +248,4 @@ def extend_pgens_check(R, xs, ys, e):
         top_pos = n0 + (e - 1) * ntuple + nx + i
         inv_images.append(T1.ring.reduce(amb1.var(top_pos)))
     tau = RingMap(T2, T1.ring, inv_images, check=True)
-    # both composites are the identity on generators
-    for i in range(amb1.nvars):
-        w = amb1.var(i)
-        if not T1.ring.reduce(tau.apply(psi.apply(w)) - w).is_zero():
-            return False
-    for i in range(big.nvars):
-        w = big.var(i)
-        if not T2.reduce(psi.apply(tau.apply(w)) - w).is_zero():
-            return False
-    return True
+    return are_inverse(psi, tau)

@@ -703,7 +703,7 @@ class SpanSolver:
 
 
 # ---------------------------------------------------------------------------
-# renaming and elimination
+# renaming, and ring maps through their graph basis
 
 def rename_poly(f, target, index_map):
     """Transport f to `target`, sending variable i to variable index_map[i]."""
@@ -724,33 +724,84 @@ def rename_poly(f, target, index_map):
     return Polynomial(target, acc)
 
 
-def elimination_kernel(phi):
-    """Kernel of a ring map as an ideal of the source ambient ring.
+def adjoin_variables(R, names, order=None):
+    """The ambient of R with the named variables adjoined after its own
+    (a taken name gets '@' prefixed until it is fresh), under order or the
+    ambient's order; returns (ring, index map old -> new)."""
+    amb = ambient_of(R)
+    taken = set(amb.variables)
+    fresh = []
+    for name in names:
+        while name in taken:
+            name = "@" + name
+        taken.add(name)
+        fresh.append(name)
+    big = PolyRing(amb.p, amb.variables + tuple(fresh), order or amb.order)
+    return big, list(range(amb.nvars))
 
-    Graph-ideal method: adjoin the source variables to the target, impose
-    y_j - phi(y_j), eliminate the target variables with a block order.
-    """
-    src_amb = phi.source_ambient
-    tgt_amb = phi.target_ambient
-    nt, ns = tgt_amb.nvars, src_amb.nvars
-    names = ["@t%d" % i for i in range(nt)] + ["@s%d" % j for j in range(ns)]
-    big = PolyRing(src_amb.p, names, MonomialOrder("block", nt) if nt else src_amb.order)
-    tmap = list(range(nt))
-    smap = [nt + j for j in range(ns)]
-    gens = []
-    for g in modulus_gens(phi.target):
-        gens.append(rename_poly(g, big, tmap))
-    for j in range(ns):
-        img = rename_poly(phi.images[j], big, tmap)
-        gens.append(big.var(nt + j) - img)
-    gb = groebner_basis(gens)
-    back = {nt + j: j for j in range(ns)}
-    kernel = []
-    for g in gb:
-        if all(all(e == 0 for e in m[:nt]) for m in g.terms):
-            kernel.append(rename_poly(g, src_amb, [back.get(i, 0) for i in range(big.nvars)]))
+
+def _graph_basis(phi):
+    """Reduced Groebner basis of the graph ideal of a ring map, built once
+    and kept on the (immutable) map.
+
+    The ideal is modulus(T) + (s_j - phi(s_j)) in T[s], under the block
+    order in which the target variables dominate.  Its part free of target
+    variables is the kernel of phi; the normal form of a target element is
+    free of them exactly when the element is in the image, and is then a
+    preimage (Shannon-Sweedler)."""
+    if phi._graph is None:
+        nt = phi.target_ambient.nvars
+        src = phi.source_ambient
+        big, tmap = adjoin_variables(
+            phi.target,
+            ["@s%d" % j for j in range(src.nvars)],
+            MonomialOrder("block", nt) if nt else src.order,
+        )
+        gens = [rename_poly(g, big, tmap) for g in modulus_gens(phi.target)]
+        gens += [big.var(nt + j) - rename_poly(img, big, tmap) for j, img in enumerate(phi.images)]
+        basis = buchberger([vector_from_poly(g) for g in gens if not g.is_zero()])
+        phi._graph = (big, basis)
+    return phi._graph
+
+
+def _from_graph(phi, g):
+    """g in the graph ring, back in the source ambient; None when g
+    involves a target variable."""
+    nt = phi.target_ambient.nvars
+    if any(any(m[:nt]) for m in g.terms):
+        return None
+    return rename_poly(g, phi.source_ambient, [0] * nt + list(range(phi.source_ambient.nvars)))
+
+
+def elimination_kernel(phi):
+    """Kernel of a ring map as an ideal of the source ambient ring, read
+    off the graph basis, plus the modulus of the source."""
+    _big, basis = _graph_basis(phi)
+    kernel = [k for k in (_from_graph(phi, v.components[0]) for v in basis) if k is not None]
     kernel.extend(modulus_gens(phi.source))
-    return Ideal(src_amb, kernel)
+    return Ideal(phi.source_ambient, kernel)
+
+
+def preimage(phi, f):
+    """A g in the source ambient with phi(g) = f, or None when f (an
+    element of the target ambient) is not in the image."""
+    big, basis = _graph_basis(phi)
+    g = vector_from_poly(rename_poly(f, big, list(range(phi.target_ambient.nvars))))
+    return _from_graph(phi, normal_form_vector(g, basis).components[0])
+
+
+def ring_map_is_surjective(phi):
+    """True iff every target variable has a preimage."""
+    return all(preimage(phi, v) is not None for v in phi.target_ambient.gens())
+
+
+def are_inverse(f, g):
+    """True iff g o f and f o g are the identity on ring generators."""
+    return all(
+        reduce_in(h.source, k.apply(h.apply(v)) - v).is_zero()
+        for h, k in ((f, g), (g, f))
+        for v in h.source_ambient.gens()
+    )
 
 
 def ideal_sum(I, J):

@@ -361,6 +361,7 @@ class RingMap:
                 raise RingMismatch("image lives in the wrong ring")
             fixed.append(self._reduce_target(g))
         self.images = fixed
+        self._graph = None  # the graph basis, kept by groebner._graph_basis
         if check and isinstance(source, QuotientRing):
             for g in source.modulus.gens:
                 if not self.apply(g).is_zero():

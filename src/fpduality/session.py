@@ -32,7 +32,7 @@ from .frobenius import (
     pbasis_trace_generator,
 )
 from .gabber import extend_pgens_check, gabber_truncation, verify_kernel_bracket
-from .groebner import Ideal, QuotientRing, ambient_of, elimination_kernel
+from .groebner import Ideal, QuotientRing, ambient_of, elimination_kernel, reduce_in
 from .modules import (
     FPModule,
     ModuleMap,
@@ -522,8 +522,7 @@ def _b_ringmap(ip, args):
     S = ip.ring_at(args[0])
     T = ip.ring_at(args[1])
     imgs = ip.elements_list(T, args[2])
-    reduceT = T.reduce if isinstance(T, QuotientRing) else (lambda f: f)
-    return RingMap(S, T, [reduceT(g) for g in imgs])
+    return RingMap(S, T, [reduce_in(T, g) for g in imgs])
 
 
 def _b_kernel_ideal(ip, args):

@@ -92,6 +92,7 @@ class EnvelopingRing:
         for g in A.modulus.gens:
             first.append(rename_poly(g, P, idx0))
         self.first_slot_ring = QuotientRing(P, first)
+        self.diagonal_resolutions = {}  # length -> truncated resolution
 
     def slot_index(self, j):
         n = self.nvars_each
@@ -204,10 +205,13 @@ def _in_one_degree(M, degree, ring=None):
 
 
 def diagonal_resolution(env, length):
-    """Truncated resolution of the base ring over the enveloping ring."""
-    amb = env.ambient
-    first = [VectorPoly(amb, [g]) for g in env.diagonal.gens]
-    return truncated_resolution(env.ring, first, length)
+    """Truncated resolution of the base ring over the enveloping ring,
+    computed once per length and kept on env."""
+    G = env.diagonal_resolutions.get(length)
+    if G is None:
+        first = [VectorPoly(env.ambient, [g]) for g in env.diagonal.gens]
+        G = env.diagonal_resolutions[length] = truncated_resolution(env.ring, first, length)
+    return G
 
 
 class ShriekResult:

@@ -3,6 +3,7 @@ presentation independence, Frobenius duality."""
 
 import pytest
 
+import fpduality.groebner as groebner
 from fpduality.complexes import cohomology, rank_one_complex
 from fpduality.differentials import canonical_omega_regular
 from fpduality.duality import (
@@ -246,6 +247,23 @@ class TestXi:
         assert r.constant_value() == 1
         r0 = residue_top_coefficient(Sy.one(), sys, Sy, 1, 1)
         assert r0.is_zero()
+
+    def test_residue_runs_no_groebner(self, monkeypatch):
+        # a monic triangular system is a Groebner basis already
+        Sy = ring(3, "x", "y1", "y2")
+        x, y1, y2 = Sy.gens()
+        tsys = [y1 ** 3 - x, y2 ** 2 - y1]
+        runs = [0]
+        original = groebner.buchberger
+
+        def counted(*args, **kwargs):
+            runs[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, "buchberger", counted)
+        r = residue_top_coefficient(y1 ** 2 * y2, tsys, Sy, 1, 2)
+        assert r.constant_value() == 1
+        assert runs[0] == 0
 
 
 class TestCommutationSign:

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpduality.groebner as groebner
 from fpduality.config import config
-from fpduality.errors import DegreeBudgetExceeded, RingMismatch
+from fpduality.duality import canonical_dualizing, compare_presentations
+from fpduality.errors import DegreeBudgetExceeded, NotSurjective, RingMismatch
 from fpduality.fp import inv_mod
+from fpduality.gabber import gabber_truncation, ring_map_is_surjective
 from fpduality.groebner import (
     Ideal,
     ModuleGB,
@@ -427,3 +430,150 @@ def test_zero_vectors_of_different_rings_do_not_mix():
         u + w
     with pytest.raises(RingMismatch):
         u - w
+
+
+# ---------------------------------------------------------------------------
+# the ring-map layer: kernels, surjectivity verdicts and preimages, pinned on
+# the presentations of the corpus and two parametrisations
+
+try:
+    from fpduality.groebner import preimage
+except ImportError:  # the per-element tag-variable lift serves the same pins
+    from fpduality.duality import _lift_through_presentation
+
+    def preimage(phi, f):
+        try:
+            return _lift_through_presentation(phi.target, phi, f)
+        except NotSurjective:
+            return None
+
+
+def _pinned_maps():
+    out = {}
+    amb = ring(2, "x")
+    x = amb.var("x")
+    A = QuotientRing(amb, [x ** 2])
+    out["c4_dual_pi1"] = RingMap(ring(2, "x"), A, [A.reduce(x)], check=False)
+    out["c4_dual_pi2"] = RingMap(ring(2, "u", "v"), A, [A.reduce(x), A.zero()], check=False)
+    amb = ring(2, "t")
+    t = amb.var("t")
+    L = QuotientRing(amb, [])
+    out["c4_line_pi1"] = RingMap(ring(2, "t"), L, [L.reduce(t)], check=False)
+    out["c4_line_pi2"] = RingMap(ring(2, "X", "Y"), L, [L.reduce(t), L.reduce(t ** 2)], check=False)
+    out["c5_point_p2"] = RingMap(ring(2, "X"), ring(2), [ring(2).zero()])
+    out["c5_dual"] = RingMap(ring(2, "X", "Y"), A, [A.reduce(x), A.zero()], check=False)
+    out["c5_point_p3"] = RingMap(ring(3, "X"), ring(3), [ring(3).zero()])
+    for p, tv, e in ((2, 0, 2), (3, 1, 1)):
+        Fp = ring(p)
+        tower = gabber_truncation(Fp, [Fp.const(tv)], e)
+        key = "c5_series_p%d_e%d" % (p, e)
+        out[key] = RingMap(ring(p, "Y"), tower.ring, [tower.pbasis_images[0]], check=False)
+        out[key + "_iota"] = tower.stages[-1].iota
+    for p, roots in ((2, (1,)), (2, (1, 3)), (3, (1, 2))):
+        T = ring(p, "@cx")
+        c = T.var(0)
+        S = ring(p, "x", *("y%d" % (j + 1) for j in range(len(roots))))
+        key = "c8_p%d_%s" % (p, "_".join(map(str, roots)))
+        out[key] = RingMap(S, T, [c ** p] + [c ** k for k in roots], check=False)
+    T = ring(3, "t")
+    t = T.var(0)
+    out["twisted_cubic"] = RingMap(ring(3, "x", "y", "z"), T, [t, t ** 2, t ** 3])
+    T = ring(2, "s", "t")
+    s, t = T.gens()
+    out["cubic_cone"] = RingMap(ring(2, "a", "b", "c", "d"), T, [s ** 3, s ** 2 * t, s * t ** 2, t ** 3])
+    return out
+
+
+# name -> (kernel generators, surjective, preimages of the target variables)
+RING_MAP_PINS = {
+    "c4_dual_pi1": (["x^2"], True, ["x"]),
+    "c4_dual_pi2": (["u^2", "v"], True, ["u"]),
+    "c4_line_pi1": ([], True, ["t"]),
+    "c4_line_pi2": (["X^2 + Y"], True, ["X"]),
+    "c5_point_p2": (["X"], True, []),
+    "c5_dual": (["X^2", "Y"], True, ["X"]),
+    "c5_point_p3": (["X"], True, []),
+    "c5_series_p2_e2": (["Y^4"], True, ["Y^2", "Y"]),
+    "c5_series_p2_e2_iota": (["X1_1^2", "X1_1^2"], False, ["X1_1", None]),
+    "c5_series_p3_e1": (["Y^3 + 2"], True, ["Y"]),
+    "c5_series_p3_e1_iota": ([], False, [None]),
+    "c8_p2_1": (["y1^2 + x"], True, ["y1"]),
+    "c8_p2_1_3": (["x^2 + y1*y2", "x*y1 + y2", "y1^2 + x"], True, ["y1"]),
+    "c8_p3_1_2": (["y2^3 + 2*x^2", "x*y1 + 2*y2^2", "y1^2 + 2*y2", "y1*y2 + 2*x"], True, ["y1"]),
+    "twisted_cubic": (["x^2 + 2*y", "x*y + 2*z", "y^2 + 2*x*z"], True, ["x"]),
+    "cubic_cone": (["b^2 + a*c", "b*c + a*d", "c^2 + b*d"], False, [None, None]),
+}
+
+
+def test_ring_map_layer_pins():
+    maps = _pinned_maps()
+    assert sorted(maps) == sorted(RING_MAP_PINS)
+    for name, phi in maps.items():
+        kernel, surjective, preimages = RING_MAP_PINS[name]
+        assert [repr(g) for g in elimination_kernel(phi).gens] == kernel, name
+        assert ring_map_is_surjective(phi) == surjective, name
+        got = [preimage(phi, v) for v in phi.target_ambient.gens()]
+        assert [None if g is None else repr(g) for g in got] == preimages, name
+        for v, g in zip(phi.target_ambient.gens(), got):
+            if g is not None:
+                assert phi(g) == phi._reduce_target(v), name
+
+
+def test_non_surjective_presentation_messages():
+    amb = ring(2, "x")
+    x = amb.var("x")
+    A = QuotientRing(amb, [x ** 2])
+    good = RingMap(ring(2, "x"), A, [A.reduce(x)], check=False)
+    bad = RingMap(ring(2, "u"), A, [A.zero()], check=False)
+    with pytest.raises(NotSurjective, match="^the presentation map is not surjective$"):
+        canonical_dualizing(A, bad)
+    for pair in ((bad, good), (good, bad)):
+        with pytest.raises(NotSurjective, match="^element has no polynomial preimage; map not onto$"):
+            compare_presentations(A, *pair)
+
+
+def test_one_graph_basis_per_ring_map(monkeypatch):
+    # kernel, surjectivity and two preimages read one Groebner basis
+    runs = [0]
+    original = groebner.buchberger
+
+    def counted(*args, **kwargs):
+        runs[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    T = ring(3, "t")
+    t = T.var(0)
+    phi = RingMap(ring(3, "x", "y", "z"), T, [t, t ** 2, t ** 3])
+    elimination_kernel(phi)
+    assert ring_map_is_surjective(phi)
+    assert repr(preimage(phi, t)) == "x"
+    assert repr(preimage(phi, t ** 5 + t)) == "y*z + x"
+    assert runs[0] == 1
+
+
+def test_adjoin_variables_keeps_names_fresh():
+    R = QuotientRing(ring(2, "x", "y"), [ring(2, "x", "y").var("x") ** 2])
+    big, idx = groebner.adjoin_variables(R, ["y", "z", "y"], MonomialOrder("block", 2))
+    assert big.variables == ("x", "y", "@y", "z", "@@y")
+    assert idx == [0, 1]
+    assert big.order == MonomialOrder("block", 2)
+    plain, _ = groebner.adjoin_variables(ring(3, "t"), ["u"])
+    assert plain.variables == ("t", "u") and plain.order == ring(3, "t").order
+
+
+def test_are_inverse():
+    S = ring(3, "x", "y")
+    x, y = S.gens()
+    swap = RingMap(S, S, [y, x])
+    shear = RingMap(S, S, [x + y ** 2, y])
+    unshear = RingMap(S, S, [x - y ** 2, y])
+    assert groebner.are_inverse(swap, swap)
+    assert groebner.are_inverse(shear, unshear)
+    assert not groebner.are_inverse(shear, swap)
+    # over a quotient the composites are compared modulo the modulus
+    A = QuotientRing(ring(3, "t"), [ring(3, "t").var("t") ** 3])
+    t = A.ambient.var("t")
+    to_A = RingMap(A, A, [A.reduce(t + t ** 2)])
+    back = RingMap(A, A, [A.reduce(t - t ** 2 + 2 * t ** 3)])
+    assert groebner.are_inverse(to_A, back)

@@ -1,5 +1,5 @@
-"""Work-count guards: deterministic ModuleGB build counts and presentation
-sizes on fixed workloads.
+"""Work-count guards: deterministic ModuleGB build and buchberger run
+counts and presentation sizes on fixed workloads.
 
 An algorithmic regression that rebuilds Groebner bases, or that feeds them
 larger presentations, shows here as a count above its bound, with no timing
@@ -7,7 +7,12 @@ noise.  The build bounds are the counts measured when the per-owner basis
 reuse landed (41 builds before), when presentations were trimmed (676
 corpus builds before) and when complexes of modules became free complexes
 with per-degree relations, each cohomology of the unit clause computed
-once (206 unit-clause and 535 corpus builds before).  The stacked-system
+once (206 unit-clause and 535 corpus builds before), and when every ring
+map read its kernel, surjectivity and preimages off one graph basis, the
+diagonal resolution was kept per length and each p-basis tuple got one
+coordinate solver (154 unit-clause, 11 symmetry, 82 trace-generator and
+483 corpus builds, 649 corpus runs before).  Graph bases are plain
+buchberger runs, invisible to the ModuleGB count.  The stacked-system
 bounds are rows x columns of the Hom condition system, measured when
 automatic Hom conditions were dropped (18 x 45 and 68 x 182 before).  Certifying five maps out of one prunable
 module built 7 bases before the pruned module was kept on its owner.
@@ -17,16 +22,21 @@ import pytest
 
 import fpduality.groebner as groebner
 import fpduality.modules as modules
+from fpduality.complexes import rank_one_complex
 from fpduality.duality import canonical_dualizing
-from fpduality.frobenius import frobenius_pushforward
+from fpduality.frobenius import frobenius_pushforward, pbasis_trace_generator
 from fpduality.groebner import VectorPoly
 from fpduality.polyring import PolyRing
 from fpduality.selftest import c7_unit_and_rigidifier, run_corpus
+from fpduality.shriek import verify_symmetry
 from fpduality.session import Session, execute, parse_session
 
 CUSP_DUALITY_BUILDS = 24
-CORPUS_BUILDS = 483
-UNIT_CLAUSE_BUILDS = 154
+CORPUS_BUILDS = 456
+CORPUS_RUNS = 593
+UNIT_CLAUSE_BUILDS = 153
+SYMMETRY_BUILDS = 10
+TRACE_GENERATOR_BUILDS = 2
 REPEATED_CERTIFICATION_BUILDS = 6
 CUSP_HOM_SYSTEM = 9 * 27
 ELLIPTIC_DET_HOM_SYSTEM = 32 * 76
@@ -44,6 +54,19 @@ def builds(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(groebner.ModuleGB, "__init__", counted)
+    return count
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    count = [0]
+    original = groebner.buchberger
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
     return count
 
 
@@ -75,6 +98,12 @@ def test_corpus_builds(builds):
     assert _corpus_builds(builds) == first
 
 
+def test_corpus_runs(runs):
+    first = _corpus_builds(runs)
+    assert first <= CORPUS_RUNS
+    assert _corpus_builds(runs) == first
+
+
 def test_unit_clause_builds(builds):
     counts = []
     for _ in range(2):
@@ -84,6 +113,26 @@ def test_unit_clause_builds(builds):
         counts.append(builds[0])
     assert counts[0] <= UNIT_CLAUSE_BUILDS
     assert counts[1] == counts[0]
+
+
+def test_symmetry_builds(builds):
+    # verify_symmetry(A, omega, omega) over F_2[x]: both products share one
+    # diagonal resolution
+    A = groebner.QuotientRing(PolyRing(2, ("x",)), [])
+    dc = canonical_dualizing(A)
+    omega, low = dc.canonical_module_over_ring(), dc.lowest_degree()
+    builds[0] = 0
+    assert all(verify_symmetry(A, omega, omega, low, low).values())
+    assert builds[0] <= SYMMETRY_BUILDS
+
+
+def test_trace_generator_builds(builds):
+    # one coordinate solver serves every pair of restricted monomials
+    R = PolyRing(3, ("x", "y"))
+    builds[0] = 0
+    phi = pbasis_trace_generator(R, list(R.gens()), rank_one_complex(R, -2))
+    assert phi.freeness_certificate
+    assert builds[0] <= TRACE_GENERATOR_BUILDS
 
 
 def test_repeated_certification_builds(builds):
