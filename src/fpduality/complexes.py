@@ -19,6 +19,7 @@ from .groebner import (
     SpanSolver,
     VectorPoly,
     ambient_of,
+    combine,
     modulus_tails,
     presentation_resolution,
     reduce_in,
@@ -73,11 +74,7 @@ class FreeComplex:
             if not nxt:
                 continue
             for c in cols:
-                acc = None
-                for coeff, col2 in zip(c.components, nxt):
-                    t = col2.mul_poly(coeff)
-                    acc = t if acc is None else acc + t
-                if acc is not None and not self.vanishes(d + 2, acc):
+                if not self.vanishes(d + 2, combine(nxt, c.components, self.ambient, self.rank(d + 2))):
                     raise AlgebraError("d o d != 0 at degree %d" % d)
 
     def rank(self, d):
@@ -450,39 +447,20 @@ class ChainMap:
         return VectorPoly(amb, [amb.zero()] * self.target.rank(d))
 
     def apply(self, d, v):
-        amb = self.target.ambient
-        acc = VectorPoly(amb, [amb.zero()] * self.target.rank(d))
-        for j, c in enumerate(v.components):
-            if c.is_zero():
-                continue
-            acc = acc + self.column(d, j).mul_poly(c)
-        return acc
+        return combine(self.maps.get(d, []), v.components, self.target.ambient, self.target.rank(d))
 
     def verify(self):
         """d_tgt o f = f o d_src in the target's terms."""
+        amb = self.target.ambient
         for d in self.source.degrees():
-            if self.source.rank(d) == 0:
+            r = self.target.rank(d + 1)
+            if r == 0:
                 continue
+            d_tgt = self.target.diffs.get(d, [])
+            d_src = self.source.differential(d)
             for j in range(self.source.rank(d)):
-                lhs = None
-                dcols = self.target.diffs.get(d)
-                fj = self.column(d, j)
-                if dcols is not None:
-                    acc = None
-                    for coeff, col in zip(fj.components, dcols):
-                        t = col.mul_poly(coeff)
-                        acc = t if acc is None else acc + t
-                    lhs = acc
-                sd = self.source.diffs.get(d)
-                rhs = None
-                if sd is not None:
-                    rhs = self.apply(d + 1, sd[j])
-                amb = self.target.ambient
-                r = self.target.rank(d + 1)
-                zero = VectorPoly(amb, [amb.zero()] * r)
-                lhs = lhs if lhs is not None else zero
-                rhs = rhs if rhs is not None else zero
-                if r and not self.target.vanishes(d + 1, lhs - rhs):
+                lhs = combine(d_tgt, self.column(d, j).components, amb, r)
+                if not self.target.vanishes(d + 1, lhs - self.apply(d + 1, d_src[j])):
                     raise AlgebraError("not a chain map at degree %d" % d)
 
     def induced_on_cohomology(self, d, h_src, h_tgt):
@@ -496,31 +474,35 @@ class ChainMap:
 # ---------------------------------------------------------------------------
 # resolutions as complexes
 
+def free_resolution(ring, rank, columns, length=None):
+    """The free resolution of ring^rank / (columns) from
+    presentation_resolution, as a FreeComplex in degrees [-len(stages), 0]
+    with terms[0] = rank; with a length it is exact in degrees > -length."""
+    terms = {0: rank}
+    diffs = {}
+    for k, cols in enumerate(presentation_resolution(ring, rank, columns, length)):
+        terms[-(k + 1)] = len(cols)
+        diffs[-(k + 1)] = cols
+    return FreeComplex(ring, terms, diffs)
+
+
 class ResolutionComplex:
-    """Free resolution of an FPModule M over its ambient polynomial ring,
-    wrapped as a FreeComplex in degrees [-length, 0]."""
+    """Free resolution of an FPModule M over its ambient polynomial ring."""
 
-    def __init__(self, M, length_cap=None):
-        amb = M.ambient
-        stages = presentation_resolution(amb, M.ngens, M.relations, length_cap)
-        terms = {0: M.ngens}
-        diffs = {}
-        for k, cols in enumerate(stages):
-            terms[-(k + 1)] = len(cols)
-            diffs[-(k + 1)] = cols
+    def __init__(self, M):
         self.module = M
-        self.complex = FreeComplex(amb, terms, diffs)
-        self.length = len(stages)
+        self.complex = free_resolution(M.ambient, M.ngens, M.relations)
 
 
-def resolution_complex(M, length_cap=None):
-    return ResolutionComplex(M, length_cap)
+def resolution_complex(M):
+    return ResolutionComplex(M)
 
 
-def rhom_to_module(M, T, length_cap=None):
+def rhom_to_module(M, T):
     """R Hom(M, T) for M an FPModule over a polynomial ring, T a bounded
-    free complex: Hom of the free resolution into T."""
-    res = resolution_complex(M, length_cap)
+    free complex: Hom of the free resolution into T, which it keeps as
+    .resolution."""
+    res = resolution_complex(M)
     H, _ = hom_complex(res.complex, T)
     H.resolution = res
     return H
@@ -577,11 +559,7 @@ def lift_chain_map(f0_cols, source, target, ring):
         solver = target.span_solver(d, ring)
         for col in source.differential(d):
             # want x with d_target(x) = f_{d+1}(d_source e_j)
-            image = VectorPoly(amb, [amb.zero()] * target.rank(d + 1))
-            for c, upper in zip(col.components, maps[d + 1]):
-                if not c.is_zero():
-                    image = image + upper.mul_poly(c)
-            coeffs = solver.solve(image)
+            coeffs = solver.solve(combine(maps[d + 1], col.components, amb, target.rank(d + 1)))
             if coeffs is None:
                 raise AlgebraError("lifting failed at degree %d" % d)
             cols.append(VectorPoly(amb, list(coeffs) + [amb.zero()] * (target.rank(d) - len(coeffs))))

@@ -19,6 +19,7 @@ from .groebner import (
     are_inverse,
     elimination_kernel,
     modulus_gens,
+    ring_map_is_surjective,
     syzygies,
 )
 from .modules import (
@@ -82,6 +83,8 @@ def conormal_sequence(pi, rseq=None):
     S = pi.source
     if isinstance(S, QuotientRing):
         raise AlgebraError("conormal machinery expects a polynomial source")
+    if not ring_map_is_surjective(pi):
+        raise NotSurjective("the presentation map is not surjective")
     J = elimination_kernel(pi)
     if rseq is None:
         rseq = list(J.gens)
@@ -89,10 +92,6 @@ def conormal_sequence(pi, rseq=None):
         check = Ideal(S, list(rseq))
         if not check.equals(J):
             raise AlgebraError("supplied sequence does not generate the kernel")
-    # surjectivity: every target generator must be hit; the elimination
-    # kernel construction presumes it, so certify via image membership
-    tgt = pi.target
-    tgt_amb = ambient_of(tgt)
     Rq = QuotientRing(S, J)
     n = S.nvars
     c = len(rseq)

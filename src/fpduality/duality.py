@@ -21,7 +21,6 @@ from .complexes import (
     koszul_complex,
     lift_chain_map,
     rank_one_complex,
-    resolution_complex,
     rhom_to_module,
     shift,
     tensor_complex,
@@ -56,8 +55,10 @@ from .groebner import (
     VectorPoly,
     adjoin_variables,
     ambient_of,
+    as_quotient,
     elimination_kernel,
     groebner_basis,
+    modulus_gens,
     normal_form,
     preimage,
     rename_poly,
@@ -205,7 +206,7 @@ def upper_shriek_smooth(R, T, d, names=None):
     return out, big
 
 
-def upper_shriek_finite(f, T, generating_set=None, length_cap=None):
+def upper_shriek_finite(f, T):
     """f^flat = RHom along a finite map.
 
     Supported shapes: the identity, surjections (resolve the target as a
@@ -222,9 +223,7 @@ def upper_shriek_finite(f, T, generating_set=None, length_cap=None):
         return T
     if not ring_map_is_surjective(f):
         raise NotFinite("only surjections and Frobenius are supported directly")
-    J = elimination_kernel(f)
-    M = cyclic_module(src, J.gens)
-    return rhom_to_module(M, T, length_cap)
+    return rhom_to_module(cyclic_module(src, elimination_kernel(f).gens), T)
 
 
 # ---------------------------------------------------------------------------
@@ -663,20 +662,12 @@ class DualizingComplex:
         return self.cohomology_report().degrees[d]
 
 
-def canonical_dualizing(A, pi=None, length_cap=None):
+def canonical_dualizing(A, pi=None):
     """RHom_S(A, omega_S) for the ambient presentation, or through a
     supplied surjection pi: S ->> A."""
     if pi is None:
-        if not isinstance(A, QuotientRing):
-            S = A
-            om = canonical_omega_regular(S)
-            res = resolution_complex(free_module(S, 1))
-            W, _ = hom_complex(res.complex, om.complex)
-            W.resolution = res
-            return DualizingComplex(A, W, res, om, "identity presentation")
-        S = A.ambient
-        gens = list(A.modulus.gens)
-        provenance = "ambient presentation"
+        S, gens = ambient_of(A), modulus_gens(A)
+        provenance = "ambient presentation" if isinstance(A, QuotientRing) else "identity presentation"
     else:
         S = pi.source
         if isinstance(S, QuotientRing):
@@ -686,11 +677,8 @@ def canonical_dualizing(A, pi=None, length_cap=None):
         gens = list(elimination_kernel(pi).gens)
         provenance = "presentation through %r" % (S,)
     om = canonical_omega_regular(S)
-    M = cyclic_module(S, gens)
-    res = resolution_complex(M, length_cap)
-    W, _ = hom_complex(res.complex, om.complex)
-    W.resolution = res
-    return DualizingComplex(A, W, res, om, provenance)
+    W = rhom_to_module(cyclic_module(S, gens), om.complex)
+    return DualizingComplex(A, W, W.resolution, om, provenance)
 
 
 def biduality_certificate(dc):
@@ -767,25 +755,22 @@ def _one_sided_collapse(pi_main, pi_other):
             raise NotSurjective("element has no polynomial preimage; map not onto")
         lifts.append(rename_poly(lift, S3, idx1))
     lin = [S3.var(n1 + i) - lifts[i] for i in range(n2)]
-    # resolution of A over S1, renamed into S3
+    # the own model over S1; its resolution of A, renamed into S3, starts
+    # the joint model
+    own = canonical_dualizing(pi_main.target, pi_main)
     J1 = elimination_kernel(pi_main)
-    M1 = cyclic_module(S1, J1.gens)
-    res1 = resolution_complex(M1)
-    res1_in_S3 = _rename_complex(res1.complex, S3, idx1)
+    res1_in_S3 = _rename_complex(own.resolution.complex, S3, idx1)
     Klin = koszul_complex(S3, lin)
     joint_res, joint_bases = tensor_complex(res1_in_S3, Klin)
     om3 = canonical_omega_regular(S3)
     W3, _ = hom_complex(joint_res, om3.complex)
-    # own model over S1
-    om1 = canonical_omega_regular(S1)
-    W1, W1_bases = hom_complex(res1.complex, om1.complex)
     A3 = QuotientRing(S3, [rename_poly(g, S3, idx1) for g in J1.gens] + lin)
     collapse, sigma = _collapse_linear_block(
-        W3, joint_bases, Klin, len(lin), lifts, S1, S3, W1_bases
+        W3, joint_bases, Klin, len(lin), lifts, S1, S3, own.complex.hom_bases
     )
     A1 = QuotientRing(amb1, J1.gens)
     rep3 = cohomology(W3)
-    rep1 = cohomology(W1)
+    rep1 = own.cohomology_report()
 
     def induced(dgr, h3, h1):
         cols = h1.classes_of(collapse(rep_vec, dgr) for rep_vec in h3.reps)
@@ -806,7 +791,7 @@ def _one_sided_collapse(pi_main, pi_other):
         "joint_model": W3,
         "joint_res": joint_res,
         "joint_ring": S3,
-        "own_model": W1,
+        "own_model": own.complex,
         "own_report": rep1,
         "joint_report": rep3,
         "certified": certified,
@@ -899,7 +884,7 @@ class FrobeniusDualityReport:
         self.degrees = degrees
 
 
-def verify_frobenius_duality(A, e=1, length_cap=None):
+def verify_frobenius_duality(A, e=1):
     """Certify Hom_A(F_* A, omega_A) = F_* omega_A through the canonical
     candidate.
 
@@ -909,16 +894,13 @@ def verify_frobenius_duality(A, e=1, length_cap=None):
     multiplication maps through the resolutions.  Certificates: the
     complex-level comparison in every degree, and the module-level
     kernel/cokernel of the assembled candidate in the lowest degree."""
-    if not isinstance(A, QuotientRing):
-        A_work = QuotientRing(A, [])
-    else:
-        A_work = A
+    A_work = as_quotient(A)
     S = A_work.ambient
     amb = S
     p = amb.p
     q = p ** e
     n = amb.nvars
-    dc = canonical_dualizing(A_work, length_cap=length_cap)
+    dc = canonical_dualizing(A_work)
     W = dc.complex
     K = dc.resolution
     # complex-level: F_* W versus Hom_S(F_* K, omega_S) via the trace pairing

@@ -455,6 +455,16 @@ def syzygies(vectors):
     return mgb.syzygies
 
 
+def combine(columns, coeffs, ring, rank):
+    """sum_j coeffs[j] * columns[j] in ring^rank: the zero vector when
+    there is nothing to add; zero coefficients are skipped."""
+    acc = VectorPoly(ring, [ring.zero()] * rank)
+    for c, col in zip(coeffs, columns):
+        if c.terms:
+            acc = acc + col.mul_poly(c)
+    return acc
+
+
 def unique_nonzero(vectors):
     """The nonzero vectors in order, each value kept at its first occurrence."""
     out = []
@@ -519,17 +529,11 @@ class Ideal:
                 fixed.append(g)
         self.gens = fixed
         self._gb = None
-        self._mgb = None
 
     def groebner(self):
         if self._gb is None:
             self._gb = groebner_basis(self.gens)
         return self._gb
-
-    def module_gb(self):
-        if self._mgb is None:
-            self._mgb = ModuleGB(self.ring, 1, [vector_from_poly(g) for g in self.gens])
-        return self._mgb
 
     def reduce(self, f):
         return normal_form(f, self.groebner())
@@ -647,6 +651,11 @@ class QuotientRing:
 
     def __repr__(self):
         return "%r/(%s)" % (self.ambient, ", ".join(repr(g) for g in self.modulus.gens))
+
+
+def as_quotient(ring):
+    """ring itself if it is a QuotientRing, else ring modulo the zero ideal."""
+    return ring if isinstance(ring, QuotientRing) else QuotientRing(ring, [])
 
 
 def ambient_of(ring):
@@ -870,27 +879,34 @@ def ideal_membership(f, I):
 # ---------------------------------------------------------------------------
 # free resolutions (raw matrix form; complexes.py wraps them)
 
-def presentation_resolution(ring, rank, columns, length_cap=None):
-    """Iterated syzygies: stages[0] = columns presenting M inside R^rank.
+def presentation_resolution(ring, rank, columns, length=None):
+    """Iterated syzygies over ring: stages[0] = columns presenting M inside
+    R^rank.
 
     Returns a list of stages, where stages[k] is a list of VectorPoly
-    columns mapping R^{len(stages[k])} -> R^{len(stages[k-1])}.  Stops when
-    a syzygy module vanishes.
+    columns mapping R^{len(stages[k])} -> R^{len(stages[k-1])}.  Over a
+    QuotientRing each syzygy computation adjoins the modulus tails and the
+    entries are kept in normal form; repeated columns are dropped.  Stops
+    when a syzygy module vanishes, or after `length` stages, without
+    computing the syzygies of the last one.  With no length, a resolution
+    longer than nvars + 3 stages raises AlgebraError.
     """
-    if length_cap is None:
-        length_cap = ring.nvars + 2
+    cap = ring.nvars + 2
+    amb = ambient_of(ring)
+
+    def reduced(vectors):
+        return unique_nonzero(VectorPoly(amb, [reduce_in(ring, x) for x in v.components]) for v in vectors)
+
     stages = []
-    current = [c for c in columns if not c.is_zero()]
-    if not current:
-        return stages
-    stages.append(current)
-    while len(stages) <= length_cap:
-        syz = syzygies(stages[-1])
-        syz = [s for s in syz if not s.is_zero()]
-        if not syz:
-            return stages
-        stages.append(syz)
-    raise AlgebraError(
-        "resolution did not terminate within cap %d; this should not happen over a polynomial ring"
-        % length_cap
-    )
+    current = reduced(columns)
+    while current:
+        if length is None and len(stages) > cap:
+            raise AlgebraError(
+                "resolution did not terminate within cap %d; this should not happen over a polynomial ring"
+                % cap
+            )
+        stages.append(current)
+        if len(stages) == length:
+            break
+        current = reduced(syzygy_heads(current + modulus_tails(ring, current[0].rank), len(current)))
+    return stages

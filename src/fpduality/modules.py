@@ -18,6 +18,7 @@ from .groebner import (
     SpanSolver,
     VectorPoly,
     ambient_of,
+    combine,
     heads,
     modulus_gens,
     modulus_tails,
@@ -138,13 +139,7 @@ class ModuleMap:
 
     def apply_coords(self, v):
         """Image of a coordinate vector of the source."""
-        acc = None
-        for c, col in zip(v.components, self.columns):
-            term = col.mul_poly(c)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = self.target.zero_vector()
-        return acc
+        return combine(self.columns, v.components, self.target.ambient, self.target.ngens)
 
     def compose(self, other):
         """self after other."""
@@ -391,13 +386,8 @@ class HomModule(FPModule):
         if isinstance(coeffs, int):
             vec = self._vec_gens[coeffs]
         else:
-            comps = [amb.zero()] * (N.ngens * M.ngens)
-            for c, g in zip(coeffs, self._vec_gens):
-                if isinstance(c, int):
-                    c = amb.const(c)
-                for idx, comp in enumerate(g.components):
-                    comps[idx] = comps[idx] + c * comp
-            vec = VectorPoly(amb, comps)
+            coeffs = [amb.const(c) if isinstance(c, int) else c for c in coeffs]
+            vec = combine(self._vec_gens, coeffs, amb, N.ngens * M.ngens)
         cols = []
         for j in range(M.ngens):
             col = vec.components[j * N.ngens : (j + 1) * N.ngens]
@@ -616,19 +606,33 @@ def _det(ring, rows):
 
 
 def generic_rank(M):
-    """Rank of M at the generic point of a domain: ngens minus the largest
-    size of a nonvanishing minor of the presentation matrix."""
-    amb = M.ambient
-    rels = [r for r in M.relations]
-    m = M.ngens
-    q = len(rels)
-    if q == 0 or m == 0:
-        return m
-    entries = [[rels[t].components[i] for t in range(q)] for i in range(m)]
-    for size in range(min(m, q), 0, -1):
-        for rowset in combinations(range(m), size):
-            for colset in combinations(range(q), size):
-                sub = [[entries[i][t] for t in colset] for i in rowset]
-                if not reduce_in(M.ring, _det(amb, sub)).is_zero():
-                    return m - size
-    return m
+    """Rank of M at the generic point of a domain: ngens minus the rank of
+    the presentation matrix over the fraction field.
+
+    The rank is found by fraction-free elimination: a pivot p clears its
+    column from every other row r by r -> p r - r_j (pivot row), which
+    keeps the rank over the fraction field; entries stay in normal form
+    and are tested for zero modulo the modulus, so the result is exact."""
+    ring = M.ring
+    rows = [[reduce_in(ring, r.components[i]) for r in M.relations] for i in range(M.ngens)]
+    rank = 0
+    while True:
+        rows = [row for row in rows if any(e.terms for e in row)]
+        if not rows:
+            return M.ngens - rank
+        # the sparsest, lowest-degree entry keeps the products small
+        *_, i, j = min(
+            (len(e.terms), max(map(sum, e.terms)), i, j)
+            for i, row in enumerate(rows)
+            for j, e in enumerate(row)
+            if e.terms
+        )
+        pivot_row = rows.pop(i)
+        pivot = pivot_row[j]
+        rows = [
+            [reduce_in(ring, pivot * x - row[j] * y) for x, y in zip(row, pivot_row)]
+            if row[j].terms
+            else row
+            for row in rows
+        ]
+        rank += 1

@@ -97,11 +97,6 @@ class PolyRing:
         # display_names lets the CLI print doubled variables as primes
         self.display_names = variables
 
-    def with_order(self, order):
-        r = PolyRing(self.p, self.variables, order)
-        r.display_names = self.display_names
-        return r
-
     def zero(self):
         return Polynomial(self, {})
 
@@ -187,11 +182,6 @@ class Polynomial:
         if not self.terms:
             raise AlgebraError("zero polynomial has no leading term")
         return self.sorted_terms()[0]
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
 
     def _check(self, other):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -282,9 +272,6 @@ class Polynomial:
             m2[i] = e - 1
             acc[tuple(m2)] = k
         return Polynomial(self.ring, acc)
-
-    def coefficient_of(self, mono):
-        return self.terms.get(tuple(mono), 0)
 
     def constant_value(self):
         """The coefficient of 1 if the polynomial is constant, else None."""

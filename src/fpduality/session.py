@@ -32,7 +32,7 @@ from .frobenius import (
     pbasis_trace_generator,
 )
 from .gabber import extend_pgens_check, gabber_truncation, verify_kernel_bracket
-from .groebner import Ideal, QuotientRing, ambient_of, elimination_kernel, reduce_in
+from .groebner import Ideal, QuotientRing, ambient_of, as_quotient, elimination_kernel, reduce_in
 from .modules import (
     FPModule,
     ModuleMap,
@@ -417,10 +417,8 @@ def _module_arg(v):
 
 
 def _quotient(v):
-    if isinstance(v, QuotientRing):
-        return v
-    if isinstance(v, PolyRing):
-        return QuotientRing(v, [])
+    if isinstance(v, (QuotientRing, PolyRing)):
+        return as_quotient(v)
     raise AlgebraError("expected a ring")
 
 

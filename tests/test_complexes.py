@@ -7,6 +7,7 @@ from fpduality.complexes import (
     ChainMap,
     FreeComplex,
     cohomology,
+    free_resolution,
     hom_complex,
     koszul_complex,
     lift_chain_map,
@@ -230,6 +231,12 @@ class TestRelations:
 
 
 class TestRHom:
+    def test_free_resolution_of_free_module(self):
+        # no relations: R^2 is its own resolution, of any length
+        R = ring(2, "x")
+        for length in (None, 1, 3):
+            assert free_resolution(R, 2, [], length).terms == {0: 2}
+
     def test_free_module_identity(self):
         S = ring(2, "x")
         M = free_module(S, 1)

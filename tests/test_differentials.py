@@ -11,7 +11,7 @@ from fpduality.differentials import (
     conormal_sequence,
     kahler,
 )
-from fpduality.errors import NotCertifiedRegular
+from fpduality.errors import NotCertifiedRegular, NotSurjective
 from fpduality.groebner import QuotientRing, VectorPoly
 from fpduality.modules import ModuleMap, free_module, is_isomorphism
 from fpduality.polyring import PolyRing
@@ -107,6 +107,15 @@ class TestConormal:
         assert data.rseq[0] == y + x ** 2
         # d(y - x^2) = dy in char 2 spans the kernel complement
         assert data.alpha.columns[0].components[1] == S.one()
+
+    def test_rejects_a_map_that_is_not_onto(self):
+        # u -> x^2 misses x
+        from fpduality.polyring import RingMap
+
+        T = ring(2, "x")
+        pi = RingMap(ring(2, "u"), T, [T.var("x") ** 2])
+        with pytest.raises(NotSurjective):
+            conormal_sequence(pi)
 
     def test_point_case(self):
         S = ring(3, "X")

@@ -275,6 +275,24 @@ class TestFreeResolution:
         R = ring(2, "x")
         assert presentation_resolution(R, 1, []) == []
 
+    def test_length_skips_syzygies_of_last_stage(self, monkeypatch):
+        # over F_2[x]/(x^2) the resolution of the residue field is periodic:
+        # a length bounds it, and the last stage's syzygies are not computed
+        amb = ring(2, "x")
+        x = amb.var("x")
+        R = QuotientRing(amb, [x ** 2])
+        calls = [0]
+        original = groebner.syzygies
+
+        def counted(vectors):
+            calls[0] += 1
+            return original(vectors)
+
+        monkeypatch.setattr(groebner, "syzygies", counted)
+        stages = presentation_resolution(R, 1, [vector_from_poly(x)], length=3)
+        assert [[repr(v) for v in s] for s in stages] == [["(x)"]] * 3
+        assert calls[0] == 2
+
     def test_principal_ideal(self):
         R = ring(3, "x")
         x = R.var("x")
@@ -421,6 +439,27 @@ def test_vector_ops_match_componentwise(pair, c, mono, f):
     assert _same(u.scale(c), [s.scale(c) for s in a])
     assert _same(u.mul_term(mono, c), [s.mul_term(mono, c) for s in a])
     assert _same(u.mul_poly(f), [s * f for s in a])
+
+
+_columns_and_coeffs = st.tuples(st.integers(1, 3), st.integers(0, 4)).flatmap(
+    lambda rk: st.tuples(
+        st.just(rk[0]),
+        st.lists(st.lists(_poly, min_size=rk[0], max_size=rk[0]), min_size=rk[1], max_size=rk[1]),
+        st.lists(_poly, min_size=rk[1], max_size=rk[1]),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_columns_and_coeffs)
+def test_combine_is_componentwise_sum(data):
+    # zero coefficients and an empty column list included
+    rank, cols, coeffs = data
+    expected = [_VR.zero()] * rank
+    for col, c in zip(cols, coeffs):
+        expected = [e + s * c for e, s in zip(expected, col)]
+    got = groebner.combine([VectorPoly(_VR, col) for col in cols], coeffs, _VR, rank)
+    assert _same(got, expected)
 
 
 def test_zero_vectors_of_different_rings_do_not_mix():

@@ -3,6 +3,7 @@
 import pytest
 
 from fpduality.errors import NotGraded, NotMaximal
+from fpduality.frobenius import frobenius_pushforward
 from fpduality.groebner import Ideal, QuotientRing, VectorPoly
 from fpduality.modules import (
     FPModule,
@@ -297,6 +298,14 @@ class TestGenericRank:
         # Jacobian relation: (y + x^2 + 1) dx + (x + 1) dy in char 2
         M = FPModule(R, 2, [VectorPoly(amb, [y + x ** 2 + 1, x + 1])])
         assert generic_rank(M) == 1
+
+    def test_frobenius_pushforward_of_nodal_cubic(self):
+        # F_* of F_3[x,y]/(y^2 - x^2 - x^3) has rank p = 3; the presentation
+        # is 9 x 18, beyond reach of an expansion by minors
+        amb = ring(3, "x", "y")
+        x, y = amb.gens()
+        R = QuotientRing(amb, [y ** 2 - x ** 2 - x ** 3])
+        assert generic_rank(frobenius_pushforward(R).module) == 3
 
 
 class TestHelpers:

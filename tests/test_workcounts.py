@@ -11,7 +11,9 @@ once (206 unit-clause and 535 corpus builds before), and when every ring
 map read its kernel, surjectivity and preimages off one graph basis, the
 diagonal resolution was kept per length and each p-basis tuple got one
 coordinate solver (154 unit-clause, 11 symmetry, 82 trace-generator and
-483 corpus builds, 649 corpus runs before).  Graph bases are plain
+483 corpus builds, 649 corpus runs before), and when a truncated
+resolution stopped computing the syzygies of its last stage (153
+unit-clause and 456 corpus builds, 593 corpus runs before).  Graph bases are plain
 buchberger runs, invisible to the ModuleGB count.  The stacked-system
 bounds are rows x columns of the Hom condition system, measured when
 automatic Hom conditions were dropped (18 x 45 and 68 x 182 before).  Certifying five maps out of one prunable
@@ -32,9 +34,9 @@ from fpduality.shriek import verify_symmetry
 from fpduality.session import Session, execute, parse_session
 
 CUSP_DUALITY_BUILDS = 24
-CORPUS_BUILDS = 456
-CORPUS_RUNS = 593
-UNIT_CLAUSE_BUILDS = 153
+CORPUS_BUILDS = 455
+CORPUS_RUNS = 592
+UNIT_CLAUSE_BUILDS = 152
 SYMMETRY_BUILDS = 10
 TRACE_GENERATOR_BUILDS = 2
 REPEATED_CERTIFICATION_BUILDS = 6
