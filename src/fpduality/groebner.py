@@ -122,25 +122,23 @@ def vector_from_poly(f):
 def leading_term(v, primary, order):
     """Largest (pos, mono, coeff); primary positions dominate the rest.
 
-    Cached per (primary, order) on the immutable vector."""
-    cache_key = (primary, order.name, order.nblock)
-    if v._leads is None:
-        v._leads = {}
-    elif cache_key in v._leads:
-        return v._leads[cache_key]
+    Positions compare ascending and the primary ones come first, so the
+    leading term is that of the first nonzero component.  Cached per order
+    on the immutable vector."""
+    cached = v._leads
+    if cached is not None and (cached[0] is order or cached[0] == order):
+        return cached[1]
     best = None
-    best_key = None
-    okey = order.key
     for i, f in enumerate(v.components):
-        if not f.terms:
-            continue
-        m, c = f.leading()
-        block = 0 if i < primary else 1
-        key = (-block, -i, okey(m))
-        if best_key is None or key > best_key:
-            best_key = key
+        if f.terms:
+            if order == f.ring.order:
+                m, c = f.leading()
+            else:
+                m = max(f.terms, key=order.key)
+                c = f.terms[m]
             best = (i, m, c)
-    v._leads[cache_key] = best
+            break
+    v._leads = (order, best)
     return best
 
 
@@ -168,92 +166,130 @@ class _Rev:
         return self.k > other.k
 
 
-def division(v, divisors, primary=None, order=None, budget=True):
+class DivisionIndex:
+    """Divisors kept for repeated divisions, in their order.
+
+    For each divisor: its leading (pos, mono, coeff) in `leads`, and, grouped
+    per leading position in divisor order, (k, mono, inverse of coeff) in
+    `by_pos`; division tries them in that order.  The nonzero terms of a
+    divisor other than its leading one are flattened to (pos, mono, coeff)
+    the first time it fires, so the zero slots of an augmented vector are
+    walked once.  add() appends a divisor.
+    """
+
+    __slots__ = ("primary", "order", "divisors", "leads", "by_pos", "_tails")
+
+    def __init__(self, primary, order, divisors=()):
+        self.primary = primary
+        self.order = order
+        self.divisors = []
+        self.leads = []
+        self.by_pos = {}
+        self._tails = []
+        for g in divisors:
+            self.add(g)
+
+    def add(self, g):
+        lead = leading_term(g, self.primary, self.order)
+        k = len(self.divisors)
+        self.divisors.append(g)
+        self.leads.append(lead)
+        self._tails.append(None)
+        if lead is not None:
+            self.by_pos.setdefault(lead[0], []).append((k, lead[1], inv_mod(lead[2], g.ring.p)))
+
+    def tail(self, k):
+        flat = self._tails[k]
+        if flat is None:
+            pos, lmono, _c = self.leads[k]
+            flat = self._tails[k] = [
+                (i, m, c)
+                for i, comp in enumerate(self.divisors[k].components)
+                for m, c in comp.terms.items()
+                if i != pos or m != lmono
+            ]
+        return flat
+
+
+def division(v, divisors, primary=None, order=None, quotients=True):
     """Divide v by the divisors; returns (quotients, remainder).
 
-    v = sum quotients[k] * divisors[k] + remainder, and no remainder term
-    is divisible by any divisor leading term.  The working vector is a flat
-    coefficient dictionary driven by a lazy max-heap of term keys.
+    divisors is a DivisionIndex, whose primary block and order apply, or a
+    list, indexed for this call only.  v = sum quotients[k] * divisors[k] +
+    remainder, and no remainder term is divisible by any divisor leading
+    term; with quotients=False the quotients are not collected and None
+    stands in their place.  The working vector is a flat coefficient
+    dictionary driven by a lazy max-heap of term keys.  A term is reduced
+    by the first divisor whose leading term divides it; every term a
+    reduction brings in is smaller than the one it removes, so each
+    quotient and remainder term is written once.
     """
     ring = v.ring
     p = ring.p
-    rank = v.rank
-    primary = rank if primary is None else primary
-    order = order or ring.order
-    okey = order.key
-    leads = [leading_term(g, primary, order) for g in divisors]
-    by_pos = {}
-    for k, lk in enumerate(leads):
-        if lk is not None:
-            by_pos.setdefault(lk[0], []).append((k, lk[1], lk[2]))
-    quotients = [dict() for _ in divisors]
-    remainder = [dict() for _ in range(rank)]
+    if isinstance(divisors, DivisionIndex):
+        index = divisors
+    else:
+        index = DivisionIndex(v.rank if primary is None else primary, order or ring.order, divisors)
+    primary = index.primary
+    okey = index.order.key
+    by_pos = index.by_pos
+    quo = {} if quotients else None
+    remainder = {}
     terms = {}
     heap = []
-
-    def push(pos, mono, coeff):
-        key = (pos, mono)
-        c = (terms.get(key, 0) + coeff) % p
-        if c:
-            if key not in terms:
-                block = 0 if pos < primary else 1
-                heapq.heappush(heap, (_Rev((-block, -pos, okey(mono))), pos, mono))
-            terms[key] = c
-        elif key in terms:
-            del terms[key]
-
     for i, f in enumerate(v.components):
         for mono, c in f.terms.items():
-            push(i, mono, c)
+            terms[(i, mono)] = c
+            heap.append((_Rev((-(i >= primary), -i, okey(mono))), i, mono))
+    heapq.heapify(heap)
+    heappop = heapq.heappop
+    heappush = heapq.heappush
     while heap:
-        _k, pos, mono = heap[0]
-        coeff = terms.get((pos, mono), 0)
-        if coeff == 0:
-            heapq.heappop(heap)
+        _k, pos, mono = heappop(heap)
+        coeff = terms.pop((pos, mono), None)
+        if coeff is None:
             continue
-        hit = None
-        for (k, lmono, lcoeff) in by_pos.get(pos, ()):
+        for k, lmono, linv in by_pos.get(pos, ()):
             if mono_divides(lmono, mono):
-                hit = (k, lmono, lcoeff)
                 break
-        if hit is None:
-            heapq.heappop(heap)
-            r = remainder[pos]
-            c2 = (r.get(mono, 0) + coeff) % p
-            if c2:
-                r[mono] = c2
-            elif mono in r:
-                del r[mono]
-            del terms[(pos, mono)]
+        else:
+            remainder.setdefault(pos, {})[mono] = coeff
             continue
-        if budget:
-            _budget_check(mono_degree(mono))
-        k, lmono, lcoeff = hit
+        _budget_check(mono_degree(mono))
         q_mono = mono_div(mono, lmono)
-        q_coeff = coeff * inv_mod(lcoeff, p) % p
-        qd = quotients[k]
-        q_new = (qd.get(q_mono, 0) + q_coeff) % p
-        if q_new:
-            qd[q_mono] = q_new
-        elif q_mono in qd:
-            del qd[q_mono]
-        for i, comp in enumerate(divisors[k].components):
-            for m2, c2 in comp.terms.items():
-                push(i, mono_mul(m2, q_mono), -(c2 * q_coeff))
-    rem = VectorPoly(ring, [Polynomial(ring, d) for d in remainder])
-    quo = [Polynomial(ring, d) for d in quotients]
-    return quo, rem
+        q_coeff = coeff * linv % p
+        if quo is not None:
+            quo.setdefault(k, {})[q_mono] = q_coeff
+        for i, m2, c2 in index.tail(k):
+            m = mono_mul(m2, q_mono)
+            key = (i, m)
+            c = (terms.get(key, 0) - c2 * q_coeff) % p
+            if c:
+                if key not in terms:
+                    heappush(heap, (_Rev((-(i >= primary), -i, okey(m))), i, m))
+                terms[key] = c
+            elif key in terms:
+                del terms[key]
+    zero = ring.zero()
+    rem = VectorPoly(ring, [Polynomial(ring, remainder[i]) if i in remainder else zero for i in range(v.rank)])
+    if quo is None:
+        return None, rem
+    return [Polynomial(ring, quo[k]) if k in quo else zero for k in range(len(index.divisors))], rem
 
 
 def normal_form_vector(v, gb, primary=None, order=None):
-    return division(v, gb, primary=primary, order=order)[1]
+    return division(v, gb, primary=primary, order=order, quotients=False)[1]
 
 
 # ---------------------------------------------------------------------------
 # Buchberger with Gebauer-Moeller pair elimination
 
 def _reduced_basis(basis, primary, order):
-    """Minimalize and tail-reduce; leads made monic, deterministic output."""
+    """Minimalize and tail-reduce; leads made monic, deterministic output.
+
+    The tails are reduced against one index over the minimal basis: an
+    element's own leading term divides no smaller term, so this is division
+    by all the other elements."""
     leads = [leading_term(g, primary, order) for g in basis]
     keep = []
     for i, g in enumerate(basis):
@@ -269,16 +305,22 @@ def _reduced_basis(basis, primary, order):
                     break
         if not redundant:
             keep.append(g)
+    index = DivisionIndex(primary, order, keep)
     reduced = []
-    for idx, g in enumerate(keep):
-        others = [h for j, h in enumerate(keep) if j != idx]
-        if others:
-            _, g = division(g, others, primary=primary, order=order)
-        if g.is_zero():
-            continue
-        _, _, c = leading_term(g, primary, order)
-        g = g.scale(inv_mod(c, g.ring.p))
-        reduced.append(g)
+    for g, (pos, lmono, c) in zip(keep, index.leads):
+        if len(keep) > 1:
+            ring = g.ring
+            comps = list(g.components)
+            tail = dict(comps[pos].terms)
+            del tail[lmono]
+            comps[pos] = Polynomial(ring, tail)
+            _, rem = division(VectorPoly(ring, comps), index, quotients=False)
+            comps = list(rem.components)
+            head = {lmono: c}
+            head.update(comps[pos].terms)
+            comps[pos] = Polynomial(ring, head)
+            g = VectorPoly(ring, comps)
+        reduced.append(g.scale(inv_mod(c, g.ring.p)))
     reduced.sort(
         key=lambda h: term_key(*leading_term(h, primary, order)[:2], primary, order),
         reverse=True,
@@ -287,7 +329,10 @@ def _reduced_basis(basis, primary, order):
 
 
 def buchberger(vectors, primary=None, order=None, product_criterion=None):
-    """Reduced Groebner basis of the submodule spanned by the vectors."""
+    """Reduced Groebner basis of the submodule spanned by the vectors.
+
+    The basis grows inside one DivisionIndex, which the S-pair reductions
+    divide by and the pair updates read leading terms from."""
     vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
         return []
@@ -299,16 +344,16 @@ def buchberger(vectors, primary=None, order=None, product_criterion=None):
         # Buchberger's coprimality criterion is only sound for ring ideals
         product_criterion = rank == 1
 
-    basis = []
+    index = DivisionIndex(primary, order)
+    leads = index.leads
     pairs = []  # entries: (pos, lcm, i, j)
 
     def update(h):
         # Gebauer-Moeller update of the pair queue with the new element h
-        t = len(basis)
+        t = len(leads)
         lh = leading_term(h, primary, order)
         fresh = []
-        for i, g in enumerate(basis):
-            lg = leading_term(g, primary, order)
+        for i, lg in enumerate(leads):
             if lg[0] != lh[0]:
                 continue
             fresh.append((lg[0], mono_lcm(lg[1], lh[1]), i, t))
@@ -335,25 +380,15 @@ def buchberger(vectors, primary=None, order=None, product_criterion=None):
             fresh3.append(a)
         # criterion B (product criterion), ring case only
         if product_criterion:
-            kept = []
-            for a in fresh3:
-                i = a[2]
-                lg = leading_term(basis[i], primary, order)
-                if mono_mul(lg[1], lh[1]) == a[1]:
-                    continue
-                kept.append(a)
-            fresh3 = kept
+            fresh3 = [a for a in fresh3 if mono_mul(leads[a[2]][1], lh[1]) != a[1]]
         # prune old pairs via the chain criterion against lh
         pruned = []
         for (pos, lcm, i, j) in pairs:
             if pos == lh[0] and mono_divides(lh[1], lcm):
-                lij = lcm
-                li = leading_term(basis[i], primary, order)
-                lj = leading_term(basis[j], primary, order)
-                if mono_lcm(li[1], lh[1]) != lij and mono_lcm(lj[1], lh[1]) != lij:
+                if mono_lcm(leads[i][1], lh[1]) != lcm and mono_lcm(leads[j][1], lh[1]) != lcm:
                     continue
             pruned.append((pos, lcm, i, j))
-        basis.append(h)
+        index.add(h)
         pruned.extend(fresh3)
         return pruned
 
@@ -361,19 +396,19 @@ def buchberger(vectors, primary=None, order=None, product_criterion=None):
         _, _, c = leading_term(v, primary, order)
         pairs = update(v.scale(inv_mod(c, ring.p)))
 
+    basis = index.divisors
     while pairs:
         # normal selection: smallest lcm in the term order, then index order
         pairs.sort(key=lambda a: (term_key(a[0], a[1], primary, order), -a[2], -a[3]))
         pos, lcm, i, j = pairs.pop(0)
         _budget_check(mono_degree(lcm))
-        f, g = basis[i], basis[j]
-        lf = leading_term(f, primary, order)
-        lg = leading_term(g, primary, order)
+        lf, lg = leads[i], leads[j]
         p = ring.p
-        sf = f.mul_term(mono_div(lcm, lf[1]), 1)
-        sg = g.mul_term(mono_div(lcm, lg[1]), inv_mod(lg[2], p) * lf[2] % p)
-        spoly = sf - sg
-        _, rem = division(spoly, basis, primary=primary, order=order)
+        sf = basis[i].mul_term(mono_div(lcm, lf[1]), 1)
+        sg = basis[j].mul_term(mono_div(lcm, lg[1]), inv_mod(lg[2], p) * lf[2] % p)
+        # called here, not through a helper: S-pair reductions are told
+        # apart from other divisions by their caller
+        _, rem = division(sf - sg, index, quotients=False)
         if rem.is_zero():
             continue
         _, _, c = leading_term(rem, primary, order)
@@ -388,7 +423,8 @@ class ModuleGB:
     Holds the reduced basis plus, for each basis element, a certificate
     writing it as a combination of the input generators.  reduce() divides
     and re-expresses the quotient part in the inputs, which is the lifting
-    primitive everything downstream leans on.
+    primitive everything downstream leans on.  reduce, normal_form, contains
+    and lift divide by one DivisionIndex over the basis, built on first use.
     """
 
     def __init__(self, ring, rank, generators, order=None):
@@ -414,12 +450,18 @@ class ModuleGB:
             else:
                 self.basis.append(head)
                 self.certificates.append(tail)
+        self._index = None
+
+    def _division_index(self):
+        if self._index is None:
+            self._index = DivisionIndex(self.rank, self.order, self.basis)
+        return self._index
 
     def reduce(self, v):
         """(coefficients on the input generators, normal form of v)."""
         if v.rank != self.rank:
             raise AlgebraError("vector rank %d does not match module rank %d" % (v.rank, self.rank))
-        quots, rem = division(v, self.basis, primary=self.rank, order=self.order)
+        quots, rem = division(v, self._division_index())
         k = len(self.generators)
         coeffs = [self.ring.zero()] * k
         for q, cert in zip(quots, self.certificates):
@@ -431,7 +473,7 @@ class ModuleGB:
         return coeffs, rem
 
     def normal_form(self, v):
-        return division(v, self.basis, primary=self.rank, order=self.order)[1]
+        return division(v, self._division_index(), quotients=False)[1]
 
     def contains(self, v):
         return self.normal_form(v).is_zero()
@@ -529,6 +571,7 @@ class Ideal:
                 fixed.append(g)
         self.gens = fixed
         self._gb = None
+        self._index = None
 
     def groebner(self):
         if self._gb is None:
@@ -536,7 +579,12 @@ class Ideal:
         return self._gb
 
     def reduce(self, f):
-        return normal_form(f, self.groebner())
+        """Normal form of f, divided by one index over the basis."""
+        if self._index is None:
+            self._index = DivisionIndex(1, self.ring.order, [vector_from_poly(g) for g in self.groebner()])
+        if not self._index.divisors:
+            return f
+        return division(vector_from_poly(f), self._index, quotients=False)[1].components[0]
 
     def contains(self, f):
         return self.reduce(f).is_zero()
@@ -784,10 +832,13 @@ def _from_graph(phi, g):
 
 def elimination_kernel(phi):
     """Kernel of a ring map as an ideal of the source ambient ring, read
-    off the graph basis, plus the modulus of the source."""
+    off the graph basis, plus each generator of the source modulus that the
+    graph basis did not already yield."""
     _big, basis = _graph_basis(phi)
     kernel = [k for k in (_from_graph(phi, v.components[0]) for v in basis) if k is not None]
-    kernel.extend(modulus_gens(phi.source))
+    for g in modulus_gens(phi.source):
+        if g not in kernel:
+            kernel.append(g)
     return Ideal(phi.source_ambient, kernel)
 
 

@@ -160,28 +160,25 @@ class PolyRing:
 class Polynomial:
     """Element of a PolyRing in canonical form (no zero coefficients)."""
 
-    __slots__ = ("ring", "terms", "_sorted")
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
-        self._sorted = None
-
-    # -- canonical term sequence (descending in the ring order) --
-    def sorted_terms(self):
-        if self._sorted is None:
-            key = self.ring.order.key
-            self._sorted = sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-        return self._sorted
+        self._lead = None
 
     def is_zero(self):
         return not self.terms
 
     def leading(self):
-        """(monomial, coeff) of the leading term; error on zero."""
-        if not self.terms:
-            raise AlgebraError("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
+        """(monomial, coeff) of the leading term in the ring order, cached;
+        error on zero."""
+        if self._lead is None:
+            if not self.terms:
+                raise AlgebraError("zero polynomial has no leading term")
+            m = max(self.terms, key=self.ring.order.key)
+            self._lead = (m, self.terms[m])
+        return self._lead
 
     def _check(self, other):
         if self.ring is not other.ring and self.ring != other.ring:

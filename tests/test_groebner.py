@@ -13,6 +13,7 @@ from fpduality.errors import DegreeBudgetExceeded, NotSurjective, RingMismatch
 from fpduality.fp import inv_mod
 from fpduality.gabber import gabber_truncation, ring_map_is_surjective
 from fpduality.groebner import (
+    DivisionIndex,
     Ideal,
     ModuleGB,
     QuotientRing,
@@ -533,7 +534,7 @@ RING_MAP_PINS = {
     "c5_dual": (["X^2", "Y"], True, ["X"]),
     "c5_point_p3": (["X"], True, []),
     "c5_series_p2_e2": (["Y^4"], True, ["Y^2", "Y"]),
-    "c5_series_p2_e2_iota": (["X1_1^2", "X1_1^2"], False, ["X1_1", None]),
+    "c5_series_p2_e2_iota": (["X1_1^2"], False, ["X1_1", None]),
     "c5_series_p3_e1": (["Y^3 + 2"], True, ["Y"]),
     "c5_series_p3_e1_iota": ([], False, [None]),
     "c8_p2_1": (["y1^2 + x"], True, ["y1"]),
@@ -616,3 +617,144 @@ def test_are_inverse():
     to_A = RingMap(A, A, [A.reduce(t + t ** 2)])
     back = RingMap(A, A, [A.reduce(t - t ** 2 + 2 * t ** 3)])
     assert groebner.are_inverse(to_A, back)
+
+
+# ---------------------------------------------------------------------------
+# the kept division index: same quotients and remainders as a plain list,
+# checked against a term-by-term reference division
+
+_BLOCK = MonomialOrder("block", 1)
+_DIV_RINGS = (PolyRing(3, ("x", "y")), PolyRing(3, ("x", "y"), _BLOCK))
+
+
+def _reference_division(v, divisors, primary):
+    # the largest remaining term goes to the first divisor whose leading
+    # term divides it, else to the remainder
+    R = v.ring
+    work = list(v.components)
+    quo = [R.zero()] * len(divisors)
+    rem = [R.zero()] * v.rank
+    leads = [leading_term(g, primary, R.order) for g in divisors]
+    while any(w.terms for w in work):
+        pos, mono, c = leading_term(VectorPoly(R, work), primary, R.order)
+        for k, lk in enumerate(leads):
+            if lk is not None and lk[0] == pos and mono_divides(lk[1], mono):
+                q = R.monomial(mono_div(mono, lk[1]), c * inv_mod(lk[2], R.p))
+                quo[k] = quo[k] + q
+                work = [w - g * q for w, g in zip(work, divisors[k].components)]
+                break
+        else:
+            term = R.monomial(mono, c)
+            rem[pos] = rem[pos] + term
+            work[pos] = work[pos] - term
+    return quo, VectorPoly(R, rem)
+
+
+@st.composite
+def _division_case(draw):
+    R = draw(st.sampled_from(_DIV_RINGS))
+    rank = draw(st.integers(1, 3))
+    primary = draw(st.integers(0, rank - 1))
+    poly = st.lists(
+        st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 2)), max_size=4
+    ).map(R.from_terms)
+    vec = st.lists(poly, min_size=rank, max_size=rank).map(lambda comps: VectorPoly(R, comps))
+    divisors = draw(st.lists(vec, min_size=1, max_size=4))
+    later = draw(st.lists(vec, min_size=1, max_size=2))
+    targets = draw(st.lists(vec, min_size=1, max_size=3))
+    return primary, divisors, later, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(_division_case())
+def test_kept_division_index_matches_plain_list(case):
+    primary, divisors, later, targets = case
+    index = DivisionIndex(primary, divisors[0].ring.order, divisors)
+    for plain in (divisors, divisors + later):
+        for g in plain[len(index.divisors):]:
+            index.add(g)
+        for v in targets:
+            expected = _reference_division(v, plain, primary)
+            assert division(v, plain, primary=primary) == expected
+            assert division(v, index) == expected
+            assert division(v, index, quotients=False) == (None, expected[1])
+
+
+def _pinned_modules():
+    R = PolyRing(3, ("x", "y"))
+    x, y = R.gens()
+    yield "rank2_f3", R, 2, [VectorPoly(R, [x, y]), VectorPoly(R, [y, x]), VectorPoly(R, [x ** 2, y ** 2])]
+    S = PolyRing(5, ("x", "y"))
+    x, y = S.gens()
+    yield "ideal_f5", S, 1, [vector_from_poly(f) for f in (x ** 2 - y, x * y - 1, y ** 2 + x)]
+    T = PolyRing(2, ("x", "y", "z"), _BLOCK)
+    x, y, z = T.gens()
+    zero = T.zero()
+    yield "block_f2", T, 2, [VectorPoly(T, [x * y, z]), VectorPoly(T, [y * z, x]), VectorPoly(T, [zero, x * z + y ** 2])]
+
+
+def _pinned_buchberger_inputs():
+    R = PolyRing(3, ("x", "y", "z"))
+    x, y, z = R.gens()
+    yield "twisted_cubic", [vector_from_poly(f) for f in (x ** 2 - y, x * y - z, y ** 2 - x * z, x ** 3 - z)], None
+    S = PolyRing(7, ("t", "x", "y"), _BLOCK)
+    t, x, y = S.gens()
+    yield "elimination", [vector_from_poly(f) for f in (t * x - y, t ** 2 - x, t * y + 1)], None
+    T = PolyRing(3, ("x", "y"))
+    x, y = T.gens()
+    zero = T.zero()
+    yield "primary_block", [VectorPoly(T, [x, y, T.one()]), VectorPoly(T, [y, zero, x]), VectorPoly(T, [x * y, x ** 2, zero])], 2
+
+
+# name -> (basis, certificates, syzygies)
+MODULE_GB_PINS = {
+    "rank2_f3": (
+        ["(x, y)", "(y, x)", "(0, x^2 + 2*y^2)", "(0, x*y + 2*y^2)"],
+        ["(1, 0, 0)", "(0, 1, 0)", "(2*y, x, 0)", "(x, 0, 2)"],
+        ["(x^2 + x*y + y^2, 2*x*y, 2*x + 2*y)"],
+    ),
+    "ideal_f5": (
+        ["(1)"],
+        ["(2*x, 2*x*y + 4, 3*x^2)"],
+        [
+            "(x^2 + y, x^2*y + x, 4*x^3 + 1)",
+            "(x*y + 4, 4*x^2 + y, 0)",
+            "(y^2 + x, 0, 4*x^2 + y)",
+            "(0, y^2 + x, 4*x*y + 1)",
+        ],
+    ),
+    "block_f2": (
+        ["(x*y, z)", "(y*z, x)", "(0, x^2 + z^2)", "(0, x*y^2 + z^3)", "(0, y^2 + x*z)", "(0, y^4 + z^4)"],
+        ["(1, 0, 0)", "(0, 1, 0)", "(z, x, 0)", "(z^2, x*z, x)", "(0, 0, 1)", "(z^3, x*z^2, y^2 + x*z)"],
+        ["(y^2*z + x*z^2, x*y^2 + x^2*z, x^2 + z^2)"],
+    ),
+}
+
+BUCHBERGER_PINS = {
+    "twisted_cubic": ["(x^2 + 2*y)", "(x*y + 2*z)", "(y^2 + 2*x*z)"],
+    "elimination": ["(x*y + t)", "(x^2 + 1)", "(y^2 + x)"],
+    "primary_block": ["(x, y, 1)", "(y, 0, x)", "(0, x^2, 2*x^2)", "(0, y^2, 2*x^2 + y)", "(0, 0, x^4 + 2*x^2*y^2 + 2*x^2*y)"],
+}
+
+
+def test_module_gb_and_buchberger_pins():
+    for name, R, rank, gens in _pinned_modules():
+        mgb = ModuleGB(R, rank, gens)
+        got = tuple([repr(v) for v in vs] for vs in (mgb.basis, mgb.certificates, mgb.syzygies))
+        assert got == MODULE_GB_PINS[name], name
+    for name, vectors, primary in _pinned_buchberger_inputs():
+        assert [repr(v) for v in buchberger(vectors, primary=primary)] == BUCHBERGER_PINS[name], name
+
+
+def test_explicit_order_matches_the_ring_order():
+    # an order passed in overrides the ring's own inside each component too
+    plain = PolyRing(2, ("x", "y", "z"))
+    x, y, z = plain.gens()
+    assert leading_term(VectorPoly(plain, [y ** 2 + x * z]), 1, _BLOCK) == (0, (1, 0, 1), 1)
+    got = []
+    for R, order in ((plain, _BLOCK), (PolyRing(2, ("x", "y", "z"), _BLOCK), None)):
+        x, y, z = R.gens()
+        gens = [VectorPoly(R, [x * y, z]), VectorPoly(R, [y * z, x]), VectorPoly(R, [R.zero(), x * z + y ** 2])]
+        mgb = ModuleGB(R, 2, gens, order)
+        got.append([[repr(v) for v in vs] for vs in (mgb.basis, mgb.certificates, mgb.syzygies)])
+    assert got[0] == got[1]

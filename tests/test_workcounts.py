@@ -1,5 +1,5 @@
-"""Work-count guards: deterministic ModuleGB build and buchberger run
-counts and presentation sizes on fixed workloads.
+"""Work-count guards: deterministic ModuleGB build, buchberger run and
+division call counts and presentation sizes on fixed workloads.
 
 An algorithmic regression that rebuilds Groebner bases, or that feeds them
 larger presentations, shows here as a count above its bound, with no timing
@@ -13,8 +13,12 @@ diagonal resolution was kept per length and each p-basis tuple got one
 coordinate solver (154 unit-clause, 11 symmetry, 82 trace-generator and
 483 corpus builds, 649 corpus runs before), and when a truncated
 resolution stopped computing the syzygies of its last stage (153
-unit-clause and 456 corpus builds, 593 corpus runs before).  Graph bases are plain
-buchberger runs, invisible to the ModuleGB count.  The stacked-system
+unit-clause and 456 corpus builds, 593 corpus runs before).  The cusp
+bound was 24 until it was re-counted at 21.  Graph bases are plain
+buchberger runs, invisible to the ModuleGB count.  The division bound was
+measured when each Groebner basis got one kept division index, which
+leaves the count unchanged, and the kernel of a ring map stopped
+repeating a modulus generator (4085 divisions before).  The stacked-system
 bounds are rows x columns of the Hom condition system, measured when
 automatic Hom conditions were dropped (18 x 45 and 68 x 182 before).  Certifying five maps out of one prunable
 module built 7 bases before the pruned module was kept on its owner.
@@ -33,9 +37,10 @@ from fpduality.selftest import c7_unit_and_rigidifier, run_corpus
 from fpduality.shriek import verify_symmetry
 from fpduality.session import Session, execute, parse_session
 
-CUSP_DUALITY_BUILDS = 24
+CUSP_DUALITY_BUILDS = 21
 CORPUS_BUILDS = 455
 CORPUS_RUNS = 592
+CORPUS_DIVISIONS = 4077
 UNIT_CLAUSE_BUILDS = 152
 SYMMETRY_BUILDS = 10
 TRACE_GENERATOR_BUILDS = 2
@@ -72,6 +77,19 @@ def runs(monkeypatch):
     return count
 
 
+@pytest.fixture
+def divisions(monkeypatch):
+    count = [0]
+    original = groebner.division
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "division", counted)
+    return count
+
+
 def _cusp_duality_builds(count):
     session = Session()
     ring_stmt, check_stmt = parse_session(CUSP_SCRIPT)
@@ -104,6 +122,12 @@ def test_corpus_runs(runs):
     first = _corpus_builds(runs)
     assert first <= CORPUS_RUNS
     assert _corpus_builds(runs) == first
+
+
+def test_corpus_divisions(divisions):
+    first = _corpus_builds(divisions)
+    assert first <= CORPUS_DIVISIONS
+    assert _corpus_builds(divisions) == first
 
 
 def test_unit_clause_builds(builds):
