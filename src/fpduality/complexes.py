@@ -14,6 +14,7 @@ relations).
 """
 
 from .errors import AlgebraError, RingMismatch
+from .fp import inv_mod
 from .groebner import (
     QuotientRing,
     SpanSolver,
@@ -469,6 +470,47 @@ class ChainMap:
         if cols is None:
             raise AlgebraError("image of a cocycle is not a cocycle class")
         return ModuleMap(h_src.module, h_tgt.module, cols, check=True)
+
+
+def invert_monomial_chain_map(f):
+    """The inverse of a chain map whose every component is square with
+    exactly one nonzero constant entry per column, on distinct rows.
+
+    The inverse is the transpose with the units inverted.  It is checked as
+    a chain map, and both composites with f are checked to be the identity
+    in every degree: an isomorphism of the complexes themselves, certified
+    on their terms.  Any other component raises AlgebraError."""
+    src, tgt = f.source, f.target
+    amb = src.ambient
+    maps = {}
+    for d in sorted(set(src.terms) | set(tgt.terms)):
+        n = src.rank(d)
+        if tgt.rank(d) != n:
+            raise AlgebraError("component at degree %d is %d x %d, not square" % (d, tgt.rank(d), n))
+        cols = [[amb.zero()] * n for _ in range(n)]
+        rows = set()
+        for j in range(n):
+            entries = [(i, c) for i, c in enumerate(f.column(d, j).components) if c.terms]
+            if len(entries) != 1:
+                raise AlgebraError("column %d at degree %d has %d nonzero entries" % (j, d, len(entries)))
+            [(i, c)] = entries
+            u = c.constant_value()
+            if u is None:
+                raise AlgebraError("entry (%d, %d) at degree %d is not a constant" % (i, j, d))
+            if i in rows:
+                raise AlgebraError("row %d at degree %d is hit twice" % (i, d))
+            rows.add(i)
+            cols[i][j] = amb.const(inv_mod(u, amb.p))
+        maps[d] = [VectorPoly(amb, c) for c in cols]
+    g = ChainMap(tgt, src, maps, check=True)
+    for first, second in ((f, g), (g, f)):
+        C = first.source
+        for d in C.degrees():
+            for j in range(C.rank(d)):
+                back = second.apply(d, first.column(d, j))
+                if not C.vanishes(d, back - unit_vector(C.ambient, C.rank(d), j)):
+                    raise AlgebraError("composite is not the identity at degree %d" % d)
+    return g
 
 
 # ---------------------------------------------------------------------------

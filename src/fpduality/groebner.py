@@ -5,7 +5,8 @@ Groebner basis, a certificate expressing every basis element in the input
 generators, and generators of the syzygy module.  The trick is the usual
 one: augment each input vector with a unit tail and run Buchberger under a
 block order in which every term of the original free module dominates every
-tail term.
+tail term.  Callers that read only the basis and normal forms keep a
+ReducedBasis instead, computed without the tails.
 
 Module term order: position-over-term over the ring's order, positions
 compared ascending (e_0 is the largest position).  Pair selection is the
@@ -417,29 +418,61 @@ def buchberger(vectors, primary=None, order=None, product_criterion=None):
     return _reduced_basis(basis, primary, order)
 
 
-class ModuleGB:
+class ReducedBasis:
+    """The reduced Groebner basis of a submodule of R^rank, with one
+    DivisionIndex over it built on first use.
+
+    of() runs buchberger on the generators alone: no unit tails, so no
+    certificates and no syzygies.  The reduced basis is unique, so the
+    basis and every normal form are those of ModuleGB on the same input.
+    """
+
+    def __init__(self, rank, order, basis):
+        self.rank = rank
+        self.order = order
+        self.basis = basis
+        self._index = None
+
+    @classmethod
+    def of(cls, ring, rank, generators, order=None):
+        order = order or ring.order
+        return cls(rank, order, buchberger(generators, primary=rank, order=order))
+
+    @property
+    def index(self):
+        if self._index is None:
+            self._index = DivisionIndex(self.rank, self.order, self.basis)
+        return self._index
+
+    def normal_form(self, v):
+        return division(v, self.index, quotients=False)[1]
+
+    def contains(self, v):
+        return self.normal_form(v).is_zero()
+
+
+class ModuleGB(ReducedBasis):
     """Groebner data for a list of generators of a submodule of R^rank.
 
     Holds the reduced basis plus, for each basis element, a certificate
     writing it as a combination of the input generators.  reduce() divides
     and re-expresses the quotient part in the inputs, which is the lifting
     primitive everything downstream leans on.  reduce, normal_form, contains
-    and lift divide by one DivisionIndex over the basis, built on first use.
+    and lift divide by the one index of the basis.
     """
 
     def __init__(self, ring, rank, generators, order=None):
         self.ring = ring
-        self.rank = rank
         self.generators = list(generators)
-        self.order = order or ring.order
+        order = order or ring.order
         k = len(self.generators)
         augmented = []
         for i, v in enumerate(self.generators):
             comps = list(v.components) + [ring.zero()] * k
             comps[rank + i] = ring.one()
             augmented.append(VectorPoly(ring, comps))
-        full = buchberger(augmented, primary=rank, order=self.order, product_criterion=False)
-        self.basis = []
+        full = buchberger(augmented, primary=rank, order=order, product_criterion=False)
+        basis = []
         self.certificates = []
         self.syzygies = []
         for w in full:
@@ -448,20 +481,15 @@ class ModuleGB:
             if head.is_zero():
                 self.syzygies.append(tail)
             else:
-                self.basis.append(head)
+                basis.append(head)
                 self.certificates.append(tail)
-        self._index = None
-
-    def _division_index(self):
-        if self._index is None:
-            self._index = DivisionIndex(self.rank, self.order, self.basis)
-        return self._index
+        super().__init__(rank, order, basis)
 
     def reduce(self, v):
         """(coefficients on the input generators, normal form of v)."""
         if v.rank != self.rank:
             raise AlgebraError("vector rank %d does not match module rank %d" % (v.rank, self.rank))
-        quots, rem = division(v, self._division_index())
+        quots, rem = division(v, self.index)
         k = len(self.generators)
         coeffs = [self.ring.zero()] * k
         for q, cert in zip(quots, self.certificates):
@@ -471,12 +499,6 @@ class ModuleGB:
                 if c.terms:
                     coeffs[idx] = coeffs[idx] + q * c
         return coeffs, rem
-
-    def normal_form(self, v):
-        return division(v, self._division_index(), quotients=False)[1]
-
-    def contains(self, v):
-        return self.normal_form(v).is_zero()
 
     def lift(self, v):
         """Coefficients expressing v in the generators, or None."""
@@ -798,8 +820,9 @@ def adjoin_variables(R, names, order=None):
 
 
 def _graph_basis(phi):
-    """Reduced Groebner basis of the graph ideal of a ring map, built once
-    and kept on the (immutable) map.
+    """Reduced Groebner basis of the graph ideal of a ring map, with its
+    division index, built once and kept on the (immutable) map as
+    (graph ring, ReducedBasis).
 
     The ideal is modulus(T) + (s_j - phi(s_j)) in T[s], under the block
     order in which the target variables dominate.  Its part free of target
@@ -816,8 +839,7 @@ def _graph_basis(phi):
         )
         gens = [rename_poly(g, big, tmap) for g in modulus_gens(phi.target)]
         gens += [big.var(nt + j) - rename_poly(img, big, tmap) for j, img in enumerate(phi.images)]
-        basis = buchberger([vector_from_poly(g) for g in gens if not g.is_zero()])
-        phi._graph = (big, basis)
+        phi._graph = (big, ReducedBasis.of(big, 1, [vector_from_poly(g) for g in gens]))
     return phi._graph
 
 
@@ -834,8 +856,8 @@ def elimination_kernel(phi):
     """Kernel of a ring map as an ideal of the source ambient ring, read
     off the graph basis, plus each generator of the source modulus that the
     graph basis did not already yield."""
-    _big, basis = _graph_basis(phi)
-    kernel = [k for k in (_from_graph(phi, v.components[0]) for v in basis) if k is not None]
+    _big, graph = _graph_basis(phi)
+    kernel = [k for k in (_from_graph(phi, v.components[0]) for v in graph.basis) if k is not None]
     for g in modulus_gens(phi.source):
         if g not in kernel:
             kernel.append(g)
@@ -845,9 +867,9 @@ def elimination_kernel(phi):
 def preimage(phi, f):
     """A g in the source ambient with phi(g) = f, or None when f (an
     element of the target ambient) is not in the image."""
-    big, basis = _graph_basis(phi)
+    big, graph = _graph_basis(phi)
     g = vector_from_poly(rename_poly(f, big, list(range(phi.target_ambient.nvars))))
-    return _from_graph(phi, normal_form_vector(g, basis).components[0])
+    return _from_graph(phi, graph.normal_form(g).components[0])
 
 
 def ring_map_is_surjective(phi):

@@ -13,8 +13,8 @@ from .errors import AlgebraError, NotGraded, NotMaximal, RingMismatch
 from .fp import inv_mod
 from .groebner import (
     Ideal,
-    ModuleGB,
     QuotientRing,
+    ReducedBasis,
     SpanSolver,
     VectorPoly,
     ambient_of,
@@ -53,8 +53,11 @@ class FPModule:
         self._pruned = None
 
     def relgb(self):
+        """The reduced Groebner basis of the relations, with its division
+        index: read only for the basis and normal forms, so it is built
+        without certificates or syzygies."""
         if self._relgb is None:
-            self._relgb = ModuleGB(self.ambient, self.ngens, self.relations)
+            self._relgb = ReducedBasis.of(self.ambient, self.ngens, self.relations)
         return self._relgb
 
     def zero_vector(self):

@@ -4,9 +4,16 @@ presentation independence, Frobenius duality."""
 import pytest
 
 import fpduality.groebner as groebner
-from fpduality.complexes import cohomology, rank_one_complex
+from fpduality.complexes import (
+    ChainMap,
+    FreeComplex,
+    cohomology,
+    invert_monomial_chain_map,
+    rank_one_complex,
+)
 from fpduality.differentials import canonical_omega_regular
 from fpduality.duality import (
+    _trace_pairing_chain_map,
     biduality_certificate,
     canonical_dualizing,
     commutation_sign_check,
@@ -21,8 +28,8 @@ from fpduality.duality import (
     xi_lci_class,
     xi_via_factorization,
 )
-from fpduality.errors import NotRegularSequence
-from fpduality.groebner import Ideal, QuotientRing, VectorPoly, elimination_kernel
+from fpduality.errors import AlgebraError, NotRegularSequence
+from fpduality.groebner import Ideal, QuotientRing, VectorPoly, elimination_kernel, unit_vector
 from fpduality.modules import (
     ModuleMap,
     cyclic_module,
@@ -372,6 +379,90 @@ class TestFrobeniusDuality:
         A = QuotientRing(amb, [y ** 2 + x ** 3])
         rep = verify_frobenius_duality(A)
         assert rep.certified
+
+
+def _quotient(p, names, modulus):
+    amb = PolyRing(p, names)
+    return QuotientRing(amb, modulus(*amb.gens()))
+
+
+# the four rings of corpus clause 6, then the cusp in characteristic 3
+TRACE_PAIRING_RINGS = {
+    "line": lambda: _quotient(2, ("x",), lambda x: []),
+    "dual-numbers": lambda: _quotient(2, ("x",), lambda x: [x ** 2]),
+    "crossing-lines": lambda: _quotient(2, ("x", "y"), lambda x, y: [x * y]),
+    "cusp": lambda: _quotient(2, ("x", "y"), lambda x, y: [y ** 2 + x ** 3]),
+    "cusp-char3": lambda: _quotient(3, ("x", "y"), lambda x, y: [y ** 2 - x ** 3]),
+}
+
+
+def _composes_to_identity(f, g):
+    C = f.source
+    return all(
+        g.apply(d, f.column(d, j)) == unit_vector(C.ambient, C.rank(d), j)
+        for d in C.degrees()
+        for j in range(C.rank(d))
+    )
+
+
+class TestTracePairingInverse:
+    @pytest.mark.parametrize("build", TRACE_PAIRING_RINGS.values(), ids=TRACE_PAIRING_RINGS.keys())
+    def test_inverse_composes_to_identity(self, build):
+        chi, _FK = _trace_pairing_chain_map(canonical_dualizing(build()), 1)
+        inv = invert_monomial_chain_map(chi)
+        assert inv.source is chi.target and inv.target is chi.source
+        assert sorted(inv.maps) == sorted(chi.maps) == chi.source.degrees()
+        assert _composes_to_identity(chi, inv)
+        assert _composes_to_identity(inv, chi)
+
+    def test_units_are_inverted(self):
+        # x: S -> S in degrees 0 -> 1, and 2 * id on it over F_5
+        S = ring(5, "x")
+        x = S.var("x")
+        X = FreeComplex(S, {0: 1, 1: 1}, {0: [VectorPoly(S, [x])]})
+        two, three = VectorPoly(S, [S.const(2)]), VectorPoly(S, [S.const(3)])
+        f = ChainMap(X, X, {0: [two], 1: [two]})
+        inv = invert_monomial_chain_map(f)
+        assert inv.maps == {0: [three], 1: [three]}
+        assert _composes_to_identity(f, inv) and _composes_to_identity(inv, f)
+
+    def test_cyclic_permutation_is_transposed(self):
+        # e0 -> 2 e1, e1 -> 3 e2, e2 -> 4 e0 over F_5: a permutation that is
+        # not its own inverse
+        S = ring(5, "x")
+        X = FreeComplex(S, {0: 3}, {})
+        e = [unit_vector(S, 3, i) for i in range(3)]
+        f = ChainMap(X, X, {0: [e[1].scale(2), e[2].scale(3), e[0].scale(4)]})
+        inv = invert_monomial_chain_map(f)
+        assert inv.maps == {0: [e[2].scale(4), e[0].scale(3), e[1].scale(2)]}
+        assert _composes_to_identity(f, inv) and _composes_to_identity(inv, f)
+
+    @pytest.mark.parametrize(
+        "columns, ranks, message",
+        [
+            (lambda x, e: [e(0).mul_poly(x), e(1)], (2, 2), "not a constant"),
+            (lambda x, e: [e(0), e(0)], (2, 2), "hit twice"),
+            (lambda x, e: [e(0) + e(1), e(1)], (2, 2), "2 nonzero entries"),
+            (lambda x, e: [e(0).scale(0), e(1)], (2, 2), "0 nonzero entries"),
+            (lambda x, e: [e(0), e(1)], (2, 3), "not square"),
+        ],
+        ids=["non-constant", "repeated-row", "two-entries", "zero-column", "non-square"],
+    )
+    def test_non_invertible_component_raises(self, columns, ranks, message):
+        S = ring(3, "x")
+        src = FreeComplex(S, {0: ranks[0]}, {})
+        tgt = FreeComplex(S, {0: ranks[1]}, {})
+        f = ChainMap(src, tgt, {0: columns(S.var("x"), lambda i: unit_vector(S, ranks[1], i))})
+        with pytest.raises(AlgebraError, match=message):
+            invert_monomial_chain_map(f)
+
+    def test_degree_missing_on_one_side_raises(self):
+        S = ring(3, "x")
+        src = FreeComplex(S, {0: 1}, {})
+        tgt = FreeComplex(S, {0: 1, 1: 1}, {})
+        f = ChainMap(src, tgt, {0: [unit_vector(S, 1, 0)]})
+        with pytest.raises(AlgebraError, match="at degree 1 is 1 x 0, not square"):
+            invert_monomial_chain_map(f)
 
 
 class TestXiSmooth:

@@ -592,6 +592,25 @@ def test_one_graph_basis_per_ring_map(monkeypatch):
     assert runs[0] == 1
 
 
+def test_preimages_share_the_kept_division_index(monkeypatch):
+    # the graph basis is indexed once, when it is built
+    T = ring(3, "t")
+    t = T.var(0)
+    phi = RingMap(ring(3, "x", "y", "z"), T, [t, t ** 2, t ** 3])
+    assert repr(preimage(phi, t)) == "x"
+    built = [0]
+    original = groebner.DivisionIndex.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(groebner.DivisionIndex, "__init__", counted)
+    assert ring_map_is_surjective(phi)
+    assert repr(preimage(phi, t ** 5 + t)) == "y*z + x"
+    assert built[0] == 0
+
+
 def test_adjoin_variables_keeps_names_fresh():
     R = QuotientRing(ring(2, "x", "y"), [ring(2, "x", "y").var("x") ** 2])
     big, idx = groebner.adjoin_variables(R, ["y", "z", "y"], MonomialOrder("block", 2))

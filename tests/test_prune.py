@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from fpduality.duality import canonical_dualizing
 from fpduality.errors import AlgebraError
-from fpduality.groebner import QuotientRing, VectorPoly
+from fpduality.groebner import ModuleGB, QuotientRing, VectorPoly
 from fpduality.modules import (
     FPModule,
     ModuleMap,
@@ -81,6 +81,20 @@ def test_is_isomorphism_agrees_with_unpruned_verdict(M):
         assert is_isomorphism(f) == _unpruned_verdict(f)
     P, to_M, from_M = prune(M)
     assert is_isomorphism(to_M) and is_isomorphism(from_M)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(presentations(), st.data())
+def test_basis_only_relgb_matches_module_gb(M, data):
+    # the reduced basis is unique: no unit tails, same basis, same normal forms
+    full = ModuleGB(M.ambient, M.ngens, M.relations)
+    gb = M.relgb()
+    assert gb.basis == full.basis
+    vectors = st.lists(_entry, min_size=M.ngens, max_size=M.ngens).map(lambda comps: VectorPoly(S, comps))
+    targets = data.draw(st.lists(vectors, max_size=3)) + list(M.relations) + [M.gen(i) for i in range(M.ngens)]
+    for v in targets:
+        assert gb.normal_form(v) == full.normal_form(v)
+        assert gb.contains(v) == full.contains(v)
 
 
 def test_prune_without_units_returns_the_module():
