@@ -420,23 +420,13 @@ def buchberger(vectors, primary=None, order=None, product_criterion=None):
 
 class ReducedBasis:
     """The reduced Groebner basis of a submodule of R^rank, with one
-    DivisionIndex over it built on first use.
-
-    of() runs buchberger on the generators alone: no unit tails, so no
-    certificates and no syzygies.  The reduced basis is unique, so the
-    basis and every normal form are those of ModuleGB on the same input.
-    """
+    DivisionIndex over it built on first use."""
 
     def __init__(self, rank, order, basis):
         self.rank = rank
         self.order = order
         self.basis = basis
         self._index = None
-
-    @classmethod
-    def of(cls, ring, rank, generators, order=None):
-        order = order or ring.order
-        return cls(rank, order, buchberger(generators, primary=rank, order=order))
 
     @property
     def index(self):
@@ -449,6 +439,16 @@ class ReducedBasis:
 
     def contains(self, v):
         return self.normal_form(v).is_zero()
+
+
+def reduced_basis(ring, rank, generators):
+    """ReducedBasis of the submodule of ring^rank spanned by generators.
+
+    One buchberger run on the generators alone: no unit tails, so no
+    certificates and no syzygies.  The reduced basis is unique, so the
+    basis and every normal form are those of ModuleGB on the same input.
+    """
+    return ReducedBasis(rank, ring.order, buchberger(generators, primary=rank, order=ring.order))
 
 
 class ModuleGB(ReducedBasis):
@@ -820,9 +820,9 @@ def adjoin_variables(R, names, order=None):
 
 
 def _graph_basis(phi):
-    """Reduced Groebner basis of the graph ideal of a ring map, with its
-    division index, built once and kept on the (immutable) map as
-    (graph ring, ReducedBasis).
+    """The graph ideal of a ring map, built once and kept on the
+    (immutable) map as (graph ring, Ideal), so that its reduced Groebner
+    basis and the division index over it are built once too.
 
     The ideal is modulus(T) + (s_j - phi(s_j)) in T[s], under the block
     order in which the target variables dominate.  Its part free of target
@@ -839,7 +839,7 @@ def _graph_basis(phi):
         )
         gens = [rename_poly(g, big, tmap) for g in modulus_gens(phi.target)]
         gens += [big.var(nt + j) - rename_poly(img, big, tmap) for j, img in enumerate(phi.images)]
-        phi._graph = (big, ReducedBasis.of(big, 1, [vector_from_poly(g) for g in gens]))
+        phi._graph = (big, Ideal(big, gens))
     return phi._graph
 
 
@@ -857,7 +857,7 @@ def elimination_kernel(phi):
     off the graph basis, plus each generator of the source modulus that the
     graph basis did not already yield."""
     _big, graph = _graph_basis(phi)
-    kernel = [k for k in (_from_graph(phi, v.components[0]) for v in graph.basis) if k is not None]
+    kernel = [k for k in (_from_graph(phi, g) for g in graph.groebner()) if k is not None]
     for g in modulus_gens(phi.source):
         if g not in kernel:
             kernel.append(g)
@@ -868,8 +868,7 @@ def preimage(phi, f):
     """A g in the source ambient with phi(g) = f, or None when f (an
     element of the target ambient) is not in the image."""
     big, graph = _graph_basis(phi)
-    g = vector_from_poly(rename_poly(f, big, list(range(phi.target_ambient.nvars))))
-    return _from_graph(phi, graph.normal_form(g).components[0])
+    return _from_graph(phi, graph.reduce(rename_poly(f, big, list(range(phi.target_ambient.nvars)))))
 
 
 def ring_map_is_surjective(phi):

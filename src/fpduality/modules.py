@@ -14,7 +14,6 @@ from .fp import inv_mod
 from .groebner import (
     Ideal,
     QuotientRing,
-    ReducedBasis,
     SpanSolver,
     VectorPoly,
     ambient_of,
@@ -23,6 +22,7 @@ from .groebner import (
     modulus_gens,
     modulus_tails,
     reduce_in,
+    reduced_basis,
     syzygy_heads,
     unique_nonzero,
     unit_vector,
@@ -57,7 +57,7 @@ class FPModule:
         index: read only for the basis and normal forms, so it is built
         without certificates or syzygies."""
         if self._relgb is None:
-            self._relgb = ReducedBasis.of(self.ambient, self.ngens, self.relations)
+            self._relgb = reduced_basis(self.ambient, self.ngens, self.relations)
         return self._relgb
 
     def zero_vector(self):

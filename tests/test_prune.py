@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from fpduality.duality import canonical_dualizing
 from fpduality.errors import AlgebraError
-from fpduality.groebner import ModuleGB, QuotientRing, VectorPoly
+from fpduality.groebner import ModuleGB, QuotientRing, VectorPoly, combine, leading_term
 from fpduality.modules import (
     FPModule,
     ModuleMap,
@@ -90,11 +90,20 @@ def test_basis_only_relgb_matches_module_gb(M, data):
     full = ModuleGB(M.ambient, M.ngens, M.relations)
     gb = M.relgb()
     assert gb.basis == full.basis
+    leads = [leading_term(g, M.ngens, S.order)[:2] for g in gb.basis]
     vectors = st.lists(_entry, min_size=M.ngens, max_size=M.ngens).map(lambda comps: VectorPoly(S, comps))
     targets = data.draw(st.lists(vectors, max_size=3)) + list(M.relations) + [M.gen(i) for i in range(M.ngens)]
     for v in targets:
-        assert gb.normal_form(v) == full.normal_form(v)
-        assert gb.contains(v) == full.contains(v)
+        nf = gb.normal_form(v)
+        # the quotient path of the certified basis leaves the same remainder
+        coeffs, rem = full.reduce(v)
+        assert nf == rem
+        # v - nf is the certified combination of the relations ...
+        assert v - nf == combine(M.relations, coeffs, S, M.ngens)
+        # ... and no term of nf is divisible by a leading term of the basis
+        for pos, f in enumerate(nf.components):
+            for mono in f.terms:
+                assert not any(p == pos and all(a <= b for a, b in zip(m, mono)) for p, m in leads)
 
 
 def test_prune_without_units_returns_the_module():
