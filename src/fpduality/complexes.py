@@ -408,7 +408,7 @@ def cohomology(T, over=None, window=None):
         if d_out is None:
             reps = [unit_vector(ambient_of(ring), r, i) for i in range(r)]
         else:
-            reps = syzygy_heads(d_out + T.term_relations(d + 1, ring), r, unique=True)
+            reps = syzygy_heads(d_out + T.term_relations(d + 1, ring), r)
         d_in = list(T.diffs.get(d - 1, []))
         relations = T.term_relations(d, ring)
         rels = syzygy_heads(reps + d_in + relations, len(reps)) if reps else []

@@ -55,6 +55,10 @@ class NotCertifiedRegular(AlgebraError):
     kind = "NotCertifiedRegular"
 
 
+class CanonicalNotTop(AlgebraError):
+    kind = "CanonicalNotTop"
+
+
 class SplittingNotFound(AlgebraError):
     kind = "SplittingNotFound"
 

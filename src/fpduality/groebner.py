@@ -5,8 +5,10 @@ Groebner basis, a certificate expressing every basis element in the input
 generators, and generators of the syzygy module.  The trick is the usual
 one: augment each input vector with a unit tail and run Buchberger under a
 block order in which every term of the original free module dominates every
-tail term.  Callers that read only the basis and normal forms keep a
-ReducedBasis instead, computed without the tails.
+tail term.  Vectors that a kernel is taken modulo join the input with a
+zero tail, so the syzygies among them are never computed.  Callers that
+read only the basis and normal forms keep a ReducedBasis instead, computed
+without the tails.
 
 Module term order: position-over-term over the ring's order, positions
 compared ascending (e_0 is the largest position).  Pair selection is the
@@ -118,12 +120,10 @@ def vector_from_poly(f):
 
 
 # ---------------------------------------------------------------------------
-# leading terms under POT with an optional primary block
+# leading terms under POT
 
-def leading_term(v, primary, order):
-    """Largest (pos, mono, coeff); primary positions dominate the rest.
-
-    Positions compare ascending and the primary ones come first, so the
+def leading_term(v, order):
+    """Largest (pos, mono, coeff): positions compare ascending, so the
     leading term is that of the first nonzero component.  Cached per order
     on the immutable vector."""
     cached = v._leads
@@ -143,9 +143,8 @@ def leading_term(v, primary, order):
     return best
 
 
-def term_key(pos, mono, primary, order):
-    block = 0 if pos < primary else 1
-    return (-block, -pos, order.key(mono))
+def term_key(pos, mono, order):
+    return (-pos, order.key(mono))
 
 
 def _budget_check(deg):
@@ -178,10 +177,9 @@ class DivisionIndex:
     walked once.  add() appends a divisor.
     """
 
-    __slots__ = ("primary", "order", "divisors", "leads", "by_pos", "_tails")
+    __slots__ = ("order", "divisors", "leads", "by_pos", "_tails")
 
-    def __init__(self, primary, order, divisors=()):
-        self.primary = primary
+    def __init__(self, order, divisors=()):
         self.order = order
         self.divisors = []
         self.leads = []
@@ -191,7 +189,7 @@ class DivisionIndex:
             self.add(g)
 
     def add(self, g):
-        lead = leading_term(g, self.primary, self.order)
+        lead = leading_term(g, self.order)
         k = len(self.divisors)
         self.divisors.append(g)
         self.leads.append(lead)
@@ -212,11 +210,11 @@ class DivisionIndex:
         return flat
 
 
-def division(v, divisors, primary=None, order=None, quotients=True):
+def division(v, divisors, order=None, quotients=True):
     """Divide v by the divisors; returns (quotients, remainder).
 
-    divisors is a DivisionIndex, whose primary block and order apply, or a
-    list, indexed for this call only.  v = sum quotients[k] * divisors[k] +
+    divisors is a DivisionIndex, whose order applies, or a list, indexed
+    for this call only.  v = sum quotients[k] * divisors[k] +
     remainder, and no remainder term is divisible by any divisor leading
     term; with quotients=False the quotients are not collected and None
     stands in their place.  The working vector is a flat coefficient
@@ -230,8 +228,7 @@ def division(v, divisors, primary=None, order=None, quotients=True):
     if isinstance(divisors, DivisionIndex):
         index = divisors
     else:
-        index = DivisionIndex(v.rank if primary is None else primary, order or ring.order, divisors)
-    primary = index.primary
+        index = DivisionIndex(order or ring.order, divisors)
     okey = index.order.key
     by_pos = index.by_pos
     quo = {} if quotients else None
@@ -241,7 +238,7 @@ def division(v, divisors, primary=None, order=None, quotients=True):
     for i, f in enumerate(v.components):
         for mono, c in f.terms.items():
             terms[(i, mono)] = c
-            heap.append((_Rev((-(i >= primary), -i, okey(mono))), i, mono))
+            heap.append((_Rev((-i, okey(mono))), i, mono))
     heapq.heapify(heap)
     heappop = heapq.heappop
     heappush = heapq.heappush
@@ -267,7 +264,7 @@ def division(v, divisors, primary=None, order=None, quotients=True):
             c = (terms.get(key, 0) - c2 * q_coeff) % p
             if c:
                 if key not in terms:
-                    heappush(heap, (_Rev((-(i >= primary), -i, okey(m))), i, m))
+                    heappush(heap, (_Rev((-i, okey(m))), i, m))
                 terms[key] = c
             elif key in terms:
                 del terms[key]
@@ -278,20 +275,20 @@ def division(v, divisors, primary=None, order=None, quotients=True):
     return [Polynomial(ring, quo[k]) if k in quo else zero for k in range(len(index.divisors))], rem
 
 
-def normal_form_vector(v, gb, primary=None, order=None):
-    return division(v, gb, primary=primary, order=order, quotients=False)[1]
+def normal_form_vector(v, gb, order=None):
+    return division(v, gb, order=order, quotients=False)[1]
 
 
 # ---------------------------------------------------------------------------
 # Buchberger with Gebauer-Moeller pair elimination
 
-def _reduced_basis(basis, primary, order):
+def _reduced_basis(basis, order):
     """Minimalize and tail-reduce; leads made monic, deterministic output.
 
     The tails are reduced against one index over the minimal basis: an
     element's own leading term divides no smaller term, so this is division
     by all the other elements."""
-    leads = [leading_term(g, primary, order) for g in basis]
+    leads = [leading_term(g, order) for g in basis]
     keep = []
     for i, g in enumerate(basis):
         li = leads[i]
@@ -306,7 +303,7 @@ def _reduced_basis(basis, primary, order):
                     break
         if not redundant:
             keep.append(g)
-    index = DivisionIndex(primary, order, keep)
+    index = DivisionIndex(order, keep)
     reduced = []
     for g, (pos, lmono, c) in zip(keep, index.leads):
         if len(keep) > 1:
@@ -323,13 +320,13 @@ def _reduced_basis(basis, primary, order):
             g = VectorPoly(ring, comps)
         reduced.append(g.scale(inv_mod(c, g.ring.p)))
     reduced.sort(
-        key=lambda h: term_key(*leading_term(h, primary, order)[:2], primary, order),
+        key=lambda h: term_key(*leading_term(h, order)[:2], order),
         reverse=True,
     )
     return reduced
 
 
-def buchberger(vectors, primary=None, order=None, product_criterion=None):
+def buchberger(vectors, order=None, product_criterion=None):
     """Reduced Groebner basis of the submodule spanned by the vectors.
 
     The basis grows inside one DivisionIndex, which the S-pair reductions
@@ -338,21 +335,19 @@ def buchberger(vectors, primary=None, order=None, product_criterion=None):
     if not vectors:
         return []
     ring = vectors[0].ring
-    rank = vectors[0].rank
-    primary = rank if primary is None else primary
     order = order or ring.order
     if product_criterion is None:
         # Buchberger's coprimality criterion is only sound for ring ideals
-        product_criterion = rank == 1
+        product_criterion = vectors[0].rank == 1
 
-    index = DivisionIndex(primary, order)
+    index = DivisionIndex(order)
     leads = index.leads
     pairs = []  # entries: (pos, lcm, i, j)
 
     def update(h):
         # Gebauer-Moeller update of the pair queue with the new element h
         t = len(leads)
-        lh = leading_term(h, primary, order)
+        lh = leading_term(h, order)
         fresh = []
         for i, lg in enumerate(leads):
             if lg[0] != lh[0]:
@@ -394,13 +389,13 @@ def buchberger(vectors, primary=None, order=None, product_criterion=None):
         return pruned
 
     for v in vectors:
-        _, _, c = leading_term(v, primary, order)
+        _, _, c = leading_term(v, order)
         pairs = update(v.scale(inv_mod(c, ring.p)))
 
     basis = index.divisors
     while pairs:
         # normal selection: smallest lcm in the term order, then index order
-        pairs.sort(key=lambda a: (term_key(a[0], a[1], primary, order), -a[2], -a[3]))
+        pairs.sort(key=lambda a: (term_key(a[0], a[1], order), -a[2], -a[3]))
         pos, lcm, i, j = pairs.pop(0)
         _budget_check(mono_degree(lcm))
         lf, lg = leads[i], leads[j]
@@ -412,10 +407,10 @@ def buchberger(vectors, primary=None, order=None, product_criterion=None):
         _, rem = division(sf - sg, index, quotients=False)
         if rem.is_zero():
             continue
-        _, _, c = leading_term(rem, primary, order)
+        _, _, c = leading_term(rem, order)
         pairs = update(rem.scale(inv_mod(c, p)))
 
-    return _reduced_basis(basis, primary, order)
+    return _reduced_basis(basis, order)
 
 
 class ReducedBasis:
@@ -431,7 +426,7 @@ class ReducedBasis:
     @property
     def index(self):
         if self._index is None:
-            self._index = DivisionIndex(self.rank, self.order, self.basis)
+            self._index = DivisionIndex(self.order, self.basis)
         return self._index
 
     def normal_form(self, v):
@@ -448,30 +443,40 @@ def reduced_basis(ring, rank, generators):
     certificates and no syzygies.  The reduced basis is unique, so the
     basis and every normal form are those of ModuleGB on the same input.
     """
-    return ReducedBasis(rank, ring.order, buchberger(generators, primary=rank, order=ring.order))
+    return ReducedBasis(rank, ring.order, buchberger(generators, order=ring.order))
 
 
 class ModuleGB(ReducedBasis):
-    """Groebner data for a list of generators of a submodule of R^rank.
+    """Groebner data for a list of generators of a submodule of R^rank,
+    optionally modulo a second list of vectors.
 
-    Holds the reduced basis plus, for each basis element, a certificate
-    writing it as a combination of the input generators.  reduce() divides
-    and re-expresses the quotient part in the inputs, which is the lifting
-    primitive everything downstream leans on.  reduce, normal_form, contains
-    and lift divide by the one index of the basis.
+    Holds the reduced basis of span(generators + modulo) plus, for each
+    basis element, a certificate writing it as a combination of the
+    generators modulo span(modulo), and the syzygies: generators of
+    {c : sum c_i generators_i in span(modulo)}.  Only the generators get a
+    unit tail; the modulo vectors join the Buchberger input with a zero
+    tail, so no syzygy among them is computed.  Certificates and syzygies
+    are exactly len(generators) wide.  reduce() divides and re-expresses
+    the quotient part in the generators, which is the lifting primitive
+    everything downstream leans on.  reduce, normal_form, contains and
+    lift divide by the one index of the basis.
     """
 
-    def __init__(self, ring, rank, generators, order=None):
+    def __init__(self, ring, rank, generators, order=None, modulo=()):
         self.ring = ring
         self.generators = list(generators)
         order = order or ring.order
         k = len(self.generators)
+        zero_tail = [ring.zero()] * k
         augmented = []
         for i, v in enumerate(self.generators):
-            comps = list(v.components) + [ring.zero()] * k
-            comps[rank + i] = ring.one()
-            augmented.append(VectorPoly(ring, comps))
-        full = buchberger(augmented, primary=rank, order=order, product_criterion=False)
+            tail = list(zero_tail)
+            tail[i] = ring.one()
+            augmented.append(VectorPoly(ring, list(v.components) + tail))
+        augmented += [VectorPoly(ring, list(g.components) + zero_tail) for g in modulo]
+        # positions compare ascending, so the head block eliminates first:
+        # the zero-head elements are a basis of the syzygies modulo
+        full = buchberger(augmented, order=order, product_criterion=False)
         basis = []
         self.certificates = []
         self.syzygies = []
@@ -486,7 +491,8 @@ class ModuleGB(ReducedBasis):
         super().__init__(rank, order, basis)
 
     def reduce(self, v):
-        """(coefficients on the input generators, normal form of v)."""
+        """(coefficients on the generators, normal form of v): v minus the
+        normal form minus the combination lies in span(modulo)."""
         if v.rank != self.rank:
             raise AlgebraError("vector rank %d does not match module rank %d" % (v.rank, self.rank))
         quots, rem = division(v, self.index)
@@ -501,22 +507,22 @@ class ModuleGB(ReducedBasis):
         return coeffs, rem
 
     def lift(self, v):
-        """Coefficients expressing v in the generators, or None."""
+        """Coefficients expressing v in the generators modulo span(modulo),
+        or None."""
         coeffs, rem = self.reduce(v)
         if not rem.is_zero():
             return None
         return coeffs
 
 
-def syzygies(vectors):
-    """Generators of the syzygy module of the given vectors."""
+def syzygies(vectors, modulo=()):
+    """Generators of {c : sum c_i vectors_i in span(modulo)}: the syzygy
+    module of the vectors when modulo is empty.  They are a reduced
+    Groebner basis, so none is zero and none repeats."""
     vectors = list(vectors)
     if not vectors:
         return []
-    ring = vectors[0].ring
-    rank = vectors[0].rank
-    mgb = ModuleGB(ring, rank, vectors)
-    return mgb.syzygies
+    return ModuleGB(vectors[0].ring, vectors[0].rank, vectors, modulo=list(modulo)).syzygies
 
 
 def combine(columns, coeffs, ring, rank):
@@ -541,22 +547,12 @@ def unique_nonzero(vectors):
     return out
 
 
-def heads(vectors, k, unique=False):
-    """First k entries of the vectors, zero heads dropped; unique also
-    drops repeated heads."""
-    out = [VectorPoly(z.ring, z.components[:k]) for z in vectors]
-    if unique:
-        return unique_nonzero(out)
-    return [h for h in out if not h.is_zero()]
-
-
-def syzygy_heads(cols, k, unique=False):
-    """First k entries of the syzygies of cols, zero heads dropped.
-
-    With cols = [f_1..f_k | g_1..], these generate the vectors c with
-    sum c_i f_i in the span of the g's: the kernel of the map given by the
-    first k columns, modulo the rest.  unique also drops repeated heads."""
-    return heads(syzygies(cols), k, unique)
+def syzygy_heads(cols, k):
+    """The syzygies of cols[:k] modulo cols[k:]: with cols = [f_1..f_k |
+    g_1..], generators of the vectors c with sum c_i f_i in the span of
+    the g's, the kernel of the map given by the first k columns modulo
+    the rest."""
+    return syzygies(cols[:k], modulo=cols[k:])
 
 
 def groebner_basis(polys):
@@ -603,7 +599,7 @@ class Ideal:
     def reduce(self, f):
         """Normal form of f, divided by one index over the basis."""
         if self._index is None:
-            self._index = DivisionIndex(1, self.ring.order, [vector_from_poly(g) for g in self.groebner()])
+            self._index = DivisionIndex(self.ring.order, [vector_from_poly(g) for g in self.groebner()])
         if not self._index.divisors:
             return f
         return division(vector_from_poly(f), self._index, quotients=False)[1].components[0]
@@ -758,27 +754,28 @@ class SpanSolver:
     """Solves sum c_i columns_i = v in R^rank, modulo the extra columns and
     the modulus of ring.
 
-    The Groebner basis of columns + extra + modulus tails is built once, at
-    construction, and only when that list is not empty; solve() then costs
-    one division per target."""
+    The columns are the generators of one ModuleGB, and the extra columns
+    and modulus tails its modulo list, so coefficients and syzygies cover
+    the columns only.  It is built once, at construction, and only when
+    the two lists are not both empty; solve() then costs one division per
+    target."""
 
     def __init__(self, columns, ring, rank, extra=()):
-        self.ncols = len(columns)
-        allcols = list(columns) + list(extra) + modulus_tails(ring, rank)
-        self.mgb = ModuleGB(ambient_of(ring), rank, allcols) if allcols else None
+        columns = list(columns)
+        modulo = list(extra) + modulus_tails(ring, rank)
+        self.mgb = ModuleGB(ambient_of(ring), rank, columns, modulo=modulo) if columns or modulo else None
 
     @property
     def syzygies(self):
+        """Generators of the coefficient vectors c with sum c_i columns_i
+        zero modulo the extra columns and the modulus."""
         return self.mgb.syzygies if self.mgb is not None else []
 
     def solve(self, v):
         """Coefficients c on the columns, or None when v is not spanned."""
         if self.mgb is None:
             return [] if v.is_zero() else None
-        coeffs = self.mgb.lift(v)
-        if coeffs is None:
-            return None
-        return coeffs[: self.ncols]
+        return self.mgb.lift(v)
 
 
 # ---------------------------------------------------------------------------
@@ -957,8 +954,8 @@ def presentation_resolution(ring, rank, columns, length=None):
 
     Returns a list of stages, where stages[k] is a list of VectorPoly
     columns mapping R^{len(stages[k])} -> R^{len(stages[k-1])}.  Over a
-    QuotientRing each syzygy computation adjoins the modulus tails and the
-    entries are kept in normal form; repeated columns are dropped.  Stops
+    QuotientRing each syzygy computation is taken modulo the modulus tails
+    and the entries are kept in normal form; repeated columns are dropped.  Stops
     when a syzygy module vanishes, or after `length` stages, without
     computing the syzygies of the last one.  With no length, a resolution
     longer than nvars + 3 stages raises AlgebraError.
@@ -980,5 +977,5 @@ def presentation_resolution(ring, rank, columns, length=None):
         stages.append(current)
         if len(stages) == length:
             break
-        current = reduced(syzygy_heads(current + modulus_tails(ring, current[0].rank), len(current)))
+        current = reduced(syzygies(current, modulo=modulus_tails(ring, current[0].rank)))
     return stages

@@ -18,7 +18,6 @@ from .groebner import (
     VectorPoly,
     ambient_of,
     combine,
-    heads,
     modulus_gens,
     modulus_tails,
     reduce_in,
@@ -193,9 +192,9 @@ class ModuleMap:
 def _kernel_generators(f):
     """Generators of ker(f) in normal form modulo the source relations, so
     that none is zero in the source: ker(f) = 0 iff the list is empty."""
-    heads = syzygy_heads(list(f.columns) + list(f.target.relations), f.source.ngens)
+    kernel = syzygy_heads(list(f.columns) + list(f.target.relations), f.source.ngens)
     # drop duplicates and zero images after reduction
-    return unique_nonzero(f.source.nf(h) for h in heads)
+    return unique_nonzero(f.source.nf(h) for h in kernel)
 
 
 def kernel_with_inclusion(f):
@@ -365,7 +364,7 @@ class HomModule(FPModule):
             # no conditions: Hom(R^m-span, N) = N^m
             raw_gens = [unit_vector(amb, nm, k) for k in range(nm)]
         else:
-            raw_gens = syzygy_heads(big_cols, nm, unique=True)
+            raw_gens = syzygy_heads(big_cols, nm)
         # quotient by maps with columns inside the relation span of N
         mod_cols = []
         for j in range(m):
@@ -375,9 +374,9 @@ class HomModule(FPModule):
                     comps[vec_index(j, i)] = b.components[i]
                 mod_cols.append(VectorPoly(amb, comps))
         k = len(raw_gens)
-        # one basis serves the relations (its syzygy heads) and encode()
+        # one basis serves the relations (its syzygies) and encode()
         self._span = SpanSolver(raw_gens, amb, nm, extra=mod_cols)
-        rels = heads(self._span.syzygies, k)
+        rels = self._span.syzygies
         self._vec_gens = raw_gens
         self._vec_index = vec_index
         super().__init__(M.ring, k, rels)
@@ -572,7 +571,7 @@ def hilbert_function(M, d_max):
     gb = M.relgb().basis
     from .groebner import leading_term
 
-    leads = [leading_term(v, M.ngens, amb.order) for v in gb]
+    leads = [leading_term(v, amb.order) for v in gb]
     out = []
     for d in range(d_max + 1):
         count = 0

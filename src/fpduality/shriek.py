@@ -24,7 +24,7 @@ from .complexes import (
     tensor_complex,
 )
 from .duality import canonical_dualizing
-from .errors import AlgebraError
+from .errors import AlgebraError, CanonicalNotTop
 from .groebner import (
     Ideal,
     QuotientRing,
@@ -305,6 +305,16 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
     W = dc.complex
     low = dc.lowest_degree()
     h_om = dc.cohomology_report().degrees[low]
+    # the projection link reads the basis of W's term in degree low as the
+    # generating set of omega: that term must be W's top one
+    top = W.support()[1]
+    if top != low or W.rank(low) != h_om.module.ngens:
+        raise CanonicalNotTop(
+            "the unit check needs omega, in degree %d, to be the top term of the dualizing "
+            "complex, whose basis generates it; here the complex reaches degree %d and its "
+            "term in degree %d has rank %d for %d generators of omega (a resolution of "
+            "the ring that is not minimal gives this, as does a ring that is not Cohen-Macaulay)" % (low, top, low, W.rank(low), h_om.module.ngens)
+        )
     # slot-1 renamings
     idx1 = env.slot_index(1)
     W1 = W.apply_entrywise(lambda f: rename_poly(f, P2, idx1), ring=Q2)

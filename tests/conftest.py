@@ -14,17 +14,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def hom_condition_systems(monkeypatch):
-    """(rows, columns) of each Hom condition system built while the test
-    runs: HomModule reads its raw generators off syzygy_heads(..., unique=True)."""
+    """(rows, columns) of each system that modules.syzygy_heads solves
+    while the test runs: HomModule reads its raw generators off the one
+    call that it makes, on its stacked condition system."""
     import fpduality.modules as modules
 
     shapes = []
     original = modules.syzygy_heads
 
-    def recorded(cols, k, unique=False):
-        if unique and cols:
+    def recorded(cols, k):
+        if cols:
             shapes.append((cols[0].rank, len(cols)))
-        return original(cols, k, unique)
+        return original(cols, k)
 
     monkeypatch.setattr(modules, "syzygy_heads", recorded)
     return shapes

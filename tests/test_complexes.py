@@ -40,7 +40,7 @@ def fp_dim(M, probe=8):
     from fpduality.modules import _monomials_of_degree
 
     amb = M.ambient
-    leads = [leading_term(v, M.ngens, amb.order) for v in M.relgb().basis]
+    leads = [leading_term(v, amb.order) for v in M.relgb().basis]
     count = 0
     for d in range(probe + 1):
         for j in range(M.ngens):

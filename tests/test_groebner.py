@@ -285,9 +285,9 @@ class TestFreeResolution:
         calls = [0]
         original = groebner.syzygies
 
-        def counted(vectors):
+        def counted(vectors, **kwargs):
             calls[0] += 1
-            return original(vectors)
+            return original(vectors, **kwargs)
 
         monkeypatch.setattr(groebner, "syzygies", counted)
         stages = presentation_resolution(R, 1, [vector_from_poly(x)], length=3)
@@ -646,16 +646,16 @@ _BLOCK = MonomialOrder("block", 1)
 _DIV_RINGS = (PolyRing(3, ("x", "y")), PolyRing(3, ("x", "y"), _BLOCK))
 
 
-def _reference_division(v, divisors, primary):
+def _reference_division(v, divisors):
     # the largest remaining term goes to the first divisor whose leading
     # term divides it, else to the remainder
     R = v.ring
     work = list(v.components)
     quo = [R.zero()] * len(divisors)
     rem = [R.zero()] * v.rank
-    leads = [leading_term(g, primary, R.order) for g in divisors]
+    leads = [leading_term(g, R.order) for g in divisors]
     while any(w.terms for w in work):
-        pos, mono, c = leading_term(VectorPoly(R, work), primary, R.order)
+        pos, mono, c = leading_term(VectorPoly(R, work), R.order)
         for k, lk in enumerate(leads):
             if lk is not None and lk[0] == pos and mono_divides(lk[1], mono):
                 q = R.monomial(mono_div(mono, lk[1]), c * inv_mod(lk[2], R.p))
@@ -673,7 +673,6 @@ def _reference_division(v, divisors, primary):
 def _division_case(draw):
     R = draw(st.sampled_from(_DIV_RINGS))
     rank = draw(st.integers(1, 3))
-    primary = draw(st.integers(0, rank - 1))
     poly = st.lists(
         st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 2)), max_size=4
     ).map(R.from_terms)
@@ -681,20 +680,20 @@ def _division_case(draw):
     divisors = draw(st.lists(vec, min_size=1, max_size=4))
     later = draw(st.lists(vec, min_size=1, max_size=2))
     targets = draw(st.lists(vec, min_size=1, max_size=3))
-    return primary, divisors, later, targets
+    return divisors, later, targets
 
 
 @settings(max_examples=150, deadline=None)
 @given(_division_case())
 def test_kept_division_index_matches_plain_list(case):
-    primary, divisors, later, targets = case
-    index = DivisionIndex(primary, divisors[0].ring.order, divisors)
+    divisors, later, targets = case
+    index = DivisionIndex(divisors[0].ring.order, divisors)
     for plain in (divisors, divisors + later):
         for g in plain[len(index.divisors):]:
             index.add(g)
         for v in targets:
-            expected = _reference_division(v, plain, primary)
-            assert division(v, plain, primary=primary) == expected
+            expected = _reference_division(v, plain)
+            assert division(v, plain) == expected
             assert division(v, index) == expected
             assert division(v, index, quotients=False) == (None, expected[1])
 
@@ -715,14 +714,14 @@ def _pinned_modules():
 def _pinned_buchberger_inputs():
     R = PolyRing(3, ("x", "y", "z"))
     x, y, z = R.gens()
-    yield "twisted_cubic", [vector_from_poly(f) for f in (x ** 2 - y, x * y - z, y ** 2 - x * z, x ** 3 - z)], None
+    yield "twisted_cubic", [vector_from_poly(f) for f in (x ** 2 - y, x * y - z, y ** 2 - x * z, x ** 3 - z)]
     S = PolyRing(7, ("t", "x", "y"), _BLOCK)
     t, x, y = S.gens()
-    yield "elimination", [vector_from_poly(f) for f in (t * x - y, t ** 2 - x, t * y + 1)], None
+    yield "elimination", [vector_from_poly(f) for f in (t * x - y, t ** 2 - x, t * y + 1)]
     T = PolyRing(3, ("x", "y"))
     x, y = T.gens()
     zero = T.zero()
-    yield "primary_block", [VectorPoly(T, [x, y, T.one()]), VectorPoly(T, [y, zero, x]), VectorPoly(T, [x * y, x ** 2, zero])], 2
+    yield "primary_block", [VectorPoly(T, [x, y, T.one()]), VectorPoly(T, [y, zero, x]), VectorPoly(T, [x * y, x ** 2, zero])]
 
 
 # name -> (basis, certificates, syzygies)
@@ -761,15 +760,15 @@ def test_module_gb_and_buchberger_pins():
         mgb = ModuleGB(R, rank, gens)
         got = tuple([repr(v) for v in vs] for vs in (mgb.basis, mgb.certificates, mgb.syzygies))
         assert got == MODULE_GB_PINS[name], name
-    for name, vectors, primary in _pinned_buchberger_inputs():
-        assert [repr(v) for v in buchberger(vectors, primary=primary)] == BUCHBERGER_PINS[name], name
+    for name, vectors in _pinned_buchberger_inputs():
+        assert [repr(v) for v in buchberger(vectors)] == BUCHBERGER_PINS[name], name
 
 
 def test_explicit_order_matches_the_ring_order():
     # an order passed in overrides the ring's own inside each component too
     plain = PolyRing(2, ("x", "y", "z"))
     x, y, z = plain.gens()
-    assert leading_term(VectorPoly(plain, [y ** 2 + x * z]), 1, _BLOCK) == (0, (1, 0, 1), 1)
+    assert leading_term(VectorPoly(plain, [y ** 2 + x * z]), _BLOCK) == (0, (1, 0, 1), 1)
     got = []
     for R, order in ((plain, _BLOCK), (PolyRing(2, ("x", "y", "z"), _BLOCK), None)):
         x, y, z = R.gens()
@@ -777,3 +776,70 @@ def test_explicit_order_matches_the_ring_order():
         mgb = ModuleGB(R, 2, gens, order)
         got.append([[repr(v) for v in vs] for vs in (mgb.basis, mgb.certificates, mgb.syzygies)])
     assert got[0] == got[1]
+
+
+# ---------------------------------------------------------------------------
+# kernels and lifts modulo a submodule: only the generators carry unit
+# tails, and the answers agree with a full-tail basis of generators + modulo
+
+_MOD_S = PolyRing(3, ("x", "y"))
+_MOD_CUSP = QuotientRing(_MOD_S, [_MOD_S.var(1) ** 2 - _MOD_S.var(0) ** 3])
+_MOD_MONOMIALS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+_mod_entry = st.lists(
+    st.tuples(st.sampled_from(_MOD_MONOMIALS), st.integers(1, 2)), max_size=2
+).map(_MOD_S.from_terms)
+
+
+@st.composite
+def _modulo_case(draw):
+    # over F_3[x,y], or over the cusp through its modulus tails
+    ring = draw(st.sampled_from([_MOD_S, _MOD_CUSP]))
+    rank = draw(st.integers(1, 2))
+    vec = st.lists(_mod_entry, min_size=rank, max_size=rank).map(lambda comps: VectorPoly(_MOD_S, comps))
+    gens = draw(st.lists(vec, min_size=1, max_size=3))
+    modulo = draw(st.lists(vec, max_size=3)) + groebner.modulus_tails(ring, rank)
+    coeffs = draw(st.lists(_mod_entry, min_size=len(gens), max_size=len(gens)))
+    targets = draw(st.lists(vec, max_size=2))
+    # a member by construction: a combination of the generators plus an
+    # element of span(modulo)
+    member = groebner.combine(gens, coeffs, _MOD_S, rank)
+    if modulo:
+        member = member + modulo[draw(st.integers(0, len(modulo) - 1))].mul_poly(draw(_mod_entry))
+    return rank, gens, modulo, targets + [member], coeffs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_modulo_case())
+def test_module_gb_modulo_matches_full_tails(case):
+    rank, gens, modulo, targets, coeffs = case
+    S, k = _MOD_S, len(gens)
+    mgb = ModuleGB(S, rank, gens, modulo=modulo)
+    full = ModuleGB(S, rank, gens + modulo)
+    assert mgb.basis == full.basis
+    assert all(s.rank == k for s in mgb.syzygies)
+    assert all(c.rank == k for c in mgb.certificates)
+    # the syzygies span what the heads of the full-tail syzygies span
+    heads = [VectorPoly(S, s.components[:k]) for s in full.syzygies]
+    assert groebner.reduced_basis(S, k, mgb.syzygies).basis == groebner.reduced_basis(S, k, heads).basis
+    span = groebner.reduced_basis(S, rank, modulo)
+    for c in mgb.syzygies:
+        assert span.contains(groebner.combine(gens, c.components, S, rank))
+    # and they span the whole kernel: the Koszul syzygies of an ideal's
+    # generators lie in it, and so does the difference of two lifts below
+    kernel = groebner.reduced_basis(S, k, mgb.syzygies)
+    if rank == 1:
+        for i in range(k):
+            for j in range(i + 1, k):
+                koszul = [S.zero()] * k
+                koszul[i], koszul[j] = gens[j].components[0], -gens[i].components[0]
+                assert kernel.contains(VectorPoly(S, koszul))
+    # a lift expresses v in the generators up to an element of span(modulo)
+    for v in targets:
+        coeffs = mgb.lift(v)
+        assert (coeffs is None) == (full.lift(v) is None)
+        if coeffs is not None:
+            assert len(coeffs) == k
+            assert span.contains(v - groebner.combine(gens, coeffs, S, rank))
+    lifted = mgb.lift(targets[-1])
+    assert lifted is not None
+    assert kernel.contains(VectorPoly(S, coeffs) - VectorPoly(S, lifted))

@@ -40,7 +40,7 @@ def fp_dimension(M, degree_probe=8):
 
     amb = M.ambient
     gb = M.relgb().basis
-    leads = [leading_term(v, M.ngens, amb.order) for v in gb]
+    leads = [leading_term(v, amb.order) for v in gb]
     count = 0
     from fpduality.modules import _monomials_of_degree
 

@@ -90,7 +90,7 @@ def test_basis_only_relgb_matches_module_gb(M, data):
     full = ModuleGB(M.ambient, M.ngens, M.relations)
     gb = M.relgb()
     assert gb.basis == full.basis
-    leads = [leading_term(g, M.ngens, S.order)[:2] for g in gb.basis]
+    leads = [leading_term(g, S.order)[:2] for g in gb.basis]
     vectors = st.lists(_entry, min_size=M.ngens, max_size=M.ngens).map(lambda comps: VectorPoly(S, comps))
     targets = data.draw(st.lists(vectors, max_size=3)) + list(M.relations) + [M.gen(i) for i in range(M.ngens)]
     for v in targets:

@@ -4,9 +4,11 @@ associativity, exterior Hom compatibility."""
 import pytest
 
 from fpduality.duality import canonical_dualizing
+from fpduality.errors import CanonicalNotTop
 from fpduality.groebner import Ideal, QuotientRing, elimination_kernel
 from fpduality.modules import FPModule, ModuleMap, cyclic_module, is_isomorphism
 from fpduality.polyring import PolyRing
+from fpduality.session import Session, execute, parse_session
 from fpduality.shriek import (
     EnvelopingRing,
     external_tensor,
@@ -155,6 +157,26 @@ class TestUnitLaw:
         A = dual_numbers()
         rep = verify_unit(A, cyclic_module(A))
         assert rep.certified
+
+    def test_twisted_cubic_raises_canonical_not_top(self):
+        # the resolution of the affine twisted cubic over F_3 is 1 <- 3 <- 3
+        # <- 1, not minimal: omega, in degree -1, is not the top term of W,
+        # and the unit check stops with a typed error, not an index error
+        script = (
+            "ring A = Fp(3)[x,y,z] / (x^2 - y, x*y - z, y^2 - x*z);\n"
+            "check rigidifier(A);\n"
+        )
+        session = Session()
+        reports = [execute(session, stmt) for stmt in parse_session(script)]
+        assert reports[0].status == "ok"
+        assert reports[1].status == "error"
+        assert reports[1].error_kind == "CanonicalNotTop"
+        assert "top term" in reports[1].message
+        amb = PolyRing(3, ("x", "y", "z"))
+        x, y, z = amb.gens()
+        A = QuotientRing(amb, [x ** 2 - y, x * y - z, y ** 2 - x * z])
+        with pytest.raises(CanonicalNotTop):
+            verify_unit(A, cyclic_module(A))
 
 
 class TestSymmetryAssociativity:

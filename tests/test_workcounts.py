@@ -23,7 +23,11 @@ kept a basis-only Groebner basis (no unit tails, so no ModuleGB) and
 Frobenius duality certified its complex comparison by an explicit inverse
 instead of two cohomologies, the bounds fell to their present values (21
 cusp-duality and 455 corpus builds, 592 corpus runs and 4077 corpus
-divisions before).  The stacked-system
+divisions before).  When kernels and lifts modulo a submodule gave unit
+tails to the generators only, the corpus divisions fell to their present
+bound (3532 before) and the tracked tail slots, the generators summed over
+all ModuleGB builds, got a bound (891 before); the build and run counts
+did not move.  The stacked-system
 bounds are rows x columns of the Hom condition system, measured when
 automatic Hom conditions were dropped (18 x 45 and 68 x 182 before).  Certifying five maps out of one prunable
 module built 7 bases before the pruned module was kept on its owner.
@@ -45,7 +49,8 @@ from fpduality.session import Session, execute, parse_session
 CUSP_DUALITY_BUILDS = 8
 CORPUS_BUILDS = 305
 CORPUS_RUNS = 563
-CORPUS_DIVISIONS = 3532
+CORPUS_DIVISIONS = 3299
+CORPUS_TAIL_SLOTS = 460
 UNIT_CLAUSE_BUILDS = 152
 SYMMETRY_BUILDS = 10
 TRACE_GENERATOR_BUILDS = 2
@@ -64,6 +69,21 @@ def builds(monkeypatch):
     def counted(self, *args, **kwargs):
         count[0] += 1
         original(self, *args, **kwargs)
+
+    monkeypatch.setattr(groebner.ModuleGB, "__init__", counted)
+    return count
+
+
+@pytest.fixture
+def tail_slots(monkeypatch):
+    # one unit tail slot per generator of each ModuleGB build
+    count = [0]
+    original = groebner.ModuleGB.__init__
+
+    def counted(self, ring, rank, generators, *args, **kwargs):
+        generators = list(generators)
+        count[0] += len(generators)
+        original(self, ring, rank, generators, *args, **kwargs)
 
     monkeypatch.setattr(groebner.ModuleGB, "__init__", counted)
     return count
@@ -133,6 +153,12 @@ def test_corpus_divisions(divisions):
     first = _corpus_builds(divisions)
     assert first <= CORPUS_DIVISIONS
     assert _corpus_builds(divisions) == first
+
+
+def test_corpus_tail_slots(tail_slots):
+    first = _corpus_builds(tail_slots)
+    assert first <= CORPUS_TAIL_SLOTS
+    assert _corpus_builds(tail_slots) == first
 
 
 def test_presentation_basis_builds_no_module_gb(builds, runs):
