@@ -22,9 +22,10 @@ from .groebner import (
     ambient_of,
     combine,
     modulus_tails,
-    presentation_resolution,
     reduce_in,
-    syzygy_heads,
+    rename_poly,
+    resolution_stages,
+    syzygies,
     unit_vector,
 )
 from .modules import FPModule, ModuleMap, is_isomorphism
@@ -128,16 +129,18 @@ class FreeComplex:
             self._solvers[d] = solver
         return solver
 
-    def apply_entrywise(self, fn, ring=None):
-        """New complex with every matrix and relation entry mapped through
-        fn; Hom bases carry over, since the terms keep their ranks."""
-        amb = ambient_of(ring) if ring is not None else self.ambient
+    def renamed(self, ring, index_map):
+        """This complex over ring, every matrix and relation entry sent by
+        rename_poly into the ambient of ring, variable i going to variable
+        index_map[i]; Hom bases carry over, since the terms keep their
+        ranks."""
+        amb = ambient_of(ring)
 
         def mapped(vectors):
-            return [VectorPoly(amb, [fn(c) for c in v.components]) for v in vectors]
+            return [VectorPoly(amb, [rename_poly(c, amb, index_map) for c in v.components]) for v in vectors]
 
         out = FreeComplex(
-            ring or self.ring,
+            ring,
             dict(self.terms),
             {d: mapped(cols) for d, cols in self.diffs.items()},
             labels=dict(self.labels),
@@ -150,6 +153,12 @@ class FreeComplex:
         lo, hi = self.support()
         ranks = ",".join("%d:%d" % (d, self.rank(d)) for d in self.degrees())
         return "FreeComplex[%d..%d](%s over %r)" % (lo, hi, ranks, self.ring)
+
+
+def in_one_degree(M, degree, ring=None):
+    """The module M, over ring (default: its own ring), as a complex
+    concentrated in one degree."""
+    return FreeComplex(ring or M.ring, {degree: M.ngens}, {}, relations={degree: M.relations})
 
 
 def rank_one_complex(ring, degree, label=None):
@@ -311,27 +320,19 @@ def tensor_complex(X, Y):
 class HDegree:
     """Cohomology in one degree: presentation, representatives, coordinates.
 
-    The term is R^rank modulo relation_cols: the modulus tails for a free
-    term, the term's own relations otherwise."""
+    solver is the one SpanSolver over the representatives, modulo the
+    incoming boundaries and the relations of the term (the modulus tails
+    for a free term): its syzygies are the presentation's relations, and it
+    gives the coordinates of every cocycle."""
 
-    def __init__(self, module, reps, boundary_cols, relation_cols, rank):
+    def __init__(self, module, reps, solver):
         self.module = module
         self.reps = reps
-        self.boundary_cols = boundary_cols
-        self.relation_cols = relation_cols
-        self.rank = rank
-        self._solver = None
+        self.solver = solver
 
     def coords_of_cocycle(self, v):
         """Class of a cocycle vector in the presentation's generators."""
-        if self._solver is None:
-            self._solver = SpanSolver(
-                self.reps,
-                self.module.ambient,
-                self.rank,
-                extra=list(self.boundary_cols) + list(self.relation_cols),
-            )
-        return self._solver.solve(v)
+        return self.solver.solve(v)
 
     def classes_of(self, cocycles):
         """Coordinate columns of the classes of the cocycles, or None when
@@ -396,6 +397,7 @@ def cohomology(T, over=None, window=None):
     only correct there (truncated resolutions).
     """
     ring = over or T.ring
+    amb = ambient_of(ring)
     out = {}
     lo, hi = T.support()
     if window is not None:
@@ -406,13 +408,14 @@ def cohomology(T, over=None, window=None):
             continue
         d_out = T.diffs.get(d)
         if d_out is None:
-            reps = [unit_vector(ambient_of(ring), r, i) for i in range(r)]
+            reps = [unit_vector(amb, r, i) for i in range(r)]
         else:
-            reps = syzygy_heads(d_out + T.term_relations(d + 1, ring), r)
-        d_in = list(T.diffs.get(d - 1, []))
-        relations = T.term_relations(d, ring)
-        rels = syzygy_heads(reps + d_in + relations, len(reps)) if reps else []
-        out[d] = HDegree(FPModule(ring, len(reps), rels), reps, d_in, relations, r)
+            reps = syzygies(d_out, modulo=T.term_relations(d + 1, ring))
+        # boundaries and relations are cocycles, so without reps they are
+        # zero as well and the degree builds no basis
+        boundaries_and_relations = list(T.diffs.get(d - 1, [])) + list(T.term_relations(d, ring))
+        solver = SpanSolver(reps, amb, r, extra=boundaries_and_relations)
+        out[d] = HDegree(FPModule(ring, len(reps), solver.syzygies), reps, solver)
     return CohomologyReport(out)
 
 
@@ -519,13 +522,19 @@ def invert_monomial_chain_map(f):
 def free_resolution(ring, rank, columns, length=None):
     """The free resolution of ring^rank / (columns) from
     presentation_resolution, as a FreeComplex in degrees [-len(stages), 0]
-    with terms[0] = rank; with a length it is exact in degrees > -length."""
+    with terms[0] = rank; with a length it is exact in degrees > -length.
+
+    Each differential keeps the SpanSolver that computed the next stage as
+    its span_solver, so a lift into the resolution builds no basis again."""
+    stages = resolution_stages(ring, rank, columns, length)
     terms = {0: rank}
     diffs = {}
-    for k, cols in enumerate(presentation_resolution(ring, rank, columns, length)):
+    for k, (cols, _solver) in enumerate(stages):
         terms[-(k + 1)] = len(cols)
         diffs[-(k + 1)] = cols
-    return FreeComplex(ring, terms, diffs)
+    F = FreeComplex(ring, terms, diffs)
+    F._solvers = {-(k + 1): solver for k, (_cols, solver) in enumerate(stages) if solver is not None}
+    return F
 
 
 class ResolutionComplex:

@@ -199,7 +199,7 @@ def upper_shriek_smooth(R, T, d, names=None):
         raise AlgebraError("polynomial extensions are taken over polynomial rings here")
     names = names or ["y%d" % (i + 1) for i in range(d)]
     big, idx = adjoin_variables(R, names)
-    Tup = T.apply_entrywise(lambda f: rename_poly(f, big, idx), ring=big)
+    Tup = T.renamed(big, idx)
     label = wedge_label(big.variables[ambient_of(R).nvars :])
     twist = rank_one_complex(big, -d, label=label)
     out, bases = tensor_complex(twist, Tup)
@@ -698,12 +698,6 @@ def biduality_certificate(dc):
 # ---------------------------------------------------------------------------
 # presentation independence
 
-def _rename_complex(T, target_ring, index_map):
-    return T.apply_entrywise(
-        lambda f: rename_poly(f, ambient_of(target_ring), index_map), ring=target_ring
-    )
-
-
 class PresentationComparison:
     def __init__(self, certified, degree_lists, chain):
         self.certified = certified
@@ -760,7 +754,7 @@ def _one_sided_collapse(pi_main, pi_other):
     # the joint model
     own = canonical_dualizing(pi_main.target, pi_main)
     J1 = elimination_kernel(pi_main)
-    res1_in_S3 = _rename_complex(own.resolution.complex, S3, idx1)
+    res1_in_S3 = own.resolution.complex.renamed(S3, idx1)
     Klin = koszul_complex(S3, lin)
     joint_res, joint_bases = tensor_complex(res1_in_S3, Klin)
     om3 = canonical_omega_regular(S3)
@@ -862,10 +856,8 @@ def _compare_joint_models(A, side1, side2):
     Wb = side2["joint_model"]
     res_a = side1["joint_res"]
     res_b = side2["joint_res"]
-    res_a_in_b = res_a.apply_entrywise(lambda f: rename_poly(f, amb_b, perm), ring=amb_b)
-    Wa_in_b = side1["joint_model"].apply_entrywise(
-        lambda f: rename_poly(f, amb_b, perm), ring=amb_b
-    )
+    res_a_in_b = res_a.renamed(amb_b, perm)
+    Wa_in_b = side1["joint_model"].renamed(amb_b, perm)
     lifted = lift_chain_map([unit_vector(amb_b, 1, 0)], res_b, res_a_in_b, S3b)
     cm = hom_transpose_chain_map(lifted, Wa_in_b, Wb)
     rep_a = cohomology(Wa_in_b)

@@ -93,6 +93,18 @@ def pushforward_vector(index, v, e):
     return VectorPoly(amb, comps)
 
 
+def _pushforward_shifts(amb, vectors, index, e):
+    """F^e_*(x^b v) on index for every restricted monomial b (outer) and
+    every v of vectors (inner): the order of index.index(b, j) when the
+    vectors are the images of the generators j."""
+    out = []
+    for b in index.monomials:
+        xb = amb.monomial(b)
+        for v in vectors:
+            out.append(pushforward_vector(index, VectorPoly(amb, [c * xb for c in v.components]), e))
+    return out
+
+
 def pushforward_module(M, e=1):
     """F^e_* M as an FPModule over the same ring, untwisted presentation.
 
@@ -103,13 +115,7 @@ def pushforward_module(M, e=1):
     amb = M.ambient
     _check_size(amb.p, e, amb.nvars)
     index = PushforwardIndex(M.ring, e, M.ngens)
-    rels = []
-    for b in index.monomials:
-        xb = amb.monomial(b)
-        for rho in M.relations:
-            shifted = VectorPoly(amb, [c * xb for c in rho.components])
-            rels.append(pushforward_vector(index, shifted, e))
-    out = FPModule(M.ring, index.total, rels)
+    out = FPModule(M.ring, index.total, _pushforward_shifts(amb, M.relations, index, e))
     out.pushforward_index = index
     return out
 
@@ -153,16 +159,9 @@ def pushforward_complex(T, e=1):
     _check_size(amb.p, e, amb.nvars)
     indices = {d: PushforwardIndex(ring, e, T.rank(d)) for d in T.degrees()}
     terms = {d: indices[d].total for d in T.degrees()}
-    diffs = {}
-    for d, cols in T.diffs.items():
-        src, tgt = indices[d], indices[d + 1]
-        out_cols = [None] * src.total
-        for b_idx, b in enumerate(src.monomials):
-            xb = amb.monomial(b)
-            for j, col in enumerate(cols):
-                shifted = VectorPoly(amb, [c * xb for c in col.components])
-                out_cols[src.index(b, j)] = pushforward_vector(tgt, shifted, e)
-        diffs[d] = out_cols
+    # the restricted monomials are those of every index, so the columns
+    # come out in the order of the source index
+    diffs = {d: _pushforward_shifts(amb, cols, indices[d + 1], e) for d, cols in T.diffs.items()}
     out = FreeComplex(ring, terms, diffs)
     out.pushforward_indices = indices
     return out

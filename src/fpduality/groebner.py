@@ -547,14 +547,6 @@ def unique_nonzero(vectors):
     return out
 
 
-def syzygy_heads(cols, k):
-    """The syzygies of cols[:k] modulo cols[k:]: with cols = [f_1..f_k |
-    g_1..], generators of the vectors c with sum c_i f_i in the span of
-    the g's, the kernel of the map given by the first k columns modulo
-    the rest."""
-    return syzygies(cols[:k], modulo=cols[k:])
-
-
 def groebner_basis(polys):
     """Reduced Groebner basis for a list of ring elements."""
     vecs = [vector_from_poly(f) for f in polys if not f.is_zero()]
@@ -960,6 +952,13 @@ def presentation_resolution(ring, rank, columns, length=None):
     computing the syzygies of the last one.  With no length, a resolution
     longer than nvars + 3 stages raises AlgebraError.
     """
+    return [stage for stage, _solver in resolution_stages(ring, rank, columns, length)]
+
+
+def resolution_stages(ring, rank, columns, length=None):
+    """The stages of presentation_resolution, each with the SpanSolver over
+    its columns modulo the modulus whose syzygies gave the next stage; None
+    for a last stage cut off by length."""
     cap = ring.nvars + 2
     amb = ambient_of(ring)
 
@@ -974,8 +973,10 @@ def presentation_resolution(ring, rank, columns, length=None):
                 "resolution did not terminate within cap %d; this should not happen over a polynomial ring"
                 % cap
             )
-        stages.append(current)
-        if len(stages) == length:
+        if len(stages) + 1 == length:
+            stages.append((current, None))
             break
-        current = reduced(syzygies(current, modulo=modulus_tails(ring, current[0].rank)))
+        solver = SpanSolver(current, ring, current[0].rank)
+        stages.append((current, solver))
+        current = reduced(solver.syzygies)
     return stages

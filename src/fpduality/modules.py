@@ -22,7 +22,7 @@ from .groebner import (
     modulus_tails,
     reduce_in,
     reduced_basis,
-    syzygy_heads,
+    syzygies,
     unique_nonzero,
     unit_vector,
 )
@@ -108,10 +108,7 @@ def ideal_module(ring, gens):
     """
     amb = ambient_of(ring)
     cols = [VectorPoly(amb, [g]) for g in gens]
-    for m in modulus_gens(ring):
-        cols.append(VectorPoly(amb, [m]))
-    k = len(gens)
-    mod = FPModule(ring, k, syzygy_heads(cols, k))
+    mod = FPModule(ring, len(gens), syzygies(cols, modulo=modulus_tails(ring, 1)))
     mod.ideal_gens = list(gens)
     return mod
 
@@ -192,7 +189,7 @@ class ModuleMap:
 def _kernel_generators(f):
     """Generators of ker(f) in normal form modulo the source relations, so
     that none is zero in the source: ker(f) = 0 iff the list is empty."""
-    kernel = syzygy_heads(list(f.columns) + list(f.target.relations), f.source.ngens)
+    kernel = syzygies(f.columns, modulo=f.target.relations)
     # drop duplicates and zero images after reduction
     return unique_nonzero(f.source.nf(h) for h in kernel)
 
@@ -201,7 +198,7 @@ def kernel_with_inclusion(f):
     """Presentation of ker(f) plus the inclusion map into the source."""
     kernel_gens = _kernel_generators(f)
     k = len(kernel_gens)
-    rels = syzygy_heads(kernel_gens + list(f.source.relations), k)
+    rels = syzygies(kernel_gens, modulo=f.source.relations)
     ker = FPModule(f.source.ring, k, rels)
     incl = ModuleMap(ker, f.source, kernel_gens, check=False)
     return ker, incl
@@ -318,19 +315,25 @@ def _eliminate_units(M):
 # hom and tensor
 
 class HomModule(FPModule):
-    """Hom_R(M, N) presented as an FPModule, with decode/encode."""
+    """Hom_R(M, N) presented as an FPModule, with decode/encode.
+
+    Hom(M, N) is H^0 of Hom(P, N), for P the free complex R^q -> R^m whose
+    differential lists the relations of M that are not automatic (below):
+    a cocycle is a map phi, one block phi(e_j) of n entries per generator
+    of M, and the boundaries are the maps into the relations of N.  Both
+    complexes are built over the ambient ring, so that N's relations are
+    taken exactly as given.  That degree's representatives are the raw
+    generators, and its coordinates are encode."""
 
     def __init__(self, M, N):
+        from .complexes import FreeComplex, HDegree, cohomology, hom_complex, in_one_degree
+
         if ambient_of(M.ring) != ambient_of(N.ring):
             raise RingMismatch("Hom requires a common ambient ring")
         self.hom_source = M
         self.hom_target = N
         amb = M.ambient
-        m, n = M.ngens, N.ngens
-        nm = n * m
-
-        def vec_index(j, i):
-            return j * n + i
+        n = N.ngens
 
         # A relation g*e_j of M asks that g*phi(e_j) lie in the relation
         # span of N, which holds for every phi when N's relations contain
@@ -344,64 +347,32 @@ class HomModule(FPModule):
             )
 
         conditions = [a for a in M.relations if not automatic(a)]
-        # columns of the stacked condition map R^{nm} -> R^{n * q}
-        q = len(conditions)
-        big_cols = []
-        for j in range(m):
-            for i in range(n):
-                comps = [amb.zero()] * (n * q)
-                for t, a in enumerate(conditions):
-                    if not a.components[j].is_zero():
-                        comps[t * n + i] = a.components[j]
-                big_cols.append(VectorPoly(amb, comps))
-        for t in range(q):
-            for b in N.relations:
-                comps = [amb.zero()] * (n * q)
-                for i in range(n):
-                    comps[t * n + i] = b.components[i]
-                big_cols.append(VectorPoly(amb, comps))
-        if q == 0:
-            # no conditions: Hom(R^m-span, N) = N^m
-            raw_gens = [unit_vector(amb, nm, k) for k in range(nm)]
-        else:
-            raw_gens = syzygy_heads(big_cols, nm)
-        # quotient by maps with columns inside the relation span of N
-        mod_cols = []
-        for j in range(m):
-            for b in N.relations:
-                comps = [amb.zero()] * nm
-                for i in range(n):
-                    comps[vec_index(j, i)] = b.components[i]
-                mod_cols.append(VectorPoly(amb, comps))
-        k = len(raw_gens)
-        # one basis serves the relations (its syzygies) and encode()
-        self._span = SpanSolver(raw_gens, amb, nm, extra=mod_cols)
-        rels = self._span.syzygies
-        self._vec_gens = raw_gens
-        self._vec_index = vec_index
-        super().__init__(M.ring, k, rels)
+        P = FreeComplex(amb, {-1: len(conditions), 0: M.ngens}, {-1: conditions})
+        H, _ = hom_complex(P, in_one_degree(N, 0, ring=amb))
+        # without generators on either side there is no degree 0: Hom = 0
+        self.h0 = cohomology(H, window=(0, 0)).degrees.get(0) or HDegree(
+            FPModule(amb, 0, []), [], SpanSolver([], amb, 0)
+        )
+        super().__init__(M.ring, len(self.h0.reps), self.h0.module.relations)
 
     def decode(self, coeffs):
         """Turn Hom coordinates into an explicit ModuleMap."""
         amb = self.ambient
         M, N = self.hom_source, self.hom_target
+        n = N.ngens
         if isinstance(coeffs, int):
-            vec = self._vec_gens[coeffs]
+            vec = self.h0.reps[coeffs]
         else:
             coeffs = [amb.const(c) if isinstance(c, int) else c for c in coeffs]
-            vec = combine(self._vec_gens, coeffs, amb, N.ngens * M.ngens)
-        cols = []
-        for j in range(M.ngens):
-            col = vec.components[j * N.ngens : (j + 1) * N.ngens]
-            cols.append(N.nf(VectorPoly(amb, col)))
+            vec = combine(self.h0.reps, coeffs, amb, n * M.ngens)
+        # degree 0 of the Hom complex lists its basis j-major: block j is phi(e_j)
+        cols = [N.nf(VectorPoly(amb, vec.components[j * n : (j + 1) * n])) for j in range(M.ngens)]
         return ModuleMap(M, N, cols, check=False)
 
     def encode(self, f):
         """Coordinates of an explicit ModuleMap in this presentation."""
-        comps = []
-        for j in range(self.hom_source.ngens):
-            comps.extend(f.columns[j].components)
-        return self._span.solve(VectorPoly(self.ambient, comps))
+        comps = [c for col in f.columns for c in col.components]
+        return self.h0.coords_of_cocycle(VectorPoly(self.ambient, comps))
 
 
 def hom_module(M, N):

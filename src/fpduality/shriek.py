@@ -12,12 +12,12 @@ modules.
 """
 
 from .complexes import (
-    FreeComplex,
     certify_degreewise,
     cohomology,
     free_resolution,
     hom_complex,
     hom_transpose_vector,
+    in_one_degree,
     koszul_complex,
     lift_chain_map,
     shift,
@@ -168,12 +168,6 @@ def _tuples(sizes):
     return [(i,) + r for i in range(sizes[0]) for r in rest]
 
 
-def _in_one_degree(M, degree, ring=None):
-    """The module M, over ring (default: its own ring), as a complex
-    concentrated in one degree."""
-    return FreeComplex(ring or M.ring, {degree: M.ngens}, {}, relations={degree: M.relations})
-
-
 def diagonal_resolution(env, length):
     """Resolution of the base ring over the enveloping ring, truncated at
     the given length, computed once per length and kept on env."""
@@ -219,7 +213,7 @@ def shriek_tensor(A, M, N, m_shift=0, n_shift=0, env=None, extra_length=1):
     T = external_tensor(env, [M, N])
     length = (window[1] - window[0]) + 1 + extra_length
     G = diagonal_resolution(env, length)
-    U, _ = hom_complex(G, _in_one_degree(T, t0))
+    U, _ = hom_complex(G, in_one_degree(T, t0))
     hom = cohomology(U, window=window).degrees
     res = ShriekResult(env, U, hom, window, (m_shift, n_shift))
     res.resolution = G
@@ -317,7 +311,7 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
         )
     # slot-1 renamings
     idx1 = env.slot_index(1)
-    W1 = W.apply_entrywise(lambda f: rename_poly(f, P2, idx1), ring=Q2)
+    W1 = W.renamed(Q2, idx1)
     M0 = FPModule(
         Q2,
         M.ngens,
@@ -334,7 +328,7 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
     K = koszul_complex(Q2, diag)
     # link 1: M against the volume model
     omega_R_degree = m_shift - dc.omega_S.n
-    U_b, _ = hom_complex(K, _in_one_degree(M0, omega_R_degree))
+    U_b, _ = hom_complex(K, in_one_degree(M0, omega_R_degree))
     hb = cohomology(U_b).degrees
     top_b = hb.get(m_shift)
     link1 = False
@@ -354,7 +348,7 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
         link1 = link1 and others
     # link 2 and 3: through M tensor W
     Wsh = shift(W1, -m_shift)
-    T_W, _ = tensor_complex(Wsh, _in_one_degree(M0, 0))
+    T_W, _ = tensor_complex(Wsh, in_one_degree(M0, 0))
     U_1, _ = hom_complex(K, T_W)
     # evaluation W -> omega_R picks the Hom(K_0, omega) coordinate
     ev_blocks = {}
@@ -381,12 +375,12 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
             for w in range(Wsh.rank(t_E))
             for g in range(M0.ngens)
         ]
-    U_2, _ = hom_complex(K, _in_one_degree(T_E, t_E, ring=Q2))
+    U_2, _ = hom_complex(K, in_one_degree(T_E, t_E, ring=Q2))
     image_a2 = _hom_map_from_target_map(U_1, U_2, pr_blocks)
     # link 4: the diagonal resolution against the Koszul model
     length = nP + 1 + extra_length + max(0, m_shift - t_E)
     G = diagonal_resolution(env, length)
-    U_A, _ = hom_complex(G, _in_one_degree(T_E, t_E))
+    U_A, _ = hom_complex(G, in_one_degree(T_E, t_E))
     # the identity of the diagonal lifts K -> G: G is exact within its truncation
     mu = lift_chain_map([unit_vector(P2, G.rank(0), 0)], K, G, env.ring)
 
@@ -430,7 +424,7 @@ def verify_symmetry(A, M, N, m_shift=0, n_shift=0, extra_length=1):
     res_NM = shriek_tensor(A, N, M, n_shift, m_shift, env=env, extra_length=extra_length)
     perm = env.swap_map(0, 1)
     G = res_MN.resolution
-    Gs = G.apply_entrywise(lambda f: rename_poly(f, P2, perm), ring=env.ring)
+    Gs = G.renamed(env.ring, perm)
     lam = lift_chain_map([unit_vector(P2, Gs.rank(0), 0)], res_NM.resolution, Gs, env.ring)
     # sigma transports Hom(G, M x N) to Hom(Gs, N x M) up to the Koszul sign
     sign = (-1) ** ((m_shift % 2) * (n_shift % 2))
@@ -510,7 +504,7 @@ def verify_associativity(A, M, N, K_mod, shifts=(0, 0, 0), extra_length=1):
     window3 = (t0 - 4 * nP, t0 + 2 * nP)
     length = (window3[1] - window3[0]) + 1 + extra_length
     G3 = diagonal_resolution(env3, length)
-    U3, _ = hom_complex(G3, _in_one_degree(T3, t0))
+    U3, _ = hom_complex(G3, in_one_degree(T3, t0))
     h3 = cohomology(U3, window=window3).degrees
     direct_nonzero = sorted(d for d, h in h3.items() if not h.is_zero())
     it_nonzero = iterated.nonzero_degrees()

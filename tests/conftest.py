@@ -14,18 +14,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def hom_condition_systems(monkeypatch):
-    """(rows, columns) of each system that modules.syzygy_heads solves
-    while the test runs: HomModule reads its raw generators off the one
-    call that it makes, on its stacked condition system."""
-    import fpduality.modules as modules
+    """(rows, columns) of each system that complexes.syzygies solves while
+    the test runs.  Hom(M, N) is H^0 of a Hom complex, whose cocycles are
+    the one syzygies call of its cohomology: the condition columns modulo
+    the relations of N, one copy per condition."""
+    import fpduality.complexes as complexes
 
     shapes = []
-    original = modules.syzygy_heads
+    original = complexes.syzygies
 
-    def recorded(cols, k):
-        if cols:
-            shapes.append((cols[0].rank, len(cols)))
-        return original(cols, k)
+    def recorded(vectors, modulo=()):
+        vectors, modulo = list(vectors), list(modulo)
+        if vectors:
+            shapes.append((vectors[0].rank, len(vectors) + len(modulo)))
+        return original(vectors, modulo=modulo)
 
-    monkeypatch.setattr(modules, "syzygy_heads", recorded)
+    monkeypatch.setattr(complexes, "syzygies", recorded)
     return shapes

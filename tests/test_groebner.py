@@ -282,17 +282,17 @@ class TestFreeResolution:
         amb = ring(2, "x")
         x = amb.var("x")
         R = QuotientRing(amb, [x ** 2])
-        calls = [0]
-        original = groebner.syzygies
+        builds = [0]
+        original = groebner.ModuleGB.__init__
 
-        def counted(vectors, **kwargs):
-            calls[0] += 1
-            return original(vectors, **kwargs)
+        def counted(self, *args, **kwargs):
+            builds[0] += 1
+            original(self, *args, **kwargs)
 
-        monkeypatch.setattr(groebner, "syzygies", counted)
+        monkeypatch.setattr(groebner.ModuleGB, "__init__", counted)
         stages = presentation_resolution(R, 1, [vector_from_poly(x)], length=3)
         assert [[repr(v) for v in s] for s in stages] == [["(x)"]] * 3
-        assert calls[0] == 2
+        assert builds[0] == 2
 
     def test_principal_ideal(self):
         R = ring(3, "x")
