@@ -154,18 +154,6 @@ def _budget_check(deg):
         )
 
 
-class _Rev:
-    """Inverts comparisons so heapq pops the largest term first."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k):
-        self.k = k
-
-    def __lt__(self, other):
-        return self.k > other.k
-
-
 class DivisionIndex:
     """Divisors kept for repeated divisions, in their order.
 
@@ -218,10 +206,12 @@ def division(v, divisors, order=None, quotients=True):
     remainder, and no remainder term is divisible by any divisor leading
     term; with quotients=False the quotients are not collected and None
     stands in their place.  The working vector is a flat coefficient
-    dictionary driven by a lazy max-heap of term keys.  A term is reduced
-    by the first divisor whose leading term divides it; every term a
-    reduction brings in is smaller than the one it removes, so each
-    quotient and remainder term is written once.
+    dictionary driven by a lazy min-heap of (pos, desc key, mono): the
+    keys compare natively, and the smallest is the largest term under
+    position-over-term.  A term is reduced by the first divisor whose
+    leading term divides it; every term a reduction brings in is smaller
+    than the one it removes, so each quotient and remainder term is
+    written once.
     """
     ring = v.ring
     p = ring.p
@@ -229,8 +219,9 @@ def division(v, divisors, order=None, quotients=True):
         index = divisors
     else:
         index = DivisionIndex(order or ring.order, divisors)
-    okey = index.order.key
+    desc = index.order.desc
     by_pos = index.by_pos
+    budget = config.degree_budget
     quo = {} if quotients else None
     remainder = {}
     terms = {}
@@ -238,12 +229,12 @@ def division(v, divisors, order=None, quotients=True):
     for i, f in enumerate(v.components):
         for mono, c in f.terms.items():
             terms[(i, mono)] = c
-            heap.append((_Rev((-i, okey(mono))), i, mono))
+            heap.append((i, desc(mono), mono))
     heapq.heapify(heap)
     heappop = heapq.heappop
     heappush = heapq.heappush
     while heap:
-        _k, pos, mono = heappop(heap)
+        pos, _k, mono = heappop(heap)
         coeff = terms.pop((pos, mono), None)
         if coeff is None:
             continue
@@ -253,7 +244,8 @@ def division(v, divisors, order=None, quotients=True):
         else:
             remainder.setdefault(pos, {})[mono] = coeff
             continue
-        _budget_check(mono_degree(mono))
+        if sum(mono) > budget:
+            _budget_check(sum(mono))
         q_mono = mono_div(mono, lmono)
         q_coeff = coeff * linv % p
         if quo is not None:
@@ -264,7 +256,7 @@ def division(v, divisors, order=None, quotients=True):
             c = (terms.get(key, 0) - c2 * q_coeff) % p
             if c:
                 if key not in terms:
-                    heappush(heap, (_Rev((-i, okey(m))), i, m))
+                    heappush(heap, (i, desc(m), m))
                 terms[key] = c
             elif key in terms:
                 del terms[key]
@@ -342,7 +334,10 @@ def buchberger(vectors, order=None, product_criterion=None):
 
     index = DivisionIndex(order)
     leads = index.leads
-    pairs = []  # entries: (pos, lcm, i, j)
+    # a heap of (term key of the lcm, -i, -j, pos, lcm, i, j): the keys are
+    # unique, so it pops the smallest lcm in the term order, then the
+    # latest pair, with each key computed once
+    pairs = []
 
     def update(h):
         # Gebauer-Moeller update of the pair queue with the new element h
@@ -379,13 +374,15 @@ def buchberger(vectors, order=None, product_criterion=None):
             fresh3 = [a for a in fresh3 if mono_mul(leads[a[2]][1], lh[1]) != a[1]]
         # prune old pairs via the chain criterion against lh
         pruned = []
-        for (pos, lcm, i, j) in pairs:
+        for entry in pairs:
+            pos, lcm, i, j = entry[3:]
             if pos == lh[0] and mono_divides(lh[1], lcm):
                 if mono_lcm(leads[i][1], lh[1]) != lcm and mono_lcm(leads[j][1], lh[1]) != lcm:
                     continue
-            pruned.append((pos, lcm, i, j))
+            pruned.append(entry)
         index.add(h)
-        pruned.extend(fresh3)
+        pruned.extend((term_key(pos, lcm, order), -i, -j, pos, lcm, i, j) for pos, lcm, i, j in fresh3)
+        heapq.heapify(pruned)
         return pruned
 
     for v in vectors:
@@ -395,8 +392,7 @@ def buchberger(vectors, order=None, product_criterion=None):
     basis = index.divisors
     while pairs:
         # normal selection: smallest lcm in the term order, then index order
-        pairs.sort(key=lambda a: (term_key(a[0], a[1], order), -a[2], -a[3]))
-        pos, lcm, i, j = pairs.pop(0)
+        pos, lcm, i, j = heapq.heappop(pairs)[3:]
         _budget_check(mono_degree(lcm))
         lf, lg = leads[i], leads[j]
         p = ring.p

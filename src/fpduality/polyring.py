@@ -5,6 +5,8 @@ residues.  Everything is immutable after construction: operations return new
 values, which is what makes sharing across threads safe.
 """
 
+from operator import le, neg, sub
+
 from .errors import AlgebraError, RingMismatch
 from .fp import check_prime
 
@@ -18,15 +20,15 @@ def mono_mul(a, b):
 
 def mono_divides(a, b):
     """True if a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b, a):
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a):
@@ -34,19 +36,24 @@ def mono_degree(a):
 
 
 class MonomialOrder:
-    """Total order on monomials; key() returns a tuple compared ascending."""
+    """Total order on monomials; key() returns a tuple compared ascending,
+    desc() one whose ascending order is the descending term order, so a
+    min-heap of desc keys pops the largest monomial first."""
 
     def __init__(self, name, nblock=0):
         self.name = name
         self.nblock = nblock
         if name == "degrevlex":
             self.key = self._key_degrevlex
+            self.desc = self._desc_degrevlex
         elif name == "lex":
             self.key = self._key_lex
+            self.desc = self._desc_lex
         elif name == "block":
             if nblock <= 0:
                 raise AlgebraError("block order needs a positive block size")
             self.key = self._key_block
+            self.desc = self._desc_block
         else:
             raise AlgebraError("unknown monomial order %r" % name)
 
@@ -55,12 +62,24 @@ class MonomialOrder:
         return (sum(m), tuple(-e for e in reversed(m)))
 
     @staticmethod
+    def _desc_degrevlex(m):
+        return (-sum(m), m[::-1])
+
+    @staticmethod
     def _key_lex(m):
         return m
+
+    @staticmethod
+    def _desc_lex(m):
+        return tuple(map(neg, m))
 
     def _key_block(self, m):
         k = self.nblock
         return (self._key_degrevlex(m[:k]), self._key_degrevlex(m[k:]))
+
+    def _desc_block(self, m):
+        k = self.nblock
+        return (self._desc_degrevlex(m[:k]), self._desc_degrevlex(m[k:]))
 
     def __eq__(self, other):
         return (
@@ -96,6 +115,8 @@ class PolyRing:
         self.order = order or DEGREVLEX
         # display_names lets the CLI print doubled variables as primes
         self.display_names = variables
+        # the hashed fields are fixed, so the hash is computed once
+        self._hash = hash((p, variables, self.order))
 
     def zero(self):
         return Polynomial(self, {})
@@ -151,7 +172,7 @@ class PolyRing:
         )
 
     def __hash__(self):
-        return hash((self.p, self.variables, self.order))
+        return self._hash
 
     def __repr__(self):
         return "F%d[%s]" % (self.p, ",".join(self.variables))

@@ -1,6 +1,7 @@
 """Groebner engine: bases, normal forms, syzygies, resolutions, elimination."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,25 @@ class TestBuchberger:
         try:
             with pytest.raises(DegreeBudgetExceeded):
                 groebner_basis([x ** 3 + y, x * y ** 3 + x + y ** 2])
+        finally:
+            config.degree_budget = old
+
+    def test_degree_budget_in_division(self):
+        # the first reduction step acts on x^3*y^2, of degree 5; one
+        # generator has no S-pairs, so only division can raise
+        R = ring(2, "x", "y")
+        x, y = R.gens()
+        I = Ideal(R, [x * y + 1])
+        old = config.degree_budget
+        try:
+            config.degree_budget = 4
+            with pytest.raises(DegreeBudgetExceeded):
+                I.reduce(x ** 3 * y ** 2)
+            with pytest.raises(DegreeBudgetExceeded):
+                normal_form(x ** 3 * y ** 2, [x * y + 1])
+            config.degree_budget = 5
+            assert I.reduce(x ** 3 * y ** 2) == x
+            assert normal_form(x ** 3 * y ** 2, [x * y + 1]) == x
         finally:
             config.degree_budget = old
 
@@ -753,6 +773,34 @@ BUCHBERGER_PINS = {
     "elimination": ["(x*y + t)", "(x^2 + 1)", "(y^2 + x)"],
     "primary_block": ["(x, y, 1)", "(y, 0, x)", "(0, x^2, 2*x^2)", "(0, y^2, 2*x^2 + y)", "(0, 0, x^4 + 2*x^2*y^2 + 2*x^2*y)"],
 }
+
+
+# name -> (S-pair divisions, zero remainders, the remainder of each
+# division in turn: 1 for zero, 0 otherwise), measured before the pair
+# queue became a heap; the normal selection order fixes all three
+BUCHBERGER_SPAIR_PINS = {
+    "twisted_cubic": (3, 3, "111"),
+    "elimination": (7, 4, "0100111"),
+    "primary_block": (3, 0, "000"),
+}
+
+
+def test_buchberger_spair_work_pins(monkeypatch):
+    # counted the way benchmark/tracer.py counts them: by the caller's frame
+    outcomes = []
+
+    def counted(v, divisors, order=None, quotients=True):
+        result = division(v, divisors, order, quotients)
+        if sys._getframe(1).f_code.co_name == "buchberger":
+            outcomes.append("1" if result[1].is_zero() else "0")
+        return result
+
+    monkeypatch.setattr(groebner, "division", counted)
+    for name, vectors in _pinned_buchberger_inputs():
+        outcomes.clear()
+        buchberger(vectors)
+        got = (len(outcomes), outcomes.count("1"), "".join(outcomes))
+        assert got == BUCHBERGER_SPAIR_PINS[name], name
 
 
 def test_module_gb_and_buchberger_pins():
