@@ -777,12 +777,22 @@ BUCHBERGER_PINS = {
 
 # name -> (S-pair divisions, zero remainders, the remainder of each
 # division in turn: 1 for zero, 0 otherwise), measured before the pair
-# queue became a heap; the normal selection order fixes all three
+# queue became a heap; the normal selection order fixes all three.  In
+# equal_lcm_ties pairs with one lcm wait together, and taking them in
+# ascending index order would give "001011".
 BUCHBERGER_SPAIR_PINS = {
     "twisted_cubic": (3, 3, "111"),
     "elimination": (7, 4, "0100111"),
     "primary_block": (3, 0, "000"),
+    "equal_lcm_ties": (7, 3, "0000111"),
 }
+
+
+def _spair_pin_inputs():
+    yield from _pinned_buchberger_inputs()
+    R = PolyRing(3, ("x", "y", "z"))
+    x, y, z = R.gens()
+    yield "equal_lcm_ties", [vector_from_poly(f) for f in (2 * x ** 2 + 2 * y, x ** 2 * z + z ** 2, 2 * x ** 2 * z + x * z)]
 
 
 def test_buchberger_spair_work_pins(monkeypatch):
@@ -796,7 +806,7 @@ def test_buchberger_spair_work_pins(monkeypatch):
         return result
 
     monkeypatch.setattr(groebner, "division", counted)
-    for name, vectors in _pinned_buchberger_inputs():
+    for name, vectors in _spair_pin_inputs():
         outcomes.clear()
         buchberger(vectors)
         got = (len(outcomes), outcomes.count("1"), "".join(outcomes))
