@@ -14,9 +14,15 @@ Module term order: position-over-term over the ring's order, positions
 compared ascending (e_0 is the largest position).  Pair selection is the
 normal strategy (smallest lcm); Gebauer-Moeller elimination prunes the pair
 queue.  Runs are deterministic.
+
+A module element is one dict of its nonzero terms {(pos, mono): coeff},
+the way Singular stores a vector as one polynomial whose terms carry their
+component: S-pairs, division and the final tail reduction build no per-slot
+polynomial.
 """
 
 import heapq
+from operator import add
 
 from .config import config
 from .errors import AlgebraError, DegreeBudgetExceeded, RingMismatch
@@ -34,76 +40,127 @@ from .polyring import (
 
 
 class VectorPoly:
-    """Element of a free module R^rank, stored as a tuple of polynomials."""
+    """Element of a free module R^rank, stored as its rank and one dict of
+    its nonzero terms {(pos, mono): coeff}.
 
-    __slots__ = ("ring", "components", "_leads")
+    Arithmetic, division and Buchberger walk the nonzero terms only, so the
+    zero slots of an augmented vector cost nothing.  `components` is the
+    tuple of per-slot polynomials: the one the vector was built from, or,
+    for a vector built from terms, one rebuilt on first read with each
+    slot's terms in their order in the dict.
+    """
+
+    __slots__ = ("ring", "rank", "terms", "_components", "_leads")
 
     def __init__(self, ring, components):
         components = tuple(components)
-        for c in components:
+        terms = {}
+        for i, c in enumerate(components):
             if c.ring is not ring and c.ring != ring:
                 raise RingMismatch("vector components must share one ambient ring")
+            for m, k in c.terms.items():
+                terms[(i, m)] = k
         self.ring = ring
-        self.components = components
+        self.rank = len(components)
+        self.terms = terms
+        self._components = components
         self._leads = None
 
+    @classmethod
+    def _of(cls, ring, rank, terms):
+        """The vector of rank `rank` with these nonzero terms, taken as
+        they are: they come from vectors already checked."""
+        v = cls.__new__(cls)
+        v.ring = ring
+        v.rank = rank
+        v.terms = terms
+        v._components = None
+        v._leads = None
+        return v
+
     @property
-    def rank(self):
-        return len(self.components)
+    def components(self):
+        comps = self._components
+        if comps is None:
+            slots = [{} for _ in range(self.rank)]
+            for (i, m), c in self.terms.items():
+                slots[i][m] = c
+            ring = self.ring
+            zero = ring.zero()
+            comps = self._components = tuple(Polynomial(ring, s) if s else zero for s in slots)
+        return comps
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.components)
+        return not self.terms
 
     def _check(self, other):
         if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch("operands live in %r and %r" % (self.ring, other.ring))
 
-    def _zero_like(self):
-        return VectorPoly(self.ring, [self.ring.zero()] * self.rank)
-
-    # Polynomials are immutable, so a zero slot is passed through unchanged
-    # instead of being rebuilt: most slots of an augmented vector are zero.
+    def _add_scaled(self, other, sign):
+        self._check(other)
+        p = self.ring.p
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            c2 = (acc.get(key, 0) + sign * c) % p
+            if c2:
+                acc[key] = c2
+            elif key in acc:
+                del acc[key]
+        return VectorPoly._of(self.ring, self.rank, acc)
 
     def __add__(self, other):
-        self._check(other)
-        return VectorPoly(
-            self.ring,
-            [(a + b if a.terms else b) if b.terms else a for a, b in zip(self.components, other.components)],
-        )
+        return self._add_scaled(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        return VectorPoly(
-            self.ring,
-            [(a - b if a.terms else -b) if b.terms else a for a, b in zip(self.components, other.components)],
-        )
+        return self._add_scaled(other, -1)
 
     def __neg__(self):
-        return VectorPoly(self.ring, [-a if a.terms else a for a in self.components])
+        p = self.ring.p
+        return VectorPoly._of(self.ring, self.rank, {key: (-c) % p for key, c in self.terms.items()})
 
     def scale(self, c):
-        if c % self.ring.p == 0:
-            return self._zero_like()
-        return VectorPoly(self.ring, [a.scale(c) if a.terms else a for a in self.components])
+        p = self.ring.p
+        c %= p
+        if c == 0:
+            return VectorPoly._of(self.ring, self.rank, {})
+        return VectorPoly._of(self.ring, self.rank, {key: k * c % p for key, k in self.terms.items()})
 
     def mul_term(self, mono, coeff):
-        if coeff % self.ring.p == 0:
-            return self._zero_like()
-        return VectorPoly(self.ring, [a.mul_term(mono, coeff) if a.terms else a for a in self.components])
+        p = self.ring.p
+        coeff %= p
+        if coeff == 0:
+            return VectorPoly._of(self.ring, self.rank, {})
+        return VectorPoly._of(
+            self.ring,
+            self.rank,
+            {(i, tuple(map(add, m, mono))): c * coeff % p for (i, m), c in self.terms.items()},
+        )
 
     def mul_poly(self, f):
         self._check(f)
-        return VectorPoly(self.ring, [a * f if a.terms else a for a in self.components])
+        p = self.ring.p
+        acc = {}
+        for (i, m1), c1 in self.terms.items():
+            for m2, c2 in f.terms.items():
+                key = (i, tuple(map(add, m1, m2)))
+                c = (acc.get(key, 0) + c1 * c2) % p
+                if c:
+                    acc[key] = c
+                elif key in acc:
+                    del acc[key]
+        return VectorPoly._of(self.ring, self.rank, acc)
 
     def __eq__(self, other):
         return (
             isinstance(other, VectorPoly)
             and self.ring == other.ring
-            and self.components == other.components
+            and self.rank == other.rank
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.ring, self.components))
+        return hash((self.ring, self.rank, frozenset(self.terms.items())))
 
     def __repr__(self):
         return "(" + ", ".join(repr(c) for c in self.components) + ")"
@@ -130,15 +187,10 @@ def leading_term(v, order):
     if cached is not None and (cached[0] is order or cached[0] == order):
         return cached[1]
     best = None
-    for i, f in enumerate(v.components):
-        if f.terms:
-            if order == f.ring.order:
-                m, c = f.leading()
-            else:
-                m = max(f.terms, key=order.key)
-                c = f.terms[m]
-            best = (i, m, c)
-            break
+    if v.terms:
+        desc = order.desc
+        pos, _k, m = min((i, desc(m), m) for i, m in v.terms)
+        best = (pos, m, v.terms[(pos, m)])
     v._leads = (order, best)
     return best
 
@@ -159,10 +211,9 @@ class DivisionIndex:
 
     For each divisor: its leading (pos, mono, coeff) in `leads`, and, grouped
     per leading position in divisor order, (k, mono, inverse of coeff) in
-    `by_pos`; division tries them in that order.  The nonzero terms of a
-    divisor other than its leading one are flattened to (pos, mono, coeff)
-    the first time it fires, so the zero slots of an augmented vector are
-    walked once.  add() appends a divisor.
+    `by_pos`; division tries them in that order.  The terms of a divisor
+    other than its leading one are listed as (pos, mono, coeff) the first
+    time it fires.  add() appends a divisor.
     """
 
     __slots__ = ("order", "divisors", "leads", "by_pos", "_tails")
@@ -188,13 +239,8 @@ class DivisionIndex:
     def tail(self, k):
         flat = self._tails[k]
         if flat is None:
-            pos, lmono, _c = self.leads[k]
-            flat = self._tails[k] = [
-                (i, m, c)
-                for i, comp in enumerate(self.divisors[k].components)
-                for m, c in comp.terms.items()
-                if i != pos or m != lmono
-            ]
+            lead = self.leads[k][:2]
+            flat = self._tails[k] = [(i, m, c) for (i, m), c in self.divisors[k].terms.items() if (i, m) != lead]
         return flat
 
 
@@ -205,8 +251,8 @@ def division(v, divisors, order=None, quotients=True):
     for this call only.  v = sum quotients[k] * divisors[k] +
     remainder, and no remainder term is divisible by any divisor leading
     term; with quotients=False the quotients are not collected and None
-    stands in their place.  The working vector is a flat coefficient
-    dictionary driven by a lazy min-heap of (pos, desc key, mono): the
+    stands in their place.  The working vector is a copy of v.terms
+    driven by a lazy min-heap of (pos, desc key, mono): the
     keys compare natively, and the smallest is the largest term under
     position-over-term.  A term is reduced by the first divisor whose
     leading term divides it; every term a reduction brings in is smaller
@@ -224,12 +270,8 @@ def division(v, divisors, order=None, quotients=True):
     budget = config.degree_budget
     quo = {} if quotients else None
     remainder = {}
-    terms = {}
-    heap = []
-    for i, f in enumerate(v.components):
-        for mono, c in f.terms.items():
-            terms[(i, mono)] = c
-            heap.append((i, desc(mono), mono))
+    terms = dict(v.terms)
+    heap = [(i, desc(mono), mono) for i, mono in terms]
     heapq.heapify(heap)
     heappop = heapq.heappop
     heappush = heapq.heappush
@@ -242,7 +284,7 @@ def division(v, divisors, order=None, quotients=True):
             if mono_divides(lmono, mono):
                 break
         else:
-            remainder.setdefault(pos, {})[mono] = coeff
+            remainder[(pos, mono)] = coeff
             continue
         if sum(mono) > budget:
             _budget_check(sum(mono))
@@ -251,7 +293,7 @@ def division(v, divisors, order=None, quotients=True):
         if quo is not None:
             quo.setdefault(k, {})[q_mono] = q_coeff
         for i, m2, c2 in index.tail(k):
-            m = mono_mul(m2, q_mono)
+            m = tuple(map(add, m2, q_mono))
             key = (i, m)
             c = (terms.get(key, 0) - c2 * q_coeff) % p
             if c:
@@ -260,10 +302,10 @@ def division(v, divisors, order=None, quotients=True):
                 terms[key] = c
             elif key in terms:
                 del terms[key]
-    zero = ring.zero()
-    rem = VectorPoly(ring, [Polynomial(ring, remainder[i]) if i in remainder else zero for i in range(v.rank)])
+    rem = VectorPoly._of(ring, v.rank, remainder)
     if quo is None:
         return None, rem
+    zero = ring.zero()
     return [Polynomial(ring, quo[k]) if k in quo else zero for k in range(len(index.divisors))], rem
 
 
@@ -299,17 +341,12 @@ def _reduced_basis(basis, order):
     reduced = []
     for g, (pos, lmono, c) in zip(keep, index.leads):
         if len(keep) > 1:
-            ring = g.ring
-            comps = list(g.components)
-            tail = dict(comps[pos].terms)
-            del tail[lmono]
-            comps[pos] = Polynomial(ring, tail)
-            _, rem = division(VectorPoly(ring, comps), index, quotients=False)
-            comps = list(rem.components)
-            head = {lmono: c}
-            head.update(comps[pos].terms)
-            comps[pos] = Polynomial(ring, head)
-            g = VectorPoly(ring, comps)
+            tail = dict(g.terms)
+            del tail[(pos, lmono)]
+            _, rem = division(VectorPoly._of(g.ring, g.rank, tail), index, quotients=False)
+            terms = {(pos, lmono): c}
+            terms.update(rem.terms)
+            g = VectorPoly._of(g.ring, g.rank, terms)
         reduced.append(g.scale(inv_mod(c, g.ring.p)))
     reduced.sort(
         key=lambda h: term_key(*leading_term(h, order)[:2], order),
@@ -462,14 +499,19 @@ class ModuleGB(ReducedBasis):
         self.ring = ring
         self.generators = list(generators)
         order = order or ring.order
+        modulo = list(modulo)
+        for v in self.generators + modulo:
+            if v.ring is not ring and v.ring != ring:
+                raise RingMismatch("vectors must live in the ring of the basis")
         k = len(self.generators)
-        zero_tail = [ring.zero()] * k
+        width = rank + k
+        one = (0,) * ring.nvars
         augmented = []
         for i, v in enumerate(self.generators):
-            tail = list(zero_tail)
-            tail[i] = ring.one()
-            augmented.append(VectorPoly(ring, list(v.components) + tail))
-        augmented += [VectorPoly(ring, list(g.components) + zero_tail) for g in modulo]
+            terms = dict(v.terms)
+            terms[(rank + i, one)] = 1
+            augmented.append(VectorPoly._of(ring, width, terms))
+        augmented += [VectorPoly._of(ring, width, g.terms) for g in modulo]
         # positions compare ascending, so the head block eliminates first:
         # the zero-head elements are a basis of the syzygies modulo
         full = buchberger(augmented, order=order, product_criterion=False)
@@ -477,8 +519,15 @@ class ModuleGB(ReducedBasis):
         self.certificates = []
         self.syzygies = []
         for w in full:
-            head = VectorPoly(ring, w.components[:rank])
-            tail = VectorPoly(ring, w.components[rank:])
+            head = {}
+            tail = {}
+            for (i, m), c in w.terms.items():
+                if i < rank:
+                    head[(i, m)] = c
+                else:
+                    tail[(i - rank, m)] = c
+            head = VectorPoly._of(ring, rank, head)
+            tail = VectorPoly._of(ring, k, tail)
             if head.is_zero():
                 self.syzygies.append(tail)
             else:
@@ -524,11 +573,19 @@ def syzygies(vectors, modulo=()):
 def combine(columns, coeffs, ring, rank):
     """sum_j coeffs[j] * columns[j] in ring^rank: the zero vector when
     there is nothing to add; zero coefficients are skipped."""
-    acc = VectorPoly(ring, [ring.zero()] * rank)
+    p = ring.p
+    acc = {}
     for c, col in zip(coeffs, columns):
         if c.terms:
-            acc = acc + col.mul_poly(c)
-    return acc
+            if col.ring is not ring and col.ring != ring:
+                raise RingMismatch("column lives in %r, not in %r" % (col.ring, ring))
+            for key, k in col.mul_poly(c).terms.items():
+                k2 = (acc.get(key, 0) + k) % p
+                if k2:
+                    acc[key] = k2
+                elif key in acc:
+                    del acc[key]
+    return VectorPoly._of(ring, rank, acc)
 
 
 def unique_nonzero(vectors):
@@ -536,9 +593,12 @@ def unique_nonzero(vectors):
     out = []
     seen = set()
     for v in vectors:
-        if v.is_zero() or v.components in seen:
+        if v.is_zero():
             continue
-        seen.add(v.components)
+        key = (v.rank, frozenset(v.terms.items()))
+        if key in seen:
+            continue
+        seen.add(key)
         out.append(v)
     return out
 

@@ -181,12 +181,13 @@ class PolyRing:
 class Polynomial:
     """Element of a PolyRing in canonical form (no zero coefficients)."""
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms", "_lead", "_hash")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
         self._lead = None
+        self._hash = None
 
     def is_zero(self):
         return not self.terms
@@ -309,7 +310,10 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        # immutable, so the hash is computed once
+        if self._hash is None:
+            self._hash = hash((self.ring, frozenset(self.terms.items())))
+        return self._hash
 
     def __repr__(self):
         return poly_str(self)

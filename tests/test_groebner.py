@@ -429,7 +429,8 @@ class TestQuotientRing:
 
 
 # ---------------------------------------------------------------------------
-# VectorPoly passes zero slots through: same values as componentwise work
+# VectorPoly keeps one dict of its nonzero terms: same values, and the same
+# term order in each slot, as componentwise work
 
 _VR = PolyRing(5, ("x", "y"))
 _poly = st.one_of(
@@ -444,9 +445,13 @@ _vector_pair = st.integers(1, 4).flatmap(
 )
 
 
+def _slot_terms(v):
+    return [list(c.terms.items()) for c in v.components]
+
+
 def _same(v, comps):
     expected = VectorPoly(_VR, comps)
-    return v == expected and hash(v) == hash(expected)
+    return v == expected and hash(v) == hash(expected) and _slot_terms(v) == _slot_terms(expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -481,6 +486,91 @@ def test_combine_is_componentwise_sum(data):
         expected = [e + s * c for e, s in zip(expected, col)]
     got = groebner.combine([VectorPoly(_VR, col) for col in cols], coeffs, _VR, rank)
     assert _same(got, expected)
+
+
+_vector = st.integers(1, 4).flatmap(lambda r: st.lists(_poly, min_size=r, max_size=r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vector)
+def test_components_round_trip_each_slot_in_order(comps):
+    # rebuilt from the terms alone, with every slot's terms in their order
+    v = VectorPoly(_VR, comps)
+    assert v.rank == len(comps)
+    assert v.is_zero() == all(c.is_zero() for c in comps)
+    rebuilt = VectorPoly._of(_VR, v.rank, dict(v.terms)).components
+    assert [list(c.terms.items()) for c in rebuilt] == [list(c.terms.items()) for c in comps]
+    assert all(c.ring is _VR for c in rebuilt)
+
+
+_LT_ORDERS = (MonomialOrder("degrevlex"), MonomialOrder("lex"), MonomialOrder("block", 1), MonomialOrder("block", 2))
+_LT_RING = PolyRing(3, ("x", "y", "z"))
+_lt_poly = st.lists(
+    st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), st.integers(0, 2)),
+    max_size=5,
+).map(_LT_RING.from_terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.lists(_lt_poly, min_size=r, max_size=r)))
+def test_leading_term_matches_a_per_component_scan(comps):
+    # one vector asked under each order in turn: the cached lead is per order
+    v = VectorPoly(_LT_RING, comps)
+    for order in _LT_ORDERS + _LT_ORDERS[::-1]:
+        expected = None
+        for i, f in enumerate(comps):
+            if f.terms:
+                m = max(f.terms, key=order.key)
+                expected = (i, m, f.terms[m])
+                break
+        assert leading_term(v, order) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vector_pair, st.tuples(st.integers(0, 2), st.integers(0, 2)))
+def test_equal_vectors_built_by_different_paths_hash_equal(pair, mono):
+    a, b = pair
+    u, w = VectorPoly(_VR, a), VectorPoly(_VR, b)
+    reversed_terms = VectorPoly._of(_VR, u.rank, dict(reversed(list(u.terms.items()))))
+    shifted = VectorPoly(_VR, [s.mul_term(mono, 2) for s in a])
+    for left, right in (
+        (u + w, w + u),
+        ((u - w) + w, u),
+        (-(-u), u),
+        (u.scale(3).scale(2), u),
+        (reversed_terms, u),
+        (u.mul_term(mono, 2), shifted),
+        (u.mul_poly(_VR.monomial(mono, 2)), shifted),
+        (groebner.combine([u, w], [_VR.one(), _VR.one()], _VR, u.rank), u + w),
+    ):
+        assert left == right
+        assert hash(left) == hash(right)
+    expected = []
+    for v in (u, u + w):
+        if not v.is_zero() and v not in expected:
+            expected.append(v)
+    assert groebner.unique_nonzero([u, reversed_terms, w + u, u + w]) == expected
+
+
+def test_vectors_of_different_rank_differ():
+    zero = _VR.zero()
+    x = _VR.var(0)
+    short, long = VectorPoly(_VR, [x]), VectorPoly(_VR, [x, zero])
+    assert short != long
+    assert groebner.unique_nonzero([short, long, short]) == [short, long]
+    assert VectorPoly(_VR, [zero]) != VectorPoly(_VR, [zero, zero])
+
+
+def test_foreign_ring_component_raises():
+    other = PolyRing(5, ("x", "z"))
+    with pytest.raises(RingMismatch):
+        VectorPoly(_VR, [_VR.var(0), other.var(1)])
+    with pytest.raises(RingMismatch):
+        VectorPoly(_VR, [other.zero()])
+    with pytest.raises(RingMismatch):
+        ModuleGB(_VR, 1, [VectorPoly(other, [other.var(0)])])
+    with pytest.raises(RingMismatch):
+        VectorPoly(_VR, [_VR.var(0)]).mul_poly(other.var(0))
 
 
 def test_zero_vectors_of_different_rings_do_not_mix():
@@ -716,6 +806,18 @@ def test_kept_division_index_matches_plain_list(case):
             assert division(v, plain) == expected
             assert division(v, index) == expected
             assert division(v, index, quotients=False) == (None, expected[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_division_case())
+def test_division_leaves_its_input_unmutated(case):
+    divisors, _later, targets = case
+    before = [list(v.terms.items()) for v in divisors + targets]
+    index = DivisionIndex(divisors[0].ring.order, divisors)
+    for v in targets:
+        division(v, divisors)
+        division(v, index, quotients=False)
+    assert [list(v.terms.items()) for v in divisors + targets] == before
 
 
 def _pinned_modules():

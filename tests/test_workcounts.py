@@ -57,7 +57,7 @@ from fpduality.complexes import (
 from fpduality.duality import canonical_dualizing
 from fpduality.frobenius import frobenius_pushforward, pbasis_trace_generator
 from fpduality.groebner import VectorPoly, unit_vector, vector_from_poly
-from fpduality.polyring import PolyRing
+from fpduality.polyring import PolyRing, Polynomial
 from fpduality.selftest import c7_unit_and_rigidifier, run_corpus
 from fpduality.shriek import verify_symmetry
 from fpduality.session import Session, execute, parse_session
@@ -294,3 +294,40 @@ def test_lift_into_a_free_resolution_builds_no_basis(builds):
     builds[0] = 0
     lift_chain_map([unit_vector(S, 1, 0)], koszul_complex(S, [x, y]), F, S)
     assert builds[0] == 0
+
+
+def test_module_gb_buchberger_builds_no_polynomial(monkeypatch):
+    # S-pairs, divisions and the final tail reduction work on the vectors'
+    # term dicts: inside buchberger no Polynomial is built or multiplied
+    amb = PolyRing(3, ("x", "y"))
+    x, y = amb.gens()
+    A = groebner.QuotientRing(amb, [y ** 2 - x ** 3])
+    gens = [VectorPoly(amb, [x, y]), VectorPoly(amb, [y, x ** 2]), VectorPoly(amb, [x * y, y ** 2 + x])]
+    inside = [0]
+    counts = {"polynomials": 0, "products": 0, "divisions": 0}
+
+    def watched(original, label):
+        def wrapper(*args, **kwargs):
+            if inside[0]:
+                counts[label] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    original_buchberger = groebner.buchberger
+
+    def buchberger(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return original_buchberger(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(Polynomial, "__init__", watched(Polynomial.__init__, "polynomials"))
+    monkeypatch.setattr(Polynomial, "__mul__", watched(Polynomial.__mul__, "products"))
+    monkeypatch.setattr(groebner, "division", watched(groebner.division, "divisions"))
+    monkeypatch.setattr(groebner, "buchberger", buchberger)
+    mgb = groebner.ModuleGB(amb, 2, gens, modulo=groebner.modulus_tails(A, 2))
+    assert len(mgb.basis) > 1 and mgb.syzygies
+    assert counts["divisions"] > len(gens)
+    assert (counts["polynomials"], counts["products"]) == (0, 0)
