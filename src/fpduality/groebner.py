@@ -19,10 +19,21 @@ A module element is one dict of its nonzero terms {(pos, mono): coeff},
 the way Singular stores a vector as one polynomial whose terms carry their
 component: S-pairs, division and the final tail reduction build no per-slot
 polynomial.
+
+Division runs on packed terms (Monagan & Pearce): each term (pos, mono) is
+one integer whose low fields hold the degree and the exponents, under a key
+linear in the exponents whose integer order is the term order (see
+_Packing).  The heap holds plain ints, a divisor term times a quotient is
+one addition, and divisibility is one guard-bit test.  The field width
+holds the largest input degree and the degree budget plus the largest
+divisor degree, which bounds every term a reduction brings in; it is
+checked on every call, and the index is repacked wider when needed, so a
+field never wraps.
 """
 
+import functools
 import heapq
-from operator import add
+from operator import add, itemgetter, mul
 
 from .config import config
 from .errors import AlgebraError, DegreeBudgetExceeded, RingMismatch
@@ -120,11 +131,17 @@ class VectorPoly:
         return VectorPoly._of(self.ring, self.rank, {key: (-c) % p for key, c in self.terms.items()})
 
     def scale(self, c):
+        """c times the vector; a cached leading term is kept, scaled."""
         p = self.ring.p
         c %= p
         if c == 0:
             return VectorPoly._of(self.ring, self.rank, {})
-        return VectorPoly._of(self.ring, self.rank, {key: k * c % p for key, k in self.terms.items()})
+        v = VectorPoly._of(self.ring, self.rank, {key: k * c % p for key, k in self.terms.items()})
+        cached = self._leads
+        if cached is not None:
+            order, lead = cached
+            v._leads = (order, lead and (lead[0], lead[1], lead[2] * c % p))
+        return v
 
     def mul_term(self, mono, coeff):
         p = self.ring.p
@@ -167,9 +184,14 @@ class VectorPoly:
 
 
 def unit_vector(ring, rank, i, poly=None):
-    comps = [ring.zero()] * rank
-    comps[i] = poly if poly is not None else ring.one()
-    return VectorPoly(ring, comps)
+    """poly (by default 1) in slot i of ring^rank."""
+    if not 0 <= i < rank:
+        raise IndexError("slot %d of a rank-%d vector" % (i, rank))
+    if poly is None:
+        poly = ring.one()
+    elif poly.ring is not ring and poly.ring != ring:
+        raise RingMismatch("vector components must share one ambient ring")
+    return VectorPoly._of(ring, rank, {(i, m): c for m, c in poly.terms.items()})
 
 
 def vector_from_poly(f):
@@ -206,41 +228,160 @@ def _budget_check(deg):
         )
 
 
-class DivisionIndex:
-    """Divisors kept for repeated divisions, in their order.
+def _width(need):
+    """The field width, a multiple of 8 bits, whose guard bit stays clear
+    for every degree up to need."""
+    if need < 128:
+        return 8
+    return -(-(need.bit_length() + 1) // 8) * 8
 
-    For each divisor: its leading (pos, mono, coeff) in `leads`, and, grouped
-    per leading position in divisor order, (k, mono, inverse of coeff) in
-    `by_pos`; division tries them in that order.  The terms of a divisor
-    other than its leading one are listed as (pos, mono, coeff) the first
-    time it fires.  add() appends a divisor.
+
+class _Packing:
+    """Terms (pos, mono) of a free module over n variables as integers with
+    fields of `width` bits (Monagan & Pearce), for one term order.
+
+    With B = 2**width, pack(m) = deg(m) + sum m_i B**(i+1) holds the degree
+    in field 0 and x_i in field i+1, and key(m) = X(m) * B**(n+1) - pack(m),
+    X the order's rank weights, is linear in the exponents and ascending in
+    the term order.  A term is D = pos * H + H/2 - key(m), H a power of two
+    above twice every key, so the smallest D is the largest term under
+    position-over-term and pos = D >> shift.  The low n+1 fields of D are
+    pack(m) for every monomial of degree at most `cap`: the top bit of each
+    field, its guard, stays clear.  Hence, for terms d and e at one
+    position, e's monomial divides d's exactly when no guard bit of d - e
+    is set; the quotient is then the monomial in the low fields of d - e,
+    and a term times it is the term plus d - e.
     """
 
-    __slots__ = ("order", "divisors", "leads", "by_pos", "_tails")
+    __slots__ = ("width", "cap", "consts", "_n")
+
+    def __init__(self, order, n, width):
+        b = 1 << width
+        low = width * (n + 1)
+        rank, bits = order.rank_weights(n, width)
+        self.width = width
+        self.cap = (b >> 1) - 1
+        # (shift, offset, weights, guard, degree mask): D = (pos << shift) +
+        # offset + sum m_i weights_i, and deg(m) = D & degree mask
+        self.consts = (
+            bits + low + 1,
+            1 << (bits + low),
+            tuple(1 + (b << (width * i)) - (x << low) for i, x in enumerate(rank)),
+            sum(1 << (width * j + width - 1) for j in range(n + 1)),
+            b - 1,
+        )
+        self._n = n
+
+    def term(self, pos, mono):
+        shift, offset, weights, _guard, _dmask = self.consts
+        return sum(map(mul, mono, weights), (pos << shift) + offset)
+
+    def mono(self, d):
+        """The monomial in the low fields of d."""
+        w = self.width
+        n = self._n
+        x = (d >> w) & ((1 << (w * n)) - 1)
+        if w == 8:
+            return tuple(x.to_bytes(n, "little"))
+        return tuple([x >> s & self.consts[4] for s in range(0, w * n, w)])
+
+
+# one packing per (order, n, width), shared by every index
+_packing = functools.cache(_Packing)
+_mono = itemgetter(1)
+
+
+class DivisionIndex:
+    """Divisors kept for repeated divisions, in their order, with their
+    terms packed (see _Packing).
+
+    For each divisor: its leading (pos, mono, coeff) in `leads`, and,
+    grouped per leading position in divisor order, (k, packed leading term,
+    inverse of coeff) in `by_pos`; division tries them in that order.  The
+    other terms of a divisor are packed as (term, coeff) the first time it
+    fires.  `top` is the largest degree of a leading term or a packed
+    term.  add() appends a divisor; every kept term is repacked into wider
+    fields when a division needs them.
+    """
+
+    __slots__ = ("order", "divisors", "leads", "top", "by_pos", "_packing", "_tails")
 
     def __init__(self, order, divisors=()):
         self.order = order
         self.divisors = []
         self.leads = []
+        self.top = 0
         self.by_pos = {}
+        self._packing = None
         self._tails = []
         for g in divisors:
             self.add(g)
 
     def add(self, g):
         lead = leading_term(g, self.order)
-        k = len(self.divisors)
+        if lead is not None:
+            pos, mono, c = lead
+            deg = sum(mono)
+            pk = self._packing
+            if pk is None or deg > self.top:
+                # the fields held budget + top, so only a higher lead can
+                # need wider ones
+                self.top = max(self.top, deg)
+                need = config.degree_budget + self.top
+                if pk is None:
+                    pk = self._packing = _packing(self.order, g.ring.nvars, _width(need))
+                elif need > pk.cap:
+                    pk = self._repack(g.ring.nvars, need)
+            self.by_pos.setdefault(pos, []).append((len(self.divisors), pk.term(pos, mono), inv_mod(c, g.ring.p)))
         self.divisors.append(g)
         self.leads.append(lead)
         self._tails.append(None)
-        if lead is not None:
-            self.by_pos.setdefault(lead[0], []).append((k, lead[1], inv_mod(lead[2], g.ring.p)))
+
+    def _repack(self, n, need):
+        """Pack the leading terms into fields that hold degree `need`; the
+        other terms are packed again when their divisor next fires."""
+        pk = self._packing = _packing(self.order, n, _width(need))
+        self.by_pos = {}
+        for k, lead in enumerate(self.leads):
+            if lead is not None:
+                pos, mono, c = lead
+                self.by_pos.setdefault(pos, []).append((k, pk.term(pos, mono), inv_mod(c, self.divisors[k].ring.p)))
+        self._tails = [None] * len(self.leads)
+        return pk
+
+    def restrict(self, ks):
+        """The index of the divisors numbered ks, in that order, sharing
+        their packed terms."""
+        sub = DivisionIndex(self.order)
+        renumber = {k: j for j, k in enumerate(ks)}
+        sub.divisors = [self.divisors[k] for k in ks]
+        sub.leads = [self.leads[k] for k in ks]
+        sub._tails = [self._tails[k] for k in ks]
+        sub.top = self.top
+        sub._packing = self._packing
+        for pos, entries in self.by_pos.items():
+            kept = [(renumber[k], lead, linv) for k, lead, linv in entries if k in renumber]
+            if kept:
+                sub.by_pos[pos] = kept
+        return sub
 
     def tail(self, k):
-        flat = self._tails[k]
-        if flat is None:
-            lead = self.leads[k][:2]
-            flat = self._tails[k] = [(i, m, c) for (i, m), c in self.divisors[k].terms.items() if (i, m) != lead]
+        """Divisor k's terms other than its leading one, as (packed term,
+        coeff); None, after repacking the index wider, when a product of one
+        of them with a quotient term within the degree budget would not fit
+        the fields."""
+        pos, lmono, _c = self.leads[k]
+        g = self.divisors[k]
+        rest = dict(g.terms)
+        del rest[(pos, lmono)]
+        deg = max(map(sum, map(_mono, rest))) if rest else 0
+        if deg > self.top:
+            self.top = deg
+            if config.degree_budget + deg > self._packing.cap:
+                self._repack(g.ring.nvars, config.degree_budget + deg)
+                return None
+        term = self._packing.term
+        flat = self._tails[k] = [(term(i, m), c) for (i, m), c in rest.items()]
         return flat
 
 
@@ -251,13 +392,20 @@ def division(v, divisors, order=None, quotients=True):
     for this call only.  v = sum quotients[k] * divisors[k] +
     remainder, and no remainder term is divisible by any divisor leading
     term; with quotients=False the quotients are not collected and None
-    stands in their place.  The working vector is a copy of v.terms
-    driven by a lazy min-heap of (pos, desc key, mono): the
-    keys compare natively, and the smallest is the largest term under
-    position-over-term.  A term is reduced by the first divisor whose
-    leading term divides it; every term a reduction brings in is smaller
-    than the one it removes, so each quotient and remainder term is
-    written once.
+    stands in their place.  The working vector maps packed terms to
+    coefficients, driven by a lazy min-heap of the packed terms, whose
+    smallest is the largest term under position-over-term.  A term is
+    reduced by the first divisor whose leading term divides it; every term
+    a reduction brings in is smaller than the one it removes, so each
+    quotient and remainder term is written once.
+
+    The fields hold the largest input degree and the degree budget plus
+    the index's `top`: a term a reduction brings in has at most that
+    degree, because the term it removes passed the budget check.  When a
+    divisor fires for the first time with a term above `top`, the index is
+    repacked wider and the division starts again, so a field never wraps.
+    Input terms keep their tuples; only new remainder and quotient terms
+    are unpacked.
     """
     ring = v.ring
     p = ring.p
@@ -265,48 +413,76 @@ def division(v, divisors, order=None, quotients=True):
         index = divisors
     else:
         index = DivisionIndex(order or ring.order, divisors)
-    desc = index.order.desc
-    by_pos = index.by_pos
     budget = config.degree_budget
-    quo = {} if quotients else None
-    remainder = {}
-    terms = dict(v.terms)
-    heap = [(i, desc(mono), mono) for i, mono in terms]
-    heapq.heapify(heap)
     heappop = heapq.heappop
     heappush = heapq.heappush
-    while heap:
-        pos, _k, mono = heappop(heap)
-        coeff = terms.pop((pos, mono), None)
-        if coeff is None:
+    low = 0
+    while True:
+        pk = index._packing
+        need = max(budget + index.top, low)
+        if pk is None or need > pk.cap:
+            pk = index._repack(ring.nvars, need)
+        shift, offset, weights, guard, dmask = pk.consts
+        terms = {}
+        keys = {}
+        for key, c in v.terms.items():
+            pos, m = key
+            deg = sum(m)
+            if deg > low:
+                low = deg
+            d = sum(map(mul, m, weights), (pos << shift) + offset)
+            terms[d] = c
+            keys[d] = key
+        if low > pk.cap:
             continue
-        for k, lmono, linv in by_pos.get(pos, ()):
-            if mono_divides(lmono, mono):
-                break
+        heap = list(terms)
+        heapq.heapify(heap)
+        by_pos = index.by_pos
+        tails = index._tails
+        quo = {} if quotients else None
+        remainder = {}
+        while heap:
+            d = heappop(heap)
+            coeff = terms.pop(d, None)
+            if coeff is None:
+                continue
+            for k, lead, linv in by_pos.get(d >> shift, ()):
+                if not (d - lead) & guard:
+                    break
+            else:
+                remainder[keys.get(d) or (d >> shift, pk.mono(d))] = coeff
+                continue
+            if d & dmask > budget:
+                _budget_check(d & dmask)
+            tail = tails[k]
+            if tail is None:
+                tail = index.tail(k)
+                if tail is None:
+                    break
+            q = d - lead
+            q_coeff = coeff * linv % p
+            if quo is not None:
+                quo.setdefault(k, {})[q] = q_coeff
+            for t, c2 in tail:
+                t += q
+                c = (terms.get(t, 0) - c2 * q_coeff) % p
+                if c:
+                    if t not in terms:
+                        heappush(heap, t)
+                    terms[t] = c
+                elif t in terms:
+                    del terms[t]
         else:
-            remainder[(pos, mono)] = coeff
-            continue
-        if sum(mono) > budget:
-            _budget_check(sum(mono))
-        q_mono = mono_div(mono, lmono)
-        q_coeff = coeff * linv % p
-        if quo is not None:
-            quo.setdefault(k, {})[q_mono] = q_coeff
-        for i, m2, c2 in index.tail(k):
-            m = tuple(map(add, m2, q_mono))
-            key = (i, m)
-            c = (terms.get(key, 0) - c2 * q_coeff) % p
-            if c:
-                if key not in terms:
-                    heappush(heap, (i, desc(m), m))
-                terms[key] = c
-            elif key in terms:
-                del terms[key]
+            break
     rem = VectorPoly._of(ring, v.rank, remainder)
     if quo is None:
         return None, rem
     zero = ring.zero()
-    return [Polynomial(ring, quo[k]) if k in quo else zero for k in range(len(index.divisors))], rem
+    mono = pk.mono
+    return [
+        Polynomial(ring, {mono(q): c for q, c in quo[k].items()}) if k in quo else zero
+        for k in range(len(index.divisors))
+    ], rem
 
 
 def normal_form_vector(v, gb, order=None):
@@ -316,16 +492,17 @@ def normal_form_vector(v, gb, order=None):
 # ---------------------------------------------------------------------------
 # Buchberger with Gebauer-Moeller pair elimination
 
-def _reduced_basis(basis, order):
-    """Minimalize and tail-reduce; leads made monic, deterministic output.
+def _reduced_basis(index, order):
+    """Minimalize and tail-reduce the divisors of buchberger's index; leads
+    made monic, deterministic output.
 
-    The tails are reduced against one index over the minimal basis: an
-    element's own leading term divides no smaller term, so this is division
-    by all the other elements."""
-    leads = [leading_term(g, order) for g in basis]
+    The tails are reduced against the index restricted to the minimal
+    basis: an element's own leading term divides no smaller term, so this
+    is division by all the other elements."""
+    basis = index.divisors
+    leads = index.leads
     keep = []
-    for i, g in enumerate(basis):
-        li = leads[i]
+    for i, li in enumerate(leads):
         redundant = False
         for j in range(len(basis)):
             if j == i:
@@ -336,8 +513,9 @@ def _reduced_basis(basis, order):
                     redundant = True
                     break
         if not redundant:
-            keep.append(g)
-    index = DivisionIndex(order, keep)
+            keep.append(i)
+    index = index.restrict(keep)
+    keep = index.divisors
     reduced = []
     for g, (pos, lmono, c) in zip(keep, index.leads):
         if len(keep) > 1:
@@ -347,6 +525,7 @@ def _reduced_basis(basis, order):
             terms = {(pos, lmono): c}
             terms.update(rem.terms)
             g = VectorPoly._of(g.ring, g.rank, terms)
+            g._leads = (order, (pos, lmono, c))
         reduced.append(g.scale(inv_mod(c, g.ring.p)))
     reduced.sort(
         key=lambda h: term_key(*leading_term(h, order)[:2], order),
@@ -443,7 +622,7 @@ def buchberger(vectors, order=None, product_criterion=None):
         _, _, c = leading_term(rem, order)
         pairs = update(rem.scale(inv_mod(c, p)))
 
-    return _reduced_basis(basis, order)
+    return _reduced_basis(index, order)
 
 
 class ReducedBasis:

@@ -43,6 +43,7 @@ class MonomialOrder:
     def __init__(self, name, nblock=0):
         self.name = name
         self.nblock = nblock
+        self._hash = hash((name, nblock))
         if name == "degrevlex":
             self.key = self._key_degrevlex
             self.desc = self._desc_degrevlex
@@ -81,6 +82,26 @@ class MonomialOrder:
         k = self.nblock
         return (self._desc_degrevlex(m[:k]), self._desc_degrevlex(m[k:]))
 
+    def rank_weights(self, n, width):
+        """Integer weights (x_1..x_n) and a bit count `bits` for packed keys
+        with fields of `width` bits: X(m) = sum m_i x_i is linear in the
+        exponents, 0 <= X(m) < 2**bits, and for monomials of degree below
+        2**(width - 1) a larger X(m) means a larger monomial.  Ties of X are
+        broken by reverse lexicographic order, x_n compared first: for
+        degrevlex X is the degree; lex puts x_1 in the top field of X, so X
+        has no ties; block stacks the two degrevlex keys deg*B**k - r of its
+        blocks, r = sum m_i B**i over the block, B = 2**width."""
+        b = 1 << width
+        if self.name == "degrevlex":
+            return (1,) * n, width
+        if self.name == "lex":
+            return tuple(b ** (n - 1 - i) for i in range(n)), width * n
+        k = min(self.nblock, n)
+        upper = b ** (n - k + 1)
+        first = tuple((b ** k - b ** i) * upper for i in range(k))
+        second = tuple(b ** (n - k) - b ** i for i in range(n - k))
+        return first + second, width * (n + 2)
+
     def __eq__(self, other):
         return (
             isinstance(other, MonomialOrder)
@@ -89,7 +110,7 @@ class MonomialOrder:
         )
 
     def __hash__(self):
-        return hash((self.name, self.nblock))
+        return self._hash
 
     def __repr__(self):
         if self.name == "block":

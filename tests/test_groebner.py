@@ -552,6 +552,49 @@ def test_equal_vectors_built_by_different_paths_hash_equal(pair, mono):
     assert groebner.unique_nonzero([u, reversed_terms, w + u, u + w]) == expected
 
 
+def test_scaling_keeps_the_cached_lead():
+    # scale() hands the scaled lead on, so asking for it computes no key
+    order = MonomialOrder("degrevlex")
+    R = PolyRing(5, ("x", "y"), order)
+    x, y = R.gens()
+    calls = []
+    desc = order.desc
+    order.desc = lambda m: calls.append(m) or desc(m)
+    v = VectorPoly(R, [R.zero(), x * y + 2 * y ** 2 + 3, x])
+    assert leading_term(v, order) == (1, (1, 1), 1)
+    computed = len(calls)
+    assert computed == len(v.terms)
+    w = v.scale(3)
+    assert leading_term(w, order) == (1, (1, 1), 3)
+    assert leading_term(w.scale(2), order) == (1, (1, 1), 1)
+    assert len(calls) == computed
+    # the same lead as a fresh computation, and a zero multiple has none
+    fresh = VectorPoly._of(R, w.rank, dict(w.terms))
+    assert leading_term(fresh, order) == leading_term(w, order)
+    assert leading_term(v.scale(5), order) is None
+    # a vector without a cached lead computes it when asked
+    u = VectorPoly(R, [x + y]).scale(2)
+    before = len(calls)
+    assert leading_term(u, order) == (0, (1, 0), 2)
+    assert len(calls) == before + 2
+
+
+def test_unit_vector_holds_one_slot_and_checks_its_ring():
+    R = ring(3, "x", "y")
+    x, y = R.gens()
+    e = unit_vector(R, 3, 1)
+    assert e == VectorPoly(R, [R.zero(), R.one(), R.zero()])
+    assert list(e.terms.items()) == [((1, (0, 0)), 1)]
+    f = x ** 2 + 2 * y
+    v = unit_vector(R, 3, 2, f)
+    assert v == VectorPoly(R, [R.zero(), R.zero(), f]) and v.components[2] == f
+    assert unit_vector(R, 2, 0, R.zero()).is_zero()
+    with pytest.raises(RingMismatch):
+        unit_vector(R, 2, 0, ring(5, "x", "y").var(0))
+    with pytest.raises(IndexError):
+        unit_vector(R, 2, 2)
+
+
 def test_vectors_of_different_rank_differ():
     zero = _VR.zero()
     x = _VR.var(0)
@@ -753,12 +796,14 @@ def test_are_inverse():
 # checked against a term-by-term reference division
 
 _BLOCK = MonomialOrder("block", 1)
-_DIV_RINGS = (PolyRing(3, ("x", "y")), PolyRing(3, ("x", "y"), _BLOCK))
+_LEX = MonomialOrder("lex")
+_DIV_RINGS = (PolyRing(3, ("x", "y")), PolyRing(3, ("x", "y"), _BLOCK), PolyRing(3, ("x", "y"), _LEX))
 
 
-def _reference_division(v, divisors):
+def _reference_division(v, divisors, budget):
     # the largest remaining term goes to the first divisor whose leading
-    # term divides it, else to the remainder
+    # term divides it, else to the remainder; reducing a term of degree
+    # above the budget raises
     R = v.ring
     work = list(v.components)
     quo = [R.zero()] * len(divisors)
@@ -768,6 +813,8 @@ def _reference_division(v, divisors):
         pos, mono, c = leading_term(VectorPoly(R, work), R.order)
         for k, lk in enumerate(leads):
             if lk is not None and lk[0] == pos and mono_divides(lk[1], mono):
+                if sum(mono) > budget:
+                    raise DegreeBudgetExceeded("reference")
                 q = R.monomial(mono_div(mono, lk[1]), c * inv_mod(lk[2], R.p))
                 quo[k] = quo[k] + q
                 work = [w - g * q for w, g in zip(work, divisors[k].components)]
@@ -779,45 +826,135 @@ def _reference_division(v, divisors):
     return quo, VectorPoly(R, rem)
 
 
+def _outcome(divide, *args, **kwargs):
+    try:
+        return divide(*args, **kwargs)
+    except DegreeBudgetExceeded:
+        return "over budget"
+
+
+# exponents at and beyond the 127 that the default 8-bit fields hold
+_SMALL_EXPONENT = st.integers(0, 3)
+_ANY_EXPONENT = st.one_of(st.integers(0, 3), st.sampled_from([126, 127, 128, 140]))
+
+
 @st.composite
 def _division_case(draw):
     R = draw(st.sampled_from(_DIV_RINGS))
     rank = draw(st.integers(1, 3))
-    poly = st.lists(
-        st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 2)), max_size=4
-    ).map(R.from_terms)
+    large = draw(st.booleans())
+    exponent = _ANY_EXPONENT if large else _SMALL_EXPONENT
+    poly = st.lists(st.tuples(st.tuples(exponent, exponent), st.integers(0, 2)), max_size=4).map(R.from_terms)
     vec = st.lists(poly, min_size=rank, max_size=rank).map(lambda comps: VectorPoly(R, comps))
     divisors = draw(st.lists(vec, min_size=1, max_size=4))
     later = draw(st.lists(vec, min_size=1, max_size=2))
     targets = draw(st.lists(vec, min_size=1, max_size=3))
-    return divisors, later, targets
+    # a raised budget widens the fields of an index built under the default
+    budget = draw(st.sampled_from([config.degree_budget, 300])) if not large else config.degree_budget
+    return divisors, later, targets, budget
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_division_case())
 def test_kept_division_index_matches_plain_list(case):
-    divisors, later, targets = case
+    divisors, later, targets, budget = case
     index = DivisionIndex(divisors[0].ring.order, divisors)
-    for plain in (divisors, divisors + later):
-        for g in plain[len(index.divisors):]:
-            index.add(g)
-        for v in targets:
-            expected = _reference_division(v, plain)
-            assert division(v, plain) == expected
-            assert division(v, index) == expected
-            assert division(v, index, quotients=False) == (None, expected[1])
+    old = config.degree_budget
+    try:
+        config.degree_budget = budget
+        for plain in (divisors, divisors + later):
+            for g in plain[len(index.divisors):]:
+                index.add(g)
+            for v in targets:
+                expected = _outcome(_reference_division, v, plain, budget)
+                assert _outcome(division, v, plain) == expected
+                assert _outcome(division, v, index) == expected
+                remainder = expected if expected == "over budget" else (None, expected[1])
+                assert _outcome(division, v, index, quotients=False) == remainder
+    finally:
+        config.degree_budget = old
 
 
 @settings(max_examples=100, deadline=None)
 @given(_division_case())
 def test_division_leaves_its_input_unmutated(case):
-    divisors, _later, targets = case
+    divisors, _later, targets, _budget = case
     before = [list(v.terms.items()) for v in divisors + targets]
     index = DivisionIndex(divisors[0].ring.order, divisors)
     for v in targets:
-        division(v, divisors)
-        division(v, index, quotients=False)
+        _outcome(division, v, divisors)
+        _outcome(division, v, index, quotients=False)
     assert [list(v.terms.items()) for v in divisors + targets] == before
+
+
+@pytest.mark.parametrize("R", _DIV_RINGS, ids=lambda R: repr(R.order))
+def test_exponents_beyond_the_default_fields_are_never_wrapped(R):
+    x, y = R.gens()
+    index = DivisionIndex(R.order, [vector_from_poly(x ** 2 - y)])
+    assert index._packing.width == 8
+    # x^256 would wrap an 8-bit field onto x^0, which x^2 does not divide;
+    # its degree widens the fields, and reducing it is over budget
+    with pytest.raises(DegreeBudgetExceeded):
+        division(vector_from_poly(x ** 256), index)
+    assert index._packing.width == 16
+    big = vector_from_poly(y ** 40000 + x)
+    assert division(big, index) == ([R.zero()], big)
+    assert index._packing.width == 24
+    old = config.degree_budget
+    try:
+        config.degree_budget = 400
+        v = vector_from_poly(x ** 256 * y ** 44 + x ** 3)
+        expected = _reference_division(v, index.divisors, 400)
+        assert expected[1] == vector_from_poly(y ** 172 + x * y)
+        assert division(v, index) == expected
+        assert division(v, [vector_from_poly(x ** 2 - y)]) == expected
+    finally:
+        config.degree_budget = old
+
+
+@pytest.mark.parametrize("R", _DIV_RINGS, ids=lambda R: repr(R.order))
+def test_a_divisor_tail_beyond_the_fields_repacks_and_restarts(R):
+    # the leading term x has degree 1, so the index starts with 8-bit
+    # fields; its tail y^100 times the quotient x reaches degree 101, above
+    # the default budget 60 plus the degree 1 the fields were sized for
+    x, y = R.gens()
+    g = VectorPoly(R, [x, y ** 100])
+    index = DivisionIndex(R.order, [g])
+    assert index.top == 1 and index._packing.width == 8
+    v = VectorPoly(R, [x ** 2 + x * y, y ** 3])
+    expected = _reference_division(v, [g], config.degree_budget)
+    assert division(v, index) == expected
+    assert index.top == 100 and index._packing.width == 16
+    assert division(v, index) == expected
+    assert division(v, [g]) == expected
+
+
+_PACK_ORDERS = (MonomialOrder("degrevlex"), MonomialOrder("lex"), MonomialOrder("block", 1), MonomialOrder("block", 2))
+_PACK_RING = PolyRing(2, ("x", "y", "z"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_PACK_ORDERS),
+    st.sampled_from([8, 16]),
+    st.lists(st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 60), st.integers(0, 3), st.integers(0, 60))), min_size=2, max_size=6),
+)
+def test_packed_terms_order_divide_and_unpack_like_tuples(order, width, terms):
+    # every degree here is at most 123, within the cap of 8-bit fields
+    pk = groebner._packing(order, 3, groebner._width((1 << (width - 1)) - 1))
+    assert pk.width == width and pk.cap == (1 << (width - 1)) - 1
+    packed = [pk.term(pos, m) for pos, m in terms]
+    for (pos, m), d in zip(terms, packed):
+        assert d >> pk.consts[0] == pos and pk.mono(d) == m and d & pk.consts[4] == sum(m)
+    by_key = sorted(range(len(terms)), key=lambda i: (terms[i][0], order.desc(terms[i][1])))
+    assert sorted(range(len(terms)), key=lambda i: packed[i]) == by_key
+    guard = pk.consts[3]
+    for (pos, a), e in zip(terms, packed):
+        for (pos2, b), d in zip(terms, packed):
+            if pos == pos2:
+                assert (not (d - e) & guard) == mono_divides(a, b)
+                if mono_divides(a, b):
+                    assert pk.mono(d - e) == mono_div(b, a)
 
 
 def _pinned_modules():
