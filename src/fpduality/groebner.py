@@ -405,7 +405,9 @@ def division(v, divisors, order=None, quotients=True):
     divisor fires for the first time with a term above `top`, the index is
     repacked wider and the division starts again, so a field never wraps.
     Input terms keep their tuples; only new remainder and quotient terms
-    are unpacked.
+    are unpacked.  A zero vector returns at once: zero normal forms
+    are frequent (zero elements of quotient rings and modules, empty tails
+    in _reduced_basis).
     """
     ring = v.ring
     p = ring.p
@@ -413,15 +415,17 @@ def division(v, divisors, order=None, quotients=True):
         index = divisors
     else:
         index = DivisionIndex(order or ring.order, divisors)
+    if not v.terms:
+        rem = VectorPoly._of(ring, v.rank, {})
+        return ([ring.zero()] * len(index.divisors) if quotients else None), rem
     budget = config.degree_budget
     heappop = heapq.heappop
     heappush = heapq.heappush
     low = 0
     while True:
         pk = index._packing
-        need = max(budget + index.top, low)
-        if pk is None or need > pk.cap:
-            pk = index._repack(ring.nvars, need)
+        if pk is None or budget + index.top > pk.cap or low > pk.cap:
+            pk = index._repack(ring.nvars, max(budget + index.top, low))
         shift, offset, weights, guard, dmask = pk.consts
         terms = {}
         keys = {}
