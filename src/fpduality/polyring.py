@@ -86,11 +86,12 @@ class MonomialOrder:
         """Integer weights (x_1..x_n) and a bit count `bits` for packed keys
         with fields of `width` bits: X(m) = sum m_i x_i is linear in the
         exponents, 0 <= X(m) < 2**bits, and for monomials of degree below
-        2**(width - 1) a larger X(m) means a larger monomial.  Ties of X are
-        broken by reverse lexicographic order, x_n compared first: for
-        degrevlex X is the degree; lex puts x_1 in the top field of X, so X
-        has no ties; block stacks the two degrevlex keys deg*B**k - r of its
-        blocks, r = sum m_i B**i over the block, B = 2**width."""
+        2**(width - 1) a larger X(m) means a larger monomial.  Of two
+        monomials with equal X, the one with the smaller exponent of x_n,
+        then of x_(n-1), and so on, is larger: for degrevlex X is the
+        degree; lex puts x_1 in the top field of X, so X has no ties; block
+        stacks the two degrevlex keys deg*B**k - r of its blocks, r = sum
+        m_i B**i over the block, B = 2**width."""
         b = 1 << width
         if self.name == "degrevlex":
             return (1,) * n, width
