@@ -22,11 +22,13 @@ from .groebner import (
     ambient_of,
     combine,
     modulus_tails,
+    nonzero_slots,
     reduce_in,
     rename_poly,
     resolution_stages,
     syzygies,
     unit_vector,
+    vector_of,
 )
 from .modules import FPModule, ModuleMap, is_isomorphism
 
@@ -98,7 +100,7 @@ class FreeComplex:
     def vanishes(self, d, v):
         """Whether v is zero in term d: modulo the modulus of the ring, or
         else modulo the relations of the term."""
-        if all(reduce_in(self.ring, x).is_zero() for x in v.components):
+        if all(reduce_in(self.ring, x).is_zero() for _, x in nonzero_slots(v)):
             return True
         return d in self.relations and self.term(d).element_is_zero(v)
 
@@ -112,7 +114,7 @@ class FreeComplex:
         r, s = self.rank(d), self.rank(d + 1)
         if d in self.diffs:
             return self.diffs[d]
-        return [VectorPoly(self.ambient, [self.ambient.zero()] * s) for _ in range(r)]
+        return [vector_of(self.ambient, s, ()) for _ in range(r)]
 
     def degrees(self):
         return sorted(self.terms)
@@ -137,7 +139,10 @@ class FreeComplex:
         amb = ambient_of(ring)
 
         def mapped(vectors):
-            return [VectorPoly(amb, [rename_poly(c, amb, index_map) for c in v.components]) for v in vectors]
+            return [
+                vector_of(amb, v.rank, [(i, rename_poly(c, amb, index_map)) for i, c in nonzero_slots(v)])
+                for v in vectors
+            ]
 
         out = FreeComplex(
             ring,
@@ -178,6 +183,17 @@ def shift(T, k):
     return FreeComplex(T.ring, terms, diffs, labels=labels, check=False, relations=relations)
 
 
+def _rows(columns, nrows):
+    """The nonzero entries of a matrix of nrows rows, given by its columns,
+    row by row: rows[i] lists the (column index, entry) pairs of row i in
+    column order."""
+    rows = [[] for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, c in nonzero_slots(col):
+            rows[i].append((j, c))
+    return rows
+
+
 class BasisIndex:
     """Index bookkeeping for Hom/tensor terms built from basis triples."""
 
@@ -214,12 +230,8 @@ def _product_terms(X, Y, degrees, partner):
             continue
         bases[n] = BasisIndex(triples)
         if Y.relations:
-            zero = X.ambient.zero()
             relations[n] = [
-                VectorPoly(
-                    X.ambient,
-                    [zero] * off + list(rel.components) + [zero] * (len(triples) - off - rel.rank),
-                )
+                vector_of(X.ambient, len(triples), [(off + i, c) for i, c in nonzero_slots(rel)])
                 for off, j in blocks
                 for rel in Y.term_relations(j)
             ]
@@ -238,6 +250,7 @@ def hom_complex(X, Y):
     ylo, yhi = Y.support()
     bases, relations = _product_terms(X, Y, range(ylo - xhi, yhi - xlo + 1), lambda n, i: i + n)
     terms = {n: len(bi) for n, bi in bases.items()}
+    dx_rows = {i: _rows(cols, X.rank(i + 1)) for i, cols in X.diffs.items()}
     diffs = {}
     for n, bi in bases.items():
         tgt = bases.get(n + 1)
@@ -245,27 +258,14 @@ def hom_complex(X, Y):
             continue
         sign = -1 if n % 2 == 0 else 1  # -(-1)^n
         cols = []
+        # every triple a differential reaches is in the basis of degree n + 1
         for (i, a, b) in bi.triples:
-            comps = [amb.zero()] * len(tgt)
-            dy = Y.diffs.get(i + n)
-            if dy is not None:
-                col = dy[b]
-                for b2, entry in enumerate(col.components):
-                    if entry.is_zero():
-                        continue
-                    pos = tgt.position.get((i, a, b2))
-                    if pos is not None:
-                        comps[pos] = comps[pos] + entry
-            dx = X.diffs.get(i - 1)
-            if dx is not None:
-                for a2 in range(X.rank(i - 1)):
-                    entry = dx[a2].components[a]
-                    if entry.is_zero():
-                        continue
-                    pos = tgt.position.get((i - 1, a2, b))
-                    if pos is not None:
-                        comps[pos] = comps[pos] + (entry if sign == 1 else -entry)
-            cols.append(VectorPoly(amb, comps))
+            entries = []
+            if i + n in Y.diffs:
+                entries += [(tgt.position[(i, a, b2)], e) for b2, e in nonzero_slots(Y.diffs[i + n][b])]
+            if i - 1 in dx_rows:
+                entries += [(tgt.position[(i - 1, a2, b)], e.scale(sign)) for a2, e in dx_rows[i - 1][a]]
+            cols.append(vector_of(amb, len(tgt), entries))
         diffs[n] = cols
     H = FreeComplex(ring, terms, diffs, relations=relations)
     H.hom_bases = bases
@@ -288,28 +288,16 @@ def tensor_complex(X, Y):
         if tgt is None:
             continue
         cols = []
+        # every triple a differential reaches is in the basis of degree n + 1
         for (i, a, b) in bi.triples:
-            comps = [amb.zero()] * len(tgt)
-            dx = X.diffs.get(i)
-            if dx is not None:
-                col = dx[a]
-                for a2, entry in enumerate(col.components):
-                    if entry.is_zero():
-                        continue
-                    pos = tgt.position.get((i + 1, a2, b))
-                    if pos is not None:
-                        comps[pos] = comps[pos] + entry
-            dy = Y.diffs.get(n - i)
-            if dy is not None:
+            entries = []
+            if i in X.diffs:
+                entries += [(tgt.position[(i + 1, a2, b)], e) for a2, e in nonzero_slots(X.diffs[i][a])]
+            if n - i in Y.diffs:
                 sign = 1 if i % 2 == 0 else -1
-                col = dy[b]
-                for b2, entry in enumerate(col.components):
-                    if entry.is_zero():
-                        continue
-                    pos = tgt.position.get((i, a, b2))
-                    if pos is not None:
-                        comps[pos] = comps[pos] + (entry if sign == 1 else -entry)
-            cols.append(VectorPoly(amb, comps))
+                dy = Y.diffs[n - i][b]
+                entries += [(tgt.position[(i, a, b2)], e.scale(sign)) for b2, e in nonzero_slots(dy)]
+            cols.append(vector_of(amb, len(tgt), entries))
         diffs[n] = cols
     return FreeComplex(ring, terms, diffs, relations=relations), bases
 
@@ -441,14 +429,21 @@ class ChainMap:
             if len(cols) != source.rank(d):
                 raise AlgebraError("chain map at degree %d has wrong width" % d)
             self.maps[d] = cols
+        self._row_lists = {}
         if check:
             self.verify()
 
     def column(self, d, j):
         if d in self.maps:
             return self.maps[d][j]
-        amb = self.target.ambient
-        return VectorPoly(amb, [amb.zero()] * self.target.rank(d))
+        return vector_of(self.target.ambient, self.target.rank(d), ())
+
+    def rows(self, d):
+        """The nonzero entries of the component at degree d row by row (see
+        _rows), computed once per degree."""
+        if d not in self._row_lists:
+            self._row_lists[d] = _rows(self.maps.get(d, []), self.target.rank(d))
+        return self._row_lists[d]
 
     def apply(self, d, v):
         return combine(self.maps.get(d, []), v.components, self.target.ambient, self.target.rank(d))
@@ -490,10 +485,10 @@ def invert_monomial_chain_map(f):
         n = src.rank(d)
         if tgt.rank(d) != n:
             raise AlgebraError("component at degree %d is %d x %d, not square" % (d, tgt.rank(d), n))
-        cols = [[amb.zero()] * n for _ in range(n)]
+        inverse = [[] for _ in range(n)]
         rows = set()
         for j in range(n):
-            entries = [(i, c) for i, c in enumerate(f.column(d, j).components) if c.terms]
+            entries = nonzero_slots(f.column(d, j))
             if len(entries) != 1:
                 raise AlgebraError("column %d at degree %d has %d nonzero entries" % (j, d, len(entries)))
             [(i, c)] = entries
@@ -503,8 +498,8 @@ def invert_monomial_chain_map(f):
             if i in rows:
                 raise AlgebraError("row %d at degree %d is hit twice" % (i, d))
             rows.add(i)
-            cols[i][j] = amb.const(inv_mod(u, amb.p))
-        maps[d] = [VectorPoly(amb, c) for c in cols]
+            inverse[i].append((j, amb.const(inv_mod(u, amb.p))))
+        maps[d] = [vector_of(amb, n, entries) for entries in inverse]
     g = ChainMap(tgt, src, maps, check=True)
     for first, second in ((f, g), (g, f)):
         C = first.source
@@ -577,14 +572,12 @@ def koszul_complex(ring, elements):
         terms[-j] = len(subsets[j])
         labels[-j] = ["e" + "".join(str(t + 1) for t in s) for s in subsets[j]]
     for j in range(1, c + 1):
+        below = index[j - 1]
         cols = []
         for T in subsets[j]:
-            comps = [amb.zero()] * len(subsets[j - 1])
-            for k, t in enumerate(T):
-                rest = tuple(x for x in T if x != t)
-                sign = (-1) % amb.p if k % 2 else 1
-                comps[index[j - 1][rest]] = comps[index[j - 1][rest]] + elems[t].scale(sign)
-            cols.append(VectorPoly(amb, comps))
+            # the sign of r_t e_{T - t} is (-1)^k, t the k-th element of T
+            entries = [(below[T[:k] + T[k + 1 :]], elems[t].scale((-1) ** k)) for k, t in enumerate(T)]
+            cols.append(vector_of(amb, len(below), entries))
         diffs[-j] = cols
     K = FreeComplex(ring, terms, diffs, labels=labels)
     K.koszul_elements = elems
@@ -613,7 +606,7 @@ def lift_chain_map(f0_cols, source, target, ring):
             coeffs = solver.solve(combine(maps[d + 1], col.components, amb, target.rank(d + 1)))
             if coeffs is None:
                 raise AlgebraError("lifting failed at degree %d" % d)
-            cols.append(VectorPoly(amb, list(coeffs) + [amb.zero()] * (target.rank(d) - len(coeffs))))
+            cols.append(vector_of(amb, target.rank(d), enumerate(coeffs)))
         maps[d] = cols
     return ChainMap(source, target, maps, check=True)
 
@@ -631,20 +624,14 @@ def hom_transpose_vector(lifted, v, b_src, b_tgt):
 
     v has coordinates on b_src, the basis of Hom(Y, T)^n; the result has
     coordinates on b_tgt, the basis of Hom(X, T)^n."""
-    amb = v.ring
-    out = [amb.zero()] * len(b_tgt)
-    for pos, cf in enumerate(v.components):
-        if cf.is_zero():
-            continue
+    entries = []
+    for pos, cf in nonzero_slots(v):
         i, aY, b = b_src.triples[pos]
-        for aX in range(lifted.source.rank(i)):
-            entry = lifted.column(i, aX).components[aY]
-            if entry.is_zero():
-                continue
+        for aX, entry in lifted.rows(i)[aY]:
             q = b_tgt.position.get((i, aX, b))
             if q is not None:
-                out[q] = out[q] + cf * entry
-    return VectorPoly(amb, out)
+                entries.append((q, cf * entry))
+    return vector_of(v.ring, len(b_tgt), entries)
 
 
 def hom_transpose_chain_map(lifted, W_src, W_tgt):

@@ -60,11 +60,13 @@ from .groebner import (
     elimination_kernel,
     groebner_basis,
     modulus_gens,
+    nonzero_slots,
     normal_form,
     preimage,
     rename_poly,
     ring_map_is_surjective,
     unit_vector,
+    vector_of,
 )
 from .modules import (
     FPModule,
@@ -157,11 +159,11 @@ def fli_eta(S, rseq, M):
             comp = _complement(T, c)
             i_m = n + i  # degree of the M-part
             sign = rho[T] * ((-1) ** ((j % 2) * (i_m % 2)))
-            comps = [amb.zero()] * (len(tgt) if tgt else 0)
-            if tgt is not None:
+            if tgt is None:
+                cols.append(vector_of(amb, 0, ()))
+            else:
                 pos = tgt.position[(-(c - j), K.koszul_index[c - j][comp], b)]
-                comps[pos] = amb.const(sign % p)
-            cols.append(VectorPoly(amb, comps))
+                cols.append(unit_vector(amb, len(tgt), pos, amb.const(sign % p)))
         maps[n] = cols
     cm = ChainMap(lhs, rhs, maps, check=True)
     lrep = cohomology(lhs)
@@ -313,11 +315,9 @@ def xi_lci_class(pi, target_pbasis, rseq=None, pbasis_via_iso=None, theta_column
     if m + c != n:
         raise AlgebraError("p-basis length does not match the codimension")
     theta_cols = [theta.apply_coords(K.d(b)) for b in pb]
-    dr = [VectorPoly(amb, [r.derivative(i) for i in range(n)]) for r in rs]
-    rows = [dr[c - 1 - k].components for k in range(c)] + [
-        tc.components for tc in theta_cols
-    ]
-    lam = Rq.reduce(_det(amb, [list(r) for r in rows]))
+    rows = [[rs[c - 1 - k].derivative(i) for i in range(n)] for k in range(c)]
+    rows += [list(tc.components) for tc in theta_cols]
+    lam = Rq.reduce(_det(amb, rows))
     om_S = canonical_omega_regular(S)
     KZ = koszul_complex(S, rs)
     flat, flat_bases = hom_complex(KZ, om_S.complex)
@@ -327,9 +327,7 @@ def xi_lci_class(pi, target_pbasis, rseq=None, pbasis_via_iso=None, theta_column
         raise AlgebraError("expected cohomology in degree %d" % (-m))
     bi = flat_bases[-m]
     top_index = KZ.koszul_index[c][tuple(range(c))]
-    comps = [amb.zero()] * len(bi)
-    comps[bi.position[(-c, top_index, 0)]] = lam
-    cocycle = VectorPoly(amb, comps)
+    cocycle = unit_vector(amb, len(bi), bi.position[(-c, top_index, 0)], lam)
     coords = h.coords_of_cocycle(cocycle)
     if coords is None:
         raise AlgebraError("lci class is not a cocycle class; convention bug")
@@ -495,23 +493,12 @@ def xi_via_factorization(R, roots, e):
     # differentials die (x_j = y_j^{p^e} downstairs) or, for e = 0, split
     # through their partner root; redundant roots split through their
     # defining expressions in the first roots
-    theta_cols = []
-    for j in range(n):
-        if e >= 1:
-            theta_cols.append(VectorPoly(Sy, [Sy.zero()] * Sy.nvars))
-        else:
-            theta_cols.append(unit_vector(Sy, Sy.nvars, n + j))
+    theta_cols = [vector_of(Sy, Sy.nvars, () if e >= 1 else [(n + j, Sy.one())]) for j in range(n)]
     yslots = list(range(n, 2 * n))
-    for k in range(d):
-        if k < n:
-            theta_cols.append(unit_vector(Sy, Sy.nvars, n + k))
-        else:
-            comps = [Sy.zero()] * Sy.nvars
-            for j in range(amb.nvars):
-                deriv = roots[k].derivative(j)
-                if not deriv.is_zero():
-                    comps[n + j] = rename_poly(deriv, Sy, yslots)
-            theta_cols.append(VectorPoly(Sy, comps))
+    theta_cols += [
+        vector_of(Sy, Sy.nvars, [(n + j, rename_poly(root.derivative(j), Sy, yslots)) for j in range(n)])
+        for root in roots
+    ]
     xi = xi_lci_class(
         pi, pbasis, rseq=tsys, pbasis_via_iso=(rho, rho_inv), theta_columns=theta_cols
     )
@@ -541,10 +528,7 @@ def xi_via_factorization(R, roots, e):
             if k:
                 img = img * (g_images[n + j] ** k)
         parts = frobenius_decompose(rename_poly(img, amb, list(range(n))), e)
-        comps = [amb.zero()] * len(monos)
-        for a, va in parts.items():
-            comps[monos.index(a)] = va
-        push_cols.append(VectorPoly(amb, comps))
+        push_cols.append(vector_of(amb, len(monos), [(monos.index(a), va) for a, va in parts.items()]))
     functional = []
     basis_change = SpanSolver(push_cols, R, len(monos))
     for a_idx, a in enumerate(monos):
@@ -566,7 +550,7 @@ def xi_via_factorization(R, roots, e):
             row = []
             for a_idx in range(len(monos)):
                 acc = amb.zero()
-                for k, coeff in enumerate(mult.columns[a_idx].components):
+                for k, coeff in nonzero_slots(mult.columns[a_idx]):
                     acc = acc + coeff * functional[k]
                 row.append(acc)
             rows.append(row)
@@ -615,12 +599,8 @@ def commutation_sign_check(p, c, d, with_theta_part=True):
     rows_dx = [unit_vector(S, n, c + m + k) for k in range(d)]
     rows_theta = [unit_vector(S, n, c)] if m else []
     subsets = [tuple(range(n))]
-    path_a = wedge_coordinates(
-        S, [VectorPoly(S, r.components) for r in rows_dr + rows_dx + rows_theta], subsets
-    )[0]
-    swapped = wedge_coordinates(
-        S, [VectorPoly(S, r.components) for r in rows_dx + rows_dr + rows_theta], subsets
-    )[0]
+    path_a = wedge_coordinates(S, rows_dr + rows_dx + rows_theta, subsets)[0]
+    swapped = wedge_coordinates(S, rows_dx + rows_dr + rows_theta, subsets)[0]
     sign = (-1) ** ((c * d) % 2)
     path_b = swapped.scale(sign % p)
     return path_a == path_b
@@ -776,7 +756,10 @@ def _one_sided_collapse(pi_main, pi_other):
         transported = FPModule(
             A1,
             h3.module.ngens,
-            [VectorPoly(amb1, [sigma(c) for c in r.components]) for r in h3.module.relations],
+            [
+                vector_of(amb1, r.rank, [(i, sigma(c)) for i, c in nonzero_slots(r)])
+                for r in h3.module.relations
+            ],
         )
         target = FPModule(A1, h1.module.ngens, h1.module.relations)
         return ModuleMap(transported, target, cols, check=True)
@@ -824,12 +807,11 @@ def _collapse_linear_block(W3, joint_bases, Klin, d2, lifts, S1, S3, W1_bases):
     def runner(vec, degree):
         b3 = W3.hom_bases.get(degree)
         b1 = W1_bases.get(degree)
-        out = [amb1.zero()] * (len(b1) if b1 else 0)
+        rank = len(b1) if b1 else 0
         if b3 is None:
-            return VectorPoly(amb1, out)
-        for pos, cf in enumerate(vec.components):
-            if cf.is_zero():
-                continue
+            return vector_of(amb1, rank, ())
+        entries = []
+        for pos, cf in nonzero_slots(vec):
             (i, a, _b) = b3.triples[pos]
             (ji, aa, bb) = joint_bases[i].triples[a]
             if (i - ji) != -d2 or bb != top_index:
@@ -837,8 +819,8 @@ def _collapse_linear_block(W3, joint_bases, Klin, d2, lifts, S1, S3, W1_bases):
             tgt = b1.position.get((ji, aa, 0)) if b1 else None
             if tgt is None:
                 raise AlgebraError("collapse target basis mismatch")
-            out[tgt] = out[tgt] + sigma(cf)
-        return VectorPoly(amb1, out)
+            entries.append((tgt, sigma(cf)))
+        return vector_of(amb1, rank, entries)
 
     return runner, sigma
 
@@ -923,7 +905,7 @@ def verify_frobenius_duality(A, e=1):
         j = idx % pidx.r
         rep = h_om.reps[j]
         # the cocycle x^a z_j pushed through the trace pairing
-        shifted = VectorPoly(amb, [amb.monomial(a_mono) * c for c in rep.components])
+        shifted = rep.mul_poly(amb.monomial(a_mono))
         fw_coords = pushforward_vector(FW.pushforward_indices[low], shifted, e)
         psi = chi.apply(low, fw_coords)
         # psi is a functional on (F_*K)^{i_top}; evaluate on multiplication
@@ -984,14 +966,12 @@ def _trace_pairing_chain_map(dc, e):
         for col in range(fw_idx.total):
             m = fw_idx.monomials[col // fw_idx.r]
             t = col % fw_idx.r
-            comps = [amb.zero()] * (len(bC2) if bC2 else 0)
             (i, aK, bo) = bW.triples[t]
             partner = tuple(q - 1 - mm for mm in m)
             fk_idx = FK.pushforward_indices[i]
             aF = fk_idx.index(partner, aK)
             pos = bC2.position.get((i, aF, bo)) if bC2 else None
-            if pos is not None:
-                comps[pos] = amb.one()
-            cols.append(VectorPoly(amb, comps))
+            entries = [] if pos is None else [(pos, amb.one())]
+            cols.append(vector_of(amb, len(bC2) if bC2 else 0, entries))
         maps[dgr] = cols
     return ChainMap(FW, C2, maps, check=True), FK

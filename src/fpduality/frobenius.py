@@ -14,7 +14,16 @@ from itertools import product
 
 from .config import config
 from .errors import AlgebraError, NoPBasis, SizeCapExceeded
-from .groebner import Ideal, SpanSolver, VectorPoly, ambient_of, reduce_in
+from .groebner import (
+    Ideal,
+    SpanSolver,
+    VectorPoly,
+    ambient_of,
+    nonzero_slots,
+    reduce_in,
+    unit_vector,
+    vector_of,
+)
 from .modules import FPModule, ModuleMap, free_module, is_isomorphism, kernel_cokernel
 from .polyring import Polynomial
 from .complexes import FreeComplex
@@ -82,15 +91,10 @@ class PushforwardIndex:
 
 def pushforward_vector(index, v, e):
     """Coordinates of F^e_*(v) for v a coordinate vector of the module."""
-    amb = v.ring
-    comps = [amb.zero()] * index.total
-    for j, f in enumerate(v.components):
-        if f.is_zero():
-            continue
-        for a, va in frobenius_decompose(f, e).items():
-            idx = index.index(a, j)
-            comps[idx] = comps[idx] + va
-    return VectorPoly(amb, comps)
+    entries = [
+        (index.index(a, j), va) for j, f in nonzero_slots(v) for a, va in frobenius_decompose(f, e).items()
+    ]
+    return vector_of(v.ring, index.total, entries)
 
 
 def _pushforward_shifts(amb, vectors, index, e):
@@ -101,7 +105,7 @@ def _pushforward_shifts(amb, vectors, index, e):
     for b in index.monomials:
         xb = amb.monomial(b)
         for v in vectors:
-            out.append(pushforward_vector(index, VectorPoly(amb, [c * xb for c in v.components]), e))
+            out.append(pushforward_vector(index, v.mul_poly(xb), e))
     return out
 
 
@@ -255,12 +259,7 @@ def pbasis_trace_generator(R, xs, omega_complex):
     top = tuple([p - 1] * n)
     omega_module = free_module(R, 1)
     source = free_module(R, len(tuples))
-    cols = []
-    for a in tuples:
-        if a == top:
-            cols.append(VectorPoly(amb, [amb.one()]))
-        else:
-            cols.append(VectorPoly(amb, [amb.zero()]))
+    cols = [unit_vector(amb, 1, 0) if a == top else vector_of(amb, 1, ()) for a in tuples]
     phi = ModuleMap(source, omega_module, cols, check=False)
     phi.basis_tuples = tuples
     phi.volume_degree = degrees[0]
@@ -304,7 +303,5 @@ def regrouping_map(R, e):
         a = tuple(x // p for x in c)
         b = tuple(x % p for x in c)
         j = inner.index.index(b, 0)
-        comps = [amb.zero()] * outer.ngens
-        comps[oidx.index(a, j)] = amb.one()
-        cols.append(VectorPoly(amb, comps))
+        cols.append(unit_vector(amb, outer.ngens, oidx.index(a, j)))
     return ModuleMap(big.module, outer, cols, check=True)

@@ -183,15 +183,36 @@ class VectorPoly:
         return "(" + ", ".join(repr(c) for c in self.components) + ")"
 
 
+def vector_of(ring, rank, entries):
+    """The vector of ring^rank with poly added into slot pos for each
+    (pos, poly) of entries, in their order: each slot's terms come in the
+    order of the sum of its polynomials."""
+    p = ring.p
+    acc = {}
+    for pos, poly in entries:
+        if not 0 <= pos < rank:
+            raise IndexError("slot %d of a rank-%d vector" % (pos, rank))
+        if poly.ring is not ring and poly.ring != ring:
+            raise RingMismatch("vector components must share one ambient ring")
+        for m, c in poly.terms.items():
+            key = (pos, m)
+            c2 = (acc.get(key, 0) + c) % p
+            if c2:
+                acc[key] = c2
+            elif key in acc:
+                del acc[key]
+    return VectorPoly._of(ring, rank, acc)
+
+
+def nonzero_slots(v):
+    """The nonzero slots of v as (pos, poly) pairs in position order, read
+    off its components."""
+    return [(i, c) for i, c in enumerate(v.components) if c.terms]
+
+
 def unit_vector(ring, rank, i, poly=None):
     """poly (by default 1) in slot i of ring^rank."""
-    if not 0 <= i < rank:
-        raise IndexError("slot %d of a rank-%d vector" % (i, rank))
-    if poly is None:
-        poly = ring.one()
-    elif poly.ring is not ring and poly.ring != ring:
-        raise RingMismatch("vector components must share one ambient ring")
-    return VectorPoly._of(ring, rank, {(i, m): c for m, c in poly.terms.items()})
+    return vector_of(ring, rank, [(i, ring.one() if poly is None else poly)])
 
 
 def vector_from_poly(f):
@@ -724,15 +745,8 @@ class ModuleGB(ReducedBasis):
         if v.rank != self.rank:
             raise AlgebraError("vector rank %d does not match module rank %d" % (v.rank, self.rank))
         quots, rem = division(v, self.index)
-        k = len(self.generators)
-        coeffs = [self.ring.zero()] * k
-        for q, cert in zip(quots, self.certificates):
-            if q.is_zero():
-                continue
-            for idx, c in enumerate(cert.components):
-                if c.terms:
-                    coeffs[idx] = coeffs[idx] + q * c
-        return coeffs, rem
+        coeffs = combine(self.certificates, quots, self.ring, len(self.generators))
+        return list(coeffs.components), rem
 
     def lift(self, v):
         """Coefficients expressing v in the generators modulo span(modulo),

@@ -20,11 +20,13 @@ from .groebner import (
     combine,
     modulus_gens,
     modulus_tails,
+    nonzero_slots,
     reduce_in,
     reduced_basis,
     syzygies,
     unique_nonzero,
     unit_vector,
+    vector_of,
 )
 
 
@@ -60,7 +62,7 @@ class FPModule:
         return self._relgb
 
     def zero_vector(self):
-        return VectorPoly(self.ambient, [self.ambient.zero()] * self.ngens)
+        return vector_of(self.ambient, self.ngens, ())
 
     def gen(self, i):
         return unit_vector(self.ambient, self.ngens, i)
@@ -268,47 +270,55 @@ def _eliminate_units(M):
     # modulus tails are set aside and adjoined again for the kept
     # generators: each tail of an eliminated generator is a combination of
     # those
-    tails = {t.components for t in modulus_tails(M.ring, m)}
-    has_tails = tails <= {r.components for r in M.relations}
-    rels = [list(r.components) for r in M.relations if not (has_tails and r.components in tails)]
-    express = [list(M.gen(k).components) for k in range(m)]
+    tails = set(modulus_tails(M.ring, m))
+    has_tails = tails <= set(M.relations)
     kept = list(range(m))
-    # with the tails adjoined again, entries only matter modulo the modulus
-    reduce = (lambda f: reduce_in(M.ring, f)) if has_tails else (lambda f: f)
 
-    def substitute(vec, r, j, inv):
+    def as_row(v):
+        # a vector with its nonzero slots {pos: entry}; an eliminated
+        # generator's slot is zero in every row
+        return v, dict(nonzero_slots(v))
+
+    def substitute(row, r_slots, j, inv):
         # e_j = -(1/c) sum_{i != j} r_i e_i, with c = r_j = 1/inv
-        if not vec[j].terms:
-            return vec
-        factor = vec[j].scale(inv)
-        return [reduce(vec[i] - factor * r[i]) if r[i].terms else vec[i] for i in range(m)]
+        vec, slots = row
+        if j not in slots:
+            return row
+        factor = slots[j].scale(inv)
+        vec = vec - vector_of(amb, m, [(i, factor * c) for i, c in r_slots.items()])
+        if has_tails:
+            # the tails are adjoined again: entries only matter modulo the modulus
+            reduced = [(i, reduce_in(M.ring, c) if i in r_slots else c) for i, c in nonzero_slots(vec)]
+            return vector_of(amb, m, reduced), {i: c for i, c in reduced if c.terms}
+        return as_row(vec)
 
+    rels = [as_row(r) for r in M.relations if not (has_tails and r in tails)]
+    express = [as_row(M.gen(k)) for k in range(m)]
     while True:
         pivots = [
-            (sum(1 for i in kept if r[i].terms), t, j)
-            for t, r in enumerate(rels)
-            for j in kept
-            if r[j].constant_value()
+            (len(slots), t, j)
+            for t, (_, slots) in enumerate(rels)
+            for j, c in slots.items()
+            if c.constant_value()
         ]
         if not pivots:
             break
         _, t, j = min(pivots)
-        r = rels.pop(t)
-        inv = inv_mod(r[j].constant_value(), amb.p)
-        rels = [substitute(s, r, j, inv) for s in rels]
-        express = [substitute(v, r, j, inv) for v in express]
+        _, r_slots = rels.pop(t)
+        inv = inv_mod(r_slots[j].constant_value(), amb.p)
+        rels = [substitute(row, r_slots, j, inv) for row in rels]
+        express = [substitute(row, r_slots, j, inv) for row in express]
         kept.remove(j)
     if len(kept) == m:
         return None, kept, [M.gen(k) for k in range(m)]
     grading = [M.grading[k] for k in kept] if M.grading is not None else None
-    P = FPModule(
-        M.ring,
-        len(kept),
-        [VectorPoly(amb, [r[i] for i in kept]) for r in rels],
-        grading=grading,
-        normalize=has_tails,
-    )
-    return P, kept, [VectorPoly(amb, [v[i] for i in kept]) for v in express]
+    position = {k: i for i, k in enumerate(kept)}
+
+    def restricted(rows):
+        return [vector_of(amb, len(kept), [(position[i], c) for i, c in slots.items()]) for _, slots in rows]
+
+    P = FPModule(M.ring, len(kept), restricted(rels), grading=grading, normalize=has_tails)
+    return P, kept, restricted(express)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +348,11 @@ class HomModule(FPModule):
         # A relation g*e_j of M asks that g*phi(e_j) lie in the relation
         # span of N, which holds for every phi when N's relations contain
         # each g*e_i (the modulus tails, say): such a condition is dropped.
-        n_rels = {b.components for b in N.relations}
+        n_rels = set(N.relations)
 
         def automatic(a):
-            entries = [c for c in a.components if c.terms]
-            return len(entries) == 1 and all(
-                unit_vector(amb, n, i, entries[0]).components in n_rels for i in range(n)
-            )
+            slots = nonzero_slots(a)
+            return len(slots) == 1 and all(unit_vector(amb, n, i, slots[0][1]) in n_rels for i in range(n))
 
         conditions = [a for a in M.relations if not automatic(a)]
         P = FreeComplex(amb, {-1: len(conditions), 0: M.ngens}, {-1: conditions})
@@ -366,13 +374,16 @@ class HomModule(FPModule):
             coeffs = [amb.const(c) if isinstance(c, int) else c for c in coeffs]
             vec = combine(self.h0.reps, coeffs, amb, n * M.ngens)
         # degree 0 of the Hom complex lists its basis j-major: block j is phi(e_j)
-        cols = [N.nf(VectorPoly(amb, vec.components[j * n : (j + 1) * n])) for j in range(M.ngens)]
-        return ModuleMap(M, N, cols, check=False)
+        blocks = [[] for _ in range(M.ngens)]
+        for pos, c in nonzero_slots(vec):
+            blocks[pos // n].append((pos % n, c))
+        return ModuleMap(M, N, [N.nf(vector_of(amb, n, b)) for b in blocks], check=False)
 
     def encode(self, f):
         """Coordinates of an explicit ModuleMap in this presentation."""
-        comps = [c for col in f.columns for c in col.components]
-        return self.h0.coords_of_cocycle(VectorPoly(self.ambient, comps))
+        n = self.hom_target.ngens
+        entries = [(j * n + i, c) for j, col in enumerate(f.columns) for i, c in nonzero_slots(col)]
+        return self.h0.coords_of_cocycle(vector_of(self.ambient, n * len(f.columns), entries))
 
 
 def hom_module(M, N):
@@ -391,17 +402,11 @@ def tensor_module(M, N):
 
     rels = []
     for a in M.relations:
-        for j in range(n):
-            comps = [amb.zero()] * (m * n)
-            for i in range(m):
-                comps[slot(i, j)] = a.components[i]
-            rels.append(VectorPoly(amb, comps))
+        entries = nonzero_slots(a)
+        rels.extend(vector_of(amb, m * n, [(slot(i, j), c) for i, c in entries]) for j in range(n))
     for b in N.relations:
-        for i in range(m):
-            comps = [amb.zero()] * (m * n)
-            for j in range(n):
-                comps[slot(i, j)] = b.components[j]
-            rels.append(VectorPoly(amb, comps))
+        entries = nonzero_slots(b)
+        rels.extend(vector_of(amb, m * n, [(slot(i, j), c) for j, c in entries]) for i in range(m))
     grading = None
     if M.grading is not None and N.grading is not None:
         grading = [M.grading[i] + N.grading[j] for i in range(m) for j in range(n)]
@@ -417,13 +422,11 @@ def direct_sum(modules):
     for M in modules:
         offsets.append(acc)
         acc += M.ngens
-    rels = []
-    for off, M in zip(offsets, modules):
-        for r in M.relations:
-            comps = [amb.zero()] * total
-            for i, c in enumerate(r.components):
-                comps[off + i] = c
-            rels.append(VectorPoly(amb, comps))
+    rels = [
+        vector_of(amb, total, [(off + i, c) for i, c in nonzero_slots(r)])
+        for off, M in zip(offsets, modules)
+        for r in M.relations
+    ]
     out = FPModule(ring, total, rels, normalize=False)
     out.summand_offsets = offsets
     return out
@@ -440,20 +443,16 @@ def exterior_power(M, k):
     if k >= 1:
         smaller = list(combinations(range(M.ngens), k - 1))
         for a in M.relations:
+            slots = nonzero_slots(a)
             for T in smaller:
-                comps = [amb.zero()] * len(subsets)
-                for i in range(M.ngens):
+                entries = []
+                for i, c in slots:
                     if i in T:
-                        continue
-                    c = a.components[i]
-                    if c.is_zero():
                         continue
                     merged = tuple(sorted(T + (i,)))
                     sign = (-1) ** sum(1 for t in T if t < i)
-                    comps[index[merged]] = comps[index[merged]] + (
-                        c if sign == 1 else -c
-                    )
-                rels.append(VectorPoly(amb, comps))
+                    entries.append((index[merged], c if sign == 1 else -c))
+                rels.append(vector_of(amb, len(subsets), entries))
     grading = None
     if M.grading is not None:
         grading = [sum(M.grading[i] for i in s) for s in subsets]
@@ -534,7 +533,7 @@ def hilbert_function(M, d_max):
     amb = M.ambient
     for rel in M.relations:
         degs = set()
-        for j, c in enumerate(rel.components):
+        for j, c in nonzero_slots(rel):
             for mono in c.terms:
                 degs.add(sum(mono) + M.grading[j])
         if len(degs) > 1:

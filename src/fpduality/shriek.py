@@ -30,8 +30,10 @@ from .groebner import (
     QuotientRing,
     VectorPoly,
     as_quotient,
+    nonzero_slots,
     rename_poly,
     unit_vector,
+    vector_of,
 )
 from .modules import (
     FPModule,
@@ -122,9 +124,7 @@ def external_tensor(env, modules):
     amb = env.ambient
     renamed = []
     for j, M in enumerate(modules):
-        cols = []
-        for r in M.relations:
-            cols.append([env.rename_into_slot(c, j) for c in r.components])
+        cols = [[(i, env.rename_into_slot(c, j)) for i, c in nonzero_slots(r)] for r in M.relations]
         renamed.append((M.ngens, cols))
     total = 1
     for ng, _ in renamed:
@@ -144,17 +144,12 @@ def external_tensor(env, modules):
         return idx
 
     rels = []
-    for j, (ng, cols) in enumerate(renamed):
-        others = []
-        for tup_rest in _tuples([r[0] for k, r in enumerate(renamed) if k != j]):
-            others.append(tup_rest)
+    for j, (_, cols) in enumerate(renamed):
+        others = _tuples([r[0] for k, r in enumerate(renamed) if k != j])
         for col in cols:
             for rest in others:
-                comps = [amb.zero()] * total
-                for i in range(ng):
-                    tup = list(rest[:j]) + [i] + list(rest[j:])
-                    comps[index_of(tuple(tup))] = col[i]
-                rels.append(VectorPoly(amb, comps))
+                entries = [(index_of(rest[:j] + (i,) + rest[j:]), c) for i, c in col]
+                rels.append(vector_of(amb, total, entries))
     out = FPModule(env.ring, total, rels)
     out.slot_of = slot_of
     out.index_of = index_of
@@ -243,20 +238,17 @@ def _hom_map_from_target_map(U_src, U_tgt, blocks):
         b_tgt = U_tgt.hom_bases.get(d)
         if b_tgt is None:
             return None
-        amb = v.ring
-        out = [amb.zero()] * len(b_tgt)
-        for pos, cf in enumerate(v.components):
-            if cf.is_zero():
-                continue
+        entries = []
+        for pos, cf in nonzero_slots(v):
             i, a, g = b_src.triples[pos]
             blk = blocks.get(i + d)
             if blk is None:
                 continue
-            for g2, entry in enumerate(blk[g].components):
+            for g2, entry in nonzero_slots(blk[g]):
                 q = b_tgt.position.get((i, a, g2))
-                if q is not None and not entry.is_zero():
-                    out[q] = out[q] + cf * entry
-        return VectorPoly(amb, out)
+                if q is not None:
+                    entries.append((q, cf * entry))
+        return vector_of(v.ring, len(b_tgt), entries)
 
     return image
 
@@ -316,7 +308,7 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
         Q2,
         M.ngens,
         [
-            VectorPoly(P2, [env.rename_into_slot(c, 0) for c in r.components])
+            vector_of(P2, r.rank, [(i, env.rename_into_slot(c, 0)) for i, c in nonzero_slots(r)])
             for r in M.relations
         ],
     )
@@ -359,7 +351,7 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
         for pos, (i, a, b) in enumerate(W.hom_bases[-dc.omega_S.n].triples):
             if i == 0:
                 ev_slot = pos
-        zero = VectorPoly(P2, [P2.zero()] * M0.ngens)
+        zero = vector_of(P2, M0.ngens, ())
         ev_blocks[deg_ev] = [
             unit_vector(P2, M0.ngens, g) if w == ev_slot else zero
             for w in range(Wsh.rank(deg_ev))
@@ -450,15 +442,13 @@ def _swap_transport(rep, b_MN, b_NM, lam, perm, T_MN, T_NM, sign):
     The swapped class lies in Hom(G renamed, N x M), whose basis has the
     same shape as b_MN since the ranks agree."""
     P2 = rep.ring
-    swapped = [P2.zero()] * len(b_MN)
-    for pos, cf in enumerate(rep.components):
-        if cf.is_zero():
-            continue
+    entries = []
+    for pos, cf in nonzero_slots(rep):
         i, aG, g = b_MN.triples[pos]
         mg, ng = T_MN.slot_of(g)
         q = b_MN.position[(i, aG, T_NM.index_of((ng, mg)))]
-        swapped[q] = rename_poly(cf, P2, perm).scale(sign % P2.p)
-    return hom_transpose_vector(lam, VectorPoly(P2, swapped), b_MN, b_NM)
+        entries.append((q, rename_poly(cf, P2, perm).scale(sign)))
+    return hom_transpose_vector(lam, vector_of(P2, len(b_MN), entries), b_MN, b_NM)
 
 
 def find_certified_iso(M, N, max_sum=2):
@@ -528,10 +518,10 @@ def _restrict_relations(module, A):
     n = ambA.nvars
     big = module.ambient
     index = [i % n for i in range(big.nvars)]
-    out = []
-    for r in module.relations:
-        out.append(VectorPoly(ambA, [rename_poly(c, ambA, index) for c in r.components]))
-    return out
+    return [
+        vector_of(ambA, r.rank, [(i, rename_poly(c, ambA, index)) for i, c in nonzero_slots(r)])
+        for r in module.relations
+    ]
 
 
 def exterior_hom_comparison(A, M, N, M2, N2):
@@ -555,19 +545,12 @@ def exterior_hom_comparison(A, M, N, M2, N2):
             big_cols = []
             for a in range(MM.ngens):
                 ma, mb = MM.slot_of(a)
-                fa = f.columns[ma]
-                gb = g.columns[mb]
-                comps = [amb.zero()] * NN.ngens
-                for x, cx in enumerate(fa.components):
-                    if cx.is_zero():
-                        continue
-                    for y, cy in enumerate(gb.components):
-                        if cy.is_zero():
-                            continue
-                        comps[NN.index_of((x, y))] = comps[NN.index_of((x, y))] + env.rename_into_slot(
-                            cx, 0
-                        ) * env.rename_into_slot(cy, 1)
-                big_cols.append(VectorPoly(amb, comps))
+                entries = [
+                    (NN.index_of((x, y)), env.rename_into_slot(cx, 0) * env.rename_into_slot(cy, 1))
+                    for x, cx in nonzero_slots(f.columns[ma])
+                    for y, cy in nonzero_slots(g.columns[mb])
+                ]
+                big_cols.append(vector_of(amb, NN.ngens, entries))
             fmap = ModuleMap(MM, NN, big_cols, check=False)
             coords = rhs.encode(fmap)
             if coords is None:

@@ -465,6 +465,23 @@ def test_vector_ops_match_componentwise(pair, c, mono, f):
     assert _same(u.scale(c), [s.scale(c) for s in a])
     assert _same(u.mul_term(mono, c), [s.mul_term(mono, c) for s in a])
     assert _same(u.mul_poly(f), [s * f for s in a])
+    # vector_of adds each entry into its slot: repeated slots, one sum
+    # cancelling to zero, agree with the dense sums slot by slot, in either
+    # order of the entries
+    r = len(a)
+    entries = [(k % r, s) for k, s in enumerate(a + b + [-s for s in a] + [s.mul_term(mono, c) for s in b])]
+    for ordered in (entries, entries[::-1], []):
+        dense = [_VR.zero()] * r
+        for pos, s in ordered:
+            dense[pos] = dense[pos] + s
+        assert _same(groebner.vector_of(_VR, r, ordered), dense)
+    assert groebner.vector_of(_VR, r, [(0, f), (r - 1, f.scale(2)), (0, -f), (r - 1, f.scale(3))]).is_zero()
+    assert groebner.nonzero_slots(u) == [(i, s) for i, s in enumerate(a) if s.terms]
+    for pos in (-1, r):
+        with pytest.raises(IndexError):
+            groebner.vector_of(_VR, r, [(pos, f)])
+    with pytest.raises(RingMismatch):
+        groebner.vector_of(_VR, r, [(0, PolyRing(5, ("x", "z")).zero())])
 
 
 _columns_and_coeffs = st.tuples(st.integers(1, 3), st.integers(0, 4)).flatmap(

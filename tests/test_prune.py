@@ -1,11 +1,14 @@
 """Pruned presentations, the Hom condition trim, and the canonical module."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpduality.duality import canonical_dualizing
 from fpduality.errors import AlgebraError
+from fpduality.frobenius import pushforward_module
 from fpduality.groebner import ModuleGB, QuotientRing, VectorPoly, combine, leading_term
 from fpduality.modules import (
     FPModule,
@@ -161,3 +164,45 @@ def test_canonical_module_of_zero_ring_is_an_algebra_error():
     dc = canonical_dualizing(QuotientRing(S, [S.one()]))
     with pytest.raises(AlgebraError):
         dc.canonical_module_over_ring()
+
+
+def _digest(strings):
+    return hashlib.sha256("\n".join(strings).encode()).hexdigest()[:16]
+
+
+def test_pruned_pushforward_of_the_cusp_is_pinned():
+    # the pivot order of the elimination fixes which generators stay, the
+    # relations of P and the images of the eliminated generators
+    P, to_M, from_M = prune(pushforward_module(cyclic_module(CUSP), 1))
+    assert to_M.kept == [0, 1, 3, 4, 6, 7]
+    assert [repr(r) for r in P.relations] == [
+        "(y, 2*x, 0, 0, 0, 0)",
+        "(2*x^2, y, 0, 0, 0, 0)",
+        "(0, 0, y, 2*x, 0, 0)",
+        "(0, 0, 2*x^2, y, 0, 0)",
+        "(0, 0, 0, 0, y, 2*x)",
+        "(0, 0, 0, 0, 2*x^2, y)",
+    ] + ["(" + ", ".join("2*x^3 + y^2" if i == k else "0" for i in range(6)) + ")" for k in range(6)]
+    assert [repr(c) for c in from_M.columns] == [
+        "(1, 0, 0, 0, 0, 0)",
+        "(0, 1, 0, 0, 0, 0)",
+        "(x, 0, 0, 0, 0, 0)",
+        "(0, 0, 1, 0, 0, 0)",
+        "(0, 0, 0, 1, 0, 0)",
+        "(0, 0, x, 0, 0, 0)",
+        "(0, 0, 0, 0, 1, 0)",
+        "(0, 0, 0, 0, 0, 1)",
+        "(0, 0, 0, 0, x, 0)",
+    ]
+
+
+def test_pruned_pushforward_of_the_twisted_cubic_is_pinned():
+    T = PolyRing(3, ("x", "y", "z", "w"))
+    x, y, z, w = T.gens()
+    tc = QuotientRing(T, [x * z - y ** 2, y * w - z ** 2, x * w - y * z])
+    F = pushforward_module(cyclic_module(tc), 1)
+    P, to_M, from_M = prune(F)
+    assert (F.ngens, P.ngens, len(P.relations)) == (81, 18, 112)
+    assert to_M.kept == [0, 1, 2, 3, 4, 5, 9, 10, 11, 27, 28, 30, 31, 36, 37, 54, 57, 63]
+    assert _digest(map(repr, P.relations)) == "f689864b5a6b985b"
+    assert _digest(map(repr, from_M.columns)) == "d8e99666704fed12"
