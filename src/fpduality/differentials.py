@@ -172,9 +172,10 @@ class CanonicalOmega:
 
 def wedge_coordinates(amb, vectors, subsets):
     """Coordinates of v_1 ^ ... ^ v_k on the k-subset basis of R^n."""
+    comps = [v.components for v in vectors]
     out = []
     for T in subsets:
-        rows = [[v.components[t] for t in T] for v in vectors]
+        rows = [[c[t] for t in T] for c in comps]
         out.append(_det(amb, rows))
     return out
 

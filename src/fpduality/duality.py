@@ -42,6 +42,7 @@ from .errors import (
 )
 from .fp import inv_mod
 from .frobenius import (
+    bracket_power_complex,
     frobenius_decompose,
     frobenius_pushforward,
     pushforward_complex,
@@ -865,8 +866,9 @@ def verify_frobenius_duality(A, e=1):
 
     The candidate is assembled from the trace pairing on the ambient
     polynomial ring (a signed permutation at the level of free complexes)
-    and the duality adjunction along the presentation, realized by lifting
-    multiplication maps through the resolutions.  Certificates: the
+    and the duality adjunction along the presentation, realized by the
+    multiplication maps lifted to K -> F_*K through one lift K^{[q]} -> K
+    (see _frobenius_multiplications).  Certificates: the
     complex-level comparison chi: F_* W -> Hom_S(F_* K, omega_S) is a
     chain isomorphism, checked as a chain map together with an explicit
     inverse whose two composites with it are the identity in every degree;
@@ -875,8 +877,7 @@ def verify_frobenius_duality(A, e=1):
     AlgebraError.  F_* is exact and faithful, so the degrees of nonzero
     cohomology are read off the dualizing complex itself."""
     A_work = as_quotient(A)
-    S = A_work.ambient
-    amb = S
+    amb = A_work.ambient
     dc = canonical_dualizing(A_work)
     W = dc.complex
     K = dc.resolution
@@ -897,8 +898,9 @@ def verify_frobenius_duality(A, e=1):
     FA_pruned, FA_in, _ = prune(FA.module)
     kept = [FA.index.monomials[k] for k in FA_in.kept]
     Hom_module_side = hom_module(FA_pruned, omega_mod)
+    multiplication = _frobenius_multiplications(K.complex, FK, e)
+    mult_lifts = [multiplication(b_mono) for b_mono in kept]
     # candidate on each generator F_*(x^a z_j) of F_* omega_A
-    mult_lifts = {}
     cols = []
     for idx in range(Fomega.ngens):
         a_mono = pidx.monomials[idx // pidx.r]
@@ -911,14 +913,9 @@ def verify_frobenius_duality(A, e=1):
         # psi is a functional on (F_*K)^{i_top}; evaluate on multiplication
         # lifts to get an A-map F_*A -> omega_A
         hom_cols = []
-        for b_mono in kept:
-            if b_mono not in mult_lifts:
-                f0 = FA.coords(amb.monomial(b_mono))
-                mult_lifts[b_mono] = lift_chain_map([f0], K.complex, FK, S)
+        for lift in mult_lifts:
             # compose: K^{i_top} -> (F_*K)^{i_top} -> omega in W-coordinates
-            comp = hom_transpose_vector(
-                mult_lifts[b_mono], psi, C2.hom_bases[low], W.hom_bases[low]
-            )
+            comp = hom_transpose_vector(lift, psi, C2.hom_bases[low], W.hom_bases[low])
             cls = h_om.coords_of_cocycle(comp)
             if cls is None:
                 raise AlgebraError("assembled value is not a cocycle class")
@@ -942,6 +939,30 @@ def verify_frobenius_duality(A, e=1):
         gen_data,
         dc.cohomology_report().nonzero_degrees(),
     )
+
+
+def _frobenius_multiplications(K, FK, e):
+    """b -> a chain map K -> F_*K over S -> F_*S, 1 -> F_*(x^b), for K a
+    free resolution of S/I over the polynomial ring S and FK = F^e_*K.
+
+    One lift psi: K^{[q]} -> K of the identity of S, verified, serves every
+    b: e_i in degree d goes to F_*(x^b psi_d(e_i)).  An entry r of K's
+    differential acts on F_*K as F_*(r^q .), so this commutes with the
+    differentials because psi does; each map is verified as a ChainMap.
+    Two lifts of one degree-0 map are homotopic, so every Hom class read
+    off this one is that of any other lift of S -> F_*S."""
+    S = K.ambient
+    psi = lift_chain_map([unit_vector(S, 1, 0)], bracket_power_complex(K, e), K, S)
+
+    def multiplication(b_mono):
+        xb = S.monomial(b_mono)
+        maps = {
+            d: [pushforward_vector(FK.pushforward_indices[d], col.mul_poly(xb), e) for col in cols]
+            for d, cols in psi.maps.items()
+        }
+        return ChainMap(K, FK, maps, check=True)
+
+    return multiplication
 
 
 def _trace_pairing_chain_map(dc, e):

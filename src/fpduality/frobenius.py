@@ -37,6 +37,20 @@ def bracket_power(I, e):
     return Ideal(I.ring, [g ** q for g in I.gens])
 
 
+def bracket_power_complex(T, e):
+    """T^{[p^e]}: the free complex T with every differential entry raised to
+    the p^e-th power, as bracket_power raises generators.  Over F_p that
+    power is a ring endomorphism, so d o d = 0 still holds; for T a free
+    resolution of S/I over a regular S, T^{[p^e]} resolves S/I^{[p^e]},
+    since Frobenius is flat there (Kunz)."""
+    q = T.ambient.p ** e
+    diffs = {
+        d: [vector_of(T.ambient, c.rank, [(i, g ** q) for i, g in nonzero_slots(c)]) for c in cols]
+        for d, cols in T.diffs.items()
+    }
+    return FreeComplex(T.ring, dict(T.terms), diffs)
+
+
 def restricted_monomials(nvars, q):
     """All exponent tuples with entries in [0, q), sorted."""
     return sorted(product(range(q), repeat=nvars))

@@ -55,13 +55,15 @@ class VectorPoly:
     its nonzero terms {(pos, mono): coeff}.
 
     Arithmetic, division and Buchberger walk the nonzero terms only, so the
-    zero slots of an augmented vector cost nothing.  `components` is the
-    tuple of per-slot polynomials: the one the vector was built from, or,
-    for a vector built from terms, one rebuilt on first read with each
-    slot's terms in their order in the dict.
+    zero slots of an augmented vector cost nothing.  The one per-slot view
+    kept is the list of nonzero slots (see nonzero_slots): the polynomials
+    the vector was built from, or, for a vector built from terms, ones
+    rebuilt on first read with each slot's terms in their order in the
+    dict.  `components`, the dense tuple of all rank slots, is made from
+    it on each read.
     """
 
-    __slots__ = ("ring", "rank", "terms", "_components", "_leads")
+    __slots__ = ("ring", "rank", "terms", "_slots", "_leads")
 
     def __init__(self, ring, components):
         components = tuple(components)
@@ -74,7 +76,7 @@ class VectorPoly:
         self.ring = ring
         self.rank = len(components)
         self.terms = terms
-        self._components = components
+        self._slots = tuple((i, c) for i, c in enumerate(components) if c.terms)
         self._leads = None
 
     @classmethod
@@ -85,21 +87,16 @@ class VectorPoly:
         v.ring = ring
         v.rank = rank
         v.terms = terms
-        v._components = None
+        v._slots = None
         v._leads = None
         return v
 
     @property
     def components(self):
-        comps = self._components
-        if comps is None:
-            slots = [{} for _ in range(self.rank)]
-            for (i, m), c in self.terms.items():
-                slots[i][m] = c
-            ring = self.ring
-            zero = ring.zero()
-            comps = self._components = tuple(Polynomial(ring, s) if s else zero for s in slots)
-        return comps
+        comps = [self.ring.zero()] * self.rank
+        for i, c in nonzero_slots(self):
+            comps[i] = c
+        return tuple(comps)
 
     def is_zero(self):
         return not self.terms
@@ -205,9 +202,20 @@ def vector_of(ring, rank, entries):
 
 
 def nonzero_slots(v):
-    """The nonzero slots of v as (pos, poly) pairs in position order, read
-    off its components."""
-    return [(i, c) for i, c in enumerate(v.components) if c.terms]
+    """The nonzero slots of v as a tuple of (pos, poly) pairs in position
+    order, kept on v: built once from its terms, in time linear in their
+    number."""
+    slots = v._slots
+    if slots is None:
+        grouped = {}
+        for (i, m), c in v.terms.items():
+            d = grouped.get(i)
+            if d is None:
+                d = grouped[i] = {}
+            d[m] = c
+        ring = v.ring
+        slots = v._slots = tuple((i, Polynomial(ring, grouped[i])) for i in sorted(grouped))
+    return slots
 
 
 def unit_vector(ring, rank, i, poly=None):

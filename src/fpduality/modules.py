@@ -225,17 +225,49 @@ def kernel_cokernel(f):
 
 
 def is_isomorphism(f):
-    """Certify f by the vanishing of its kernel and cokernel, computed for
-    from_tgt . f . to_src between the pruned source and target; the explicit
-    isomorphisms of prune() make this the same verdict as for f."""
+    """Certify f through g = from_tgt . f . to_src between the pruned source
+    and target; the explicit isomorphisms of prune() make g's verdict that
+    of f.
+
+    When the matrix F of g is square with constant entries and invertible
+    over F_p, g is certified by G = F^-1: the cokernel is zero, since F is
+    onto, and the kernel is G(R_N) modulo R_M, for R_M and R_N the source
+    and target relations, so g is an isomorphism iff G sends every target
+    relation to zero in the source.  Any other g is certified by the
+    vanishing of its kernel and cokernel."""
     src, to_src, _ = prune(f.source)
     tgt, _, from_tgt = prune(f.target)
     if src is not f.source:
         f = f.compose(to_src)
     if tgt is not f.target:
         f = from_tgt.compose(f)
+    inverse = _constant_inverse(f)
+    if inverse is not None:
+        return all(f.source.element_is_zero(inverse.apply_coords(r)) for r in f.target.relations)
     coker, _ = cokernel_with_projection(f)
     return prune(coker)[0].is_zero_module() and not _kernel_generators(f)
+
+
+def _constant_inverse(f):
+    """The map target -> source whose matrix is F^-1, unchecked, when the
+    matrix F of f is square with constant entries and invertible over F_p;
+    otherwise None."""
+    n = f.source.ngens
+    if f.target.ngens != n:
+        return None
+    rows = [[0] * n for _ in range(n)]
+    for j, col in enumerate(f.columns):
+        for i, c in nonzero_slots(col):
+            u = c.constant_value()
+            if u is None:
+                return None
+            rows[i][j] = u
+    amb = f.source.ambient
+    inverse = fp_inverse(rows, amb.p)
+    if inverse is None:
+        return None
+    cols = [vector_of(amb, n, [(i, amb.const(row[j])) for i, row in enumerate(inverse) if row[j]]) for j in range(n)]
+    return ModuleMap(f.target, f.source, cols, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +496,11 @@ def exterior_power(M, k):
 # ---------------------------------------------------------------------------
 # numerics at a maximal ideal, Hilbert functions, generic rank
 
-def fp_rank(rows, p):
-    """Rank of an integer matrix mod p by Gaussian elimination."""
+def _row_reduce(rows, p):
+    """(R, pivots): the reduced row echelon form R mod p of an integer
+    matrix, by Gauss-Jordan elimination, and its pivot columns."""
     rows = [list(r) for r in rows]
-    rank = 0
+    pivots = []
     ncols = len(rows[0]) if rows else 0
     col = 0
     r = 0
@@ -487,10 +520,26 @@ def fp_rank(rows, p):
             if i != r and rows[i][col] % p:
                 f = rows[i][col]
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
         r += 1
         col += 1
-        rank += 1
-    return rank
+    return rows, pivots
+
+
+def fp_rank(rows, p):
+    """Rank of an integer matrix mod p by Gaussian elimination."""
+    return len(_row_reduce(rows, p)[1])
+
+
+def fp_inverse(rows, p):
+    """The inverse mod p of a square integer matrix, as a list of rows:
+    the right half of the reduced form of [F | 1]; None when F is singular
+    mod p, that is when a pivot falls in the right half."""
+    n = len(rows)
+    reduced, pivots = _row_reduce([list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(rows)], p)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in reduced]
 
 
 def minimal_generators_at(M, max_ideal):
@@ -586,7 +635,8 @@ def generic_rank(M):
     keeps the rank over the fraction field; entries stay in normal form
     and are tested for zero modulo the modulus, so the result is exact."""
     ring = M.ring
-    rows = [[reduce_in(ring, r.components[i]) for r in M.relations] for i in range(M.ngens)]
+    cols = [r.components for r in M.relations]
+    rows = [[reduce_in(ring, c[i]) for c in cols] for i in range(M.ngens)]
     rank = 0
     while True:
         rows = [row for row in rows if any(e.terms for e in row)]

@@ -8,11 +8,14 @@ from fpduality.complexes import (
     ChainMap,
     FreeComplex,
     cohomology,
+    hom_transpose_vector,
     invert_monomial_chain_map,
+    lift_chain_map,
     rank_one_complex,
 )
 from fpduality.differentials import canonical_omega_regular
 from fpduality.duality import (
+    _frobenius_multiplications,
     _trace_pairing_chain_map,
     biduality_certificate,
     canonical_dualizing,
@@ -29,12 +32,14 @@ from fpduality.duality import (
     xi_via_factorization,
 )
 from fpduality.errors import AlgebraError, NotRegularSequence
+from fpduality.frobenius import frobenius_pushforward, pushforward_module, pushforward_vector
 from fpduality.groebner import Ideal, QuotientRing, VectorPoly, elimination_kernel, unit_vector
 from fpduality.modules import (
     ModuleMap,
     cyclic_module,
     hilbert_function,
     is_isomorphism,
+    prune,
 )
 from fpduality.polyring import PolyRing, RingMap
 
@@ -403,6 +408,61 @@ def _composes_to_identity(f, g):
         for d in C.degrees()
         for j in range(C.rank(d))
     )
+
+
+# the cusp and the affine twisted cubic over F_3
+MULTIPLICATION_RINGS = {
+    "cusp3": lambda: _quotient(3, ("x", "y"), lambda x, y: [y ** 2 - x ** 3]),
+    "tc3": lambda: _quotient(3, ("x", "y", "z"), lambda x, y, z: [x ** 2 - y, x * y - z, y ** 2 - x * z]),
+}
+
+
+class TestFrobeniusMultiplications:
+    """The multiplication chain maps K -> F_*K read off one lift
+    K^{[q]} -> K against one lift_chain_map per monomial."""
+
+    @pytest.mark.parametrize("build", MULTIPLICATION_RINGS.values(), ids=MULTIPLICATION_RINGS.keys())
+    def test_degree_zero_is_the_pushforward_of_b(self, build):
+        A = build()
+        dc = canonical_dualizing(A)
+        _chi, FK = _trace_pairing_chain_map(dc, 1)
+        FA = frobenius_pushforward(A)
+        multiplication = _frobenius_multiplications(dc.resolution.complex, FK, 1)
+        for b in FA.index.monomials:
+            assert multiplication(b).maps[0] == [FA.coords(A.ambient.monomial(b))]
+
+    @pytest.mark.parametrize("build", MULTIPLICATION_RINGS.values(), ids=MULTIPLICATION_RINGS.keys())
+    def test_hom_values_match_per_monomial_lifts(self, build):
+        # the value maps F_*A -> omega_A of every generator of F_*omega_A,
+        # as verify_frobenius_duality assembles them, through either lift
+        A = build()
+        S = A.ambient
+        dc = canonical_dualizing(A)
+        K, W = dc.resolution.complex, dc.complex
+        chi, FK = _trace_pairing_chain_map(dc, 1)
+        low = dc.lowest_degree()
+        h_om = dc.canonical_module()
+        omega_mod = dc.canonical_module_over_ring()
+        pidx = pushforward_module(omega_mod).pushforward_index
+        FA = frobenius_pushforward(A)
+        FA_pruned, FA_in, _ = prune(FA.module)
+        kept = [FA.index.monomials[k] for k in FA_in.kept]
+        multiplication = _frobenius_multiplications(K, FK, 1)
+        ours = {b: multiplication(b) for b in kept}
+        lifted = {b: lift_chain_map([FA.coords(S.monomial(b))], K, FK, S) for b in kept}
+
+        def value_map(lifts, psi):
+            cols = []
+            for b in kept:
+                comp = hom_transpose_vector(lifts[b], psi, chi.target.hom_bases[low], W.hom_bases[low])
+                cols.append(VectorPoly(S, h_om.coords_of_cocycle(comp)))
+            return ModuleMap(FA_pruned, omega_mod, cols, check=True)
+
+        for idx in range(pidx.total):
+            a, j = pidx.tag(idx)
+            shifted = h_om.reps[j].mul_poly(S.monomial(a))
+            psi = chi.apply(low, pushforward_vector(chi.source.pushforward_indices[low], shifted, 1))
+            assert value_map(ours, psi).equals(value_map(lifted, psi))
 
 
 class TestTracePairingInverse:

@@ -459,12 +459,23 @@ def _same(v, comps):
 def test_vector_ops_match_componentwise(pair, c, mono, f):
     a, b = pair
     u, w = VectorPoly(_VR, a), VectorPoly(_VR, b)
-    assert _same(u + w, [s + t for s, t in zip(a, b)])
-    assert _same(u - w, [s - t for s, t in zip(a, b)])
-    assert _same(-u, [-s for s in a])
-    assert _same(u.scale(c), [s.scale(c) for s in a])
-    assert _same(u.mul_term(mono, c), [s.mul_term(mono, c) for s in a])
-    assert _same(u.mul_poly(f), [s * f for s in a])
+    results = [
+        (u + w, [s + t for s, t in zip(a, b)]),
+        (u - w, [s - t for s, t in zip(a, b)]),
+        (-u, [-s for s in a]),
+        (u.scale(c), [s.scale(c) for s in a]),
+        (u.mul_term(mono, c), [s.mul_term(mono, c) for s in a]),
+        (u.mul_poly(f), [s * f for s in a]),
+    ]
+    for v, dense in results:
+        # the nonzero slots of a vector built from terms, read first:
+        # ascending positions, each slot's terms in the order of the
+        # componentwise result, kept on the vector
+        slots = groebner.nonzero_slots(v)
+        assert [i for i, _ in slots] == [i for i, s in enumerate(dense) if s.terms]
+        assert [list(s.terms.items()) for _, s in slots] == [list(s.terms.items()) for s in dense if s.terms]
+        assert groebner.nonzero_slots(v) is slots
+        assert _same(v, dense)
     # vector_of adds each entry into its slot: repeated slots, one sum
     # cancelling to zero, agree with the dense sums slot by slot, in either
     # order of the entries
@@ -476,7 +487,7 @@ def test_vector_ops_match_componentwise(pair, c, mono, f):
             dense[pos] = dense[pos] + s
         assert _same(groebner.vector_of(_VR, r, ordered), dense)
     assert groebner.vector_of(_VR, r, [(0, f), (r - 1, f.scale(2)), (0, -f), (r - 1, f.scale(3))]).is_zero()
-    assert groebner.nonzero_slots(u) == [(i, s) for i, s in enumerate(a) if s.terms]
+    assert groebner.nonzero_slots(u) == tuple((i, s) for i, s in enumerate(a) if s.terms)
     for pos in (-1, r):
         with pytest.raises(IndexError):
             groebner.vector_of(_VR, r, [(pos, f)])

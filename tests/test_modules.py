@@ -1,7 +1,10 @@
 """FPModules: hom, tensor, kernels, exterior powers, counting invariants."""
 
+from itertools import product
+
 import pytest
 
+import fpduality.modules as modules
 from fpduality.errors import NotGraded, NotMaximal
 from fpduality.frobenius import frobenius_pushforward
 from fpduality.groebner import Ideal, QuotientRing, VectorPoly
@@ -12,6 +15,7 @@ from fpduality.modules import (
     direct_sum,
     exterior_power,
     free_module,
+    fp_inverse,
     fp_rank,
     generic_rank,
     hilbert_function,
@@ -199,6 +203,69 @@ class TestKernelCokernel:
         assert verdicts == [True, True, False, False]
 
 
+class TestIsomorphismByInverse:
+    """is_isomorphism certifies a square, constant matrix invertible over
+    F_p by its inverse, and any other one by kernel and cokernel; either
+    way it agrees with kernel_cokernel."""
+
+    @staticmethod
+    def _verdict(f, monkeypatch):
+        # (is_isomorphism(f), whether it took the inverse)
+        fallbacks = []
+        original = modules.cokernel_with_projection
+
+        def spied(g):
+            fallbacks.append(g)
+            return original(g)
+
+        monkeypatch.setattr(modules, "cokernel_with_projection", spied)
+        verdict = is_isomorphism(f)
+        took_inverse = not fallbacks
+        ker, coker = kernel_cokernel(f)
+        assert verdict == (ker.is_zero_module() and coker.is_zero_module())
+        return verdict, took_inverse
+
+    def test_constant_invertible_isomorphism(self, monkeypatch):
+        amb = ring(3, "x", "y")
+        x, y = amb.gens()
+        M = FPModule(amb, 2, [VectorPoly(amb, [x, y])])
+        # F = [[1, 1], [0, 2]] sends the relation of M to that of N
+        N = FPModule(amb, 2, [VectorPoly(amb, [x + y, 2 * y])])
+        f = ModuleMap(M, N, [N.gen(0), VectorPoly(amb, [amb.one(), amb.const(2)])])
+        assert self._verdict(f, monkeypatch) == (True, True)
+
+    def test_invertible_matrix_with_a_kernel(self, monkeypatch):
+        # S/(x^2) -> S/(x) by the identity matrix: onto, with kernel (x)
+        amb = ring(3, "x")
+        x = amb.var("x")
+        f = ModuleMap(cyclic_module(amb, [x ** 2]), cyclic_module(amb, [x]), [VectorPoly(amb, [amb.one()])])
+        assert self._verdict(f, monkeypatch) == (False, True)
+
+    def test_singular_constant_matrix_falls_back(self, monkeypatch):
+        amb = ring(3, "x")
+        one, two = amb.one(), amb.const(2)
+        F = free_module(amb, 2)
+        f = ModuleMap(F, F, [VectorPoly(amb, [one, one]), VectorPoly(amb, [two, two])])
+        assert self._verdict(f, monkeypatch) == (False, False)
+
+    @pytest.mark.parametrize("unit, iso", [(True, True), (False, False)], ids=["1+x", "x"])
+    def test_polynomial_matrix_falls_back(self, monkeypatch, unit, iso):
+        amb, A = quotient(3, ("x",), [lambda R: R.var("x") ** 2])
+        x = amb.var("x")
+        M = cyclic_module(A)
+        f = ModuleMap(M, M, [VectorPoly(amb, [amb.one() + x if unit else x])])
+        assert self._verdict(f, monkeypatch) == (iso, False)
+
+    def test_zero_modules(self, monkeypatch):
+        # both prune to no generators: the empty matrix is its own inverse
+        amb = ring(3, "x", "y")
+        x = amb.var("x")
+        M = FPModule(amb, 2, [VectorPoly(amb, [amb.one(), x]), VectorPoly(amb, [amb.zero(), amb.const(2)])])
+        N = cyclic_module(amb, [amb.one()])
+        assert M.is_zero_module() and N.is_zero_module()
+        assert self._verdict(ModuleMap.zero(M, N), monkeypatch) == (True, True)
+
+
 class TestExteriorPower:
     def test_first_power_is_module(self):
         amb = ring(2, "x")
@@ -330,6 +397,16 @@ class TestHelpers:
         assert fp_rank([[1, 0], [0, 1]], 2) == 2
         assert fp_rank([[1, 1], [1, 1]], 2) == 1
         assert fp_rank([[2, 4], [1, 2]], 5) == 1
+
+    def test_fp_inverse_on_every_2x2_matrix_mod_3(self):
+        identity = [[1, 0], [0, 1]]
+        for entries in product(range(3), repeat=4):
+            rows = [list(entries[:2]), list(entries[2:])]
+            inverse = fp_inverse(rows, 3)
+            if fp_rank(rows, 3) < 2:
+                assert inverse is None
+            else:
+                assert [[sum(r[k] * inverse[k][j] for k in range(2)) % 3 for j in range(2)] for r in rows] == identity
 
     def test_direct_sum(self):
         amb = ring(2, "x")
