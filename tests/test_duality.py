@@ -419,7 +419,7 @@ MULTIPLICATION_RINGS = {
 
 class TestFrobeniusMultiplications:
     """The multiplication chain maps K -> F_*K read off one lift
-    K^{[q]} -> K against one lift_chain_map per monomial."""
+    K^{[q]} -> K, checked against one lift_chain_map per monomial."""
 
     @pytest.mark.parametrize("build", MULTIPLICATION_RINGS.values(), ids=MULTIPLICATION_RINGS.keys())
     def test_degree_zero_is_the_pushforward_of_b(self, build):
