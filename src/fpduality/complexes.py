@@ -18,7 +18,6 @@ from .fp import inv_mod
 from .groebner import (
     QuotientRing,
     SpanSolver,
-    VectorPoly,
     ambient_of,
     combine,
     modulus_tails,
@@ -34,8 +33,8 @@ from .modules import FPModule, ModuleMap, is_isomorphism
 
 
 def solve_in_span(target, columns, ring, rank):
-    """Coefficients c with sum c_i columns_i = target modulo the modulus of
-    `ring`, or None.  Build a SpanSolver to solve many targets."""
+    """The coefficient vector c with sum c_i columns_i = target modulo the
+    modulus of `ring`, or None.  Build a SpanSolver to solve many targets."""
     return SpanSolver(list(columns), ring, rank).solve(target)
 
 
@@ -78,7 +77,7 @@ class FreeComplex:
             if not nxt:
                 continue
             for c in cols:
-                if not self.vanishes(d + 2, combine(nxt, c.components, self.ambient, self.rank(d + 2))):
+                if not self.vanishes(d + 2, combine(nxt, nonzero_slots(c), self.ambient, self.rank(d + 2))):
                     raise AlgebraError("d o d != 0 at degree %d" % d)
 
     def rank(self, d):
@@ -120,14 +119,14 @@ class FreeComplex:
         return sorted(self.terms)
 
     def span_solver(self, d, ring):
-        """SpanSolver for d(x) = y, x in C^d, modulo the modulus of ring.
-
-        Cached per degree when ring is the complex's own ring object."""
+        """SpanSolver for d(x) = y, x in C^d, modulo the modulus of ring; an
+        absent differential gives rank(d) zero columns.  Cached per degree
+        when ring is the complex's own ring object."""
         if ring is not self.ring:
-            return SpanSolver(self.diffs.get(d, []), ring, self.rank(d + 1))
+            return SpanSolver(self.differential(d), ring, self.rank(d + 1))
         solver = self._solvers.get(d)
         if solver is None:
-            solver = SpanSolver(self.diffs.get(d, []), ring, self.rank(d + 1))
+            solver = SpanSolver(self.differential(d), ring, self.rank(d + 1))
             self._solvers[d] = solver
         return solver
 
@@ -319,7 +318,8 @@ class HDegree:
         self.solver = solver
 
     def coords_of_cocycle(self, v):
-        """Class of a cocycle vector in the presentation's generators."""
+        """Class of a cocycle vector as a coefficient vector on the
+        presentation's generators, or None."""
         return self.solver.solve(v)
 
     def classes_of(self, cocycles):
@@ -327,10 +327,10 @@ class HDegree:
         one of them is None or not a cocycle class."""
         cols = []
         for v in cocycles:
-            coords = None if v is None else self.coords_of_cocycle(v)
-            if coords is None:
+            cls = None if v is None else self.coords_of_cocycle(v)
+            if cls is None:
                 return None
-            cols.append(VectorPoly(self.module.ambient, coords))
+            cols.append(cls)
         return cols
 
     def is_zero(self):
@@ -446,7 +446,7 @@ class ChainMap:
         return self._row_lists[d]
 
     def apply(self, d, v):
-        return combine(self.maps.get(d, []), v.components, self.target.ambient, self.target.rank(d))
+        return combine(self.maps.get(d, []), nonzero_slots(v), self.target.ambient, self.target.rank(d))
 
     def verify(self):
         """d_tgt o f = f o d_src in the target's terms."""
@@ -458,7 +458,7 @@ class ChainMap:
             d_tgt = self.target.diffs.get(d, [])
             d_src = self.source.differential(d)
             for j in range(self.source.rank(d)):
-                lhs = combine(d_tgt, self.column(d, j).components, amb, r)
+                lhs = combine(d_tgt, nonzero_slots(self.column(d, j)), amb, r)
                 if not self.target.vanishes(d + 1, lhs - self.apply(d + 1, d_src[j])):
                     raise AlgebraError("not a chain map at degree %d" % d)
 
@@ -603,10 +603,10 @@ def lift_chain_map(f0_cols, source, target, ring):
         solver = target.span_solver(d, ring)
         for col in source.differential(d):
             # want x with d_target(x) = f_{d+1}(d_source e_j)
-            coeffs = solver.solve(combine(maps[d + 1], col.components, amb, target.rank(d + 1)))
+            coeffs = solver.solve(combine(maps[d + 1], nonzero_slots(col), amb, target.rank(d + 1)))
             if coeffs is None:
                 raise AlgebraError("lifting failed at degree %d" % d)
-            cols.append(vector_of(amb, target.rank(d), enumerate(coeffs)))
+            cols.append(coeffs)
         maps[d] = cols
     return ChainMap(source, target, maps, check=True)
 

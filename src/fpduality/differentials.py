@@ -9,7 +9,7 @@ basis and the top exterior power a free rank-one module.
 """
 
 from .errors import AlgebraError, NotCertifiedRegular, NotSurjective, SplittingNotFound
-from .complexes import rank_one_complex, solve_in_span
+from .complexes import rank_one_complex
 from .groebner import (
     Ideal,
     QuotientRing,
@@ -120,7 +120,7 @@ def conormal_sequence(pi, rseq=None):
         coords = into.solve(alpha.columns[j])
         if coords is None:
             raise AlgebraError("conormal image misses the kernel; not exact")
-        cols.append(VectorPoly(S, coords))
+        cols.append(coords)
     into_kernel = ModuleMap(conormal, kerb, cols, check=True)
     if not is_isomorphism(into_kernel):
         raise AlgebraError("conormal sequence is not exact on the left; not lci input")
@@ -133,19 +133,14 @@ def conormal_sequence(pi, rseq=None):
         coords = hom_oo.encode(comp)
         if coords is None:
             raise AlgebraError("postcomposition failed to encode")
-        beta_cols.append(VectorPoly(S, coords))
+        beta_cols.append(coords)
     id_coords = hom_oo.encode(ModuleMap.identity(omega))
     if id_coords is None:
         raise AlgebraError("identity failed to encode")
-    sol = solve_in_span(
-        VectorPoly(S, id_coords),
-        beta_cols + list(hom_oo.relations),
-        Rq,
-        hom_oo.ngens,
-    )
+    sol = SpanSolver(beta_cols, Rq, hom_oo.ngens, extra=hom_oo.relations).solve(id_coords)
     if sol is None:
         raise SplittingNotFound("no splitting of the conormal sequence; non-lci input?")
-    theta = hom_om.decode(sol[: hom_om.ngens])
+    theta = hom_om.decode(sol)
     # theta is a section: beta o theta = id on omega
     check = beta.compose(theta) - ModuleMap.identity(omega)
     if not check.is_zero_map():
@@ -213,9 +208,7 @@ def canonical_omega_regular(R, p_basis=None, pbasis_via_iso=None):
         label = wedge_label(amb.variables)
         omega = rank_one_complex(R, -n, label=label)
         lam = exterior_power(KahlerModule(R).module, n)
-        coords = [amb.one()]
-        out = CanonicalOmega(R, n, omega, list(amb.gens()), label, lam, coords)
-        return out
+        return CanonicalOmega(R, n, omega, list(amb.gens()), label, lam, lam.gen(0))
     if p_basis is None:
         raise NotCertifiedRegular(
             "a quotient ring needs an exhibited p-basis to certify regularity"
@@ -240,13 +233,13 @@ def canonical_omega_regular(R, p_basis=None, pbasis_via_iso=None):
     from itertools import combinations
 
     subsets = list(combinations(range(amb.nvars), n))
-    coords = wedge_coordinates(amb, dcols, subsets)
-    gen_map = ModuleMap(free_module(R, 1), lam, [VectorPoly(amb, coords)], check=False)
+    wedge = VectorPoly(amb, wedge_coordinates(amb, dcols, subsets))
+    gen_map = ModuleMap(free_module(R, 1), lam, [wedge], check=False)
     if not is_isomorphism(gen_map):
         raise NotCertifiedRegular("top wedge of the p-basis is not a free generator")
     label = wedge_label([str(b) for b in p_basis])
     omega = rank_one_complex(R, -n, label=label)
-    return CanonicalOmega(R, n, omega, list(p_basis), label, lam, coords)
+    return CanonicalOmega(R, n, omega, list(p_basis), label, lam, wedge)
 
 
 def wedge_label(names):

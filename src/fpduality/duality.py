@@ -54,7 +54,6 @@ from .groebner import (
     Ideal,
     QuotientRing,
     SpanSolver,
-    VectorPoly,
     adjoin_variables,
     ambient_of,
     as_quotient,
@@ -333,7 +332,7 @@ def xi_lci_class(pi, target_pbasis, rseq=None, pbasis_via_iso=None, theta_column
     if coords is None:
         raise AlgebraError("lci class is not a cocycle class; convention bug")
     source = free_module(Rq, 1)
-    cand = ModuleMap(source, h.module, [VectorPoly(amb, coords)], check=False)
+    cand = ModuleMap(source, h.module, [coords], check=False)
     certified = is_isomorphism(cand)
     return XiIso(
         "lci",
@@ -537,8 +536,8 @@ def xi_via_factorization(R, roots, e):
         if sol is None:
             raise AlgebraError("basis change to the restricted monomials failed")
         acc = amb.zero()
-        for cb, b in zip(sol, basis):
-            acc = acc + cb * values[b]
+        for k, cb in nonzero_slots(sol):
+            acc = acc + cb * values[basis[k]]
         functional.append(acc)
     # certificate: the functional freely generates Hom(F_*R, omega_R):
     # the matrix of its precompositions with basis multiplications must be
@@ -671,8 +670,7 @@ def biduality_certificate(dc):
     ident = H.encode(ModuleMap.identity(om))
     if ident is None:
         return False
-    amb = ambient_of(A)
-    cand = ModuleMap(free_module(A, 1), H, [VectorPoly(amb, ident)], check=False)
+    cand = ModuleMap(free_module(A, 1), H, [ident], check=False)
     return is_isomorphism(cand)
 
 
@@ -919,12 +917,15 @@ def verify_frobenius_duality(A, e=1):
             cls = h_om.coords_of_cocycle(comp)
             if cls is None:
                 raise AlgebraError("assembled value is not a cocycle class")
-            hom_cols.append(VectorPoly(amb, cls))
-        value_map = ModuleMap(FA_pruned, omega_mod, hom_cols, check=True)
+            hom_cols.append(cls)
+        # unchecked: encode solves it as a Hom cocycle, which asks every
+        # relation of FA_pruned to hold but the automatic ones, g*e_j with
+        # g*omega in omega's relations, which hold for every map
+        value_map = ModuleMap(FA_pruned, omega_mod, hom_cols, check=False)
         coords = Hom_module_side.encode(value_map)
         if coords is None:
             raise AlgebraError("candidate map failed to encode in Hom")
-        cols.append(VectorPoly(amb, coords))
+        cols.append(coords)
     cand = ModuleMap(Fomega, Hom_module_side, cols, check=True)
     certified = is_isomorphism(cand)
     gen_data = {

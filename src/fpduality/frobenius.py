@@ -241,10 +241,10 @@ class CoordinateSolver:
         if coeffs is None:
             return None
         out = {}
-        for a, c in zip(self.theta.tuple_monomials, coeffs):
+        for k, c in nonzero_slots(coeffs):
             c = reduce_in(self.ring, c)
             if not c.is_zero():
-                out[a] = c
+                out[self.theta.tuple_monomials[k]] = c
         return out
 
 

@@ -748,17 +748,15 @@ class ModuleGB(ReducedBasis):
         super().__init__(rank, order, basis)
 
     def reduce(self, v):
-        """(coefficients on the generators, normal form of v): v minus the
-        normal form minus the combination lies in span(modulo)."""
+        """(coefficient vector on the generators, normal form of v): v minus
+        the normal form minus the combination lies in span(modulo)."""
         if v.rank != self.rank:
             raise AlgebraError("vector rank %d does not match module rank %d" % (v.rank, self.rank))
         quots, rem = division(v, self.index)
-        coeffs = combine(self.certificates, quots, self.ring, len(self.generators))
-        return list(coeffs.components), rem
+        return combine(self.certificates, enumerate(quots), self.ring, len(self.generators)), rem
 
     def lift(self, v):
-        """Coefficients expressing v in the generators modulo span(modulo),
-        or None."""
+        """The coefficient vector of v on the generators modulo span(modulo), or None."""
         coeffs, rem = self.reduce(v)
         if not rem.is_zero():
             return None
@@ -775,12 +773,17 @@ def syzygies(vectors, modulo=()):
     return ModuleGB(vectors[0].ring, vectors[0].rank, vectors, modulo=list(modulo)).syzygies
 
 
-def combine(columns, coeffs, ring, rank):
-    """sum_j coeffs[j] * columns[j] in ring^rank: the zero vector when
-    there is nothing to add; zero coefficients are skipped."""
+def combine(columns, entries, ring, rank):
+    """sum coeff * columns[j] over the (j, coeff) pairs of entries (those of
+    a coefficient vector are its nonzero_slots) in ring^rank.  An empty
+    column list is an absent, zero map: the zero vector whatever the
+    entries; otherwise an entry past the columns raises IndexError."""
     p = ring.p
     acc = {}
-    for c, col in zip(coeffs, columns):
+    if not columns:
+        return VectorPoly._of(ring, rank, acc)
+    for j, c in entries:
+        col = columns[j]
         if c.terms:
             if col.ring is not ring and col.ring != ring:
                 raise RingMismatch("column lives in %r, not in %r" % (col.ring, ring))
@@ -1025,9 +1028,9 @@ class SpanSolver:
         return self.mgb.syzygies if self.mgb is not None else []
 
     def solve(self, v):
-        """Coefficients c on the columns, or None when v is not spanned."""
+        """The coefficient vector on the columns, or None if v is not spanned."""
         if self.mgb is None:
-            return [] if v.is_zero() else None
+            return vector_of(v.ring, 0, ()) if v.is_zero() else None
         return self.mgb.lift(v)
 
 
@@ -1224,7 +1227,9 @@ def resolution_stages(ring, rank, columns, length=None):
     amb = ambient_of(ring)
 
     def reduced(vectors):
-        return unique_nonzero(VectorPoly(amb, [reduce_in(ring, x) for x in v.components]) for v in vectors)
+        return unique_nonzero(
+            vector_of(amb, v.rank, [(i, reduce_in(ring, x)) for i, x in nonzero_slots(v)]) for v in vectors
+        )
 
     stages = []
     current = reduced(columns)

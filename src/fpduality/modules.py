@@ -125,8 +125,6 @@ class ModuleMap:
         self.target = target
         cols = []
         for c in columns:
-            if isinstance(c, (list, tuple)):
-                c = VectorPoly(target.ambient, c)
             if c.rank != target.ngens:
                 raise AlgebraError("column of wrong length")
             cols.append(c)
@@ -140,7 +138,7 @@ class ModuleMap:
 
     def apply_coords(self, v):
         """Image of a coordinate vector of the source."""
-        return combine(self.columns, v.components, self.target.ambient, self.target.ngens)
+        return combine(self.columns, nonzero_slots(v), self.target.ambient, self.target.ngens)
 
     def compose(self, other):
         """self after other."""
@@ -396,15 +394,15 @@ class HomModule(FPModule):
         super().__init__(M.ring, len(self.h0.reps), self.h0.module.relations)
 
     def decode(self, coeffs):
-        """Turn Hom coordinates into an explicit ModuleMap."""
+        """The explicit ModuleMap of a generator index, or of a coefficient
+        vector on the generators."""
         amb = self.ambient
         M, N = self.hom_source, self.hom_target
         n = N.ngens
         if isinstance(coeffs, int):
             vec = self.h0.reps[coeffs]
         else:
-            coeffs = [amb.const(c) if isinstance(c, int) else c for c in coeffs]
-            vec = combine(self.h0.reps, coeffs, amb, n * M.ngens)
+            vec = combine(self.h0.reps, nonzero_slots(coeffs), amb, n * M.ngens)
         # degree 0 of the Hom complex lists its basis j-major: block j is phi(e_j)
         blocks = [[] for _ in range(M.ngens)]
         for pos, c in nonzero_slots(vec):
@@ -412,7 +410,8 @@ class HomModule(FPModule):
         return ModuleMap(M, N, [N.nf(vector_of(amb, n, b)) for b in blocks], check=False)
 
     def encode(self, f):
-        """Coordinates of an explicit ModuleMap in this presentation."""
+        """The coefficient vector of an explicit ModuleMap on the
+        generators, or None."""
         n = self.hom_target.ngens
         entries = [(j * n + i, c) for j, col in enumerate(f.columns) for i, c in nonzero_slots(col)]
         return self.h0.coords_of_cocycle(vector_of(self.ambient, n * len(f.columns), entries))

@@ -462,10 +462,7 @@ def find_certified_iso(M, N, max_sum=2):
     if max_sum >= 2:
         for i in range(H.ngens):
             for j in range(i + 1, H.ngens):
-                coeffs = [0] * H.ngens
-                coeffs[i] = 1
-                coeffs[j] = 1
-                cand = H.decode(coeffs)
+                cand = H.decode(H.gen(i) + H.gen(j))
                 if is_isomorphism(cand):
                     return cand
     return None
@@ -555,5 +552,5 @@ def exterior_hom_comparison(A, M, N, M2, N2):
             coords = rhs.encode(fmap)
             if coords is None:
                 return False
-            cols.append(VectorPoly(amb, coords))
+            cols.append(coords)
     return is_isomorphism(ModuleMap(lhs, rhs, cols, check=True))

@@ -137,7 +137,7 @@ class TestHomTensor:
         coords = h0.coords_of_cocycle(ident_vec)
         assert coords is not None
         expect = cyclic_module(S, [x])
-        iso = ModuleMap(expect, h0.module, [VectorPoly(S, coords)])
+        iso = ModuleMap(expect, h0.module, [coords])
         assert is_isomorphism(iso)
 
     def test_shift_tensor_sign_coherence(self):

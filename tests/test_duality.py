@@ -455,7 +455,7 @@ class TestFrobeniusMultiplications:
             cols = []
             for b in kept:
                 comp = hom_transpose_vector(lifts[b], psi, chi.target.hom_bases[low], W.hom_bases[low])
-                cols.append(VectorPoly(S, h_om.coords_of_cocycle(comp)))
+                cols.append(h_om.coords_of_cocycle(comp))
             return ModuleMap(FA_pruned, omega_mod, cols, check=True)
 
         for idx in range(pidx.total):
@@ -592,8 +592,8 @@ class TestXiChoiceIndependence:
             img = cm.apply(deg, other.data["cocycle"])
             coords = h_base.coords_of_cocycle(img)
             assert coords is not None
-            got = [base.data["quotient"].reduce(c) for c in coords]
-            expect = [base.data["quotient"].reduce(c) for c in base.data["class_coords"]]
+            got = [base.data["quotient"].reduce(c) for c in coords.components]
+            expect = [base.data["quotient"].reduce(c) for c in base.data["class_coords"].components]
             assert all((a - b).is_zero() for a, b in zip(got, expect))
 
 

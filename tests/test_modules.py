@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 import fpduality.modules as modules
-from fpduality.errors import NotGraded, NotMaximal
+from fpduality.errors import AlgebraError, NotGraded, NotMaximal
 from fpduality.frobenius import frobenius_pushforward
 from fpduality.groebner import Ideal, QuotientRing, VectorPoly
 from fpduality.modules import (
@@ -99,6 +99,17 @@ class TestHom:
             g = H.decode(coords)
             assert f.equals(g)
 
+    def test_encode_refuses_a_map_not_well_defined(self):
+        # Frobenius duality checks its value maps only through encode: on
+        # the cusp over F_3, A/(x) -> A, 1 -> 1 sends the relation x to x
+        amb = ring(3, "x", "y")
+        x, y = amb.gens()
+        A = QuotientRing(amb, [y ** 2 - x ** 3])
+        M, N = cyclic_module(A, [x]), free_module(A, 1)
+        with pytest.raises(AlgebraError):
+            ModuleMap(M, N, [N.gen(0)])
+        assert hom_module(M, N).encode(ModuleMap(M, N, [N.gen(0)], check=False)) is None
+
     def test_encode_matches_fresh_basis(self):
         # Hom(Lambda^2 F_*R, Q) on the elliptic curve of criterion 1: encode
         # lifts through the constructor's basis; a freshly built one over
@@ -125,7 +136,7 @@ class TestHom:
             vec = VectorPoly(amb, [c for col in f.columns for c in col.components])
             expected = fresh.lift(vec)
             assert expected is not None
-            assert H.encode(f) == expected[: H.ngens]
+            assert H.encode(f).components == expected.components[: H.ngens]
 
 
 class TestTensor:

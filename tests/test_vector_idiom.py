@@ -1,7 +1,12 @@
 """Module vectors above groebner.py are built with vector_of and read with
 nonzero_slots.  A dense list padded with zeros, or a vector made straight
 from a term dict, outside groebner.py would bring back the per-slot idiom
-that the term-dict vectors replaced."""
+that the term-dict vectors replaced.
+
+Coefficient vectors have one format too: the solvers return a VectorPoly,
+and combine reads its (j, coeff) pairs off nonzero_slots.  A dense
+components tuple passed to combine, or a solver result wrapped again as a
+VectorPoly, would bring back the list format they replaced."""
 
 import pathlib
 import re
@@ -13,6 +18,10 @@ SOURCES = sorted(pathlib.Path(fpduality.__file__).parent.glob("*.py"))
 # [ring.zero()] * n, [amb.zero()] * (m * n), ...
 ZERO_PADDING = re.compile(r"\[[^\[\]]*\.zero\(\)\]\s*\*")
 TERM_DICT_VECTOR = re.compile(r"VectorPoly\._of\b")
+# combine(self.columns, v.components, ...)
+DENSE_COMBINE = re.compile(r"\bcombine\(.*\.components\b")
+# VectorPoly(amb, coords): a solver result rebuilt from a list
+REWRAPPED_SOLUTION = re.compile(r"\bVectorPoly\(\s*[\w.]+\s*,\s*(coords|coeffs|cls|sol|ident|id_coords)\s*\)")
 
 
 def _offending_lines(pattern):
@@ -36,6 +45,14 @@ def test_patterns_match_the_dense_idiom():
     assert ZERO_PADDING.search("VectorPoly(S, [S.zero()]*n)")
     assert not ZERO_PADDING.search("VectorPoly(amb, [amb.zero()])")
     assert TERM_DICT_VECTOR.search("return VectorPoly._of(ring, rank, acc)")
+    assert DENSE_COMBINE.search("return combine(self.columns, v.components, self.target.ambient, n)")
+    assert DENSE_COMBINE.search("lhs = combine(d_tgt, self.column(d, j).components, amb, r)")
+    assert not DENSE_COMBINE.search("return combine(self.columns, nonzero_slots(v), amb, n)")
+    assert REWRAPPED_SOLUTION.search("cols.append(VectorPoly(amb, coords))")
+    assert REWRAPPED_SOLUTION.search("VectorPoly(S, id_coords),")
+    assert REWRAPPED_SOLUTION.search("cols.append(VectorPoly(self.module.ambient, coords))")
+    assert not REWRAPPED_SOLUTION.search("VectorPoly(amb, [g]) for g in gens")
+    assert not REWRAPPED_SOLUTION.search("VectorPoly(amb, coordsys)")
 
 
 def test_no_zero_padded_vectors_outside_groebner():
@@ -44,3 +61,11 @@ def test_no_zero_padded_vectors_outside_groebner():
 
 def test_no_term_dict_vectors_outside_groebner():
     assert _offending_lines(TERM_DICT_VECTOR) == []
+
+
+def test_no_dense_coefficients_passed_to_combine_outside_groebner():
+    assert _offending_lines(DENSE_COMBINE) == []
+
+
+def test_no_solver_result_rewrapped_outside_groebner():
+    assert _offending_lines(REWRAPPED_SOLUTION) == []
