@@ -29,6 +29,13 @@ holds the largest input degree and the degree budget plus the largest
 divisor degree, which bounds every term a reduction brings in; it is
 checked on every call, and the index is repacked wider when needed, so a
 field never wraps.
+
+Buchberger's inner loop stays on packed terms too.  An S-pair enters
+division as (i, j, pos, lcm) over the basis index: its terms are the two
+packed tails, each shifted by one integer addition, and the remainder
+carries its first, largest term as its cached leading term.  The final
+tail reduction tests each packed tail term against the leads at its
+position and divides only a tail that one of them divides.
 """
 
 import functools
@@ -43,7 +50,6 @@ from .polyring import (
     Polynomial,
     MonomialOrder,
     mono_degree,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -413,15 +419,79 @@ class DivisionIndex:
         flat = self._tails[k] = [(term(i, m), c) for (i, m), c in rest.items()]
         return flat
 
+    def spair(self, i, j, pos, lcm):
+        """The S-vector (lcm/lm_i) g_i - (lc_i/lc_j) (lcm/lm_j) g_j of
+        divisors i and j, whose leading terms at position pos have the lcm
+        `lcm` (within the degree budget), as {packed term: coeff}: each tail
+        term shifted by packed(lcm) minus the packed lead of its divisor.
+        None, after repacking the index wider, as for tail()."""
+        tails = self._tails
+        ti = tails[i] if tails[i] is not None else self.tail(i)
+        if ti is None:
+            return None
+        tj = tails[j] if tails[j] is not None else self.tail(j)
+        if tj is None:
+            return None
+        term = self._packing.term
+        (_, mi, ci), (_, mj, cj) = self.leads[i], self.leads[j]
+        p = self.divisors[i].ring.p
+        at_lcm = term(pos, lcm)
+        qi = at_lcm - term(pos, mi)
+        qj = at_lcm - term(pos, mj)
+        a = ci * inv_mod(cj, p) % p
+        terms = {t + qi: c for t, c in ti}
+        for t, c in tj:
+            t += qj
+            c = (terms.get(t, 0) - c * a) % p
+            if c:
+                terms[t] = c
+            elif t in terms:
+                del terms[t]
+        return terms
+
+    def reduced(self, k):
+        """Divisor k with its terms in descending order, when no leading
+        term of the index divides one of its other terms (one guard-bit
+        test per term and lead at its position; its own lead divides none
+        of them, as they are smaller); None otherwise."""
+        tail = self._tails[k]
+        if tail is None:
+            # after a repack, the second call fits the wider fields
+            tail = self.tail(k)
+            if tail is None:
+                tail = self.tail(k)
+        shift, _offset, _weights, guard, _dmask = self._packing.consts
+        by_pos = self.by_pos
+        for t, _c in tail:
+            for _k, lead, _linv in by_pos.get(t >> shift, ()):
+                if not (t - lead) & guard:
+                    return None
+        g = self.divisors[k]
+        pos, lmono, c = self.leads[k]
+        ts = [t for t, _c in tail]
+        if next(iter(g.terms)) == (pos, lmono) and ts == sorted(ts):
+            return g
+        # the packed tail lists the other terms in their order in the dict
+        others = [key for key in g.terms if key != (pos, lmono)]
+        terms = {(pos, lmono): c}
+        for _t, key in sorted(zip(ts, others)):
+            terms[key] = g.terms[key]
+        h = VectorPoly._of(g.ring, g.rank, terms)
+        h._leads = (self.order, self.leads[k])
+        return h
+
 
 def division(v, divisors, order=None, quotients=True):
     """Divide v by the divisors; returns (quotients, remainder).
 
     divisors is a DivisionIndex, whose order applies, or a list, indexed
-    for this call only.  v = sum quotients[k] * divisors[k] +
-    remainder, and no remainder term is divisible by any divisor leading
-    term; with quotients=False the quotients are not collected and None
-    stands in their place.  The working vector maps packed terms to
+    for this call only.  v = sum quotients[k] * divisors[k] + remainder,
+    and no remainder term is divisible by any divisor leading term; with
+    quotients=False the quotients are not collected and None stands in
+    their place.  v is a vector, or an S-pair (i, j, pos, lcm) of the
+    index's divisors i and j, whose lcm passed the budget check: the
+    working terms are then seeded from their shifted packed tails
+    (DivisionIndex.spair), and v stands for that S-vector.  The working vector maps packed terms to
     coefficients, driven by a lazy min-heap of the packed terms, whose
     smallest is the largest term under position-over-term.  A term is
     reduced by the first divisor whose leading term divides it; every term
@@ -434,10 +504,17 @@ def division(v, divisors, order=None, quotients=True):
     divisor fires for the first time with a term above `top`, the index is
     repacked wider and the division starts again, so a field never wraps.
     Input terms keep their tuples; only new remainder and quotient terms
-    are unpacked.  A zero vector returns at once: zero normal forms
+    are unpacked.  The first remainder term written is the largest, and is
+    cached as the remainder's leading term.  A zero vector returns at once: zero normal forms
     are frequent (zero elements of quotient rings and modules, empty tails
     in _reduced_basis).
     """
+    if isinstance(v, tuple):
+        # the S-vector has the ring and rank of its divisor i
+        spair = v
+        v = divisors.divisors[spair[0]]
+    else:
+        spair = None
     ring = v.ring
     p = ring.p
     if isinstance(divisors, DivisionIndex):
@@ -456,18 +533,23 @@ def division(v, divisors, order=None, quotients=True):
         if pk is None or budget + index.top > pk.cap or low > pk.cap:
             pk = index._repack(ring.nvars, max(budget + index.top, low))
         shift, offset, weights, guard, dmask = pk.consts
-        terms = {}
         keys = {}
-        for key, c in v.terms.items():
-            pos, m = key
-            deg = sum(m)
-            if deg > low:
-                low = deg
-            d = sum(map(mul, m, weights), (pos << shift) + offset)
-            terms[d] = c
-            keys[d] = key
-        if low > pk.cap:
-            continue
+        if spair is not None:
+            terms = index.spair(*spair)
+            if terms is None:
+                continue
+        else:
+            terms = {}
+            for key, c in v.terms.items():
+                pos, m = key
+                deg = sum(m)
+                if deg > low:
+                    low = deg
+                d = sum(map(mul, m, weights), (pos << shift) + offset)
+                terms[d] = c
+                keys[d] = key
+            if low > pk.cap:
+                continue
         heap = list(terms)
         heapq.heapify(heap)
         by_pos = index.by_pos
@@ -508,6 +590,12 @@ def division(v, divisors, order=None, quotients=True):
         else:
             break
     rem = VectorPoly._of(ring, v.rank, remainder)
+    # the first term written is the largest
+    for (pos, m), c in remainder.items():
+        rem._leads = (index.order, (pos, m, c))
+        break
+    else:
+        rem._leads = (index.order, None)
     if quo is None:
         return None, rem
     zero = ring.zero()
@@ -531,47 +619,49 @@ def _reduced_basis(index, order):
 
     The tails are reduced against the index restricted to the minimal
     basis: an element's own leading term divides no smaller term, so this
-    is division by all the other elements."""
-    basis = index.divisors
-    leads = index.leads
-    keep = []
-    for i, li in enumerate(leads):
-        redundant = False
-        for j in range(len(basis)):
-            if j == i:
-                continue
-            lj = leads[j]
-            if lj[0] == li[0] and mono_divides(lj[1], li[1]):
-                if (mono_degree(lj[1]) < mono_degree(li[1])) or j < i:
-                    redundant = True
-                    break
-        if not redundant:
-            keep.append(i)
+    is division by all the other elements.  A tail that no leading term
+    divides is kept as it is, without a division (DivisionIndex.reduced);
+    the basis is sorted by its packed leading terms."""
+    # an element is redundant when another lead at its position divides
+    # its own and has a lower degree, or is equal and comes first
+    _shift, _offset, _weights, guard, dmask = index._packing.consts
+    keep = sorted(
+        i
+        for entries in index.by_pos.values()
+        for i, li, _linv in entries
+        if not any(
+            j != i and not (li - lj) & guard and ((lj & dmask) < (li & dmask) or j < i)
+            for j, lj, _linv in entries
+        )
+    )
     index = index.restrict(keep)
     keep = index.divisors
     reduced = []
-    for g, (pos, lmono, c) in zip(keep, index.leads):
+    for k, (g, (pos, lmono, c)) in enumerate(zip(keep, index.leads)):
         if len(keep) > 1:
-            tail = dict(g.terms)
-            del tail[(pos, lmono)]
-            _, rem = division(VectorPoly._of(g.ring, g.rank, tail), index, quotients=False)
-            terms = {(pos, lmono): c}
-            terms.update(rem.terms)
-            g = VectorPoly._of(g.ring, g.rank, terms)
-            g._leads = (order, (pos, lmono, c))
-        reduced.append(g.scale(inv_mod(c, g.ring.p)))
-    reduced.sort(
-        key=lambda h: term_key(*leading_term(h, order)[:2], order),
-        reverse=True,
-    )
-    return reduced
+            h = index.reduced(k)
+            if h is not None:
+                g = h
+            else:
+                tail = dict(g.terms)
+                del tail[(pos, lmono)]
+                _, rem = division(VectorPoly._of(g.ring, g.rank, tail), index, quotients=False)
+                terms = {(pos, lmono): c}
+                terms.update(rem.terms)
+                g = VectorPoly._of(g.ring, g.rank, terms)
+                g._leads = (order, (pos, lmono, c))
+        reduced.append(g if c == 1 else g.scale(inv_mod(c, g.ring.p)))
+    # ascending packed leads: the leading terms in descending order
+    packed = {k: lead for entries in index.by_pos.values() for k, lead, _linv in entries}
+    return [reduced[k] for k in sorted(packed, key=packed.__getitem__)]
 
 
 def buchberger(vectors, order=None, product_criterion=None):
     """Reduced Groebner basis of the submodule spanned by the vectors.
 
     The basis grows inside one DivisionIndex, which the S-pair reductions
-    divide by and the pair updates read leading terms from."""
+    divide by and the pair updates read leading terms from; each S-pair
+    goes to division as (i, j, pos, lcm) over that index."""
     vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
         return []
@@ -638,22 +728,17 @@ def buchberger(vectors, order=None, product_criterion=None):
         _, _, c = leading_term(v, order)
         pairs = update(v.scale(inv_mod(c, ring.p)))
 
-    basis = index.divisors
     while pairs:
         # normal selection: smallest lcm in the term order, then index order
         pos, lcm, i, j = heapq.heappop(pairs)[3:]
         _budget_check(mono_degree(lcm))
-        lf, lg = leads[i], leads[j]
-        p = ring.p
-        sf = basis[i].mul_term(mono_div(lcm, lf[1]), 1)
-        sg = basis[j].mul_term(mono_div(lcm, lg[1]), inv_mod(lg[2], p) * lf[2] % p)
         # called here, not through a helper: S-pair reductions are told
         # apart from other divisions by their caller
-        _, rem = division(sf - sg, index, quotients=False)
+        _, rem = division((i, j, pos, lcm), index, quotients=False)
         if rem.is_zero():
             continue
         _, _, c = leading_term(rem, order)
-        pairs = update(rem.scale(inv_mod(c, p)))
+        pairs = update(rem.scale(inv_mod(c, ring.p)))
 
     return _reduced_basis(index, order)
 
