@@ -22,6 +22,7 @@ from .modules import (
     FPModule,
     ModuleMap,
     cyclic_module,
+    direct_sum,
     exterior_power,
     free_module,
     generic_rank,

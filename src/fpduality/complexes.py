@@ -516,7 +516,7 @@ def invert_monomial_chain_map(f):
 
 def free_resolution(ring, rank, columns, length=None):
     """The free resolution of ring^rank / (columns) from
-    presentation_resolution, as a FreeComplex in degrees [-len(stages), 0]
+    resolution_stages, as a FreeComplex in degrees [-len(stages), 0]
     with terms[0] = rank; with a length it is exact in degrees > -length.
 
     Each differential keeps the SpanSolver that computed the next stage as

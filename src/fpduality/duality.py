@@ -5,8 +5,8 @@ dualizing complexes, presentation independence and Frobenius duality.
 Everything is certified through explicit maps: eta is a signed permutation
 of complexes (signs fixed by propagation and machine-verified), xi maps are
 wedge-coefficient computations followed by residue extraction along a
-monic triangular system, and every claimed isomorphism is backed by a
-kernel/cokernel-zero certificate.
+monic triangular system, and every claimed isomorphism of modules is
+backed by an explicit inverse (is_isomorphism).
 """
 
 from itertools import combinations
@@ -870,10 +870,11 @@ def verify_frobenius_duality(A, e=1):
     complex-level comparison chi: F_* W -> Hom_S(F_* K, omega_S) is a
     chain isomorphism, checked as a chain map together with an explicit
     inverse whose two composites with it are the identity in every degree;
-    and the module-level kernel/cokernel of the assembled candidate in the
-    lowest degree.  A comparison that is not invertible on the terms raises
-    AlgebraError.  F_* is exact and faithful, so the degrees of nonzero
-    cohomology are read off the dualizing complex itself."""
+    and the assembled candidate in the lowest degree, certified as a
+    module isomorphism by an explicit inverse (is_isomorphism).  A
+    comparison that is not invertible on the terms raises AlgebraError.
+    F_* is exact and faithful, so the degrees of nonzero cohomology are
+    read off the dualizing complex itself."""
     A_work = as_quotient(A)
     amb = A_work.ambient
     dc = canonical_dualizing(A_work)

@@ -24,7 +24,7 @@ from .groebner import (
     unit_vector,
     vector_of,
 )
-from .modules import FPModule, ModuleMap, free_module, is_isomorphism, kernel_cokernel
+from .modules import FPModule, ModuleMap, cokernel_with_projection, free_module, is_isomorphism
 from .polyring import Polynomial
 from .complexes import FreeComplex
 
@@ -212,9 +212,7 @@ def _coordinate_map(R, xs, e=1):
 
 def is_p_generating(R, xs):
     """True iff R = R^p[xs]: the coordinate map is surjective."""
-    theta = _coordinate_map(R, xs)
-    _ker, coker = kernel_cokernel(theta)
-    return coker.is_zero_module()
+    return cokernel_with_projection(_coordinate_map(R, xs))[0].is_zero_module()
 
 
 def is_p_basis(R, xs):
@@ -246,11 +244,6 @@ class CoordinateSolver:
             if not c.is_zero():
                 out[self.theta.tuple_monomials[k]] = c
         return out
-
-
-def xs_coordinates(R, xs, u, e=1):
-    """c_a with u = sum c_a^{p^e} xs^a (a below p^e), or None."""
-    return CoordinateSolver(R, xs, e).solve(u)
 
 
 def pbasis_trace_generator(R, xs, omega_complex):

@@ -150,38 +150,6 @@ def verify_kernel_bracket(S, pi, e):
     return ker_e.equals(expected)
 
 
-def phi_inverse_for_pbasis(stage):
-    """Inverse of phi: R' -> R when the tuple is a p-basis of reduced R.
-
-    Sends each base variable through its p-th-root expansion in the tuple;
-    returns the certified inverse RingMap or None."""
-    R = stage.base
-    amb = ambient_of(R)
-    R1 = stage.ring
-    amb1 = ambient_of(R1)
-    n0 = amb.nvars
-    coordinates = CoordinateSolver(R, stage.phi.images[n0:])
-    images = []
-    for i in range(n0):
-        coords = coordinates.solve(amb.var(i))
-        if coords is None:
-            return None
-        acc = amb1.zero()
-        for a, c in coords.items():
-            term = rename_poly(c, amb1, list(range(n0)))
-            for j, k in enumerate(a):
-                if k:
-                    root = amb1.var(n0 + j)
-                    term = term * (root ** k)
-            acc = acc + term
-        images.append(R1.reduce(acc))
-    try:
-        rho = RingMap(R, R1, images, check=True)
-    except AlgebraError:
-        return None
-    return rho if are_inverse(rho, stage.phi) else None
-
-
 def extend_pgens_check(R, xs, ys, e):
     """Cor: G(R; x, y) = G(R; x)[[t]] at truncation level e.
 

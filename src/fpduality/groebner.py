@@ -1289,25 +1289,20 @@ def ideal_membership(f, I):
 # ---------------------------------------------------------------------------
 # free resolutions (raw matrix form; complexes.py wraps them)
 
-def presentation_resolution(ring, rank, columns, length=None):
-    """Iterated syzygies over ring: stages[0] = columns presenting M inside
-    R^rank.
+def resolution_stages(ring, rank, columns, length=None):
+    """Iterated syzygies over ring: stage 0 is the columns presenting M
+    inside R^rank.
 
-    Returns a list of stages, where stages[k] is a list of VectorPoly
-    columns mapping R^{len(stages[k])} -> R^{len(stages[k-1])}.  Over a
-    QuotientRing each syzygy computation is taken modulo the modulus tails
-    and the entries are kept in normal form; repeated columns are dropped.  Stops
+    Returns a list of (columns, solver) pairs: stage k's columns map
+    R^{len(stage k)} -> R^{len(stage k-1)}, and its solver is the
+    SpanSolver over them modulo the modulus whose syzygies gave the next
+    stage, or None for a last stage cut off by length.  Over a QuotientRing
+    each syzygy computation is taken modulo the modulus tails and the
+    entries are kept in normal form; repeated columns are dropped.  Stops
     when a syzygy module vanishes, or after `length` stages, without
     computing the syzygies of the last one.  With no length, a resolution
     longer than nvars + 3 stages raises AlgebraError.
     """
-    return [stage for stage, _solver in resolution_stages(ring, rank, columns, length)]
-
-
-def resolution_stages(ring, rank, columns, length=None):
-    """The stages of presentation_resolution, each with the SpanSolver over
-    its columns modulo the modulus whose syzygies gave the next stage; None
-    for a last stage cut off by length."""
     cap = ring.nvars + 2
     amb = ambient_of(ring)
 

@@ -4,7 +4,9 @@ A module is a cokernel presentation: ngens generators of a free cover and a
 list of relation columns.  Over a quotient ring the modulus multiples of
 each generator are adjoined at construction, so that every Groebner
 computation can run over the ambient polynomial ring.  Isomorphism is never
-decided generically: kernel_cokernel certifies explicitly given maps.
+decided generically: is_isomorphism certifies an explicitly given map by an
+explicit inverse, checked to be one.  kernel_cokernel presents the kernel
+and cokernel of a map.
 """
 
 from itertools import combinations
@@ -13,6 +15,7 @@ from .errors import AlgebraError, NotGraded, NotMaximal, RingMismatch
 from .fp import inv_mod
 from .groebner import (
     Ideal,
+    ModuleGB,
     QuotientRing,
     SpanSolver,
     VectorPoly,
@@ -186,17 +189,12 @@ class ModuleMap:
 # ---------------------------------------------------------------------------
 # kernels, cokernels, certification
 
-def _kernel_generators(f):
-    """Generators of ker(f) in normal form modulo the source relations, so
-    that none is zero in the source: ker(f) = 0 iff the list is empty."""
-    kernel = syzygies(f.columns, modulo=f.target.relations)
-    # drop duplicates and zero images after reduction
-    return unique_nonzero(f.source.nf(h) for h in kernel)
-
-
 def kernel_with_inclusion(f):
-    """Presentation of ker(f) plus the inclusion map into the source."""
-    kernel_gens = _kernel_generators(f)
+    """Presentation of ker(f) plus the inclusion map into the source.  The
+    kernel generators are in normal form modulo the source relations, with
+    zeros and repeats dropped, so ker(f) = 0 iff there are none."""
+    kernel = syzygies(f.columns, modulo=f.target.relations)
+    kernel_gens = unique_nonzero(f.source.nf(h) for h in kernel)
     k = len(kernel_gens)
     rels = syzygies(kernel_gens, modulo=f.source.relations)
     ker = FPModule(f.source.ring, k, rels)
@@ -223,27 +221,35 @@ def kernel_cokernel(f):
 
 
 def is_isomorphism(f):
-    """Certify f through g = from_tgt . f . to_src between the pruned source
-    and target; the explicit isomorphisms of prune() make g's verdict that
-    of f.
+    """Certify f through its map between the pruned source M and target N;
+    the explicit isomorphisms of prune() make that map's verdict that of f.
 
-    When the matrix F of g is square with constant entries and invertible
-    over F_p, g is certified by G = F^-1: the cokernel is zero, since F is
-    onto, and the kernel is G(R_N) modulo R_M, for R_M and R_N the source
-    and target relations, so g is an isomorphism iff G sends every target
-    relation to zero in the source.  Any other g is certified by the
-    vanishing of its kernel and cokernel."""
+    The certificate is an inverse g: N -> M on generators: F^-1 when the
+    matrix F is square with constant entries and invertible over F_p,
+    otherwise a lift of each target generator through f modulo N's
+    relations (no lift: f is not onto).  Either way f . g is the identity
+    of N, and f is an isomorphism iff g . f is the identity on M's
+    generators modulo M's relations and g sends every relation of N that
+    is not automatic for maps into M to zero in M: then g is a module map
+    inverse to f, and when f is an isomorphism every lift is f^-1."""
     src, to_src, _ = prune(f.source)
     tgt, _, from_tgt = prune(f.target)
     if src is not f.source:
         f = f.compose(to_src)
     if tgt is not f.target:
         f = from_tgt.compose(f)
-    inverse = _constant_inverse(f)
-    if inverse is not None:
-        return all(f.source.element_is_zero(inverse.apply_coords(r)) for r in f.target.relations)
-    coker, _ = cokernel_with_projection(f)
-    return prune(coker)[0].is_zero_module() and not _kernel_generators(f)
+    g = _constant_inverse(f)
+    if g is None:
+        g = _lifted_inverse(f)
+        if g is None:
+            return False
+    M = f.source
+    for i, col in enumerate(f.columns):
+        # for a constant g the difference is exactly zero
+        diff = M.gen(i) - g.apply_coords(col)
+        if not diff.is_zero() and not M.element_is_zero(diff):
+            return False
+    return all(M.element_is_zero(g.apply_coords(r)) for r in _conditions(f.target.relations, M))
 
 
 def _constant_inverse(f):
@@ -266,6 +272,36 @@ def _constant_inverse(f):
         return None
     cols = [vector_of(amb, n, [(i, amb.const(row[j])) for i, row in enumerate(inverse) if row[j]]) for j in range(n)]
     return ModuleMap(f.target, f.source, cols, check=False)
+
+
+def _lifted_inverse(f):
+    """The map target -> source sending each target generator to a lift
+    through f modulo the target relations, unchecked; None when a
+    generator does not lift."""
+    N = f.target
+    gb = ModuleGB(N.ambient, N.ngens, f.columns, modulo=N.relations)
+    cols = []
+    for j in range(N.ngens):
+        c = gb.lift(N.gen(j))
+        if c is None:
+            return None
+        cols.append(c)
+    return ModuleMap(N, f.source, cols, check=False)
+
+
+def _conditions(relations, N):
+    """The relations, of a module mapping to N, that are not automatic: a
+    relation c*e_j is automatic when c*e_i is a relation of N for every
+    generator i of N (the modulus tails, say), since every map then sends
+    it into N's relations."""
+    n = N.ngens
+    n_rels = set(N.relations)
+
+    def automatic(a):
+        slots = nonzero_slots(a)
+        return len(slots) == 1 and all(unit_vector(N.ambient, n, i, slots[0][1]) in n_rels for i in range(n))
+
+    return [a for a in relations if not automatic(a)]
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +394,7 @@ class HomModule(FPModule):
     """Hom_R(M, N) presented as an FPModule, with decode/encode.
 
     Hom(M, N) is H^0 of Hom(P, N), for P the free complex R^q -> R^m whose
-    differential lists the relations of M that are not automatic (below):
+    differential lists the relations of M not automatic for maps into N:
     a cocycle is a map phi, one block phi(e_j) of n entries per generator
     of M, and the boundaries are the maps into the relations of N.  Both
     complexes are built over the ambient ring, so that N's relations are
@@ -373,18 +409,7 @@ class HomModule(FPModule):
         self.hom_source = M
         self.hom_target = N
         amb = M.ambient
-        n = N.ngens
-
-        # A relation g*e_j of M asks that g*phi(e_j) lie in the relation
-        # span of N, which holds for every phi when N's relations contain
-        # each g*e_i (the modulus tails, say): such a condition is dropped.
-        n_rels = set(N.relations)
-
-        def automatic(a):
-            slots = nonzero_slots(a)
-            return len(slots) == 1 and all(unit_vector(amb, n, i, slots[0][1]) in n_rels for i in range(n))
-
-        conditions = [a for a in M.relations if not automatic(a)]
+        conditions = _conditions(M.relations, N)
         P = FreeComplex(amb, {-1: len(conditions), 0: M.ngens}, {-1: conditions})
         H, _ = hom_complex(P, in_one_degree(N, 0, ring=amb))
         # without generators on either side there is no degree 0: Hom = 0

@@ -7,6 +7,7 @@ import pytest
 from fpduality.errors import NoPBasis, SizeCapExceeded
 from fpduality.config import config
 from fpduality.frobenius import (
+    CoordinateSolver,
     FrobPushforward,
     bracket_power,
     frobenius_decompose,
@@ -17,7 +18,6 @@ from fpduality.frobenius import (
     pushforward_module,
     regrouping_map,
     restricted_monomials,
-    xs_coordinates,
 )
 from fpduality.groebner import Ideal, QuotientRing, VectorPoly
 from fpduality.modules import (
@@ -176,9 +176,10 @@ class TestPGenerating:
             assert not is_p_basis(R, cand)
 
     def test_xs_coordinates(self):
+        # c_a with u = sum c_a^2 x^a0 y^a1, a below 2
         amb = ring(2, "x", "y")
         x, y = amb.gens()
-        coords = xs_coordinates(amb, [x, y], x ** 3 * y + x)
+        coords = CoordinateSolver(amb, [x, y]).solve(x ** 3 * y + x)
         acc = amb.zero()
         for a, c in coords.items():
             acc = acc + (c ** 2) * (x ** a[0]) * (y ** a[1])

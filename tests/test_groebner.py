@@ -30,7 +30,7 @@ from fpduality.groebner import (
     ideal_sum,
     leading_term,
     normal_form,
-    presentation_resolution,
+    resolution_stages,
     syzygies,
     unit_vector,
     vector_from_poly,
@@ -282,6 +282,11 @@ class TestModuleGBLift:
         x, y = R.gens()
         mgb = ModuleGB(R, 1, [vector_from_poly(x)])
         assert mgb.lift(vector_from_poly(y)) is None
+
+
+def presentation_resolution(ring, rank, columns, length=None):
+    # the column lists of resolution_stages, without their solvers
+    return [stage for stage, _solver in resolution_stages(ring, rank, columns, length)]
 
 
 class TestFreeResolution:

@@ -215,26 +215,26 @@ class TestKernelCokernel:
 
 
 class TestIsomorphismByInverse:
-    """is_isomorphism certifies a square, constant matrix invertible over
-    F_p by its inverse, and any other one by kernel and cokernel; either
-    way it agrees with kernel_cokernel."""
+    """is_isomorphism finds the inverse g of a square, constant matrix
+    invertible over F_p as F^-1, and of any other one by lifting the target
+    generators; either way one check decides, and its verdict agrees with
+    kernel_cokernel."""
 
     @staticmethod
     def _verdict(f, monkeypatch):
-        # (is_isomorphism(f), whether it took the inverse)
-        fallbacks = []
-        original = modules.cokernel_with_projection
+        # (is_isomorphism(f), whether g was F^-1 rather than a lift)
+        lifted = []
+        original = modules._lifted_inverse
 
-        def spied(g):
-            fallbacks.append(g)
-            return original(g)
+        def spied(h):
+            lifted.append(h)
+            return original(h)
 
-        monkeypatch.setattr(modules, "cokernel_with_projection", spied)
+        monkeypatch.setattr(modules, "_lifted_inverse", spied)
         verdict = is_isomorphism(f)
-        took_inverse = not fallbacks
         ker, coker = kernel_cokernel(f)
         assert verdict == (ker.is_zero_module() and coker.is_zero_module())
-        return verdict, took_inverse
+        return verdict, not lifted
 
     def test_constant_invertible_isomorphism(self, monkeypatch):
         amb = ring(3, "x", "y")
@@ -246,17 +246,20 @@ class TestIsomorphismByInverse:
         assert self._verdict(f, monkeypatch) == (True, True)
 
     def test_invertible_matrix_with_a_kernel(self, monkeypatch):
-        # S/(x^2) -> S/(x) by the identity matrix: onto, with kernel (x)
+        # S/(x^2) -> S/(x) by the identity matrix: onto, with kernel (x);
+        # g = id sends the relation x of the target to x != 0 in the source
         amb = ring(3, "x")
         x = amb.var("x")
         f = ModuleMap(cyclic_module(amb, [x ** 2]), cyclic_module(amb, [x]), [VectorPoly(amb, [amb.one()])])
         assert self._verdict(f, monkeypatch) == (False, True)
 
     def test_singular_constant_matrix_falls_back(self, monkeypatch):
+        # not onto: the second target generator does not lift
         amb = ring(3, "x")
         one, two = amb.one(), amb.const(2)
         F = free_module(amb, 2)
         f = ModuleMap(F, F, [VectorPoly(amb, [one, one]), VectorPoly(amb, [two, two])])
+        assert modules._lifted_inverse(f) is None
         assert self._verdict(f, monkeypatch) == (False, False)
 
     @pytest.mark.parametrize("unit, iso", [(True, True), (False, False)], ids=["1+x", "x"])
@@ -265,7 +268,22 @@ class TestIsomorphismByInverse:
         x = amb.var("x")
         M = cyclic_module(A)
         f = ModuleMap(M, M, [VectorPoly(amb, [amb.one() + x if unit else x])])
+        # 1 + x lifts to 1 - x; x is not onto
+        assert (modules._lifted_inverse(f) is not None) == iso
         assert self._verdict(f, monkeypatch) == (iso, False)
+
+    def test_onto_polynomial_map_with_a_kernel(self, monkeypatch):
+        # S^2 -> S by (x, 1 - xy) over F_3[x,y]: onto, since y*x + (1 - xy)
+        # = 1, with the Koszul syzygy as kernel.  The target is free, so
+        # check (b) asks nothing and the lift fails check (a).
+        amb = ring(3, "x", "y")
+        x, y = amb.gens()
+        F, S = free_module(amb, 2), free_module(amb, 1)
+        f = ModuleMap(F, S, [VectorPoly(amb, [x]), VectorPoly(amb, [amb.one() - x * y])])
+        g = modules._lifted_inverse(f)
+        assert g is not None and not S.relations
+        assert not F.element_is_zero(F.gen(0) - g.apply_coords(f.columns[0]))
+        assert self._verdict(f, monkeypatch) == (False, False)
 
     def test_zero_modules(self, monkeypatch):
         # both prune to no generators: the empty matrix is its own inverse
