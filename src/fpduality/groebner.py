@@ -26,16 +26,22 @@ linear in the exponents whose integer order is the term order (see
 _Packing).  The heap holds plain ints, a divisor term times a quotient is
 one addition, and divisibility is one guard-bit test.  The field width
 holds the largest input degree and the degree budget plus the largest
-divisor degree, which bounds every term a reduction brings in; it is
+divisor degree, which bounds every term a reduction brings in, and twice
+that divisor degree, which bounds the lcm of two leading terms; it is
 checked on every call, and the index is repacked wider when needed, so a
 field never wraps.
 
-Buchberger's inner loop stays on packed terms too.  An S-pair enters
+Buchberger stays on packed terms from input to basis.  An S-pair enters
 division as (i, j, pos, lcm) over the basis index: its terms are the two
 packed tails, each shifted by one integer addition, and the remainder
-carries its first, largest term as its cached leading term.  The final
-tail reduction tests each packed tail term against the leads at its
-position and divides only a tail that one of them divides.
+carries its first, largest term as its cached leading term.  The remainder
+joins the index with the packed terms the division held, unscaled: the
+index keeps the inverse of each leading coefficient, and the basis is made
+monic at the end.  The pair queue keys each pair by its packed lcm, and
+the Gebauer-Moeller criteria are guard-bit tests, equalities and degree
+fields of packed lcms.  The final tail reduction tests each packed tail
+term against the leads at its position and divides only a tail that one
+of them divides.
 """
 
 import functools
@@ -52,7 +58,6 @@ from .polyring import (
     mono_degree,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 
@@ -252,15 +257,18 @@ def leading_term(v, order):
     return best
 
 
-def term_key(pos, mono, order):
-    return (-pos, order.key(mono))
-
-
 def _budget_check(deg):
     if deg > config.degree_budget:
         raise DegreeBudgetExceeded(
             "intermediate degree %d exceeds the budget %d" % (deg, config.degree_budget)
         )
+
+
+def _need(top):
+    """The degree the fields of an index of largest degree `top` must
+    hold: the budget plus top bounds every term a reduction brings in, and
+    twice top every lcm of two leading terms."""
+    return max(config.degree_budget, top) + top
 
 
 def _width(need):
@@ -334,12 +342,14 @@ class DivisionIndex:
     grouped per leading position in divisor order, (k, packed leading term,
     inverse of coeff) in `by_pos`; division tries them in that order.  The
     other terms of a divisor are packed as (term, coeff) the first time it
-    fires.  `top` is the largest degree of a leading term or a packed
-    term.  add() appends a divisor; every kept term is repacked into wider
-    fields when a division needs them.
+    fires, unless the divisor is the remainder of the index's last S-pair
+    division, whose packed terms division() hands over (`_handed`).  `top`
+    is the largest degree of a leading term or a packed term, and the
+    fields hold _need(top).  add() appends a divisor; every kept term is
+    repacked into wider fields when a division needs them.
     """
 
-    __slots__ = ("order", "divisors", "leads", "top", "by_pos", "_packing", "_tails")
+    __slots__ = ("order", "divisors", "leads", "top", "by_pos", "_packing", "_tails", "_handed")
 
     def __init__(self, order, divisors=()):
         self.order = order
@@ -349,28 +359,45 @@ class DivisionIndex:
         self.by_pos = {}
         self._packing = None
         self._tails = []
+        self._handed = None
         for g in divisors:
             self.add(g)
 
     def add(self, g):
         lead = leading_term(g, self.order)
+        tail = None
         if lead is not None:
             pos, mono, c = lead
-            deg = sum(mono)
             pk = self._packing
+            handed = self._handed
+            if handed is not None and handed[0] is g and handed[1] is pk:
+                # g's terms, packed and in descending order, by the division
+                # that produced it
+                packed = handed[2]
+                dmask = pk.consts[4]
+                deg = max([d & dmask for d, _c in packed])
+                ld = packed[0][0]
+                tail = packed[1:]
+            else:
+                deg = sum(mono)
+                ld = None
             if pk is None or deg > self.top:
-                # the fields held budget + top, so only a higher lead can
+                # the fields held _need(top), so only a higher term can
                 # need wider ones
                 self.top = max(self.top, deg)
-                need = config.degree_budget + self.top
+                need = _need(self.top)
                 if pk is None:
                     pk = self._packing = _packing(self.order, g.ring.nvars, _width(need))
                 elif need > pk.cap:
                     pk = self._repack(g.ring.nvars, need)
-            self.by_pos.setdefault(pos, []).append((len(self.divisors), pk.term(pos, mono), inv_mod(c, g.ring.p)))
+                    ld = tail = None
+            if ld is None:
+                ld = pk.term(pos, mono)
+            self.by_pos.setdefault(pos, []).append((len(self.divisors), ld, inv_mod(c, g.ring.p)))
+        self._handed = None
         self.divisors.append(g)
         self.leads.append(lead)
-        self._tails.append(None)
+        self._tails.append(tail)
 
     def _repack(self, n, need):
         """Pack the leading terms into fields that hold degree `need`; the
@@ -412,8 +439,8 @@ class DivisionIndex:
         deg = max(map(sum, map(_mono, rest))) if rest else 0
         if deg > self.top:
             self.top = deg
-            if config.degree_budget + deg > self._packing.cap:
-                self._repack(g.ring.nvars, config.degree_budget + deg)
+            if _need(deg) > self._packing.cap:
+                self._repack(g.ring.nvars, _need(deg))
                 return None
         term = self._packing.term
         flat = self._tails[k] = [(term(i, m), c) for (i, m), c in rest.items()]
@@ -491,23 +518,13 @@ def division(v, divisors, order=None, quotients=True):
     their place.  v is a vector, or an S-pair (i, j, pos, lcm) of the
     index's divisors i and j, whose lcm passed the budget check: the
     working terms are then seeded from their shifted packed tails
-    (DivisionIndex.spair), and v stands for that S-vector.  The working vector maps packed terms to
-    coefficients, driven by a lazy min-heap of the packed terms, whose
-    smallest is the largest term under position-over-term.  A term is
-    reduced by the first divisor whose leading term divides it; every term
-    a reduction brings in is smaller than the one it removes, so each
-    quotient and remainder term is written once.
-
-    The fields hold the largest input degree and the degree budget plus
-    the index's `top`: a term a reduction brings in has at most that
-    degree, because the term it removes passed the budget check.  When a
-    divisor fires for the first time with a term above `top`, the index is
-    repacked wider and the division starts again, so a field never wraps.
-    Input terms keep their tuples; only new remainder and quotient terms
-    are unpacked.  The first remainder term written is the largest, and is
-    cached as the remainder's leading term.  A zero vector returns at once: zero normal forms
-    are frequent (zero elements of quotient rings and modules, empty tails
-    in _reduced_basis).
+    (DivisionIndex.spair), v stands for that S-vector, and the index keeps
+    the remainder's packed terms for its next add().  The loop is _divide;
+    only new remainder and quotient terms are unpacked, input terms keep
+    their tuples.  The first remainder term is the largest, and is cached
+    as the remainder's leading term.  A zero vector returns at once: zero
+    normal forms are frequent (zero elements of quotient rings and
+    modules, empty tails in _reduced_basis).
     """
     if isinstance(v, tuple):
         # the S-vector has the ring and rank of its divisor i
@@ -516,7 +533,6 @@ def division(v, divisors, order=None, quotients=True):
     else:
         spair = None
     ring = v.ring
-    p = ring.p
     if isinstance(divisors, DivisionIndex):
         index = divisors
     else:
@@ -524,48 +540,106 @@ def division(v, divisors, order=None, quotients=True):
     if not v.terms:
         rem = VectorPoly._of(ring, v.rank, {})
         return ([ring.zero()] * len(index.divisors) if quotients else None), rem
+    if spair is None:
+        low = max([sum(m) for _pos, m in v.terms])
+        quo, remainder, keys, pk = _divide(index, ring, low, v.terms, True, None, quotients)
+    else:
+        quo, remainder, keys, pk = _divide(index, ring, 0, None, True, spair, quotients)
+    shift = pk.consts[0]
+    mono = pk.mono
+    rem = VectorPoly._of(ring, v.rank, {keys.get(d) or (d >> shift, mono(d)): c for d, c in remainder.items()})
+    # the first term written is the largest
+    for key, c in rem.terms.items():
+        rem._leads = (index.order, key + (c,))
+        if spair is not None:
+            index._handed = (rem, pk, list(remainder.items()))
+        break
+    else:
+        rem._leads = (index.order, None)
+    if quo is None:
+        return None, rem
+    zero = ring.zero()
+    return [
+        Polynomial(ring, {mono(q): c for q, c in quo[k].items()}) if k in quo else zero
+        for k in range(len(index.divisors))
+    ], rem
+
+
+def _reduce_poly(f, index):
+    """The remainder of the polynomial f divided by the index, as a
+    polynomial: the remainder of division(vector_from_poly(f), index) in
+    slot 0, its terms in the same order, without building either vector."""
+    if not f.terms:
+        return f
+    ring = f.ring
+    _quo, remainder, keys, pk = _divide(index, ring, max(map(sum, f.terms)), f.terms, False, None, False)
+    mono = pk.mono
+    return Polynomial(ring, {keys.get(d) or mono(d): c for d, c in remainder.items()})
+
+
+def _divide(index, ring, low, items, vector, spair, quotients):
+    """The division loop of division() over the index, on packed terms:
+    returns (quotients as {k: {packed quotient: coeff}} or None, the
+    remainder as {packed term: coeff} in descending order, the input
+    terms' keys by packed term, the packing).
+
+    The input is `items`, a vector's {(pos, mono): coeff} when `vector`
+    is true, else a polynomial's {mono: coeff} at position 0, of largest
+    degree `low`; or, when items is None, the S-pair `spair`.  The working
+    terms map packed terms to coefficients, driven by a lazy min-heap of
+    the packed terms, whose smallest is the largest term under
+    position-over-term.  A term is reduced by the first divisor whose
+    leading term divides it; every term a reduction brings in is smaller
+    than the one it removes, so each quotient and remainder term is
+    written once, and each costs one probe of the working terms: an
+    absent term is pushed and stored, a present one updated or deleted.
+
+    The fields hold `low` and _need(index.top), which bounds every term a
+    reduction brings in, because the term it removes passed the budget
+    check.  When a divisor fires for the first time with a term above
+    `top`, the index is repacked wider and the division starts again, so
+    a field never wraps.
+    """
+    p = ring.p
     budget = config.degree_budget
     heappop = heapq.heappop
     heappush = heapq.heappush
-    low = 0
     while True:
         pk = index._packing
-        if pk is None or budget + index.top > pk.cap or low > pk.cap:
-            pk = index._repack(ring.nvars, max(budget + index.top, low))
+        need = _need(index.top)
+        if pk is None or need > pk.cap or low > pk.cap:
+            pk = index._repack(ring.nvars, max(need, low))
         shift, offset, weights, guard, dmask = pk.consts
-        keys = {}
-        if spair is not None:
+        if items is None:
+            keys = {}
             terms = index.spair(*spair)
             if terms is None:
                 continue
         else:
-            terms = {}
-            for key, c in v.terms.items():
-                pos, m = key
-                deg = sum(m)
-                if deg > low:
-                    low = deg
-                d = sum(map(mul, m, weights), (pos << shift) + offset)
-                terms[d] = c
-                keys[d] = key
-            if low > pk.cap:
-                continue
+            if vector:
+                terms = {sum(map(mul, m, weights), (pos << shift) + offset): c for (pos, m), c in items.items()}
+            else:
+                terms = {sum(map(mul, m, weights), offset): c for m, c in items.items()}
+            # packing is injective, so the packed terms come in the input's order
+            keys = dict(zip(terms, items))
         heap = list(terms)
         heapq.heapify(heap)
+        get = terms.get
+        pop = terms.pop
         by_pos = index.by_pos
         tails = index._tails
         quo = {} if quotients else None
         remainder = {}
         while heap:
             d = heappop(heap)
-            coeff = terms.pop(d, None)
+            coeff = pop(d, None)
             if coeff is None:
                 continue
             for k, lead, linv in by_pos.get(d >> shift, ()):
                 if not (d - lead) & guard:
                     break
             else:
-                remainder[keys.get(d) or (d >> shift, pk.mono(d))] = coeff
+                remainder[d] = coeff
                 continue
             if d & dmask > budget:
                 _budget_check(d & dmask)
@@ -578,32 +652,23 @@ def division(v, divisors, order=None, quotients=True):
             q_coeff = coeff * linv % p
             if quo is not None:
                 quo.setdefault(k, {})[q] = q_coeff
+            # -q_coeff, so that each new coefficient is one product and sum
+            minus = p - q_coeff
             for t, c2 in tail:
                 t += q
-                c = (terms.get(t, 0) - c2 * q_coeff) % p
-                if c:
-                    if t not in terms:
-                        heappush(heap, t)
-                    terms[t] = c
-                elif t in terms:
-                    del terms[t]
+                c = get(t)
+                if c is None:
+                    # a product of two units, never zero
+                    heappush(heap, t)
+                    terms[t] = c2 * minus % p
+                else:
+                    c = (c + c2 * minus) % p
+                    if c:
+                        terms[t] = c
+                    else:
+                        del terms[t]
         else:
-            break
-    rem = VectorPoly._of(ring, v.rank, remainder)
-    # the first term written is the largest
-    for (pos, m), c in remainder.items():
-        rem._leads = (index.order, (pos, m, c))
-        break
-    else:
-        rem._leads = (index.order, None)
-    if quo is None:
-        return None, rem
-    zero = ring.zero()
-    mono = pk.mono
-    return [
-        Polynomial(ring, {mono(q): c for q, c in quo[k].items()}) if k in quo else zero
-        for k in range(len(index.divisors))
-    ], rem
+            return quo, remainder, keys, pk
 
 
 def normal_form_vector(v, gb, order=None):
@@ -660,8 +725,9 @@ def buchberger(vectors, order=None, product_criterion=None):
     """Reduced Groebner basis of the submodule spanned by the vectors.
 
     The basis grows inside one DivisionIndex, which the S-pair reductions
-    divide by and the pair updates read leading terms from; each S-pair
-    goes to division as (i, j, pos, lcm) over that index."""
+    divide by and the pair updates read packed leading terms from; each
+    S-pair goes to division as (i, j, pos, lcm) over that index, and each
+    nonzero remainder joins the index as it is, not made monic."""
     vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
         return []
@@ -673,74 +739,77 @@ def buchberger(vectors, order=None, product_criterion=None):
 
     index = DivisionIndex(order)
     leads = index.leads
-    # a heap of (term key of the lcm, -i, -j, pos, lcm, i, j): the keys are
-    # unique, so it pops the smallest lcm in the term order, then the
-    # latest pair, with each key computed once
+    # a heap of (-packed lcm, -i, -j, pos, lcm, i, j): packed terms ascend
+    # as terms descend, and the keys are unique, so it pops the smallest
+    # lcm in the term order, then the latest pair.  `keyed` is the packing
+    # of the keys.  A repack leaves them in order among themselves, so
+    # they are made again only before an update compares or joins them
+    # with terms of the new packing.
     pairs = []
+    keyed = None
 
     def update(h):
-        # Gebauer-Moeller update of the pair queue with the new element h
+        # Gebauer-Moeller update of the pair queue with the new element h,
+        # on packed terms: the index's fields hold every lcm of two leads
         t = len(leads)
-        lh = leading_term(h, order)
-        fresh = []
-        for i, lg in enumerate(leads):
-            if lg[0] != lh[0]:
-                continue
-            fresh.append((lg[0], mono_lcm(lg[1], lh[1]), i, t))
-        # criterion M: drop new pairs whose lcm strictly contains another new lcm
-        fresh2 = []
-        for a in fresh:
-            dominated = False
-            for b in fresh:
-                if a is b:
-                    continue
-                if mono_divides(b[1], a[1]) and b[1] != a[1]:
-                    dominated = True
-                    break
-            if not dominated:
-                fresh2.append(a)
-        # criterion F: keep one representative per lcm value
-        seen = {}
-        fresh3 = []
-        for a in fresh2:
-            key = (a[0], a[1])
-            if key in seen:
-                continue
-            seen[key] = True
-            fresh3.append(a)
-        # criterion B (product criterion), ring case only
-        if product_criterion:
-            fresh3 = [a for a in fresh3 if mono_mul(leads[a[2]][1], lh[1]) != a[1]]
-        # prune old pairs via the chain criterion against lh
-        pruned = []
-        for entry in pairs:
-            pos, lcm, i, j = entry[3:]
-            if pos == lh[0] and mono_divides(lh[1], lcm):
-                if mono_lcm(leads[i][1], lh[1]) != lcm and mono_lcm(leads[j][1], lh[1]) != lcm:
-                    continue
-            pruned.append(entry)
         index.add(h)
-        pruned.extend((term_key(pos, lcm, order), -i, -j, pos, lcm, i, j) for pos, lcm, i, j in fresh3)
-        heapq.heapify(pruned)
-        return pruned
+        pk = index._packing
+        kept = pairs if pk is keyed else _rekeyed(pairs, pk)
+        shift, offset, weights, guard, dmask = pk.consts
+        hpos, hmono, _c = leads[t]
+        entries = index.by_pos[hpos]
+        lh = entries[-1][1]
+        hdeg = lh & dmask
+        at = (hpos << shift) + offset
+        # the lcm of h with each earlier lead at its position, packed once
+        # for the new pairs and the chain criterion
+        with_h = {}
+        fresh = []
+        for i, li, _linv in entries[:-1]:
+            lcm = mono_lcm(leads[i][1], hmono)
+            lcm_d = with_h[i] = sum(map(mul, lcm, weights), at)
+            fresh.append((lcm_d, i, lcm, li))
+        # criterion M: drop new pairs whose lcm strictly contains another new lcm
+        lcms = set(with_h.values())
+        fresh = [a for a in fresh if not any(b != a[0] and not (a[0] - b) & guard for b in lcms)]
+        # criterion F: keep one representative per lcm value
+        seen = set()
+        fresh = [a for a in fresh if not (a[0] in seen or seen.add(a[0]))]
+        # criterion B (product criterion), ring case only: the lcm is the
+        # product exactly when its degree is the sum of the two
+        if product_criterion:
+            fresh = [a for a in fresh if a[0] & dmask != (a[3] & dmask) + hdeg]
+        # prune old pairs via the chain criterion against lh
+        kept = [
+            e for e in kept
+            if e[3] != hpos or (-e[0] - lh) & guard or with_h[e[5]] == -e[0] or with_h[e[6]] == -e[0]
+        ]
+        kept.extend((-lcm_d, -i, -t, hpos, lcm, i, t) for lcm_d, i, lcm, _li in fresh)
+        heapq.heapify(kept)
+        return kept, pk
 
     for v in vectors:
-        _, _, c = leading_term(v, order)
-        pairs = update(v.scale(inv_mod(c, ring.p)))
+        pairs, keyed = update(v)
 
     while pairs:
         # normal selection: smallest lcm in the term order, then index order
-        pos, lcm, i, j = heapq.heappop(pairs)[3:]
+        _key, _ni, _nj, pos, lcm, i, j = heapq.heappop(pairs)
         _budget_check(mono_degree(lcm))
         # called here, not through a helper: S-pair reductions are told
         # apart from other divisions by their caller
         _, rem = division((i, j, pos, lcm), index, quotients=False)
-        if rem.is_zero():
+        if not rem.terms:
             continue
-        _, _, c = leading_term(rem, order)
-        pairs = update(rem.scale(inv_mod(c, ring.p)))
+        pairs, keyed = update(rem)
 
     return _reduced_basis(index, order)
+
+
+def _rekeyed(pairs, pk):
+    """The pairs of buchberger's heap keyed again under the packing pk, as
+    a list to heapify."""
+    term = pk.term
+    return [(-term(pos, lcm), ni, nj, pos, lcm, i, j) for _key, ni, nj, pos, lcm, i, j in pairs]
 
 
 class ReducedBasis:
@@ -909,7 +978,7 @@ def normal_form(f, gb_polys):
     gbv = [vector_from_poly(g) for g in gb_polys if not g.is_zero()]
     if not gbv:
         return f
-    return normal_form_vector(vector_from_poly(f), gbv).components[0]
+    return _reduce_poly(f, DivisionIndex(f.ring.order, gbv))
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +1012,7 @@ class Ideal:
             self._index = DivisionIndex(self.ring.order, [vector_from_poly(g) for g in self.groebner()])
         if not self._index.divisors:
             return f
-        return division(vector_from_poly(f), self._index, quotients=False)[1].components[0]
+        return _reduce_poly(f, self._index)
 
     def contains(self, f):
         return self.reduce(f).is_zero()

@@ -977,6 +977,56 @@ def test_a_divisor_tail_beyond_the_fields_repacks_and_restarts(R):
     assert division(v, [g]) == expected
 
 
+@st.composite
+def _ideal_query_case(draw):
+    R = draw(st.sampled_from(_DIV_RINGS))
+    small = st.lists(st.tuples(st.tuples(_SMALL_EXPONENT, _SMALL_EXPONENT), st.integers(0, 2)), max_size=4)
+    gens = draw(st.lists(small.map(R.from_terms), min_size=1, max_size=3))
+    # targets of degree up to 280: some widen the fields, some reduce a term
+    # above the default budget and only pass under the raised one
+    exponent = st.one_of(_SMALL_EXPONENT, st.sampled_from([60, 126, 140]))
+    terms = st.lists(st.tuples(st.tuples(exponent, exponent), st.integers(0, 2)), max_size=5)
+    targets = draw(st.lists(terms.map(R.from_terms), min_size=1, max_size=4))
+    budget = draw(st.sampled_from([config.degree_budget, 300]))
+    return R, gens, targets, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ideal_query_case())
+def test_ideal_queries_divide_polynomials_like_vectors(case):
+    # Ideal.reduce and normal_form divide a polynomial's terms directly; the
+    # result must be the slot-0 remainder of the vector division, terms in
+    # the same order
+    R, gens, targets, budget = case
+    ideal = Ideal(R, gens)
+    Q = QuotientRing(R, ideal)
+    old = config.degree_budget
+    try:
+        config.degree_budget = budget
+        basis = [vector_from_poly(g) for g in ideal.groebner()]
+        index = DivisionIndex(R.order, basis)
+        polys = ideal.groebner()
+
+        def nf(f):
+            return groebner.normal_form(f, polys)
+
+        for f in targets:
+            if not basis:
+                assert ideal.reduce(f) is f and nf(f) is f
+                continue
+            expected = _outcome(division, vector_from_poly(f), index, quotients=False)
+            if expected == "over budget":
+                for query in (ideal.reduce, ideal.contains, Q.reduce, lambda f: groebner.reduce_in(Q, f), nf):
+                    assert _outcome(query, f) == "over budget"
+                continue
+            expected = expected[1].components[0]
+            for got in (ideal.reduce(f), Q.reduce(f), groebner.reduce_in(Q, f), nf(f)):
+                assert got.ring is R and list(got.terms.items()) == list(expected.terms.items())
+            assert ideal.contains(f) == expected.is_zero()
+    finally:
+        config.degree_budget = old
+
+
 _PACK_ORDERS = (MonomialOrder("degrevlex"), MonomialOrder("lex"), MonomialOrder("block", 1), MonomialOrder("block", 2))
 _PACK_RING = PolyRing(2, ("x", "y", "z"))
 

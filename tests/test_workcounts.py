@@ -61,7 +61,10 @@ cokernel basis and kernel syzygies, and the p-generating test read only
 the cokernel of its coordinate map, the corpus and twisted-cubic bounds
 fell to their present values (212 corpus builds, 451 runs, 1780
 divisions, 717 S-pair divisions and 342 tail slots, and 1350
-twisted-cubic divisions before).
+twisted-cubic divisions before).  When each S-pair remainder joined the
+basis index with the packed terms its division held, the terms that
+DivisionIndex.tail packs again from their tuples in a corpus pass got a
+guard at the count then measured (2595 before).
 """
 
 import sys
@@ -97,6 +100,7 @@ CORPUS_RUNS = 405
 CORPUS_DIVISIONS = 1663
 CORPUS_SPAIR_DIVISIONS = 680
 CORPUS_TAIL_SLOTS = 299
+CORPUS_TAIL_PACKS = 1588
 UNIT_CLAUSE_BUILDS = 94
 SYMMETRY_BUILDS = 7
 TRACE_GENERATOR_BUILDS = 2
@@ -153,14 +157,38 @@ def runs(monkeypatch):
 
 @pytest.fixture
 def divisions(monkeypatch):
+    # a polynomial normal form (Ideal.reduce) divides without division()
+    # and counts as one division too
     count = [0]
     original = groebner.division
+    original_poly = groebner._reduce_poly
 
     def counted(*args, **kwargs):
         count[0] += 1
         return original(*args, **kwargs)
 
+    def counted_poly(*args):
+        count[0] += 1
+        return original_poly(*args)
+
     monkeypatch.setattr(groebner, "division", counted)
+    monkeypatch.setattr(groebner, "_reduce_poly", counted_poly)
+    return count
+
+
+@pytest.fixture
+def tail_packs(monkeypatch):
+    # terms a DivisionIndex packs from their tuples when a divisor's tail is
+    # first needed; a tail() that repacks the index packs none
+    count = [0]
+    original = groebner.DivisionIndex.tail
+
+    def counted(self, k):
+        tail = original(self, k)
+        count[0] += len(tail or ())
+        return tail
+
+    monkeypatch.setattr(groebner.DivisionIndex, "tail", counted)
     return count
 
 
@@ -243,6 +271,13 @@ def test_corpus_divisions(divisions):
 def test_corpus_spair_divisions(spair_divisions):
     # the pair queue, its criteria and the selection order fix this count
     assert _corpus_builds(spair_divisions) == CORPUS_SPAIR_DIVISIONS
+
+
+def test_corpus_tail_packs(tail_packs):
+    # an S-pair remainder's tail is handed to the index already packed
+    first = _corpus_builds(tail_packs)
+    assert first <= CORPUS_TAIL_PACKS
+    assert _corpus_builds(tail_packs) == first
 
 
 def test_corpus_tail_slots(tail_slots):
