@@ -39,9 +39,12 @@ joins the index with the packed terms the division held, unscaled: the
 index keeps the inverse of each leading coefficient, and the basis is made
 monic at the end.  The pair queue keys each pair by its packed lcm, and
 the Gebauer-Moeller criteria are guard-bit tests, equalities and degree
-fields of packed lcms.  The final tail reduction tests each packed tail
-term against the leads at its position and divides only a tail that one
-of them divides.
+fields of packed lcms.  The final tail reduction runs bottom up, in
+ascending leading term, dividing each tail only by the elements already
+reduced, and only when one of their leads divides one of its terms.  The
+reduced elements join a new index with their packed terms, and buchberger
+hands that index over with the basis: ModuleGB, ReducedBasis and Ideal
+divide by it and pack nothing again.
 """
 
 import functools
@@ -342,10 +345,11 @@ class DivisionIndex:
     grouped per leading position in divisor order, (k, packed leading term,
     inverse of coeff) in `by_pos`; division tries them in that order.  The
     other terms of a divisor are packed as (term, coeff) the first time it
-    fires, unless the divisor is the remainder of the index's last S-pair
-    division, whose packed terms division() hands over (`_handed`).  `top`
-    is the largest degree of a leading term or a packed term, and the
-    fields hold _need(top).  add() appends a divisor; every kept term is
+    fires, unless their packed terms are handed over with it (`_handed`):
+    by division() for the remainder of the index's last S-pair division,
+    or by _reduced_basis for a reduced element.  `top` is the largest
+    degree of a leading term or a packed term, and the fields hold
+    _need(top).  add() appends a divisor; every kept term is
     repacked into wider fields when a division needs them.
     """
 
@@ -411,20 +415,21 @@ class DivisionIndex:
         self._tails = [None] * len(self.leads)
         return pk
 
-    def restrict(self, ks):
-        """The index of the divisors numbered ks, in that order, sharing
-        their packed terms."""
+    def heads(self, rank, divisors):
+        """The index of `divisors`, the parts below position `rank` of this
+        index's first len(divisors) divisors, when no later divisor leads
+        below rank: it shares their packed leads, and their packed tails
+        cut to the positions below rank."""
         sub = DivisionIndex(self.order)
-        renumber = {k: j for j, k in enumerate(ks)}
-        sub.divisors = [self.divisors[k] for k in ks]
-        sub.leads = [self.leads[k] for k in ks]
-        sub._tails = [self._tails[k] for k in ks]
+        n = len(divisors)
+        sub.divisors = list(divisors)
+        sub.leads = self.leads[:n]
         sub.top = self.top
-        sub._packing = self._packing
-        for pos, entries in self.by_pos.items():
-            kept = [(renumber[k], lead, linv) for k, lead, linv in entries if k in renumber]
-            if kept:
-                sub.by_pos[pos] = kept
+        pk = sub._packing = self._packing
+        if pk is not None:
+            bound = rank << pk.consts[0]
+            sub._tails = [tail and [e for e in tail if e[0] < bound] for tail in self._tails[:n]]
+            sub.by_pos = {pos: list(entries) for pos, entries in self.by_pos.items() if pos < rank}
         return sub
 
     def tail(self, k):
@@ -445,6 +450,18 @@ class DivisionIndex:
         term = self._packing.term
         flat = self._tails[k] = [(term(i, m), c) for (i, m), c in rest.items()]
         return flat
+
+    def divides_one(self, terms):
+        """Whether a leading term of the index divides one of the packed
+        terms, given as (term, coeff): one guard-bit test per term and lead
+        at its position."""
+        shift, _offset, _weights, guard, _dmask = self._packing.consts
+        by_pos = self.by_pos
+        for t, _c in terms:
+            for _k, lead, _linv in by_pos.get(t >> shift, ()):
+                if not (t - lead) & guard:
+                    return True
+        return False
 
     def spair(self, i, j, pos, lcm):
         """The S-vector (lcm/lm_i) g_i - (lc_i/lc_j) (lcm/lm_j) g_j of
@@ -475,37 +492,6 @@ class DivisionIndex:
             elif t in terms:
                 del terms[t]
         return terms
-
-    def reduced(self, k):
-        """Divisor k with its terms in descending order, when no leading
-        term of the index divides one of its other terms (one guard-bit
-        test per term and lead at its position; its own lead divides none
-        of them, as they are smaller); None otherwise."""
-        tail = self._tails[k]
-        if tail is None:
-            # after a repack, the second call fits the wider fields
-            tail = self.tail(k)
-            if tail is None:
-                tail = self.tail(k)
-        shift, _offset, _weights, guard, _dmask = self._packing.consts
-        by_pos = self.by_pos
-        for t, _c in tail:
-            for _k, lead, _linv in by_pos.get(t >> shift, ()):
-                if not (t - lead) & guard:
-                    return None
-        g = self.divisors[k]
-        pos, lmono, c = self.leads[k]
-        ts = [t for t, _c in tail]
-        if next(iter(g.terms)) == (pos, lmono) and ts == sorted(ts):
-            return g
-        # the packed tail lists the other terms in their order in the dict
-        others = [key for key in g.terms if key != (pos, lmono)]
-        terms = {(pos, lmono): c}
-        for _t, key in sorted(zip(ts, others)):
-            terms[key] = g.terms[key]
-        h = VectorPoly._of(g.ring, g.rank, terms)
-        h._leads = (self.order, self.leads[k])
-        return h
 
 
 def division(v, divisors, order=None, quotients=True):
@@ -678,47 +664,109 @@ def normal_form_vector(v, gb, order=None):
 # ---------------------------------------------------------------------------
 # Buchberger with Gebauer-Moeller pair elimination
 
+class _Basis(list):
+    """buchberger's reduced basis: the list of its elements, and `index`,
+    the DivisionIndex over them in their order, with their terms packed."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, elements, index):
+        super().__init__(elements)
+        self.index = index
+
+
 def _reduced_basis(index, order):
     """Minimalize and tail-reduce the divisors of buchberger's index; leads
-    made monic, deterministic output.
+    made monic, deterministic output, with the index over the basis.
 
-    The tails are reduced against the index restricted to the minimal
-    basis: an element's own leading term divides no smaller term, so this
-    is division by all the other elements.  A tail that no leading term
-    divides is kept as it is, without a division (DivisionIndex.reduced);
-    the basis is sorted by its packed leading terms."""
+    The minimal basis is reduced bottom up, in ascending leading term, into
+    a new index: only a lead smaller than an element's own can divide a
+    term of its tail, so the tail is divided by the elements already
+    reduced, and only when one of their leads divides one of its terms (one
+    guard-bit test per term and lead at its position).  The element, its
+    lead first and its other terms in descending order, is made monic and
+    joins that index with the packed terms the reduction held.  The only
+    element of a basis of one keeps its terms in their order.  The index
+    is turned round at the end: the basis lists the leading terms in
+    descending order."""
     # an element is redundant when another lead at its position divides
     # its own and has a lower degree, or is equal and comes first
     _shift, _offset, _weights, guard, dmask = index._packing.consts
     keep = sorted(
-        i
-        for entries in index.by_pos.values()
-        for i, li, _linv in entries
-        if not any(
-            j != i and not (li - lj) & guard and ((lj & dmask) < (li & dmask) or j < i)
-            for j, lj, _linv in entries
-        )
+        (
+            (li, i)
+            for entries in index.by_pos.values()
+            for i, li, _linv in entries
+            if not any(
+                j != i and not (li - lj) & guard and ((lj & dmask) < (li & dmask) or j < i)
+                for j, lj, _linv in entries
+            )
+        ),
+        reverse=True,
     )
-    index = index.restrict(keep)
-    keep = index.divisors
-    reduced = []
-    for k, (g, (pos, lmono, c)) in enumerate(zip(keep, index.leads)):
+    # descending packed leads: the leading terms in ascending order
+    out = DivisionIndex(order)
+    out._packing = index._packing
+    for li, i in keep:
+        g = index.divisors[i]
+        pos, lmono, c = index.leads[i]
+        lkey = (pos, lmono)
+        ring = g.ring
+        p = ring.p
+        inv = inv_mod(c, p)
+        pk = out._packing
+        tail = index._tails[i] if pk is index._packing else None
         if len(keep) > 1:
-            h = index.reduced(k)
-            if h is not None:
-                g = h
+            if tail is None and pk is index._packing:
+                # None after a repack: the tail did not fit the fields
+                tail = index.tail(i)
+            if tail is None or pk is not index._packing:
+                # packed in the order of g's terms, as the index packs them
+                rest = {key: k for key, k in g.terms.items() if key != lkey}
+                low = max([sum(m) for _pos, m in rest], default=0)
+                if low > pk.cap:
+                    pk = out._repack(ring.nvars, max(_need(out.top), low))
+                term = pk.term
+                tail = [(term(*key), k) for key, k in rest.items()]
+                li = term(pos, lmono)
+            ts = [d for d, _k in tail]
+            if out.divides_one(tail):
+                rest = {key: k for key, k in g.terms.items() if key != lkey}
+                dmask = pk.consts[4]
+                _quo, rem, keys, pk = _divide(out, ring, max([d & dmask for d in ts]), rest, True, None, False)
+                shift = pk.consts[0]
+                mono = pk.mono
+                terms = {lkey: c}
+                for d, k in rem.items():
+                    terms[keys.get(d) or (d >> shift, mono(d))] = k
+                tail = list(rem.items())
+                li = pk.term(pos, lmono)
+            elif next(iter(g.terms)) != lkey or ts != sorted(ts):
+                # the lead first, then the other terms in descending order
+                ranked = sorted(zip(tail, [key for key in g.terms if key != lkey]))
+                terms = {lkey: c}
+                for (_d, k), key in ranked:
+                    terms[key] = k
+                tail = [dk for dk, _key in ranked]
             else:
-                tail = dict(g.terms)
-                del tail[(pos, lmono)]
-                _, rem = division(VectorPoly._of(g.ring, g.rank, tail), index, quotients=False)
-                terms = {(pos, lmono): c}
-                terms.update(rem.terms)
-                g = VectorPoly._of(g.ring, g.rank, terms)
+                terms = None
+            if terms is not None:
+                g = VectorPoly._of(ring, g.rank, terms)
                 g._leads = (order, (pos, lmono, c))
-        reduced.append(g if c == 1 else g.scale(inv_mod(c, g.ring.p)))
-    # ascending packed leads: the leading terms in descending order
-    packed = {k: lead for entries in index.by_pos.values() for k, lead, _linv in entries}
-    return [reduced[k] for k in sorted(packed, key=packed.__getitem__)]
+        # the only element of a basis of one keeps its terms in their order
+        h = g if c == 1 else g.scale(inv)
+        if tail is not None:
+            out._handed = (h, pk, [(li, 1)] + [(d, k * inv % p) for d, k in tail])
+        out.add(h)
+    n = len(keep)
+    out.divisors.reverse()
+    out.leads.reverse()
+    out._tails.reverse()
+    out.by_pos = {
+        pos: [(n - 1 - k, lead, linv) for k, lead, linv in reversed(entries)]
+        for pos, entries in out.by_pos.items()
+    }
+    return _Basis(out.divisors, out)
 
 
 def buchberger(vectors, order=None, product_criterion=None):
@@ -727,10 +775,12 @@ def buchberger(vectors, order=None, product_criterion=None):
     The basis grows inside one DivisionIndex, which the S-pair reductions
     divide by and the pair updates read packed leading terms from; each
     S-pair goes to division as (i, j, pos, lcm) over that index, and each
-    nonzero remainder joins the index as it is, not made monic."""
+    nonzero remainder joins the index as it is, not made monic.  The basis
+    comes back as a list that carries the index the tail reduction built
+    over it (_Basis), for its owner to divide by."""
     vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
-        return []
+        return _Basis((), DivisionIndex(order))
     ring = vectors[0].ring
     order = order or ring.order
     if product_criterion is None:
@@ -813,20 +863,14 @@ def _rekeyed(pairs, pk):
 
 
 class ReducedBasis:
-    """The reduced Groebner basis of a submodule of R^rank, with one
-    DivisionIndex over it built on first use."""
+    """The reduced Groebner basis of a submodule of R^rank, a _Basis, and
+    `index`, the DivisionIndex over it that came with it."""
 
     def __init__(self, rank, order, basis):
         self.rank = rank
         self.order = order
         self.basis = basis
-        self._index = None
-
-    @property
-    def index(self):
-        if self._index is None:
-            self._index = DivisionIndex(self.order, self.basis)
-        return self._index
+        self.index = basis.index
 
     def normal_form(self, v):
         return division(v, self.index, quotients=False)[1]
@@ -858,7 +902,8 @@ class ModuleGB(ReducedBasis):
     are exactly len(generators) wide.  reduce() divides and re-expresses
     the quotient part in the generators, which is the lifting primitive
     everything downstream leans on.  reduce, normal_form, contains and
-    lift divide by the one index of the basis.
+    lift divide by the one index of the basis: the part of the index of
+    the augmented basis that lies below position rank.
     """
 
     def __init__(self, ring, rank, generators, order=None, modulo=()):
@@ -884,7 +929,7 @@ class ModuleGB(ReducedBasis):
         basis = []
         self.certificates = []
         self.syzygies = []
-        for w in full:
+        for w, lead in zip(full, full.index.leads):
             head = {}
             tail = {}
             for (i, m), c in w.terms.items():
@@ -897,9 +942,11 @@ class ModuleGB(ReducedBasis):
             if head.is_zero():
                 self.syzygies.append(tail)
             else:
+                head._leads = (order, lead)
                 basis.append(head)
                 self.certificates.append(tail)
-        super().__init__(rank, order, basis)
+        # the heads lead below position rank, so they come first
+        super().__init__(rank, order, _Basis(basis, full.index.heads(rank, basis)))
 
     def reduce(self, v):
         """(coefficient vector on the generators, normal form of v): v minus
@@ -1003,13 +1050,14 @@ class Ideal:
 
     def groebner(self):
         if self._gb is None:
-            self._gb = groebner_basis(self.gens)
+            basis = buchberger([vector_from_poly(g) for g in self.gens], self.ring.order)
+            self._index = basis.index
+            self._gb = [v.components[0] for v in basis]
         return self._gb
 
     def reduce(self, f):
-        """Normal form of f, divided by one index over the basis."""
-        if self._index is None:
-            self._index = DivisionIndex(self.ring.order, [vector_from_poly(g) for g in self.groebner()])
+        """Normal form of f, divided by the index that came with the basis."""
+        self.groebner()
         if not self._index.divisors:
             return f
         return _reduce_poly(f, self._index)
