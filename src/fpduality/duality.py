@@ -9,7 +9,7 @@ monic triangular system, and every claimed isomorphism of modules is
 backed by an explicit inverse (is_isomorphism).
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from .complexes import (
     ChainMap,
@@ -422,23 +422,11 @@ def residue_top_coefficient(u, tsystem, Sy, n_base, d):
     return Polynomial(Sy, amb_base_terms)
 
 
-def standard_monomial_basis(tsystem, n_base, d):
-    """Monomials y^b with b below the triangular degrees."""
-    degs = []
-    for j, t in enumerate(tsystem):
-        degs.append(max(m[n_base + j] for m in t.terms))
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == d:
-            out.append(tuple(prefix))
-            return
-        for e in range(degs[len(prefix)]):
-            rec(prefix + [e])
-
-    rec([])
-    out.sort()
-    return out, degs
+def standard_monomial_basis(tsystem, n_base):
+    """Exponents b of the monomials y^b below the triangular degrees, in
+    ascending order."""
+    degs = [max(m[n_base + j] for m in t.terms) for j, t in enumerate(tsystem)]
+    return list(product(*map(range, degs)))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +497,7 @@ def xi_via_factorization(R, roots, e):
     reversal = (-1) ** ((c * (c - 1) // 2) % 2)
     lam_t = T.reduce(lam.scale(reversal % p))
     sign = xi_smooth_sign(n, d, p)
-    basis, degs = standard_monomial_basis(tsys, n, d)
+    basis = standard_monomial_basis(tsys, n)
     # residue functional on the y-monomial basis of T over R
     values = {}
     for b in basis:

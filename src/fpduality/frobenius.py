@@ -52,8 +52,8 @@ def bracket_power_complex(T, e):
 
 
 def restricted_monomials(nvars, q):
-    """All exponent tuples with entries in [0, q), sorted."""
-    return sorted(product(range(q), repeat=nvars))
+    """All exponent tuples with entries in [0, q), in ascending order."""
+    return list(product(range(q), repeat=nvars))
 
 
 def frobenius_decompose(f, e=1):

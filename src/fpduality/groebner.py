@@ -26,10 +26,12 @@ linear in the exponents whose integer order is the term order (see
 _Packing).  The heap holds plain ints, a divisor term times a quotient is
 one addition, and divisibility is one guard-bit test.  The field width
 holds the largest input degree and the degree budget plus the largest
-divisor degree, which bounds every term a reduction brings in, and twice
-that divisor degree, which bounds the lcm of two leading terms; it is
-checked on every call, and the index is repacked wider when needed, so a
-field never wraps.
+degree of a divisor term, which bounds every term a reduction brings in,
+and twice that degree, which bounds the lcm of two leading terms.  One
+rule keeps it so (DivisionIndex._fit): an index fits its fields to every
+term of a divisor when the divisor joins, and a division fits them to its
+input and the budget at entry, so a field never wraps and no division
+starts again.
 
 Buchberger stays on packed terms from input to basis.  An S-pair enters
 division as (i, j, pos, lcm) over the basis index: its terms are the two
@@ -49,6 +51,7 @@ divide by it and pack nothing again.
 
 import functools
 import heapq
+from itertools import product
 from operator import add, itemgetter, mul
 
 from .config import config
@@ -348,9 +351,10 @@ class DivisionIndex:
     fires, unless their packed terms are handed over with it (`_handed`):
     by division() for the remainder of the index's last S-pair division,
     or by _reduced_basis for a reduced element.  `top` is the largest
-    degree of a leading term or a packed term, and the fields hold
-    _need(top).  add() appends a divisor; every kept term is
-    repacked into wider fields when a division needs them.
+    degree of any divisor term, and the fields hold _need(top): add()
+    raises top to the largest degree of the new divisor and fits the
+    fields to it (_fit), so a divisor's terms, packed when it fires, fit
+    the fields the division runs in.
     """
 
     __slots__ = ("order", "divisors", "leads", "top", "by_pos", "_packing", "_tails", "_handed")
@@ -383,17 +387,14 @@ class DivisionIndex:
                 ld = packed[0][0]
                 tail = packed[1:]
             else:
-                deg = sum(mono)
+                deg = max(map(sum, map(_mono, g.terms)))
                 ld = None
             if pk is None or deg > self.top:
                 # the fields held _need(top), so only a higher term can
-                # need wider ones
+                # need wider ones (a division fits a raised budget itself)
                 self.top = max(self.top, deg)
-                need = _need(self.top)
-                if pk is None:
-                    pk = self._packing = _packing(self.order, g.ring.nvars, _width(need))
-                elif need > pk.cap:
-                    pk = self._repack(g.ring.nvars, need)
+                if self._fit(g.ring.nvars) is not pk:
+                    pk = self._packing
                     ld = tail = None
             if ld is None:
                 ld = pk.term(pos, mono)
@@ -402,6 +403,15 @@ class DivisionIndex:
         self.divisors.append(g)
         self.leads.append(lead)
         self._tails.append(tail)
+
+    def _fit(self, n, low=0):
+        """The packing, after repacking the index if its fields do not hold
+        max(_need(top), low): low is the degree of an input to divide."""
+        need = max(_need(self.top), low)
+        pk = self._packing
+        if pk is None or need > pk.cap:
+            pk = self._repack(n, need)
+        return pk
 
     def _repack(self, n, need):
         """Pack the leading terms into fields that hold degree `need`; the
@@ -434,19 +444,10 @@ class DivisionIndex:
 
     def tail(self, k):
         """Divisor k's terms other than its leading one, as (packed term,
-        coeff); None, after repacking the index wider, when a product of one
-        of them with a quotient term within the degree budget would not fit
-        the fields."""
+        coeff), packed now and kept."""
         pos, lmono, _c = self.leads[k]
-        g = self.divisors[k]
-        rest = dict(g.terms)
+        rest = dict(self.divisors[k].terms)
         del rest[(pos, lmono)]
-        deg = max(map(sum, map(_mono, rest))) if rest else 0
-        if deg > self.top:
-            self.top = deg
-            if _need(deg) > self._packing.cap:
-                self._repack(g.ring.nvars, _need(deg))
-                return None
         term = self._packing.term
         flat = self._tails[k] = [(term(i, m), c) for (i, m), c in rest.items()]
         return flat
@@ -467,15 +468,10 @@ class DivisionIndex:
         """The S-vector (lcm/lm_i) g_i - (lc_i/lc_j) (lcm/lm_j) g_j of
         divisors i and j, whose leading terms at position pos have the lcm
         `lcm` (within the degree budget), as {packed term: coeff}: each tail
-        term shifted by packed(lcm) minus the packed lead of its divisor.
-        None, after repacking the index wider, as for tail()."""
+        term shifted by packed(lcm) minus the packed lead of its divisor."""
         tails = self._tails
         ti = tails[i] if tails[i] is not None else self.tail(i)
-        if ti is None:
-            return None
         tj = tails[j] if tails[j] is not None else self.tail(j)
-        if tj is None:
-            return None
         term = self._packing.term
         (_, mi, ci), (_, mj, cj) = self.leads[i], self.leads[j]
         p = self.divisors[i].ring.p
@@ -582,83 +578,70 @@ def _divide(index, ring, low, items, vector, spair, quotients):
 
     The fields hold `low` and _need(index.top), which bounds every term a
     reduction brings in, because the term it removes passed the budget
-    check.  When a divisor fires for the first time with a term above
-    `top`, the index is repacked wider and the division starts again, so
-    a field never wraps.
+    check and top bounds every divisor term: _fit checks them once, at
+    entry, for the input's degree and for a budget raised since the index
+    was built, so a field never wraps.
     """
     p = ring.p
     budget = config.degree_budget
     heappop = heapq.heappop
     heappush = heapq.heappush
-    while True:
-        pk = index._packing
-        need = _need(index.top)
-        if pk is None or need > pk.cap or low > pk.cap:
-            pk = index._repack(ring.nvars, max(need, low))
-        shift, offset, weights, guard, dmask = pk.consts
-        if items is None:
-            keys = {}
-            terms = index.spair(*spair)
-            if terms is None:
-                continue
+    pk = index._fit(ring.nvars, low)
+    shift, offset, weights, guard, dmask = pk.consts
+    if items is None:
+        keys = {}
+        terms = index.spair(*spair)
+    else:
+        if vector:
+            terms = {sum(map(mul, m, weights), (pos << shift) + offset): c for (pos, m), c in items.items()}
         else:
-            if vector:
-                terms = {sum(map(mul, m, weights), (pos << shift) + offset): c for (pos, m), c in items.items()}
+            terms = {sum(map(mul, m, weights), offset): c for m, c in items.items()}
+        # packing is injective, so the packed terms come in the input's order
+        keys = dict(zip(terms, items))
+    heap = list(terms)
+    heapq.heapify(heap)
+    get = terms.get
+    pop = terms.pop
+    by_pos = index.by_pos
+    tails = index._tails
+    quo = {} if quotients else None
+    remainder = {}
+    while heap:
+        d = heappop(heap)
+        coeff = pop(d, None)
+        if coeff is None:
+            continue
+        for k, lead, linv in by_pos.get(d >> shift, ()):
+            if not (d - lead) & guard:
+                break
+        else:
+            remainder[d] = coeff
+            continue
+        if d & dmask > budget:
+            _budget_check(d & dmask)
+        tail = tails[k]
+        if tail is None:
+            tail = index.tail(k)
+        q = d - lead
+        q_coeff = coeff * linv % p
+        if quo is not None:
+            quo.setdefault(k, {})[q] = q_coeff
+        # -q_coeff, so that each new coefficient is one product and sum
+        minus = p - q_coeff
+        for t, c2 in tail:
+            t += q
+            c = get(t)
+            if c is None:
+                # a product of two units, never zero
+                heappush(heap, t)
+                terms[t] = c2 * minus % p
             else:
-                terms = {sum(map(mul, m, weights), offset): c for m, c in items.items()}
-            # packing is injective, so the packed terms come in the input's order
-            keys = dict(zip(terms, items))
-        heap = list(terms)
-        heapq.heapify(heap)
-        get = terms.get
-        pop = terms.pop
-        by_pos = index.by_pos
-        tails = index._tails
-        quo = {} if quotients else None
-        remainder = {}
-        while heap:
-            d = heappop(heap)
-            coeff = pop(d, None)
-            if coeff is None:
-                continue
-            for k, lead, linv in by_pos.get(d >> shift, ()):
-                if not (d - lead) & guard:
-                    break
-            else:
-                remainder[d] = coeff
-                continue
-            if d & dmask > budget:
-                _budget_check(d & dmask)
-            tail = tails[k]
-            if tail is None:
-                tail = index.tail(k)
-                if tail is None:
-                    break
-            q = d - lead
-            q_coeff = coeff * linv % p
-            if quo is not None:
-                quo.setdefault(k, {})[q] = q_coeff
-            # -q_coeff, so that each new coefficient is one product and sum
-            minus = p - q_coeff
-            for t, c2 in tail:
-                t += q
-                c = get(t)
-                if c is None:
-                    # a product of two units, never zero
-                    heappush(heap, t)
-                    terms[t] = c2 * minus % p
+                c = (c + c2 * minus) % p
+                if c:
+                    terms[t] = c
                 else:
-                    c = (c + c2 * minus) % p
-                    if c:
-                        terms[t] = c
-                    else:
-                        del terms[t]
-        else:
-            return quo, remainder, keys, pk
-
-
-def normal_form_vector(v, gb, order=None):
-    return division(v, gb, order=order, quotients=False)[1]
+                    del terms[t]
+    return quo, remainder, keys, pk
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +674,8 @@ def _reduced_basis(index, order):
     descending order."""
     # an element is redundant when another lead at its position divides
     # its own and has a lower degree, or is equal and comes first
-    _shift, _offset, _weights, guard, dmask = index._packing.consts
+    pk = index._packing
+    shift, _offset, _weights, guard, dmask = pk.consts
     keep = sorted(
         (
             (li, i)
@@ -704,9 +688,10 @@ def _reduced_basis(index, order):
         ),
         reverse=True,
     )
-    # descending packed leads: the leading terms in ascending order
+    # descending packed leads: the leading terms in ascending order.  The
+    # new index shares the packing, whose fields hold every term of the old
     out = DivisionIndex(order)
-    out._packing = index._packing
+    out._packing = pk
     for li, i in keep:
         g = index.divisors[i]
         pos, lmono, c = index.leads[i]
@@ -714,33 +699,18 @@ def _reduced_basis(index, order):
         ring = g.ring
         p = ring.p
         inv = inv_mod(c, p)
-        pk = out._packing
-        tail = index._tails[i] if pk is index._packing else None
+        tail = index._tails[i]
         if len(keep) > 1:
-            if tail is None and pk is index._packing:
-                # None after a repack: the tail did not fit the fields
+            if tail is None:
                 tail = index.tail(i)
-            if tail is None or pk is not index._packing:
-                # packed in the order of g's terms, as the index packs them
-                rest = {key: k for key, k in g.terms.items() if key != lkey}
-                low = max([sum(m) for _pos, m in rest], default=0)
-                if low > pk.cap:
-                    pk = out._repack(ring.nvars, max(_need(out.top), low))
-                term = pk.term
-                tail = [(term(*key), k) for key, k in rest.items()]
-                li = term(pos, lmono)
             ts = [d for d, _k in tail]
             if out.divides_one(tail):
                 rest = {key: k for key, k in g.terms.items() if key != lkey}
-                dmask = pk.consts[4]
-                _quo, rem, keys, pk = _divide(out, ring, max([d & dmask for d in ts]), rest, True, None, False)
-                shift = pk.consts[0]
-                mono = pk.mono
+                _quo, rem, keys, _pk = _divide(out, ring, max([d & dmask for d in ts]), rest, True, None, False)
                 terms = {lkey: c}
                 for d, k in rem.items():
-                    terms[keys.get(d) or (d >> shift, mono(d))] = k
+                    terms[keys.get(d) or (d >> shift, pk.mono(d))] = k
                 tail = list(rem.items())
-                li = pk.term(pos, lmono)
             elif next(iter(g.terms)) != lkey or ts != sorted(ts):
                 # the lead first, then the other terms in descending order
                 ranked = sorted(zip(tail, [key for key in g.terms if key != lkey]))
@@ -778,11 +748,12 @@ def buchberger(vectors, order=None, product_criterion=None):
     nonzero remainder joins the index as it is, not made monic.  The basis
     comes back as a list that carries the index the tail reduction built
     over it (_Basis), for its owner to divide by."""
+    vectors = list(vectors)
+    # the order of the input's ring, also when every vector is zero
+    order = order or (vectors[0].ring.order if vectors else None)
     vectors = [v for v in vectors if not v.is_zero()]
     if not vectors:
         return _Basis((), DivisionIndex(order))
-    ring = vectors[0].ring
-    order = order or ring.order
     if product_criterion is None:
         # Buchberger's coprimality criterion is only sound for ring ideals
         product_criterion = vectors[0].rank == 1
@@ -1021,7 +992,7 @@ def groebner_basis(polys):
 
 def normal_form(f, gb_polys):
     if isinstance(f, VectorPoly):
-        return normal_form_vector(f, gb_polys)
+        return division(f, gb_polys, quotients=False)[1]
     gbv = [vector_from_poly(g) for g in gb_polys if not g.is_zero()]
     if not gbv:
         return f
@@ -1130,11 +1101,8 @@ class QuotientRing:
 
         max_extra bounds the search degree beyond the lead-term degrees.
         """
-        gb = self.modulus.groebner()
-        leads = [g.leading()[0] for g in gb] if gb else []
+        leads = [g.leading()[0] for g in self.modulus.groebner()]
         n = self.ambient.nvars
-        if n == 0:
-            return [()] if not self.is_zero_ring() else []
         # finite dimensional iff some pure power of each variable leads
         bounds = [None] * n
         for m in leads:
@@ -1145,23 +1113,8 @@ class QuotientRing:
                     bounds[i] = m[i]
         if any(b is None for b in bounds):
             return None
-        basis = []
-
-        def rec(prefix):
-            if len(prefix) == n:
-                mono = tuple(prefix)
-                for lm in leads:
-                    if mono_divides(lm, mono):
-                        return
-                basis.append(mono)
-                return
-            i = len(prefix)
-            for e in range(bounds[i]):
-                rec(prefix + [e])
-
-        rec([])
-        basis.sort()
-        return basis
+        # the box in ascending order; the unit ideal's lead () divides ()
+        return [m for m in product(*map(range, bounds)) if not any(mono_divides(lm, m) for lm in leads)]
 
     def __eq__(self, other):
         return (

@@ -427,6 +427,21 @@ class TestQuotientRing:
         A = QuotientRing(amb, [amb.var("x") ** 2, amb.var("y") ** 2])
         assert A.standard_monomials() == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
+    def test_standard_monomials_of_no_variables(self):
+        R = ring(3)
+        assert QuotientRing(R, []).standard_monomials() == [()]
+        assert QuotientRing(R, [R.const(2)]).standard_monomials() == []
+
+    def test_standard_monomials_are_the_monomials_in_normal_form(self):
+        # brute force over a box wider than the bounds x^3 and y^3
+        amb = ring(3, "x", "y")
+        x, y = amb.gens()
+        A = QuotientRing(amb, [x ** 3 - y, x * y ** 2, y ** 3])
+        box = [(a, b) for a in range(6) for b in range(6)]
+        expected = [m for m in box if A.reduce(amb.from_terms([(m, 1)])) == amb.from_terms([(m, 1)])]
+        assert len(expected) == 7
+        assert A.standard_monomials() == expected
+
     def test_infinite_dimensional(self):
         amb = ring(2, "x", "y")
         A = QuotientRing(amb, [amb.var("x") * amb.var("y")])
@@ -962,18 +977,20 @@ def test_exponents_beyond_the_default_fields_are_never_wrapped(R):
 
 @pytest.mark.parametrize("R", _DIV_RINGS, ids=lambda R: repr(R.order))
 def test_a_divisor_tail_beyond_the_fields_repacks_and_restarts(R):
-    # the leading term x has degree 1, so the index starts with 8-bit
-    # fields; its tail y^100 times the quotient x reaches degree 101, above
-    # the default budget 60 plus the degree 1 the fields were sized for
+    # the leading term x has degree 1, but its tail y^100 times the
+    # quotient x reaches degree 101, above the default budget 60 plus 1:
+    # the index sizes its fields for the tail when g joins, so the
+    # divisions run in them and none repacks
     x, y = R.gens()
     g = VectorPoly(R, [x, y ** 100])
     index = DivisionIndex(R.order, [g])
-    assert index.top == 1 and index._packing.width == 8
+    assert index.top == 100 and index._packing.width == 16
+    pk = index._packing
     v = VectorPoly(R, [x ** 2 + x * y, y ** 3])
     expected = _reference_division(v, [g], config.degree_budget)
     assert division(v, index) == expected
-    assert index.top == 100 and index._packing.width == 16
     assert division(v, index) == expected
+    assert index.top == 100 and index._packing is pk
     assert division(v, [g]) == expected
 
 

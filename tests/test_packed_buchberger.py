@@ -93,15 +93,17 @@ def test_packed_spair_seed_matches_the_term_by_term_spair(case):
 
 
 def test_a_divisor_tail_beyond_the_fields_repacks_inside_an_spair():
-    # both leads have degree at most 2, so the index starts with 8-bit
-    # fields; the tail y^100 of x + y^100 is packed only when the S-pair
-    # is seeded, which repacks the index and starts the division again
+    # both leads have degree at most 2, but the tail y^100 of x + y^100,
+    # shifted by the S-pair's quotient y, needs 16-bit fields: the index
+    # sizes them for it when x + y^100 joins, so the S-pair is seeded and
+    # divided in them
     x, y = _LEX_RING.gens()
     f, g = VectorPoly(_LEX_RING, [x + y ** 100]), VectorPoly(_LEX_RING, [x * y + 1])
     index = DivisionIndex(_LEX_RING.order, [f, g])
-    assert index._packing.width == 8
-    _, rem = division((0, 1, 0, (1, 1)), index, quotients=False)
     assert index._packing.width == 16
+    pk = index._packing
+    _, rem = division((0, 1, 0, (1, 1)), index, quotients=False)
+    assert index._packing is pk
     assert rem == VectorPoly(_LEX_RING, [y ** 101 - 1])
     assert rem._leads == (_LEX_RING.order, (0, (0, 101), 1))
     assert buchberger([f, g]) == [f, rem]
@@ -283,11 +285,12 @@ def test_packed_queue_divides_the_pairs_of_the_tuple_queue_for_module_gb_inputs(
 
 
 def test_a_repack_mid_run_rekeys_the_queued_pairs():
-    # under lex with the budget raised to 100 the leads fit 8-bit fields;
-    # the tail y^30 of the first generator, packed when its S-pair is
-    # seeded, needs 16 bits, so the two pairs still queued are keyed again
+    # under lex with the budget raised to 100 both generators fit 8-bit
+    # fields; the S-pairs' remainders reach degree 31 in y, which needs 16
+    # bits, so a remainder that joins while two pairs are queued widens the
+    # fields and the two pairs are keyed again
     x, y = _LEX_RING.gens()
-    gens = [VectorPoly(_LEX_RING, [f]) for f in (x + y ** 30, x * y + 1, x ** 2 + y, x * y ** 2 + 2)]
+    gens = [VectorPoly(_LEX_RING, [f]) for f in (2 * x ** 3 * y ** 9 + 3 * y ** 10, 4 * x * y ** 10 + 1)]
     rekeyed = []
     original = groebner._rekeyed
 
@@ -304,7 +307,7 @@ def test_a_repack_mid_run_rekeys_the_queued_pairs():
         groebner._rekeyed = original
         config.degree_budget = old
     assert (2, 16) in rekeyed
-    assert basis == [VectorPoly(_LEX_RING, [_LEX_RING.one()])]
+    assert basis == [VectorPoly(_LEX_RING, [f]) for f in (x - y ** 21, y ** 31 - 1)]
 
 
 def test_lcms_of_leads_above_the_budget_fit_the_fields():

@@ -62,8 +62,6 @@ def _kept_as_it_is(index, k):
     tail = index._tails[k]
     if tail is None:
         tail = index.tail(k)
-        if tail is None:
-            tail = index.tail(k)
     shift, _offset, _weights, guard, _dmask = index._packing.consts
     for t, _c in tail:
         for _k, lead, _linv in index.by_pos.get(t >> shift, ()):
@@ -342,9 +340,9 @@ def test_a_budget_raised_after_the_build_repacks_the_handed_index():
 
 def test_a_tail_beyond_the_fields_is_packed_again():
     # under lex the leads x and z^2 are coprime, so no S-pair packs the
-    # tail y^100 of x + y^100 and the index keeps 8-bit fields; the tail
-    # reduction packs it, which repacks buchberger's index, and the reduced
-    # element's packed terms need wider fields than the new index has
+    # tail y^100 of x + y^100; the index sized its fields for it when
+    # x + y^100 joined, so the tail reduction packs it in them, and the
+    # index handed over keeps them
     R = _RINGS[1]
     x, y, z = R.gens()
     polys = [x + y ** 100, z ** 2 + z]
