@@ -77,7 +77,7 @@ class FreeComplex:
             if not nxt:
                 continue
             for c in cols:
-                if not self.vanishes(d + 2, combine(nxt, nonzero_slots(c), self.ambient, self.rank(d + 2))):
+                if not self.vanishes(d + 2, combine(nxt, c.terms.items(), self.ambient, self.rank(d + 2))):
                     raise AlgebraError("d o d != 0 at degree %d" % d)
 
     def rank(self, d):
@@ -99,7 +99,9 @@ class FreeComplex:
     def vanishes(self, d, v):
         """Whether v is zero in term d: modulo the modulus of the ring, or
         else modulo the relations of the term."""
-        if all(reduce_in(self.ring, x).is_zero() for _, x in nonzero_slots(v)):
+        if not v.terms or isinstance(self.ring, QuotientRing) and all(
+            reduce_in(self.ring, x).is_zero() for _, x in nonzero_slots(v)
+        ):
             return True
         return d in self.relations and self.term(d).element_is_zero(v)
 
@@ -446,7 +448,7 @@ class ChainMap:
         return self._row_lists[d]
 
     def apply(self, d, v):
-        return combine(self.maps.get(d, []), nonzero_slots(v), self.target.ambient, self.target.rank(d))
+        return combine(self.maps.get(d, []), v.terms.items(), self.target.ambient, self.target.rank(d))
 
     def verify(self):
         """d_tgt o f = f o d_src in the target's terms."""
@@ -458,7 +460,7 @@ class ChainMap:
             d_tgt = self.target.diffs.get(d, [])
             d_src = self.source.differential(d)
             for j in range(self.source.rank(d)):
-                lhs = combine(d_tgt, nonzero_slots(self.column(d, j)), amb, r)
+                lhs = combine(d_tgt, self.column(d, j).terms.items(), amb, r)
                 if not self.target.vanishes(d + 1, lhs - self.apply(d + 1, d_src[j])):
                     raise AlgebraError("not a chain map at degree %d" % d)
 
@@ -603,7 +605,7 @@ def lift_chain_map(f0_cols, source, target, ring):
         solver = target.span_solver(d, ring)
         for col in source.differential(d):
             # want x with d_target(x) = f_{d+1}(d_source e_j)
-            coeffs = solver.solve(combine(maps[d + 1], nonzero_slots(col), amb, target.rank(d + 1)))
+            coeffs = solver.solve(combine(maps[d + 1], col.terms.items(), amb, target.rank(d + 1)))
             if coeffs is None:
                 raise AlgebraError("lifting failed at degree %d" % d)
             cols.append(coeffs)

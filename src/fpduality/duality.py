@@ -864,7 +864,6 @@ def verify_frobenius_duality(A, e=1):
     F_* is exact and faithful, so the degrees of nonzero cohomology are
     read off the dualizing complex itself."""
     A_work = as_quotient(A)
-    amb = A_work.ambient
     dc = canonical_dualizing(A_work)
     W = dc.complex
     K = dc.resolution
@@ -894,7 +893,7 @@ def verify_frobenius_duality(A, e=1):
         j = idx % pidx.r
         rep = h_om.reps[j]
         # the cocycle x^a z_j pushed through the trace pairing
-        shifted = rep.mul_poly(amb.monomial(a_mono))
+        shifted = rep.mul_term(a_mono, 1)
         fw_coords = pushforward_vector(FW.pushforward_indices[low], shifted, e)
         psi = chi.apply(low, fw_coords)
         # psi is a functional on (F_*K)^{i_top}; evaluate on multiplication
@@ -945,9 +944,8 @@ def _frobenius_multiplications(K, FK, e):
     psi = lift_chain_map([unit_vector(S, 1, 0)], bracket_power_complex(K, e), K, S)
 
     def multiplication(b_mono):
-        xb = S.monomial(b_mono)
         maps = {
-            d: [pushforward_vector(FK.pushforward_indices[d], col.mul_poly(xb), e) for col in cols]
+            d: [pushforward_vector(FK.pushforward_indices[d], col.mul_term(b_mono, 1), e) for col in cols]
             for d, cols in psi.maps.items()
         }
         return ChainMap(K, FK, maps, check=True)

@@ -21,6 +21,7 @@ from .groebner import (
     ambient_of,
     nonzero_slots,
     reduce_in,
+    regrouped,
     unit_vector,
     vector_of,
 )
@@ -104,22 +105,19 @@ class PushforwardIndex:
 
 
 def pushforward_vector(index, v, e):
-    """Coordinates of F^e_*(v) for v a coordinate vector of the module."""
-    entries = [
-        (index.index(a, j), va) for j, f in nonzero_slots(v) for a, va in frobenius_decompose(f, e).items()
-    ]
-    return vector_of(v.ring, index.total, entries)
+    """Coordinates of F^e_*(v) for v a coordinate vector of the module:
+    each term c x^m e_j goes to c x^(m // q) on generator (m mod q, j)."""
+    return regrouped(v, v.ring.p ** e, index.position, index.r, index.total)
 
 
-def _pushforward_shifts(amb, vectors, index, e):
+def _pushforward_shifts(vectors, index, e):
     """F^e_*(x^b v) on index for every restricted monomial b (outer) and
     every v of vectors (inner): the order of index.index(b, j) when the
     vectors are the images of the generators j."""
     out = []
     for b in index.monomials:
-        xb = amb.monomial(b)
         for v in vectors:
-            out.append(pushforward_vector(index, v.mul_poly(xb), e))
+            out.append(pushforward_vector(index, v.mul_term(b, 1), e))
     return out
 
 
@@ -133,7 +131,7 @@ def pushforward_module(M, e=1):
     amb = M.ambient
     _check_size(amb.p, e, amb.nvars)
     index = PushforwardIndex(M.ring, e, M.ngens)
-    out = FPModule(M.ring, index.total, _pushforward_shifts(amb, M.relations, index, e))
+    out = FPModule(M.ring, index.total, _pushforward_shifts(M.relations, index, e))
     out.pushforward_index = index
     return out
 
@@ -159,10 +157,9 @@ class FrobPushforward:
 
     def multiplication_map(self, s):
         """The R-linear map F_*(u) -> F_*(s u) on this presentation."""
-        amb = ambient_of(self.ring)
         cols = []
         for a in self.index.monomials:
-            cols.append(self.coords(s * amb.monomial(a)))
+            cols.append(self.coords(s.mul_term(a, 1)))
         return ModuleMap(self.module, self.module, cols, check=False)
 
 
@@ -179,7 +176,7 @@ def pushforward_complex(T, e=1):
     terms = {d: indices[d].total for d in T.degrees()}
     # the restricted monomials are those of every index, so the columns
     # come out in the order of the source index
-    diffs = {d: _pushforward_shifts(amb, cols, indices[d + 1], e) for d, cols in T.diffs.items()}
+    diffs = {d: _pushforward_shifts(cols, indices[d + 1], e) for d, cols in T.diffs.items()}
     out = FreeComplex(ring, terms, diffs)
     out.pushforward_indices = indices
     return out

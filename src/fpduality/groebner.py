@@ -236,8 +236,11 @@ def nonzero_slots(v):
 
 
 def unit_vector(ring, rank, i, poly=None):
-    """poly (by default 1) in slot i of ring^rank."""
-    return vector_of(ring, rank, [(i, ring.one() if poly is None else poly)])
+    """poly (by default 1) in slot i of ring^rank; the unit vector is built
+    as its one term (vector_of checks a slot out of range)."""
+    if poly is not None or not 0 <= i < rank:
+        return vector_of(ring, rank, [(i, ring.one() if poly is None else poly)])
+    return VectorPoly._of(ring, rank, {(i, (0,) * ring.nvars): 1})
 
 
 def vector_from_poly(f):
@@ -501,27 +504,36 @@ def division(v, divisors, order=None, quotients=True):
     index's divisors i and j, whose lcm passed the budget check: the
     working terms are then seeded from their shifted packed tails
     (DivisionIndex.spair), v stands for that S-vector, and the index keeps
-    the remainder's packed terms for its next add().  The loop is _divide;
-    only new remainder and quotient terms are unpacked, input terms keep
-    their tuples.  The first remainder term is the largest, and is cached
-    as the remainder's leading term.  A zero vector returns at once: zero
-    normal forms are frequent (zero elements of quotient rings and
-    modules, empty tails in _reduced_basis).
+    the remainder's packed terms for its next add().  The work is
+    _division's; only here are its flat quotients gathered into one
+    polynomial per divisor.
     """
+    if not isinstance(divisors, DivisionIndex):
+        divisors = DivisionIndex(order or v.ring.order, divisors)
+    quo, rem = _division(v, divisors, quotients)
+    if quo is None:
+        return None, rem
+    polys = [{} for _ in divisors.divisors]
+    for (k, m), c in quo:
+        polys[k][m] = c
+    return [Polynomial(rem.ring, terms) for terms in polys], rem
+
+
+def _division(v, index, quotients):
+    """division() by an index, the quotients as the flat terms ((k, mono),
+    coeff) of a coefficient vector on the divisors, or None.  The loop is
+    _divide; only new remainder and quotient terms are unpacked.  The
+    first remainder term is the largest, and is cached as its leading
+    term.  A zero vector, a frequent normal form, returns at once."""
     if isinstance(v, tuple):
         # the S-vector has the ring and rank of its divisor i
         spair = v
-        v = divisors.divisors[spair[0]]
+        v = index.divisors[spair[0]]
     else:
         spair = None
     ring = v.ring
-    if isinstance(divisors, DivisionIndex):
-        index = divisors
-    else:
-        index = DivisionIndex(order or ring.order, divisors)
     if not v.terms:
-        rem = VectorPoly._of(ring, v.rank, {})
-        return ([ring.zero()] * len(index.divisors) if quotients else None), rem
+        return ([] if quotients else None), VectorPoly._of(ring, v.rank, {})
     if spair is None:
         low = max([sum(m) for _pos, m in v.terms])
         quo, remainder, keys, pk = _divide(index, ring, low, v.terms, True, None, quotients)
@@ -538,13 +550,9 @@ def division(v, divisors, order=None, quotients=True):
         break
     else:
         rem._leads = (index.order, None)
-    if quo is None:
-        return None, rem
-    zero = ring.zero()
-    return [
-        Polynomial(ring, {mono(q): c for q, c in quo[k].items()}) if k in quo else zero
-        for k in range(len(index.divisors))
-    ], rem
+    if quo is not None:
+        quo = [((k, mono(q)), c) for k, q, c in quo]
+    return quo, rem
 
 
 def _reduce_poly(f, index):
@@ -561,8 +569,8 @@ def _reduce_poly(f, index):
 
 def _divide(index, ring, low, items, vector, spair, quotients):
     """The division loop of division() over the index, on packed terms:
-    returns (quotients as {k: {packed quotient: coeff}} or None, the
-    remainder as {packed term: coeff} in descending order, the input
+    returns (quotients as a list of (k, packed quotient, coeff) or None,
+    the remainder as {packed term: coeff} in descending order, the input
     terms' keys by packed term, the packing).
 
     The input is `items`, a vector's {(pos, mono): coeff} when `vector`
@@ -604,7 +612,7 @@ def _divide(index, ring, low, items, vector, spair, quotients):
     pop = terms.pop
     by_pos = index.by_pos
     tails = index._tails
-    quo = {} if quotients else None
+    quo = [] if quotients else None
     remainder = {}
     while heap:
         d = heappop(heap)
@@ -625,7 +633,7 @@ def _divide(index, ring, low, items, vector, spair, quotients):
         q = d - lead
         q_coeff = coeff * linv % p
         if quo is not None:
-            quo.setdefault(k, {})[q] = q_coeff
+            quo.append((k, q, q_coeff))
         # -q_coeff, so that each new coefficient is one product and sum
         minus = p - q_coeff
         for t, c2 in tail:
@@ -924,8 +932,8 @@ class ModuleGB(ReducedBasis):
         the normal form minus the combination lies in span(modulo)."""
         if v.rank != self.rank:
             raise AlgebraError("vector rank %d does not match module rank %d" % (v.rank, self.rank))
-        quots, rem = division(v, self.index)
-        return combine(self.certificates, enumerate(quots), self.ring, len(self.generators)), rem
+        quots, rem = _division(v, self.index, True)
+        return combine(self.certificates, quots, self.ring, len(self.generators)), rem
 
     def lift(self, v):
         """The coefficient vector of v on the generators modulo span(modulo), or None."""
@@ -945,27 +953,53 @@ def syzygies(vectors, modulo=()):
     return ModuleGB(vectors[0].ring, vectors[0].rank, vectors, modulo=list(modulo)).syzygies
 
 
-def combine(columns, entries, ring, rank):
-    """sum coeff * columns[j] over the (j, coeff) pairs of entries (those of
-    a coefficient vector are its nonzero_slots) in ring^rank.  An empty
-    column list is an absent, zero map: the zero vector whatever the
-    entries; otherwise an entry past the columns raises IndexError."""
+def combine(columns, terms, ring, rank):
+    """sum c * x^m * columns[j] over the terms ((j, m), c) of a coefficient
+    vector (its terms.items(), or division quotients as _division gives
+    them) in ring^rank.  An empty column list is an absent, zero map: the
+    zero vector whatever the terms; otherwise a term past the columns
+    raises IndexError."""
     p = ring.p
     acc = {}
     if not columns:
         return VectorPoly._of(ring, rank, acc)
-    for j, c in entries:
+    get = acc.get
+    for (j, m), c in terms:
         col = columns[j]
-        if c.terms:
-            if col.ring is not ring and col.ring != ring:
-                raise RingMismatch("column lives in %r, not in %r" % (col.ring, ring))
-            for key, k in col.mul_poly(c).terms.items():
-                k2 = (acc.get(key, 0) + k) % p
-                if k2:
-                    acc[key] = k2
-                elif key in acc:
-                    del acc[key]
+        if col.ring is not ring and col.ring != ring:
+            raise RingMismatch("column lives in %r, not in %r" % (col.ring, ring))
+        shifted = any(m)
+        for (i, m2), k in col.terms.items():
+            key = (i, tuple(map(add, m, m2))) if shifted else (i, m2)
+            k2 = (get(key, 0) + c * k) % p
+            if k2:
+                acc[key] = k2
+            elif key in acc:
+                del acc[key]
     return VectorPoly._of(ring, rank, acc)
+
+
+def blocks(v, n, count):
+    """v, of rank count * n, cut into its count consecutive blocks of rank
+    n: block b holds slots b*n, ..., b*n + n - 1, renumbered from 0."""
+    parts = [{} for _ in range(count)]
+    for (pos, m), c in v.terms.items():
+        parts[pos // n][(pos % n, m)] = c
+    return [VectorPoly._of(v.ring, n, terms) for terms in parts]
+
+
+def regrouped(v, q, position, r, rank):
+    """The vector of ring^rank with a term c x^(m // q) in slot
+    position[m mod q] * r + j for each term c x^m e_j of v, entrywise //
+    and mod: F^e_* of v for q = p^e (frobenius.pushforward_vector)."""
+    return VectorPoly._of(
+        v.ring,
+        rank,
+        {
+            (position[tuple([x % q for x in m])] * r + j, tuple([x // q for x in m])): c
+            for (j, m), c in v.terms.items()
+        },
+    )
 
 
 def unique_nonzero(vectors):
@@ -1096,11 +1130,8 @@ class QuotientRing:
     def is_zero_ring(self):
         return self.modulus.is_unit_ideal()
 
-    def standard_monomials(self, max_extra=None):
-        """Monomial basis of P/I if finite dimensional, else None.
-
-        max_extra bounds the search degree beyond the lead-term degrees.
-        """
+    def standard_monomials(self):
+        """Monomial basis of P/I if finite dimensional, else None."""
         leads = [g.leading()[0] for g in self.modulus.groebner()]
         n = self.ambient.nvars
         # finite dimensional iff some pure power of each variable leads
@@ -1158,7 +1189,7 @@ def modulus_tails(ring, rank):
     ambient polynomial ring compute over the quotient; empty for a
     polynomial ring."""
     amb = ambient_of(ring)
-    return [unit_vector(amb, rank, i, g) for g in modulus_gens(ring) for i in range(rank)]
+    return [VectorPoly._of(amb, rank, {(i, m): c for m, c in g.terms.items()}) for g in modulus_gens(ring) for i in range(rank)]
 
 
 class SpanSolver:

@@ -20,6 +20,7 @@ from .groebner import (
     SpanSolver,
     VectorPoly,
     ambient_of,
+    blocks,
     combine,
     modulus_gens,
     modulus_tails,
@@ -141,7 +142,7 @@ class ModuleMap:
 
     def apply_coords(self, v):
         """Image of a coordinate vector of the source."""
-        return combine(self.columns, nonzero_slots(v), self.target.ambient, self.target.ngens)
+        return combine(self.columns, v.terms.items(), self.target.ambient, self.target.ngens)
 
     def compose(self, other):
         """self after other."""
@@ -293,15 +294,19 @@ def _conditions(relations, N):
     """The relations, of a module mapping to N, that are not automatic: a
     relation c*e_j is automatic when c*e_i is a relation of N for every
     generator i of N (the modulus tails, say), since every map then sends
-    it into N's relations."""
-    n = N.ngens
-    n_rels = set(N.relations)
+    it into N's relations.  One pass over N's relations finds, for each
+    entry c, the generators i with c*e_i among them."""
+    slots = {}
+    for pos, entry in filter(None, map(_one_slot, N.relations)):
+        slots.setdefault(entry, set()).add(pos)
+    return [a for a in relations if not ((one := _one_slot(a)) and len(slots.get(one[1], ())) == N.ngens)]
 
-    def automatic(a):
-        slots = nonzero_slots(a)
-        return len(slots) == 1 and all(unit_vector(N.ambient, n, i, slots[0][1]) in n_rels for i in range(n))
 
-    return [a for a in relations if not automatic(a)]
+def _one_slot(v):
+    """(pos, the frozenset of v's (mono, coeff) terms) when v has one
+    nonzero slot pos, else False."""
+    positions = {pos for pos, _m in v.terms}
+    return len(positions) == 1 and (positions.pop(), frozenset((m, c) for (_p, m), c in v.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +335,13 @@ def prune(M):
 def _eliminate_units(M):
     """(P, kept, express) for prune(M): P is None when no generator goes,
     kept lists the generators of M that P keeps and express[k] is the image
-    of generator k of M in P."""
+    of generator k of M in P.
+
+    A row, a relation or the image of a generator, is a dict {slot:
+    entry}, and rows_at[i] holds the rows with an entry in slot i, so a
+    pivot is substituted only into the rows it reaches.  Each pivot is a
+    constant entry of the relation with the fewest entries, the first such
+    relation, at its first such slot."""
     amb = M.ambient
     m = M.ngens
     # modulus tails are set aside and adjoined again for the kept
@@ -338,42 +349,45 @@ def _eliminate_units(M):
     # those
     tails = set(modulus_tails(M.ring, m))
     has_tails = tails <= set(M.relations)
+    rows = [dict(nonzero_slots(r)) for r in M.relations if not (has_tails and r in tails)]
+    nrels = len(rows)
+    rows += [{k: amb.one()} for k in range(m)]
+    rows_at = {i: set() for i in range(m)}
+    for t, row in enumerate(rows):
+        for i in row:
+            rows_at[i].add(t)
+
+    def pivot(t):
+        units = [j for j, c in rows[t].items() if c.constant_value()]
+        return units and (len(rows[t]), t, min(units))
+
+    pivots = {t: pivot(t) for t in range(nrels)}
     kept = list(range(m))
-
-    def as_row(v):
-        # a vector with its nonzero slots {pos: entry}; an eliminated
-        # generator's slot is zero in every row
-        return v, dict(nonzero_slots(v))
-
-    def substitute(row, r_slots, j, inv):
-        # e_j = -(1/c) sum_{i != j} r_i e_i, with c = r_j = 1/inv
-        vec, slots = row
-        if j not in slots:
-            return row
-        factor = slots[j].scale(inv)
-        vec = vec - vector_of(amb, m, [(i, factor * c) for i, c in r_slots.items()])
-        if has_tails:
-            # the tails are adjoined again: entries only matter modulo the modulus
-            reduced = [(i, reduce_in(M.ring, c) if i in r_slots else c) for i, c in nonzero_slots(vec)]
-            return vector_of(amb, m, reduced), {i: c for i, c in reduced if c.terms}
-        return as_row(vec)
-
-    rels = [as_row(r) for r in M.relations if not (has_tails and r in tails)]
-    express = [as_row(M.gen(k)) for k in range(m)]
-    while True:
-        pivots = [
-            (len(slots), t, j)
-            for t, (_, slots) in enumerate(rels)
-            for j, c in slots.items()
-            if c.constant_value()
-        ]
-        if not pivots:
-            break
-        _, t, j = min(pivots)
-        _, r_slots = rels.pop(t)
-        inv = inv_mod(r_slots[j].constant_value(), amb.p)
-        rels = [substitute(row, r_slots, j, inv) for row in rels]
-        express = [substitute(row, r_slots, j, inv) for row in express]
+    while any(pivots.values()):
+        _, t, j = min(x for x in pivots.values() if x)
+        del pivots[t]
+        r = rows[t]
+        inv = inv_mod(r[j].constant_value(), amb.p)
+        for i in r:
+            rows_at[i].discard(t)
+        for s in rows_at.pop(j):
+            # e_j = -(1/c) sum_{i != j} r_i e_i, with c = r_j = 1/inv
+            row = rows[s]
+            factor = row.pop(j).scale(inv)
+            for i, c in r.items():
+                if i == j:
+                    continue
+                e = row.get(i, amb.zero()) - factor * c
+                if has_tails and e.terms:
+                    # the tails are adjoined again: entries only matter modulo the modulus
+                    e = reduce_in(M.ring, e)
+                if e.terms:
+                    row[i] = e
+                    rows_at[i].add(s)
+                elif row.pop(i, None) is not None:
+                    rows_at[i].discard(s)
+            if s in pivots:
+                pivots[s] = pivot(s)
         kept.remove(j)
     if len(kept) == m:
         return None, kept, [M.gen(k) for k in range(m)]
@@ -381,10 +395,11 @@ def _eliminate_units(M):
     position = {k: i for i, k in enumerate(kept)}
 
     def restricted(rows):
-        return [vector_of(amb, len(kept), [(position[i], c) for i, c in slots.items()]) for _, slots in rows]
+        return [vector_of(amb, len(kept), [(position[i], c) for i, c in sorted(row.items())]) for row in rows]
 
-    P = FPModule(M.ring, len(kept), restricted(rels), grading=grading, normalize=has_tails)
-    return P, kept, restricted(express)
+    rels = restricted(rows[t] for t in range(nrels) if t in pivots)
+    P = FPModule(M.ring, len(kept), rels, grading=grading, normalize=has_tails)
+    return P, kept, restricted(rows[nrels:])
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +442,9 @@ class HomModule(FPModule):
         if isinstance(coeffs, int):
             vec = self.h0.reps[coeffs]
         else:
-            vec = combine(self.h0.reps, nonzero_slots(coeffs), amb, n * M.ngens)
+            vec = combine(self.h0.reps, coeffs.terms.items(), amb, n * M.ngens)
         # degree 0 of the Hom complex lists its basis j-major: block j is phi(e_j)
-        blocks = [[] for _ in range(M.ngens)]
-        for pos, c in nonzero_slots(vec):
-            blocks[pos // n].append((pos % n, c))
-        return ModuleMap(M, N, [N.nf(vector_of(amb, n, b)) for b in blocks], check=False)
+        return ModuleMap(M, N, [N.nf(b) for b in blocks(vec, n, M.ngens)], check=False)
 
     def encode(self, f):
         """The coefficient vector of an explicit ModuleMap on the

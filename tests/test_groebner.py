@@ -527,28 +527,31 @@ _columns_and_coeffs = st.tuples(st.integers(1, 3), st.integers(0, 4)).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(_columns_and_coeffs)
 def test_combine_is_componentwise_sum(data):
-    # zero coefficients and an empty column list included
+    # zero coefficients and an empty column list included; the sum is taken
+    # term by term over the coefficient vector's terms, in their order
     rank, cols, coeffs = data
+    terms = VectorPoly(_VR, coeffs).terms.items()
     expected = [_VR.zero()] * rank
-    for col, c in zip(cols, coeffs):
-        expected = [e + s * c for e, s in zip(expected, col)]
-    got = groebner.combine([VectorPoly(_VR, col) for col in cols], enumerate(coeffs), _VR, rank)
+    for (j, m), c in terms:
+        expected = [e + s.mul_term(m, c) for e, s in zip(expected, cols[j])]
+    got = groebner.combine([VectorPoly(_VR, col) for col in cols], terms, _VR, rank)
     assert _same(got, expected)
 
 
 def test_combine_rejects_an_entry_past_the_columns():
     x, y = _VR.gens()
     col = VectorPoly(_VR, [x, y])
-    assert _same(groebner.combine([col], [(0, y)], _VR, 2), [x * y, y * y])
+    assert _same(groebner.combine([col], groebner.vector_of(_VR, 1, [(0, y)]).terms.items(), _VR, 2), [x * y, y * y])
     with pytest.raises(IndexError):
-        groebner.combine([col], [(0, x), (1, y)], _VR, 2)
+        groebner.combine([col], groebner.vector_of(_VR, 2, [(0, x), (1, y)]).terms.items(), _VR, 2)
 
 
 def test_combine_over_no_columns_is_the_zero_vector():
     # an absent component of a map is the zero map, whatever it is applied to
     x = _VR.var(0)
     assert _same(groebner.combine([], [], _VR, 3), [_VR.zero()] * 3)
-    assert _same(groebner.combine([], [(0, x), (4, x)], _VR, 3), [_VR.zero()] * 3)
+    terms = groebner.vector_of(_VR, 5, [(0, x), (4, x)]).terms.items()
+    assert _same(groebner.combine([], terms, _VR, 3), [_VR.zero()] * 3)
 
 
 _vector = st.integers(1, 4).flatmap(lambda r: st.lists(_poly, min_size=r, max_size=r))
@@ -604,7 +607,7 @@ def test_equal_vectors_built_by_different_paths_hash_equal(pair, mono):
         (reversed_terms, u),
         (u.mul_term(mono, 2), shifted),
         (u.mul_poly(_VR.monomial(mono, 2)), shifted),
-        (groebner.combine([u, w], enumerate([_VR.one(), _VR.one()]), _VR, u.rank), u + w),
+        (groebner.combine([u, w], VectorPoly(_VR, [_VR.one()] * 2).terms.items(), _VR, u.rank), u + w),
     ):
         assert left == right
         assert hash(left) == hash(right)
@@ -1214,7 +1217,7 @@ def _modulo_case(draw):
     targets = draw(st.lists(vec, max_size=2))
     # a member by construction: a combination of the generators plus an
     # element of span(modulo)
-    member = groebner.combine(gens, enumerate(coeffs), _MOD_S, rank)
+    member = groebner.combine(gens, VectorPoly(_MOD_S, coeffs).terms.items(), _MOD_S, rank)
     if modulo:
         member = member + modulo[draw(st.integers(0, len(modulo) - 1))].mul_poly(draw(_mod_entry))
     return rank, gens, modulo, targets + [member], coeffs
@@ -1235,7 +1238,7 @@ def test_module_gb_modulo_matches_full_tails(case):
     assert groebner.reduced_basis(S, k, mgb.syzygies).basis == groebner.reduced_basis(S, k, heads).basis
     span = groebner.reduced_basis(S, rank, modulo)
     for c in mgb.syzygies:
-        assert span.contains(groebner.combine(gens, groebner.nonzero_slots(c), S, rank))
+        assert span.contains(groebner.combine(gens, c.terms.items(), S, rank))
     # and they span the whole kernel: the Koszul syzygies of an ideal's
     # generators lie in it, and so does the difference of two lifts below
     kernel = groebner.reduced_basis(S, k, mgb.syzygies)
@@ -1251,7 +1254,7 @@ def test_module_gb_modulo_matches_full_tails(case):
         assert (lift is None) == (full.lift(v) is None)
         if lift is not None:
             assert lift.rank == k
-            assert span.contains(v - groebner.combine(gens, groebner.nonzero_slots(lift), S, rank))
+            assert span.contains(v - groebner.combine(gens, lift.terms.items(), S, rank))
     lifted = mgb.lift(targets[-1])
     assert lifted is not None
     assert kernel.contains(VectorPoly(S, coeffs) - lifted)

@@ -18,7 +18,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import fpduality.modules as modules  # noqa: E402
-from fpduality.groebner import VectorPoly, combine, nonzero_slots  # noqa: E402
+from fpduality.groebner import VectorPoly, combine  # noqa: E402
 from fpduality.modules import FPModule, ModuleMap, fp_inverse, is_isomorphism, kernel_cokernel  # noqa: E402
 from fpduality.polyring import PolyRing  # noqa: E402
 
@@ -36,7 +36,7 @@ def _vectors(rank, entries, max_size):
 
 
 def _image(columns, v, rank):
-    return combine(columns, nonzero_slots(v), R, rank)
+    return combine(columns, v.terms.items(), R, rank)
 
 
 @st.composite

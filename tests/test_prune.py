@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fpduality.duality import canonical_dualizing
 from fpduality.errors import AlgebraError
 from fpduality.frobenius import pushforward_module
-from fpduality.groebner import ModuleGB, QuotientRing, VectorPoly, combine, leading_term, nonzero_slots
+from fpduality.groebner import ModuleGB, QuotientRing, VectorPoly, combine, leading_term
 from fpduality.modules import (
     FPModule,
     ModuleMap,
@@ -102,7 +102,7 @@ def test_basis_only_relgb_matches_module_gb(M, data):
         coeffs, rem = full.reduce(v)
         assert nf == rem
         # v - nf is the certified combination of the relations ...
-        assert v - nf == combine(M.relations, nonzero_slots(coeffs), S, M.ngens)
+        assert v - nf == combine(M.relations, coeffs.terms.items(), S, M.ngens)
         # ... and no term of nf is divisible by a leading term of the basis
         for pos, f in enumerate(nf.components):
             for mono in f.terms:

@@ -219,8 +219,8 @@ def _check_module(R, rank, gens, modulo, queries):
     for v in queries:
         _same_division(v, mgb.index, fresh)
         coeffs, rem = mgb.reduce(v)
-        quots, expected_rem = division(v, fresh)
-        expected = combine(mgb.certificates, enumerate(quots), R, len(gens))
+        quots, expected_rem = groebner._division(v, fresh, True)
+        expected = combine(mgb.certificates, quots, R, len(gens))
         assert (list(coeffs.terms.items()), list(rem.terms.items())) == (
             list(expected.terms.items()),
             list(expected_rem.terms.items()),
@@ -327,8 +327,8 @@ def test_a_budget_raised_after_the_build_repacks_the_handed_index():
         _same_division(v, ideal._index, fresh)
         _same_division(v, mgb.index, DivisionIndex(R.order, mgb.basis))
         coeffs, rem = mgb.reduce(v)
-        quots, expected_rem = division(v, DivisionIndex(R.order, mgb.basis))
-        assert list(coeffs.terms.items()) == list(combine(mgb.certificates, enumerate(quots), R, 2).terms.items())
+        quots, expected_rem = groebner._division(v, DivisionIndex(R.order, mgb.basis), True)
+        assert list(coeffs.terms.items()) == list(combine(mgb.certificates, quots, R, 2).terms.items())
         assert list(rem.terms.items()) == list(expected_rem.terms.items())
         assert list(rb.normal_form(v).terms.items()) == list(
             division(v, DivisionIndex(R.order, rb.basis), quotients=False)[1].terms.items()

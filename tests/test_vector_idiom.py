@@ -4,7 +4,8 @@ from a term dict, outside groebner.py would bring back the per-slot idiom
 that the term-dict vectors replaced.
 
 Coefficient vectors have one format too: the solvers return a VectorPoly,
-and combine reads its (j, coeff) pairs off nonzero_slots.  A dense
+and combine, the one columns-times-coefficients product, reads its flat
+terms ((j, m), c) term by term, with no per-slot polynomial.  A dense
 components tuple passed to combine, or a solver result wrapped again as a
 VectorPoly, would bring back the list format they replaced."""
 

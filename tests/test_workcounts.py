@@ -71,7 +71,15 @@ packed a fresh index on their first division, the tail-pack bound fell to
 its present value (1588 before), and a guard checks that the first normal
 form, lift or membership test after a build adds no divisor and packs no
 tail.  The tail divisions of that reduction no longer go through
-division(), and the division counts count them where they run.
+division(), and the division counts count them where they run.  When
+maps, chain maps, Hom decodes and Frobenius pushforwards came to apply
+their matrices term by term, through one product over a coefficient
+vector's flat terms, and prune eliminated on rows of entries indexed by
+slot, the slot views built from a vector's terms (nonzero_slots calls
+that fill them) got guards at the counts then measured (339 on the
+Frobenius duality of the A1 surface over F_2 and 1534 on a corpus pass
+before).  ModuleGB.reduce then divided through _division without
+division(), and the division counts count _division.
 """
 
 import sys
@@ -112,6 +120,8 @@ UNIT_CLAUSE_BUILDS = 94
 SYMMETRY_BUILDS = 7
 TRACE_GENERATOR_BUILDS = 2
 REPEATED_CERTIFICATION_BUILDS = 6
+A1_SURFACE_DUALITY_SLOT_VIEWS = 120
+CORPUS_SLOT_VIEWS = 767
 CUSP_HOM_SYSTEM = 9 * 27
 ELLIPTIC_DET_HOM_SYSTEM = 32 * 76
 
@@ -119,6 +129,7 @@ DUALITY_SCRIPT = "ring A = %s;\ncheck frobenius_duality(A);\n"
 CUSP_RING = "Fp(3)[x,y] / (y^2 - x^3)"
 TWISTED_CUBIC_RING = "Fp(3)[x,y,z] / (x^2 - y, x*y - z, y^2 - x*z)"
 ELLIPTIC7_RING = "Fp(7)[x,y] / (y^2 - x^3 - x - 1)"
+A1_SURFACE_RING = "Fp(2)[x,y,z] / (x*y - z^2)"
 
 
 @pytest.fixture
@@ -164,11 +175,12 @@ def runs(monkeypatch):
 
 @pytest.fixture
 def divisions(monkeypatch):
-    # a polynomial normal form (Ideal.reduce) and a tail division of the
-    # final tail reduction divide without division() and count as one
-    # division each too
+    # every vector division runs through _division, ModuleGB.reduce's
+    # without division(); a polynomial normal form (Ideal.reduce) and a
+    # tail division of the final tail reduction divide without either and
+    # count as one division each too
     count = [0]
-    original = groebner.division
+    original = groebner._division
     original_poly = groebner._reduce_poly
     original_divide = groebner._divide
 
@@ -184,9 +196,26 @@ def divisions(monkeypatch):
         count[0] += sys._getframe(1).f_code.co_name == "_reduced_basis"
         return original_divide(*args)
 
-    monkeypatch.setattr(groebner, "division", counted)
+    monkeypatch.setattr(groebner, "_division", counted)
     monkeypatch.setattr(groebner, "_reduce_poly", counted_poly)
     monkeypatch.setattr(groebner, "_divide", counted_divide)
+    return count
+
+
+@pytest.fixture
+def slot_views(monkeypatch):
+    # slot views built from a vector's terms: nonzero_slots calls that fill
+    # v._slots, wherever a module imported the function
+    count = [0]
+    original = groebner.nonzero_slots
+
+    def counted(v):
+        count[0] += v._slots is None
+        return original(v)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("fpduality") and getattr(module, "nonzero_slots", None) is original:
+            monkeypatch.setattr(module, "nonzero_slots", counted)
     return count
 
 
@@ -330,6 +359,18 @@ def test_first_queries_after_a_build_pack_nothing(monkeypatch):
     assert mgb.lift(gens[0].mul_poly(y * z) + gens[2].mul_poly(x)) is not None
     assert mgb.reduce(v)[0].terms
     assert work == {"adds": 0, "tails": 0}
+
+
+def test_a1_surface_frobenius_duality_slot_views(slot_views):
+    # maps and chain maps apply their columns term by term, and F_* regroups
+    # terms: no per-slot polynomial of a coefficient vector is built
+    _duality_within(A1_SURFACE_RING, slot_views, A1_SURFACE_DUALITY_SLOT_VIEWS)
+
+
+def test_corpus_slot_views(slot_views):
+    first = _corpus_builds(slot_views)
+    assert first <= CORPUS_SLOT_VIEWS
+    assert _corpus_builds(slot_views) == first
 
 
 def test_corpus_tail_slots(tail_slots):
