@@ -236,11 +236,13 @@ def nonzero_slots(v):
 
 
 def unit_vector(ring, rank, i, poly=None):
-    """poly (by default 1) in slot i of ring^rank; the unit vector is built
-    as its one term (vector_of checks a slot out of range)."""
-    if poly is not None or not 0 <= i < rank:
-        return vector_of(ring, rank, [(i, ring.one() if poly is None else poly)])
-    return VectorPoly._of(ring, rank, {(i, (0,) * ring.nvars): 1})
+    """poly (by default 1) in slot i of ring^rank, built from its terms."""
+    if not 0 <= i < rank:
+        raise IndexError("slot %d of a rank-%d vector" % (i, rank))
+    poly = ring.one() if poly is None else poly
+    if poly.ring is not ring and poly.ring != ring:
+        raise RingMismatch("vector components must share one ambient ring")
+    return VectorPoly._of(ring, rank, {(i, m): c for m, c in poly.terms.items()})
 
 
 def vector_from_poly(f):
@@ -1189,7 +1191,7 @@ def modulus_tails(ring, rank):
     ambient polynomial ring compute over the quotient; empty for a
     polynomial ring."""
     amb = ambient_of(ring)
-    return [VectorPoly._of(amb, rank, {(i, m): c for m, c in g.terms.items()}) for g in modulus_gens(ring) for i in range(rank)]
+    return [unit_vector(amb, rank, i, g) for g in modulus_gens(ring) for i in range(rank)]
 
 
 class SpanSolver:
