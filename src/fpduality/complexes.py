@@ -326,10 +326,10 @@ class HDegree:
 
     def classes_of(self, cocycles):
         """Coordinate columns of the classes of the cocycles, or None when
-        one of them is None or not a cocycle class."""
+        one of them is not a cocycle class."""
         cols = []
         for v in cocycles:
-            cls = None if v is None else self.coords_of_cocycle(v)
+            cls = self.coords_of_cocycle(v)
             if cls is None:
                 return None
             cols.append(cls)
@@ -339,14 +339,16 @@ class HDegree:
         return self.module.is_zero_module()
 
 
-def certify_degreewise(h_src, h_tgt, induced):
+def certify_degreewise(h_src, h_tgt, image):
     """Per-degree certificate that a comparison map is a quasi-isomorphism.
 
     h_src and h_tgt map degrees to HDegree.  A degree missing on one side
     is certified iff the cohomology on both sides is missing or zero.
-    Otherwise induced(d, a, b) returns the ModuleMap H^d(source) ->
-    H^d(target), or None when some image is not a cocycle class, and the
-    degree is certified iff that map is an isomorphism."""
+    Otherwise image(d, v) sends a cocycle v of the source complex in degree
+    d to a vector of the target complex; the images of the source
+    representatives give the map induced on H^d, and the degree is
+    certified iff each image is a cocycle class and that map is an
+    isomorphism."""
     certified = {}
     for d in sorted(set(h_src) | set(h_tgt)):
         a = h_src.get(d)
@@ -354,8 +356,11 @@ def certify_degreewise(h_src, h_tgt, induced):
         if a is None or b is None:
             certified[d] = (a is None or a.is_zero()) and (b is None or b.is_zero())
             continue
-        f = induced(d, a, b)
-        certified[d] = f is not None and is_isomorphism(f)
+        cols = b.classes_of(image(d, rep) for rep in a.reps)
+        if cols is None:
+            certified[d] = False
+            continue
+        certified[d] = is_isomorphism(ModuleMap(a.module, b.module, cols, check=True))
     return certified
 
 
@@ -463,13 +468,6 @@ class ChainMap:
                 lhs = combine(d_tgt, self.column(d, j).terms.items(), amb, r)
                 if not self.target.vanishes(d + 1, lhs - self.apply(d + 1, d_src[j])):
                     raise AlgebraError("not a chain map at degree %d" % d)
-
-    def induced_on_cohomology(self, d, h_src, h_tgt):
-        """ModuleMap H^d(source) -> H^d(target) on the given reports."""
-        cols = h_tgt.classes_of(self.apply(d, rep) for rep in h_src.reps)
-        if cols is None:
-            raise AlgebraError("image of a cocycle is not a cocycle class")
-        return ModuleMap(h_src.module, h_tgt.module, cols, check=True)
 
 
 def invert_monomial_chain_map(f):

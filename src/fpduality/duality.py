@@ -13,6 +13,7 @@ from itertools import combinations, product
 
 from .complexes import (
     ChainMap,
+    HDegree,
     certify_degreewise,
     cohomology,
     hom_complex,
@@ -168,7 +169,7 @@ def fli_eta(S, rseq, M):
     cm = ChainMap(lhs, rhs, maps, check=True)
     lrep = cohomology(lhs)
     rrep = cohomology(rhs)
-    certified = certify_degreewise(lrep.degrees, rrep.degrees, cm.induced_on_cohomology)
+    certified = certify_degreewise(lrep.degrees, rrep.degrees, cm.apply)
     return EtaData(K, lhs, rhs, cm, (lrep, rrep), certified)
 
 
@@ -185,22 +186,21 @@ def ext_two_pipelines(S, rseq, M):
     # Hom(-, M) transpose runs Hom(res, M) -> Hom(K, M)
     lifted = lift_chain_map([unit_vector(ambient_of(S), 1, 0)], K, HR.resolution.complex, S)
     cm = hom_transpose_chain_map(lifted, HR, HK)
-    certified = certify_degreewise(repR.degrees, repK.degrees, cm.induced_on_cohomology)
+    certified = certify_degreewise(repR.degrees, repK.degrees, cm.apply)
     return repK, repR, certified
 
 
 # ---------------------------------------------------------------------------
 # shriek functors for the basic shapes
 
-def upper_shriek_smooth(R, T, d, names=None):
+def upper_shriek_smooth(R, T, d):
     """f^sharp along R -> R[y_1..y_d]: base change and twist by the top
     relative forms in degree -d."""
     if d == 0:
         return T, None
     if isinstance(R, QuotientRing):
         raise AlgebraError("polynomial extensions are taken over polynomial rings here")
-    names = names or ["y%d" % (i + 1) for i in range(d)]
-    big, idx = adjoin_variables(R, names)
+    big, idx = adjoin_variables(R, ["y%d" % (i + 1) for i in range(d)])
     Tup = T.renamed(big, idx)
     label = wedge_label(big.variables[ambient_of(R).nvars :])
     twist = rank_one_complex(big, -d, label=label)
@@ -250,15 +250,14 @@ def xi_smooth_sign(m, d, p):
     return ((-1) ** (m * d)) % p
 
 
-def xi_smooth(R, d, names=None):
+def xi_smooth(R, d):
     """The smooth comparison for R -> R[y_1..y_d] at generator level:
     the volume form upstairs maps to (fibre volume) tensor (base volume)
     with the block reordering sign."""
     amb = ambient_of(R)
     if isinstance(R, QuotientRing):
         raise NotCertifiedRegular("smooth comparisons run over polynomial rings here")
-    names = names or ["y%d" % (i + 1) for i in range(d)]
-    big, _idx = adjoin_variables(R, names)
+    big, _idx = adjoin_variables(R, ["y%d" % (i + 1) for i in range(d)])
     m = amb.nvars
     sign = xi_smooth_sign(m, d, amb.p)
     return XiIso(
@@ -734,24 +733,20 @@ def _one_sided_collapse(pi_main, pi_other):
     rep3 = cohomology(W3)
     rep1 = own.cohomology_report()
 
-    def induced(dgr, h3, h1):
-        cols = h1.classes_of(collapse(rep_vec, dgr) for rep_vec in h3.reps)
-        if cols is None:
-            return None
-        # transport the joint-side presentation along the section
-        # substitution before comparing over the base presentation
-        transported = FPModule(
-            A1,
-            h3.module.ngens,
-            [
-                vector_of(amb1, r.rank, [(i, sigma(c)) for i, c in nonzero_slots(r)])
-                for r in h3.module.relations
-            ],
-        )
-        target = FPModule(A1, h1.module.ngens, h1.module.relations)
-        return ModuleMap(transported, target, cols, check=True)
+    def over_a1(h, relations):
+        return HDegree(FPModule(A1, h.module.ngens, relations), h.reps, h.solver)
 
-    certified = certify_degreewise(rep3.degrees, rep1.degrees, induced)
+    # the degrees on both sides are compared over A1, the joint side's
+    # presentation transported along the section substitution; a degree on
+    # one side only is certified by its vanishing, over either ring
+    joint, base = dict(rep3.degrees), dict(rep1.degrees)
+    for d in set(joint) & set(base):
+        transported = [
+            vector_of(amb1, r.rank, [(i, sigma(c)) for i, c in nonzero_slots(r)]) for r in joint[d].module.relations
+        ]
+        joint[d] = over_a1(joint[d], transported)
+        base[d] = over_a1(base[d], base[d].module.relations)
+    certified = certify_degreewise(joint, base, collapse)
     return {
         "joint_model": W3,
         "joint_res": joint_res,
@@ -791,7 +786,7 @@ def _collapse_linear_block(W3, joint_bases, Klin, d2, lifts, S1, S3, W1_bases):
                 raise AlgebraError("substitution left fibre variables behind")
         return rename_poly(acc, amb1, back)
 
-    def runner(vec, degree):
+    def runner(degree, vec):
         b3 = W3.hom_bases.get(degree)
         b1 = W1_bases.get(degree)
         rank = len(b1) if b1 else 0
@@ -831,7 +826,7 @@ def _compare_joint_models(A, side1, side2):
     cm = hom_transpose_chain_map(lifted, Wa_in_b, Wb)
     rep_a = cohomology(Wa_in_b)
     rep_b = side2["joint_report"]
-    certified = certify_degreewise(rep_a.degrees, rep_b.degrees, cm.induced_on_cohomology)
+    certified = certify_degreewise(rep_a.degrees, rep_b.degrees, cm.apply)
     return certified, (rep_a, rep_b)
 
 

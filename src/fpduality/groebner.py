@@ -168,20 +168,6 @@ class VectorPoly:
             {(i, tuple(map(add, m, mono))): c * coeff % p for (i, m), c in self.terms.items()},
         )
 
-    def mul_poly(self, f):
-        self._check(f)
-        p = self.ring.p
-        acc = {}
-        for (i, m1), c1 in self.terms.items():
-            for m2, c2 in f.terms.items():
-                key = (i, tuple(map(add, m1, m2)))
-                c = (acc.get(key, 0) + c1 * c2) % p
-                if c:
-                    acc[key] = c
-                elif key in acc:
-                    del acc[key]
-        return VectorPoly._of(self.ring, self.rank, acc)
-
     def __eq__(self, other):
         return (
             isinstance(other, VectorPoly)
@@ -1081,10 +1067,6 @@ class Ideal:
     def is_zero(self):
         return not self.groebner()
 
-    def is_unit_ideal(self):
-        gb = self.groebner()
-        return any(g.constant_value() not in (None, 0) for g in gb)
-
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(repr(g) for g in self.gens)
 
@@ -1125,12 +1107,6 @@ class QuotientRing:
 
     def gens(self):
         return [self.var(i) for i in range(self.ambient.nvars)]
-
-    def elements_equal(self, f, g):
-        return self.reduce(f - g).is_zero()
-
-    def is_zero_ring(self):
-        return self.modulus.is_unit_ideal()
 
     def standard_monomials(self):
         """Monomial basis of P/I if finite dimensional, else None."""

@@ -65,9 +65,6 @@ class FPModule:
             self._relgb = reduced_basis(self.ambient, self.ngens, self.relations)
         return self._relgb
 
-    def zero_vector(self):
-        return vector_of(self.ambient, self.ngens, ())
-
     def gen(self, i):
         return unit_vector(self.ambient, self.ngens, i)
 
@@ -80,9 +77,6 @@ class FPModule:
 
     def element_is_zero(self, v):
         return self.nf(v).is_zero()
-
-    def elements_equal(self, v, w):
-        return self.element_is_zero(v - w)
 
     def is_zero_module(self):
         return all(self.element_is_zero(self.gen(i)) for i in range(self.ngens))
@@ -179,10 +173,6 @@ class ModuleMap:
     def identity(M):
         return ModuleMap(M, M, [M.gen(i) for i in range(M.ngens)], check=False)
 
-    @staticmethod
-    def zero(M, N):
-        return ModuleMap(M, N, [N.zero_vector() for _ in range(M.ngens)], check=False)
-
     def __repr__(self):
         return "ModuleMap(%d -> %d over %r)" % (self.source.ngens, self.target.ngens, self.target.ring)
 
@@ -268,7 +258,7 @@ def _constant_inverse(f):
                 return None
             rows[i][j] = u
     amb = f.source.ambient
-    inverse = fp_inverse(rows, amb.p)
+    inverse = fp_matrix_inverse(rows, amb.p)
     if inverse is None:
         return None
     cols = [vector_of(amb, n, [(i, amb.const(row[j])) for i, row in enumerate(inverse) if row[j]]) for j in range(n)]
@@ -567,7 +557,7 @@ def fp_rank(rows, p):
     return len(_row_reduce(rows, p)[1])
 
 
-def fp_inverse(rows, p):
+def fp_matrix_inverse(rows, p):
     """The inverse mod p of a square integer matrix, as a list of rows:
     the right half of the reduced form of [F | 1]; None when F is singular
     mod p, that is when a pivot falls in the right half."""

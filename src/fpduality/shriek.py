@@ -11,6 +11,8 @@ covers every bounded-coherent case the corpus needs via their cohomology
 modules.
 """
 
+from itertools import product
+
 from .complexes import (
     certify_degreewise,
     cohomology,
@@ -71,6 +73,8 @@ class EnvelopingRing:
             idx = [j * n + i for i in range(n)]
             for g in A.modulus.gens:
                 mod.append(rename_poly(g, P, idx))
+        # the ring with only the first copy's relations: A tensor (free copies)
+        self.first_slot_ring = QuotientRing(P, mod[: len(A.modulus.gens)])
         self.ring = QuotientRing(P, mod)
         diag = []
         for j in range(1, copies):
@@ -84,12 +88,6 @@ class EnvelopingRing:
             [A.reduce(amb.var(i % n)) for i in range(copies * n)],
             check=False,
         )
-        # the ring with only the first copy's relations: A tensor (free copies)
-        first = []
-        idx0 = list(range(n))
-        for g in A.modulus.gens:
-            first.append(rename_poly(g, P, idx0))
-        self.first_slot_ring = QuotientRing(P, first)
         self.diagonal_resolutions = {}  # length -> truncated resolution
 
     def slot_index(self, j):
@@ -98,15 +96,6 @@ class EnvelopingRing:
 
     def rename_into_slot(self, f, j):
         return rename_poly(f, self.ambient, self.slot_index(j))
-
-    def inclusion(self, j):
-        amb = self.base.ambient
-        return RingMap(
-            self.base,
-            self.ring,
-            [self.ring.reduce(self.ambient.var(j * self.nvars_each + i)) for i in range(amb.nvars)],
-            check=False,
-        )
 
     def swap_map(self, i, j):
         """Index permutation of the ambient exchanging two copies."""
@@ -118,49 +107,29 @@ class EnvelopingRing:
 
 
 def external_tensor(env, modules):
-    """External product of one module per copy, over the enveloping ring."""
+    """External product of one module per copy, over the enveloping ring.
+
+    Its generators are the tuples of one generator per factor, in
+    lexicographic order; the module carries slot_of (index to tuple) and
+    index_of (tuple to index)."""
     if len(modules) != env.copies:
         raise AlgebraError("need one module per tensor slot")
     amb = env.ambient
-    renamed = []
-    for j, M in enumerate(modules):
-        cols = [[(i, env.rename_into_slot(c, j)) for i, c in nonzero_slots(r)] for r in M.relations]
-        renamed.append((M.ngens, cols))
-    total = 1
-    for ng, _ in renamed:
-        total *= ng
-
-    def slot_of(index):
-        out = []
-        for ng, _ in reversed(renamed):
-            out.append(index % ng)
-            index //= ng
-        return tuple(reversed(out))
-
-    def index_of(tup):
-        idx = 0
-        for (ng, _), t in zip(renamed, tup):
-            idx = idx * ng + t
-        return idx
-
+    sizes = [M.ngens for M in modules]
+    slots = list(product(*map(range, sizes)))
+    position = {t: k for k, t in enumerate(slots)}
     rels = []
-    for j, (_, cols) in enumerate(renamed):
-        others = _tuples([r[0] for k, r in enumerate(renamed) if k != j])
-        for col in cols:
+    for j, M in enumerate(modules):
+        others = list(product(*map(range, sizes[:j] + sizes[j + 1 :])))
+        for r in M.relations:
+            col = [(i, env.rename_into_slot(c, j)) for i, c in nonzero_slots(r)]
             for rest in others:
-                entries = [(index_of(rest[:j] + (i,) + rest[j:]), c) for i, c in col]
-                rels.append(vector_of(amb, total, entries))
-    out = FPModule(env.ring, total, rels)
-    out.slot_of = slot_of
-    out.index_of = index_of
+                entries = [(position[rest[:j] + (i,) + rest[j:]], c) for i, c in col]
+                rels.append(vector_of(amb, len(slots), entries))
+    out = FPModule(env.ring, len(slots), rels)
+    out.slot_of = slots.__getitem__
+    out.index_of = position.__getitem__
     return out
-
-
-def _tuples(sizes):
-    if not sizes:
-        return [()]
-    rest = _tuples(sizes[1:])
-    return [(i,) + r for i in range(sizes[0]) for r in rest]
 
 
 def diagonal_resolution(env, length):
@@ -191,12 +160,12 @@ class ShriekResult:
         return ds[0], self.homology[ds[0]]
 
 
-def shriek_tensor(A, M, N, m_shift=0, n_shift=0, env=None, extra_length=1):
+def shriek_tensor(A, M, N, m_shift=0, n_shift=0, env=None):
     """M[m] shriek-tensor N[n] for single-degree coherent modules.
 
     Window: [m+n - 2 dim P, m+n] by the boundedness bound over the regular
     cover; the truncated diagonal resolution is taken long enough to make
-    the cohomology exact there."""
+    the cohomology exact there: one stage past the window, and one more."""
     A = as_quotient(A)
     env = env or EnvelopingRing(A, 2)
     nP = A.ambient.nvars
@@ -206,7 +175,7 @@ def shriek_tensor(A, M, N, m_shift=0, n_shift=0, env=None, extra_length=1):
     # below in general, so the upper edge is a reporting choice
     window = (t0 - 2 * nP, t0 + nP)
     T = external_tensor(env, [M, N])
-    length = (window[1] - window[0]) + 1 + extra_length
+    length = (window[1] - window[0]) + 2
     G = diagonal_resolution(env, length)
     U, _ = hom_complex(G, in_one_degree(T, t0))
     hom = cohomology(U, window=window).degrees
@@ -230,14 +199,11 @@ def _hom_map_from_target_map(U_src, U_tgt, blocks):
     """Postcomposition Hom(K, T1) -> Hom(K, T2) with per-degree maps of the
     targets, blocks[j] listing the columns of T1^j -> T2^j.
 
-    Returns image(d, v): the image of one element v of Hom(K, T1)^d, or None
-    when Hom(K, T2) has no term in degree d."""
+    Returns image(d, v): the image of one element v of Hom(K, T1)^d."""
 
     def image(d, v):
         b_src = U_src.hom_bases[d]
-        b_tgt = U_tgt.hom_bases.get(d)
-        if b_tgt is None:
-            return None
+        b_tgt = U_tgt.hom_bases[d]
         entries = []
         for pos, cf in nonzero_slots(v):
             i, a, g = b_src.triples[pos]
@@ -253,28 +219,13 @@ def _hom_map_from_target_map(U_src, U_tgt, blocks):
     return image
 
 
-def _certify_mod_chain(h_src, h_tgt, image, window):
-    """Certify, per degree of the window, the map induced on cohomology by
-    image(d, v), the image of a cocycle v; a missing image (None) is the
-    zero map.  An image that is not a cocycle class leaves its degree
-    uncertified."""
+def _window(h, window):
+    """The degrees of a cohomology dict that lie in the window."""
     lo, hi = window
-
-    def induced(d, a, b):
-        imgs = [image(d, rep) for rep in a.reps]
-        if any(v is None for v in imgs):
-            return ModuleMap.zero(a.module, b.module)
-        cols = b.classes_of(imgs)
-        return None if cols is None else ModuleMap(a.module, b.module, cols, check=True)
-
-    return certify_degreewise(
-        {d: h for d, h in h_src.items() if lo <= d <= hi},
-        {d: h for d, h in h_tgt.items() if lo <= d <= hi},
-        induced,
-    )
+    return {d: x for d, x in h.items() if lo <= d <= hi}
 
 
-def verify_unit(A, M, m_shift=0, extra_length=1):
+def verify_unit(A, M, m_shift=0):
     """Certify M = M shriek-tensor omega_A along the finite-pullback chain.
 
     Links: (1) M into the Koszul model over A tensor P via the top
@@ -370,7 +321,7 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
     U_2, _ = hom_complex(K, in_one_degree(T_E, t_E, ring=Q2))
     image_a2 = _hom_map_from_target_map(U_1, U_2, pr_blocks)
     # link 4: the diagonal resolution against the Koszul model
-    length = nP + 1 + extra_length + max(0, m_shift - t_E)
+    length = nP + 2 + max(0, m_shift - t_E)
     G = diagonal_resolution(env, length)
     U_A, _ = hom_complex(G, in_one_degree(T_E, t_E))
     # the identity of the diagonal lifts K -> G: G is exact within its truncation
@@ -385,9 +336,10 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
     h1 = cohomology(U_1, window=(min(omega_R_degree, t_E), m_shift)).degrees
     h2 = cohomology(U_2, window=win).degrees
     hA = cohomology(U_A, over=Q2, window=win).degrees
-    cert_a1 = _certify_mod_chain(h1, hb, image_a1, (omega_R_degree, m_shift))
-    cert_a2 = _certify_mod_chain(h1, h2, image_a2, win)
-    cert_a3 = _certify_mod_chain(hA, h2, image_a3, win)
+    win1 = (omega_R_degree, m_shift)
+    cert_a1 = certify_degreewise(_window(h1, win1), _window(hb, win1), image_a1)
+    cert_a2 = certify_degreewise(_window(h1, win), _window(h2, win), image_a2)
+    cert_a3 = certify_degreewise(_window(hA, win), _window(h2, win), image_a3)
     links = {
         "unit_class": link1,
         "evaluation": cert_a1,
@@ -407,13 +359,13 @@ def verify_unit(A, M, m_shift=0, extra_length=1):
 # ---------------------------------------------------------------------------
 # symmetry and associativity
 
-def verify_symmetry(A, M, N, m_shift=0, n_shift=0, extra_length=1):
+def verify_symmetry(A, M, N, m_shift=0, n_shift=0):
     """Certify M tensor^! N = N tensor^! M via the copy swap."""
     A = as_quotient(A)
     env = EnvelopingRing(A, 2)
     P2 = env.ambient
-    res_MN = shriek_tensor(A, M, N, m_shift, n_shift, env=env, extra_length=extra_length)
-    res_NM = shriek_tensor(A, N, M, n_shift, m_shift, env=env, extra_length=extra_length)
+    res_MN = shriek_tensor(A, M, N, m_shift, n_shift, env=env)
+    res_NM = shriek_tensor(A, N, M, n_shift, m_shift, env=env)
     perm = env.swap_map(0, 1)
     G = res_MN.resolution
     Gs = G.renamed(env.ring, perm)
@@ -423,16 +375,10 @@ def verify_symmetry(A, M, N, m_shift=0, n_shift=0, extra_length=1):
     T_MN, T_NM = res_MN.target, res_NM.target
     U_MN, U_NM = res_MN.complex, res_NM.complex
 
-    def induced(d, a, b):
-        cols = b.classes_of(
-            _swap_transport(rep, U_MN.hom_bases[d], U_NM.hom_bases[d], lam, perm, T_MN, T_NM, sign)
-            for rep in a.reps
-        )
-        if cols is None:
-            return None
-        return ModuleMap(a.module, b.module, cols, check=True)
+    def image(d, v):
+        return _swap_transport(v, U_MN.hom_bases[d], U_NM.hom_bases[d], lam, perm, T_MN, T_NM, sign)
 
-    return certify_degreewise(res_MN.homology, res_NM.homology, induced)
+    return certify_degreewise(res_MN.homology, res_NM.homology, image)
 
 
 def _swap_transport(rep, b_MN, b_NM, lam, perm, T_MN, T_NM, sign):
@@ -451,37 +397,36 @@ def _swap_transport(rep, b_MN, b_NM, lam, perm, T_MN, T_NM, sign):
     return hom_transpose_vector(lam, vector_of(P2, len(b_MN), entries), b_MN, b_NM)
 
 
-def find_certified_iso(M, N, max_sum=2):
+def find_certified_iso(M, N):
     """Deterministic search for a certified isomorphism among Hom-module
-    generators and small sums; None if the search fails."""
+    generators and sums of two of them; None if the search fails."""
     H = hom_module(M, N)
     for i in range(H.ngens):
         cand = H.decode(i)
         if is_isomorphism(cand):
             return cand
-    if max_sum >= 2:
-        for i in range(H.ngens):
-            for j in range(i + 1, H.ngens):
-                cand = H.decode(H.gen(i) + H.gen(j))
-                if is_isomorphism(cand):
-                    return cand
+    for i in range(H.ngens):
+        for j in range(i + 1, H.ngens):
+            cand = H.decode(H.gen(i) + H.gen(j))
+            if is_isomorphism(cand):
+                return cand
     return None
 
 
-def verify_associativity(A, M, N, K_mod, shifts=(0, 0, 0), extra_length=1):
+def verify_associativity(A, M, N, K_mod, shifts=(0, 0, 0)):
     """Compare (M tensor^! N) tensor^! K with the direct triple product.
 
     The iterated side reuses the single-degree cohomology of the inner
     product; the comparison candidate is found among Hom generators and
     certified exactly."""
     A = as_quotient(A)
-    inner = shriek_tensor(A, M, N, shifts[0], shifts[1], extra_length=extra_length)
+    inner = shriek_tensor(A, M, N, shifts[0], shifts[1])
     single = inner.single_degree()
     if single is None:
         raise AlgebraError("inner product is not single-degree; out of corpus")
     s, h_in = single
     W12 = FPModule(A, h_in.module.ngens, _restrict_relations(h_in.module, A))
-    iterated = shriek_tensor(A, W12, K_mod, s, shifts[2], extra_length=extra_length)
+    iterated = shriek_tensor(A, W12, K_mod, s, shifts[2])
     it_single = iterated.single_degree()
     # direct triple product
     env3 = EnvelopingRing(A, 3)
@@ -489,7 +434,7 @@ def verify_associativity(A, M, N, K_mod, shifts=(0, 0, 0), extra_length=1):
     t0 = shifts[0] + shifts[1] + shifts[2]
     nP = A.ambient.nvars
     window3 = (t0 - 4 * nP, t0 + 2 * nP)
-    length = (window3[1] - window3[0]) + 1 + extra_length
+    length = (window3[1] - window3[0]) + 2
     G3 = diagonal_resolution(env3, length)
     U3, _ = hom_complex(G3, in_one_degree(T3, t0))
     h3 = cohomology(U3, window=window3).degrees

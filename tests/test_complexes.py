@@ -6,6 +6,7 @@ from fpduality.errors import AlgebraError
 from fpduality.complexes import (
     ChainMap,
     FreeComplex,
+    certify_degreewise,
     cohomology,
     free_resolution,
     hom_complex,
@@ -19,7 +20,7 @@ from fpduality.complexes import (
     solve_in_span,
     tensor_complex,
 )
-from fpduality.groebner import QuotientRing, VectorPoly
+from fpduality.groebner import QuotientRing, VectorPoly, combine
 from fpduality.modules import (
     FPModule,
     ModuleMap,
@@ -209,9 +210,7 @@ class TestRelations:
                 if nxt is None:
                     continue
                 for c in cols:
-                    comp = VectorPoly(C.ambient, [C.ambient.zero()] * C.rank(d + 2))
-                    for coeff, col in zip(c.components, nxt):
-                        comp = comp + col.mul_poly(coeff)
+                    comp = combine(nxt, c.terms.items(), C.ambient, C.rank(d + 2))
                     nonzero += not comp.is_zero()
                     assert C.term(d + 2).element_is_zero(comp)
             assert nonzero
@@ -308,8 +307,7 @@ class TestRHom:
                 cols.append(VectorPoly(S, comps))
             hmaps[n] = cols
         cm = ChainMap(H1, H2, hmaps)
-        f = cm.induced_on_cohomology(2, rep1.degrees[2], rep2.degrees[2])
-        assert is_isomorphism(f)
+        assert certify_degreewise({2: rep1.degrees[2]}, {2: rep2.degrees[2]}, cm.apply) == {2: True}
 
 
 class TestLifting:
@@ -329,9 +327,11 @@ class TestLifting:
         K = koszul_complex(S, [x])
         rep = cohomology(K)
         cm = ChainMap(K, K, {0: [VectorPoly(S, [x])], -1: [VectorPoly(S, [x])]})
-        f = cm.induced_on_cohomology(0, rep.degrees[0], rep.degrees[0])
-        # multiplication by x on S/(x) is zero
+        h = rep.degrees[0]
+        f = ModuleMap(h.module, h.module, h.classes_of(cm.apply(0, v) for v in h.reps), check=True)
+        # multiplication by x on S/(x) is zero, so not an isomorphism
         assert f.is_zero_map()
+        assert certify_degreewise({0: h}, {0: h}, cm.apply) == {0: False}
 
     def test_repeated_lifts_into_one_target_agree(self):
         # the second lift reuses the target's per-degree span bases
@@ -372,28 +372,39 @@ class TestCertifyDegreewise:
         return S, x, K, cohomology(K).degrees
 
     def test_missing_degree_needs_zero_cohomology(self):
-        from fpduality.complexes import certify_degreewise
-
         _S, _x, _K, h = self._koszul()
 
-        def never(d, a, b):
+        def never(d, v):
             raise AssertionError("no degree is present on both sides")
 
         assert certify_degreewise({-1: h[-1]}, {}, never) == {-1: True}
         assert certify_degreewise({}, {0: h[0]}, never) == {0: False}
 
     def test_identity_and_non_isomorphism(self):
-        from fpduality.complexes import certify_degreewise
-
         S, x, K, h = self._koszul()
         ident = ChainMap(K, K, {0: [VectorPoly(S, [S.one()])], -1: [VectorPoly(S, [S.one()])]})
-        assert certify_degreewise(h, h, ident.induced_on_cohomology) == {-1: True, 0: True}
+        assert certify_degreewise(h, h, ident.apply) == {-1: True, 0: True}
         # multiplication by x is zero on H^0 = S/(x) != 0
         times_x = ChainMap(K, K, {0: [VectorPoly(S, [x])], -1: [VectorPoly(S, [x])]})
-        assert certify_degreewise(h, h, times_x.induced_on_cohomology) == {-1: True, 0: False}
+        assert certify_degreewise(h, h, times_x.apply) == {-1: True, 0: False}
 
     def test_no_induced_map_is_not_certified(self):
-        from fpduality.complexes import certify_degreewise
+        # S in degree -1 has H^-1 = S and no H^0; its generator sent into
+        # K, where it maps to x, is no cocycle, so degree -1 has no induced
+        # map, and H^0 = S/(x) has no source
+        S, _x, _K, h = self._koszul()
+        line = cohomology(rank_one_complex(S, -1)).degrees
+        assert certify_degreewise(line, h, lambda d, v: v) == {-1: False, 0: False}
 
-        _S, _x, _K, h = self._koszul()
-        assert certify_degreewise(h, h, lambda d, a, b: None) == {-1: False, 0: False}
+    def test_image_off_the_cocycles_is_not_certified(self):
+        # T: S^2 -> S by (x, 0) has H^-1 = S e_2, the same module as H^-1
+        # of S in degree -1; the generator sent to e_2 certifies, sent to
+        # e_1 (d e_1 = x) it is no cocycle and leaves the degree uncertified
+        S, x, _K, _h = self._koszul()
+        T = FreeComplex(S, {-1: 2, 0: 1}, {-1: [VectorPoly(S, [x]), VectorPoly(S, [S.zero()])]})
+        h_T = {-1: cohomology(T).degrees[-1]}
+        line = cohomology(rank_one_complex(S, -1)).degrees
+        onto_e2 = lambda d, v: VectorPoly(S, [S.zero(), v.components[0]])
+        onto_e1 = lambda d, v: VectorPoly(S, [v.components[0], S.zero()])
+        assert certify_degreewise(line, h_T, onto_e2) == {-1: True}
+        assert certify_degreewise(line, h_T, onto_e1) == {-1: False}

@@ -12,7 +12,7 @@ from fpduality.differentials import (
     kahler,
 )
 from fpduality.errors import NotCertifiedRegular, NotSurjective
-from fpduality.groebner import QuotientRing, VectorPoly
+from fpduality.groebner import QuotientRing, VectorPoly, combine
 from fpduality.modules import ModuleMap, free_module, is_isomorphism
 from fpduality.polyring import PolyRing
 
@@ -63,8 +63,9 @@ class TestKahler:
             f = rand_poly(rng, amb)
             g = rand_poly(rng, amb)
             lhs = K.d(f * g)
-            rhs = K.module.nf(K.d(g).mul_poly(f) + K.d(f).mul_poly(g))
-            assert K.module.elements_equal(lhs, rhs)
+            dg, df = K.d(g), K.d(f)
+            rhs = K.module.nf(combine([dg, df], VectorPoly(amb, [f, g]).terms.items(), amb, dg.rank))
+            assert K.module.element_is_zero(lhs - rhs)
 
     def test_d_of_pth_power_vanishes(self):
         rng = random.Random(18)
@@ -90,8 +91,8 @@ class TestConormal:
         assert data.conormal.ngens == 1
         # theta sends dx-class to dx with no dy component needed
         theta_dx = data.theta.columns[0]
-        assert data.middle.elements_equal(
-            data.beta.apply_coords(theta_dx), data.omega.gen(0)
+        assert data.middle.element_is_zero(
+            data.beta.apply_coords(theta_dx) - data.omega.gen(0)
         ) or True  # section property asserted inside; spot-check column shape
         assert data.theta.source is data.omega
 

@@ -33,7 +33,7 @@ from fpduality.duality import (
 )
 from fpduality.errors import AlgebraError, NotRegularSequence
 from fpduality.frobenius import frobenius_pushforward, pushforward_module, pushforward_vector
-from fpduality.groebner import Ideal, QuotientRing, VectorPoly, elimination_kernel, unit_vector
+from fpduality.groebner import Ideal, QuotientRing, VectorPoly, combine, elimination_kernel, unit_vector
 from fpduality.modules import (
     ModuleMap,
     cyclic_module,
@@ -95,8 +95,9 @@ class TestFLI:
                 from fpduality.groebner import unit_vector
 
                 e = unit_vector(S, eta1.lhs.rank(n), j)
-                a = eta1.chain_map.apply(n, e.mul_poly(f))
-                b = eta2.chain_map.apply(n, e).mul_poly(f)
+                image = eta2.chain_map.apply(n, e)
+                a = eta1.chain_map.apply(n, unit_vector(S, eta1.lhs.rank(n), j, f))
+                b = combine([image], VectorPoly(S, [f]).terms.items(), S, image.rank)
                 assert a == b
 
 
@@ -337,6 +338,11 @@ class TestComparePresentations:
         out = compare_presentations(A, pi1, pi2)
         assert out.certified
         assert out.degree_lists[0] == out.degree_lists[1]
+        # each collapse and the joint comparison, degree by degree: the
+        # degrees below the own model's reach are certified by vanishing
+        side1, side2, joint = out.chain
+        every = {-3: True, -2: True, -1: True, 0: True}
+        assert side1["certified"] == side2["certified"] == joint == every
 
     def test_line_vs_plane_presentation(self):
         amb = ring(2, "t")
@@ -348,6 +354,9 @@ class TestComparePresentations:
         out = compare_presentations(A, pi1, pi2)
         assert out.certified
         assert out.degree_lists == ([-1], [-1])
+        side1, side2, joint = out.chain
+        every = {-3: True, -2: True, -1: True}
+        assert side1["certified"] == side2["certified"] == joint == every
 
     def test_identical_presentations(self):
         amb = ring(2, "x")
@@ -460,7 +469,7 @@ class TestFrobeniusMultiplications:
 
         for idx in range(pidx.total):
             a, j = pidx.tag(idx)
-            shifted = h_om.reps[j].mul_poly(S.monomial(a))
+            shifted = h_om.reps[j].mul_term(a, 1)
             psi = chi.apply(low, pushforward_vector(chi.source.pushforward_indices[low], shifted, 1))
             assert value_map(ours, psi).equals(value_map(lifted, psi))
 
@@ -500,7 +509,7 @@ class TestTracePairingInverse:
     @pytest.mark.parametrize(
         "columns, ranks, message",
         [
-            (lambda x, e: [e(0).mul_poly(x), e(1)], (2, 2), "not a constant"),
+            (lambda x, e: [e(0).mul_term((1,), 1), e(1)], (2, 2), "not a constant"),
             (lambda x, e: [e(0), e(0)], (2, 2), "hit twice"),
             (lambda x, e: [e(0) + e(1), e(1)], (2, 2), "2 nonzero entries"),
             (lambda x, e: [e(0).scale(0), e(1)], (2, 2), "0 nonzero entries"),

@@ -36,12 +36,13 @@ def _per_slot_combine(columns, entries, ring, rank):
         if c.terms:
             if col.ring is not ring and col.ring != ring:
                 raise RingMismatch("column lives in %r, not in %r" % (col.ring, ring))
-            for key, k in col.mul_poly(c).terms.items():
-                k2 = (acc.get(key, 0) + k) % p
-                if k2:
-                    acc[key] = k2
-                elif key in acc:
-                    del acc[key]
+            for m, cm in c.terms.items():
+                for key, k in col.mul_term(m, cm).terms.items():
+                    k2 = (acc.get(key, 0) + k) % p
+                    if k2:
+                        acc[key] = k2
+                    elif key in acc:
+                        del acc[key]
     return VectorPoly._of(ring, rank, acc)
 
 

@@ -208,9 +208,7 @@ class TestNormalForm:
         divisors = [vector_from_poly(x ** 2 - y), vector_from_poly(y ** 2 - 1)]
         f = vector_from_poly(x ** 4 * y + x * y ** 3 + 3)
         quots, rem = division(f, divisors)
-        recomposed = rem
-        for q, d in zip(quots, divisors):
-            recomposed = recomposed + d.mul_poly(q)
+        recomposed = rem + groebner.combine(divisors, VectorPoly(R, quots).terms.items(), R, f.rank)
         assert recomposed == f
 
 
@@ -335,11 +333,7 @@ class TestFreeResolution:
         for k in range(1, len(stages)):
             prev, cur = stages[k - 1], stages[k]
             for s in cur:
-                acc = None
-                for c, g in zip(s.components, prev):
-                    add = g.mul_poly(c)
-                    acc = add if acc is None else acc + add
-                assert acc.is_zero()
+                assert groebner.combine(prev, s.terms.items(), R, prev[0].rank).is_zero()
             # every syzygy of prev is generated by cur
             for s in syzygies(prev):
                 assert ModuleGB(R, len(prev), cur).contains(s)
@@ -420,7 +414,7 @@ class TestQuotientRing:
         A = QuotientRing(amb, [amb.var("x") ** 2])
         x = amb.var("x")
         assert A.reduce(x ** 3).is_zero()
-        assert A.elements_equal(x ** 2 + x, x)
+        assert A.reduce((x ** 2 + x) - x).is_zero()
 
     def test_standard_monomials(self):
         amb = ring(2, "x", "y")
@@ -485,7 +479,7 @@ def test_vector_ops_match_componentwise(pair, c, mono, f):
         (-u, [-s for s in a]),
         (u.scale(c), [s.scale(c) for s in a]),
         (u.mul_term(mono, c), [s.mul_term(mono, c) for s in a]),
-        (u.mul_poly(f), [s * f for s in a]),
+        (groebner.combine([u], VectorPoly(_VR, [f]).terms.items(), _VR, u.rank), [f * s for s in a]),
     ]
     for v, dense in results:
         # the nonzero slots of a vector built from terms, read first:
@@ -606,7 +600,7 @@ def test_equal_vectors_built_by_different_paths_hash_equal(pair, mono):
         (u.scale(3).scale(2), u),
         (reversed_terms, u),
         (u.mul_term(mono, 2), shifted),
-        (u.mul_poly(_VR.monomial(mono, 2)), shifted),
+        (groebner.combine([u], VectorPoly(_VR, [_VR.monomial(mono, 2)]).terms.items(), _VR, u.rank), shifted),
         (groebner.combine([u, w], VectorPoly(_VR, [_VR.one()] * 2).terms.items(), _VR, u.rank), u + w),
     ):
         assert left == right
@@ -679,7 +673,7 @@ def test_foreign_ring_component_raises():
     with pytest.raises(RingMismatch):
         ModuleGB(_VR, 1, [VectorPoly(other, [other.var(0)])])
     with pytest.raises(RingMismatch):
-        VectorPoly(_VR, [_VR.var(0)]).mul_poly(other.var(0))
+        groebner.combine([VectorPoly(other, [other.var(0)])], VectorPoly(_VR, [_VR.var(0)]).terms.items(), _VR, 1)
 
 
 def test_zero_vectors_of_different_rings_do_not_mix():
@@ -1219,7 +1213,9 @@ def _modulo_case(draw):
     # element of span(modulo)
     member = groebner.combine(gens, VectorPoly(_MOD_S, coeffs).terms.items(), _MOD_S, rank)
     if modulo:
-        member = member + modulo[draw(st.integers(0, len(modulo) - 1))].mul_poly(draw(_mod_entry))
+        k = draw(st.integers(0, len(modulo) - 1))
+        shift = VectorPoly(_MOD_S, [draw(_mod_entry)]).terms.items()
+        member = member + groebner.combine([modulo[k]], shift, _MOD_S, rank)
     return rank, gens, modulo, targets + [member], coeffs
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from fpduality.duality import canonical_dualizing
 from fpduality.frobenius import frobenius_pushforward
-from fpduality.groebner import QuotientRing
+from fpduality.groebner import QuotientRing, vector_of
 from fpduality.modules import (
     ModuleMap,
     cyclic_module,
@@ -83,8 +83,9 @@ def test_hom_presentation_pins(name, M, N):
     assert _digest([repr(v) for v in _raw_generators(H)]) == raw
     decoded = [H.decode(i) for i in range(ngens)]
     assert _digest([repr(c) for f in decoded for c in f.columns]) == cols
-    assert [repr(c) for c in H.encode(ModuleMap.zero(M, N)).components] == ["0"] * ngens
-    assert H.decode(H.zero_vector()).is_zero_map()
+    zero = ModuleMap(M, N, [vector_of(N.ambient, N.ngens, ())] * M.ngens, check=False)
+    assert [repr(c) for c in H.encode(zero).components] == ["0"] * ngens
+    assert H.decode(vector_of(H.ambient, H.ngens, ())).is_zero_map()
     if identity is not None:
         assert [repr(c) for c in H.encode(ModuleMap.identity(M)).components] == identity
     for i, f in enumerate(decoded):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import fpduality.modules as modules  # noqa: E402
 from fpduality.groebner import VectorPoly, combine  # noqa: E402
-from fpduality.modules import FPModule, ModuleMap, fp_inverse, is_isomorphism, kernel_cokernel  # noqa: E402
+from fpduality.modules import FPModule, ModuleMap, fp_matrix_inverse, is_isomorphism, kernel_cokernel  # noqa: E402
 from fpduality.polyring import PolyRing  # noqa: E402
 
 R = PolyRing(3, ("x", "y"))
@@ -60,7 +60,7 @@ def _change_of_generators(draw, extra=False):
     if draw(st.booleans()):
         rows = draw(
             st.lists(st.lists(st.integers(0, 2), min_size=m, max_size=m), min_size=m, max_size=m).filter(
-                lambda rows: fp_inverse(rows, 3) is not None
+                lambda rows: fp_matrix_inverse(rows, 3) is not None
             )
         )
         columns = [VectorPoly(R, [R.const(rows[i][j]) for i in range(m)]) for j in range(m)]

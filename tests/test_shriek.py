@@ -7,7 +7,7 @@ from fpduality.duality import canonical_dualizing
 from fpduality.errors import CanonicalNotTop
 from fpduality.groebner import Ideal, QuotientRing, elimination_kernel
 from fpduality.modules import FPModule, ModuleMap, cyclic_module, is_isomorphism
-from fpduality.polyring import PolyRing
+from fpduality.polyring import PolyRing, RingMap
 from fpduality.session import Session, execute, parse_session
 from fpduality.shriek import (
     EnvelopingRing,
@@ -46,7 +46,9 @@ class TestEnveloping:
         env = EnvelopingRing(A, 2)
         amb = A.ambient
         for j in range(2):
-            inc = env.inclusion(j)
+            # A -> A tensor A onto copy j
+            images = [env.ring.reduce(env.ambient.var(k)) for k in env.slot_index(j)]
+            inc = RingMap(A, env.ring, images, check=False)
             for i in range(amb.nvars):
                 v = amb.var(i)
                 assert A.reduce(env.mult.apply(inc.apply(v)) - v).is_zero()
@@ -84,8 +86,8 @@ class TestExternalTensor:
         T = external_tensor(env, [cyclic_module(A, [x]), cyclic_module(A, [x])])
         # AxA/(x, x'): both copies of the variable act as zero
         xp = env.ambient.var(1)
-        assert T.element_is_zero(T.gen(0).mul_poly(env.ambient.var(0)))
-        assert T.element_is_zero(T.gen(0).mul_poly(xp))
+        assert T.element_is_zero(T.gen(0).mul_term((1, 0), 1))
+        assert T.element_is_zero(T.gen(0).mul_term((0, 1), 1))
         assert not T.element_is_zero(T.gen(0))
 
     def test_omega_box_omega_rank_one(self):
@@ -325,3 +327,38 @@ class TestUnitClauseEquivalence:
         A = line()
         om, low = omega_module(A)
         assert verify_symmetry(A, om, om, low, low) == {-2: True, -1: True}
+
+
+class TestRigidifierLinks:
+    """Pinned degrees of each unit link for `check rigidifier(A);`, omega
+    against omega shriek-tensor omega, on rings beyond the line: the
+    evaluation link reaches one degree below the projection and diagonal
+    model windows."""
+
+    RINGS = {
+        "fat2": (2, ("x", "y"), lambda x, y: [x ** 2, x * y, y ** 2]),
+        "a1_7": (7, ("x", "y", "z"), lambda x, y, z: [x * y - z ** 2]),
+        "ell5": (5, ("x", "y"), lambda x, y: [y ** 2 - x ** 3 - x - 1]),
+    }
+    LINKS = {
+        "fat2": ({-2: True, -1: True, 0: True}, {0: True}, [0]),
+        "a1_7": ({-5: True, -4: True, -3: True, -2: True}, {-4: True, -3: True, -2: True}, [-2]),
+        "ell5": ({-3: True, -2: True, -1: True}, {-2: True, -1: True}, [-1]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_links(self, name):
+        p, names, relations = self.RINGS[name]
+        amb = PolyRing(p, names)
+        A = QuotientRing(amb, relations(*amb.gens()))
+        dc = canonical_dualizing(A)
+        rep = verify_unit(A, dc.canonical_module_over_ring(), m_shift=dc.lowest_degree())
+        evaluation, window, degrees = self.LINKS[name]
+        assert rep.certified
+        assert rep.links == {
+            "unit_class": True,
+            "evaluation": evaluation,
+            "projection": window,
+            "diagonal_model": window,
+        }
+        assert rep.degrees == degrees

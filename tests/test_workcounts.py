@@ -356,7 +356,7 @@ def test_first_queries_after_a_build_pack_nothing(monkeypatch):
     assert not ideal.reduce(f).is_zero()
     v = VectorPoly(amb, [x ** 2 * y + z, x * y * z])
     assert not rb.contains(v) and not rb.normal_form(v).is_zero()
-    assert mgb.lift(gens[0].mul_poly(y * z) + gens[2].mul_poly(x)) is not None
+    assert mgb.lift(gens[0].mul_term((0, 1, 1), 1) + gens[2].mul_term((1, 0, 0), 1)) is not None
     assert mgb.reduce(v)[0].terms
     assert work == {"adds": 0, "tails": 0}
 
@@ -438,7 +438,7 @@ def test_repeated_certification_builds(builds):
     builds[0] = 0
     verdicts = [
         modules.is_isomorphism(
-            modules.ModuleMap(M, M, [M.gen(i).mul_poly(g) for i in range(3)], check=False)
+            modules.ModuleMap(M, M, [unit_vector(amb, 3, i, g) for i in range(3)], check=False)
         )
         for g in (x, y, x + y, amb.const(2), one)
     ]
