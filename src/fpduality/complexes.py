@@ -368,10 +368,6 @@ class CohomologyReport:
     def __init__(self, degrees):
         self.degrees = degrees  # dict degree -> HDegree
 
-    def module(self, d):
-        h = self.degrees.get(d)
-        return h.module if h else None
-
     def nonzero_degrees(self):
         return sorted(d for d, h in self.degrees.items() if not h.is_zero())
 
@@ -532,16 +528,9 @@ def free_resolution(ring, rank, columns, length=None):
     return F
 
 
-class ResolutionComplex:
-    """Free resolution of an FPModule M over its ambient polynomial ring."""
-
-    def __init__(self, M):
-        self.module = M
-        self.complex = free_resolution(M.ambient, M.ngens, M.relations)
-
-
 def resolution_complex(M):
-    return ResolutionComplex(M)
+    """Free resolution of an FPModule M over its ambient polynomial ring."""
+    return free_resolution(M.ambient, M.ngens, M.relations)
 
 
 def rhom_to_module(M, T):
@@ -549,7 +538,7 @@ def rhom_to_module(M, T):
     free complex: Hom of the free resolution into T, which it keeps as
     .resolution."""
     res = resolution_complex(M)
-    H, _ = hom_complex(res.complex, T)
+    H, _ = hom_complex(res, T)
     H.resolution = res
     return H
 
@@ -613,7 +602,7 @@ def lift_chain_map(f0_cols, source, target, ring):
 
 def lift_map_of_resolutions(f0_cols, resA, resB, ring):
     """Lift a degree-0 map of resolved modules to a chain map resA -> resB."""
-    return lift_chain_map(f0_cols, resA.complex, resB.complex, ring)
+    return lift_chain_map(f0_cols, resA, resB, ring)
 
 
 # ---------------------------------------------------------------------------

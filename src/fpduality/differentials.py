@@ -26,7 +26,7 @@ from .modules import (
     FPModule,
     ModuleMap,
     _det,
-    cokernel_with_projection,
+    cokernel,
     exterior_power,
     free_module,
     hom_module,
@@ -110,7 +110,7 @@ def conormal_sequence(pi, rseq=None):
     # exactness certificates
     if not beta.compose(alpha).is_zero_map():
         raise AlgebraError("conormal sequence composite is not zero")
-    coker_beta, _ = cokernel_with_projection(beta)
+    coker_beta = cokernel(beta)
     if not coker_beta.is_zero_module():
         raise NotSurjective("differential surjectivity failed; inputs not as expected")
     kerb, incl = kernel_with_inclusion(beta)

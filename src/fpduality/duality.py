@@ -44,12 +44,11 @@ from .errors import (
 from .fp import inv_mod
 from .frobenius import (
     bracket_power_complex,
-    frobenius_decompose,
     frobenius_pushforward,
+    generates_freely,
     pushforward_complex,
     pushforward_module,
     pushforward_vector,
-    restricted_monomials,
 )
 from .groebner import (
     Ideal,
@@ -184,7 +183,7 @@ def ext_two_pipelines(S, rseq, M):
     repR = cohomology(HR)
     # lift the identity between the two resolutions of S/(rseq); its
     # Hom(-, M) transpose runs Hom(res, M) -> Hom(K, M)
-    lifted = lift_chain_map([unit_vector(ambient_of(S), 1, 0)], K, HR.resolution.complex, S)
+    lifted = lift_chain_map([unit_vector(ambient_of(S), 1, 0)], K, HR.resolution, S)
     cm = hom_transpose_chain_map(lifted, HR, HK)
     certified = certify_degreewise(repR.degrees, repK.degrees, cm.apply)
     return repK, repR, certified
@@ -507,15 +506,15 @@ def xi_via_factorization(R, roots, e):
         r_val = residue_top_coefficient(u, tsys, Sy, n, d)
         values[b] = rename_poly(r_val, amb, list(range(n)))
     # dictionary: express the canonical F_* basis in the y-monomial basis
-    monos = restricted_monomials(n, q)
+    F = frobenius_pushforward(R, e)
+    monos = F.index.monomials
     push_cols = []
     for b in basis:
         img = Tcopy.one()
         for j, k in enumerate(b):
             if k:
                 img = img * (g_images[n + j] ** k)
-        parts = frobenius_decompose(rename_poly(img, amb, list(range(n))), e)
-        push_cols.append(vector_of(amb, len(monos), [(monos.index(a), va) for a, va in parts.items()]))
+        push_cols.append(F.coords(rename_poly(img, amb, list(range(n)))))
     functional = []
     basis_change = SpanSolver(push_cols, R, len(monos))
     for a_idx, a in enumerate(monos):
@@ -526,28 +525,17 @@ def xi_via_factorization(R, roots, e):
         for k, cb in nonzero_slots(sol):
             acc = acc + cb * values[basis[k]]
         functional.append(acc)
-    # certificate: the functional freely generates Hom(F_*R, omega_R):
-    # the matrix of its precompositions with basis multiplications must be
-    # invertible, exactly as for the trace generator
-    F = frobenius_pushforward(R, e) if e > 0 else None
-    if e > 0:
-        rows = []
-        for bmono in monos:
-            mult = F.multiplication_map(amb.monomial(bmono))
-            row = []
-            for a_idx in range(len(monos)):
-                acc = amb.zero()
-                for k, coeff in nonzero_slots(mult.columns[a_idx]):
-                    acc = acc + coeff * functional[k]
-                row.append(acc)
-            rows.append(row)
-        det = _det(amb, rows)
-        certified = det.constant_value() not in (None, 0)
-    else:
-        certified = len(functional) == 1 and functional[0].constant_value() not in (
-            None,
-            0,
-        )
+
+    def value(c):
+        # phi(F_*(x^c)) from the coordinates of F_*(x^c), term by term
+        acc = amb.zero()
+        for (k, m), coeff in F.coords(amb.monomial(c)).terms.items():
+            acc = acc + functional[k].mul_term(m, coeff)
+        return acc
+
+    # certificate: the functional freely generates Hom(F_*R, omega_R),
+    # exactly as for the trace generator
+    certified = generates_freely(R, monos, value)
     return XiIso(
         "finite_type",
         functional,
@@ -720,7 +708,7 @@ def _one_sided_collapse(pi_main, pi_other):
     # the joint model
     own = canonical_dualizing(pi_main.target, pi_main)
     J1 = elimination_kernel(pi_main)
-    res1_in_S3 = own.resolution.complex.renamed(S3, idx1)
+    res1_in_S3 = own.resolution.renamed(S3, idx1)
     Klin = koszul_complex(S3, lin)
     joint_res, joint_bases = tensor_complex(res1_in_S3, Klin)
     om3 = canonical_omega_regular(S3)
@@ -879,7 +867,7 @@ def verify_frobenius_duality(A, e=1):
     FA_pruned, FA_in, _ = prune(FA.module)
     kept = [FA.index.monomials[k] for k in FA_in.kept]
     Hom_module_side = hom_module(FA_pruned, omega_mod)
-    multiplication = _frobenius_multiplications(K.complex, FK, e)
+    multiplication = _frobenius_multiplications(K, FK, e)
     mult_lifts = [multiplication(b_mono) for b_mono in kept]
     # candidate on each generator F_*(x^a z_j) of F_* omega_A
     cols = []
@@ -955,7 +943,7 @@ def _trace_pairing_chain_map(dc, e):
     phi(k)))], nonzero exactly when m' = (q-1) - m componentwise."""
     W = dc.complex
     FW = pushforward_complex(W, e)
-    FK = pushforward_complex(dc.resolution.complex, e)
+    FK = pushforward_complex(dc.resolution, e)
     C2, _ = hom_complex(FK, dc.omega_S.complex)
     amb = W.ambient
     p = amb.p

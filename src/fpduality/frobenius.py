@@ -25,7 +25,7 @@ from .groebner import (
     unit_vector,
     vector_of,
 )
-from .modules import FPModule, ModuleMap, cokernel_with_projection, free_module, is_isomorphism
+from .modules import FPModule, ModuleMap, cokernel, free_module, is_isomorphism
 from .polyring import Polynomial
 from .complexes import FreeComplex
 
@@ -100,9 +100,6 @@ class PushforwardIndex:
     def index(self, mono, j):
         return self.position[tuple(mono)] * self.r + j
 
-    def tag(self, idx):
-        return (self.monomials[idx // self.r], idx % self.r)
-
 
 def pushforward_vector(index, v, e):
     """Coordinates of F^e_*(v) for v a coordinate vector of the module:
@@ -137,30 +134,18 @@ def pushforward_module(M, e=1):
 
 
 class FrobPushforward:
-    """F^e_* R with monomial basis bookkeeping and the twist marker."""
+    """F^e_* R with monomial basis bookkeeping."""
 
     def __init__(self, R, e=1):
         self.ring = R
         self.e = e
-        amb = ambient_of(R)
-        self.p = amb.p
-        base = FPModule(R, 1, [])
-        self.module = pushforward_module(base, e)
+        self.module = pushforward_module(FPModule(R, 1, []), e)
         self.index = self.module.pushforward_index
-        self.basis_tags = [self.index.tag(i)[0] for i in range(self.index.total)]
-        self.twist = (self.p, e)
 
     def coords(self, u):
         """Coordinates of F^e_*(u) on the restricted monomial generators."""
         amb = ambient_of(self.ring)
         return pushforward_vector(self.index, VectorPoly(amb, [u]), self.e)
-
-    def multiplication_map(self, s):
-        """The R-linear map F_*(u) -> F_*(s u) on this presentation."""
-        cols = []
-        for a in self.index.monomials:
-            cols.append(self.coords(s.mul_term(a, 1)))
-        return ModuleMap(self.module, self.module, cols, check=False)
 
 
 def frobenius_pushforward(R, e=1):
@@ -185,6 +170,15 @@ def pushforward_complex(T, e=1):
 # ---------------------------------------------------------------------------
 # p-generating sets and p-bases
 
+def _tuple_power(amb, xs, a):
+    """xs^a, the product of the g^k for g in xs and k in a."""
+    u = amb.one()
+    for g, k in zip(xs, a):
+        if k:
+            u = u * (g ** k)
+    return u
+
+
 def _coordinate_map(R, xs, e=1):
     """The map R^(qg-monomials in xs) -> F^e_* R sending e_a to F_*(xs^a)."""
     amb = ambient_of(R)
@@ -193,13 +187,7 @@ def _coordinate_map(R, xs, e=1):
         raise SizeCapExceeded("restricted monomials in the tuple exceed the size cap")
     push = FrobPushforward(R, e)
     tuples = restricted_monomials(len(xs), q)
-    cols = []
-    for a in tuples:
-        u = amb.one()
-        for g, k in zip(xs, a):
-            if k:
-                u = u * (g ** k)
-        cols.append(push.coords(reduce_in(R, u)))
+    cols = [push.coords(reduce_in(R, _tuple_power(amb, xs, a))) for a in tuples]
     source = free_module(R, len(tuples))
     theta = ModuleMap(source, push.module, cols, check=False)
     theta.tuple_monomials = tuples
@@ -209,7 +197,7 @@ def _coordinate_map(R, xs, e=1):
 
 def is_p_generating(R, xs):
     """True iff R = R^p[xs]: the coordinate map is surjective."""
-    return cokernel_with_projection(_coordinate_map(R, xs))[0].is_zero_module()
+    return cokernel(_coordinate_map(R, xs)).is_zero_module()
 
 
 def is_p_basis(R, xs):
@@ -243,52 +231,54 @@ class CoordinateSolver:
         return out
 
 
+def generates_freely(R, tuples, value):
+    """True iff the functional phi, with phi(F_*(x^c)) = value(c), freely
+    generates Hom(F_*R, omega) over F_*R.  tuples lists the exponents a of
+    the N elements F_*(x^a) of a free basis of F_*R (x the variables or a
+    p-basis).
+
+    The precompositions of phi with the basis multiplications are the map
+    of free modules F_*(x^a) -> (phi(x^(a+b)))_b; phi is a free generator
+    iff that map is an isomorphism, certified by is_isomorphism's explicit
+    inverse."""
+    amb = ambient_of(R)
+    n = len(tuples)
+    free = free_module(R, n)
+    cols = [
+        vector_of(amb, n, [(k, value(tuple(x + y for x, y in zip(a, b)))) for k, b in enumerate(tuples)])
+        for a in tuples
+    ]
+    return is_isomorphism(ModuleMap(free, free, cols, check=False))
+
+
 def pbasis_trace_generator(R, xs, omega_complex):
     """The free generator of Hom(F_*R, omega) attached to a p-basis.
 
     Sends F_*(xs^(p-1,...,p-1)) to the distinguished volume form and every
     other restricted monomial in xs to zero.  Returns the ModuleMap on the
-    free xs-monomial model together with a freeness certificate: the matrix
-    of all precompositions with basis multiplications is invertible.
+    free xs-monomial model together with its freeness certificate from
+    generates_freely.
     """
     amb = ambient_of(R)
-    p = amb.p
-    n = len(xs)
-    if not is_p_basis(R, xs):
+    coordinates = CoordinateSolver(R, xs)
+    if not is_isomorphism(coordinates.theta):
         raise NoPBasis("the given tuple is not a p-basis")
     degrees = omega_complex.degrees()
     if len(degrees) != 1 or omega_complex.rank(degrees[0]) != 1:
         raise AlgebraError("expected a rank-one volume complex")
-    tuples = restricted_monomials(n, p)
-    top = tuple([p - 1] * n)
-    omega_module = free_module(R, 1)
-    source = free_module(R, len(tuples))
+    tuples = coordinates.theta.tuple_monomials
+    top = tuple([amb.p - 1] * len(xs))
     cols = [unit_vector(amb, 1, 0) if a == top else vector_of(amb, 1, ()) for a in tuples]
-    phi = ModuleMap(source, omega_module, cols, check=False)
+    phi = ModuleMap(free_module(R, len(tuples)), free_module(R, 1), cols, check=False)
     phi.basis_tuples = tuples
     phi.volume_degree = degrees[0]
 
-    # freeness certificate: Phi composed with multiplication by each basis
-    # monomial spans Hom(F_*R, omega); the evaluation matrix is invertible
-    from .modules import _det
+    def value(c):
+        # the coefficient of the top monomial in xs^c
+        coords = coordinates.solve(_tuple_power(amb, xs, c))
+        return (coords or {}).get(top, amb.zero())
 
-    coordinates = CoordinateSolver(R, xs)
-    rows = []
-    for b in tuples:
-        row = []
-        for a in tuples:
-            # coefficient of the top monomial in xs^{a+b}
-            combined = tuple(x + y for x, y in zip(a, b))
-            u = amb.one()
-            for g, k in zip(xs, combined):
-                if k:
-                    u = u * (g ** k)
-            coords = coordinates.solve(u)
-            entry = coords.get(top) if coords else None
-            row.append(entry if entry is not None else amb.zero())
-        rows.append(row)
-    cval = reduce_in(R, _det(amb, rows)).constant_value()
-    phi.freeness_certificate = cval is not None and cval != 0
+    phi.freeness_certificate = generates_freely(R, tuples, value)
     if not phi.freeness_certificate:
         raise AlgebraError("trace generator does not freely generate; not a p-basis?")
     return phi

@@ -193,22 +193,21 @@ def kernel_with_inclusion(f):
     return ker, incl
 
 
-def cokernel_with_projection(f):
-    coker = FPModule(
+def cokernel(f):
+    """coker(f) on the target's generators, its relations followed by the
+    columns of f."""
+    return FPModule(
         f.target.ring,
         f.target.ngens,
         list(f.target.relations) + list(f.columns),
         normalize=False,
     )
-    proj = ModuleMap(f.target, coker, [coker.gen(i) for i in range(coker.ngens)], check=False)
-    return coker, proj
 
 
 def kernel_cokernel(f):
     """(ker f, coker f); f is an isomorphism iff both are zero modules."""
     ker, _ = kernel_with_inclusion(f)
-    coker, _ = cokernel_with_projection(f)
-    return ker, coker
+    return ker, cokernel(f)
 
 
 def is_isomorphism(f):

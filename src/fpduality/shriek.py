@@ -160,25 +160,31 @@ class ShriekResult:
         return ds[0], self.homology[ds[0]]
 
 
-def shriek_tensor(A, M, N, m_shift=0, n_shift=0, env=None):
-    """M[m] shriek-tensor N[n] for single-degree coherent modules.
+def _shriek_product(env, modules, t0):
+    """The !-tensor product of single-degree modules, one on each copy of
+    env, placed in degree t0: (window, diagonal resolution G, external
+    product T, U = Hom(G, T[t0]), cohomology of U on the window).
 
-    Window: [m+n - 2 dim P, m+n] by the boundedness bound over the regular
-    cover; the truncated diagonal resolution is taken long enough to make
-    the cohomology exact there: one stage past the window, and one more."""
+    Window: [t0 - 2(k-1) dim P, t0 + (k-1) dim P] for k copies, bounded
+    below through the regular cover (the bound 2 dim P of two copies, once
+    per copy past the first); the product is only bounded below in
+    general, so the upper edge is a reporting choice.  The truncated
+    diagonal resolution is taken long enough to make the cohomology exact
+    there: one stage past the window, and one more."""
+    span = (env.copies - 1) * env.nvars_each
+    window = (t0 - 2 * span, t0 + span)
+    T = external_tensor(env, modules)
+    G = diagonal_resolution(env, (window[1] - window[0]) + 2)
+    U, _ = hom_complex(G, in_one_degree(T, t0))
+    return window, G, T, U, cohomology(U, window=window).degrees
+
+
+def shriek_tensor(A, M, N, m_shift=0, n_shift=0, env=None):
+    """M[m] shriek-tensor N[n] for single-degree coherent modules, on the
+    window [m+n - 2 dim P, m+n + dim P] of _shriek_product."""
     A = as_quotient(A)
     env = env or EnvelopingRing(A, 2)
-    nP = A.ambient.nvars
-    t0 = m_shift + n_shift
-    # bounded below through the regular cover (external products have
-    # global dimension at most 2 dim there); the product is only bounded
-    # below in general, so the upper edge is a reporting choice
-    window = (t0 - 2 * nP, t0 + nP)
-    T = external_tensor(env, [M, N])
-    length = (window[1] - window[0]) + 2
-    G = diagonal_resolution(env, length)
-    U, _ = hom_complex(G, in_one_degree(T, t0))
-    hom = cohomology(U, window=window).degrees
+    window, G, T, U, hom = _shriek_product(env, [M, N], m_shift + n_shift)
     res = ShriekResult(env, U, hom, window, (m_shift, n_shift))
     res.resolution = G
     res.target = T
@@ -427,17 +433,8 @@ def verify_associativity(A, M, N, K_mod, shifts=(0, 0, 0)):
     s, h_in = single
     W12 = FPModule(A, h_in.module.ngens, _restrict_relations(h_in.module, A))
     iterated = shriek_tensor(A, W12, K_mod, s, shifts[2])
-    it_single = iterated.single_degree()
     # direct triple product
-    env3 = EnvelopingRing(A, 3)
-    T3 = external_tensor(env3, [M, N, K_mod])
-    t0 = shifts[0] + shifts[1] + shifts[2]
-    nP = A.ambient.nvars
-    window3 = (t0 - 4 * nP, t0 + 2 * nP)
-    length = (window3[1] - window3[0]) + 2
-    G3 = diagonal_resolution(env3, length)
-    U3, _ = hom_complex(G3, in_one_degree(T3, t0))
-    h3 = cohomology(U3, window=window3).degrees
+    h3 = _shriek_product(EnvelopingRing(A, 3), [M, N, K_mod], sum(shifts))[-1]
     direct_nonzero = sorted(d for d, h in h3.items() if not h.is_zero())
     it_nonzero = iterated.nonzero_degrees()
     if direct_nonzero != it_nonzero:

@@ -84,8 +84,8 @@ class TestCohomology:
         S = ring(2, "x")
         T = FreeComplex(S, {0: 2, 1: 1}, {})
         rep = cohomology(T)
-        assert fp_dim(rep.module(0), 2) > 0
-        assert rep.module(0).ngens == 2
+        assert fp_dim(rep.degrees[0].module, 2) > 0
+        assert rep.degrees[0].module.ngens == 2
 
     def test_identity_differential_acyclic(self):
         S = ring(2, "x")
@@ -98,7 +98,7 @@ class TestCohomology:
         K = koszul_complex(S, list(S.gens()))
         rep = cohomology(K)
         assert rep.nonzero_degrees() == [0]
-        H0 = rep.module(0)
+        H0 = rep.degrees[0].module
         # H^0 = S/(x,y): one generator, F_2-dimension 1
         assert fp_dim(H0) == 1
 
@@ -252,7 +252,7 @@ class TestRHom:
         H = rhom_to_module(M, rank_one_complex(S, 0))
         rep = cohomology(H)
         assert rep.nonzero_degrees() == [2]
-        H2 = rep.module(2)
+        H2 = rep.degrees[2].module
         expect = cyclic_module(S, [x, y])
         assert H2.ngens == 1
         iso = ModuleMap(expect, H2, [H2.gen(0)])
@@ -267,7 +267,7 @@ class TestRHom:
         H = rhom_to_module(M, T)
         rep = cohomology(H)
         assert rep.nonzero_degrees() == [0]
-        assert fp_dim(rep.module(0)) == 2
+        assert fp_dim(rep.degrees[0].module) == 2
 
     def test_resolution_independence(self):
         # same module, redundant presentation: certified-isomorphic RHom
@@ -319,7 +319,7 @@ class TestLifting:
         r1 = resolution_complex(M1)
         r2 = resolution_complex(M2)
         cm = lift_map_of_resolutions([VectorPoly(S, [S.one()])], r1, r2, S)
-        assert cm.source is r1.complex
+        assert cm.source is r1
 
     def test_induced_map_on_cohomology(self):
         S = ring(2, "x")
@@ -340,8 +340,8 @@ class TestLifting:
         r1 = resolution_complex(cyclic_module(S, [x ** 2, y ** 3]))
         r2 = resolution_complex(cyclic_module(S, [x, y]))
         f0 = [VectorPoly(S, [S.one()])]
-        first = lift_chain_map(f0, r1.complex, r2.complex, S)
-        second = lift_chain_map(f0, r1.complex, r2.complex, S)
+        first = lift_chain_map(f0, r1, r2, S)
+        second = lift_chain_map(f0, r1, r2, S)
         assert first.maps == second.maps
 
     def test_span_solver_cached_only_for_own_ring(self):

@@ -1,6 +1,8 @@
 """The duality layer: FLI, shriek pullbacks, xi maps, dualizing complexes,
 presentation independence, Frobenius duality."""
 
+from itertools import product
+
 import pytest
 
 import fpduality.groebner as groebner
@@ -436,7 +438,7 @@ class TestFrobeniusMultiplications:
         dc = canonical_dualizing(A)
         _chi, FK = _trace_pairing_chain_map(dc, 1)
         FA = frobenius_pushforward(A)
-        multiplication = _frobenius_multiplications(dc.resolution.complex, FK, 1)
+        multiplication = _frobenius_multiplications(dc.resolution, FK, 1)
         for b in FA.index.monomials:
             assert multiplication(b).maps[0] == [FA.coords(A.ambient.monomial(b))]
 
@@ -447,7 +449,7 @@ class TestFrobeniusMultiplications:
         A = build()
         S = A.ambient
         dc = canonical_dualizing(A)
-        K, W = dc.resolution.complex, dc.complex
+        K, W = dc.resolution, dc.complex
         chi, FK = _trace_pairing_chain_map(dc, 1)
         low = dc.lowest_degree()
         h_om = dc.canonical_module()
@@ -467,8 +469,7 @@ class TestFrobeniusMultiplications:
                 cols.append(h_om.coords_of_cocycle(comp))
             return ModuleMap(FA_pruned, omega_mod, cols, check=True)
 
-        for idx in range(pidx.total):
-            a, j = pidx.tag(idx)
+        for a, j in product(pidx.monomials, range(pidx.r)):
             shifted = h_om.reps[j].mul_term(a, 1)
             psi = chi.apply(low, pushforward_vector(chi.source.pushforward_indices[low], shifted, 1))
             assert value_map(ours, psi).equals(value_map(lifted, psi))
@@ -581,16 +582,9 @@ class TestXiChoiceIndependence:
         # identity between the Koszul resolutions
         base = classes[0]
         for other in classes[1:]:
-            class _W:
-                pass
-
             # lift id between the underlying Koszul resolutions
-            w_src = _W()
-            w_src.complex = base_koszul = _koszul_of(base)
-            w_tgt = _W()
-            w_tgt.complex = _koszul_of(other)
             lifted = lift_map_of_resolutions(
-                [unit_vector(S, 1, 0)], w_src, w_tgt, S
+                [unit_vector(S, 1, 0)], _koszul_of(base), _koszul_of(other), S
             )
             from fpduality.duality import hom_transpose_chain_map
 

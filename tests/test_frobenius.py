@@ -12,6 +12,7 @@ from fpduality.frobenius import (
     bracket_power,
     frobenius_decompose,
     frobenius_pushforward,
+    generates_freely,
     is_p_basis,
     is_p_generating,
     pbasis_trace_generator,
@@ -106,7 +107,7 @@ class TestPushforward:
         F = frobenius_pushforward(R, 1)
         assert F.module.ngens == 2
         assert not F.module.relations
-        assert F.basis_tags == [(0,), (1,)]
+        assert F.index.monomials == [(0,), (1,)]
 
     def test_dual_numbers(self):
         # F_* of F_2[x]/(x^2) is (R/x)^2: x kills both generators
@@ -223,6 +224,20 @@ class TestTraceGenerator:
         with pytest.raises(NoPBasis):
             pbasis_trace_generator(A, [amb.var("x")], omega)
 
+    def test_generates_freely_on_the_line(self):
+        # over F_2[x], F_*(x^c) = x^(c // 2) F_*(x^(c mod 2)): the trace
+        # sends it to x^(c // 2) for odd c and to 0 for even c
+        R = ring(2, "x")
+        x = R.var("x")
+
+        def trace(c):
+            return R.monomial((c[0] // 2,)) if c[0] % 2 else R.zero()
+
+        tuples = [(0,), (1,)]
+        assert generates_freely(R, tuples, trace)
+        assert not generates_freely(R, tuples, lambda c: R.zero())
+        assert not generates_freely(R, tuples, lambda c: x * trace(c))
+
     def test_other_projections_by_premultiplication(self):
         # Hom(F_*R, omega) is free over F_*R on Phi: each coordinate
         # projection equals Phi after multiplying by a basis monomial
@@ -231,11 +246,12 @@ class TestTraceGenerator:
         F = frobenius_pushforward(R, 1)
         omega = rank_one_complex(R, -1)
         phi = pbasis_trace_generator(R, [x], omega)
-        mult = F.multiplication_map(x)  # F_*u -> F_*(x u)
+        # F_*u -> F_*(x u) on the basis monomials
+        mult_cols = [F.coords(x.mul_term(a, 1)) for a in F.index.monomials]
         comp = [phi.columns[j] for j in range(2)]
         # projection onto F_*1: precompose Phi with multiplication by x
         proj_cols = [
-            phi.apply_coords(mult.columns[j]) for j in range(2)
+            phi.apply_coords(mult_cols[j]) for j in range(2)
         ]
         assert proj_cols[0].components[0] == R.one()
         assert proj_cols[1].components[0].is_zero()
