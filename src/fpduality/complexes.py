@@ -44,7 +44,7 @@ class FreeComplex:
 
     hom_bases = None  # degree -> BasisIndex, on the complexes hom_complex builds
 
-    def __init__(self, ring, terms, diffs, labels=None, check=True, relations=None):
+    def __init__(self, ring, terms, diffs, check=True, relations=None):
         self.ring = ring
         self.ambient = ambient_of(ring)
         self.terms = {d: r for d, r in terms.items() if r > 0}
@@ -60,7 +60,6 @@ class FreeComplex:
                     raise AlgebraError("differential at %d has wrong column length" % d)
             if any(not c.is_zero() for c in cols):
                 self.diffs[d] = cols
-        self.labels = labels or {}
         self._modules = {
             d: FPModule(ring, self.terms[d], rels)
             for d, rels in (relations or {}).items()
@@ -149,7 +148,6 @@ class FreeComplex:
             ring,
             dict(self.terms),
             {d: mapped(cols) for d, cols in self.diffs.items()},
-            labels=dict(self.labels),
             relations={d: mapped(rels) for d, rels in self.relations.items()},
         )
         out.hom_bases = self.hom_bases
@@ -167,9 +165,8 @@ def in_one_degree(M, degree, ring=None):
     return FreeComplex(ring or M.ring, {degree: M.ngens}, {}, relations={degree: M.relations})
 
 
-def rank_one_complex(ring, degree, label=None):
-    labels = {degree: [label]} if label else None
-    return FreeComplex(ring, {degree: 1}, {}, labels=labels)
+def rank_one_complex(ring, degree):
+    return FreeComplex(ring, {degree: 1}, {})
 
 
 def shift(T, k):
@@ -179,9 +176,8 @@ def shift(T, k):
     diffs = {}
     for d, cols in T.diffs.items():
         diffs[d - k] = [c if sign == 1 else -c for c in cols]
-    labels = {d - k: v for d, v in T.labels.items()}
     relations = {d - k: rels for d, rels in T.relations.items()}
-    return FreeComplex(T.ring, terms, diffs, labels=labels, check=False, relations=relations)
+    return FreeComplex(T.ring, terms, diffs, check=False, relations=relations)
 
 
 def _rows(columns, nrows):
@@ -517,7 +513,7 @@ def free_resolution(ring, rank, columns, length=None):
 
     Each differential keeps the SpanSolver that computed the next stage as
     its span_solver, so a lift into the resolution builds no basis again."""
-    stages = resolution_stages(ring, rank, columns, length)
+    stages = resolution_stages(ring, columns, length)
     terms = {0: rank}
     diffs = {}
     for k, (cols, _solver) in enumerate(stages):
@@ -552,14 +548,10 @@ def koszul_complex(ring, elements):
     amb = ambient_of(ring)
     elems = list(elements)
     c = len(elems)
-    terms = {}
     diffs = {}
-    labels = {}
     subsets = {j: list(combinations(range(c), j)) for j in range(c + 1)}
     index = {j: {s: i for i, s in enumerate(subsets[j])} for j in range(c + 1)}
-    for j in range(c + 1):
-        terms[-j] = len(subsets[j])
-        labels[-j] = ["e" + "".join(str(t + 1) for t in s) for s in subsets[j]]
+    terms = {-j: len(subsets[j]) for j in range(c + 1)}
     for j in range(1, c + 1):
         below = index[j - 1]
         cols = []
@@ -568,8 +560,7 @@ def koszul_complex(ring, elements):
             entries = [(below[T[:k] + T[k + 1 :]], elems[t].scale((-1) ** k)) for k, t in enumerate(T)]
             cols.append(vector_of(amb, len(below), entries))
         diffs[-j] = cols
-    K = FreeComplex(ring, terms, diffs, labels=labels)
-    K.koszul_elements = elems
+    K = FreeComplex(ring, terms, diffs)
     K.koszul_subsets = subsets
     K.koszul_index = index
     return K

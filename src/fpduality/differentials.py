@@ -151,14 +151,11 @@ def conormal_sequence(pi, rseq=None):
 class CanonicalOmega:
     """Top exterior power of the differentials in cochain degree -n."""
 
-    def __init__(self, ring, n, complex_, basis, generator_label, lambda_module, generator_coords):
+    def __init__(self, ring, n, complex_, generator_label):
         self.ring = ring
         self.n = n
         self.complex = complex_
-        self.basis = basis
         self.generator_label = generator_label
-        self.lambda_module = lambda_module
-        self.generator_coords = generator_coords
 
     @property
     def degree(self):
@@ -175,7 +172,7 @@ def wedge_coordinates(amb, vectors, subsets):
     return out
 
 
-def certify_pbasis_via_iso(R, p_basis, iso, inv):
+def certify_pbasis_via_iso(p_basis, iso, inv):
     """Certify a p-basis by transport along an explicit isomorphism onto a
     polynomial ring whose variables are the images of the tuple.
 
@@ -205,17 +202,14 @@ def canonical_omega_regular(R, p_basis=None, pbasis_via_iso=None):
     amb = ambient_of(R)
     if not isinstance(R, QuotientRing):
         n = amb.nvars
-        label = wedge_label(amb.variables)
-        omega = rank_one_complex(R, -n, label=label)
-        lam = exterior_power(KahlerModule(R).module, n)
-        return CanonicalOmega(R, n, omega, list(amb.gens()), label, lam, lam.gen(0))
+        return CanonicalOmega(R, n, rank_one_complex(R, -n), wedge_label(amb.variables))
     if p_basis is None:
         raise NotCertifiedRegular(
             "a quotient ring needs an exhibited p-basis to certify regularity"
         )
     if pbasis_via_iso is not None:
         iso, inv = pbasis_via_iso
-        if not certify_pbasis_via_iso(R, list(p_basis), iso, inv):
+        if not certify_pbasis_via_iso(list(p_basis), iso, inv):
             raise NotCertifiedRegular("the isomorphism certificate does not check out")
     else:
         from .frobenius import is_p_basis
@@ -237,9 +231,7 @@ def canonical_omega_regular(R, p_basis=None, pbasis_via_iso=None):
     gen_map = ModuleMap(free_module(R, 1), lam, [wedge], check=False)
     if not is_isomorphism(gen_map):
         raise NotCertifiedRegular("top wedge of the p-basis is not a free generator")
-    label = wedge_label([str(b) for b in p_basis])
-    omega = rank_one_complex(R, -n, label=label)
-    return CanonicalOmega(R, n, omega, list(p_basis), label, lam, wedge)
+    return CanonicalOmega(R, n, rank_one_complex(R, -n), wedge_label([str(b) for b in p_basis]))
 
 
 def wedge_label(names):

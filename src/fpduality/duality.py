@@ -40,6 +40,7 @@ from .errors import (
     NotFinite,
     NotRegularSequence,
     NotSurjective,
+    RingMismatch,
 )
 from .fp import inv_mod
 from .frobenius import (
@@ -118,8 +119,7 @@ def _koszul_duality_signs(c):
 class EtaData:
     """The comparison Hom(K, M) -> twist tensor (K tensor M)[-c]."""
 
-    def __init__(self, koszul, lhs, rhs, chain_map, reports, certified):
-        self.koszul = koszul
+    def __init__(self, lhs, rhs, chain_map, reports, certified):
         self.lhs = lhs
         self.rhs = rhs
         self.chain_map = chain_map
@@ -169,7 +169,7 @@ def fli_eta(S, rseq, M):
     lrep = cohomology(lhs)
     rrep = cohomology(rhs)
     certified = certify_degreewise(lrep.degrees, rrep.degrees, cm.apply)
-    return EtaData(K, lhs, rhs, cm, (lrep, rrep), certified)
+    return EtaData(lhs, rhs, cm, (lrep, rrep), certified)
 
 
 def ext_two_pipelines(S, rseq, M):
@@ -201,10 +201,7 @@ def upper_shriek_smooth(R, T, d):
         raise AlgebraError("polynomial extensions are taken over polynomial rings here")
     big, idx = adjoin_variables(R, ["y%d" % (i + 1) for i in range(d)])
     Tup = T.renamed(big, idx)
-    label = wedge_label(big.variables[ambient_of(R).nvars :])
-    twist = rank_one_complex(big, -d, label=label)
-    out, bases = tensor_complex(twist, Tup)
-    out.smooth_bases = bases
+    out, _ = tensor_complex(rank_one_complex(big, -d), Tup)
     return out, big
 
 
@@ -234,8 +231,7 @@ def upper_shriek_finite(f, T):
 class XiIso:
     """An explicit comparison map with its certificate and trace data."""
 
-    def __init__(self, kind, functional, data):
-        self.kind = kind
+    def __init__(self, functional, data):
         self.functional = functional
         self.data = data
 
@@ -260,7 +256,6 @@ def xi_smooth(R, d):
     m = amb.nvars
     sign = xi_smooth_sign(m, d, amb.p)
     return XiIso(
-        "smooth",
         None,
         {
             "source_volume": wedge_label(big.variables),
@@ -333,7 +328,6 @@ def xi_lci_class(pi, target_pbasis, rseq=None, pbasis_via_iso=None, theta_column
     cand = ModuleMap(source, h.module, [coords], check=False)
     certified = is_isomorphism(cand)
     return XiIso(
-        "lci",
         None,
         {
             "lambda": lam,
@@ -537,7 +531,6 @@ def xi_via_factorization(R, roots, e):
     # exactly as for the trace generator
     certified = generates_freely(R, monos, value)
     return XiIso(
-        "finite_type",
         functional,
         {
             "roots": roots,
@@ -587,12 +580,11 @@ def commutation_sign_check(p, c, d, with_theta_part=True):
 class DualizingComplex:
     """omega_A as RHom_S(A, omega_S) for a polynomial presentation S ->> A."""
 
-    def __init__(self, ring, complex_, resolution, omega_S, provenance):
+    def __init__(self, ring, complex_, resolution, omega_S):
         self.ring = ring
         self.complex = complex_
         self.resolution = resolution
         self.omega_S = omega_S
-        self.provenance = provenance
         self._report = None
 
     def cohomology_report(self):
@@ -623,7 +615,6 @@ def canonical_dualizing(A, pi=None):
     supplied surjection pi: S ->> A."""
     if pi is None:
         S, gens = ambient_of(A), modulus_gens(A)
-        provenance = "ambient presentation" if isinstance(A, QuotientRing) else "identity presentation"
     else:
         S = pi.source
         if isinstance(S, QuotientRing):
@@ -631,10 +622,9 @@ def canonical_dualizing(A, pi=None):
         if not ring_map_is_surjective(pi):
             raise NotSurjective("the presentation map is not surjective")
         gens = list(elimination_kernel(pi).gens)
-        provenance = "presentation through %r" % (S,)
     om = canonical_omega_regular(S)
     W = rhom_to_module(cyclic_module(S, gens), om.complex)
-    return DualizingComplex(A, W, W.resolution, om, provenance)
+    return DualizingComplex(A, W, W.resolution, om)
 
 
 def biduality_certificate(dc):
@@ -666,12 +656,16 @@ def compare_presentations(A, pi1, pi2):
     Each side is collapsed from the joint model by evaluating the linear
     Koszul block at the lifted images of the other side's variables; the
     joint models for the two orderings are compared through lifted
-    resolutions.  Every link is certified per degree."""
+    resolutions.  Every link is certified per degree.  Both maps must land
+    in A."""
+    for pi in (pi1, pi2):
+        if as_quotient(pi.target) != as_quotient(A):
+            raise RingMismatch("a presentation map does not land in the compared ring")
     side1 = _one_sided_collapse(pi1, pi2)
     side2 = _one_sided_collapse(pi2, pi1)
     # both collapses land on the same joint ring up to variable reordering;
     # compare the two joint models through a renaming plus lifted resolution
-    cert12, joint_pair = _compare_joint_models(A, side1, side2)
+    cert12 = _compare_joint_models(side1, side2)
     certified = (
         all(side1["certified"].values())
         and all(side2["certified"].values())
@@ -713,7 +707,6 @@ def _one_sided_collapse(pi_main, pi_other):
     joint_res, joint_bases = tensor_complex(res1_in_S3, Klin)
     om3 = canonical_omega_regular(S3)
     W3, _ = hom_complex(joint_res, om3.complex)
-    A3 = QuotientRing(S3, [rename_poly(g, S3, idx1) for g in J1.gens] + lin)
     collapse, sigma = _collapse_linear_block(
         W3, joint_bases, Klin, len(lin), lifts, S1, S3, own.complex.hom_bases
     )
@@ -743,9 +736,7 @@ def _one_sided_collapse(pi_main, pi_other):
         "own_report": rep1,
         "joint_report": rep3,
         "certified": certified,
-        "linear_block": lin,
         "index": idx1,
-        "ring": A3,
     }
 
 
@@ -795,38 +786,31 @@ def _collapse_linear_block(W3, joint_bases, Klin, d2, lifts, S1, S3, W1_bases):
     return runner, sigma
 
 
-def _compare_joint_models(A, side1, side2):
+def _compare_joint_models(side1, side2):
     """Certified comparison of the two joint models through a variable
     permutation and a lifted map of resolutions."""
-    S3a = side1["joint_ring"]
-    S3b = side2["joint_ring"]
-    amb_a, amb_b = S3a, S3b
+    amb_b = side2["joint_ring"]
     n1 = len(side1["index"])
     n2 = len(side2["index"])
-    # S3a lists S1-vars then S2-tags; S3b lists S2-vars then S1-tags
+    # side 1's joint ring lists S1-vars then S2-tags, side 2's the reverse
     perm = [n2 + i for i in range(n1)] + list(range(n2))
     Wb = side2["joint_model"]
     res_a = side1["joint_res"]
     res_b = side2["joint_res"]
     res_a_in_b = res_a.renamed(amb_b, perm)
     Wa_in_b = side1["joint_model"].renamed(amb_b, perm)
-    lifted = lift_chain_map([unit_vector(amb_b, 1, 0)], res_b, res_a_in_b, S3b)
+    lifted = lift_chain_map([unit_vector(amb_b, 1, 0)], res_b, res_a_in_b, amb_b)
     cm = hom_transpose_chain_map(lifted, Wa_in_b, Wb)
     rep_a = cohomology(Wa_in_b)
-    rep_b = side2["joint_report"]
-    certified = certify_degreewise(rep_a.degrees, rep_b.degrees, cm.apply)
-    return certified, (rep_a, rep_b)
+    return certify_degreewise(rep_a.degrees, side2["joint_report"].degrees, cm.apply)
 
 
 # ---------------------------------------------------------------------------
 # Frobenius duality
 
 class FrobeniusDualityReport:
-    def __init__(self, certified, complex_certified, generator_data, degrees):
+    def __init__(self, certified):
         self.certified = certified
-        self.complex_certified = complex_certified
-        self.generator_data = generator_data
-        self.degrees = degrees
 
 
 def verify_frobenius_duality(A, e=1):
@@ -843,9 +827,7 @@ def verify_frobenius_duality(A, e=1):
     inverse whose two composites with it are the identity in every degree;
     and the assembled candidate in the lowest degree, certified as a
     module isomorphism by an explicit inverse (is_isomorphism).  A
-    comparison that is not invertible on the terms raises AlgebraError.
-    F_* is exact and faithful, so the degrees of nonzero cohomology are
-    read off the dualizing complex itself."""
+    comparison that is not invertible on the terms raises AlgebraError."""
     A_work = as_quotient(A)
     dc = canonical_dualizing(A_work)
     W = dc.complex
@@ -854,8 +836,6 @@ def verify_frobenius_duality(A, e=1):
     chi, FK = _trace_pairing_chain_map(dc, e)
     FW, C2 = chi.source, chi.target
     invert_monomial_chain_map(chi)
-    # square in every degree, so FW and C2 have the same degrees
-    complex_certified = {d: True for d in FW.degrees()}
     # module-level: the canonical module and its pushforward
     low = dc.lowest_degree()
     h_om = dc.canonical_module()
@@ -898,19 +878,7 @@ def verify_frobenius_duality(A, e=1):
             raise AlgebraError("candidate map failed to encode in Hom")
         cols.append(coords)
     cand = ModuleMap(Fomega, Hom_module_side, cols, check=True)
-    certified = is_isomorphism(cand)
-    gen_data = {
-        "lowest_degree": low,
-        "omega_generators": omega_mod.ngens,
-        "pushforward_generators": Fomega.ngens,
-        "hom_generators": Hom_module_side.ngens,
-    }
-    return FrobeniusDualityReport(
-        certified,
-        complex_certified,
-        gen_data,
-        dc.cohomology_report().nonzero_degrees(),
-    )
+    return FrobeniusDualityReport(is_isomorphism(cand))
 
 
 def _frobenius_multiplications(K, FK, e):
@@ -948,7 +916,6 @@ def _trace_pairing_chain_map(dc, e):
     amb = W.ambient
     p = amb.p
     q = p ** e
-    topv = tuple([q - 1] * amb.nvars)
     maps = {}
     for dgr in FW.degrees():
         fw_idx = FW.pushforward_indices[dgr]

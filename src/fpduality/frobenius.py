@@ -271,7 +271,6 @@ def pbasis_trace_generator(R, xs, omega_complex):
     cols = [unit_vector(amb, 1, 0) if a == top else vector_of(amb, 1, ()) for a in tuples]
     phi = ModuleMap(free_module(R, len(tuples)), free_module(R, 1), cols, check=False)
     phi.basis_tuples = tuples
-    phi.volume_degree = degrees[0]
 
     def value(c):
         # the coefficient of the top monomial in xs^c

@@ -26,14 +26,12 @@ from .polyring import RingMap
 class GabberStage:
     """One p-th-root extension R_i of R_{i-1} along the current tuple."""
 
-    def __init__(self, base, level, ring, phi, iota, pbasis_images, iota_kernel_zero):
+    def __init__(self, base, ring, phi, iota, pbasis_images):
         self.base = base
-        self.level = level
         self.ring = ring
         self.phi = phi
         self.iota = iota
         self.pbasis_images = pbasis_images
-        self.iota_kernel_zero = iota_kernel_zero
 
     def check_frobenius_identities(self, samples=()):
         """phi o iota = F on the base and iota o phi = F upstairs."""
@@ -72,15 +70,12 @@ def gabber_step(R, xs, check_p_generating=True, level=1, root_stub="X"):
     phi_images = [reduce_in(R, amb.var(i) ** p) for i in range(n0)]
     phi_images += [reduce_in(R, x) for x in xs]
     phi = RingMap(R1, R, phi_images, check=True)
-    ker = elimination_kernel(iota)
     stage = GabberStage(
         base=R,
-        level=level,
         ring=R1,
         phi=phi,
         iota=iota,
         pbasis_images=[R1.reduce(r) for r in roots],
-        iota_kernel_zero=ker.is_zero(),
     )
     if not stage.check_frobenius_identities():
         raise AlgebraError("Frobenius identities failed on a Gabber step")
@@ -88,15 +83,13 @@ def gabber_step(R, xs, check_p_generating=True, level=1, root_stub="X"):
 
 
 class GabberTruncation:
-    """Level-e stage of the tower with the composite projection to R."""
+    """Level-e stage of the tower over R."""
 
-    def __init__(self, base, xs, stages, pi):
-        self.base = base
+    def __init__(self, base, xs, stages):
         self.xs = list(xs)
         self.stages = stages
         self.ring = stages[-1].ring if stages else base
         self.level = len(stages)
-        self.pi = pi
 
     @property
     def pbasis_images(self):
@@ -106,23 +99,19 @@ class GabberTruncation:
 
 
 def gabber_truncation(R, xs, e, root_stub="X"):
-    """Iterate gabber_step e times; the composite pi_e projects to R."""
+    """Iterate gabber_step e times."""
     xs = list(xs)
     if not is_p_generating(R, xs):
         raise NotPGenerating("the tuple does not p-generate the ring")
     stages = []
     current = R
     tuple_now = xs
-    pi = RingMap.identity(R)
     for k in range(1, e + 1):
         stage = gabber_step(current, tuple_now, check_p_generating=False, level=k, root_stub=root_stub)
         stages.append(stage)
-        pi = pi.compose(stage.phi) if k > 1 else stage.phi
         current = stage.ring
         tuple_now = stage.pbasis_images
-    if not stages:
-        pi = RingMap.identity(R)
-    return GabberTruncation(R, xs, stages, pi)
+    return GabberTruncation(R, xs, stages)
 
 
 def verify_kernel_bracket(S, pi, e):

@@ -1368,9 +1368,8 @@ def ideal_membership(f, I):
 # ---------------------------------------------------------------------------
 # free resolutions (raw matrix form; complexes.py wraps them)
 
-def resolution_stages(ring, rank, columns, length=None):
-    """Iterated syzygies over ring: stage 0 is the columns presenting M
-    inside R^rank.
+def resolution_stages(ring, columns, length=None):
+    """Iterated syzygies over ring: stage 0 is the columns presenting M.
 
     Returns a list of (columns, solver) pairs: stage k's columns map
     R^{len(stage k)} -> R^{len(stage k-1)}, and its solver is the

@@ -108,9 +108,7 @@ def ideal_module(ring, gens):
     """
     amb = ambient_of(ring)
     cols = [VectorPoly(amb, [g]) for g in gens]
-    mod = FPModule(ring, len(gens), syzygies(cols, modulo=modulus_tails(ring, 1)))
-    mod.ideal_gens = list(gens)
-    return mod
+    return FPModule(ring, len(gens), syzygies(cols, modulo=modulus_tails(ring, 1)))
 
 
 class ModuleMap:
@@ -484,9 +482,7 @@ def direct_sum(modules):
         for off, M in zip(offsets, modules)
         for r in M.relations
     ]
-    out = FPModule(ring, total, rels, normalize=False)
-    out.summand_offsets = offsets
-    return out
+    return FPModule(ring, total, rels, normalize=False)
 
 
 def exterior_power(M, k):
@@ -513,9 +509,7 @@ def exterior_power(M, k):
     grading = None
     if M.grading is not None:
         grading = [sum(M.grading[i] for i in s) for s in subsets]
-    out = FPModule(M.ring, len(subsets), rels, grading=grading)
-    out.subset_labels = subsets
-    return out
+    return FPModule(M.ring, len(subsets), rels, grading=grading)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ deterministically.
 """
 
 import re
-import time
 
 from .config import config
 from .complexes import rank_one_complex
@@ -335,7 +334,7 @@ class Report:
 
 
 class Session:
-    """Name environment plus a transcript of executed commands.
+    """Name environment and the outcome of the checks run so far.
 
     A new session starts from the default budgets, so that settings made
     by an earlier session in the process do not carry over."""
@@ -343,7 +342,6 @@ class Session:
     def __init__(self):
         config.reset()
         self.env = {}
-        self.transcript = []
         self.checks_passed = True
         self.had_error = False
 
@@ -422,6 +420,14 @@ def _quotient(v):
     raise AlgebraError("expected a ring")
 
 
+def _arity(least, most):
+    if most is None:
+        return "at least %d" % least
+    if most == least:
+        return "%d" % least
+    return "%d to %d" % (least, most)
+
+
 class Interpreter:
     def __init__(self, session):
         self.session = session
@@ -437,9 +443,12 @@ class Interpreter:
             return [self.eval(a) for a in ast[1]]
         if kind == "call":
             name, args = ast[1], ast[2]
-            fn = BUILTINS.get(name)
-            if fn is None:
+            entry = BUILTINS.get(name)
+            if entry is None:
                 raise SessionNameError("unknown function %r" % name)
+            fn, least, most = entry
+            if len(args) < least or most is not None and len(args) > most:
+                raise ParseError("%s expects %s argument(s), got %d" % (name, _arity(least, most), len(args)))
             return fn(self, args)
         raise ParseError("bare polynomial expressions need a ring context")
 
@@ -617,9 +626,7 @@ def _b_associativity(ip, args):
     M = _module_arg(ip.eval(args[1]))
     N = _module_arg(ip.eval(args[2]))
     K = _module_arg(ip.eval(args[3]))
-    shifts = (0, 0, 0)
-    if len(args) > 4:
-        shifts = tuple(ip.eval(a) for a in args[4:7])
+    shifts = tuple(ip.eval(args[i]) if len(args) > i else 0 for i in (4, 5, 6))
     return verify_associativity(A, M, N, K, shifts=shifts)["certified"]
 
 
@@ -667,40 +674,41 @@ def _b_trace_generator(ip, args):
     return phi.freeness_certificate
 
 
+# name -> (builtin, least and most argument count; None: no most)
 BUILTINS = {
-    "ideal": _b_ideal,
-    "cyclic": _b_cyclic,
-    "ideal_module": _b_ideal_module,
-    "frobenius_pushforward": _b_pushforward,
-    "exterior_power": _b_exterior,
-    "hom": _b_hom,
-    "tensor": _b_tensor,
-    "generic_rank": _b_generic_rank,
-    "minimal_generators_at": _b_minimal_generators,
-    "hilbert": _b_hilbert,
-    "bracket_power": _b_bracket_power,
-    "ringmap": _b_ringmap,
-    "kernel_ideal": _b_kernel_ideal,
-    "gabber_truncation": _b_gabber,
-    "omega_module": _b_omega,
-    "omega_degrees": _b_omega_degrees,
-    "is_zero": _b_is_zero,
-    "equal_ideals": _b_equal_ideals,
-    "frobenius_duality": _b_frobenius_duality,
-    "gabber_kernels": _b_gabber_kernels,
-    "kernel_bracket": _b_gabber_kernels,
-    "p_basis": _b_p_basis,
-    "p_generating": _b_p_generating,
-    "extend_pgens": _b_extend_pgens,
-    "unit": _b_unit,
-    "rigidifier": _b_rigidifier,
-    "symmetry": _b_symmetry,
-    "associativity": _b_associativity,
-    "presentations": _b_presentations,
-    "eta": _b_eta,
-    "xi_factorizations": _b_xi_factorizations,
-    "commutation_signs": _b_commutation_signs,
-    "trace_generator": _b_trace_generator,
+    "ideal": (_b_ideal, 1, None),
+    "cyclic": (_b_cyclic, 1, None),
+    "ideal_module": (_b_ideal_module, 1, None),
+    "frobenius_pushforward": (_b_pushforward, 1, 2),
+    "exterior_power": (_b_exterior, 2, 2),
+    "hom": (_b_hom, 2, 2),
+    "tensor": (_b_tensor, 2, 2),
+    "generic_rank": (_b_generic_rank, 1, 1),
+    "minimal_generators_at": (_b_minimal_generators, 2, 2),
+    "hilbert": (_b_hilbert, 2, 2),
+    "bracket_power": (_b_bracket_power, 2, 2),
+    "ringmap": (_b_ringmap, 3, 3),
+    "kernel_ideal": (_b_kernel_ideal, 1, 1),
+    "gabber_truncation": (_b_gabber, 3, 3),
+    "omega_module": (_b_omega, 1, 1),
+    "omega_degrees": (_b_omega_degrees, 1, 1),
+    "is_zero": (_b_is_zero, 1, 1),
+    "equal_ideals": (_b_equal_ideals, 2, 2),
+    "frobenius_duality": (_b_frobenius_duality, 1, 2),
+    "gabber_kernels": (_b_gabber_kernels, 3, 3),
+    "kernel_bracket": (_b_gabber_kernels, 3, 3),
+    "p_basis": (_b_p_basis, 2, 2),
+    "p_generating": (_b_p_generating, 2, 2),
+    "extend_pgens": (_b_extend_pgens, 4, 4),
+    "unit": (_b_unit, 2, 3),
+    "rigidifier": (_b_rigidifier, 1, 1),
+    "symmetry": (_b_symmetry, 3, 5),
+    "associativity": (_b_associativity, 4, 7),
+    "presentations": (_b_presentations, 3, 3),
+    "eta": (_b_eta, 2, 2),
+    "xi_factorizations": (_b_xi_factorizations, 1, 2),
+    "commutation_signs": (_b_commutation_signs, 1, 1),
+    "trace_generator": (_b_trace_generator, 1, 1),
 }
 
 
@@ -770,7 +778,6 @@ def unparse_statement(stmt):
 def execute(session, stmt):
     """Dispatch one parsed statement; returns a Report."""
     echo = unparse_statement(stmt)
-    started = time.time()
     try:
         kind = stmt[0]
         if kind == "ring":
@@ -815,5 +822,4 @@ def execute(session, stmt):
     except Exception as exc:  # no panics across the process boundary
         session.had_error = True
         report = Report(echo, "error", error_kind="internal", message=str(exc))
-    session.transcript.append((echo, report, time.time() - started))
     return report

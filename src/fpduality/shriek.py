@@ -54,7 +54,6 @@ class EnvelopingRing:
 
     def __init__(self, A, copies=2):
         A = as_quotient(A)
-        self.base = A
         amb = A.ambient
         n = amb.nvars
         self.copies = copies
@@ -143,12 +142,9 @@ def diagonal_resolution(env, length):
 
 
 class ShriekResult:
-    def __init__(self, env, complex_, homology, window, shifts):
-        self.env = env
+    def __init__(self, complex_, homology):
         self.complex = complex_
         self.homology = homology
-        self.window = window
-        self.shifts = shifts
 
     def nonzero_degrees(self):
         return sorted(d for d, h in self.homology.items() if not h.is_zero())
@@ -162,8 +158,8 @@ class ShriekResult:
 
 def _shriek_product(env, modules, t0):
     """The !-tensor product of single-degree modules, one on each copy of
-    env, placed in degree t0: (window, diagonal resolution G, external
-    product T, U = Hom(G, T[t0]), cohomology of U on the window).
+    env, placed in degree t0: (diagonal resolution G, external product T,
+    U = Hom(G, T[t0]), cohomology of U on the window).
 
     Window: [t0 - 2(k-1) dim P, t0 + (k-1) dim P] for k copies, bounded
     below through the regular cover (the bound 2 dim P of two copies, once
@@ -176,7 +172,7 @@ def _shriek_product(env, modules, t0):
     T = external_tensor(env, modules)
     G = diagonal_resolution(env, (window[1] - window[0]) + 2)
     U, _ = hom_complex(G, in_one_degree(T, t0))
-    return window, G, T, U, cohomology(U, window=window).degrees
+    return G, T, U, cohomology(U, window=window).degrees
 
 
 def shriek_tensor(A, M, N, m_shift=0, n_shift=0, env=None):
@@ -184,8 +180,8 @@ def shriek_tensor(A, M, N, m_shift=0, n_shift=0, env=None):
     window [m+n - 2 dim P, m+n + dim P] of _shriek_product."""
     A = as_quotient(A)
     env = env or EnvelopingRing(A, 2)
-    window, G, T, U, hom = _shriek_product(env, [M, N], m_shift + n_shift)
-    res = ShriekResult(env, U, hom, window, (m_shift, n_shift))
+    G, T, U, hom = _shriek_product(env, [M, N], m_shift + n_shift)
+    res = ShriekResult(U, hom)
     res.resolution = G
     res.target = T
     return res

@@ -97,6 +97,50 @@ class TestExecution:
         finally:
             config.degree_budget = old
 
+    PRESENTATIONS = (
+        "ring A = Fp(2)[x] / (x^2);\n"
+        "ring B = Fp(2)[x] / (x^3);\n"
+        "ring S = Fp(2)[x];\n"
+        "ring T = Fp(2)[u,v];\n"
+        "let p1 = ringmap(S, A, [x]);\n"
+        "let p2 = ringmap(T, A, [x, 0]);\n"
+    )
+
+    def test_presentations_of_the_ring(self):
+        _s, reports = run_script(self.PRESENTATIONS + "check presentations(A, p1, p2);\n")
+        assert reports[-1].payload == {"certified": True}
+
+    def test_presentations_of_another_ring_are_refused(self):
+        # p1 and p2 present A, not B: no verdict on B
+        session, reports = run_script(self.PRESENTATIONS + "check presentations(B, p1, p2);\n")
+        assert reports[-1].status == "error"
+        assert reports[-1].error_kind == "RingMismatch"
+        assert session.had_error
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            ("print hom(M);", "hom expects 2 argument(s), got 1"),
+            ("print hom(M, M, M);", "hom expects 2 argument(s), got 3"),
+            ("print ideal();", "ideal expects at least 1 argument(s), got 0"),
+            ("check symmetry(S, M, M, 0, 0, 0);", "symmetry expects 3 to 5 argument(s), got 6"),
+            ("check associativity(S, M, M, M, 0, 0, 0, 0);", "associativity expects 4 to 7 argument(s), got 8"),
+            ("check frobenius_duality();", "frobenius_duality expects 1 to 2 argument(s), got 0"),
+        ],
+    )
+    def test_argument_counts_are_checked(self, call, message):
+        _s, reports = run_script("ring S = Fp(2)[x];\nlet M = cyclic(S, x);\n" + call + "\n")
+        assert reports[-1].status == "error"
+        assert reports[-1].error_kind == "ParseError"
+        assert reports[-1].message == message
+
+    def test_associativity_reads_each_shift(self):
+        # one or two optional shifts given: the others default to 0
+        text = "ring S = Fp(2)[x];\nlet O = cyclic(S);\nlet N = cyclic(S, x);\n"
+        calls = ["check associativity(S, O, N, O%s);" % tail for tail in (", 0", ", 0, 0", ", 0, 0, 0")]
+        _s, reports = run_script(text + "\n".join(calls) + "\n")
+        assert [r.payload for r in reports[3:]] == [{"certified": True}] * 3
+
     def test_serialization_deterministic(self):
         text = "ring R = Fp(2)[x,y] / (x*y);\nlet Q = ideal(R, x + 1, y + 1);\nprint Q;\n"
         _s1, r1 = run_script(text)

@@ -263,7 +263,7 @@ class TestRHom:
         S = ring(3, "x")
         x = S.var("x")
         M = cyclic_module(S, [x ** 2])
-        T = rank_one_complex(S, -1, label="dx")
+        T = rank_one_complex(S, -1)
         H = rhom_to_module(M, T)
         rep = cohomology(H)
         assert rep.nonzero_degrees() == [0]

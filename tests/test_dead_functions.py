@@ -8,7 +8,15 @@ the language and are not scanned.  A function or method that only the
 tests or the benchmark reach is dead code in the library: it moves into
 the test that calls it, or goes.  ALLOWED names the exceptions, methods as
 Class.method, each with its reason; an exception that gains a caller or
-disappears must leave the list."""
+disappears must leave the list.
+
+Two more scans find state and inputs that nothing reads.  Every attribute
+that the package stores (obj.name = ...) is loaded by that name, on any
+object, somewhere in the package, the tests or the benchmark; the tests
+count as readers, since a report's fields are how a test reads its result.
+Every parameter of a function or lambda in the package is loaded in its
+body, except self, cls and names that start with an underscore.  Neither
+scan has exceptions."""
 
 import ast
 import pathlib
@@ -16,6 +24,8 @@ import pathlib
 import fpduality
 
 SOURCES = sorted(pathlib.Path(fpduality.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+READERS = SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "benchmark").glob("*.py"))
 
 ALLOWED = {
     "solve_in_span": "benchmark/tracer.py wraps it by name; it goes once the tracer follows SpanSolver.solve",
@@ -71,6 +81,46 @@ def _unreferenced(texts):
     return {shown for shown, name in defined.items() if name not in read}
 
 
+def _unread_attributes(stores, readers):
+    """The attribute names that the store texts assign and that no reader
+    text loads, on any object.  An augmented assignment only stores."""
+    stored = set()
+    for text in stores:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stored.add(node.attr)
+    loaded = set()
+    for text in readers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return stored - loaded
+
+
+def _unread_parameters(texts):
+    """function(parameter) for each parameter of a function or lambda in
+    the texts that its body, nested functions included, never loads; self,
+    cls and names starting with an underscore are exempt."""
+    unread = set()
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, _FUNCTIONS + (ast.Lambda,)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {
+                sub.id
+                for stmt in body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            for a in params:
+                if a.arg not in loaded and a.arg not in ("self", "cls") and not a.arg.startswith("_"):
+                    unread.add("%s(%s)" % (getattr(node, "name", "lambda"), a.arg))
+    return unread
+
+
 def test_sources_are_found():
     names = {path.name for path in SOURCES}
     assert {"__init__.py", "groebner.py", "modules.py", "frobenius.py", "gabber.py"} <= names
@@ -113,3 +163,42 @@ def test_exceptions_are_current():
     texts = [path.read_text() for path in SOURCES]
     assert set(ALLOWED) <= _unreferenced(texts)
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_scan_finds_an_unread_attribute():
+    module = (
+        "class Thing:\n"
+        "    def __init__(self, other):\n"
+        "        self.used = 1\n        self.dead = 2\n        self.counter = 0\n"
+        "        other.named = 3\n"
+        "    def bump(self):\n        self.counter += 1\n"
+    )
+    reader = "def f(t):\n    return t.used, t.named\n"
+    # a store is not a load, and an increment alone reads nothing
+    assert _unread_attributes([module], [module, reader]) == {"dead", "counter"}
+    # a test that reads a field keeps it
+    assert _unread_attributes([module], [module, reader, "assert t.dead\n"]) == {"counter"}
+
+
+def test_scan_finds_an_unread_parameter():
+    module = (
+        "def f(a, b, _c, *args, d=1, **kw):\n"
+        "    def inner(x=b):\n        return x\n"
+        "    a = 2\n"
+        "    return inner() + len(args)\n"
+        "class Thing:\n"
+        "    def method(self, y):\n        return 0\n"
+        "g = lambda u, v: u\n"
+    )
+    # a parameter only stored to, or read by no one, is unread
+    assert _unread_parameters([module]) == {"f(a)", "f(d)", "f(kw)", "method(y)", "lambda(v)"}
+
+
+def test_every_stored_attribute_is_read():
+    stores = [path.read_text() for path in SOURCES]
+    readers = [path.read_text() for path in READERS]
+    assert _unread_attributes(stores, readers) == set()
+
+
+def test_every_parameter_is_read():
+    assert _unread_parameters([path.read_text() for path in SOURCES]) == set()

@@ -190,7 +190,7 @@ class TestPGenerating:
 class TestTraceGenerator:
     def test_line_char2(self):
         R = ring(2, "x")
-        omega = rank_one_complex(R, -1, label="dx")
+        omega = rank_one_complex(R, -1)
         phi = pbasis_trace_generator(R, [R.var("x")], omega)
         # evaluation table: F_*x -> dx, F_*1 -> 0
         assert phi.basis_tuples == [(0,), (1,)]
@@ -200,7 +200,7 @@ class TestTraceGenerator:
 
     def test_line_char3(self):
         R = ring(3, "x")
-        omega = rank_one_complex(R, -1, label="dx")
+        omega = rank_one_complex(R, -1)
         phi = pbasis_trace_generator(R, [R.var("x")], omega)
         assert phi.basis_tuples == [(0,), (1,), (2,)]
         vals = [c.components[0] for c in phi.columns]
@@ -209,7 +209,7 @@ class TestTraceGenerator:
 
     def test_plane_char2(self):
         R = ring(2, "x", "y")
-        omega = rank_one_complex(R, -2, label="dx^dy")
+        omega = rank_one_complex(R, -2)
         phi = pbasis_trace_generator(R, list(R.gens()), omega)
         for a, col in zip(phi.basis_tuples, phi.columns):
             if a == (1, 1):

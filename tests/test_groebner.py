@@ -282,22 +282,22 @@ class TestModuleGBLift:
         assert mgb.lift(vector_from_poly(y)) is None
 
 
-def presentation_resolution(ring, rank, columns, length=None):
+def presentation_resolution(ring, columns, length=None):
     # the column lists of resolution_stages, without their solvers
-    return [stage for stage, _solver in resolution_stages(ring, rank, columns, length)]
+    return [stage for stage, _solver in resolution_stages(ring, columns, length)]
 
 
 class TestFreeResolution:
     def test_koszul_resolution_ranks(self):
         R = ring(2, "x", "y")
         x, y = R.gens()
-        stages = presentation_resolution(R, 1, [vector_from_poly(x), vector_from_poly(y)])
+        stages = presentation_resolution(R, [vector_from_poly(x), vector_from_poly(y)])
         ranks = [1] + [len(s) for s in stages]
         assert ranks == [1, 2, 1]
 
     def test_free_module_resolution_empty(self):
         R = ring(2, "x")
-        assert presentation_resolution(R, 1, []) == []
+        assert presentation_resolution(R, []) == []
 
     def test_length_skips_syzygies_of_last_stage(self, monkeypatch):
         # over F_2[x]/(x^2) the resolution of the residue field is periodic:
@@ -313,14 +313,14 @@ class TestFreeResolution:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(groebner.ModuleGB, "__init__", counted)
-        stages = presentation_resolution(R, 1, [vector_from_poly(x)], length=3)
+        stages = presentation_resolution(R, [vector_from_poly(x)], length=3)
         assert [[repr(v) for v in s] for s in stages] == [["(x)"]] * 3
         assert builds[0] == 2
 
     def test_principal_ideal(self):
         R = ring(3, "x")
         x = R.var("x")
-        stages = presentation_resolution(R, 1, [vector_from_poly(x ** 2)])
+        stages = presentation_resolution(R, [vector_from_poly(x ** 2)])
         assert len(stages) == 1
         assert len(stages[0]) == 1
 
@@ -329,7 +329,7 @@ class TestFreeResolution:
         R = ring(2, "x", "y", "z")
         x, y, z = R.gens()
         cols = [vector_from_poly(f) for f in (x * y, y * z, z * x)]
-        stages = presentation_resolution(R, 1, cols)
+        stages = presentation_resolution(R, cols)
         for k in range(1, len(stages)):
             prev, cur = stages[k - 1], stages[k]
             for s in cur:
