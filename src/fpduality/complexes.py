@@ -13,6 +13,8 @@ construction (modulo the modulus of the ring, then modulo the term
 relations).
 """
 
+from itertools import combinations
+
 from .errors import AlgebraError, RingMismatch
 from .fp import inv_mod
 from .groebner import (
@@ -40,12 +42,13 @@ def solve_in_span(target, columns, ring, rank):
 
 class FreeComplex:
     """Bounded complex of free modules, optionally modulo per-degree
-    relations; matrices are lists of columns."""
+    relations; matrices are lists of columns.  bases maps a degree to the
+    BasisIndex labelling its term, where the builder names one (Hom and
+    tensor triples, Koszul subsets, pushforward labels)."""
 
-    hom_bases = None  # degree -> BasisIndex, on the complexes hom_complex builds
-
-    def __init__(self, ring, terms, diffs, check=True, relations=None):
+    def __init__(self, ring, terms, diffs, check=True, relations=None, bases=None):
         self.ring = ring
+        self.bases = bases or {}
         self.ambient = ambient_of(ring)
         self.terms = {d: r for d, r in terms.items() if r > 0}
         self.diffs = {}
@@ -134,7 +137,7 @@ class FreeComplex:
     def renamed(self, ring, index_map):
         """This complex over ring, every matrix and relation entry sent by
         rename_poly into the ambient of ring, variable i going to variable
-        index_map[i]; Hom bases carry over, since the terms keep their
+        index_map[i]; the bases carry over, since the terms keep their
         ranks."""
         amb = ambient_of(ring)
 
@@ -144,14 +147,13 @@ class FreeComplex:
                 for v in vectors
             ]
 
-        out = FreeComplex(
+        return FreeComplex(
             ring,
             dict(self.terms),
             {d: mapped(cols) for d, cols in self.diffs.items()},
             relations={d: mapped(rels) for d, rels in self.relations.items()},
+            bases=self.bases,
         )
-        out.hom_bases = self.hom_bases
-        return out
 
     def __repr__(self):
         lo, hi = self.support()
@@ -192,14 +194,15 @@ def _rows(columns, nrows):
 
 
 class BasisIndex:
-    """Index bookkeeping for Hom/tensor terms built from basis triples."""
+    """A labelled basis: basis element i carries labels[i], and position
+    sends a label back to its index."""
 
-    def __init__(self, triples):
-        self.triples = list(triples)
-        self.position = {t: i for i, t in enumerate(self.triples)}
+    def __init__(self, labels):
+        self.labels = list(labels)
+        self.position = {t: i for i, t in enumerate(self.labels)}
 
     def __len__(self):
-        return len(self.triples)
+        return len(self.labels)
 
 
 def _product_terms(X, Y, degrees, partner):
@@ -236,9 +239,8 @@ def _product_terms(X, Y, degrees, partner):
 
 
 def hom_complex(X, Y):
-    """Hom(X, Y) with differential d_Y o f - (-1)^n f o d_X, for X free.
-
-    Returns the complex and its bases, which it also keeps as .hom_bases."""
+    """Hom(X, Y) with differential d_Y o f - (-1)^n f o d_X, for X free;
+    term n is labelled by the triples (i, a, b) of _product_terms."""
     if ambient_of(X.ring) != ambient_of(Y.ring):
         raise RingMismatch("Hom of complexes over different ambient rings")
     amb = X.ambient
@@ -256,7 +258,7 @@ def hom_complex(X, Y):
         sign = -1 if n % 2 == 0 else 1  # -(-1)^n
         cols = []
         # every triple a differential reaches is in the basis of degree n + 1
-        for (i, a, b) in bi.triples:
+        for (i, a, b) in bi.labels:
             entries = []
             if i + n in Y.diffs:
                 entries += [(tgt.position[(i, a, b2)], e) for b2, e in nonzero_slots(Y.diffs[i + n][b])]
@@ -264,13 +266,12 @@ def hom_complex(X, Y):
                 entries += [(tgt.position[(i - 1, a2, b)], e.scale(sign)) for a2, e in dx_rows[i - 1][a]]
             cols.append(vector_of(amb, len(tgt), entries))
         diffs[n] = cols
-    H = FreeComplex(ring, terms, diffs, relations=relations)
-    H.hom_bases = bases
-    return H, bases
+    return FreeComplex(ring, terms, diffs, relations=relations, bases=bases)
 
 
 def tensor_complex(X, Y):
-    """Total complex of X tensor Y with Koszul signs, for X free."""
+    """Total complex of X tensor Y with Koszul signs, for X free; term n is
+    labelled by the triples (i, a, b) of _product_terms."""
     if ambient_of(X.ring) != ambient_of(Y.ring):
         raise RingMismatch("tensor of complexes over different ambient rings")
     amb = X.ambient
@@ -286,7 +287,7 @@ def tensor_complex(X, Y):
             continue
         cols = []
         # every triple a differential reaches is in the basis of degree n + 1
-        for (i, a, b) in bi.triples:
+        for (i, a, b) in bi.labels:
             entries = []
             if i in X.diffs:
                 entries += [(tgt.position[(i + 1, a2, b)], e) for a2, e in nonzero_slots(X.diffs[i][a])]
@@ -296,7 +297,7 @@ def tensor_complex(X, Y):
                 entries += [(tgt.position[(i, a, b2)], e.scale(sign)) for b2, e in nonzero_slots(dy)]
             cols.append(vector_of(amb, len(tgt), entries))
         diffs[n] = cols
-    return FreeComplex(ring, terms, diffs, relations=relations), bases
+    return FreeComplex(ring, terms, diffs, relations=relations, bases=bases)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +416,10 @@ def mod_cohomology(C, window=None):
 # chain maps
 
 class ChainMap:
-    """Map of complexes; maps[d] is a list of columns C^d_src -> C^d_tgt."""
+    """Map of complexes; maps[d] is a list of columns C^d_src -> C^d_tgt,
+    verified to commute with the differentials."""
 
-    def __init__(self, source, target, maps, check=True):
+    def __init__(self, source, target, maps):
         self.source = source
         self.target = target
         self.maps = {}
@@ -429,8 +431,7 @@ class ChainMap:
                 raise AlgebraError("chain map at degree %d has wrong width" % d)
             self.maps[d] = cols
         self._row_lists = {}
-        if check:
-            self.verify()
+        self.verify()
 
     def column(self, d, j):
         if d in self.maps:
@@ -492,7 +493,7 @@ def invert_monomial_chain_map(f):
             rows.add(i)
             inverse[i].append((j, amb.const(inv_mod(u, amb.p))))
         maps[d] = [vector_of(amb, n, entries) for entries in inverse]
-    g = ChainMap(tgt, src, maps, check=True)
+    g = ChainMap(tgt, src, maps)
     for first, second in ((f, g), (g, f)):
         C = first.source
         for d in C.degrees():
@@ -531,39 +532,29 @@ def resolution_complex(M):
 
 def rhom_to_module(M, T):
     """R Hom(M, T) for M an FPModule over a polynomial ring, T a bounded
-    free complex: Hom of the free resolution into T, which it keeps as
-    .resolution."""
+    free complex: (the free resolution of M, Hom of it into T)."""
     res = resolution_complex(M)
-    H, _ = hom_complex(res, T)
-    H.resolution = res
-    return H
+    return res, hom_complex(res, T)
 
 
 def koszul_complex(ring, elements):
     """Koszul complex on a sequence, as a resolution-shaped complex in
-    degrees [-c, 0]: term at -j has basis the j-subsets, d(e_T) =
+    degrees [-c, 0]: term at -j is labelled by the j-subsets, d(e_T) =
     sum_{t in T} sign * r_t e_{T - t}."""
-    from itertools import combinations
-
     amb = ambient_of(ring)
     elems = list(elements)
     c = len(elems)
+    bases = {-j: BasisIndex(combinations(range(c), j)) for j in range(c + 1)}
     diffs = {}
-    subsets = {j: list(combinations(range(c), j)) for j in range(c + 1)}
-    index = {j: {s: i for i, s in enumerate(subsets[j])} for j in range(c + 1)}
-    terms = {-j: len(subsets[j]) for j in range(c + 1)}
     for j in range(1, c + 1):
-        below = index[j - 1]
+        below = bases[-(j - 1)]
         cols = []
-        for T in subsets[j]:
+        for T in bases[-j].labels:
             # the sign of r_t e_{T - t} is (-1)^k, t the k-th element of T
-            entries = [(below[T[:k] + T[k + 1 :]], elems[t].scale((-1) ** k)) for k, t in enumerate(T)]
+            entries = [(below.position[T[:k] + T[k + 1 :]], elems[t].scale((-1) ** k)) for k, t in enumerate(T)]
             cols.append(vector_of(amb, len(below), entries))
         diffs[-j] = cols
-    K = FreeComplex(ring, terms, diffs)
-    K.koszul_subsets = subsets
-    K.koszul_index = index
-    return K
+    return FreeComplex(ring, {d: len(b) for d, b in bases.items()}, diffs, bases=bases)
 
 
 def lift_chain_map(f0_cols, source, target, ring):
@@ -588,7 +579,7 @@ def lift_chain_map(f0_cols, source, target, ring):
                 raise AlgebraError("lifting failed at degree %d" % d)
             cols.append(coeffs)
         maps[d] = cols
-    return ChainMap(source, target, maps, check=True)
+    return ChainMap(source, target, maps)
 
 
 def lift_map_of_resolutions(f0_cols, resA, resB, ring):
@@ -606,7 +597,7 @@ def hom_transpose_vector(lifted, v, b_src, b_tgt):
     coordinates on b_tgt, the basis of Hom(X, T)^n."""
     entries = []
     for pos, cf in nonzero_slots(v):
-        i, aY, b = b_src.triples[pos]
+        i, aY, b = b_src.labels[pos]
         for aX, entry in lifted.rows(i)[aY]:
             q = b_tgt.position.get((i, aX, b))
             if q is not None:
@@ -619,11 +610,11 @@ def hom_transpose_chain_map(lifted, W_src, W_tgt):
     W_tgt = Hom(X, T) by precomposition with lifted: X -> Y."""
     amb = W_tgt.ambient
     maps = {}
-    for n, b_src in W_src.hom_bases.items():
-        b_tgt = W_tgt.hom_bases.get(n)
+    for n, b_src in W_src.bases.items():
+        b_tgt = W_tgt.bases.get(n)
         if b_tgt is not None:
             maps[n] = [
                 hom_transpose_vector(lifted, unit_vector(amb, len(b_src), k), b_src, b_tgt)
                 for k in range(len(b_src))
             ]
-    return ChainMap(W_src, W_tgt, maps, check=True)
+    return ChainMap(W_src, W_tgt, maps)

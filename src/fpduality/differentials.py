@@ -8,8 +8,11 @@ p-basis, in which case the basis differentials are certified to be a free
 basis and the top exterior power a free rank-one module.
 """
 
+from itertools import combinations
+
 from .errors import AlgebraError, NotCertifiedRegular, NotSurjective, SplittingNotFound
 from .complexes import rank_one_complex
+from .frobenius import is_p_basis
 from .groebner import (
     Ideal,
     QuotientRing,
@@ -44,7 +47,6 @@ class KahlerModule:
         rows = []
         for g in modulus_gens(R):
             rows.append(VectorPoly(amb, [g.derivative(i) for i in range(n)]))
-        self.ring = R
         self.ambient = amb
         self.jacobian = rows
         self.module = FPModule(R, n, rows, grading=None)
@@ -211,11 +213,8 @@ def canonical_omega_regular(R, p_basis=None, pbasis_via_iso=None):
         iso, inv = pbasis_via_iso
         if not certify_pbasis_via_iso(list(p_basis), iso, inv):
             raise NotCertifiedRegular("the isomorphism certificate does not check out")
-    else:
-        from .frobenius import is_p_basis
-
-        if not is_p_basis(R, list(p_basis)):
-            raise NotCertifiedRegular("the exhibited tuple is not a p-basis")
+    elif not is_p_basis(R, list(p_basis)):
+        raise NotCertifiedRegular("the exhibited tuple is not a p-basis")
     n = len(p_basis)
     K = KahlerModule(R)
     # the basis differentials freely generate Omega_R
@@ -224,8 +223,6 @@ def canonical_omega_regular(R, p_basis=None, pbasis_via_iso=None):
     if not is_isomorphism(basis_map):
         raise NotCertifiedRegular("p-basis differentials do not form a free basis")
     lam = exterior_power(K.module, n)
-    from itertools import combinations
-
     subsets = list(combinations(range(amb.nvars), n))
     wedge = VectorPoly(amb, wedge_coordinates(amb, dcols, subsets))
     gen_map = ModuleMap(free_module(R, 1), lam, [wedge], check=False)

@@ -47,6 +47,7 @@ from .frobenius import (
     bracket_power_complex,
     frobenius_pushforward,
     generates_freely,
+    pushforward_basis,
     pushforward_complex,
     pushforward_module,
     pushforward_vector,
@@ -140,32 +141,32 @@ def fli_eta(S, rseq, M):
     reg = cohomology(K)
     if reg.nonzero_degrees() not in ([0], []):
         raise NotRegularSequence("Koszul complex has homology below the top")
-    lhs, lhs_bases = hom_complex(K, M)
-    tensor, tensor_bases = tensor_complex(K, M)
+    lhs = hom_complex(K, M)
+    tensor = tensor_complex(K, M)
     rhs = shift(tensor, -c)
     rho = _koszul_duality_signs(c)
     amb = ambient_of(S)
     p = amb.p
     maps = {}
     for n in lhs.degrees():
-        bi = lhs_bases.get(n)
+        bi = lhs.bases.get(n)
         if bi is None:
             continue
-        tgt = tensor_bases.get(n - c)
+        tgt = tensor.bases.get(n - c)
         cols = []
-        for (i, a, b) in bi.triples:
+        for (i, a, b) in bi.labels:
             j = -i
-            T = K.koszul_subsets[j][a]
+            T = K.bases[i].labels[a]
             comp = _complement(T, c)
             i_m = n + i  # degree of the M-part
             sign = rho[T] * ((-1) ** ((j % 2) * (i_m % 2)))
             if tgt is None:
                 cols.append(vector_of(amb, 0, ()))
             else:
-                pos = tgt.position[(-(c - j), K.koszul_index[c - j][comp], b)]
+                pos = tgt.position[(-(c - j), K.bases[-(c - j)].position[comp], b)]
                 cols.append(unit_vector(amb, len(tgt), pos, amb.const(sign % p)))
         maps[n] = cols
-    cm = ChainMap(lhs, rhs, maps, check=True)
+    cm = ChainMap(lhs, rhs, maps)
     lrep = cohomology(lhs)
     rrep = cohomology(rhs)
     certified = certify_degreewise(lrep.degrees, rrep.degrees, cm.apply)
@@ -177,13 +178,13 @@ def ext_two_pipelines(S, rseq, M):
     Buchberger resolution, with a certified comparison in each degree."""
     A = cyclic_module(S, rseq)
     K = koszul_complex(S, rseq)
-    HK, _ = hom_complex(K, M)
-    HR = rhom_to_module(A, M)
+    HK = hom_complex(K, M)
+    res, HR = rhom_to_module(A, M)
     repK = cohomology(HK)
     repR = cohomology(HR)
     # lift the identity between the two resolutions of S/(rseq); its
     # Hom(-, M) transpose runs Hom(res, M) -> Hom(K, M)
-    lifted = lift_chain_map([unit_vector(ambient_of(S), 1, 0)], K, HR.resolution, S)
+    lifted = lift_chain_map([unit_vector(ambient_of(S), 1, 0)], K, res, S)
     cm = hom_transpose_chain_map(lifted, HR, HK)
     certified = certify_degreewise(repR.degrees, repK.degrees, cm.apply)
     return repK, repR, certified
@@ -201,8 +202,7 @@ def upper_shriek_smooth(R, T, d):
         raise AlgebraError("polynomial extensions are taken over polynomial rings here")
     big, idx = adjoin_variables(R, ["y%d" % (i + 1) for i in range(d)])
     Tup = T.renamed(big, idx)
-    out, _ = tensor_complex(rank_one_complex(big, -d), Tup)
-    return out, big
+    return tensor_complex(rank_one_complex(big, -d), Tup), big
 
 
 def upper_shriek_finite(f, T):
@@ -222,7 +222,7 @@ def upper_shriek_finite(f, T):
         return T
     if not ring_map_is_surjective(f):
         raise NotFinite("only surjections and Frobenius are supported directly")
-    return rhom_to_module(cyclic_module(src, elimination_kernel(f).gens), T)
+    return rhom_to_module(cyclic_module(src, elimination_kernel(f).gens), T)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +258,8 @@ def xi_smooth(R, d):
     return XiIso(
         None,
         {
-            "source_volume": wedge_label(big.variables),
             "fibre_volume": wedge_label(big.variables[m:]),
-            "base_volume": wedge_label(amb.variables),
             "sign": sign,
-            "extended_ring": big,
             "certified": True,
         },
     )
@@ -313,13 +310,13 @@ def xi_lci_class(pi, target_pbasis, rseq=None, pbasis_via_iso=None, theta_column
     lam = Rq.reduce(_det(amb, rows))
     om_S = canonical_omega_regular(S)
     KZ = koszul_complex(S, rs)
-    flat, flat_bases = hom_complex(KZ, om_S.complex)
+    flat = hom_complex(KZ, om_S.complex)
     rep = cohomology(flat, over=Rq)
     h = rep.degrees.get(-m)
     if h is None:
         raise AlgebraError("expected cohomology in degree %d" % (-m))
-    bi = flat_bases[-m]
-    top_index = KZ.koszul_index[c][tuple(range(c))]
+    bi = flat.bases[-m]
+    top_index = KZ.bases[-c].position[tuple(range(c))]
     cocycle = unit_vector(amb, len(bi), bi.position[(-c, top_index, 0)], lam)
     coords = h.coords_of_cocycle(cocycle)
     if coords is None:
@@ -335,13 +332,11 @@ def xi_lci_class(pi, target_pbasis, rseq=None, pbasis_via_iso=None, theta_column
             "omega_T": om_T,
             "omega_S": om_S,
             "complex": flat,
-            "bases": flat_bases,
             "report": rep,
             "class_coords": coords,
             "cocycle": cocycle,
             "quotient": Rq,
             "certified": certified,
-            "map": cand,
         },
     )
 
@@ -501,7 +496,7 @@ def xi_via_factorization(R, roots, e):
         values[b] = rename_poly(r_val, amb, list(range(n)))
     # dictionary: express the canonical F_* basis in the y-monomial basis
     F = frobenius_pushforward(R, e)
-    monos = F.index.monomials
+    monos = F.monomials
     push_cols = []
     for b in basis:
         img = Tcopy.one()
@@ -533,14 +528,9 @@ def xi_via_factorization(R, roots, e):
     return XiIso(
         functional,
         {
-            "roots": roots,
-            "e": e,
             "lambda": lam,
-            "tsystem": tsys,
-            "basis": basis,
             "monomials": monos,
             "certified": certified and xi.certified,
-            "lci": xi,
         },
     )
 
@@ -623,8 +613,8 @@ def canonical_dualizing(A, pi=None):
             raise NotSurjective("the presentation map is not surjective")
         gens = list(elimination_kernel(pi).gens)
     om = canonical_omega_regular(S)
-    W = rhom_to_module(cyclic_module(S, gens), om.complex)
-    return DualizingComplex(A, W, W.resolution, om)
+    res, W = rhom_to_module(cyclic_module(S, gens), om.complex)
+    return DualizingComplex(A, W, res, om)
 
 
 def biduality_certificate(dc):
@@ -704,12 +694,10 @@ def _one_sided_collapse(pi_main, pi_other):
     J1 = elimination_kernel(pi_main)
     res1_in_S3 = own.resolution.renamed(S3, idx1)
     Klin = koszul_complex(S3, lin)
-    joint_res, joint_bases = tensor_complex(res1_in_S3, Klin)
+    joint_res = tensor_complex(res1_in_S3, Klin)
     om3 = canonical_omega_regular(S3)
-    W3, _ = hom_complex(joint_res, om3.complex)
-    collapse, sigma = _collapse_linear_block(
-        W3, joint_bases, Klin, len(lin), lifts, S1, S3, own.complex.hom_bases
-    )
+    W3 = hom_complex(joint_res, om3.complex)
+    collapse, sigma = _collapse_linear_block(W3, joint_res, Klin, len(lin), lifts, S1, S3, own.complex)
     A1 = QuotientRing(amb1, J1.gens)
     rep3 = cohomology(W3)
     rep1 = own.cohomology_report()
@@ -740,7 +728,7 @@ def _one_sided_collapse(pi_main, pi_other):
     }
 
 
-def _collapse_linear_block(W3, joint_bases, Klin, d2, lifts, S1, S3, W1_bases):
+def _collapse_linear_block(W3, joint_res, Klin, d2, lifts, S1, S3, W1):
     """Evaluation-at-the-section collapse from the joint model to the base
     model: keep the components on the top exterior block of the linear
     Koszul factor and substitute y -> lift in the coefficients.  The
@@ -748,7 +736,7 @@ def _collapse_linear_block(W3, joint_bases, Klin, d2, lifts, S1, S3, W1_bases):
     Hom differentials degreewise with no extra signs."""
     amb1 = ambient_of(S1)
     n1 = amb1.nvars
-    top_index = Klin.koszul_index[d2][tuple(range(d2))] if d2 else 0
+    top_index = Klin.bases[-d2].position[tuple(range(d2))]
 
     def sigma(f):
         acc = S3.zero()
@@ -766,15 +754,15 @@ def _collapse_linear_block(W3, joint_bases, Klin, d2, lifts, S1, S3, W1_bases):
         return rename_poly(acc, amb1, back)
 
     def runner(degree, vec):
-        b3 = W3.hom_bases.get(degree)
-        b1 = W1_bases.get(degree)
+        b3 = W3.bases.get(degree)
+        b1 = W1.bases.get(degree)
         rank = len(b1) if b1 else 0
         if b3 is None:
             return vector_of(amb1, rank, ())
         entries = []
         for pos, cf in nonzero_slots(vec):
-            (i, a, _b) = b3.triples[pos]
-            (ji, aa, bb) = joint_bases[i].triples[a]
+            (i, a, _b) = b3.labels[pos]
+            (ji, aa, bb) = joint_res.bases[i].labels[a]
             if (i - ji) != -d2 or bb != top_index:
                 continue
             tgt = b1.position.get((ji, aa, 0)) if b1 else None
@@ -841,30 +829,26 @@ def verify_frobenius_duality(A, e=1):
     h_om = dc.canonical_module()
     omega_mod = dc.canonical_module_over_ring()
     Fomega = pushforward_module(omega_mod, e)
-    pidx = Fomega.pushforward_index
     FA = frobenius_pushforward(A_work, e)
     # Hom out of the pruned F_* A: a map is its values on the kept monomials
-    FA_pruned, FA_in, _ = prune(FA.module)
-    kept = [FA.index.monomials[k] for k in FA_in.kept]
+    FA_pruned, kept, _, _ = prune(FA.module)
     Hom_module_side = hom_module(FA_pruned, omega_mod)
     multiplication = _frobenius_multiplications(K, FK, e)
-    mult_lifts = [multiplication(b_mono) for b_mono in kept]
-    # candidate on each generator F_*(x^a z_j) of F_* omega_A
+    mult_lifts = [multiplication(FA.monomials[k]) for k in kept]
+    # candidate on each generator F_*(x^a z_j) of F_* omega_A, in the order
+    # of its labels
     cols = []
-    for idx in range(Fomega.ngens):
-        a_mono = pidx.monomials[idx // pidx.r]
-        j = idx % pidx.r
-        rep = h_om.reps[j]
+    for a_mono, j in pushforward_basis(A_work, e, omega_mod.ngens).labels:
         # the cocycle x^a z_j pushed through the trace pairing
-        shifted = rep.mul_term(a_mono, 1)
-        fw_coords = pushforward_vector(FW.pushforward_indices[low], shifted, e)
+        shifted = h_om.reps[j].mul_term(a_mono, 1)
+        fw_coords = pushforward_vector(FW.bases[low], shifted, e)
         psi = chi.apply(low, fw_coords)
         # psi is a functional on (F_*K)^{i_top}; evaluate on multiplication
         # lifts to get an A-map F_*A -> omega_A
         hom_cols = []
         for lift in mult_lifts:
             # compose: K^{i_top} -> (F_*K)^{i_top} -> omega in W-coordinates
-            comp = hom_transpose_vector(lift, psi, C2.hom_bases[low], W.hom_bases[low])
+            comp = hom_transpose_vector(lift, psi, C2.bases[low], W.bases[low])
             cls = h_om.coords_of_cocycle(comp)
             if cls is None:
                 raise AlgebraError("assembled value is not a cocycle class")
@@ -896,10 +880,10 @@ def _frobenius_multiplications(K, FK, e):
 
     def multiplication(b_mono):
         maps = {
-            d: [pushforward_vector(FK.pushforward_indices[d], col.mul_term(b_mono, 1), e) for col in cols]
+            d: [pushforward_vector(FK.bases[d], col.mul_term(b_mono, 1), e) for col in cols]
             for d, cols in psi.maps.items()
         }
-        return ChainMap(K, FK, maps, check=True)
+        return ChainMap(K, FK, maps)
 
     return multiplication
 
@@ -912,25 +896,21 @@ def _trace_pairing_chain_map(dc, e):
     W = dc.complex
     FW = pushforward_complex(W, e)
     FK = pushforward_complex(dc.resolution, e)
-    C2, _ = hom_complex(FK, dc.omega_S.complex)
+    C2 = hom_complex(FK, dc.omega_S.complex)
     amb = W.ambient
     p = amb.p
     q = p ** e
     maps = {}
     for dgr in FW.degrees():
-        fw_idx = FW.pushforward_indices[dgr]
-        bW = W.hom_bases.get(dgr)
-        bC2 = C2.hom_bases.get(dgr)
+        bW = W.bases.get(dgr)
+        bC2 = C2.bases.get(dgr)
         cols = []
-        for col in range(fw_idx.total):
-            m = fw_idx.monomials[col // fw_idx.r]
-            t = col % fw_idx.r
-            (i, aK, bo) = bW.triples[t]
+        for m, t in FW.bases[dgr].labels:
+            (i, aK, bo) = bW.labels[t]
             partner = tuple(q - 1 - mm for mm in m)
-            fk_idx = FK.pushforward_indices[i]
-            aF = fk_idx.index(partner, aK)
+            aF = FK.bases[i].position[(partner, aK)]
             pos = bC2.position.get((i, aF, bo)) if bC2 else None
             entries = [] if pos is None else [(pos, amb.one())]
             cols.append(vector_of(amb, len(bC2) if bC2 else 0, entries))
         maps[dgr] = cols
-    return ChainMap(FW, C2, maps, check=True), FK
+    return ChainMap(FW, C2, maps), FK

@@ -27,7 +27,7 @@ from .groebner import (
 )
 from .modules import FPModule, ModuleMap, cokernel, free_module, is_isomorphism
 from .polyring import Polynomial
-from .complexes import FreeComplex
+from .complexes import BasisIndex, FreeComplex
 
 
 def bracket_power(I, e):
@@ -75,72 +75,55 @@ def frobenius_decompose(f, e=1):
     return out
 
 
-def _check_size(p, e, nvars):
-    if p ** (e * nvars) > config.size_cap:
-        raise SizeCapExceeded(
-            "pushforward basis of size %d exceeds the cap %d"
-            % (p ** (e * nvars), config.size_cap)
-        )
+def pushforward_basis(ring, e, r):
+    """The labels (b, j) of the generators F^e_*(x^b e_j) of F^e_* of a
+    module on r generators, b a restricted monomial: b-major, each in
+    ascending order."""
+    amb = ambient_of(ring)
+    size = amb.p ** (e * amb.nvars)
+    if size > config.size_cap:
+        raise SizeCapExceeded("pushforward basis of size %d exceeds the cap %d" % (size, config.size_cap))
+    return BasisIndex(product(restricted_monomials(amb.nvars, amb.p ** e), range(r)))
 
 
-class PushforwardIndex:
-    """Basis bookkeeping for F^e_* of a module on r generators."""
-
-    def __init__(self, ring, e, r):
-        amb = ambient_of(ring)
-        self.p = amb.p
-        self.e = e
-        self.q = self.p ** e
-        self.nvars = amb.nvars
-        self.r = r
-        self.monomials = restricted_monomials(self.nvars, self.q)
-        self.position = {m: i for i, m in enumerate(self.monomials)}
-        self.total = len(self.monomials) * r
-
-    def index(self, mono, j):
-        return self.position[tuple(mono)] * self.r + j
+def pushforward_vector(basis, v, e):
+    """Coordinates of F^e_*(v) on basis for v a coordinate vector of the
+    module: each term c x^m e_j goes to c x^(m // q) on the label
+    (m mod q, j)."""
+    return regrouped(v, v.ring.p ** e, basis.position, len(basis))
 
 
-def pushforward_vector(index, v, e):
-    """Coordinates of F^e_*(v) for v a coordinate vector of the module:
-    each term c x^m e_j goes to c x^(m // q) on generator (m mod q, j)."""
-    return regrouped(v, v.ring.p ** e, index.position, index.r, index.total)
-
-
-def _pushforward_shifts(vectors, index, e):
-    """F^e_*(x^b v) on index for every restricted monomial b (outer) and
-    every v of vectors (inner): the order of index.index(b, j) when the
-    vectors are the images of the generators j."""
-    out = []
-    for b in index.monomials:
-        for v in vectors:
-            out.append(pushforward_vector(index, v.mul_term(b, 1), e))
-    return out
+def _pushforward_shifts(vectors, monomials, basis, e):
+    """F^e_*(x^b v) on basis for every b of monomials (outer) and every v
+    of vectors (inner): the order of the labels (b, j) when the vectors
+    are the images of the generators j."""
+    return [pushforward_vector(basis, v.mul_term(b, 1), e) for b in monomials for v in vectors]
 
 
 def pushforward_module(M, e=1):
     """F^e_* M as an FPModule over the same ring, untwisted presentation.
 
-    Generators are tagged (a, j) for a restricted monomial and j a
-    generator of M; the relation columns are the decompositions of
-    x^b * rho over all restricted b and relations rho of M.
+    Its generators carry the labels (b, j) of pushforward_basis; the
+    relation columns are the decompositions of x^b * rho over all
+    restricted b and relations rho of M.
     """
     amb = M.ambient
-    _check_size(amb.p, e, amb.nvars)
-    index = PushforwardIndex(M.ring, e, M.ngens)
-    out = FPModule(M.ring, index.total, _pushforward_shifts(M.relations, index, e))
-    out.pushforward_index = index
-    return out
+    basis = pushforward_basis(M.ring, e, M.ngens)
+    monomials = restricted_monomials(amb.nvars, amb.p ** e)
+    return FPModule(M.ring, len(basis), _pushforward_shifts(M.relations, monomials, basis, e))
 
 
 class FrobPushforward:
-    """F^e_* R with monomial basis bookkeeping."""
+    """F^e_* R on its restricted monomial basis: generator k is F^e_*(x^b)
+    for b = monomials[k], labelled (b, 0) in index."""
 
     def __init__(self, R, e=1):
         self.ring = R
         self.e = e
-        self.module = pushforward_module(FPModule(R, 1, []), e)
-        self.index = self.module.pushforward_index
+        self.index = pushforward_basis(R, e, 1)
+        self.monomials = [b for b, _j in self.index.labels]
+        unit = FPModule(R, 1, [])
+        self.module = FPModule(R, len(self.index), _pushforward_shifts(unit.relations, self.monomials, self.index, e))
 
     def coords(self, u):
         """Coordinates of F^e_*(u) on the restricted monomial generators."""
@@ -153,18 +136,15 @@ def frobenius_pushforward(R, e=1):
 
 
 def pushforward_complex(T, e=1):
-    """Apply F^e_* to a free complex, expanding each entry into a block."""
+    """Apply F^e_* to a free complex, expanding each entry into a block;
+    term d is labelled by pushforward_basis."""
     ring = T.ring
     amb = ambient_of(ring)
-    _check_size(amb.p, e, amb.nvars)
-    indices = {d: PushforwardIndex(ring, e, T.rank(d)) for d in T.degrees()}
-    terms = {d: indices[d].total for d in T.degrees()}
-    # the restricted monomials are those of every index, so the columns
-    # come out in the order of the source index
-    diffs = {d: _pushforward_shifts(cols, indices[d + 1], e) for d, cols in T.diffs.items()}
-    out = FreeComplex(ring, terms, diffs)
-    out.pushforward_indices = indices
-    return out
+    bases = {d: pushforward_basis(ring, e, T.rank(d)) for d in T.degrees()}
+    monomials = restricted_monomials(amb.nvars, amb.p ** e)
+    # the columns come out in the order of the labels of the source term
+    diffs = {d: _pushforward_shifts(cols, monomials, bases[d + 1], e) for d, cols in T.diffs.items()}
+    return FreeComplex(ring, {d: len(b) for d, b in bases.items()}, diffs, bases=bases)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +160,9 @@ def _tuple_power(amb, xs, a):
 
 
 def _coordinate_map(R, xs, e=1):
-    """The map R^(qg-monomials in xs) -> F^e_* R sending e_a to F_*(xs^a)."""
+    """(theta, tuples, push): the map theta: R^(restricted monomials in xs)
+    -> F^e_* R sending e_a to F_*(xs^a), the exponents a of its source
+    generators and the pushforward push of its target."""
     amb = ambient_of(R)
     q = amb.p ** e
     if amb.p ** (e * len(xs)) > config.size_cap:
@@ -189,20 +171,17 @@ def _coordinate_map(R, xs, e=1):
     tuples = restricted_monomials(len(xs), q)
     cols = [push.coords(reduce_in(R, _tuple_power(amb, xs, a))) for a in tuples]
     source = free_module(R, len(tuples))
-    theta = ModuleMap(source, push.module, cols, check=False)
-    theta.tuple_monomials = tuples
-    theta.push = push
-    return theta
+    return ModuleMap(source, push.module, cols, check=False), tuples, push
 
 
 def is_p_generating(R, xs):
     """True iff R = R^p[xs]: the coordinate map is surjective."""
-    return cokernel(_coordinate_map(R, xs)).is_zero_module()
+    return cokernel(_coordinate_map(R, xs)[0]).is_zero_module()
 
 
 def is_p_basis(R, xs):
     """True iff the restricted monomials in xs form a free basis over R^p."""
-    return is_isomorphism(_coordinate_map(R, xs))
+    return is_isomorphism(_coordinate_map(R, xs)[0])
 
 
 class CoordinateSolver:
@@ -214,20 +193,20 @@ class CoordinateSolver:
 
     def __init__(self, R, xs, e=1):
         self.ring = R
-        self.theta = _coordinate_map(R, xs, e)
-        push = self.theta.push
-        self.span = SpanSolver(self.theta.columns, R, push.module.ngens, extra=push.module.relations)
+        self.theta, self.tuples, self.push = _coordinate_map(R, xs, e)
+        module = self.push.module
+        self.span = SpanSolver(self.theta.columns, R, module.ngens, extra=module.relations)
 
     def solve(self, u):
         """dict a -> c_a over the nonzero coordinates, or None."""
-        coeffs = self.span.solve(self.theta.push.coords(reduce_in(self.ring, u)))
+        coeffs = self.span.solve(self.push.coords(reduce_in(self.ring, u)))
         if coeffs is None:
             return None
         out = {}
         for k, c in nonzero_slots(coeffs):
             c = reduce_in(self.ring, c)
             if not c.is_zero():
-                out[self.theta.tuple_monomials[k]] = c
+                out[self.tuples[k]] = c
         return out
 
 
@@ -256,8 +235,9 @@ def pbasis_trace_generator(R, xs, omega_complex):
 
     Sends F_*(xs^(p-1,...,p-1)) to the distinguished volume form and every
     other restricted monomial in xs to zero.  Returns the ModuleMap on the
-    free xs-monomial model together with its freeness certificate from
-    generates_freely.
+    free model on the restricted monomials in xs, in the order of
+    restricted_monomials, once generates_freely certifies it; raises
+    otherwise.
     """
     amb = ambient_of(R)
     coordinates = CoordinateSolver(R, xs)
@@ -266,19 +246,17 @@ def pbasis_trace_generator(R, xs, omega_complex):
     degrees = omega_complex.degrees()
     if len(degrees) != 1 or omega_complex.rank(degrees[0]) != 1:
         raise AlgebraError("expected a rank-one volume complex")
-    tuples = coordinates.theta.tuple_monomials
+    tuples = coordinates.tuples
     top = tuple([amb.p - 1] * len(xs))
     cols = [unit_vector(amb, 1, 0) if a == top else vector_of(amb, 1, ()) for a in tuples]
     phi = ModuleMap(free_module(R, len(tuples)), free_module(R, 1), cols, check=False)
-    phi.basis_tuples = tuples
 
     def value(c):
         # the coefficient of the top monomial in xs^c
         coords = coordinates.solve(_tuple_power(amb, xs, c))
         return (coords or {}).get(top, amb.zero())
 
-    phi.freeness_certificate = generates_freely(R, tuples, value)
-    if not phi.freeness_certificate:
+    if not generates_freely(R, tuples, value):
         raise AlgebraError("trace generator does not freely generate; not a p-basis?")
     return phi
 
@@ -289,12 +267,12 @@ def regrouping_map(R, e):
     big = FrobPushforward(R, e + 1)
     inner = FrobPushforward(R, 1)
     outer = pushforward_module(inner.module, e)
-    oidx = outer.pushforward_index
+    outer_basis = pushforward_basis(R, e, inner.module.ngens)
     cols = []
     p = amb.p
-    for c in big.index.monomials:
+    for c in big.monomials:
         a = tuple(x // p for x in c)
         b = tuple(x % p for x in c)
-        j = inner.index.index(b, 0)
-        cols.append(unit_vector(amb, outer.ngens, oidx.index(a, j)))
+        j = inner.index.position[(b, 0)]
+        cols.append(unit_vector(amb, outer.ngens, outer_basis.position[(a, j)]))
     return ModuleMap(big.module, outer, cols, check=True)

@@ -481,11 +481,11 @@ class DivisionIndex:
         return terms
 
 
-def division(v, divisors, order=None, quotients=True):
+def division(v, divisors, quotients=True):
     """Divide v by the divisors; returns (quotients, remainder).
 
     divisors is a DivisionIndex, whose order applies, or a list, indexed
-    for this call only.  v = sum quotients[k] * divisors[k] + remainder,
+    for this call only under the order of v's ring.  v = sum quotients[k] * divisors[k] + remainder,
     and no remainder term is divisible by any divisor leading term; with
     quotients=False the quotients are not collected and None stands in
     their place.  v is a vector, or an S-pair (i, j, pos, lcm) of the
@@ -497,7 +497,7 @@ def division(v, divisors, order=None, quotients=True):
     polynomial per divisor.
     """
     if not isinstance(divisors, DivisionIndex):
-        divisors = DivisionIndex(order or v.ring.order, divisors)
+        divisors = DivisionIndex(v.ring.order, divisors)
     quo, rem = _division(v, divisors, quotients)
     if quo is None:
         return None, rem
@@ -833,9 +833,8 @@ class ReducedBasis:
     """The reduced Groebner basis of a submodule of R^rank, a _Basis, and
     `index`, the DivisionIndex over it that came with it."""
 
-    def __init__(self, rank, order, basis):
+    def __init__(self, rank, basis):
         self.rank = rank
-        self.order = order
         self.basis = basis
         self.index = basis.index
 
@@ -853,7 +852,7 @@ def reduced_basis(ring, rank, generators):
     certificates and no syzygies.  The reduced basis is unique, so the
     basis and every normal form are those of ModuleGB on the same input.
     """
-    return ReducedBasis(rank, ring.order, buchberger(generators, order=ring.order))
+    return ReducedBasis(rank, buchberger(generators, order=ring.order))
 
 
 class ModuleGB(ReducedBasis):
@@ -913,7 +912,7 @@ class ModuleGB(ReducedBasis):
                 basis.append(head)
                 self.certificates.append(tail)
         # the heads lead below position rank, so they come first
-        super().__init__(rank, order, _Basis(basis, full.index.heads(rank, basis)))
+        super().__init__(rank, _Basis(basis, full.index.heads(rank, basis)))
 
     def reduce(self, v):
         """(coefficient vector on the generators, normal form of v): v minus
@@ -976,15 +975,15 @@ def blocks(v, n, count):
     return [VectorPoly._of(v.ring, n, terms) for terms in parts]
 
 
-def regrouped(v, q, position, r, rank):
+def regrouped(v, q, position, rank):
     """The vector of ring^rank with a term c x^(m // q) in slot
-    position[m mod q] * r + j for each term c x^m e_j of v, entrywise //
-    and mod: F^e_* of v for q = p^e (frobenius.pushforward_vector)."""
+    position[(m mod q, j)] for each term c x^m e_j of v, entrywise // and
+    mod: F^e_* of v for q = p^e (frobenius.pushforward_vector)."""
     return VectorPoly._of(
         v.ring,
         rank,
         {
-            (position[tuple([x % q for x in m])] * r + j, tuple([x // q for x in m])): c
+            (position[(tuple([x % q for x in m]), j)], tuple([x // q for x in m])): c
             for (j, m), c in v.terms.items()
         },
     )

@@ -22,6 +22,7 @@ from .groebner import (
     ambient_of,
     blocks,
     combine,
+    leading_term,
     modulus_gens,
     modulus_tails,
     nonzero_slots,
@@ -220,8 +221,8 @@ def is_isomorphism(f):
     generators modulo M's relations and g sends every relation of N that
     is not automatic for maps into M to zero in M: then g is a module map
     inverse to f, and when f is an isomorphism every lift is f^-1."""
-    src, to_src, _ = prune(f.source)
-    tgt, _, from_tgt = prune(f.target)
+    src, _, to_src, _ = prune(f.source)
+    tgt, _, _, from_tgt = prune(f.target)
     if src is not f.source:
         f = f.compose(to_src)
     if tgt is not f.target:
@@ -300,10 +301,11 @@ def _one_slot(v):
 # minimal presentations
 
 def prune(M):
-    """(P, to_M, from_M): M presented with a generator eliminated wherever a
-    relation has a nonzero constant entry, plus inverse isomorphisms.
+    """(P, kept, to_M, from_M): M presented with a generator eliminated
+    wherever a relation has a nonzero constant entry, the generators of M
+    that P keeps, and inverse isomorphisms.
 
-    to_M sends generator i of P to generator to_M.kept[i] of M;
+    to_M sends generator i of P to generator kept[i] of M;
     from_M . to_M is the identity of P and to_M . from_M the identity of M
     modulo its relations.  When nothing is eliminated, P is M itself, with
     the relation basis it may already hold.  The elimination is done once
@@ -314,9 +316,8 @@ def prune(M):
     if P is None:
         P = M
     to_M = ModuleMap(P, M, [M.gen(k) for k in kept], check=False)
-    to_M.kept = kept
     from_M = ModuleMap(M, P, express, check=False)
-    return P, to_M, from_M
+    return P, kept, to_M, from_M
 
 
 def _eliminate_units(M):
@@ -413,7 +414,7 @@ class HomModule(FPModule):
         amb = M.ambient
         conditions = _conditions(M.relations, N)
         P = FreeComplex(amb, {-1: len(conditions), 0: M.ngens}, {-1: conditions})
-        H, _ = hom_complex(P, in_one_degree(N, 0, ring=amb))
+        H = hom_complex(P, in_one_degree(N, 0, ring=amb))
         # without generators on either side there is no degree 0: Hom = 0
         self.h0 = cohomology(H, window=(0, 0)).degrees.get(0) or HDegree(
             FPModule(amb, 0, []), [], SpanSolver([], amb, 0)
@@ -607,8 +608,6 @@ def hilbert_function(M, d_max):
         if len(degs) > 1:
             raise NotGraded("inhomogeneous relation %r" % (rel,))
     gb = M.relgb().basis
-    from .groebner import leading_term
-
     leads = [leading_term(v, amb.order) for v in gb]
     out = []
     for d in range(d_max + 1):

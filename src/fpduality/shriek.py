@@ -14,6 +14,7 @@ modules.
 from itertools import product
 
 from .complexes import (
+    BasisIndex,
     certify_degreewise,
     cohomology,
     free_resolution,
@@ -105,18 +106,20 @@ class EnvelopingRing:
         return perm
 
 
-def external_tensor(env, modules):
-    """External product of one module per copy, over the enveloping ring.
+def product_basis(modules):
+    """The generators of the external product of the modules: the tuples
+    of one generator per factor, in lexicographic order."""
+    return BasisIndex(product(*(range(M.ngens) for M in modules)))
 
-    Its generators are the tuples of one generator per factor, in
-    lexicographic order; the module carries slot_of (index to tuple) and
-    index_of (tuple to index)."""
+
+def external_tensor(env, modules):
+    """External product of one module per copy, over the enveloping ring,
+    on the generators of product_basis(modules)."""
     if len(modules) != env.copies:
         raise AlgebraError("need one module per tensor slot")
     amb = env.ambient
     sizes = [M.ngens for M in modules]
-    slots = list(product(*map(range, sizes)))
-    position = {t: k for k, t in enumerate(slots)}
+    position = product_basis(modules).position
     rels = []
     for j, M in enumerate(modules):
         others = list(product(*map(range, sizes[:j] + sizes[j + 1 :])))
@@ -124,11 +127,8 @@ def external_tensor(env, modules):
             col = [(i, env.rename_into_slot(c, j)) for i, c in nonzero_slots(r)]
             for rest in others:
                 entries = [(position[rest[:j] + (i,) + rest[j:]], c) for i, c in col]
-                rels.append(vector_of(amb, len(slots), entries))
-    out = FPModule(env.ring, len(slots), rels)
-    out.slot_of = slots.__getitem__
-    out.index_of = position.__getitem__
-    return out
+                rels.append(vector_of(amb, len(position), entries))
+    return FPModule(env.ring, len(position), rels)
 
 
 def diagonal_resolution(env, length):
@@ -142,9 +142,13 @@ def diagonal_resolution(env, length):
 
 
 class ShriekResult:
-    def __init__(self, complex_, homology):
+    """The !-tensor product: the complex U = Hom(G, T[t0]), its cohomology
+    on the window and the diagonal resolution G."""
+
+    def __init__(self, complex_, homology, resolution):
         self.complex = complex_
         self.homology = homology
+        self.resolution = resolution
 
     def nonzero_degrees(self):
         return sorted(d for d, h in self.homology.items() if not h.is_zero())
@@ -158,8 +162,8 @@ class ShriekResult:
 
 def _shriek_product(env, modules, t0):
     """The !-tensor product of single-degree modules, one on each copy of
-    env, placed in degree t0: (diagonal resolution G, external product T,
-    U = Hom(G, T[t0]), cohomology of U on the window).
+    env, placed in degree t0: (diagonal resolution G, U = Hom(G, T[t0])
+    for the external product T, cohomology of U on the window).
 
     Window: [t0 - 2(k-1) dim P, t0 + (k-1) dim P] for k copies, bounded
     below through the regular cover (the bound 2 dim P of two copies, once
@@ -171,8 +175,8 @@ def _shriek_product(env, modules, t0):
     window = (t0 - 2 * span, t0 + span)
     T = external_tensor(env, modules)
     G = diagonal_resolution(env, (window[1] - window[0]) + 2)
-    U, _ = hom_complex(G, in_one_degree(T, t0))
-    return G, T, U, cohomology(U, window=window).degrees
+    U = hom_complex(G, in_one_degree(T, t0))
+    return G, U, cohomology(U, window=window).degrees
 
 
 def shriek_tensor(A, M, N, m_shift=0, n_shift=0, env=None):
@@ -180,11 +184,8 @@ def shriek_tensor(A, M, N, m_shift=0, n_shift=0, env=None):
     window [m+n - 2 dim P, m+n + dim P] of _shriek_product."""
     A = as_quotient(A)
     env = env or EnvelopingRing(A, 2)
-    G, T, U, hom = _shriek_product(env, [M, N], m_shift + n_shift)
-    res = ShriekResult(U, hom)
-    res.resolution = G
-    res.target = T
-    return res
+    G, U, hom = _shriek_product(env, [M, N], m_shift + n_shift)
+    return ShriekResult(U, hom, G)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +205,11 @@ def _hom_map_from_target_map(U_src, U_tgt, blocks):
     Returns image(d, v): the image of one element v of Hom(K, T1)^d."""
 
     def image(d, v):
-        b_src = U_src.hom_bases[d]
-        b_tgt = U_tgt.hom_bases[d]
+        b_src = U_src.bases[d]
+        b_tgt = U_tgt.bases[d]
         entries = []
         for pos, cf in nonzero_slots(v):
-            i, a, g = b_src.triples[pos]
+            i, a, g = b_src.labels[pos]
             blk = blocks.get(i + d)
             if blk is None:
                 continue
@@ -273,12 +274,12 @@ def verify_unit(A, M, m_shift=0):
     K = koszul_complex(Q2, diag)
     # link 1: M against the volume model
     omega_R_degree = m_shift - dc.omega_S.n
-    U_b, _ = hom_complex(K, in_one_degree(M0, omega_R_degree))
+    U_b = hom_complex(K, in_one_degree(M0, omega_R_degree))
     hb = cohomology(U_b).degrees
     top_b = hb.get(m_shift)
     link1 = False
     if top_b is not None:
-        bi = U_b.hom_bases[m_shift]
+        bi = U_b.bases[m_shift]
         cols = top_b.classes_of(
             unit_vector(P2, len(bi), bi.position[(-nP, 0, g)]) for g in range(M0.ngens)
         )
@@ -293,15 +294,15 @@ def verify_unit(A, M, m_shift=0):
         link1 = link1 and others
     # link 2 and 3: through M tensor W
     Wsh = shift(W1, -m_shift)
-    T_W, _ = tensor_complex(Wsh, in_one_degree(M0, 0))
-    U_1, _ = hom_complex(K, T_W)
+    T_W = tensor_complex(Wsh, in_one_degree(M0, 0))
+    U_1 = hom_complex(K, T_W)
     # evaluation W -> omega_R picks the Hom(K_0, omega) coordinate
     ev_blocks = {}
     deg_ev = omega_R_degree
     if Wsh.rank(deg_ev):
         # the W-coordinate of the evaluation slot
         ev_slot = None
-        for pos, (i, a, b) in enumerate(W.hom_bases[-dc.omega_S.n].triples):
+        for pos, (i, a, b) in enumerate(W.bases[-dc.omega_S.n].labels):
             if i == 0:
                 ev_slot = pos
         zero = vector_of(P2, M0.ngens, ())
@@ -311,26 +312,26 @@ def verify_unit(A, M, m_shift=0):
             for g in range(M0.ngens)
         ]
     image_a1 = _hom_map_from_target_map(U_1, U_b, ev_blocks)
-    # projection W -> top cohomology, paired with M: T_W -> T_E over Q2;
-    # generator (g, w) of M tensor omega has index g * ngens + w
+    # projection W -> top cohomology, paired with M: T_W -> T_E over Q2
     pr_blocks = {}
     if Wsh.rank(t_E):
+        pairs = product_basis([M, om_mod]).position
         pr_blocks[t_E] = [
-            unit_vector(P2, T_E.ngens, g * om_mod.ngens + w)
+            unit_vector(P2, T_E.ngens, pairs[(g, w)])
             for w in range(Wsh.rank(t_E))
             for g in range(M0.ngens)
         ]
-    U_2, _ = hom_complex(K, in_one_degree(T_E, t_E, ring=Q2))
+    U_2 = hom_complex(K, in_one_degree(T_E, t_E, ring=Q2))
     image_a2 = _hom_map_from_target_map(U_1, U_2, pr_blocks)
     # link 4: the diagonal resolution against the Koszul model
     length = nP + 2 + max(0, m_shift - t_E)
     G = diagonal_resolution(env, length)
-    U_A, _ = hom_complex(G, in_one_degree(T_E, t_E))
+    U_A = hom_complex(G, in_one_degree(T_E, t_E))
     # the identity of the diagonal lifts K -> G: G is exact within its truncation
     mu = lift_chain_map([unit_vector(P2, G.rank(0), 0)], K, G, env.ring)
 
     def image_a3(d, v):
-        return hom_transpose_vector(mu, v, U_A.hom_bases[d], U_2.hom_bases[d])
+        return hom_transpose_vector(mu, v, U_A.bases[d], U_2.bases[d])
 
     # certify in the window where the truncation is exact, with every
     # cohomology presented over Q2
@@ -374,27 +375,28 @@ def verify_symmetry(A, M, N, m_shift=0, n_shift=0):
     lam = lift_chain_map([unit_vector(P2, Gs.rank(0), 0)], res_NM.resolution, Gs, env.ring)
     # sigma transports Hom(G, M x N) to Hom(Gs, N x M) up to the Koszul sign
     sign = (-1) ** ((m_shift % 2) * (n_shift % 2))
-    T_MN, T_NM = res_MN.target, res_NM.target
+    pairs_MN, pairs_NM = product_basis([M, N]), product_basis([N, M])
     U_MN, U_NM = res_MN.complex, res_NM.complex
 
     def image(d, v):
-        return _swap_transport(v, U_MN.hom_bases[d], U_NM.hom_bases[d], lam, perm, T_MN, T_NM, sign)
+        return _swap_transport(v, U_MN.bases[d], U_NM.bases[d], lam, perm, pairs_MN, pairs_NM, sign)
 
     return certify_degreewise(res_MN.homology, res_NM.homology, image)
 
 
-def _swap_transport(rep, b_MN, b_NM, lam, perm, T_MN, T_NM, sign):
+def _swap_transport(rep, b_MN, b_NM, lam, perm, pairs_MN, pairs_NM, sign):
     """Transport a Hom-class along the swap: rename coefficients, permute
-    the external-product generators, precompose with the lifted map.
+    the external-product generators (labelled by pairs_MN and pairs_NM),
+    precompose with the lifted map.
 
     The swapped class lies in Hom(G renamed, N x M), whose basis has the
     same shape as b_MN since the ranks agree."""
     P2 = rep.ring
     entries = []
     for pos, cf in nonzero_slots(rep):
-        i, aG, g = b_MN.triples[pos]
-        mg, ng = T_MN.slot_of(g)
-        q = b_MN.position[(i, aG, T_NM.index_of((ng, mg)))]
+        i, aG, g = b_MN.labels[pos]
+        mg, ng = pairs_MN.labels[g]
+        q = b_MN.position[(i, aG, pairs_NM.position[(ng, mg)])]
         entries.append((q, rename_poly(cf, P2, perm).scale(sign)))
     return hom_transpose_vector(lam, vector_of(P2, len(b_MN), entries), b_MN, b_NM)
 
@@ -470,6 +472,7 @@ def exterior_hom_comparison(A, M, N, M2, N2):
     lhs = external_tensor(env, [H1, H2])
     MM = external_tensor(env, [M, M2])
     NN = external_tensor(env, [N, N2])
+    pairs_M, pairs_N = product_basis([M, M2]), product_basis([N, N2])
     rhs = hom_module(MM, NN)
     cols = []
     amb = env.ambient
@@ -478,10 +481,9 @@ def exterior_hom_comparison(A, M, N, M2, N2):
         for j in range(H2.ngens):
             g = H2.decode(j)
             big_cols = []
-            for a in range(MM.ngens):
-                ma, mb = MM.slot_of(a)
+            for ma, mb in pairs_M.labels:
                 entries = [
-                    (NN.index_of((x, y)), env.rename_into_slot(cx, 0) * env.rename_into_slot(cy, 1))
+                    (pairs_N.position[(x, y)], env.rename_into_slot(cx, 0) * env.rename_into_slot(cy, 1))
                     for x, cx in nonzero_slots(f.columns[ma])
                     for y, cy in nonzero_slots(g.columns[mb])
                 ]

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from fpduality.errors import ParseError
-from fpduality.session import Session, execute, parse_session, serialize
+from fpduality.session import Session, execute, parse_session
 
 
 def run_script(text):

@@ -102,6 +102,15 @@ class TestCohomology:
         # H^0 = S/(x,y): one generator, F_2-dimension 1
         assert fp_dim(H0) == 1
 
+    def test_koszul_terms_are_labelled_by_subsets(self):
+        S = ring(2, "x", "y", "z")
+        K = koszul_complex(S, list(S.gens()))
+        assert K.bases[0].labels == [()]
+        assert K.bases[-1].labels == [(0,), (1,), (2,)]
+        assert K.bases[-2].labels == [(0, 1), (0, 2), (1, 2)]
+        assert K.bases[-3].labels == [(0, 1, 2)]
+        assert all(len(K.bases[d]) == K.rank(d) for d in K.degrees())
+
     def test_nonregular_sequence_has_lower_homology(self):
         S = ring(2, "x", "y")
         x, y = S.gens()
@@ -115,7 +124,7 @@ class TestHomTensor:
         S = ring(2, "x")
         x = S.var("x")
         T = FreeComplex(S, {0: 1, 1: 1}, {0: [VectorPoly(S, [x])]})
-        U, _ = tensor_complex(T, rank_one_complex(S, 0))
+        U = tensor_complex(T, rank_one_complex(S, 0))
         assert U.terms == T.terms
         assert U.diffs[0][0] == T.diffs[0][0]
 
@@ -125,12 +134,12 @@ class TestHomTensor:
         S = ring(2, "x")
         x = S.var("x")
         K = koszul_complex(S, [x])
-        H, bases = hom_complex(K, K)
+        H = hom_complex(K, K)
         rep = cohomology(H)
         assert 0 in rep.nonzero_degrees()
-        b0 = bases[0]
+        b0 = H.bases[0]
         ident = [S.zero()] * len(b0)
-        for (i, a, b) in b0.triples:
+        for (i, a, b) in b0.labels:
             if a == b:
                 ident[b0.position[(i, a, b)]] = S.one()
         ident_vec = VectorPoly(S, ident)
@@ -148,16 +157,16 @@ class TestHomTensor:
         x, y = S.gens()
         T = FreeComplex(S, {0: 1, 1: 1}, {0: [VectorPoly(S, [x])]})
         U = FreeComplex(S, {0: 1, 1: 1}, {0: [VectorPoly(S, [y])]})
-        TU, bases1 = tensor_complex(T, U)
+        TU = tensor_complex(T, U)
         left = shift(TU, 1)
         T1 = shift(T, 1)
-        right, bases2 = tensor_complex(T1, U)
+        right = tensor_complex(T1, U)
         maps = {}
         for n in right.degrees():
-            tgt = bases2[n]
-            src = bases1.get(n + 1)
+            tgt = right.bases[n]
+            src = TU.bases.get(n + 1)
             cols = [None] * left.rank(n)
-            for (i, a, b) in tgt.triples:
+            for (i, a, b) in tgt.labels:
                 # element of T^{i+1} tensor U^{n-i} on both sides
                 pos_src = src.position[(i + 1, a, b)]
                 comps = [S.zero()] * len(tgt)
@@ -188,13 +197,10 @@ class TestRelations:
     def test_hom_and_tensor_copy_relations_blockwise(self):
         _S, _x, K, Q = self._koszul_and_quotient()
         Y = FreeComplex(Q.ring, {1: 1}, {}, relations={1: Q.relations})
-        H, hom_bases = hom_complex(K, Y)
-        T, tensor_bases = tensor_complex(K, Y)
-        assert H.hom_bases is hom_bases
-        for C, bases in ((H, hom_bases), (T, tensor_bases)):
-            assert C.degrees() == sorted(bases) and len(C.degrees()) == 3
+        for C in (hom_complex(K, Y), tensor_complex(K, Y)):
+            assert C.degrees() == sorted(C.bases) and len(C.degrees()) == 3
             for n in C.degrees():
-                blocks = [Q] * len(bases[n])
+                blocks = [Q] * len(C.bases[n])
                 assert C.relations[n] == direct_sum(blocks).relations
                 assert C.term(n).relations == C.relations[n]
 
@@ -203,7 +209,7 @@ class TestRelations:
         with pytest.raises(AlgebraError):
             self._multiplication_by_x(relations=False)
         Y = self._multiplication_by_x(relations=True)
-        for C, _bases in (hom_complex(K, Y), tensor_complex(K, Y)):
+        for C in (hom_complex(K, Y), tensor_complex(K, Y)):
             nonzero = 0
             for d, cols in C.diffs.items():
                 nxt = C.diffs.get(d + 1)
@@ -240,7 +246,7 @@ class TestRHom:
         S = ring(2, "x")
         M = free_module(S, 1)
         T = rank_one_complex(S, 0)
-        H = rhom_to_module(M, T)
+        _res, H = rhom_to_module(M, T)
         rep = cohomology(H)
         assert rep.nonzero_degrees() == [0]
 
@@ -249,7 +255,7 @@ class TestRHom:
         S = ring(2, "x", "y")
         x, y = S.gens()
         M = cyclic_module(S, [x, y])
-        H = rhom_to_module(M, rank_one_complex(S, 0))
+        _res, H = rhom_to_module(M, rank_one_complex(S, 0))
         rep = cohomology(H)
         assert rep.nonzero_degrees() == [2]
         H2 = rep.degrees[2].module
@@ -264,7 +270,7 @@ class TestRHom:
         x = S.var("x")
         M = cyclic_module(S, [x ** 2])
         T = rank_one_complex(S, -1)
-        H = rhom_to_module(M, T)
+        _res, H = rhom_to_module(M, T)
         rep = cohomology(H)
         assert rep.nonzero_degrees() == [0]
         assert fp_dim(rep.degrees[0].module) == 2
@@ -278,27 +284,26 @@ class TestRHom:
             S, 1, [VectorPoly(S, [x]), VectorPoly(S, [y]), VectorPoly(S, [x + y])]
         )
         T = rank_one_complex(S, 0)
-        H1 = rhom_to_module(M1, T)
-        H2 = rhom_to_module(M2, T)
+        res1, H1 = rhom_to_module(M1, T)
+        res2, H2 = rhom_to_module(M2, T)
         rep1, rep2 = cohomology(H1), cohomology(H2)
         assert rep1.nonzero_degrees() == rep2.nonzero_degrees() == [2]
         # compare through a lifted chain map of the resolutions
-        res1, res2 = H1.resolution, H2.resolution
         lifted = lift_map_of_resolutions(
             [VectorPoly(S, [S.one()])], res2, res1, S
         )
         # Hom(-, T) of the lifted map, degreewise transpose with signs
         hmaps = {}
         for n in H1.degrees():
-            b1 = H1.hom_bases.get(n)
-            b2 = H2.hom_bases.get(n)
+            b1 = H1.bases.get(n)
+            b2 = H2.bases.get(n)
             if b1 is None:
                 continue
             cols = []
-            for (i, a, b) in b1.triples:
+            for (i, a, b) in b1.labels:
                 comps = [S.zero()] * (len(b2) if b2 else 0)
                 if b2 is not None:
-                    for (i2, a2, b2i) in b2.triples:
+                    for (i2, a2, b2i) in b2.labels:
                         if i2 != i or b2i != b:
                             continue
                         entry = lifted.column(i, a2).components[a]

@@ -16,7 +16,13 @@ object, somewhere in the package, the tests or the benchmark; the tests
 count as readers, since a report's fields are how a test reads its result.
 Every parameter of a function or lambda in the package is loaded in its
 body, except self, cls and names that start with an underscore.  Neither
-scan has exceptions."""
+scan has exceptions.
+
+No field is bolted onto an object from outside its class: every attribute
+that the package stores on an object other than self is declared by some
+class, stored on self in a method or assigned in its class body.  Like the
+other scans it matches names, not owners.  And every name a test module
+imports is loaded somewhere in that module."""
 
 import ast
 import pathlib
@@ -121,6 +127,45 @@ def _unread_parameters(texts):
     return unread
 
 
+def _bolted_on(texts):
+    """The attribute names that the texts store on an object other than
+    self and that no class declares: stored on self in a method, or
+    assigned in a class body."""
+    declared = set()
+    stored = set()
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign):
+                        targets = stmt.targets
+                    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+                        targets = [stmt.target]
+                    else:
+                        continue
+                    declared |= {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if isinstance(node.value, ast.Name) and node.value.id == "self":
+                    declared.add(node.attr)
+                else:
+                    stored.add(node.attr)
+    return stored - declared
+
+
+def _unused_imports(text):
+    """The names that a module's import statements bind, function-local
+    ones included, and that the module never loads."""
+    tree = ast.parse(text)
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    loaded = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+    return bound - loaded
+
+
 def test_sources_are_found():
     names = {path.name for path in SOURCES}
     assert {"__init__.py", "groebner.py", "modules.py", "frobenius.py", "gabber.py"} <= names
@@ -202,3 +247,43 @@ def test_every_stored_attribute_is_read():
 
 def test_every_parameter_is_read():
     assert _unread_parameters([path.read_text() for path in SOURCES]) == set()
+
+
+def test_scan_finds_a_bolted_on_field():
+    module = (
+        "class Thing:\n"
+        "    size = 0\n"
+        "    def __init__(self):\n        self.used = 1\n        self.a, self.b = 2, 3\n"
+        "def build(other):\n"
+        "    t = Thing()\n"
+        "    t.used = t.size = t.b = 4\n"
+        "    t.extra = 5\n"
+        "    other.tag = 6\n"
+        "    return t\n"
+    )
+    # a store on self, in a tuple too, or in a class body declares the name
+    assert _bolted_on([module]) == {"extra", "tag"}
+    # any class that declares the name keeps it
+    assert _bolted_on([module, "class Other:\n    tag = None\n"]) == {"extra"}
+
+
+def test_no_field_is_bolted_on():
+    assert _bolted_on([path.read_text() for path in SOURCES]) == set()
+
+
+def test_scan_finds_an_unused_import():
+    module = (
+        "import os\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from a import b, c as d, e\n"
+        "def f():\n"
+        "    from g import h\n"
+        "    return b, js.dumps, os.sep\n"
+    )
+    assert _unused_imports(module) == {"d", "e", "h"}
+
+
+def test_every_test_import_is_used():
+    unused = {path.name: _unused_imports(path.read_text()) for path in sorted((ROOT / "tests").glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}

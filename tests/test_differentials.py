@@ -5,8 +5,6 @@ import random
 import pytest
 
 from fpduality.differentials import (
-    CanonicalOmega,
-    KahlerModule,
     canonical_omega_regular,
     conormal_sequence,
     kahler,

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from fpduality.errors import RingMismatch
-from fpduality.frobenius import PushforwardIndex, frobenius_decompose, pushforward_vector
+from fpduality.frobenius import frobenius_decompose, pushforward_basis, pushforward_vector
 from fpduality.groebner import VectorPoly, combine, nonzero_slots, vector_of
 from fpduality.polyring import MonomialOrder, PolyRing
 
@@ -46,11 +46,11 @@ def _per_slot_combine(columns, entries, ring, rank):
     return VectorPoly._of(ring, rank, acc)
 
 
-def _per_slot_pushforward(index, v, e):
+def _per_slot_pushforward(basis, v, e):
     entries = [
-        (index.index(a, j), va) for j, f in nonzero_slots(v) for a, va in frobenius_decompose(f, e).items()
+        (basis.position[(a, j)], va) for j, f in nonzero_slots(v) for a, va in frobenius_decompose(f, e).items()
     ]
-    return vector_of(v.ring, index.total, entries)
+    return vector_of(v.ring, len(basis), entries)
 
 
 # -- the checks ---------------------------------------------------------------
@@ -67,11 +67,11 @@ def _check_product(R, columns, coeffs, rank):
 
 def _check_pushforward(R, v):
     for e in (1, 2):
-        index = PushforwardIndex(R, e, v.rank)
-        _same_vector(pushforward_vector(index, v, e), _per_slot_pushforward(index, v, e))
+        basis = pushforward_basis(R, e, v.rank)
+        _same_vector(pushforward_vector(basis, v, e), _per_slot_pushforward(basis, v, e))
         # a monomial shift first, as the pushforward presentations take it
-        shifted = v.mul_term(index.monomials[-1], 1)
-        _same_vector(pushforward_vector(index, shifted, e), _per_slot_pushforward(index, shifted, e))
+        shifted = v.mul_term(basis.labels[-1][0], 1)
+        _same_vector(pushforward_vector(basis, shifted, e), _per_slot_pushforward(basis, shifted, e))
 
 
 # random.Random's randint, or a hypothesis draw, which shrinks

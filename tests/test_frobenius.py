@@ -8,7 +8,6 @@ from fpduality.errors import NoPBasis, SizeCapExceeded
 from fpduality.config import config
 from fpduality.frobenius import (
     CoordinateSolver,
-    FrobPushforward,
     bracket_power,
     frobenius_decompose,
     frobenius_pushforward,
@@ -16,21 +15,16 @@ from fpduality.frobenius import (
     is_p_basis,
     is_p_generating,
     pbasis_trace_generator,
-    pushforward_module,
+    pushforward_basis,
     regrouping_map,
     restricted_monomials,
 )
-from fpduality.groebner import Ideal, QuotientRing, VectorPoly
+from fpduality.groebner import Ideal, QuotientRing
 from fpduality.modules import (
-    FPModule,
-    ModuleMap,
-    cyclic_module,
     generic_rank,
     hom_module,
     ideal_module,
     is_isomorphism,
-    kernel_cokernel,
-    minimal_generators_at,
     exterior_power,
 )
 from fpduality.complexes import rank_one_complex
@@ -107,7 +101,13 @@ class TestPushforward:
         F = frobenius_pushforward(R, 1)
         assert F.module.ngens == 2
         assert not F.module.relations
-        assert F.index.monomials == [(0,), (1,)]
+        assert F.monomials == [(0,), (1,)]
+
+    def test_labels_are_monomial_major(self):
+        R = ring(2, "x")
+        assert pushforward_basis(R, 1, 2).labels == [((0,), 0), ((0,), 1), ((1,), 0), ((1,), 1)]
+        F = frobenius_pushforward(R, 2)
+        assert F.index.labels == [(b, 0) for b in F.monomials] and F.module.ngens == len(F.index)
 
     def test_dual_numbers(self):
         # F_* of F_2[x]/(x^2) is (R/x)^2: x kills both generators
@@ -193,16 +193,21 @@ class TestTraceGenerator:
         omega = rank_one_complex(R, -1)
         phi = pbasis_trace_generator(R, [R.var("x")], omega)
         # evaluation table: F_*x -> dx, F_*1 -> 0
-        assert phi.basis_tuples == [(0,), (1,)]
+        assert restricted_monomials(1, 2) == [(0,), (1,)] and len(phi.columns) == 2
         assert phi.columns[0].components[0].is_zero()
         assert phi.columns[1].components[0] == R.one()
-        assert phi.freeness_certificate
+
+        def value(c):
+            # phi(F_*(x^c)) = x^(c // 2) phi(F_*(x^(c mod 2)))
+            return phi.columns[c[0] % 2].components[0] * R.monomial((c[0] // 2,))
+
+        assert generates_freely(R, restricted_monomials(1, 2), value)
 
     def test_line_char3(self):
         R = ring(3, "x")
         omega = rank_one_complex(R, -1)
         phi = pbasis_trace_generator(R, [R.var("x")], omega)
-        assert phi.basis_tuples == [(0,), (1,), (2,)]
+        assert restricted_monomials(1, 3) == [(0,), (1,), (2,)] and len(phi.columns) == 3
         vals = [c.components[0] for c in phi.columns]
         assert vals[0].is_zero() and vals[1].is_zero()
         assert vals[2] == R.one()
@@ -211,7 +216,7 @@ class TestTraceGenerator:
         R = ring(2, "x", "y")
         omega = rank_one_complex(R, -2)
         phi = pbasis_trace_generator(R, list(R.gens()), omega)
-        for a, col in zip(phi.basis_tuples, phi.columns):
+        for a, col in zip(restricted_monomials(2, 2), phi.columns):
             if a == (1, 1):
                 assert col.components[0] == R.one()
             else:
@@ -247,7 +252,7 @@ class TestTraceGenerator:
         omega = rank_one_complex(R, -1)
         phi = pbasis_trace_generator(R, [x], omega)
         # F_*u -> F_*(x u) on the basis monomials
-        mult_cols = [F.coords(x.mul_term(a, 1)) for a in F.index.monomials]
+        mult_cols = [F.coords(x.mul_term(a, 1)) for a in F.monomials]
         comp = [phi.columns[j] for j in range(2)]
         # projection onto F_*1: precompose Phi with multiplication by x
         proj_cols = [

@@ -108,6 +108,17 @@ class TestGabberStep:
 
 
 class TestTruncation:
+    def test_level_zero_is_the_base(self):
+        # no stage: the tower is R itself, on the tuple it was given
+        amb = ring(3, "x", "y")
+        x, y = amb.gens()
+        R = QuotientRing(amb, [y ** 2 - x ** 3])
+        xs = [R.reduce(x), R.reduce(y)]
+        tower = gabber_truncation(R, xs, 0)
+        assert tower.ring is R
+        assert tower.level == 0 and tower.stages == []
+        assert tower.pbasis_images == xs
+
     def test_power_series_truncation_level2(self):
         # G(F_2; 0)/I^{[4]} = F_2[X]/(X^4), via eliminating the tower
         F2 = ring(2)

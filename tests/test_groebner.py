@@ -1150,8 +1150,8 @@ def test_buchberger_spair_work_pins(monkeypatch):
     # counted the way benchmark/tracer.py counts them: by the caller's frame
     outcomes = []
 
-    def counted(v, divisors, order=None, quotients=True):
-        result = division(v, divisors, order, quotients)
+    def counted(v, divisors, quotients=True):
+        result = division(v, divisors, quotients)
         if sys._getframe(1).f_code.co_name == "buchberger":
             outcomes.append("1" if result[1].is_zero() else "0")
         return result

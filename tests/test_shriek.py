@@ -6,7 +6,7 @@ import pytest
 from fpduality.duality import canonical_dualizing
 from fpduality.errors import CanonicalNotTop
 from fpduality.groebner import Ideal, QuotientRing, elimination_kernel
-from fpduality.modules import FPModule, ModuleMap, cyclic_module, is_isomorphism
+from fpduality.modules import FPModule, cyclic_module
 from fpduality.polyring import PolyRing, RingMap
 from fpduality.session import Session, execute, parse_session
 from fpduality.shriek import (

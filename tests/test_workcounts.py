@@ -423,8 +423,8 @@ def test_trace_generator_builds(builds):
     # one coordinate solver serves every pair of restricted monomials
     R = PolyRing(3, ("x", "y"))
     builds[0] = 0
-    phi = pbasis_trace_generator(R, list(R.gens()), rank_one_complex(R, -2))
-    assert phi.freeness_certificate
+    # it raises unless generates_freely certifies the generator
+    pbasis_trace_generator(R, list(R.gens()), rank_one_complex(R, -2))
     assert builds[0] <= TRACE_GENERATOR_BUILDS
 
 
@@ -483,7 +483,7 @@ def test_cocycle_classes_build_no_basis(builds):
     S = PolyRing(3, ("x", "y"))
     x, y = S.gens()
     N = FreeComplex(S, {0: 1}, {}, relations={0: [vector_from_poly(x)]})
-    H, _ = hom_complex(koszul_complex(S, [x, y]), N)
+    H = hom_complex(koszul_complex(S, [x, y]), N)
     report = cohomology(H)
     assert report.nonzero_degrees() == [1, 2]
     builds[0] = 0
