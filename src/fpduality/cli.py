@@ -44,10 +44,7 @@ def cmd_run(args, out=None):
         return 2
     session = Session()
     # after Session(), which restores the default budgets
-    if args.budget_degree is not None:
-        config.degree_budget = args.budget_degree
-    if args.size_cap is not None:
-        config.size_cap = args.size_cap
+    config.override(args.budget_degree, args.size_cap)
     for stmt in statements:
         report = execute(session, stmt)
         _emit(report.to_dict(), args.json, out)

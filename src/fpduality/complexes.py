@@ -44,9 +44,11 @@ class FreeComplex:
     """Bounded complex of free modules, optionally modulo per-degree
     relations; matrices are lists of columns.  bases maps a degree to the
     BasisIndex labelling its term, where the builder names one (Hom and
-    tensor triples, Koszul subsets, pushforward labels)."""
+    tensor triples, Koszul subsets, pushforward labels); solvers maps a
+    degree to a SpanSolver of its differential that the builder already
+    holds (free_resolution's stages), which span_solver hands out."""
 
-    def __init__(self, ring, terms, diffs, check=True, relations=None, bases=None):
+    def __init__(self, ring, terms, diffs, check=True, relations=None, bases=None, solvers=None):
         self.ring = ring
         self.bases = bases or {}
         self.ambient = ambient_of(ring)
@@ -69,7 +71,7 @@ class FreeComplex:
             if d in self.terms
         }
         self.relations = {d: M.relations for d, M in self._modules.items()}
-        self._solvers = {}
+        self._solvers = solvers or {}
         if check:
             self._check_dd()
 
@@ -520,9 +522,8 @@ def free_resolution(ring, rank, columns, length=None):
     for k, (cols, _solver) in enumerate(stages):
         terms[-(k + 1)] = len(cols)
         diffs[-(k + 1)] = cols
-    F = FreeComplex(ring, terms, diffs)
-    F._solvers = {-(k + 1): solver for k, (_cols, solver) in enumerate(stages) if solver is not None}
-    return F
+    solvers = {-(k + 1): solver for k, (_cols, solver) in enumerate(stages) if solver is not None}
+    return FreeComplex(ring, terms, diffs, solvers=solvers)
 
 
 def resolution_complex(M):

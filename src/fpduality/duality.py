@@ -41,6 +41,7 @@ from .errors import (
     NotRegularSequence,
     NotSurjective,
     RingMismatch,
+    ZeroRing,
 )
 from .fp import inv_mod
 from .frobenius import (
@@ -535,8 +536,25 @@ def xi_via_factorization(R, roots, e):
     )
 
 
+def xi_factorizations_agree(R, extra_roots, e=1):
+    """(agree, xi): xi of the e-th Frobenius power of the polynomial ring R
+    through its variables, and whether it and xi through the variables
+    followed by extra_roots are both certified with one functional: the
+    independence of xi from the factorization."""
+    roots = list(R.gens())
+    a = xi_via_factorization(R, roots, e)
+    b = xi_via_factorization(R, roots + list(extra_roots), e)
+    return a.certified and b.certified and a.functional == b.functional, a
+
+
 # ---------------------------------------------------------------------------
 # the Koszul commutation sign
+
+def commutation_signs(p):
+    """{(c, d): commutation_sign_check(p, c, d)} on the shapes (1, 1),
+    (1, 2) and (2, 1) of the key square."""
+    return {(c, d): commutation_sign_check(p, c, d) for c, d in ((1, 1), (1, 2), (2, 1))}
+
 
 def commutation_sign_check(p, c, d, with_theta_part=True):
     """Element-level comparison of the two composites around the key square
@@ -596,7 +614,7 @@ class DualizingComplex:
         """Lowest nonzero cohomology, the canonical module of the ring."""
         d = self.lowest_degree()
         if d is None:
-            raise AlgebraError("dualizing complex has no cohomology; zero ring?")
+            raise ZeroRing("the dualizing complex has no cohomology: the ring is zero")
         return self.cohomology_report().degrees[d]
 
 

@@ -59,6 +59,10 @@ class CanonicalNotTop(AlgebraError):
     kind = "CanonicalNotTop"
 
 
+class ZeroRing(AlgebraError):
+    kind = "ZeroRing"
+
+
 class SplittingNotFound(AlgebraError):
     kind = "SplittingNotFound"
 

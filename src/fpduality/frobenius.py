@@ -27,7 +27,7 @@ from .groebner import (
 )
 from .modules import FPModule, ModuleMap, cokernel, free_module, is_isomorphism
 from .polyring import Polynomial
-from .complexes import BasisIndex, FreeComplex
+from .complexes import BasisIndex, FreeComplex, rank_one_complex
 
 
 def bracket_power(I, e):
@@ -259,6 +259,21 @@ def pbasis_trace_generator(R, xs, omega_complex):
     if not generates_freely(R, tuples, value):
         raise AlgebraError("trace generator does not freely generate; not a p-basis?")
     return phi
+
+
+def trace_generator_is_exact(R):
+    """Whether the trace generator of the polynomial ring R on its
+    variables, into the volume form in degree -nvars, sends F_*(x^a) to 1
+    for a = (p-1, ..., p-1) and to 0 for every other restricted monomial a;
+    pbasis_trace_generator raises unless it is certified free."""
+    n = R.nvars
+    phi = pbasis_trace_generator(R, list(R.gens()), rank_one_complex(R, -n))
+    top = (R.p - 1,) * n
+    values = (col.components[0] for col in phi.columns)
+    return all(
+        v.constant_value() == 1 if a == top else v.is_zero()
+        for a, v in zip(restricted_monomials(n, R.p), values)
+    )
 
 
 def regrouping_map(R, e):

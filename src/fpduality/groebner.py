@@ -1235,28 +1235,24 @@ def adjoin_variables(R, names, order=None):
     return big, list(range(amb.nvars))
 
 
-def _graph_basis(phi):
-    """The graph ideal of a ring map, built once and kept on the
-    (immutable) map as (graph ring, Ideal), so that its reduced Groebner
-    basis and the division index over it are built once too.
+def graph_ideal(phi):
+    """(graph ring, graph ideal) of a ring map, which RingMap.graph keeps.
 
     The ideal is modulus(T) + (s_j - phi(s_j)) in T[s], under the block
     order in which the target variables dominate.  Its part free of target
     variables is the kernel of phi; the normal form of a target element is
     free of them exactly when the element is in the image, and is then a
     preimage (Shannon-Sweedler)."""
-    if phi._graph is None:
-        nt = phi.target_ambient.nvars
-        src = phi.source_ambient
-        big, tmap = adjoin_variables(
-            phi.target,
-            ["@s%d" % j for j in range(src.nvars)],
-            MonomialOrder("block", nt) if nt else src.order,
-        )
-        gens = [rename_poly(g, big, tmap) for g in modulus_gens(phi.target)]
-        gens += [big.var(nt + j) - rename_poly(img, big, tmap) for j, img in enumerate(phi.images)]
-        phi._graph = (big, Ideal(big, gens))
-    return phi._graph
+    nt = phi.target_ambient.nvars
+    src = phi.source_ambient
+    big, tmap = adjoin_variables(
+        phi.target,
+        ["@s%d" % j for j in range(src.nvars)],
+        MonomialOrder("block", nt) if nt else src.order,
+    )
+    gens = [rename_poly(g, big, tmap) for g in modulus_gens(phi.target)]
+    gens += [big.var(nt + j) - rename_poly(img, big, tmap) for j, img in enumerate(phi.images)]
+    return big, Ideal(big, gens)
 
 
 def _from_graph(phi, g):
@@ -1272,7 +1268,7 @@ def elimination_kernel(phi):
     """Kernel of a ring map as an ideal of the source ambient ring, read
     off the graph basis, plus each generator of the source modulus that the
     graph basis did not already yield."""
-    _big, graph = _graph_basis(phi)
+    _big, graph = phi.graph()
     kernel = [k for k in (_from_graph(phi, g) for g in graph.groebner()) if k is not None]
     for g in modulus_gens(phi.source):
         if g not in kernel:
@@ -1283,7 +1279,7 @@ def elimination_kernel(phi):
 def preimage(phi, f):
     """A g in the source ambient with phi(g) = f, or None when f (an
     element of the target ambient) is not in the image."""
-    big, graph = _graph_basis(phi)
+    big, graph = phi.graph()
     return _from_graph(phi, graph.reduce(rename_poly(f, big, list(range(phi.target_ambient.nvars)))))
 
 

@@ -66,6 +66,14 @@ class FPModule:
             self._relgb = reduced_basis(self.ambient, self.ngens, self.relations)
         return self._relgb
 
+    def pruned(self):
+        """(P, kept, express) of _eliminate_units: the elimination that
+        prune presents, done once and kept, so that P and its basis are
+        shared by every prune of this module."""
+        if self._pruned is None:
+            self._pruned = _eliminate_units(self)
+        return self._pruned
+
     def gen(self, i):
         return unit_vector(self.ambient, self.ngens, i)
 
@@ -308,11 +316,9 @@ def prune(M):
     to_M sends generator i of P to generator kept[i] of M;
     from_M . to_M is the identity of P and to_M . from_M the identity of M
     modulo its relations.  When nothing is eliminated, P is M itself, with
-    the relation basis it may already hold.  The elimination is done once
-    per module and kept on it, so P and its basis are shared by every call."""
-    if M._pruned is None:
-        M._pruned = _eliminate_units(M)
-    P, kept, express = M._pruned
+    the relation basis it may already hold.  The elimination is kept by M
+    (FPModule.pruned), so P and its basis are shared by every call."""
+    P, kept, express = M.pruned()
     if P is None:
         P = M
     to_M = ModuleMap(P, M, [M.gen(k) for k in kept], check=False)

@@ -123,6 +123,13 @@ DEGREVLEX = MonomialOrder("degrevlex")
 LEX = MonomialOrder("lex")
 
 
+def _display_name(name):
+    """How a variable prints: the copy k of x in a tensor power, named
+    x@k (shriek.EnvelopingRing), prints as x with k - 1 primes."""
+    base, _, copy = name.rpartition("@")
+    return base + "'" * (int(copy) - 1) if base and copy.isdigit() else name
+
+
 class PolyRing:
     """F_p[x_1..x_n] with a chosen monomial order."""
 
@@ -135,8 +142,7 @@ class PolyRing:
         self.variables = variables
         self.nvars = len(variables)
         self.order = order or DEGREVLEX
-        # display_names lets the CLI print doubled variables as primes
-        self.display_names = variables
+        self.display_names = tuple(map(_display_name, variables))
         # the hashed fields are fixed, so the hash is computed once
         self._hash = hash((p, variables, self.order))
 
@@ -203,26 +209,22 @@ class PolyRing:
 class Polynomial:
     """Element of a PolyRing in canonical form (no zero coefficients)."""
 
-    __slots__ = ("ring", "terms", "_lead", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
-        self._lead = None
-        self._hash = None
 
     def is_zero(self):
         return not self.terms
 
     def leading(self):
-        """(monomial, coeff) of the leading term in the ring order, cached;
-        error on zero."""
-        if self._lead is None:
-            if not self.terms:
-                raise AlgebraError("zero polynomial has no leading term")
-            m = max(self.terms, key=self.ring.order.key)
-            self._lead = (m, self.terms[m])
-        return self._lead
+        """(monomial, coeff) of the leading term in the ring order; error
+        on zero."""
+        if not self.terms:
+            raise AlgebraError("zero polynomial has no leading term")
+        m = max(self.terms, key=self.ring.order.key)
+        return m, self.terms[m]
 
     def _check(self, other):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -332,10 +334,7 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        # immutable, so the hash is computed once
-        if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.ring, frozenset(self.terms.items())))
 
     def __repr__(self):
         return poly_str(self)
@@ -392,7 +391,7 @@ class RingMap:
                 raise RingMismatch("image lives in the wrong ring")
             fixed.append(self._reduce_target(g))
         self.images = fixed
-        self._graph = None  # the graph basis, kept by groebner._graph_basis
+        self._graph = None
         if check and isinstance(source, QuotientRing):
             for g in source.modulus.gens:
                 if not self.apply(g).is_zero():
@@ -425,6 +424,16 @@ class RingMap:
 
     def __call__(self, f):
         return self.apply(f)
+
+    def graph(self):
+        """(graph ring, graph ideal) of groebner.graph_ideal, built once:
+        the map is immutable, so the Groebner basis of the ideal and the
+        division index over it are built once too."""
+        if self._graph is None:
+            from .groebner import graph_ideal  # local import, cycle
+
+            self._graph = graph_ideal(self)
+        return self._graph
 
     def compose(self, other):
         """self after other (other's target must be self's source)."""

@@ -12,11 +12,11 @@ from .config import config
 from .complexes import rank_one_complex
 from .duality import (
     canonical_dualizing,
-    commutation_sign_check,
+    commutation_signs,
     compare_presentations,
     fli_eta,
     verify_frobenius_duality,
-    xi_via_factorization,
+    xi_factorizations_agree,
 )
 from .errors import (
     AlgebraError,
@@ -29,7 +29,7 @@ from .frobenius import (
     frobenius_pushforward,
     is_p_basis,
     is_p_generating,
-    pbasis_trace_generator,
+    trace_generator_is_exact,
 )
 from .gabber import extend_pgens_check, gabber_truncation, verify_kernel_bracket
 from .groebner import Ideal, QuotientRing, ambient_of, as_quotient, elimination_kernel, reduce_in
@@ -46,7 +46,7 @@ from .modules import (
     tensor_module,
 )
 from .polyring import PolyRing, Polynomial, RingMap, poly_str
-from .shriek import verify_associativity, verify_symmetry, verify_unit
+from .shriek import verify_associativity, verify_rigidifier, verify_symmetry, verify_unit
 
 TOKEN_SPEC = [
     ("NUMBER", r"\d+"),
@@ -608,9 +608,7 @@ def _b_unit(ip, args):
 
 
 def _b_rigidifier(ip, args):
-    A = _quotient(ip.ring_at(args[0]))
-    dc = canonical_dualizing(A)
-    return verify_unit(A, dc.canonical_module_over_ring(), m_shift=dc.lowest_degree()).certified
+    return verify_rigidifier(canonical_dualizing(_quotient(ip.ring_at(args[0])))).certified
 
 
 def _b_symmetry(ip, args):
@@ -652,26 +650,18 @@ def _b_xi_factorizations(ip, args):
     if isinstance(R, QuotientRing):
         raise AlgebraError("expect a polynomial ring")
     e = ip.eval(args[1]) if len(args) > 1 else 1
-    x = R.var(0)
-    a = xi_via_factorization(R, [x], e)
-    b = xi_via_factorization(R, [x, x ** 3], e)
-    equal = all(u == v for u, v in zip(a.functional, b.functional))
-    return a.certified and b.certified and equal
+    return xi_factorizations_agree(R, [R.var(0) ** 3], e)[0]
 
 
 def _b_commutation_signs(ip, args):
-    p = ip.eval(args[0])
-    return all(commutation_sign_check(p, c, d) for (c, d) in ((1, 1), (1, 2), (2, 1)))
+    return all(commutation_signs(ip.eval(args[0])).values())
 
 
 def _b_trace_generator(ip, args):
     R = ip.ring_at(args[0])
     if isinstance(R, QuotientRing):
         raise AlgebraError("expect a polynomial ring with its variable p-basis")
-    omega = rank_one_complex(R, -R.nvars)
-    # it raises unless generates_freely certifies the generator
-    pbasis_trace_generator(R, list(R.gens()), omega)
-    return True
+    return trace_generator_is_exact(R)
 
 
 # name -> (builtin, least and most argument count; None: no most)
@@ -798,9 +788,9 @@ def execute(session, stmt):
         elif kind == "set":
             _k, dotted, value = stmt
             if dotted == "budget.degree":
-                config.degree_budget = value
+                config.override(degree_budget=value)
             elif dotted == "size.cap":
-                config.size_cap = value
+                config.override(size_cap=value)
             else:
                 raise SessionNameError("unknown setting %r" % dotted)
             report = Report(echo, "ok", {dotted: value})

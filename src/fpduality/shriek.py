@@ -50,22 +50,16 @@ from .polyring import PolyRing, RingMap
 class EnvelopingRing:
     """A tensor_{F_p} A (or more copies) with diagonal data.
 
-    Copy j of variable v is named internally with a suffix and displayed
-    with primes; unprimed variables come first."""
+    Copy k > 1 of variable v is named v@k, which PolyRing displays with
+    k - 1 primes; unprimed variables come first."""
 
     def __init__(self, A, copies=2):
         A = as_quotient(A)
         amb = A.ambient
         n = amb.nvars
         self.copies = copies
-        names = []
-        display = []
-        for j in range(copies):
-            for v in amb.variables:
-                names.append(v if j == 0 else "%s@%d" % (v, j + 1))
-                display.append(v + "'" * j)
+        names = [v if j == 0 else "%s@%d" % (v, j + 1) for j in range(copies) for v in amb.variables]
         P = PolyRing(amb.p, names, amb.order)
-        P.display_names = tuple(display)
         self.ambient = P
         self.nvars_each = n
         mod = []
@@ -236,15 +230,26 @@ def verify_unit(A, M, m_shift=0):
     volume form; (3) projection onto the top cohomology; (4) the lifted
     comparison between the Koszul model and the truncated diagonal
     resolution.  Every link is certified per degree in the window."""
-    A = as_quotient(A)
+    return _unit_chain(canonical_dualizing(as_quotient(A)), M, m_shift)
+
+
+def verify_rigidifier(dc):
+    """The unit check on omega_A itself, in its degree: omega_A
+    shriek-tensor omega_A = omega_A, for the dualizing complex dc of A,
+    which it reads and does not compute again."""
+    return _unit_chain(dc, dc.canonical_module_over_ring(), dc.lowest_degree())
+
+
+def _unit_chain(dc, M, m_shift):
+    """verify_unit for M on the dualizing complex dc of its ring."""
+    A = as_quotient(dc.ring)
     env = EnvelopingRing(A, 2)
     P2 = env.ambient
     nP = A.ambient.nvars
     Q2 = env.first_slot_ring
-    dc = canonical_dualizing(A)
     W = dc.complex
+    h_om = dc.canonical_module()
     low = dc.lowest_degree()
-    h_om = dc.cohomology_report().degrees[low]
     # the projection link reads the basis of W's term in degree low as the
     # generating set of omega: that term must be W's top one
     top = W.support()[1]

@@ -189,6 +189,22 @@ class TestCommandLine:
         out = self._run("run", str(f))
         assert out.returncode == 1
 
+    def test_zero_ring_is_a_typed_error(self, tmp_path):
+        # F_2[x]/(1) is zero: its dualizing complex has no cohomology
+        f = tmp_path / "zero.session"
+        f.write_text(
+            "ring Z = Fp(2)[x] / (1);\n"
+            "check unit(Z, cyclic(Z));\n"
+            "check frobenius_duality(Z);\n"
+            "check rigidifier(Z);\n"
+            "print omega_module(Z);\n"
+        )
+        out = self._run("run", str(f), "--json")
+        assert out.returncode == 1
+        ring, *statements = [json.loads(line) for line in out.stdout.splitlines()]
+        assert ring["status"] == "ok"
+        assert [(r["status"], r["error_kind"]) for r in statements] == [("error", "ZeroRing")] * 4
+
     def test_parse_error_exit_code(self, tmp_path):
         f = tmp_path / "broken.session"
         f.write_text("ring R = ;")

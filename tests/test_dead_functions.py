@@ -18,11 +18,12 @@ Every parameter of a function or lambda in the package is loaded in its
 body, except self, cls and names that start with an underscore.  Neither
 scan has exceptions.
 
-No field is bolted onto an object from outside its class: every attribute
-that the package stores on an object other than self is declared by some
-class, stored on self in a method or assigned in its class body.  Like the
-other scans it matches names, not owners.  And every name a test module
-imports is loaded somewhere in that module."""
+No field is bolted onto an object from outside its owner: every attribute
+that a module of the package stores on an object other than self is
+declared by a class of that same module, stored on self in a method or
+assigned in its class body.  Within a module it matches names, not
+classes.  And every name a test module imports is loaded somewhere in
+that module."""
 
 import ast
 import pathlib
@@ -127,28 +128,27 @@ def _unread_parameters(texts):
     return unread
 
 
-def _bolted_on(texts):
-    """The attribute names that the texts store on an object other than
-    self and that no class declares: stored on self in a method, or
-    assigned in a class body."""
+def _bolted_on(text):
+    """The attribute names that a module's text stores on an object other
+    than self and that no class of the module declares: stored on self in
+    a method, or assigned in a class body."""
     declared = set()
     stored = set()
-    for text in texts:
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.ClassDef):
-                for stmt in node.body:
-                    if isinstance(stmt, ast.Assign):
-                        targets = stmt.targets
-                    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-                        targets = [stmt.target]
-                    else:
-                        continue
-                    declared |= {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-                if isinstance(node.value, ast.Name) and node.value.id == "self":
-                    declared.add(node.attr)
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign):
+                    targets = stmt.targets
+                elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [stmt.target]
                 else:
-                    stored.add(node.attr)
+                    continue
+                declared |= {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                declared.add(node.attr)
+            else:
+                stored.add(node.attr)
     return stored - declared
 
 
@@ -262,13 +262,14 @@ def test_scan_finds_a_bolted_on_field():
         "    return t\n"
     )
     # a store on self, in a tuple too, or in a class body declares the name
-    assert _bolted_on([module]) == {"extra", "tag"}
-    # any class that declares the name keeps it
-    assert _bolted_on([module, "class Other:\n    tag = None\n"]) == {"extra"}
+    assert _bolted_on(module) == {"extra", "tag"}
+    # a class of the same module that declares the name keeps it
+    assert _bolted_on(module + "class Other:\n    tag = None\n") == {"extra"}
 
 
 def test_no_field_is_bolted_on():
-    assert _bolted_on([path.read_text() for path in SOURCES]) == set()
+    bolted = {path.name: _bolted_on(path.read_text()) for path in SOURCES}
+    assert {name: names for name, names in bolted.items() if names} == {}
 
 
 def test_scan_finds_an_unused_import():

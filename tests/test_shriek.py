@@ -15,6 +15,7 @@ from fpduality.shriek import (
     exterior_hom_comparison,
     shriek_tensor,
     verify_associativity,
+    verify_rigidifier,
     verify_symmetry,
     verify_unit,
 )
@@ -351,8 +352,7 @@ class TestRigidifierLinks:
         p, names, relations = self.RINGS[name]
         amb = PolyRing(p, names)
         A = QuotientRing(amb, relations(*amb.gens()))
-        dc = canonical_dualizing(A)
-        rep = verify_unit(A, dc.canonical_module_over_ring(), m_shift=dc.lowest_degree())
+        rep = verify_rigidifier(canonical_dualizing(A))
         evaluation, window, degrees = self.LINKS[name]
         assert rep.certified
         assert rep.links == {
