@@ -14,6 +14,7 @@ relations).
 """
 
 from itertools import combinations
+from operator import add
 
 from .errors import AlgebraError, RingMismatch
 from .fp import inv_mod
@@ -30,6 +31,7 @@ from .groebner import (
     syzygies,
     unit_vector,
     vector_of,
+    vector_of_terms,
 )
 from .modules import FPModule, ModuleMap, is_isomorphism
 
@@ -185,13 +187,13 @@ def shift(T, k):
 
 
 def _rows(columns, nrows):
-    """The nonzero entries of a matrix of nrows rows, given by its columns,
-    row by row: rows[i] lists the (column index, entry) pairs of row i in
-    column order."""
+    """The nonzero terms of a matrix of nrows rows, given by its columns,
+    row by row: rows[i] lists the (column index, mono, coeff) terms of row
+    i, in column order and, within a column, in its order."""
     rows = [[] for _ in range(nrows)]
     for j, col in enumerate(columns):
-        for i, c in nonzero_slots(col):
-            rows[i].append((j, c))
+        for (i, m), c in col.terms.items():
+            rows[i].append((j, m, c))
     return rows
 
 
@@ -233,7 +235,7 @@ def _product_terms(X, Y, degrees, partner):
         bases[n] = BasisIndex(triples)
         if Y.relations:
             relations[n] = [
-                vector_of(X.ambient, len(triples), [(off + i, c) for i, c in nonzero_slots(rel)])
+                vector_of_terms(X.ambient, len(triples), [((off + i, m), c) for (i, m), c in rel.terms.items()])
                 for off, j in blocks
                 for rel in Y.term_relations(j)
             ]
@@ -261,12 +263,12 @@ def hom_complex(X, Y):
         cols = []
         # every triple a differential reaches is in the basis of degree n + 1
         for (i, a, b) in bi.labels:
-            entries = []
+            col = []
             if i + n in Y.diffs:
-                entries += [(tgt.position[(i, a, b2)], e) for b2, e in nonzero_slots(Y.diffs[i + n][b])]
+                col += [((tgt.position[(i, a, b2)], m), c) for (b2, m), c in Y.diffs[i + n][b].terms.items()]
             if i - 1 in dx_rows:
-                entries += [(tgt.position[(i - 1, a2, b)], e.scale(sign)) for a2, e in dx_rows[i - 1][a]]
-            cols.append(vector_of(amb, len(tgt), entries))
+                col += [((tgt.position[(i - 1, a2, b)], m), sign * c) for a2, m, c in dx_rows[i - 1][a]]
+            cols.append(vector_of_terms(amb, len(tgt), col))
         diffs[n] = cols
     return FreeComplex(ring, terms, diffs, relations=relations, bases=bases)
 
@@ -290,14 +292,14 @@ def tensor_complex(X, Y):
         cols = []
         # every triple a differential reaches is in the basis of degree n + 1
         for (i, a, b) in bi.labels:
-            entries = []
+            col = []
             if i in X.diffs:
-                entries += [(tgt.position[(i + 1, a2, b)], e) for a2, e in nonzero_slots(X.diffs[i][a])]
+                col += [((tgt.position[(i + 1, a2, b)], m), c) for (a2, m), c in X.diffs[i][a].terms.items()]
             if n - i in Y.diffs:
                 sign = 1 if i % 2 == 0 else -1
                 dy = Y.diffs[n - i][b]
-                entries += [(tgt.position[(i, a, b2)], e.scale(sign)) for b2, e in nonzero_slots(dy)]
-            cols.append(vector_of(amb, len(tgt), entries))
+                col += [((tgt.position[(i, a, b2)], m), sign * c) for (b2, m), c in dy.terms.items()]
+            cols.append(vector_of_terms(amb, len(tgt), col))
         diffs[n] = cols
     return FreeComplex(ring, terms, diffs, relations=relations, bases=bases)
 
@@ -483,18 +485,19 @@ def invert_monomial_chain_map(f):
         inverse = [[] for _ in range(n)]
         rows = set()
         for j in range(n):
-            entries = nonzero_slots(f.column(d, j))
-            if len(entries) != 1:
-                raise AlgebraError("column %d at degree %d has %d nonzero entries" % (j, d, len(entries)))
-            [(i, c)] = entries
-            u = c.constant_value()
-            if u is None:
+            terms = f.column(d, j).terms
+            slots = {i for i, _m in terms}
+            if len(slots) != 1:
+                raise AlgebraError("column %d at degree %d has %d nonzero entries" % (j, d, len(slots)))
+            [i] = slots
+            (_i, m), u = next(iter(terms.items()))
+            if len(terms) != 1 or any(m):
                 raise AlgebraError("entry (%d, %d) at degree %d is not a constant" % (i, j, d))
             if i in rows:
                 raise AlgebraError("row %d at degree %d is hit twice" % (i, d))
             rows.add(i)
-            inverse[i].append((j, amb.const(inv_mod(u, amb.p))))
-        maps[d] = [vector_of(amb, n, entries) for entries in inverse]
+            inverse[i].append(((j, m), inv_mod(u, amb.p)))
+        maps[d] = [vector_of_terms(amb, n, terms) for terms in inverse]
     g = ChainMap(tgt, src, maps)
     for first, second in ((f, g), (g, f)):
         C = first.source
@@ -596,14 +599,14 @@ def hom_transpose_vector(lifted, v, b_src, b_tgt):
 
     v has coordinates on b_src, the basis of Hom(Y, T)^n; the result has
     coordinates on b_tgt, the basis of Hom(X, T)^n."""
-    entries = []
-    for pos, cf in nonzero_slots(v):
+    terms = []
+    for (pos, m1), c1 in v.terms.items():
         i, aY, b = b_src.labels[pos]
-        for aX, entry in lifted.rows(i)[aY]:
+        for aX, m2, c2 in lifted.rows(i)[aY]:
             q = b_tgt.position.get((i, aX, b))
             if q is not None:
-                entries.append((q, cf * entry))
-    return vector_of(v.ring, len(b_tgt), entries)
+                terms.append(((q, tuple(map(add, m1, m2))), c1 * c2))
+    return vector_of_terms(v.ring, len(b_tgt), terms)
 
 
 def hom_transpose_chain_map(lifted, W_src, W_tgt):

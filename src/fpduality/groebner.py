@@ -221,6 +221,36 @@ def nonzero_slots(v):
     return slots
 
 
+def vector_of_terms(ring, rank, terms):
+    """The vector of ring^rank that is the sum of the flat terms ((pos,
+    mono), coeff), in their order: vector_of without a polynomial per
+    slot.  The positions are taken as they are."""
+    p = ring.p
+    acc = {}
+    get = acc.get
+    for key, c in terms:
+        c = (get(key, 0) + c) % p
+        if c:
+            acc[key] = c
+        elif key in acc:
+            del acc[key]
+    return VectorPoly._of(ring, rank, acc)
+
+
+def slot_terms(v):
+    """v's terms grouped by slot, as {pos: {mono: coeff}}: each slot's
+    terms in their order in v, the slots in the order they first occur.
+    The dicts are new, for the caller to change."""
+    rows = {}
+    for (i, m), c in v.terms.items():
+        e = rows.get(i)
+        if e is None:
+            rows[i] = {m: c}
+        else:
+            e[m] = c
+    return rows
+
+
 def unit_vector(ring, rank, i, poly=None):
     """poly (by default 1) in slot i of ring^rank, built from its terms."""
     if not 0 <= i < rank:
@@ -363,21 +393,20 @@ class DivisionIndex:
             self.add(g)
 
     def add(self, g):
-        lead = leading_term(g, self.order)
-        tail = None
-        if lead is not None:
-            pos, mono, c = lead
+        lead = tail = None
+        if g.terms:
             pk = self._packing
             handed = self._handed
             if handed is not None and handed[0] is g and handed[1] is pk:
                 # g's terms, packed and in descending order, by the division
-                # that produced it
+                # that produced it, which cached its lead
                 packed = handed[2]
                 dmask = pk.consts[4]
                 deg = max([d & dmask for d, _c in packed])
                 ld = packed[0][0]
                 tail = packed[1:]
             else:
+                # the packed terms hold the degree only once the fields do
                 deg = max(map(sum, map(_mono, g.terms)))
                 ld = None
             if pk is None or deg > self.top:
@@ -387,9 +416,16 @@ class DivisionIndex:
                 if self._fit(g.ring.nvars) is not pk:
                     pk = self._packing
                     ld = tail = None
-            if ld is None:
-                ld = pk.term(pos, mono)
-            self.by_pos.setdefault(pos, []).append((len(self.divisors), ld, inv_mod(c, g.ring.p)))
+            if ld is not None:
+                # handed: the division that produced g cached its lead
+                lead = leading_term(g, self.order)
+            else:
+                # the leading term is the smallest packed term
+                shift, offset, weights, _guard, _dmask = pk.consts
+                ld, key = min([(sum(map(mul, m, weights), (i << shift) + offset), (i, m)) for i, m in g.terms])
+                lead = key + (g.terms[key],)
+                g._leads = (self.order, lead)
+            self.by_pos.setdefault(lead[0], []).append((len(self.divisors), ld, inv_mod(lead[2], g.ring.p)))
         self._handed = None
         self.divisors.append(g)
         self.leads.append(lead)

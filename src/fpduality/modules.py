@@ -9,7 +9,9 @@ explicit inverse, checked to be one.  kernel_cokernel presents the kernel
 and cokernel of a map.
 """
 
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import add
 
 from .errors import AlgebraError, NotGraded, NotMaximal, RingMismatch
 from .fp import inv_mod
@@ -25,14 +27,16 @@ from .groebner import (
     leading_term,
     modulus_gens,
     modulus_tails,
-    nonzero_slots,
     reduce_in,
     reduced_basis,
+    slot_terms,
     syzygies,
     unique_nonzero,
     unit_vector,
     vector_of,
+    vector_of_terms,
 )
+from .polyring import Polynomial
 
 
 class FPModule:
@@ -258,9 +262,10 @@ def _constant_inverse(f):
         return None
     rows = [[0] * n for _ in range(n)]
     for j, col in enumerate(f.columns):
-        for i, c in nonzero_slots(col):
-            u = c.constant_value()
-            if u is None:
+        # an entry is constant when its one term is; monomials differ
+        # within a slot, so no slot holds two constant terms
+        for (i, m), u in col.terms.items():
+            if any(m):
                 return None
             rows[i][j] = u
     amb = f.source.ambient
@@ -331,67 +336,107 @@ def _eliminate_units(M):
     kept lists the generators of M that P keeps and express[k] is the image
     of generator k of M in P.
 
-    A row, a relation or the image of a generator, is a dict {slot:
-    entry}, and rows_at[i] holds the rows with an entry in slot i, so a
-    pivot is substituted only into the rows it reaches.  Each pivot is a
-    constant entry of the relation with the fewest entries, the first such
-    relation, at its first such slot."""
+    A row, a relation or the image of a generator, holds its entries as
+    term dicts {slot: {mono: coeff}} (slot_terms), and rows_at[i] holds the
+    rows with an entry in slot i, so a pivot is substituted only into the
+    rows it reaches.  Each pivot is a constant entry of the relation with
+    the fewest entries, the first such relation, at its first such slot:
+    the smallest key (entries, relation, slot) of a heap, where a key left
+    behind by a change of its row is skipped."""
     amb = M.ambient
+    p = amb.p
     m = M.ngens
+    one = (0,) * amb.nvars
     # modulus tails are set aside and adjoined again for the kept
     # generators: each tail of an eliminated generator is a combination of
-    # those
+    # those, so entries only matter modulo the modulus
     tails = set(modulus_tails(M.ring, m))
-    has_tails = tails <= set(M.relations)
-    rows = [dict(nonzero_slots(r)) for r in M.relations if not (has_tails and r in tails)]
+    # the relations are distinct, so all tails are among them when this
+    # many are
+    is_tail = [r in tails for r in M.relations]
+    has_tails = sum(is_tail) == len(tails)
+    # Ideal.reduce fetches the modulus basis when an entry first needs it
+    reduce = has_tails and isinstance(M.ring, QuotientRing) and M.ring.modulus.reduce
+    rows = [slot_terms(r) for r, tail in zip(M.relations, is_tail) if not (has_tails and tail)]
     nrels = len(rows)
-    rows += [{k: amb.one()} for k in range(m)]
+    rows += [{k: {one: 1}} for k in range(m)]
     rows_at = {i: set() for i in range(m)}
     for t, row in enumerate(rows):
         for i in row:
             rows_at[i].add(t)
 
     def pivot(t):
-        units = [j for j, c in rows[t].items() if c.constant_value()]
-        return units and (len(rows[t]), t, min(units))
+        row = rows[t]
+        units = [j for j, e in row.items() if one in e and len(e) == 1]
+        return units and (len(row), t, min(units))
 
-    pivots = {t: pivot(t) for t in range(nrels)}
-    kept = list(range(m))
-    while any(pivots.values()):
-        _, t, j = min(x for x in pivots.values() if x)
-        del pivots[t]
+    # the pivot key of each relation not used as a pivot, False without one
+    keys = {t: pivot(t) for t in range(nrels)}
+    heap = [key for key in keys.values() if key]
+    heapify(heap)
+    gone = set()
+    while heap:
+        key = heappop(heap)
+        _, t, j = key
+        if keys.get(t) != key:
+            continue
+        del keys[t]
         r = rows[t]
-        inv = inv_mod(r[j].constant_value(), amb.p)
+        inv = inv_mod(r[j][one], p)
         for i in r:
             rows_at[i].discard(t)
+        # e_j = -(1/c) sum_{i != j} r_i e_i, with c = r_j = 1/inv: row s
+        # gains f times these negated entries for its entry f at j, the
+        # product summed first, so that the terms come in the order of
+        # polynomial arithmetic
+        negated = [(i, {m2: -c2 * inv % p for m2, c2 in c.items()}) for i, c in r.items() if i != j]
         for s in rows_at.pop(j):
-            # e_j = -(1/c) sum_{i != j} r_i e_i, with c = r_j = 1/inv
             row = rows[s]
-            factor = row.pop(j).scale(inv)
-            for i, c in r.items():
-                if i == j:
-                    continue
-                e = row.get(i, amb.zero()) - factor * c
-                if has_tails and e.terms:
-                    # the tails are adjoined again: entries only matter modulo the modulus
-                    e = reduce_in(M.ring, e)
-                if e.terms:
+            f = row.pop(j)
+            for i, c in negated:
+                e = row.get(i)
+                if e is None:
+                    e = {}
+                product = {}
+                for m1, k1 in f.items():
+                    for m2, k2 in c.items():
+                        mm = tuple(map(add, m1, m2))
+                        k = (product.get(mm, 0) + k1 * k2) % p
+                        if k:
+                            product[mm] = k
+                        elif mm in product:
+                            del product[mm]
+                for mm, k in product.items():
+                    k = (e.get(mm, 0) + k) % p
+                    if k:
+                        e[mm] = k
+                    elif mm in e:
+                        del e[mm]
+                if reduce and e:
+                    e = reduce(Polynomial(amb, e)).terms
+                if e:
                     row[i] = e
                     rows_at[i].add(s)
                 elif row.pop(i, None) is not None:
                     rows_at[i].discard(s)
-            if s in pivots:
-                pivots[s] = pivot(s)
-        kept.remove(j)
-    if len(kept) == m:
-        return None, kept, [M.gen(k) for k in range(m)]
+            if s in keys:
+                key = keys[s] = pivot(s)
+                if key:
+                    heappush(heap, key)
+        gone.add(j)
+    if not gone:
+        return None, list(range(m)), [M.gen(k) for k in range(m)]
+    kept = [k for k in range(m) if k not in gone]
     grading = [M.grading[k] for k in kept] if M.grading is not None else None
     position = {k: i for i, k in enumerate(kept)}
 
     def restricted(rows):
-        return [vector_of(amb, len(kept), [(position[i], c) for i, c in sorted(row.items())]) for row in rows]
+        return [
+            vector_of_terms(amb, len(kept), [((position[i], mm), k) for i, e in sorted(row.items()) for mm, k in e.items()])
+            for row in rows
+        ]
 
-    rels = restricted(rows[t] for t in range(nrels) if t in pivots)
+    rels = restricted(rows[t] for t in range(nrels) if t in keys)
     P = FPModule(M.ring, len(kept), rels, grading=grading, normalize=has_tails)
     return P, kept, restricted(rows[nrels:])
 
@@ -444,8 +489,8 @@ class HomModule(FPModule):
         """The coefficient vector of an explicit ModuleMap on the
         generators, or None."""
         n = self.hom_target.ngens
-        entries = [(j * n + i, c) for j, col in enumerate(f.columns) for i, c in nonzero_slots(col)]
-        return self.h0.coords_of_cocycle(vector_of(self.ambient, n * len(f.columns), entries))
+        terms = [((j * n + i, m), c) for j, col in enumerate(f.columns) for (i, m), c in col.terms.items()]
+        return self.h0.coords_of_cocycle(vector_of_terms(self.ambient, n * len(f.columns), terms))
 
 
 def hom_module(M, N):
@@ -464,11 +509,11 @@ def tensor_module(M, N):
 
     rels = []
     for a in M.relations:
-        entries = nonzero_slots(a)
-        rels.extend(vector_of(amb, m * n, [(slot(i, j), c) for i, c in entries]) for j in range(n))
+        terms = a.terms.items()
+        rels.extend(vector_of_terms(amb, m * n, [((slot(i, j), mono), c) for (i, mono), c in terms]) for j in range(n))
     for b in N.relations:
-        entries = nonzero_slots(b)
-        rels.extend(vector_of(amb, m * n, [(slot(i, j), c) for j, c in entries]) for i in range(m))
+        terms = b.terms.items()
+        rels.extend(vector_of_terms(amb, m * n, [((slot(i, j), mono), c) for (j, mono), c in terms]) for i in range(m))
     grading = None
     if M.grading is not None and N.grading is not None:
         grading = [M.grading[i] + N.grading[j] for i in range(m) for j in range(n)]
@@ -485,7 +530,7 @@ def direct_sum(modules):
         offsets.append(acc)
         acc += M.ngens
     rels = [
-        vector_of(amb, total, [(off + i, c) for i, c in nonzero_slots(r)])
+        vector_of_terms(amb, total, [((off + i, m), c) for (i, m), c in r.terms.items()])
         for off, M in zip(offsets, modules)
         for r in M.relations
     ]
@@ -503,16 +548,16 @@ def exterior_power(M, k):
     if k >= 1:
         smaller = list(combinations(range(M.ngens), k - 1))
         for a in M.relations:
-            slots = nonzero_slots(a)
+            slots = slot_terms(a).items()
             for T in smaller:
-                entries = []
-                for i, c in slots:
+                terms = []
+                for i, e in slots:
                     if i in T:
                         continue
                     merged = tuple(sorted(T + (i,)))
                     sign = (-1) ** sum(1 for t in T if t < i)
-                    entries.append((index[merged], c if sign == 1 else -c))
-                rels.append(vector_of(amb, len(subsets), entries))
+                    terms += [((index[merged], m), sign * c) for m, c in e.items()]
+                rels.append(vector_of_terms(amb, len(subsets), terms))
     grading = None
     if M.grading is not None:
         grading = [sum(M.grading[i] for i in s) for s in subsets]
@@ -608,9 +653,8 @@ def hilbert_function(M, d_max):
     amb = M.ambient
     for rel in M.relations:
         degs = set()
-        for j, c in nonzero_slots(rel):
-            for mono in c.terms:
-                degs.add(sum(mono) + M.grading[j])
+        for j, mono in rel.terms:
+            degs.add(sum(mono) + M.grading[j])
         if len(degs) > 1:
             raise NotGraded("inhomogeneous relation %r" % (rel,))
     gb = M.relgb().basis

@@ -1,6 +1,7 @@
 """Pruned presentations, the Hom condition trim, and the canonical module."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,23 @@ from hypothesis import strategies as st
 from fpduality.duality import canonical_dualizing
 from fpduality.errors import AlgebraError
 from fpduality.frobenius import pushforward_module
-from fpduality.groebner import ModuleGB, QuotientRing, VectorPoly, combine, leading_term, unit_vector, vector_of
+from fpduality.fp import inv_mod
+from fpduality.groebner import (
+    ModuleGB,
+    QuotientRing,
+    VectorPoly,
+    combine,
+    leading_term,
+    modulus_tails,
+    nonzero_slots,
+    reduce_in,
+    unit_vector,
+    vector_of,
+)
 from fpduality.modules import (
     FPModule,
     ModuleMap,
+    _eliminate_units,
     cyclic_module,
     direct_sum,
     free_module,
@@ -208,3 +222,113 @@ def test_pruned_pushforward_of_the_twisted_cubic_is_pinned():
     assert kept == [0, 1, 2, 3, 4, 5, 9, 10, 11, 27, 28, 30, 31, 36, 37, 54, 57, 63]
     assert _digest(map(repr, P.relations)) == "f689864b5a6b985b"
     assert _digest(map(repr, from_M.columns)) == "d8e99666704fed12"
+
+
+def _slot_view_eliminate_units(M):
+    """The elimination of prune on rows of slot views {slot: Polynomial},
+    pivots chosen by a min over every candidate: the oracle that
+    modules._eliminate_units, on term rows with a pivot heap, must match
+    term for term."""
+    amb = M.ambient
+    m = M.ngens
+    tails = set(modulus_tails(M.ring, m))
+    has_tails = tails <= set(M.relations)
+    rows = [dict(nonzero_slots(r)) for r in M.relations if not (has_tails and r in tails)]
+    nrels = len(rows)
+    rows += [{k: amb.one()} for k in range(m)]
+    rows_at = {i: set() for i in range(m)}
+    for t, row in enumerate(rows):
+        for i in row:
+            rows_at[i].add(t)
+
+    def pivot(t):
+        units = [j for j, c in rows[t].items() if c.constant_value()]
+        return units and (len(rows[t]), t, min(units))
+
+    pivots = {t: pivot(t) for t in range(nrels)}
+    kept = list(range(m))
+    while any(pivots.values()):
+        _, t, j = min(x for x in pivots.values() if x)
+        del pivots[t]
+        r = rows[t]
+        inv = inv_mod(r[j].constant_value(), amb.p)
+        for i in r:
+            rows_at[i].discard(t)
+        for s in rows_at.pop(j):
+            row = rows[s]
+            factor = row.pop(j).scale(inv)
+            for i, c in r.items():
+                if i == j:
+                    continue
+                e = row.get(i, amb.zero()) - factor * c
+                if has_tails and e.terms:
+                    e = reduce_in(M.ring, e)
+                if e.terms:
+                    row[i] = e
+                    rows_at[i].add(s)
+                elif row.pop(i, None) is not None:
+                    rows_at[i].discard(s)
+            if s in pivots:
+                pivots[s] = pivot(s)
+        kept.remove(j)
+    if len(kept) == m:
+        return None, kept, [M.gen(k) for k in range(m)]
+    grading = [M.grading[k] for k in kept] if M.grading is not None else None
+    position = {k: i for i, k in enumerate(kept)}
+
+    def restricted(rows):
+        return [vector_of(amb, len(kept), [(position[i], c) for i, c in sorted(row.items())]) for row in rows]
+
+    rels = restricted(rows[t] for t in range(nrels) if t in pivots)
+    P = FPModule(M.ring, len(kept), rels, grading=grading, normalize=has_tails)
+    return P, kept, restricted(rows[nrels:])
+
+
+T = PolyRing(5, ("x", "y", "z"))
+TX, TY, TZ = T.gens()
+SURFACE = QuotientRing(T, [TX * TY - TZ ** 2, TZ ** 3])
+
+
+def _random_module(rng, ring):
+    """A module on 1-6 generators with up to 8 relations: sparse entries of
+    degree at most 2, several terms each, a constant term planted in half of
+    the entries, and the modulus tails adjoined or not."""
+    amb = ring.ambient if isinstance(ring, QuotientRing) else ring
+    n = amb.nvars
+    m = rng.randint(1, 6)
+    rels = []
+    for _ in range(rng.randint(0, 8)):
+        comps = []
+        for _ in range(m):
+            terms = [(tuple(rng.randint(0, 1) for _ in range(n)), rng.randint(1, amb.p - 1)) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.5:
+                terms.append(((0,) * n, rng.randint(1, amb.p - 1)))
+            comps.append(amb.from_terms(terms))
+        rels.append(VectorPoly(amb, comps))
+    grading = [rng.randint(0, 2) for _ in range(m)] if rng.random() < 0.5 else None
+    return FPModule(ring, m, rels, grading=grading, normalize=rng.random() < 0.7)
+
+
+def _terms(vectors):
+    return [(v.rank, list(v.terms.items())) for v in vectors]
+
+
+def test_term_rows_match_the_slot_view_elimination():
+    rng = random.Random(32)
+    eliminated = 0
+    for _ in range(150):
+        M = _random_module(rng, rng.choice([S, CUSP, T, SURFACE]))
+        P, kept, express = _eliminate_units(M)
+        Q, kept_q, express_q = _slot_view_eliminate_units(M)
+        assert kept == kept_q
+        assert _terms(express) == _terms(express_q)
+        assert (P is None) == (Q is None)
+        if P is not None:
+            eliminated += 1
+            assert _terms(P.relations) == _terms(Q.relations)
+            assert P.grading == Q.grading and P.ring is Q.ring
+    assert eliminated > 50
+    # the pushforwards of the pinned tests, with the modulus tails
+    F = pushforward_module(cyclic_module(CUSP), 1)
+    (P, kept, express), (Q, kept_q, express_q) = _eliminate_units(F), _slot_view_eliminate_units(F)
+    assert kept == kept_q and _terms(express) == _terms(express_q) and _terms(P.relations) == _terms(Q.relations)

@@ -7,7 +7,12 @@ Coefficient vectors have one format too: the solvers return a VectorPoly,
 and combine, the one columns-times-coefficients product, reads its flat
 terms ((j, m), c) term by term, with no per-slot polynomial.  A dense
 components tuple passed to combine, or a solver result wrapped again as a
-VectorPoly, would bring back the list format they replaced."""
+VectorPoly, would bring back the list format they replaced.
+
+Rows that an elimination changes entry by entry hold term dicts
+{slot: {mono: coeff}} (groebner.slot_terms), not slot views: a row made
+as dict(nonzero_slots(v)) would bring back a Polynomial per slot and per
+update."""
 
 import pathlib
 import re
@@ -23,6 +28,8 @@ TERM_DICT_VECTOR = re.compile(r"VectorPoly\._of\b")
 DENSE_COMBINE = re.compile(r"\bcombine\(.*\.components\b")
 # VectorPoly(amb, coords): a solver result rebuilt from a list
 REWRAPPED_SOLUTION = re.compile(r"\bVectorPoly\(\s*[\w.]+\s*,\s*(coords|coeffs|cls|sol|ident|id_coords)\s*\)")
+# rows = [dict(nonzero_slots(r)) for r in M.relations]
+SLOT_VIEW_ROWS = re.compile(r"\bdict\(\s*nonzero_slots\(")
 
 
 def _offending_lines(pattern):
@@ -54,6 +61,10 @@ def test_patterns_match_the_dense_idiom():
     assert REWRAPPED_SOLUTION.search("cols.append(VectorPoly(self.module.ambient, coords))")
     assert not REWRAPPED_SOLUTION.search("VectorPoly(amb, [g]) for g in gens")
     assert not REWRAPPED_SOLUTION.search("VectorPoly(amb, coordsys)")
+    assert SLOT_VIEW_ROWS.search("rows = [dict(nonzero_slots(r)) for r in M.relations]")
+    assert SLOT_VIEW_ROWS.search("row = dict( nonzero_slots(v))")
+    assert not SLOT_VIEW_ROWS.search("rows = [slot_terms(r) for r in M.relations]")
+    assert not SLOT_VIEW_ROWS.search("entries = nonzero_slots(v)")
 
 
 def test_no_zero_padded_vectors_outside_groebner():
@@ -70,3 +81,7 @@ def test_no_dense_coefficients_passed_to_combine_outside_groebner():
 
 def test_no_solver_result_rewrapped_outside_groebner():
     assert _offending_lines(REWRAPPED_SOLUTION) == []
+
+
+def test_no_rows_of_slot_views_outside_groebner():
+    assert _offending_lines(SLOT_VIEW_ROWS) == []
