@@ -20,6 +20,7 @@ from .groebner import (
     VectorPoly,
     ambient_of,
     nonzero_slots,
+    poly_from_vector,
     reduce_in,
     regrouped,
     unit_vector,
@@ -269,7 +270,7 @@ def trace_generator_is_exact(R):
     n = R.nvars
     phi = pbasis_trace_generator(R, list(R.gens()), rank_one_complex(R, -n))
     top = (R.p - 1,) * n
-    values = (col.components[0] for col in phi.columns)
+    values = (poly_from_vector(col) for col in phi.columns)
     return all(
         v.constant_value() == 1 if a == top else v.is_zero()
         for a, v in zip(restricted_monomials(n, R.p), values)

@@ -15,10 +15,12 @@ compared ascending (e_0 is the largest position).  Pair selection is the
 normal strategy (smallest lcm); Gebauer-Moeller elimination prunes the pair
 queue.  Runs are deterministic.
 
-A module element is one dict of its nonzero terms {(pos, mono): coeff},
-the way Singular stores a vector as one polynomial whose terms carry their
-component: S-pairs, division and the final tail reduction build no per-slot
-polynomial.
+A module element is its ring, its rank and one dict of its nonzero terms
+{(pos, mono): coeff}, the way Singular stores a vector as one polynomial
+whose terms carry their component, and nothing else: S-pairs, division and
+the final tail reduction build no per-slot polynomial, a per-slot view is
+built from the terms when it is read, and a division index holds the
+leading terms of its divisors.
 
 Division runs on packed terms (Monagan & Pearce): each term (pos, mono) is
 one integer whose low fields hold the degree and the exponents, under a key
@@ -35,18 +37,18 @@ starts again.
 
 Buchberger stays on packed terms from input to basis.  An S-pair enters
 division as (i, j, pos, lcm) over the basis index: its terms are the two
-packed tails, each shifted by one integer addition, and the remainder
-carries its first, largest term as its cached leading term.  The remainder
-joins the index with the packed terms the division held, unscaled: the
-index keeps the inverse of each leading coefficient, and the basis is made
-monic at the end.  The pair queue keys each pair by its packed lcm, and
-the Gebauer-Moeller criteria are guard-bit tests, equalities and degree
-fields of packed lcms.  The final tail reduction runs bottom up, in
-ascending leading term, dividing each tail only by the elements already
-reduced, and only when one of their leads divides one of its terms.  The
-reduced elements join a new index with their packed terms, and buchberger
-hands that index over with the basis: ModuleGB, ReducedBasis and Ideal
-divide by it and pack nothing again.
+packed tails, each shifted by one integer addition.  The remainder joins
+the index with the packed terms the division held, unscaled, the first of
+them its leading term: the index keeps the inverse of each leading
+coefficient, and the basis is made monic at the end.  The pair queue keys
+each pair by its packed lcm, and the Gebauer-Moeller criteria are
+guard-bit tests, equalities and degree fields of packed lcms.  The final
+tail reduction runs bottom up, in ascending leading term, dividing each
+tail only by the elements already reduced, and only when one of their
+leads divides one of its terms.  The reduced elements join a new index
+with their packed terms, and buchberger hands that index over with the
+basis: ModuleGB, ReducedBasis and Ideal divide by it and pack nothing
+again.
 """
 
 import functools
@@ -68,19 +70,17 @@ from .polyring import (
 
 
 class VectorPoly:
-    """Element of a free module R^rank, stored as its rank and one dict of
-    its nonzero terms {(pos, mono): coeff}.
+    """Element of a free module R^rank, stored as its ring, its rank and
+    one dict of its nonzero terms {(pos, mono): coeff}, and nothing else.
 
     Arithmetic, division and Buchberger walk the nonzero terms only, so the
-    zero slots of an augmented vector cost nothing.  The one per-slot view
-    kept is the list of nonzero slots (see nonzero_slots): the polynomials
-    the vector was built from, or, for a vector built from terms, ones
-    rebuilt on first read with each slot's terms in their order in the
-    dict.  `components`, the dense tuple of all rank slots, is made from
-    it on each read.
+    zero slots of an augmented vector cost nothing.  The per-slot views are
+    built from the terms on each read: nonzero_slots, one polynomial per
+    nonzero slot with its terms in their order in the dict, and
+    `components`, the dense tuple of all rank slots.
     """
 
-    __slots__ = ("ring", "rank", "terms", "_slots", "_leads")
+    __slots__ = ("ring", "rank", "terms")
 
     def __init__(self, ring, components):
         components = tuple(components)
@@ -93,8 +93,6 @@ class VectorPoly:
         self.ring = ring
         self.rank = len(components)
         self.terms = terms
-        self._slots = tuple((i, c) for i, c in enumerate(components) if c.terms)
-        self._leads = None
 
     @classmethod
     def _of(cls, ring, rank, terms):
@@ -104,8 +102,6 @@ class VectorPoly:
         v.ring = ring
         v.rank = rank
         v.terms = terms
-        v._slots = None
-        v._leads = None
         return v
 
     @property
@@ -145,17 +141,11 @@ class VectorPoly:
         return VectorPoly._of(self.ring, self.rank, {key: (-c) % p for key, c in self.terms.items()})
 
     def scale(self, c):
-        """c times the vector; a cached leading term is kept, scaled."""
         p = self.ring.p
         c %= p
         if c == 0:
             return VectorPoly._of(self.ring, self.rank, {})
-        v = VectorPoly._of(self.ring, self.rank, {key: k * c % p for key, k in self.terms.items()})
-        cached = self._leads
-        if cached is not None:
-            order, lead = cached
-            v._leads = (order, lead and (lead[0], lead[1], lead[2] * c % p))
-        return v
+        return VectorPoly._of(self.ring, self.rank, {key: k * c % p for key, k in self.terms.items()})
 
     def mul_term(self, mono, coeff):
         p = self.ring.p
@@ -204,23 +194,6 @@ def vector_of(ring, rank, entries):
     return VectorPoly._of(ring, rank, acc)
 
 
-def nonzero_slots(v):
-    """The nonzero slots of v as a tuple of (pos, poly) pairs in position
-    order, kept on v: built once from its terms, in time linear in their
-    number."""
-    slots = v._slots
-    if slots is None:
-        grouped = {}
-        for (i, m), c in v.terms.items():
-            d = grouped.get(i)
-            if d is None:
-                d = grouped[i] = {}
-            d[m] = c
-        ring = v.ring
-        slots = v._slots = tuple((i, Polynomial(ring, grouped[i])) for i in sorted(grouped))
-    return slots
-
-
 def vector_of_terms(ring, rank, terms):
     """The vector of ring^rank that is the sum of the flat terms ((pos,
     mono), coeff), in their order: vector_of without a polynomial per
@@ -251,6 +224,15 @@ def slot_terms(v):
     return rows
 
 
+def nonzero_slots(v):
+    """The nonzero slots of v as a tuple of (pos, poly) pairs in position
+    order, each slot's terms in their order in v: built from its terms on
+    each call."""
+    rows = slot_terms(v)
+    ring = v.ring
+    return tuple((i, Polynomial(ring, rows[i])) for i in sorted(rows))
+
+
 def unit_vector(ring, rank, i, poly=None):
     """poly (by default 1) in slot i of ring^rank, built from its terms."""
     if not 0 <= i < rank:
@@ -265,23 +247,23 @@ def vector_from_poly(f):
     return VectorPoly(f.ring, (f,))
 
 
+def poly_from_vector(v):
+    """The polynomial of a vector of rank one, its terms in their order."""
+    return Polynomial(v.ring, {m: c for (_pos, m), c in v.terms.items()})
+
+
 # ---------------------------------------------------------------------------
 # leading terms under POT
 
 def leading_term(v, order):
-    """Largest (pos, mono, coeff): positions compare ascending, so the
-    leading term is that of the first nonzero component.  Cached per order
-    on the immutable vector."""
-    cached = v._leads
-    if cached is not None and (cached[0] is order or cached[0] == order):
-        return cached[1]
-    best = None
-    if v.terms:
-        desc = order.desc
-        pos, _k, m = min((i, desc(m), m) for i, m in v.terms)
-        best = (pos, m, v.terms[(pos, m)])
-    v._leads = (order, best)
-    return best
+    """Largest (pos, mono, coeff), or None for the zero vector: positions
+    compare ascending, so the leading term is that of the first nonzero
+    component."""
+    if not v.terms:
+        return None
+    desc = order.desc
+    pos, _k, m = min((i, desc(m), m) for i, m in v.terms)
+    return (pos, m, v.terms[(pos, m)])
 
 
 def _budget_check(deg):
@@ -398,33 +380,29 @@ class DivisionIndex:
             pk = self._packing
             handed = self._handed
             if handed is not None and handed[0] is g and handed[1] is pk:
-                # g's terms, packed and in descending order, by the division
-                # that produced it, which cached its lead
+                # g's terms, packed, by the reduction that produced it: its
+                # lead first, not always g's first term
                 packed = handed[2]
-                dmask = pk.consts[4]
+                shift, _offset, _weights, _guard, dmask = pk.consts
                 deg = max([d & dmask for d, _c in packed])
-                ld = packed[0][0]
+                ld, c = packed[0]
+                lead = (ld >> shift, pk.mono(ld), c)
                 tail = packed[1:]
             else:
                 # the packed terms hold the degree only once the fields do
                 deg = max(map(sum, map(_mono, g.terms)))
-                ld = None
             if pk is None or deg > self.top:
                 # the fields held _need(top), so only a higher term can
                 # need wider ones (a division fits a raised budget itself)
                 self.top = max(self.top, deg)
                 if self._fit(g.ring.nvars) is not pk:
                     pk = self._packing
-                    ld = tail = None
-            if ld is not None:
-                # handed: the division that produced g cached its lead
-                lead = leading_term(g, self.order)
-            else:
+                    lead = tail = None
+            if lead is None:
                 # the leading term is the smallest packed term
                 shift, offset, weights, _guard, _dmask = pk.consts
                 ld, key = min([(sum(map(mul, m, weights), (i << shift) + offset), (i, m)) for i, m in g.terms])
                 lead = key + (g.terms[key],)
-                g._leads = (self.order, lead)
             self.by_pos.setdefault(lead[0], []).append((len(self.divisors), ld, inv_mod(lead[2], g.ring.p)))
         self._handed = None
         self.divisors.append(g)
@@ -546,9 +524,10 @@ def division(v, divisors, quotients=True):
 def _division(v, index, quotients):
     """division() by an index, the quotients as the flat terms ((k, mono),
     coeff) of a coefficient vector on the divisors, or None.  The loop is
-    _divide; only new remainder and quotient terms are unpacked.  The
-    first remainder term is the largest, and is cached as its leading
-    term.  A zero vector, a frequent normal form, returns at once."""
+    _divide; only new remainder and quotient terms are unpacked, and the
+    first remainder term is the largest.  The remainder of an S-pair is
+    handed to the index with its packed terms.  A zero vector, a frequent
+    normal form, returns at once."""
     if isinstance(v, tuple):
         # the S-vector has the ring and rank of its divisor i
         spair = v
@@ -566,14 +545,8 @@ def _division(v, index, quotients):
     shift = pk.consts[0]
     mono = pk.mono
     rem = VectorPoly._of(ring, v.rank, {keys.get(d) or (d >> shift, mono(d)): c for d, c in remainder.items()})
-    # the first term written is the largest
-    for key, c in rem.terms.items():
-        rem._leads = (index.order, key + (c,))
-        if spair is not None:
-            index._handed = (rem, pk, list(remainder.items()))
-        break
-    else:
-        rem._leads = (index.order, None)
+    if spair is not None and remainder:
+        index._handed = (rem, pk, list(remainder.items()))
     if quo is not None:
         quo = [((k, mono(q)), c) for k, q, c in quo]
     return quo, rem
@@ -754,7 +727,6 @@ def _reduced_basis(index, order):
                 terms = None
             if terms is not None:
                 g = VectorPoly._of(ring, g.rank, terms)
-                g._leads = (order, (pos, lmono, c))
         # the only element of a basis of one keeps its terms in their order
         h = g if c == 1 else g.scale(inv)
         if tail is not None:
@@ -908,10 +880,9 @@ class ModuleGB(ReducedBasis):
     the augmented basis that lies below position rank.
     """
 
-    def __init__(self, ring, rank, generators, order=None, modulo=()):
+    def __init__(self, ring, rank, generators, modulo=()):
         self.ring = ring
         self.generators = list(generators)
-        order = order or ring.order
         modulo = list(modulo)
         for v in self.generators + modulo:
             if v.ring is not ring and v.ring != ring:
@@ -927,11 +898,11 @@ class ModuleGB(ReducedBasis):
         augmented += [VectorPoly._of(ring, width, g.terms) for g in modulo]
         # positions compare ascending, so the head block eliminates first:
         # the zero-head elements are a basis of the syzygies modulo
-        full = buchberger(augmented, order=order, product_criterion=False)
+        full = buchberger(augmented, order=ring.order, product_criterion=False)
         basis = []
         self.certificates = []
         self.syzygies = []
-        for w, lead in zip(full, full.index.leads):
+        for w in full:
             head = {}
             tail = {}
             for (i, m), c in w.terms.items():
@@ -944,7 +915,6 @@ class ModuleGB(ReducedBasis):
             if head.is_zero():
                 self.syzygies.append(tail)
             else:
-                head._leads = (order, lead)
                 basis.append(head)
                 self.certificates.append(tail)
         # the heads lead below position rank, so they come first
@@ -1044,7 +1014,7 @@ def groebner_basis(polys):
     """Reduced Groebner basis for a list of ring elements."""
     vecs = [vector_from_poly(f) for f in polys if not f.is_zero()]
     gb = buchberger(vecs)
-    return [v.components[0] for v in gb]
+    return [poly_from_vector(v) for v in gb]
 
 
 def normal_form(f, gb_polys):
@@ -1080,7 +1050,7 @@ class Ideal:
         if self._gb is None:
             basis = buchberger([vector_from_poly(g) for g in self.gens], self.ring.order)
             self._index = basis.index
-            self._gb = [v.components[0] for v in basis]
+            self._gb = [poly_from_vector(v) for v in basis]
         return self._gb
 
     def reduce(self, f):
@@ -1416,9 +1386,9 @@ def resolution_stages(ring, columns, length=None):
     amb = ambient_of(ring)
 
     def reduced(vectors):
-        return unique_nonzero(
-            vector_of(amb, v.rank, [(i, reduce_in(ring, x)) for i, x in nonzero_slots(v)]) for v in vectors
-        )
+        if isinstance(ring, QuotientRing):
+            vectors = [vector_of(amb, v.rank, [(i, ring.reduce(x)) for i, x in nonzero_slots(v)]) for v in vectors]
+        return unique_nonzero(vectors)
 
     stages = []
     current = reduced(columns)

@@ -435,11 +435,6 @@ class RingMap:
             self._graph = graph_ideal(self)
         return self._graph
 
-    def compose(self, other):
-        """self after other (other's target must be self's source)."""
-        images = [self.apply(g) for g in other.images]
-        return RingMap(other.source, self.target, images, check=False)
-
     @staticmethod
     def identity(ring):
         from .groebner import QuotientRing

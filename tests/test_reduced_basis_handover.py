@@ -76,13 +76,12 @@ def _kept_as_it_is(index, k):
     terms = {(pos, lmono): c}
     for _t, key in sorted(zip(ts, others)):
         terms[key] = g.terms[key]
-    h = VectorPoly._of(g.ring, g.rank, terms)
-    h._leads = (index.order, index.leads[k])
-    return h
+    return VectorPoly._of(g.ring, g.rank, terms)
 
 
-def _top_down(index, order):
-    # each tail divided by the whole minimal basis, before its reduction
+def _top_down(index, _order):
+    # each tail divided by the whole minimal basis, before its reduction;
+    # the signature of _reduced_basis, whose order is the index's
     _shift, _offset, _weights, guard, dmask = index._packing.consts
     keep = sorted(
         i
@@ -108,7 +107,6 @@ def _top_down(index, order):
                 terms = {(pos, lmono): c}
                 terms.update(rem.terms)
                 g = VectorPoly._of(g.ring, g.rank, terms)
-                g._leads = (order, (pos, lmono, c))
         reduced.append(g if c == 1 else g.scale(inv_mod(c, g.ring.p)))
     packed = {k: lead for entries in index.by_pos.values() for k, lead, _linv in entries}
     return [reduced[k] for k in sorted(packed, key=packed.__getitem__)]

@@ -12,7 +12,11 @@ VectorPoly, would bring back the list format they replaced.
 Rows that an elimination changes entry by entry hold term dicts
 {slot: {mono: coeff}} (groebner.slot_terms), not slot views: a row made
 as dict(nonzero_slots(v)) would bring back a Polynomial per slot and per
-update."""
+update.
+
+The polynomial of a rank-one vector is read with poly_from_vector, from
+its terms: v.components[0] would build a slot view and a dense tuple to
+read one slot."""
 
 import pathlib
 import re
@@ -30,6 +34,8 @@ DENSE_COMBINE = re.compile(r"\bcombine\(.*\.components\b")
 REWRAPPED_SOLUTION = re.compile(r"\bVectorPoly\(\s*[\w.]+\s*,\s*(coords|coeffs|cls|sol|ident|id_coords)\s*\)")
 # rows = [dict(nonzero_slots(r)) for r in M.relations]
 SLOT_VIEW_ROWS = re.compile(r"\bdict\(\s*nonzero_slots\(")
+# values = (col.components[0] for col in phi.columns)
+RANK_ONE_COMPONENT = re.compile(r"\.components\[\s*0\s*\]")
 
 
 def _offending_lines(pattern):
@@ -65,6 +71,10 @@ def test_patterns_match_the_dense_idiom():
     assert SLOT_VIEW_ROWS.search("row = dict( nonzero_slots(v))")
     assert not SLOT_VIEW_ROWS.search("rows = [slot_terms(r) for r in M.relations]")
     assert not SLOT_VIEW_ROWS.search("entries = nonzero_slots(v)")
+    assert RANK_ONE_COMPONENT.search("values = (col.components[0] for col in phi.columns)")
+    assert RANK_ONE_COMPONENT.search("f = v.components[ 0 ]")
+    assert not RANK_ONE_COMPONENT.search("values = (poly_from_vector(col) for col in phi.columns)")
+    assert not RANK_ONE_COMPONENT.search("g = v.components[1]")
 
 
 def test_no_zero_padded_vectors_outside_groebner():
@@ -85,3 +95,7 @@ def test_no_solver_result_rewrapped_outside_groebner():
 
 def test_no_rows_of_slot_views_outside_groebner():
     assert _offending_lines(SLOT_VIEW_ROWS) == []
+
+
+def test_no_rank_one_polynomial_read_through_components_outside_groebner():
+    assert _offending_lines(RANK_ONE_COMPONENT) == []

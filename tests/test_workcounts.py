@@ -3,99 +3,37 @@ division call counts and presentation sizes on fixed workloads.
 
 An algorithmic regression that rebuilds Groebner bases, or that feeds them
 larger presentations, shows here as a count above its bound, with no timing
-noise.  The build bounds are the counts measured when the per-owner basis
-reuse landed (41 builds before), when presentations were trimmed (676
-corpus builds before) and when complexes of modules became free complexes
-with per-degree relations, each cohomology of the unit clause computed
-once (206 unit-clause and 535 corpus builds before), and when every ring
-map read its kernel, surjectivity and preimages off one graph basis, the
-diagonal resolution was kept per length and each p-basis tuple got one
-coordinate solver (154 unit-clause, 11 symmetry, 82 trace-generator and
-483 corpus builds, 649 corpus runs before), and when a truncated
-resolution stopped computing the syzygies of its last stage (153
-unit-clause and 456 corpus builds, 593 corpus runs before).  The cusp
-bound was 24 until it was re-counted at 21.  Graph bases are plain
-buchberger runs, invisible to the ModuleGB count.  The division bound was
-measured when each Groebner basis got one kept division index, which
-leaves the count unchanged, and the kernel of a ring map stopped
-repeating a modulus generator (4085 divisions before).  When presentations
-kept a basis-only Groebner basis (no unit tails, so no ModuleGB) and
-Frobenius duality certified its complex comparison by an explicit inverse
-instead of two cohomologies, the bounds fell to their present values (21
-cusp-duality and 455 corpus builds, 592 corpus runs and 4077 corpus
-divisions before).  When kernels and lifts modulo a submodule gave unit
-tails to the generators only, the corpus divisions fell to their present
-bound (3532 before) and the tracked tail slots, the generators summed over
-all ModuleGB builds, got a bound (891 before); the build and run counts
-did not move.  When Hom(M, N) became H^0 of a Hom complex, each
-cohomology degree kept the one basis that gives both its relations and the
-coordinates of its cocycles, and each resolution stage kept the basis
-that computed its syzygies for lifts into it, the bounds fell to their
-present values (305 corpus builds, 563 runs, 3299 divisions and 460 tail
-slots; 8 cusp-duality builds; 152 unit-clause and 10 symmetry builds,
-measured at 110 and 8).  The condition-system bounds are rows x columns of
-the Hom condition system, measured when automatic Hom conditions were
-dropped (18 x 45 and 68 x 182 before), and unchanged since: the system is
-now the cocycle computation of degree 0 of the Hom complex.  Certifying
-five maps out of one prunable module built 7 bases before the pruned
-module was kept on its owner.  When Frobenius duality read every
-multiplication lift off one lift K^[q] -> K, instead of one lift into F_*K
-per monomial, and is_isomorphism certified a constant invertible matrix by
-its inverse, the bounds fell to their present values (7 cusp-duality
-builds; 261 corpus builds, 503 runs, 2994 divisions and 411 tail slots)
-and the twisted-cubic and elliptic-curve guards were added, at the counts
-then measured (14 builds and 2445 divisions for the twisted cubic; 7
-builds and 121 tail slots for the elliptic curve over F_7, whose duality
-took 10 s).  When each Frobenius-duality value map was checked once, by
-its encoding in Hom, instead of also on every relation of the pruned F_*A,
-the bounds fell to their present values (454 corpus runs, 2725 corpus
-divisions and 1913 twisted-cubic divisions before).  When S-pairs were
-seeded from packed tails and the final tail reduction divided only the
-tails that a leading term divides, the division bounds fell to their
-present values (2665 corpus and 1418 twisted-cubic divisions before) and
-the S-pair divisions of the corpus, counted by their caller as
-benchmark/tracer.py counts them, got a guard at the count they kept.
-When is_isomorphism certified every map by one explicit inverse, lifting
-the target generators of a non-constant map instead of building its
-cokernel basis and kernel syzygies, and the p-generating test read only
-the cokernel of its coordinate map, the corpus and twisted-cubic bounds
-fell to their present values (212 corpus builds, 451 runs, 1780
-divisions, 717 S-pair divisions and 342 tail slots, and 1350
-twisted-cubic divisions before).  When each S-pair remainder joined the
-basis index with the packed terms its division held, the terms that
-DivisionIndex.tail packs again from their tuples in a corpus pass got a
-guard at the count then measured (2595 before).  When the reduced basis
-was interreduced bottom up and buchberger handed it over with the index
-that reduction built, so that ModuleGB, ReducedBasis and Ideal no longer
-packed a fresh index on their first division, the tail-pack bound fell to
-its present value (1588 before), and a guard checks that the first normal
-form, lift or membership test after a build adds no divisor and packs no
-tail.  The tail divisions of that reduction no longer go through
-division(), and the division counts count them where they run.  When
-maps, chain maps, Hom decodes and Frobenius pushforwards came to apply
-their matrices term by term, through one product over a coefficient
-vector's flat terms, and prune eliminated on rows of entries indexed by
-slot, the slot views built from a vector's terms (nonzero_slots calls
-that fill them) got guards at the counts then measured (339 on the
-Frobenius duality of the A1 surface over F_2 and 1534 on a corpus pass
-before).  ModuleGB.reduce then divided through _division without
-division(), and the division counts count _division.  When a Gabber step
-stopped computing the kernel of its inclusion and Frobenius duality the
-cohomology degrees of its report, which nothing read, the S-pair
-divisions of the corpus fell to their present count and the corpus run
-and division bounds to the counts then measured (680 S-pair divisions,
-405 runs and 1663 divisions before, 1661 measured).  When the rigidifier
-clauses read the dualizing complex they were given instead of computing
-it again in the unit check, the corpus and unit-clause bounds fell to the
-counts then measured (194 builds, 379 runs, 299 tail slots, 1473 tail
-packs, 767 slot views and 94 unit-clause builds before; 1456 tail packs,
-737 slot views and 76 unit-clause builds measured) and the S-pair
-divisions of the corpus to their present count (672 before).  When prune
-eliminated on term rows {slot: {mono: coeff}} and Hom encodes, Hom and
-tensor complexes, chain-map rows, Hom transposes, monomial chain-map
-inverses and constant inverses read flat terms, the slot-view bounds fell
-to the counts then measured (120 on the A1 surface and 735 on a corpus
-pass before).
+noise.  The workloads are one `check frobenius_duality(A);` on a fixed ring
+(the cusp and the twisted cubic over F_3, the elliptic curve over F_7, the
+A1 surface over F_2), one `fpdual selftest` corpus pass, the unit and
+rigidifier clause, and a few direct constructions.  What each guard counts:
+
+- builds: ModuleGB constructions (basis, certificates and syzygies).
+- runs: buchberger calls, graph bases and basis-only bases included.
+- divisions: every vector division (groebner._division, through division()
+  or not), every polynomial normal form (_reduce_poly) and every tail
+  division of the final tail reduction.
+- S-pair divisions: division() calls made from buchberger's own frame, as
+  benchmark/tracer.py tells them apart.
+- tail slots: the generators, each with its unit tail, summed over all
+  ModuleGB builds.
+- tail packs: the terms DivisionIndex.tail packs from their tuples when a
+  divisor's tail is first needed.
+- slot views: nonzero_slots calls, each of which builds a Polynomial per
+  nonzero slot of a vector.
+- Hom systems: rows x columns of the Hom condition system that
+  complexes.syzygies solves (the hom_condition_systems fixture).
+
+Each bound is the count measured when a change last lowered it: a guard
+asserts the count is at most its bound, and that a second run of the same
+workload gives the same count.  The S-pair divisions of the corpus must
+equal their bound, since the pair queue, its criteria and the selection
+order fix them.  The guards whose bound is zero (a first query after a
+build, a presentation's basis, cocycle classes, a lift into a resolution,
+buchberger on a ModuleGB input) assert that no basis is built, no tail
+packed and no Polynomial made.  A change that lowers a count tightens its
+bound to the new measurement; one that raises a count raises the bound
+and says why.  CHANGES.md records each change of a bound and its cause.
 """
 
 import sys
@@ -137,7 +75,7 @@ SYMMETRY_BUILDS = 7
 TRACE_GENERATOR_BUILDS = 2
 REPEATED_CERTIFICATION_BUILDS = 6
 A1_SURFACE_DUALITY_SLOT_VIEWS = 1
-CORPUS_SLOT_VIEWS = 277
+CORPUS_SLOT_VIEWS = 222
 CUSP_HOM_SYSTEM = 9 * 27
 ELLIPTIC_DET_HOM_SYSTEM = 32 * 76
 
@@ -220,13 +158,13 @@ def divisions(monkeypatch):
 
 @pytest.fixture
 def slot_views(monkeypatch):
-    # slot views built from a vector's terms: nonzero_slots calls that fill
-    # v._slots, wherever a module imported the function
+    # slot views: every nonzero_slots call builds one from the vector's
+    # terms, wherever a module imported the function
     count = [0]
     original = groebner.nonzero_slots
 
     def counted(v):
-        count[0] += v._slots is None
+        count[0] += 1
         return original(v)
 
     for module in list(sys.modules.values()):
