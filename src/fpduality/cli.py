@@ -45,10 +45,13 @@ def cmd_run(args, out=None):
     session = Session()
     # after Session(), which restores the default budgets
     config.override(args.budget_degree, args.size_cap)
+    failed = False
     for stmt in statements:
-        report = execute(session, stmt)
-        _emit(report.to_dict(), args.json, out)
-    return 0 if (session.checks_passed and not session.had_error) else 1
+        report = execute(session, stmt).to_dict()
+        _emit(report, args.json, out)
+        # an error, or a check that did not certify
+        failed |= report["status"] == "error" or (stmt[0] == "check" and report["payload"] == {"certified": False})
+    return 1 if failed else 0
 
 
 def cmd_selftest(args, out=None):

@@ -698,14 +698,14 @@ def _one_sided_collapse(pi_main, pi_other):
     if isinstance(S1, QuotientRing):
         raise AlgebraError("polynomial extensions are taken over polynomial rings here")
     S3, idx1 = adjoin_variables(S1, ["@j%s" % v for v in amb2.variables])
-    # lifts of the images of the other side's variables
+    # lifts to amb1 of the images of the other side's variables
     lifts = []
     for target_elt in pi_other.images:
         lift = preimage(pi_main, target_elt)
         if lift is None:
             raise NotSurjective("element has no polynomial preimage; map not onto")
-        lifts.append(rename_poly(lift, S3, idx1))
-    lin = [S3.var(n1 + i) - lifts[i] for i in range(n2)]
+        lifts.append(lift)
+    lin = [S3.var(n1 + i) - rename_poly(lifts[i], S3, idx1) for i in range(n2)]
     # the own model over S1; its resolution of A, renamed into S3, starts
     # the joint model
     own = canonical_dualizing(pi_main.target, pi_main)
@@ -749,27 +749,13 @@ def _one_sided_collapse(pi_main, pi_other):
 def _collapse_linear_block(W3, joint_res, Klin, d2, lifts, S1, S3, W1):
     """Evaluation-at-the-section collapse from the joint model to the base
     model: keep the components on the top exterior block of the linear
-    Koszul factor and substitute y -> lift in the coefficients.  The
+    Koszul factor and substitute y -> lift in the coefficients, the ring
+    map S3 -> amb1 fixing x, with the lifts given in amb1.  The
     substitution kills the linear differentials, so this commutes with the
     Hom differentials degreewise with no extra signs."""
     amb1 = ambient_of(S1)
-    n1 = amb1.nvars
     top_index = Klin.bases[-d2].position[tuple(range(d2))]
-
-    def sigma(f):
-        acc = S3.zero()
-        for mono, cf in f.terms.items():
-            term = S3.monomial(mono[:n1] + (0,) * d2, cf)
-            for i in range(d2):
-                e = mono[n1 + i]
-                if e:
-                    term = term * (lifts[i] ** e)
-            acc = acc + term
-        back = list(range(n1)) + [0] * d2
-        for mono in acc.terms:
-            if any(mono[n1:]):
-                raise AlgebraError("substitution left fibre variables behind")
-        return rename_poly(acc, amb1, back)
+    sigma = RingMap(S3, amb1, list(amb1.gens()) + lifts, check=False).apply
 
     def runner(degree, vec):
         b3 = W3.bases.get(degree)

@@ -37,18 +37,20 @@ starts again.
 
 Buchberger stays on packed terms from input to basis.  An S-pair enters
 division as (i, j, pos, lcm) over the basis index: its terms are the two
-packed tails, each shifted by one integer addition.  The remainder joins
-the index with the packed terms the division held, unscaled, the first of
-them its leading term: the index keeps the inverse of each leading
-coefficient, and the basis is made monic at the end.  The pair queue keys
-each pair by its packed lcm, and the Gebauer-Moeller criteria are
-guard-bit tests, equalities and degree fields of packed lcms.  The final
-tail reduction runs bottom up, in ascending leading term, dividing each
-tail only by the elements already reduced, and only when one of their
-leads divides one of its terms.  The reduced elements join a new index
-with their packed terms, and buchberger hands that index over with the
-basis: ModuleGB, ReducedBasis and Ideal divide by it and pack nothing
-again.
+packed tails, each shifted by one integer addition.  The division
+returns the remainder's packed terms, unscaled, the first of them its
+leading term, and buchberger hands them to the index's add() with the
+remainder: the index keeps the inverse of each leading coefficient, and
+the basis is made monic at the end.  The pair queue keys each pair by
+its packed lcm, and the Gebauer-Moeller criteria are guard-bit tests,
+equalities and degree fields of packed lcms.  The final tail reduction
+runs bottom up, in ascending leading term, dividing each tail only by
+the elements already reduced, and only when one of their leads divides
+one of its terms.  Each reduced element is added to a new index in the
+same packing with its packed terms, and buchberger hands that index over
+with the basis: ModuleGB, ReducedBasis and Ideal divide by it and pack
+nothing again.  Every field of an index is written by its own methods;
+the packed terms reach it as an argument of add().
 """
 
 import functools
@@ -257,12 +259,12 @@ def poly_from_vector(v):
 
 def leading_term(v, order):
     """Largest (pos, mono, coeff), or None for the zero vector: positions
-    compare ascending, so the leading term is that of the first nonzero
-    component."""
+    compare ascending, so the leading term is the largest monomial of the
+    first nonzero component."""
     if not v.terms:
         return None
-    desc = order.desc
-    pos, _k, m = min((i, desc(m), m) for i, m in v.terms)
+    pos = min([i for i, _m in v.terms])
+    m = max([m for i, m in v.terms if i == pos], key=order.key)
     return (pos, m, v.terms[(pos, m)])
 
 
@@ -351,16 +353,15 @@ class DivisionIndex:
     grouped per leading position in divisor order, (k, packed leading term,
     inverse of coeff) in `by_pos`; division tries them in that order.  The
     other terms of a divisor are packed as (term, coeff) the first time it
-    fires, unless their packed terms are handed over with it (`_handed`):
-    by division() for the remainder of the index's last S-pair division,
-    or by _reduced_basis for a reduced element.  `top` is the largest
-    degree of any divisor term, and the fields hold _need(top): add()
-    raises top to the largest degree of the new divisor and fits the
-    fields to it (_fit), so a divisor's terms, packed when it fires, fit
-    the fields the division runs in.
+    fires, unless the caller of add() hands them over packed: buchberger
+    for the remainder of an S-pair division, _reduced_basis for a reduced
+    element.  `top` is the largest degree of any divisor term, and the
+    fields hold _need(top): add() raises top to the largest degree of the
+    new divisor and fits the fields to it (_fit), so a divisor's terms,
+    packed when it fires, fit the fields the division runs in.
     """
 
-    __slots__ = ("order", "divisors", "leads", "top", "by_pos", "_packing", "_tails", "_handed")
+    __slots__ = ("order", "divisors", "leads", "top", "by_pos", "_packing", "_tails")
 
     def __init__(self, order, divisors=()):
         self.order = order
@@ -370,19 +371,18 @@ class DivisionIndex:
         self.by_pos = {}
         self._packing = None
         self._tails = []
-        self._handed = None
         for g in divisors:
             self.add(g)
 
-    def add(self, g):
+    def add(self, g, packed=None):
+        """Append the divisor g.  `packed`, when given, is g's terms as
+        (packed term, coeff) in this index's packing, its leading term
+        first, not always g's first term: the index keeps them as g's
+        tail, unless g's degree makes it repack."""
         lead = tail = None
         if g.terms:
             pk = self._packing
-            handed = self._handed
-            if handed is not None and handed[0] is g and handed[1] is pk:
-                # g's terms, packed, by the reduction that produced it: its
-                # lead first, not always g's first term
-                packed = handed[2]
+            if packed is not None:
                 shift, _offset, _weights, _guard, dmask = pk.consts
                 deg = max([d & dmask for d, _c in packed])
                 ld, c = packed[0]
@@ -404,7 +404,6 @@ class DivisionIndex:
                 ld, key = min([(sum(map(mul, m, weights), (i << shift) + offset), (i, m)) for i, m in g.terms])
                 lead = key + (g.terms[key],)
             self.by_pos.setdefault(lead[0], []).append((len(self.divisors), ld, inv_mod(lead[2], g.ring.p)))
-        self._handed = None
         self.divisors.append(g)
         self.leads.append(lead)
         self._tails.append(tail)
@@ -446,6 +445,25 @@ class DivisionIndex:
             sub._tails = [tail and [e for e in tail if e[0] < bound] for tail in self._tails[:n]]
             sub.by_pos = {pos: list(entries) for pos, entries in self.by_pos.items() if pos < rank}
         return sub
+
+    def emptied(self):
+        """An index with no divisors in this index's packing, whose fields
+        hold every term of its divisors."""
+        out = DivisionIndex(self.order)
+        out._packing = self._packing
+        return out
+
+    def reverse(self):
+        """Turn the divisors round, in place: divisor k becomes divisor
+        n - 1 - k, and each position tries its leads in the new order."""
+        n = len(self.divisors)
+        self.divisors.reverse()
+        self.leads.reverse()
+        self._tails.reverse()
+        self.by_pos = {
+            pos: [(n - 1 - k, lead, linv) for k, lead, linv in reversed(entries)]
+            for pos, entries in self.by_pos.items()
+        }
 
     def tail(self, k):
         """Divisor k's terms other than its leading one, as (packed term,
@@ -505,16 +523,17 @@ def division(v, divisors, quotients=True):
     their place.  v is a vector, or an S-pair (i, j, pos, lcm) of the
     index's divisors i and j, whose lcm passed the budget check: the
     working terms are then seeded from their shifted packed tails
-    (DivisionIndex.spair), v stands for that S-vector, and the index keeps
-    the remainder's packed terms for its next add().  The work is
-    _division's; only here are its flat quotients gathered into one
-    polynomial per divisor.
+    (DivisionIndex.spair), v stands for that S-vector, no quotients are
+    collected, and the remainder's packed terms, its leading term first,
+    stand in their place, for the caller to hand to the index's add().
+    The work is _division's; only here are its flat quotients gathered
+    into one polynomial per divisor.
     """
     if not isinstance(divisors, DivisionIndex):
         divisors = DivisionIndex(v.ring.order, divisors)
     quo, rem = _division(v, divisors, quotients)
-    if quo is None:
-        return None, rem
+    if quo is None or isinstance(v, tuple):
+        return quo, rem
     polys = [{} for _ in divisors.divisors]
     for (k, m), c in quo:
         polys[k][m] = c
@@ -523,10 +542,10 @@ def division(v, divisors, quotients=True):
 
 def _division(v, index, quotients):
     """division() by an index, the quotients as the flat terms ((k, mono),
-    coeff) of a coefficient vector on the divisors, or None.  The loop is
-    _divide; only new remainder and quotient terms are unpacked, and the
-    first remainder term is the largest.  The remainder of an S-pair is
-    handed to the index with its packed terms.  A zero vector, a frequent
+    coeff) of a coefficient vector on the divisors, or None; for an
+    S-pair, the remainder's (packed term, coeff) in their place.  The loop
+    is _divide; only new remainder and quotient terms are unpacked, and
+    the first remainder term is the largest.  A zero vector, a frequent
     normal form, returns at once."""
     if isinstance(v, tuple):
         # the S-vector has the ring and rank of its divisor i
@@ -541,12 +560,12 @@ def _division(v, index, quotients):
         low = max([sum(m) for _pos, m in v.terms])
         quo, remainder, keys, pk = _divide(index, ring, low, v.terms, True, None, quotients)
     else:
-        quo, remainder, keys, pk = _divide(index, ring, 0, None, True, spair, quotients)
+        quo, remainder, keys, pk = _divide(index, ring, 0, None, True, spair, False)
     shift = pk.consts[0]
     mono = pk.mono
     rem = VectorPoly._of(ring, v.rank, {keys.get(d) or (d >> shift, mono(d)): c for d, c in remainder.items()})
-    if spair is not None and remainder:
-        index._handed = (rem, pk, list(remainder.items()))
+    if spair is not None:
+        return list(remainder.items()), rem
     if quo is not None:
         quo = [((k, mono(q)), c) for k, q, c in quo]
     return quo, rem
@@ -663,19 +682,22 @@ class _Basis(list):
         self.index = index
 
 
-def _reduced_basis(index, order):
+def _reduced_basis(index):
     """Minimalize and tail-reduce the divisors of buchberger's index; leads
     made monic, deterministic output, with the index over the basis.
 
     The minimal basis is reduced bottom up, in ascending leading term, into
-    a new index: only a lead smaller than an element's own can divide a
-    term of its tail, so the tail is divided by the elements already
-    reduced, and only when one of their leads divides one of its terms (one
-    guard-bit test per term and lead at its position).  The element, its
-    lead first and its other terms in descending order, is made monic and
-    joins that index with the packed terms the reduction held.  The only
-    element of a basis of one keeps its terms in their order.  The index
-    is turned round at the end: the basis lists the leading terms in
+    a new index in the same packing (DivisionIndex.emptied): only a lead
+    smaller than an element's own can divide a term of its tail, so the
+    tail is divided by the elements already reduced, and only when one of
+    their leads divides one of its terms (one guard-bit test per term and
+    lead at its position).  The element, its lead first and its other
+    terms in descending order, is made monic and added to that index with
+    the packed terms the reduction held; once a reduced tail outgrows the
+    fields and the new index repacks, the later elements are packed again
+    in its fields.  The only element of a basis of one keeps its terms in
+    their order.  The index is turned round at the end
+    (DivisionIndex.reverse): the basis lists the leading terms in
     descending order."""
     # an element is redundant when another lead at its position divides
     # its own and has a lower degree, or is equal and comes first
@@ -693,10 +715,8 @@ def _reduced_basis(index, order):
         ),
         reverse=True,
     )
-    # descending packed leads: the leading terms in ascending order.  The
-    # new index shares the packing, whose fields hold every term of the old
-    out = DivisionIndex(order)
-    out._packing = pk
+    # descending packed leads: the leading terms in ascending order
+    out = index.emptied()
     for li, i in keep:
         g = index.divisors[i]
         pos, lmono, c = index.leads[i]
@@ -705,6 +725,13 @@ def _reduced_basis(index, order):
         p = ring.p
         inv = inv_mod(c, p)
         tail = index._tails[i]
+        if out._packing is not index._packing:
+            # an element reduced before this one outgrew the fields, and
+            # the new index repacked: pack this one in its fields
+            pk = out._packing
+            shift, _offset, _weights, _guard, dmask = pk.consts
+            li = pk.term(pos, lmono)
+            tail = [(pk.term(*key), k) for key, k in g.terms.items() if key != lkey]
         if len(keep) > 1:
             if tail is None:
                 tail = index.tail(i)
@@ -729,17 +756,8 @@ def _reduced_basis(index, order):
                 g = VectorPoly._of(ring, g.rank, terms)
         # the only element of a basis of one keeps its terms in their order
         h = g if c == 1 else g.scale(inv)
-        if tail is not None:
-            out._handed = (h, pk, [(li, 1)] + [(d, k * inv % p) for d, k in tail])
-        out.add(h)
-    n = len(keep)
-    out.divisors.reverse()
-    out.leads.reverse()
-    out._tails.reverse()
-    out.by_pos = {
-        pos: [(n - 1 - k, lead, linv) for k, lead, linv in reversed(entries)]
-        for pos, entries in out.by_pos.items()
-    }
+        out.add(h, None if tail is None else [(li, 1)] + [(d, k * inv % p) for d, k in tail])
+    out.reverse()
     return _Basis(out.divisors, out)
 
 
@@ -749,7 +767,8 @@ def buchberger(vectors, order=None, product_criterion=None):
     The basis grows inside one DivisionIndex, which the S-pair reductions
     divide by and the pair updates read packed leading terms from; each
     S-pair goes to division as (i, j, pos, lcm) over that index, and each
-    nonzero remainder joins the index as it is, not made monic.  The basis
+    nonzero remainder joins the index as it is, not made monic, with the
+    packed terms the division returns in place of quotients.  The basis
     comes back as a list that carries the index the tail reduction built
     over it (_Basis), for its owner to divide by."""
     vectors = list(vectors)
@@ -773,11 +792,12 @@ def buchberger(vectors, order=None, product_criterion=None):
     pairs = []
     keyed = None
 
-    def update(h):
+    def update(h, packed=None):
         # Gebauer-Moeller update of the pair queue with the new element h,
-        # on packed terms: the index's fields hold every lcm of two leads
+        # whose packed terms, if given, the index keeps; on packed terms:
+        # the index's fields hold every lcm of two leads
         t = len(leads)
-        index.add(h)
+        index.add(h, packed)
         pk = index._packing
         kept = pairs if pk is keyed else _rekeyed(pairs, pk)
         shift, offset, weights, guard, dmask = pk.consts
@@ -822,12 +842,12 @@ def buchberger(vectors, order=None, product_criterion=None):
         _budget_check(mono_degree(lcm))
         # called here, not through a helper: S-pair reductions are told
         # apart from other divisions by their caller
-        _, rem = division((i, j, pos, lcm), index, quotients=False)
+        packed, rem = division((i, j, pos, lcm), index, quotients=False)
         if not rem.terms:
             continue
-        pairs, keyed = update(rem)
+        pairs, keyed = update(rem, packed)
 
-    return _reduced_basis(index, order)
+    return _reduced_basis(index)
 
 
 def _rekeyed(pairs, pk):

@@ -5,7 +5,7 @@ residues.  Everything is immutable after construction: operations return new
 values, which is what makes sharing across threads safe.
 """
 
-from operator import le, neg, sub
+from operator import le, sub
 
 from .errors import AlgebraError, RingMismatch
 from .fp import check_prime
@@ -37,8 +37,7 @@ def mono_degree(a):
 
 class MonomialOrder:
     """Total order on monomials; key() returns a tuple compared ascending,
-    desc() one whose ascending order is the descending term order, so a
-    min-heap of desc keys pops the largest monomial first."""
+    and rank_weights() the integer weights of packed terms."""
 
     def __init__(self, name, nblock=0):
         self.name = name
@@ -46,15 +45,12 @@ class MonomialOrder:
         self._hash = hash((name, nblock))
         if name == "degrevlex":
             self.key = self._key_degrevlex
-            self.desc = self._desc_degrevlex
         elif name == "lex":
             self.key = self._key_lex
-            self.desc = self._desc_lex
         elif name == "block":
             if nblock <= 0:
                 raise AlgebraError("block order needs a positive block size")
             self.key = self._key_block
-            self.desc = self._desc_block
         else:
             raise AlgebraError("unknown monomial order %r" % name)
 
@@ -63,24 +59,12 @@ class MonomialOrder:
         return (sum(m), tuple(-e for e in reversed(m)))
 
     @staticmethod
-    def _desc_degrevlex(m):
-        return (-sum(m), m[::-1])
-
-    @staticmethod
     def _key_lex(m):
         return m
-
-    @staticmethod
-    def _desc_lex(m):
-        return tuple(map(neg, m))
 
     def _key_block(self, m):
         k = self.nblock
         return (self._key_degrevlex(m[:k]), self._key_degrevlex(m[k:]))
-
-    def _desc_block(self, m):
-        k = self.nblock
-        return (self._desc_degrevlex(m[:k]), self._desc_degrevlex(m[k:]))
 
     def rank_weights(self, n, width):
         """Integer weights (x_1..x_n) and a bit count `bits` for packed keys

@@ -310,10 +310,7 @@ def serialize(value):
         return {"images": [poly_str(g) for g in value.images]}
     if value is None:
         return None
-    cls = type(value).__name__
-    if hasattr(value, "certified"):
-        return {"kind": cls, "certified": bool(value.certified)}
-    return {"kind": cls}
+    return {"kind": type(value).__name__}
 
 
 class Report:
@@ -335,7 +332,7 @@ class Report:
 
 
 class Session:
-    """Name environment and the outcome of the checks run so far.
+    """Name environment of a session script.
 
     A new session starts from the default budgets, so that settings made
     by an earlier session in the process do not carry over."""
@@ -343,8 +340,6 @@ class Session:
     def __init__(self):
         config.reset()
         self.env = {}
-        self.checks_passed = True
-        self.had_error = False
 
     def bind(self, name, value):
         self.env[name] = value
@@ -686,7 +681,6 @@ BUILTINS = {
     "equal_ideals": (_b_equal_ideals, 2, 2),
     "frobenius_duality": (_b_frobenius_duality, 1, 2),
     "gabber_kernels": (_b_gabber_kernels, 3, 3),
-    "kernel_bracket": (_b_gabber_kernels, 3, 3),
     "p_basis": (_b_p_basis, 2, 2),
     "p_generating": (_b_p_generating, 2, 2),
     "extend_pgens": (_b_extend_pgens, 4, 4),
@@ -801,15 +795,11 @@ def execute(session, stmt):
             value = Interpreter(session).eval(stmt[1])
             if not isinstance(value, bool):
                 raise AlgebraError("check expects a certifying predicate")
-            if not value:
-                session.checks_passed = False
             report = Report(echo, "ok", {"certified": value})
         else:
             raise ParseError("unknown statement kind %r" % kind)
     except AlgebraError as exc:
-        session.had_error = True
         report = Report(echo, "error", error_kind=exc.kind, message=str(exc))
     except Exception as exc:  # no panics across the process boundary
-        session.had_error = True
         report = Report(echo, "error", error_kind="internal", message=str(exc))
     return report

@@ -44,7 +44,7 @@ from .modules import (
     hom_module,
     is_isomorphism,
 )
-from .polyring import PolyRing, RingMap
+from .polyring import PolyRing
 
 
 class EnvelopingRing:
@@ -76,12 +76,6 @@ class EnvelopingRing:
                 diag.append(P.var(i) - P.var(j * n + i))
         self.diagonal = Ideal(P, diag)
         self.diagonal_quotient = QuotientRing(P, mod + diag)
-        self.mult = RingMap(
-            self.ring,
-            A,
-            [A.reduce(amb.var(i % n)) for i in range(copies * n)],
-            check=False,
-        )
         self.diagonal_resolutions = {}  # length -> truncated resolution
 
     def slot_index(self, j):

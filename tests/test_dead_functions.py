@@ -19,11 +19,12 @@ body, except self, cls and names that start with an underscore.  Neither
 scan has exceptions.
 
 No field is bolted onto an object from outside its owner: every attribute
-that a module of the package stores on an object other than self is
-declared by a class of that same module, stored on self in a method or
-assigned in its class body.  Within a module it matches names, not
-classes.  And every name a test module imports is loaded somewhere in
-that module."""
+that the package stores on an object other than self is stored in a
+method of a class that declares that field, by storing it on self in one
+of its methods or assigning it in its class body.  A free function stores
+no attribute at all.  And every import, in the package (bar the exports
+of __init__.py) and in each test module, is loaded somewhere in its
+module."""
 
 import ast
 import pathlib
@@ -128,28 +129,54 @@ def _unread_parameters(texts):
     return unread
 
 
+def _is_store(node):
+    return isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+
+
+def _is_self(node):
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _declared(cls):
+    """The fields a class declares: assigned in its class body, or stored
+    on self in one of its methods, nested functions included."""
+    names = set()
+    for stmt in cls.body:
+        if isinstance(stmt, _FUNCTIONS):
+            names |= {node.attr for node in ast.walk(stmt) if _is_store(node) and _is_self(node.value)}
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names |= {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
+    return names
+
+
 def _bolted_on(text):
-    """The attribute names that a module's text stores on an object other
-    than self and that no class of the module declares: stored on self in
-    a method, or assigned in a class body."""
-    declared = set()
-    stored = set()
-    for node in ast.walk(ast.parse(text)):
+    """The attribute stores of a module's text that no owner makes, each as
+    "where.name", where being the enclosing Class.method, function or
+    class body.  A store sits with its owner when it is in a method of a
+    class, nested functions included, and stores on self or a field that
+    class declares (_declared).  A free function or a class body stores
+    no attribute at all."""
+    bolted = set()
+
+    def walk(node, owner, where):
+        # owner: the class whose method encloses node, or None
         if isinstance(node, ast.ClassDef):
             for stmt in node.body:
-                if isinstance(stmt, ast.Assign):
-                    targets = stmt.targets
-                elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-                    targets = [stmt.target]
+                if isinstance(stmt, _FUNCTIONS):
+                    walk(stmt, node, "%s.%s" % (node.name, stmt.name))
                 else:
-                    continue
-                declared |= {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-            if isinstance(node.value, ast.Name) and node.value.id == "self":
-                declared.add(node.attr)
-            else:
-                stored.add(node.attr)
-    return stored - declared
+                    walk(stmt, None, node.name)
+            return
+        if isinstance(node, _FUNCTIONS) and owner is None:
+            where = node.name
+        if _is_store(node) and not (owner and (_is_self(node.value) or node.attr in _declared(owner))):
+            bolted.add("%s.%s" % (where, node.attr))
+        for child in ast.iter_child_nodes(node):
+            walk(child, owner, where)
+
+    walk(ast.parse(text), None, "<module>")
+    return bolted
 
 
 def _unused_imports(text):
@@ -254,17 +281,32 @@ def test_scan_finds_a_bolted_on_field():
         "class Thing:\n"
         "    size = 0\n"
         "    def __init__(self):\n        self.used = 1\n        self.a, self.b = 2, 3\n"
+        "    def copy(self):\n"
+        "        t = Thing()\n"
+        "        def fill():\n            t.used = t.size = t.b = self.used\n"
+        "        fill()\n"
+        "        t.extra = 4\n"
+        "        return t\n"
+        "class Other:\n"
+        "    tag = None\n"
+        "    def __init__(self, thing):\n        thing.used = 5\n"
         "def build(other):\n"
         "    t = Thing()\n"
-        "    t.used = t.size = t.b = 4\n"
-        "    t.extra = 5\n"
-        "    other.tag = 6\n"
+        "    t.used = t.size = t.b = 6\n"
+        "    other.tag = 7\n"
         "    return t\n"
     )
-    # a store on self, in a tuple too, or in a class body declares the name
-    assert _bolted_on(module) == {"extra", "tag"}
-    # a class of the same module that declares the name keeps it
-    assert _bolted_on(module + "class Other:\n    tag = None\n") == {"extra"}
+    # a method stores, nested functions included, the fields its class
+    # declares, on self, in a tuple or in the class body; a free function
+    # stores none, even a field a class of the same module declares
+    assert _bolted_on(module) == {
+        "Thing.copy.extra",
+        "Other.__init__.used",
+        "build.used",
+        "build.size",
+        "build.b",
+        "build.tag",
+    }
 
 
 def test_no_field_is_bolted_on():
@@ -287,4 +329,10 @@ def test_scan_finds_an_unused_import():
 
 def test_every_test_import_is_used():
     unused = {path.name: _unused_imports(path.read_text()) for path in sorted((ROOT / "tests").glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_every_library_import_is_used():
+    # __init__.py imports what the package exports
+    unused = {path.name: _unused_imports(path.read_text()) for path in SOURCES if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}

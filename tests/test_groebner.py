@@ -1056,7 +1056,9 @@ def test_packed_terms_order_divide_and_unpack_like_tuples(order, width, terms):
     packed = [pk.term(pos, m) for pos, m in terms]
     for (pos, m), d in zip(terms, packed):
         assert d >> pk.consts[0] == pos and pk.mono(d) == m and d & pk.consts[4] == sum(m)
-    by_key = sorted(range(len(terms)), key=lambda i: (terms[i][0], order.desc(terms[i][1])))
+    # ascending position, then descending monomial; sorts are stable
+    by_mono = sorted(range(len(terms)), key=lambda i: order.key(terms[i][1]), reverse=True)
+    by_key = sorted(by_mono, key=lambda i: terms[i][0])
     assert sorted(range(len(terms)), key=lambda i: packed[i]) == by_key
     guard = pk.consts[3]
     for (pos, a), e in zip(terms, packed):

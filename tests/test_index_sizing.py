@@ -62,9 +62,9 @@ def _check(R, divisors, targets):
     grown = []
     original = groebner._reduced_basis
 
-    def recorded(index, order):
+    def recorded(index):
         grown.append(index)
-        return original(index, order)
+        return original(index)
 
     groebner._reduced_basis = recorded
     try:

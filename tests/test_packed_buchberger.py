@@ -206,7 +206,7 @@ def _reference_buchberger(vectors, order, product_criterion, divided):
         _, rem = division((i, j, pos, lcm), index, quotients=False)
         if not rem.is_zero():
             pairs = update(rem.scale(inv_mod(leading_term(rem, order)[2], p)))
-    return groebner._reduced_basis(index, order)
+    return groebner._reduced_basis(index)
 
 
 def _terms(outcome):
@@ -323,9 +323,9 @@ def test_lcms_of_leads_above_the_budget_fit_the_fields():
     indexes = []
     original = groebner._reduced_basis
 
-    def recorded(index, order):
+    def recorded(index):
         indexes.append(index)
-        return original(index, order)
+        return original(index)
 
     old = config.degree_budget
     groebner._reduced_basis = recorded

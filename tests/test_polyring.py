@@ -3,8 +3,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fpduality.errors import AlgebraError, RingMismatch, ZeroInverse
 from fpduality.fp import FpElement, fp_inverse
@@ -173,19 +171,6 @@ class TestMonomialOrders:
             if i + j + k <= 3
         ]
         assert min(monos, key=key) == (0, 0, 0)
-
-
-_ORDERS = [DEGREVLEX, LEX, MonomialOrder("block", 1), MonomialOrder("block", 2)]
-_monomial_lists = st.integers(1, 4).flatmap(
-    lambda n: st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=12)
-)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.sampled_from(_ORDERS), _monomial_lists)
-def test_desc_key_sorts_in_the_descending_order(order, monos):
-    # division's heap pops the smallest desc key as the largest term
-    assert sorted(monos, key=order.desc) == sorted(monos, key=order.key)[::-1]
 
 
 class TestRingMap:

@@ -79,9 +79,9 @@ def _kept_as_it_is(index, k):
     return VectorPoly._of(g.ring, g.rank, terms)
 
 
-def _top_down(index, _order):
+def _top_down(index):
     # each tail divided by the whole minimal basis, before its reduction;
-    # the signature of _reduced_basis, whose order is the index's
+    # the signature of _reduced_basis
     _shift, _offset, _weights, guard, dmask = index._packing.consts
     keep = sorted(
         i
@@ -112,10 +112,10 @@ def _top_down(index, _order):
     return [reduced[k] for k in sorted(packed, key=packed.__getitem__)]
 
 
-def _reference(index, order):
+def _reference(index):
     # the reference basis, with a fresh index over it
-    basis = _top_down(index, order)
-    return groebner._Basis(basis, DivisionIndex(order, basis))
+    basis = _top_down(index)
+    return groebner._Basis(basis, DivisionIndex(index.order, basis))
 
 
 # -- comparisons -------------------------------------------------------------
@@ -141,9 +141,9 @@ class _TailOverBudget(Exception):
     """Both tail reductions went over the degree budget."""
 
 
-def _outcome(reduce, index, order):
+def _outcome(reduce, index):
     try:
-        return reduce(index, order)
+        return reduce(index)
     except DegreeBudgetExceeded:
         return "over budget"
 
@@ -156,15 +156,15 @@ def _recorded(run):
     original = groebner._reduced_basis
     count = [0]
 
-    def checked(index, order):
-        expected = _outcome(_top_down, index, order)
-        got = _outcome(original, index, order)
+    def checked(index):
+        expected = _outcome(_top_down, index)
+        got = _outcome(original, index)
         if expected == "over budget" or got == "over budget":
             assert got == expected
             raise _TailOverBudget()
         assert _terms(got) == _terms(expected)
         assert got.index.divisors == list(got)
-        assert got.index.leads == DivisionIndex(order, got).leads
+        assert got.index.leads == DivisionIndex(index.order, got).leads
         count[0] += 1
         return got
 
@@ -349,3 +349,17 @@ def test_a_tail_beyond_the_fields_is_packed_again():
     assert basis.index._packing.width == 16
     # x fires x + y^100 once, and its remainder -y^100 is not divided again
     _check_ideal(R, polys, [x, x + z ** 3, y * z ** 2])
+
+
+def test_an_element_that_outgrows_the_fields_repacks_the_new_index():
+    # under lex, y + z^2 reduces to y + w^80 by z + w^40: the new index
+    # repacks into 16-bit fields when it joins, and x + y + z, reduced
+    # after it, is packed in those fields, not in the 8-bit ones of
+    # buchberger's index
+    R = PolyRing(5, ("x", "y", "z", "w"), MonomialOrder("lex"))
+    x, y, z, w = R.gens()
+    polys = [x + y + z, y + z ** 2, z + w ** 40]
+    basis, count = _recorded(lambda: buchberger([vector_from_poly(f) for f in polys]))
+    assert count == 1 and basis.index._packing.width == 16
+    assert [groebner.poly_from_vector(g) for g in basis] == [x - w ** 80 - w ** 40, y + w ** 80, z + w ** 40]
+    _check_ideal(R, polys, [x, x + y, w ** 3 + z])

@@ -295,9 +295,9 @@ def test_first_queries_after_a_build_pack_nothing(monkeypatch):
     original_add = groebner.DivisionIndex.add
     original_tail = groebner.DivisionIndex.tail
 
-    def add(self, g):
+    def add(self, g, packed=None):
         work["adds"] += 1
-        original_add(self, g)
+        original_add(self, g, packed)
 
     def tail(self, k):
         work["tails"] += 1
