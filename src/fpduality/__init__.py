@@ -2,8 +2,7 @@
 pushforwards, Gabber truncations, dualizing complexes and the shriek
 tensor product, with machine-checked isomorphism certificates."""
 
-from .fp import FpElement, fp_inverse
-from .polyring import PolyRing, Polynomial, RingMap, apply_ring_map, MonomialOrder, poly_str
+from .polyring import PolyRing, Polynomial, RingMap, MonomialOrder, poly_str
 from .groebner import (
     Ideal,
     QuotientRing,
@@ -16,7 +15,6 @@ from .groebner import (
     ideal_product,
     ideal_intersection,
     ideal_quotient,
-    ideal_membership,
 )
 from .modules import (
     FPModule,
@@ -70,7 +68,6 @@ from .differentials import (
     KahlerModule,
     canonical_omega_regular,
     conormal_sequence,
-    kahler,
 )
 from .duality import (
     DualizingComplex,

@@ -27,8 +27,8 @@ from .groebner import (
     nonzero_slots,
     reduce_in,
     rename_poly,
-    resolution_stages,
     syzygies,
+    unique_nonzero,
     unit_vector,
     vector_of,
     vector_of_terms,
@@ -513,19 +513,44 @@ def invert_monomial_chain_map(f):
 # resolutions as complexes
 
 def free_resolution(ring, rank, columns, length=None):
-    """The free resolution of ring^rank / (columns) from
-    resolution_stages, as a FreeComplex in degrees [-len(stages), 0]
-    with terms[0] = rank; with a length it is exact in degrees > -length.
+    """The free resolution of ring^rank / (columns), as a FreeComplex in
+    degrees [-n, 0] with terms[0] = rank, where n is the number of stages;
+    with a length it is exact in degrees > -length.
 
-    Each differential keeps the SpanSolver that computed the next stage as
-    its span_solver, so a lift into the resolution builds no basis again."""
-    stages = resolution_stages(ring, columns, length)
+    Stage 1 is the columns, stage k + 1 the syzygies of stage k, computed
+    by a SpanSolver over its columns modulo the modulus of the ring; each
+    differential keeps that solver as its span_solver, so a lift into the
+    resolution builds no basis again.  Over a QuotientRing the entries are
+    kept in normal form; repeated columns are dropped.  Stops when a
+    syzygy module vanishes, or after `length` stages, without computing
+    the syzygies of the last one.  With no length, a resolution longer
+    than nvars + 3 stages raises AlgebraError.
+    """
+    cap = ring.nvars + 2
+    amb = ambient_of(ring)
+
+    def reduced(vectors):
+        if isinstance(ring, QuotientRing):
+            vectors = [vector_of(amb, v.rank, [(i, ring.reduce(x)) for i, x in nonzero_slots(v)]) for v in vectors]
+        return unique_nonzero(vectors)
+
     terms = {0: rank}
     diffs = {}
-    for k, (cols, _solver) in enumerate(stages):
-        terms[-(k + 1)] = len(cols)
-        diffs[-(k + 1)] = cols
-    solvers = {-(k + 1): solver for k, (_cols, solver) in enumerate(stages) if solver is not None}
+    solvers = {}
+    current = reduced(columns)
+    while current:
+        if length is None and len(diffs) > cap:
+            raise AlgebraError(
+                "resolution did not terminate within cap %d; this should not happen over a polynomial ring"
+                % cap
+            )
+        d = -len(diffs) - 1
+        terms[d] = len(current)
+        diffs[d] = current
+        if -d == length:
+            break
+        solvers[d] = solver = SpanSolver(current, ring, current[0].rank)
+        current = reduced(solver.syzygies)
     return FreeComplex(ring, terms, diffs, solvers=solvers)
 
 

@@ -58,10 +58,6 @@ class KahlerModule:
         return self.module.nf(vec)
 
 
-def kahler(R):
-    return KahlerModule(R)
-
-
 class ConormalData:
     """The sequence 0 -> J/J^2 -> R tensor Omega_S -> Omega_R -> 0 with an
     explicit splitting of the right map."""

@@ -22,57 +22,3 @@ def inv_mod(a, p):
     if a == 0:
         raise ZeroInverse("0 has no inverse mod %d" % p)
     return pow(a, p - 2, p)
-
-
-class FpElement:
-    """A residue in [0, p) with field arithmetic."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        check_prime(p)
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise AlgebraError("mixed characteristics %d and %d" % (self.p, other.p))
-            return other.value
-        return int(other)
-
-    def __add__(self, other):
-        return FpElement(self.value + self._coerce(other), self.p)
-
-    def __sub__(self, other):
-        return FpElement(self.value - self._coerce(other), self.p)
-
-    def __mul__(self, other):
-        return FpElement(self.value * self._coerce(other), self.p)
-
-    def __neg__(self):
-        return FpElement(-self.value, self.p)
-
-    def inverse(self):
-        return FpElement(inv_mod(self.value, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return "FpElement(%d, p=%d)" % (self.value, self.p)
-
-    def __bool__(self):
-        return self.value != 0
-
-
-def fp_inverse(a):
-    """Multiplicative inverse of a nonzero FpElement."""
-    return FpElement(inv_mod(a.value, a.p), a.p)

@@ -123,8 +123,7 @@ class FrobPushforward:
         self.e = e
         self.index = pushforward_basis(R, e, 1)
         self.monomials = [b for b, _j in self.index.labels]
-        unit = FPModule(R, 1, [])
-        self.module = FPModule(R, len(self.index), _pushforward_shifts(unit.relations, self.monomials, self.index, e))
+        self.module = pushforward_module(FPModule(R, 1, []), e)
 
     def coords(self, u):
         """Coordinates of F^e_*(u) on the restricted monomial generators."""

@@ -1380,48 +1380,3 @@ def ideal_quotient(I, J):
     if result is None:
         return Ideal(ring, [ring.one()])
     return result
-
-
-def ideal_membership(f, I):
-    return I.contains(f)
-
-
-# ---------------------------------------------------------------------------
-# free resolutions (raw matrix form; complexes.py wraps them)
-
-def resolution_stages(ring, columns, length=None):
-    """Iterated syzygies over ring: stage 0 is the columns presenting M.
-
-    Returns a list of (columns, solver) pairs: stage k's columns map
-    R^{len(stage k)} -> R^{len(stage k-1)}, and its solver is the
-    SpanSolver over them modulo the modulus whose syzygies gave the next
-    stage, or None for a last stage cut off by length.  Over a QuotientRing
-    each syzygy computation is taken modulo the modulus tails and the
-    entries are kept in normal form; repeated columns are dropped.  Stops
-    when a syzygy module vanishes, or after `length` stages, without
-    computing the syzygies of the last one.  With no length, a resolution
-    longer than nvars + 3 stages raises AlgebraError.
-    """
-    cap = ring.nvars + 2
-    amb = ambient_of(ring)
-
-    def reduced(vectors):
-        if isinstance(ring, QuotientRing):
-            vectors = [vector_of(amb, v.rank, [(i, ring.reduce(x)) for i, x in nonzero_slots(v)]) for v in vectors]
-        return unique_nonzero(vectors)
-
-    stages = []
-    current = reduced(columns)
-    while current:
-        if length is None and len(stages) > cap:
-            raise AlgebraError(
-                "resolution did not terminate within cap %d; this should not happen over a polynomial ring"
-                % cap
-            )
-        if len(stages) + 1 == length:
-            stages.append((current, None))
-            break
-        solver = SpanSolver(current, ring, current[0].rank)
-        stages.append((current, solver))
-        current = reduced(solver.syzygies)
-    return stages

@@ -5,7 +5,7 @@ residues.  Everything is immutable after construction: operations return new
 values, which is what makes sharing across threads safe.
 """
 
-from operator import le, sub
+from operator import le
 
 from .errors import AlgebraError, RingMismatch
 from .fp import check_prime
@@ -21,10 +21,6 @@ def mono_mul(a, b):
 def mono_divides(a, b):
     """True if a | b componentwise."""
     return all(map(le, a, b))
-
-
-def mono_div(b, a):
-    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a, b):
@@ -425,7 +421,3 @@ class RingMap:
 
         amb = ring.ambient if isinstance(ring, QuotientRing) else ring
         return RingMap(ring, ring, amb.gens(), check=False)
-
-
-def apply_ring_map(phi, f):
-    return phi.apply(f)

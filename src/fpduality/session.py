@@ -398,10 +398,6 @@ def _as_ring(v):
     raise AlgebraError("expected a ring")
 
 
-def _poly_args(session, ring, asts):
-    return [eval_poly(session, a, ring) for a in asts]
-
-
 def _module_arg(v):
     if isinstance(v, FPModule):
         return v
@@ -452,7 +448,7 @@ class Interpreter:
         return _as_ring(self.eval(ast))
 
     def polys_in(self, ring, asts):
-        return _poly_args(self.session, ring, asts)
+        return [eval_poly(self.session, a, ring) for a in asts]
 
     def elements_list(self, ring, ast):
         if ast[0] != "list":

@@ -242,17 +242,17 @@ def _unit_chain(dc, M, m_shift):
     nP = A.ambient.nvars
     Q2 = env.first_slot_ring
     W = dc.complex
-    h_om = dc.canonical_module()
+    om_mod = dc.canonical_module_over_ring()
     low = dc.lowest_degree()
     # the projection link reads the basis of W's term in degree low as the
     # generating set of omega: that term must be W's top one
     top = W.support()[1]
-    if top != low or W.rank(low) != h_om.module.ngens:
+    if top != low or W.rank(low) != om_mod.ngens:
         raise CanonicalNotTop(
             "the unit check needs omega, in degree %d, to be the top term of the dualizing "
             "complex, whose basis generates it; here the complex reaches degree %d and its "
             "term in degree %d has rank %d for %d generators of omega (a resolution of "
-            "the ring that is not minimal gives this, as does a ring that is not Cohen-Macaulay)" % (low, top, low, W.rank(low), h_om.module.ngens)
+            "the ring that is not minimal gives this, as does a ring that is not Cohen-Macaulay)" % (low, top, low, W.rank(low), om_mod.ngens)
         )
     # slot-1 renamings
     idx1 = env.slot_index(1)
@@ -265,8 +265,7 @@ def _unit_chain(dc, M, m_shift):
             for r in M.relations
         ],
     )
-    # omega as a module over A, renamed into slot 1 and paired with M
-    om_mod = FPModule(A, h_om.module.ngens, h_om.module.relations)
+    # M and omega, one per slot of the enveloping ring
     T_E = external_tensor(env, [M, om_mod])
     t_E = m_shift + low
     diag = [P2.var(i) - P2.var(nP + i) for i in range(nP)]

@@ -24,7 +24,13 @@ method of a class that declares that field, by storing it on self in one
 of its methods or assigning it in its class body.  A free function stores
 no attribute at all.  And every import, in the package (bar the exports
 of __init__.py) and in each test module, is loaded somewhere in its
-module."""
+module.
+
+One operation has one spelling: no function or non-special method is an
+alias, whose body, docstring aside, is a single return of a call that
+passes its own parameters through unchanged, to a name the package
+defines or to a method of one of its parameters with that parameter left
+out.  ALIASES names the exceptions, each with its reason."""
 
 import ast
 import pathlib
@@ -40,8 +46,13 @@ ALLOWED = {
     "mod_cohomology": "benchmark/tracer.py wraps it by name; it goes once the tracer follows cohomology",
     "lift_map_of_resolutions": "benchmark/tracer.py wraps it by name; it goes once the tracer follows lift_chain_map",
     "regrouping_map": "the verified change of generators F^{e+1}_* R -> F^e_*(F_* R) that an iterated pushforward is to be built by",
-    "mono_div": "the monomial quotient beside mono_lcm and mono_divides, with which the tests build S-vectors term by term",
     "PolyRing.from_terms": "benchmark/workloads.py builds polynomials with it",
+}
+
+ALIASES = {
+    "hom_module": "benchmark/tracer.py wraps it by name",
+    "frobenius_pushforward": "benchmark/tracer.py wraps it by name",
+    "lift_map_of_resolutions": "benchmark/tracer.py wraps it by name",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -179,6 +190,54 @@ def _bolted_on(text):
     return bolted
 
 
+def _forwards(fn, package):
+    """Whether fn's body, docstring aside, is one return of a call of a
+    name in package, or of a method of one of fn's parameters, whose
+    arguments are fn's other parameters, each passed bare."""
+    body = fn.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+        return False
+    call = body[0].value
+    params = [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+    passed = call.args + [k.value for k in call.keywords]
+    if not all(isinstance(a, ast.Name) for a in passed):
+        return False
+    callee = call.func
+    if isinstance(callee, ast.Name) and callee.id in package:
+        rest = params
+    elif isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name) and callee.value.id in params:
+        rest = [name for name in params if name != callee.value.id]
+    else:
+        return False
+    return sorted(a.id for a in passed) == sorted(rest)
+
+
+def _aliases(texts):
+    """The top-level functions (by name) and non-special methods (as
+    Class.method) of the module texts that only forward their parameters
+    (_forwards) to a function or class the texts define at top level, or
+    to a method of a parameter."""
+    trees = [ast.parse(text) for text in texts]
+    package = {node.name for tree in trees for node in tree.body if isinstance(node, _FUNCTIONS + (ast.ClassDef,))}
+    found = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, _FUNCTIONS):
+                candidates = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                candidates = [
+                    ("%s.%s" % (node.name, stmt.name), stmt)
+                    for stmt in node.body
+                    if isinstance(stmt, _FUNCTIONS) and not _is_special(stmt.name)
+                ]
+            else:
+                continue
+            found |= {shown for shown, fn in candidates if _forwards(fn, package)}
+    return found
+
+
 def _unused_imports(text):
     """The names that a module's import statements bind, function-local
     ones included, and that the module never loads."""
@@ -235,6 +294,42 @@ def test_exceptions_are_current():
     texts = [path.read_text() for path in SOURCES]
     assert set(ALLOWED) <= _unreferenced(texts)
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_scan_finds_an_alias():
+    module = (
+        "from math import gcd\n"
+        "class Thing:\n"
+        "    def __init__(self, n):\n        self.n = n\n"
+        "    def size(self):\n        return len(self)\n"
+        "    def same(self, other):\n        return other.equals(self)\n"
+        "    def grow(self, k):\n        return self.add(k)\n"
+        "    def __call__(self, k):\n        return self.add(k)\n"
+        "def make(n, k=1):\n    \"a Thing\"\n    return Thing(k=k, n=n)\n"
+        "def wrapped(x, y):\n    return helper(x, y)\n"
+        "def helper(x, y):\n    return x + y\n"
+        "def outside(a, b):\n    return gcd(a, b)\n"
+        "def changed(a, b):\n    return helper(a, b + 1)\n"
+        "def fewer(a, b):\n    return helper(a, a)\n"
+        "def kept(a, b):\n    return a.combine(a, b)\n"
+        "def steps(a, b):\n    c = helper(a, b)\n    return c\n"
+    )
+    # a forward to a package name, or to a method of a parameter that it
+    # leaves out, is an alias; an outside name, a changed or repeated
+    # argument, a kept receiver, a second statement and a special method
+    # are not
+    assert _aliases([module]) == {"Thing.same", "Thing.grow", "make", "wrapped"}
+
+
+def test_no_function_is_an_alias():
+    texts = [path.read_text() for path in SOURCES]
+    assert _aliases(texts) - set(ALIASES) == set()
+
+
+def test_alias_exceptions_are_current():
+    texts = [path.read_text() for path in SOURCES]
+    assert set(ALIASES) <= _aliases(texts)
+    assert all(reason.strip() for reason in ALIASES.values())
 
 
 def test_scan_finds_an_unread_attribute():

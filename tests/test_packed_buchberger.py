@@ -30,11 +30,16 @@ from fpduality.groebner import (  # noqa: E402
     division,
     leading_term,
 )
-from fpduality.polyring import MonomialOrder, PolyRing, mono_div, mono_divides, mono_lcm, mono_mul  # noqa: E402
+from fpduality.polyring import MonomialOrder, PolyRing, mono_divides, mono_lcm, mono_mul  # noqa: E402
 
 _ORDERS = (MonomialOrder("degrevlex"), MonomialOrder("lex"), MonomialOrder("block", 1))
 _RINGS = tuple(PolyRing(5, ("x", "y"), order) for order in _ORDERS)
 _LEX_RING = _RINGS[1]
+
+
+def mono_div(b, a):
+    # the quotient b / a of monomials with a | b
+    return tuple(x - y for x, y in zip(b, a))
 
 
 def _spair_by_terms(index, i, j, pos, lcm):

@@ -65,8 +65,8 @@ TWISTED_CUBIC_DUALITY_DIVISIONS = 1335
 ELLIPTIC7_DUALITY_BUILDS = 6
 ELLIPTIC7_DUALITY_TAIL_SLOTS = 72
 CORPUS_BUILDS = 190
-CORPUS_RUNS = 374
-CORPUS_DIVISIONS = 1631
+CORPUS_RUNS = 372
+CORPUS_DIVISIONS = 1627
 CORPUS_SPAIR_DIVISIONS = 671
 CORPUS_TAIL_SLOTS = 295
 CORPUS_TAIL_PACKS = 1455
