@@ -46,14 +46,13 @@ from .complexes import (
     tensor_complex,
 )
 from .frobenius import (
-    FrobPushforward,
+    Pushforward,
     bracket_power,
     frobenius_decompose,
     frobenius_pushforward,
     is_p_basis,
     is_p_generating,
     pbasis_trace_generator,
-    pushforward_module,
 )
 from .gabber import (
     GabberStage,

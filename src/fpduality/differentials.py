@@ -49,7 +49,7 @@ class KahlerModule:
             rows.append(VectorPoly(amb, [g.derivative(i) for i in range(n)]))
         self.ambient = amb
         self.jacobian = rows
-        self.module = FPModule(R, n, rows, grading=None)
+        self.module = FPModule(R, n, rows)
 
     def d(self, f):
         """df as a coordinate vector on dx_1..dx_n."""

@@ -45,12 +45,11 @@ from .errors import (
 )
 from .fp import inv_mod
 from .frobenius import (
+    Pushforward,
     bracket_power_complex,
     frobenius_pushforward,
     generates_freely,
-    pushforward_basis,
     pushforward_complex,
-    pushforward_module,
     pushforward_vector,
 )
 from .groebner import (
@@ -69,6 +68,7 @@ from .groebner import (
     rename_poly,
     ring_map_is_surjective,
     unit_vector,
+    vector_from_poly,
     vector_of,
 )
 from .modules import (
@@ -497,14 +497,14 @@ def xi_via_factorization(R, roots, e):
         values[b] = rename_poly(r_val, amb, list(range(n)))
     # dictionary: express the canonical F_* basis in the y-monomial basis
     F = frobenius_pushforward(R, e)
-    monos = F.monomials
+    monos = [a for a, _j in F.index.labels]
     push_cols = []
     for b in basis:
         img = Tcopy.one()
         for j, k in enumerate(b):
             if k:
                 img = img * (g_images[n + j] ** k)
-        push_cols.append(F.coords(rename_poly(img, amb, list(range(n)))))
+        push_cols.append(F.coords(vector_from_poly(rename_poly(img, amb, list(range(n))))))
     functional = []
     basis_change = SpanSolver(push_cols, R, len(monos))
     for a_idx, a in enumerate(monos):
@@ -519,7 +519,7 @@ def xi_via_factorization(R, roots, e):
     def value(c):
         # phi(F_*(x^c)) from the coordinates of F_*(x^c), term by term
         acc = amb.zero()
-        for (k, m), coeff in F.coords(amb.monomial(c)).terms.items():
+        for (k, m), coeff in F.coords(vector_from_poly(amb.monomial(c))).terms.items():
             acc = acc + functional[k].mul_term(m, coeff)
         return acc
 
@@ -832,17 +832,17 @@ def verify_frobenius_duality(A, e=1):
     low = dc.lowest_degree()
     h_om = dc.canonical_module()
     omega_mod = dc.canonical_module_over_ring()
-    Fomega = pushforward_module(omega_mod, e)
+    Fomega = Pushforward(omega_mod, e)
     FA = frobenius_pushforward(A_work, e)
     # Hom out of the pruned F_* A: a map is its values on the kept monomials
     FA_pruned, kept, _, _ = prune(FA.module)
     Hom_module_side = hom_module(FA_pruned, omega_mod)
     multiplication = _frobenius_multiplications(K, FK, e)
-    mult_lifts = [multiplication(FA.monomials[k]) for k in kept]
+    mult_lifts = [multiplication(FA.index.labels[k][0]) for k in kept]
     # candidate on each generator F_*(x^a z_j) of F_* omega_A, in the order
     # of its labels
     cols = []
-    for a_mono, j in pushforward_basis(A_work, e, omega_mod.ngens).labels:
+    for a_mono, j in Fomega.index.labels:
         # the cocycle x^a z_j pushed through the trace pairing
         shifted = h_om.reps[j].mul_term(a_mono, 1)
         fw_coords = pushforward_vector(FW.bases[low], shifted, e)
@@ -865,7 +865,7 @@ def verify_frobenius_duality(A, e=1):
         if coords is None:
             raise AlgebraError("candidate map failed to encode in Hom")
         cols.append(coords)
-    cand = ModuleMap(Fomega, Hom_module_side, cols, check=True)
+    cand = ModuleMap(Fomega.module, Hom_module_side, cols, check=True)
     return FrobeniusDualityReport(is_isomorphism(cand))
 
 

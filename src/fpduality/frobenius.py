@@ -17,13 +17,13 @@ from .errors import AlgebraError, NoPBasis, SizeCapExceeded
 from .groebner import (
     Ideal,
     SpanSolver,
-    VectorPoly,
     ambient_of,
     nonzero_slots,
     poly_from_vector,
     reduce_in,
     regrouped,
     unit_vector,
+    vector_from_poly,
     vector_of,
 )
 from .modules import FPModule, ModuleMap, cokernel, free_module, is_isomorphism
@@ -31,11 +31,17 @@ from .polyring import Polynomial
 from .complexes import BasisIndex, FreeComplex, rank_one_complex
 
 
+def _frobenius_power(p, e):
+    """p^e, an int exactly when the level e of Frobenius is an integer >= 0."""
+    q = p ** e
+    if not isinstance(q, int):
+        raise AlgebraError("a Frobenius level e must be an integer >= 0, not %r" % (e,))
+    return q
+
+
 def bracket_power(I, e):
     """I^{[p^e]}: the ideal generated by p^e-th powers of the generators."""
-    if e < 0:
-        raise AlgebraError("bracket power needs e >= 0")
-    q = I.ring.p ** e
+    q = _frobenius_power(I.ring.p, e)
     return Ideal(I.ring, [g ** q for g in I.gens])
 
 
@@ -45,7 +51,7 @@ def bracket_power_complex(T, e):
     power is a ring endomorphism, so d o d = 0 still holds; for T a free
     resolution of S/I over a regular S, T^{[p^e]} resolves S/I^{[p^e]},
     since Frobenius is flat there (Kunz)."""
-    q = T.ambient.p ** e
+    q = _frobenius_power(T.ambient.p, e)
     diffs = {
         d: [vector_of(T.ambient, c.rank, [(i, g ** q) for i, g in nonzero_slots(c)]) for c in cols]
         for d, cols in T.diffs.items()
@@ -61,7 +67,7 @@ def restricted_monomials(nvars, q):
 def frobenius_decompose(f, e=1):
     """dict a -> v_a with f = sum v_a^{p^e} x^a, entries of a below p^e."""
     ring = f.ring
-    q = ring.p ** e
+    q = _frobenius_power(ring.p, e)
     parts = {}
     for mono, c in f.terms.items():
         rem = tuple(x % q for x in mono)
@@ -81,10 +87,11 @@ def pushforward_basis(ring, e, r):
     module on r generators, b a restricted monomial: b-major, each in
     ascending order."""
     amb = ambient_of(ring)
-    size = amb.p ** (e * amb.nvars)
+    q = _frobenius_power(amb.p, e)
+    size = q ** amb.nvars
     if size > config.size_cap:
         raise SizeCapExceeded("pushforward basis of size %d exceeds the cap %d" % (size, config.size_cap))
-    return BasisIndex(product(restricted_monomials(amb.nvars, amb.p ** e), range(r)))
+    return BasisIndex(product(restricted_monomials(amb.nvars, q), range(r)))
 
 
 def pushforward_vector(basis, v, e):
@@ -101,38 +108,30 @@ def _pushforward_shifts(vectors, monomials, basis, e):
     return [pushforward_vector(basis, v.mul_term(b, 1), e) for b in monomials for v in vectors]
 
 
-def pushforward_module(M, e=1):
-    """F^e_* M as an FPModule over the same ring, untwisted presentation.
+class Pushforward:
+    """F^e_* M over the same ring, untwisted: the labels, the presentation
+    and the coordinates of its elements.
 
-    Its generators carry the labels (b, j) of pushforward_basis; the
-    relation columns are the decompositions of x^b * rho over all
-    restricted b and relations rho of M.
-    """
-    amb = M.ambient
-    basis = pushforward_basis(M.ring, e, M.ngens)
-    monomials = restricted_monomials(amb.nvars, amb.p ** e)
-    return FPModule(M.ring, len(basis), _pushforward_shifts(M.relations, monomials, basis, e))
+    Its generators F^e_*(x^b e_j) carry the labels (b, j) of index, from
+    pushforward_basis; module is the FPModule whose relation columns are
+    the decompositions of x^b * rho over all restricted b and relations
+    rho of M."""
 
-
-class FrobPushforward:
-    """F^e_* R on its restricted monomial basis: generator k is F^e_*(x^b)
-    for b = monomials[k], labelled (b, 0) in index."""
-
-    def __init__(self, R, e=1):
-        self.ring = R
+    def __init__(self, M, e=1):
+        amb = M.ambient
         self.e = e
-        self.index = pushforward_basis(R, e, 1)
-        self.monomials = [b for b, _j in self.index.labels]
-        self.module = pushforward_module(FPModule(R, 1, []), e)
+        self.index = pushforward_basis(M.ring, e, M.ngens)
+        monomials = restricted_monomials(amb.nvars, amb.p ** e)
+        self.module = FPModule(M.ring, len(self.index), _pushforward_shifts(M.relations, monomials, self.index, e))
 
-    def coords(self, u):
-        """Coordinates of F^e_*(u) on the restricted monomial generators."""
-        amb = ambient_of(self.ring)
-        return pushforward_vector(self.index, VectorPoly(amb, [u]), self.e)
+    def coords(self, v):
+        """Coordinates of F^e_*(v) on the generators, for v a vector of M."""
+        return pushforward_vector(self.index, v, self.e)
 
 
 def frobenius_pushforward(R, e=1):
-    return FrobPushforward(R, e)
+    """F^e_* R: the pushforward of R as a module on one generator."""
+    return Pushforward(FPModule(R, 1, []), e)
 
 
 def pushforward_complex(T, e=1):
@@ -167,9 +166,9 @@ def _coordinate_map(R, xs, e=1):
     q = amb.p ** e
     if amb.p ** (e * len(xs)) > config.size_cap:
         raise SizeCapExceeded("restricted monomials in the tuple exceed the size cap")
-    push = FrobPushforward(R, e)
+    push = frobenius_pushforward(R, e)
     tuples = restricted_monomials(len(xs), q)
-    cols = [push.coords(reduce_in(R, _tuple_power(amb, xs, a))) for a in tuples]
+    cols = [push.coords(vector_from_poly(reduce_in(R, _tuple_power(amb, xs, a)))) for a in tuples]
     source = free_module(R, len(tuples))
     return ModuleMap(source, push.module, cols, check=False), tuples, push
 
@@ -199,7 +198,7 @@ class CoordinateSolver:
 
     def solve(self, u):
         """dict a -> c_a over the nonzero coordinates, or None."""
-        coeffs = self.span.solve(self.push.coords(reduce_in(self.ring, u)))
+        coeffs = self.span.solve(self.push.coords(vector_from_poly(reduce_in(self.ring, u))))
         if coeffs is None:
             return None
         out = {}
@@ -279,15 +278,14 @@ def trace_generator_is_exact(R):
 def regrouping_map(R, e):
     """The explicit iso F^{e+1}_* R -> F^e_*(F^1_* R) by exponent carrying."""
     amb = ambient_of(R)
-    big = FrobPushforward(R, e + 1)
-    inner = FrobPushforward(R, 1)
-    outer = pushforward_module(inner.module, e)
-    outer_basis = pushforward_basis(R, e, inner.module.ngens)
+    big = frobenius_pushforward(R, e + 1)
+    inner = frobenius_pushforward(R, 1)
+    outer = Pushforward(inner.module, e)
     cols = []
     p = amb.p
-    for c in big.monomials:
+    for c, _j in big.index.labels:
         a = tuple(x // p for x in c)
         b = tuple(x % p for x in c)
         j = inner.index.position[(b, 0)]
-        cols.append(unit_vector(amb, outer.ngens, outer_basis.position[(a, j)]))
-    return ModuleMap(big.module, outer, cols, check=True)
+        cols.append(unit_vector(amb, outer.module.ngens, outer.index.position[(a, j)]))
+    return ModuleMap(big.module, outer.module, cols, check=True)

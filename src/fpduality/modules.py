@@ -102,8 +102,8 @@ class FPModule:
         )
 
 
-def free_module(ring, rank, grading=None):
-    return FPModule(ring, rank, [], grading=grading)
+def free_module(ring, rank):
+    return FPModule(ring, rank, [])
 
 
 def cyclic_module(ring, ideal_gens=()):

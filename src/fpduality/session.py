@@ -24,7 +24,7 @@ from .errors import (
     SessionNameError,
 )
 from .frobenius import (
-    FrobPushforward,
+    Pushforward,
     bracket_power,
     frobenius_pushforward,
     is_p_basis,
@@ -298,7 +298,7 @@ def serialize(value):
         return {"groebner_basis": gens}
     if isinstance(value, FPModule):
         return {"generators": value.ngens, "relations": len(value.relations)}
-    if isinstance(value, FrobPushforward):
+    if isinstance(value, Pushforward):
         return {
             "generators": value.module.ngens,
             "level": value.e,
@@ -393,6 +393,8 @@ def eval_poly(session, ast, ring):
 def _as_ring(v):
     if isinstance(v, (PolyRing, QuotientRing)):
         return v
+    if isinstance(v, Pushforward):
+        v = v.module
     if hasattr(v, "ring") and isinstance(v.ring, (PolyRing, QuotientRing)):
         return v.ring
     raise AlgebraError("expected a ring")
@@ -401,7 +403,7 @@ def _as_ring(v):
 def _module_arg(v):
     if isinstance(v, FPModule):
         return v
-    if isinstance(v, FrobPushforward):
+    if isinstance(v, Pushforward):
         return v.module
     raise AlgebraError("expected a module")
 

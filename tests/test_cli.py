@@ -56,6 +56,14 @@ class TestExecution:
         )
         assert reports[2].payload == [1, 1, 0, 0]
 
+    def test_a_pushforward_stands_for_its_ring(self):
+        # as a module does, where a builtin expects a ring
+        _s, reports = run_script(
+            "ring R = Fp(3)[x,y] / (y^2 - x^3);\nlet M = frobenius_pushforward(R, 1);\nprint ideal(M, x^2, y);\n"
+        )
+        assert reports[1].payload == {"generators": 9, "level": 1, "relations": 18}
+        assert reports[2].payload == {"groebner_basis": ["x^2", "y"]}
+
     def test_gabber_check(self):
         text = (
             "ring S = Fp(2)[X];\n"

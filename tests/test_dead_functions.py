@@ -51,7 +51,6 @@ ALLOWED = {
 
 ALIASES = {
     "hom_module": "benchmark/tracer.py wraps it by name",
-    "frobenius_pushforward": "benchmark/tracer.py wraps it by name",
     "lift_map_of_resolutions": "benchmark/tracer.py wraps it by name",
 }
 

@@ -33,7 +33,7 @@ from fpduality.duality import (
 )
 from fpduality.errors import AlgebraError, NotRegularSequence, RingMismatch
 from fpduality.frobenius import frobenius_pushforward, pushforward_basis, pushforward_vector
-from fpduality.groebner import Ideal, QuotientRing, VectorPoly, combine, unit_vector
+from fpduality.groebner import Ideal, QuotientRing, VectorPoly, combine, unit_vector, vector_from_poly
 from fpduality.modules import (
     ModuleMap,
     cyclic_module,
@@ -445,8 +445,8 @@ class TestFrobeniusMultiplications:
         _chi, FK = _trace_pairing_chain_map(dc, 1)
         FA = frobenius_pushforward(A)
         multiplication = _frobenius_multiplications(dc.resolution, FK, 1)
-        for b in FA.monomials:
-            assert multiplication(b).maps[0] == [FA.coords(A.ambient.monomial(b))]
+        for b, _j in FA.index.labels:
+            assert multiplication(b).maps[0] == [FA.coords(vector_from_poly(A.ambient.monomial(b)))]
 
     @pytest.mark.parametrize("build", MULTIPLICATION_RINGS.values(), ids=MULTIPLICATION_RINGS.keys())
     def test_hom_values_match_per_monomial_lifts(self, build):
@@ -462,10 +462,10 @@ class TestFrobeniusMultiplications:
         omega_mod = dc.canonical_module_over_ring()
         FA = frobenius_pushforward(A)
         FA_pruned, kept_gens, _, _ = prune(FA.module)
-        kept = [FA.monomials[k] for k in kept_gens]
+        kept = [FA.index.labels[k][0] for k in kept_gens]
         multiplication = _frobenius_multiplications(K, FK, 1)
         ours = {b: multiplication(b) for b in kept}
-        lifted = {b: lift_chain_map([FA.coords(S.monomial(b))], K, FK, S) for b in kept}
+        lifted = {b: lift_chain_map([FA.coords(vector_from_poly(S.monomial(b)))], K, FK, S) for b in kept}
 
         def value_map(lifts, psi):
             cols = []

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
-from fpduality.errors import NoPBasis, SizeCapExceeded
+from fpduality.errors import AlgebraError, NoPBasis, SizeCapExceeded
 from fpduality.config import config
+from fpduality.duality import verify_frobenius_duality
 from fpduality.frobenius import (
     CoordinateSolver,
+    Pushforward,
     bracket_power,
+    bracket_power_complex,
     frobenius_decompose,
     frobenius_pushforward,
     generates_freely,
@@ -16,18 +19,21 @@ from fpduality.frobenius import (
     is_p_generating,
     pbasis_trace_generator,
     pushforward_basis,
+    pushforward_complex,
     regrouping_map,
     restricted_monomials,
 )
-from fpduality.groebner import Ideal, QuotientRing
+from fpduality.groebner import Ideal, QuotientRing, VectorPoly, unit_vector, vector_from_poly, vector_of
 from fpduality.modules import (
+    FPModule,
+    cyclic_module,
     generic_rank,
     hom_module,
     ideal_module,
     is_isomorphism,
     exterior_power,
 )
-from fpduality.complexes import rank_one_complex
+from fpduality.complexes import koszul_complex, rank_one_complex
 from fpduality.polyring import PolyRing
 
 
@@ -101,13 +107,13 @@ class TestPushforward:
         F = frobenius_pushforward(R, 1)
         assert F.module.ngens == 2
         assert not F.module.relations
-        assert F.monomials == [(0,), (1,)]
+        assert F.index.labels == [((0,), 0), ((1,), 0)]
 
     def test_labels_are_monomial_major(self):
         R = ring(2, "x")
         assert pushforward_basis(R, 1, 2).labels == [((0,), 0), ((0,), 1), ((1,), 0), ((1,), 1)]
         F = frobenius_pushforward(R, 2)
-        assert F.index.labels == [(b, 0) for b in F.monomials] and F.module.ngens == len(F.index)
+        assert F.index.labels == [(b, 0) for b in restricted_monomials(1, 4)] and F.module.ngens == len(F.index)
 
     def test_dual_numbers(self):
         # F_* of F_2[x]/(x^2) is (R/x)^2: x kills both generators
@@ -142,6 +148,114 @@ class TestPushforward:
         A = QuotientRing(amb, [x ** 3])
         f = regrouping_map(A, 1)
         assert is_isomorphism(f)
+
+
+class TestExponentGuard:
+    """A level e of Frobenius is an integer e >= 0; any other is refused
+    with a typed error."""
+
+    @pytest.mark.parametrize("e", [-1, 1.5, 2.0], ids=["negative", "fraction", "float"])
+    def test_decompose_and_bracket_powers_refuse(self, e):
+        R = ring(3, "x", "y")
+        x, y = R.gens()
+        with pytest.raises(AlgebraError):
+            frobenius_decompose(x ** 12 * y ** 3 + 2 * y ** 9, e)
+        with pytest.raises(AlgebraError):
+            bracket_power(Ideal(R, [x + y]), e)
+        with pytest.raises(AlgebraError):
+            bracket_power_complex(koszul_complex(R, [x, y]), e)
+
+    @pytest.mark.parametrize("e", [-1, 1.5, 2.0], ids=["negative", "fraction", "float"])
+    def test_pushforwards_refuse(self, e):
+        R = ring(3, "x", "y")
+        with pytest.raises(AlgebraError):
+            frobenius_pushforward(R, e)
+        with pytest.raises(AlgebraError):
+            Pushforward(cyclic_module(R, [R.var("x")]), e)
+        with pytest.raises(AlgebraError):
+            pushforward_complex(koszul_complex(R, list(R.gens())), e)
+
+    def test_level_zero_is_the_identity(self):
+        R = ring(3, "x", "y")
+        x, y = R.gens()
+        assert frobenius_decompose(x * y + 1, 0) == {(0, 0): x * y + 1}
+        F = frobenius_pushforward(R, 0)
+        assert F.index.labels == [((0, 0), 0)] and F.module.ngens == 1
+
+    def test_duality_refuses(self):
+        amb = ring(2, "x")
+        with pytest.raises(AlgebraError):
+            verify_frobenius_duality(QuotientRing(amb, [amb.var("x") ** 2]), -1)
+
+
+def _plane_curve(p, equation):
+    amb = ring(p, "x", "y")
+    return QuotientRing(amb, [equation(*amb.gens())])
+
+
+# (ring, e): the cusp over F_3 at e = 1, the crossing lines over F_2 at e = 2
+PROPERTY_RINGS = [
+    (_plane_curve(3, lambda x, y: y ** 2 - x ** 3), 1),
+    (_plane_curve(2, lambda x, y: x * y), 2),
+]
+
+
+def _random_poly(pick, amb):
+    return amb.from_terms([((pick(0, 2), pick(0, 2)), pick(1, amb.p - 1)) for _ in range(pick(0, 2))])
+
+
+def _random_presentation(pick, R):
+    """A module over R on 1-2 generators with up to 2 relations."""
+    amb = R.ambient
+    m = pick(1, 2)
+    return FPModule(R, m, [VectorPoly(amb, [_random_poly(pick, amb) for _ in range(m)]) for _ in range(pick(0, 2))])
+
+
+def _random_vector(pick, M):
+    """A vector of M: a combination of its relations, zero in M, then
+    perhaps a random vector added."""
+    amb = M.ambient
+    v = vector_of(amb, M.ngens, ())
+    for r in M.relations:
+        v = v + r.mul_term((pick(0, 2), pick(0, 2)), pick(0, amb.p - 1))
+    if pick(0, 1):
+        v = v + vector_of(amb, M.ngens, [(pick(0, M.ngens - 1), _random_poly(pick, amb))])
+    return v
+
+
+def _check_pushforward_object(pick):
+    R, e = PROPERTY_RINGS[pick(0, 1)]
+    amb = R.ambient
+    M = _random_presentation(pick, R)
+    F = Pushforward(M, e)
+    assert len(F.index) == F.module.ngens
+    for k, (b, j) in enumerate(F.index.labels):
+        assert F.coords(unit_vector(amb, M.ngens, j).mul_term(b, 1)) == unit_vector(amb, len(F.index), k)
+    for _ in range(3):
+        v = _random_vector(pick, M)
+        assert F.module.element_is_zero(F.coords(v)) == M.element_is_zero(v)
+
+
+class TestPushforwardObject:
+    """coords sends x^b e_j to the generator labelled (b, j); F^e_* is
+    exact and faithful, so a vector is zero in M exactly when its
+    coordinates are zero in F^e_* M."""
+
+    def test_coords_and_zero_test_on_seeded_presentations(self):
+        pick = random.Random(36).randint
+        for _ in range(12):
+            _check_pushforward_object(pick)
+
+    def test_coords_and_zero_test_under_hypothesis(self):
+        hypothesis = pytest.importorskip("hypothesis", reason="hypothesis is not installed; the seeded test still runs")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=12, deadline=None, derandomize=True)
+        @hypothesis.given(st.data())
+        def check(data):
+            _check_pushforward_object(lambda lo, hi: data.draw(st.integers(lo, hi)))
+
+        check()
 
 
 class TestPGenerating:
@@ -252,7 +366,7 @@ class TestTraceGenerator:
         omega = rank_one_complex(R, -1)
         phi = pbasis_trace_generator(R, [x], omega)
         # F_*u -> F_*(x u) on the basis monomials
-        mult_cols = [F.coords(x.mul_term(a, 1)) for a in F.monomials]
+        mult_cols = [F.coords(vector_from_poly(x.mul_term(a, 1))) for a, _j in F.index.labels]
         comp = [phi.columns[j] for j in range(2)]
         # projection onto F_*1: precompose Phi with multiplication by x
         proj_cols = [

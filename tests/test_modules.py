@@ -365,7 +365,7 @@ class TestMinimalGenerators:
 class TestHilbert:
     def test_free_line(self):
         amb = ring(2, "x")
-        M = free_module(amb, 1, grading=[0])
+        M = FPModule(amb, 1, [], grading=[0])
         assert hilbert_function(M, 4) == [1, 1, 1, 1, 1]
 
     def test_dual_numbers(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fpduality.duality import canonical_dualizing
 from fpduality.errors import AlgebraError
-from fpduality.frobenius import pushforward_module
+from fpduality.frobenius import Pushforward
 from fpduality.fp import inv_mod
 from fpduality.groebner import (
     ModuleGB,
@@ -189,7 +189,7 @@ def _digest(strings):
 def test_pruned_pushforward_of_the_cusp_is_pinned():
     # the pivot order of the elimination fixes which generators stay, the
     # relations of P and the images of the eliminated generators
-    P, kept, to_M, from_M = prune(pushforward_module(cyclic_module(CUSP), 1))
+    P, kept, to_M, from_M = prune(Pushforward(cyclic_module(CUSP), 1).module)
     assert kept == [0, 1, 3, 4, 6, 7]
     assert [repr(r) for r in P.relations] == [
         "(y, 2*x, 0, 0, 0, 0)",
@@ -216,7 +216,7 @@ def test_pruned_pushforward_of_the_twisted_cubic_is_pinned():
     T = PolyRing(3, ("x", "y", "z", "w"))
     x, y, z, w = T.gens()
     tc = QuotientRing(T, [x * z - y ** 2, y * w - z ** 2, x * w - y * z])
-    F = pushforward_module(cyclic_module(tc), 1)
+    F = Pushforward(cyclic_module(tc), 1).module
     P, kept, to_M, from_M = prune(F)
     assert (F.ngens, P.ngens, len(P.relations)) == (81, 18, 112)
     assert kept == [0, 1, 2, 3, 4, 5, 9, 10, 11, 27, 28, 30, 31, 36, 37, 54, 57, 63]
@@ -329,6 +329,6 @@ def test_term_rows_match_the_slot_view_elimination():
             assert P.grading == Q.grading and P.ring is Q.ring
     assert eliminated > 50
     # the pushforwards of the pinned tests, with the modulus tails
-    F = pushforward_module(cyclic_module(CUSP), 1)
+    F = Pushforward(cyclic_module(CUSP), 1).module
     (P, kept, express), (Q, kept_q, express_q) = _eliminate_units(F), _slot_view_eliminate_units(F)
     assert kept == kept_q and _terms(express) == _terms(express_q) and _terms(P.relations) == _terms(Q.relations)

@@ -238,7 +238,7 @@ class TestFrobeniusMonoidality:
         # form: with the twisted structure unrolled through pushforwards,
         # the instance says Hom_A(F_*A, omega x^! omega) = F_*(omega x^!
         # omega); the inner product is certified = omega first
-        from fpduality.frobenius import frobenius_pushforward, pushforward_module
+        from fpduality.frobenius import Pushforward, frobenius_pushforward
         from fpduality.modules import hom_module
         from fpduality.shriek import _restrict_relations, find_certified_iso
 
@@ -252,7 +252,7 @@ class TestFrobeniusMonoidality:
         assert find_certified_iso(inner_mod, om) is not None
         H = hom_module(F.module, inner_mod)
         lhs = FPModule(A, H.ngens, H.relations)
-        rhs = pushforward_module(inner_mod, 1)
+        rhs = Pushforward(inner_mod, 1).module
         assert find_certified_iso(lhs, rhs) is not None
 
 
