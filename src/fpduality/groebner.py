@@ -869,9 +869,6 @@ class ReducedBasis:
     def normal_form(self, v):
         return division(v, self.index, quotients=False)[1]
 
-    def contains(self, v):
-        return self.normal_form(v).is_zero()
-
 
 def reduced_basis(ring, rank, generators):
     """ReducedBasis of the submodule of ring^rank spanned by generators.
@@ -1089,9 +1086,6 @@ class Ideal:
     def equals(self, other):
         return self.contains_ideal(other) and other.contains_ideal(self)
 
-    def is_zero(self):
-        return not self.groebner()
-
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(repr(g) for g in self.gens)
 
@@ -1123,15 +1117,6 @@ class QuotientRing:
 
     def zero(self):
         return self.ambient.zero()
-
-    def one(self):
-        return self.reduce(self.ambient.one())
-
-    def var(self, name_or_index):
-        return self.reduce(self.ambient.var(name_or_index))
-
-    def gens(self):
-        return [self.var(i) for i in range(self.ambient.nvars)]
 
     def standard_monomials(self):
         """Monomial basis of P/I if finite dimensional, else None."""

@@ -42,7 +42,7 @@ from .polyring import Polynomial
 class FPModule:
     """Finitely presented module given by a relation matrix."""
 
-    def __init__(self, ring, ngens, relations, grading=None, normalize=True):
+    def __init__(self, ring, ngens, relations):
         self.ring = ring
         self.ambient = ambient_of(ring)
         self.ngens = ngens
@@ -50,15 +50,8 @@ class FPModule:
         for r in rels:
             if r.rank != ngens:
                 raise AlgebraError("relation of length %d in a module of rank %d" % (r.rank, ngens))
-        if normalize:
-            rels.extend(modulus_tails(ring, ngens))
         # a repeated relation only adds a trivial syzygy to every basis built
-        self.relations = unique_nonzero(rels)
-        if grading is not None:
-            grading = list(grading)
-            if len(grading) != ngens:
-                raise AlgebraError("one degree per generator required")
-        self.grading = grading
+        self.relations = unique_nonzero(rels + modulus_tails(ring, ngens))
         self._relgb = None
         self._pruned = None
 
@@ -171,15 +164,6 @@ class ModuleMap:
     def is_zero_map(self):
         return all(self.target.element_is_zero(c) for c in self.columns)
 
-    def equals(self, other):
-        return (
-            self.source.ngens == other.source.ngens
-            and all(
-                self.target.element_is_zero(a - b)
-                for a, b in zip(self.columns, other.columns)
-            )
-        )
-
     @staticmethod
     def identity(M):
         return ModuleMap(M, M, [M.gen(i) for i in range(M.ngens)], check=False)
@@ -207,12 +191,7 @@ def kernel_with_inclusion(f):
 def cokernel(f):
     """coker(f) on the target's generators, its relations followed by the
     columns of f."""
-    return FPModule(
-        f.target.ring,
-        f.target.ngens,
-        list(f.target.relations) + list(f.columns),
-        normalize=False,
-    )
+    return FPModule(f.target.ring, f.target.ngens, list(f.target.relations) + list(f.columns))
 
 
 def kernel_cokernel(f):
@@ -351,13 +330,9 @@ def _eliminate_units(M):
     # generators: each tail of an eliminated generator is a combination of
     # those, so entries only matter modulo the modulus
     tails = set(modulus_tails(M.ring, m))
-    # the relations are distinct, so all tails are among them when this
-    # many are
-    is_tail = [r in tails for r in M.relations]
-    has_tails = sum(is_tail) == len(tails)
     # Ideal.reduce fetches the modulus basis when an entry first needs it
-    reduce = has_tails and isinstance(M.ring, QuotientRing) and M.ring.modulus.reduce
-    rows = [slot_terms(r) for r, tail in zip(M.relations, is_tail) if not (has_tails and tail)]
+    reduce = isinstance(M.ring, QuotientRing) and M.ring.modulus.reduce
+    rows = [slot_terms(r) for r in M.relations if r not in tails]
     nrels = len(rows)
     rows += [{k: {one: 1}} for k in range(m)]
     rows_at = {i: set() for i in range(m)}
@@ -427,7 +402,6 @@ def _eliminate_units(M):
     if not gone:
         return None, list(range(m)), [M.gen(k) for k in range(m)]
     kept = [k for k in range(m) if k not in gone]
-    grading = [M.grading[k] for k in kept] if M.grading is not None else None
     position = {k: i for i, k in enumerate(kept)}
 
     def restricted(rows):
@@ -437,7 +411,7 @@ def _eliminate_units(M):
         ]
 
     rels = restricted(rows[t] for t in range(nrels) if t in keys)
-    P = FPModule(M.ring, len(kept), rels, grading=grading, normalize=has_tails)
+    P = FPModule(M.ring, len(kept), rels)
     return P, kept, restricted(rows[nrels:])
 
 
@@ -514,14 +488,13 @@ def tensor_module(M, N):
     for b in N.relations:
         terms = b.terms.items()
         rels.extend(vector_of_terms(amb, m * n, [((slot(i, j), mono), c) for (j, mono), c in terms]) for i in range(m))
-    grading = None
-    if M.grading is not None and N.grading is not None:
-        grading = [M.grading[i] + N.grading[j] for i in range(m) for j in range(n)]
-    return FPModule(M.ring, m * n, rels, grading=grading)
+    return FPModule(M.ring, m * n, rels)
 
 
 def direct_sum(modules):
     ring = modules[0].ring
+    if any(M.ring != ring for M in modules):
+        raise RingMismatch("a direct sum requires one ring")
     amb = modules[0].ambient
     total = sum(M.ngens for M in modules)
     offsets = []
@@ -534,7 +507,7 @@ def direct_sum(modules):
         for off, M in zip(offsets, modules)
         for r in M.relations
     ]
-    return FPModule(ring, total, rels, normalize=False)
+    return FPModule(ring, total, rels)
 
 
 def exterior_power(M, k):
@@ -558,10 +531,7 @@ def exterior_power(M, k):
                     sign = (-1) ** sum(1 for t in T if t < i)
                     terms += [((index[merged], m), sign * c) for m, c in e.items()]
                 rels.append(vector_of_terms(amb, len(subsets), terms))
-    grading = None
-    if M.grading is not None:
-        grading = [sum(M.grading[i] for i in s) for s in subsets]
-    return FPModule(M.ring, len(subsets), rels, grading=grading)
+    return FPModule(M.ring, len(subsets), rels)
 
 
 # ---------------------------------------------------------------------------
@@ -647,15 +617,11 @@ def _monomials_of_degree(nvars, d):
 
 
 def hilbert_function(M, d_max):
-    """dim_Fp M_d for 0 <= d <= d_max, by monomial counting."""
-    if M.grading is None:
-        raise NotGraded("module carries no grading")
+    """dim_Fp M_d for 0 <= d <= d_max, by monomial counting, with every
+    generator in degree 0."""
     amb = M.ambient
     for rel in M.relations:
-        degs = set()
-        for j, mono in rel.terms:
-            degs.add(sum(mono) + M.grading[j])
-        if len(degs) > 1:
+        if len({sum(mono) for _j, mono in rel.terms}) > 1:
             raise NotGraded("inhomogeneous relation %r" % (rel,))
     gb = M.relgb().basis
     leads = [leading_term(v, amb.order) for v in gb]
@@ -663,10 +629,7 @@ def hilbert_function(M, d_max):
     for d in range(d_max + 1):
         count = 0
         for j in range(M.ngens):
-            dd = d - M.grading[j]
-            if dd < 0:
-                continue
-            for mono in _monomials_of_degree(amb.nvars, dd):
+            for mono in _monomials_of_degree(amb.nvars, d):
                 divisible = False
                 for (pos, lm, _c) in leads:
                     if pos == j and all(x <= y for x, y in zip(lm, mono)):

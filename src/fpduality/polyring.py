@@ -414,10 +414,3 @@ class RingMap:
 
             self._graph = graph_ideal(self)
         return self._graph
-
-    @staticmethod
-    def identity(ring):
-        from .groebner import QuotientRing
-
-        amb = ring.ambient if isinstance(ring, QuotientRing) else ring
-        return RingMap(ring, ring, amb.gens(), check=False)

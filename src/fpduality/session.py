@@ -431,6 +431,8 @@ class Interpreter:
         kind = ast[0]
         if kind == "int":
             return ast[1]
+        if kind == "neg" and ast[1][0] == "int":
+            return -ast[1][1]
         if kind == "name":
             return self.session.lookup(ast[1])
         if kind == "list":
@@ -506,10 +508,7 @@ def _b_minimal_generators(ip, args):
 
 
 def _b_hilbert(ip, args):
-    M = _module_arg(ip.eval(args[0]))
-    d = ip.eval(args[1])
-    graded = FPModule(M.ring, M.ngens, M.relations, grading=[0] * M.ngens)
-    return hilbert_function(graded, d)
+    return hilbert_function(_module_arg(ip.eval(args[0])), ip.eval(args[1]))
 
 
 def _b_bracket_power(ip, args):

@@ -79,6 +79,14 @@ class TestExecution:
         assert reports[0].status == "error"
         assert reports[0].error_kind == "NameError"
 
+    def test_negative_level_is_a_typed_error(self):
+        # a negated integer is an integer, so the level reaches the
+        # Frobenius power check rather than the polynomial parser
+        _s, reports = run_script("ring S = Fp(2)[x];\nlet M = frobenius_pushforward(S, -1);\n")
+        assert reports[1].status == "error"
+        assert reports[1].error_kind == "error"
+        assert "Frobenius level" in reports[1].message
+
     def test_ring_mismatch_reported_not_raised(self):
         text = (
             "ring S = Fp(2)[x];\nring T = Fp(3)[y];\n"

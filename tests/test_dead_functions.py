@@ -1,10 +1,12 @@
 """Every top-level function and every method in src/fpduality is
 referenced from the package itself: called, imported (the package's
 exported names included) or read as an attribute somewhere other than its
-own body.  A method counts as read when its name is read anywhere in the
-package, whatever the object, so the scan can miss a dead method but never
-flags a live one; special methods (__init__, __eq__, ...) are called by
-the language and are not scanned.  A function or method that only the
+own body.  A read through self or cls in a method of a class, or through
+the class by name, counts for that class's methods of the name, its bases'
+and, through self or cls, its subclasses'; a read of the name on any other
+object counts for every method of that name, so the scan can miss a dead
+method but never flags a live one.  Special methods (__init__, __eq__,
+...) are called by the language and are not scanned.  A function or method that only the
 tests or the benchmark reach is dead code in the library: it moves into
 the test that calls it, or goes.  ALLOWED names the exceptions, methods as
 Class.method, each with its reason; an exception that gains a caller or
@@ -76,27 +78,74 @@ def _is_special(name):
 def _unreferenced(texts):
     """The top-level functions (by name) and methods (as Class.method) of
     the module texts that no statement other than their own definition
-    reads."""
-    defined = {}  # reported name -> name read
-    read = set()
-    for text in texts:
-        for node in ast.parse(text).body:
+    reads.
+
+    A read is resolved by its owner where the text names one: self.m or
+    cls.m in a method of class C reads the methods m of C, of its bases
+    and of its subclasses, and C.m those of C and its bases, among the
+    classes the texts define.  Any other read of a name, on any other
+    object, bare or imported, reads every function and method of that
+    name."""
+    trees = [ast.parse(text) for text in texts]
+    classes = {node.name: node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+    bases = {name: {b.id for b in node.bases if isinstance(b, ast.Name) and b.id in classes} for name, node in classes.items()}
+
+    def ancestors(name):
+        seen, todo = set(), [name]
+        while todo:
+            c = todo.pop()
+            if c not in seen:
+                seen.add(c)
+                todo.extend(bases[c])
+        return seen
+
+    lineage = {name: ancestors(name) for name in classes}
+    defined = {}  # reported name -> (owner class or None, name read)
+    read = set()  # names read on an object the text does not name
+    owned = set()  # (class, name) read through self, cls or the class
+
+    def collect(node, owner, own=None):
+        # own: the name of the definition node belongs to; a read of it
+        # that may be a recursive call is not a caller
+        for sub in ast.walk(node):
+            family = None
+            if isinstance(sub, ast.Attribute):
+                name = sub.attr
+                receiver = sub.value.id if isinstance(sub.value, ast.Name) else None
+                if owner and receiver in ("self", "cls"):
+                    family = lineage[owner] | {c for c, line in lineage.items() if owner in line}
+                elif receiver in classes:
+                    family = lineage[receiver]
+            elif isinstance(sub, ast.Name):
+                name = sub.id
+            elif isinstance(sub, ast.alias):
+                name = sub.name
+            else:
+                continue
+            if name == own and (family is None or owner in family):
+                continue
+            if family is None:
+                read.add(name)
+            else:
+                owned.update((c, name) for c in family)
+
+    for tree in trees:
+        for node in tree.body:
             if isinstance(node, _FUNCTIONS):
-                defined[node.name] = node.name
-                # a recursive call is not a caller
-                read |= _names_read(node) - {node.name}
+                defined[node.name] = (None, node.name)
+                collect(node, None, node.name)
             elif isinstance(node, ast.ClassDef):
                 for part in node.bases + node.keywords + node.decorator_list:
-                    read |= _names_read(part)
+                    collect(part, None)
                 for stmt in node.body:
                     if isinstance(stmt, _FUNCTIONS) and not _is_special(stmt.name):
-                        defined["%s.%s" % (node.name, stmt.name)] = stmt.name
-                        read |= _names_read(stmt) - {stmt.name}
+                        defined["%s.%s" % (node.name, stmt.name)] = (node.name, stmt.name)
+                        collect(stmt, node.name, stmt.name)
                     else:
-                        read |= _names_read(stmt)
+                        collect(stmt, node.name)
             else:
-                read |= _names_read(node)
-    return {shown for shown, name in defined.items() if name not in read}
+                collect(node, None)
+    return {shown for shown, (owner, name) in defined.items() if name not in read and (owner, name) not in owned}
 
 
 def _unread_attributes(stores, readers):
@@ -282,6 +331,29 @@ def test_scan_finds_an_unreferenced_method():
     assert _unreferenced([module]) == {"Thing.recursive", "Thing.dead"}
     # a read of the name on any object counts
     assert _unreferenced([module, "def f(x):\n    return x.dead()\n"]) == {"Thing.recursive", "f"}
+
+
+def test_scan_resolves_reads_by_owner():
+    module = (
+        "class Base:\n"
+        "    def hook(self):\n        return self.shared()\n"
+        "    def shared(self):\n        return 0\n"
+        "class Thing(Base):\n"
+        "    def shared(self):\n        return 1\n"
+        "    def size(self):\n        return self.hook()\n"
+        "    @staticmethod\n    def make():\n        return Thing()\n"
+        "class Other:\n"
+        "    def size(self):\n        return 2\n"
+        "    def make(self):\n        return Thing.make()\n"
+        "    def hook(self):\n        return self.make()\n"
+        "    def shared(self):\n        return 3\n"
+    )
+    # self.shared in Base reaches Thing's override but not Other's;
+    # Thing.make reaches Thing.make only, and self.hook in Thing reaches
+    # the inherited Base.hook but not Other.hook
+    assert _unreferenced([module]) == {"Thing.size", "Other.size", "Other.hook", "Other.shared"}
+    # a read on another object reaches every method of the name
+    assert _unreferenced([module, "def f(x):\n    return x.size, x.shared\n"]) == {"Other.hook", "f"}
 
 
 def test_every_function_is_referenced_from_the_package():

@@ -68,7 +68,7 @@ class TestGabberStep:
         # R = F_2[x], tuple (x): R' = F_2[x,X]/(X^2-x), phi an isomorphism
         R = ring(2, "x")
         stage = gabber_step(R, [R.var("x")])
-        assert elimination_kernel(stage.iota).is_zero()
+        assert not elimination_kernel(stage.iota).groebner()
         rho = phi_inverse_for_pbasis(stage)
         assert rho is not None
 

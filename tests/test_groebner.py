@@ -342,7 +342,7 @@ class TestFreeResolution:
                 assert groebner.combine(prev, s.terms.items(), R, prev[0].rank).is_zero()
             # every syzygy of prev is generated by cur
             for s in syzygies(prev):
-                assert ModuleGB(R, len(prev), cur).contains(s)
+                assert _contains(ModuleGB(R, len(prev), cur), s)
 
 
 class TestElimination:
@@ -350,7 +350,7 @@ class TestElimination:
         S = ring(2, "X")
         R = ring(2, "x")
         phi = RingMap(S, R, [R.var("x") ** 2])
-        assert elimination_kernel(phi).is_zero()
+        assert not elimination_kernel(phi).groebner()
 
     def test_cuspidal_cubic(self):
         S = ring(2, "X", "Y")
@@ -1224,6 +1224,12 @@ def _modulo_case(draw):
     return rank, gens, modulo, targets + [member], coeffs
 
 
+def _contains(basis, v):
+    """Whether v lies in the submodule a reduced basis (or ModuleGB) spans:
+    its normal form is zero."""
+    return basis.normal_form(v).is_zero()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_modulo_case())
 def test_module_gb_modulo_matches_full_tails(case):
@@ -1239,7 +1245,7 @@ def test_module_gb_modulo_matches_full_tails(case):
     assert groebner.reduced_basis(S, k, mgb.syzygies).basis == groebner.reduced_basis(S, k, heads).basis
     span = groebner.reduced_basis(S, rank, modulo)
     for c in mgb.syzygies:
-        assert span.contains(groebner.combine(gens, c.terms.items(), S, rank))
+        assert _contains(span, groebner.combine(gens, c.terms.items(), S, rank))
     # and they span the whole kernel: the Koszul syzygies of an ideal's
     # generators lie in it, and so does the difference of two lifts below
     kernel = groebner.reduced_basis(S, k, mgb.syzygies)
@@ -1248,14 +1254,14 @@ def test_module_gb_modulo_matches_full_tails(case):
             for j in range(i + 1, k):
                 koszul = [S.zero()] * k
                 koszul[i], koszul[j] = gens[j].components[0], -gens[i].components[0]
-                assert kernel.contains(VectorPoly(S, koszul))
+                assert _contains(kernel, VectorPoly(S, koszul))
     # a lift expresses v in the generators up to an element of span(modulo)
     for v in targets:
         lift = mgb.lift(v)
         assert (lift is None) == (full.lift(v) is None)
         if lift is not None:
             assert lift.rank == k
-            assert span.contains(v - groebner.combine(gens, lift.terms.items(), S, rank))
+            assert _contains(span, v - groebner.combine(gens, lift.terms.items(), S, rank))
     lifted = mgb.lift(targets[-1])
     assert lifted is not None
-    assert kernel.contains(VectorPoly(S, coeffs) - lifted)
+    assert _contains(kernel, VectorPoly(S, coeffs) - lifted)

@@ -171,7 +171,7 @@ class TestRingMap:
     def test_identity(self):
         R = ring(2, "x")
         x = R.var("x")
-        phi = RingMap.identity(R)
+        phi = RingMap(R, R, R.gens())
         assert phi.apply(x ** 2 + x) == x ** 2 + x
 
     def test_substitution(self):

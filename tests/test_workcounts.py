@@ -309,7 +309,7 @@ def test_first_queries_after_a_build_pack_nothing(monkeypatch):
     assert ideal.contains(f * (x * y - z))
     assert not ideal.reduce(f).is_zero()
     v = VectorPoly(amb, [x ** 2 * y + z, x * y * z])
-    assert not rb.contains(v) and not rb.normal_form(v).is_zero()
+    assert not rb.normal_form(v).is_zero()
     assert mgb.lift(gens[0].mul_term((0, 1, 1), 1) + gens[2].mul_term((1, 0, 0), 1)) is not None
     assert mgb.reduce(v)[0].terms
     assert work == {"adds": 0, "tails": 0}
