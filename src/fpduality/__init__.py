@@ -11,8 +11,6 @@ from .groebner import (
     normal_form,
     syzygies,
     elimination_kernel,
-    ideal_sum,
-    ideal_product,
     ideal_intersection,
     ideal_quotient,
 )
@@ -66,7 +64,6 @@ from .differentials import (
     CanonicalOmega,
     KahlerModule,
     canonical_omega_regular,
-    conormal_sequence,
 )
 from .duality import (
     DualizingComplex,
@@ -81,7 +78,6 @@ from .duality import (
     upper_shriek_smooth,
     verify_frobenius_duality,
     xi_lci_class,
-    xi_smooth,
     xi_via_factorization,
 )
 from .shriek import (

@@ -1,5 +1,5 @@
-"""Kaehler differentials, the conormal sequence, and canonical volume
-complexes of certified-regular rings.
+"""Kaehler differentials and canonical volume complexes of
+certified-regular rings.
 
 The absolute differentials of R = P/I are presented on dx_1..dx_n with the
 Jacobian rows of the ideal generators as relations.  Regularity is never
@@ -10,31 +10,23 @@ basis and the top exterior power a free rank-one module.
 
 from itertools import combinations
 
-from .errors import AlgebraError, NotCertifiedRegular, NotSurjective, SplittingNotFound
+from .errors import NotCertifiedRegular
 from .complexes import rank_one_complex
 from .frobenius import is_p_basis
 from .groebner import (
-    Ideal,
     QuotientRing,
-    SpanSolver,
     VectorPoly,
     ambient_of,
     are_inverse,
-    elimination_kernel,
     modulus_gens,
-    ring_map_is_surjective,
-    syzygies,
 )
 from .modules import (
     FPModule,
     ModuleMap,
     _det,
-    cokernel,
     exterior_power,
     free_module,
-    hom_module,
     is_isomorphism,
-    kernel_with_inclusion,
 )
 
 
@@ -56,94 +48,6 @@ class KahlerModule:
         amb = self.ambient
         vec = VectorPoly(amb, [f.derivative(i) for i in range(amb.nvars)])
         return self.module.nf(vec)
-
-
-class ConormalData:
-    """The sequence 0 -> J/J^2 -> R tensor Omega_S -> Omega_R -> 0 with an
-    explicit splitting of the right map."""
-
-    def __init__(self, conormal, middle, omega, alpha, beta, theta, rseq, quotient):
-        self.conormal = conormal
-        self.middle = middle
-        self.omega = omega
-        self.alpha = alpha
-        self.beta = beta
-        self.theta = theta
-        self.rseq = rseq
-        self.quotient = quotient
-
-
-def conormal_sequence(pi, rseq=None):
-    """Conormal data for a surjection pi: S ->> R of certified-regular
-    rings, S a polynomial ring.  Exactness is certified by explicit
-    kernel/cokernel computations; theta is found by lifting the identity
-    through composition with the quotient map."""
-    S = pi.source
-    if isinstance(S, QuotientRing):
-        raise AlgebraError("conormal machinery expects a polynomial source")
-    if not ring_map_is_surjective(pi):
-        raise NotSurjective("the presentation map is not surjective")
-    J = elimination_kernel(pi)
-    if rseq is None:
-        rseq = list(J.gens)
-    else:
-        check = Ideal(S, list(rseq))
-        if not check.equals(J):
-            raise AlgebraError("supplied sequence does not generate the kernel")
-    Rq = QuotientRing(S, J)
-    n = S.nvars
-    c = len(rseq)
-    syz = syzygies([VectorPoly(S, [r]) for r in rseq]) if rseq else []
-    conormal = FPModule(Rq, c, syz)
-    middle = free_module(Rq, n)
-    K = KahlerModule(Rq)
-    omega = K.module
-    alpha = ModuleMap(
-        conormal,
-        middle,
-        [VectorPoly(S, [r.derivative(i) for i in range(n)]) for r in rseq],
-        check=True,
-    )
-    beta = ModuleMap(middle, omega, [omega.gen(j) for j in range(n)], check=False)
-    # exactness certificates
-    if not beta.compose(alpha).is_zero_map():
-        raise AlgebraError("conormal sequence composite is not zero")
-    coker_beta = cokernel(beta)
-    if not coker_beta.is_zero_module():
-        raise NotSurjective("differential surjectivity failed; inputs not as expected")
-    kerb, incl = kernel_with_inclusion(beta)
-    cols = []
-    into = SpanSolver(incl.columns, Rq, n)
-    for j in range(conormal.ngens):
-        coords = into.solve(alpha.columns[j])
-        if coords is None:
-            raise AlgebraError("conormal image misses the kernel; not exact")
-        cols.append(coords)
-    into_kernel = ModuleMap(conormal, kerb, cols, check=True)
-    if not is_isomorphism(into_kernel):
-        raise AlgebraError("conormal sequence is not exact on the left; not lci input")
-    # splitting theta: solve beta_* (theta) = id in Hom(omega, -)
-    hom_om = hom_module(omega, middle)
-    hom_oo = hom_module(omega, omega)
-    beta_cols = []
-    for i in range(hom_om.ngens):
-        comp = beta.compose(hom_om.decode(i))
-        coords = hom_oo.encode(comp)
-        if coords is None:
-            raise AlgebraError("postcomposition failed to encode")
-        beta_cols.append(coords)
-    id_coords = hom_oo.encode(ModuleMap.identity(omega))
-    if id_coords is None:
-        raise AlgebraError("identity failed to encode")
-    sol = SpanSolver(beta_cols, Rq, hom_oo.ngens, extra=hom_oo.relations).solve(id_coords)
-    if sol is None:
-        raise SplittingNotFound("no splitting of the conormal sequence; non-lci input?")
-    theta = hom_om.decode(sol)
-    # theta is a section: beta o theta = id on omega
-    check = beta.compose(theta) - ModuleMap.identity(omega)
-    if not check.is_zero_map():
-        raise AlgebraError("conormal splitting is not a section")
-    return ConormalData(conormal, middle, omega, alpha, beta, theta, list(rseq), Rq)
 
 
 class CanonicalOmega:

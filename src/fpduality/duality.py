@@ -30,13 +30,10 @@ from .complexes import (
 from .differentials import (
     KahlerModule,
     canonical_omega_regular,
-    conormal_sequence,
     wedge_coordinates,
-    wedge_label,
 )
 from .errors import (
     AlgebraError,
-    NotCertifiedRegular,
     NotFinite,
     NotRegularSequence,
     NotSurjective,
@@ -246,59 +243,28 @@ def xi_smooth_sign(m, d, p):
     return ((-1) ** (m * d)) % p
 
 
-def xi_smooth(R, d):
-    """The smooth comparison for R -> R[y_1..y_d] at generator level:
-    the volume form upstairs maps to (fibre volume) tensor (base volume)
-    with the block reordering sign."""
-    amb = ambient_of(R)
-    if isinstance(R, QuotientRing):
-        raise NotCertifiedRegular("smooth comparisons run over polynomial rings here")
-    big, _idx = adjoin_variables(R, ["y%d" % (i + 1) for i in range(d)])
-    m = amb.nvars
-    sign = xi_smooth_sign(m, d, amb.p)
-    return XiIso(
-        None,
-        {
-            "fibre_volume": wedge_label(big.variables[m:]),
-            "sign": sign,
-            "certified": True,
-        },
-    )
-
-
-def xi_lci_class(pi, target_pbasis, rseq=None, pbasis_via_iso=None, theta_columns=None):
+def xi_lci_class(pi, target_pbasis, rseq, theta_columns, pbasis_via_iso=None):
     """The lci comparison: omega_T -> f^flat omega_S on Koszul
     representatives; returns the coefficient against the top dual
     generator and the certified class data.
 
-    theta_columns may supply an explicit splitting of the conormal
-    sequence (one middle-term column per differential generator); it is
-    verified to be a well-defined section before use, and replaces the
-    generic Hom-solve."""
+    rseq is certified to generate the kernel of pi, and theta_columns (one
+    middle-term column per differential generator) to be a well-defined
+    splitting of the conormal sequence, a section of its right map."""
     S = pi.source
     amb = ambient_of(S)
     n = amb.nvars
-    if theta_columns is None:
-        cono = conormal_sequence(pi, rseq)
-        Rq = cono.quotient
-        rs = cono.rseq
-        theta = cono.theta
-        K = KahlerModule(Rq)
-    else:
-        if rseq is None:
-            raise AlgebraError("an explicit splitting needs the regular sequence")
-        rs = list(rseq)
-        J = elimination_kernel(pi)
-        if not Ideal(S, rs).equals(J):
-            raise AlgebraError("supplied sequence does not generate the kernel")
-        Rq = QuotientRing(S, rs)
-        K = KahlerModule(Rq)
-        middle = free_module(Rq, n)
-        theta = ModuleMap(K.module, middle, theta_columns, check=True)
-        beta = ModuleMap(middle, K.module, [K.module.gen(j) for j in range(n)], check=False)
-        section = beta.compose(theta) - ModuleMap.identity(K.module)
-        if not section.is_zero_map():
-            raise AlgebraError("supplied splitting is not a section")
+    rs = list(rseq)
+    if not Ideal(S, rs).equals(elimination_kernel(pi)):
+        raise AlgebraError("supplied sequence does not generate the kernel")
+    Rq = QuotientRing(S, rs)
+    K = KahlerModule(Rq)
+    middle = free_module(Rq, n)
+    theta = ModuleMap(K.module, middle, theta_columns, check=True)
+    beta = ModuleMap(middle, K.module, [K.module.gen(j) for j in range(n)], check=False)
+    section = beta.compose(theta) - ModuleMap.identity(K.module)
+    if not section.is_zero_map():
+        raise AlgebraError("supplied splitting is not a section")
     c = len(rs)
     pb = [Rq.reduce(b) for b in target_pbasis]
     om_T = canonical_omega_regular(Rq, p_basis=pb, pbasis_via_iso=pbasis_via_iso)
@@ -475,9 +441,7 @@ def xi_via_factorization(R, roots, e):
         vector_of(Sy, Sy.nvars, [(n + j, rename_poly(root.derivative(j), Sy, yslots)) for j in range(n)])
         for root in roots
     ]
-    xi = xi_lci_class(
-        pi, pbasis, rseq=tsys, pbasis_via_iso=(rho, rho_inv), theta_columns=theta_cols
-    )
+    xi = xi_lci_class(pi, pbasis, tsys, theta_cols, pbasis_via_iso=(rho, rho_inv))
     lam = xi.data["lambda"]
     c = len(tsys)
     # the lci wedge is descending dr_c..dr_1 while the residue consumes the

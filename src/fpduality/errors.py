@@ -63,10 +63,6 @@ class ZeroRing(AlgebraError):
     kind = "ZeroRing"
 
 
-class SplittingNotFound(AlgebraError):
-    kind = "SplittingNotFound"
-
-
 class ParseError(AlgebraError):
     kind = "ParseError"
 

@@ -1136,14 +1136,15 @@ class QuotientRing:
         return [m for m in product(*map(range, bounds)) if not any(mono_divides(lm, m) for lm in leads)]
 
     def __eq__(self, other):
+        """One ambient and one modulus ideal: the reduced bases agree."""
         return (
             isinstance(other, QuotientRing)
             and self.ambient == other.ambient
-            and sorted(map(repr, self.modulus.gens)) == sorted(map(repr, other.modulus.gens))
+            and self.modulus.groebner() == other.modulus.groebner()
         )
 
     def __hash__(self):
-        return hash((self.ambient, tuple(sorted(map(repr, self.modulus.gens)))))
+        return hash((self.ambient, tuple(self.modulus.groebner())))
 
     def __repr__(self):
         return "%r/(%s)" % (self.ambient, ", ".join(repr(g) for g in self.modulus.gens))
@@ -1306,14 +1307,6 @@ def are_inverse(f, g):
         for h, k in ((f, g), (g, f))
         for v in h.source_ambient.gens()
     )
-
-
-def ideal_sum(I, J):
-    return Ideal(I.ring, I.gens + J.gens)
-
-
-def ideal_product(I, J):
-    return Ideal(I.ring, [a * b for a in I.gens for b in J.gens])
 
 
 def ideal_intersection(I, J):

@@ -175,19 +175,6 @@ class ModuleMap:
 # ---------------------------------------------------------------------------
 # kernels, cokernels, certification
 
-def kernel_with_inclusion(f):
-    """Presentation of ker(f) plus the inclusion map into the source.  The
-    kernel generators are in normal form modulo the source relations, with
-    zeros and repeats dropped, so ker(f) = 0 iff there are none."""
-    kernel = syzygies(f.columns, modulo=f.target.relations)
-    kernel_gens = unique_nonzero(f.source.nf(h) for h in kernel)
-    k = len(kernel_gens)
-    rels = syzygies(kernel_gens, modulo=f.source.relations)
-    ker = FPModule(f.source.ring, k, rels)
-    incl = ModuleMap(ker, f.source, kernel_gens, check=False)
-    return ker, incl
-
-
 def cokernel(f):
     """coker(f) on the target's generators, its relations followed by the
     columns of f."""
@@ -195,9 +182,13 @@ def cokernel(f):
 
 
 def kernel_cokernel(f):
-    """(ker f, coker f); f is an isomorphism iff both are zero modules."""
-    ker, _ = kernel_with_inclusion(f)
-    return ker, cokernel(f)
+    """(ker f, coker f); f is an isomorphism iff both are zero modules.
+    The kernel generators are in normal form modulo the source relations,
+    with zeros and repeats dropped, so ker(f) = 0 iff there are none."""
+    kernel = syzygies(f.columns, modulo=f.target.relations)
+    kernel_gens = unique_nonzero(f.source.nf(h) for h in kernel)
+    rels = syzygies(kernel_gens, modulo=f.source.relations)
+    return FPModule(f.source.ring, len(kernel_gens), rels), cokernel(f)
 
 
 def is_isomorphism(f):

@@ -11,6 +11,7 @@ import re
 from .config import config
 from .complexes import rank_one_complex
 from .duality import (
+    biduality_certificate,
     canonical_dualizing,
     commutation_signs,
     compare_presentations,
@@ -37,6 +38,7 @@ from .modules import (
     FPModule,
     ModuleMap,
     cyclic_module,
+    direct_sum,
     exterior_power,
     generic_rank,
     hilbert_function,
@@ -46,7 +48,13 @@ from .modules import (
     tensor_module,
 )
 from .polyring import PolyRing, Polynomial, RingMap, poly_str
-from .shriek import verify_associativity, verify_rigidifier, verify_symmetry, verify_unit
+from .shriek import (
+    exterior_hom_comparison,
+    verify_associativity,
+    verify_rigidifier,
+    verify_symmetry,
+    verify_unit,
+)
 
 TOKEN_SPEC = [
     ("NUMBER", r"\d+"),
@@ -497,6 +505,10 @@ def _b_tensor(ip, args):
     return tensor_module(_module_arg(ip.eval(args[0])), _module_arg(ip.eval(args[1])))
 
 
+def _b_direct_sum(ip, args):
+    return direct_sum([_module_arg(ip.eval(a)) for a in args])
+
+
 def _b_generic_rank(ip, args):
     return generic_rank(_module_arg(ip.eval(args[0])))
 
@@ -603,6 +615,10 @@ def _b_rigidifier(ip, args):
     return verify_rigidifier(canonical_dualizing(_quotient(ip.ring_at(args[0])))).certified
 
 
+def _b_biduality(ip, args):
+    return biduality_certificate(canonical_dualizing(_quotient(ip.ring_at(args[0]))))
+
+
 def _b_symmetry(ip, args):
     A = _quotient(ip.ring_at(args[0]))
     M = _module_arg(ip.eval(args[1]))
@@ -619,6 +635,12 @@ def _b_associativity(ip, args):
     K = _module_arg(ip.eval(args[3]))
     shifts = tuple(ip.eval(args[i]) if len(args) > i else 0 for i in (4, 5, 6))
     return verify_associativity(A, M, N, K, shifts=shifts)["certified"]
+
+
+def _b_exterior_hom(ip, args):
+    A = _quotient(ip.ring_at(args[0]))
+    M, N, M2, N2 = (_module_arg(ip.eval(a)) for a in args[1:])
+    return exterior_hom_comparison(A, M, N, M2, N2)
 
 
 def _b_presentations(ip, args):
@@ -665,6 +687,7 @@ BUILTINS = {
     "exterior_power": (_b_exterior, 2, 2),
     "hom": (_b_hom, 2, 2),
     "tensor": (_b_tensor, 2, 2),
+    "direct_sum": (_b_direct_sum, 2, None),
     "generic_rank": (_b_generic_rank, 1, 1),
     "minimal_generators_at": (_b_minimal_generators, 2, 2),
     "hilbert": (_b_hilbert, 2, 2),
@@ -683,8 +706,10 @@ BUILTINS = {
     "extend_pgens": (_b_extend_pgens, 4, 4),
     "unit": (_b_unit, 2, 3),
     "rigidifier": (_b_rigidifier, 1, 1),
+    "biduality": (_b_biduality, 1, 1),
     "symmetry": (_b_symmetry, 3, 5),
     "associativity": (_b_associativity, 4, 7),
+    "exterior_hom": (_b_exterior_hom, 5, 5),
     "presentations": (_b_presentations, 3, 3),
     "eta": (_b_eta, 2, 2),
     "xi_factorizations": (_b_xi_factorizations, 1, 2),

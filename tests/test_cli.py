@@ -131,6 +131,15 @@ class TestExecution:
         ("ring S = Fp(2)[x];\ncheck eta(S, [x]);\n", {"certified": True}),
         ("ring S = Fp(2)[x];\ncheck xi_factorizations(S);\n", {"certified": True}),
         ("check commutation_signs(2);\n", {"certified": True}),
+        ("ring A = Fp(2)[x] / (x^2);\ncheck biduality(A);\n", {"certified": True}),
+        (
+            "ring A = Fp(2)[x] / (x^2);\nlet M = cyclic(A);\ncheck exterior_hom(A, M, M, M, M);\n",
+            {"certified": True},
+        ),
+        (
+            "ring S = Fp(2)[x];\nlet M = cyclic(S, x);\nprint direct_sum(M, cyclic(S), M);\n",
+            {"generators": 3, "relations": 2},
+        ),
     ]
 
     @pytest.mark.parametrize("text, payload", BUILTIN_RUNS)
@@ -167,6 +176,12 @@ class TestExecution:
         session, reports = run_script(self.PRESENTATIONS + "check presentations(B, p1, p2);\n")
         assert reports[-1].status == "error"
         assert reports[-1].error_kind == "RingMismatch"
+
+    def test_presentations_of_one_ring_by_two_generating_sets(self):
+        # (x^2, x^3) is the ideal (x^2): p1 lands in A
+        text = self.PRESENTATIONS + "ring A2 = Fp(2)[x] / (x^2, x^3);\nlet p3 = ringmap(S, A2, [x]);\n"
+        _s, reports = run_script(text + "check presentations(A, p3, p2);\n")
+        assert reports[-1].payload == {"certified": True}
 
     @pytest.mark.parametrize(
         "call, message",

@@ -1,15 +1,11 @@
-"""Kaehler differentials, conormal sequences, canonical volume complexes."""
+"""Kaehler differentials and canonical volume complexes."""
 
 import random
 
 import pytest
 
-from fpduality.differentials import (
-    KahlerModule,
-    canonical_omega_regular,
-    conormal_sequence,
-)
-from fpduality.errors import NotCertifiedRegular, NotSurjective
+from fpduality.differentials import KahlerModule, canonical_omega_regular
+from fpduality.errors import NotCertifiedRegular
 from fpduality.groebner import QuotientRing, VectorPoly, combine
 from fpduality.modules import ModuleMap, free_module, is_isomorphism
 from fpduality.polyring import PolyRing
@@ -73,59 +69,6 @@ class TestKahler:
             for _ in range(30):
                 f = rand_poly(rng, R)
                 assert K.d(f ** p).is_zero()
-
-
-class TestConormal:
-    def test_coordinate_quotient(self):
-        # S = F_2[x,y] ->> R = F_2[x,y]/(y): J/J^2 free on y, theta(dx) = dx
-        S = ring(2, "x", "y")
-        x, y = S.gens()
-        amb_r = ring(2, "x", "y")
-        R = QuotientRing(amb_r, [amb_r.var("y")])
-        from fpduality.polyring import RingMap
-
-        pi = RingMap(S, R, [R.reduce(amb_r.var("x")), R.reduce(amb_r.var("y"))])
-        data = conormal_sequence(pi)
-        assert data.conormal.ngens == 1
-        # theta sends dx-class to dx with no dy component needed
-        theta_dx = data.theta.columns[0]
-        assert data.middle.element_is_zero(
-            data.beta.apply_coords(theta_dx) - data.omega.gen(0)
-        ) or True  # section property asserted inside; spot-check column shape
-        assert data.theta.source is data.omega
-
-    def test_parabola(self):
-        S = ring(2, "x", "y")
-        x, y = S.gens()
-        tamb = ring(2, "t", "u")  # target presented on its own ambient
-        R = QuotientRing(S, [y + x ** 2])
-        from fpduality.polyring import RingMap
-
-        pi = RingMap(S, R, [R.reduce(x), R.reduce(y)])
-        data = conormal_sequence(pi)
-        assert data.rseq[0] == y + x ** 2
-        # d(y - x^2) = dy in char 2 spans the kernel complement
-        assert data.alpha.columns[0].components[1] == S.one()
-
-    def test_rejects_a_map_that_is_not_onto(self):
-        # u -> x^2 misses x
-        from fpduality.polyring import RingMap
-
-        T = ring(2, "x")
-        pi = RingMap(ring(2, "u"), T, [T.var("x") ** 2])
-        with pytest.raises(NotSurjective):
-            conormal_sequence(pi)
-
-    def test_point_case(self):
-        S = ring(3, "X")
-        F3 = ring(3)
-        from fpduality.polyring import RingMap
-
-        pi = RingMap(S, F3, [F3.zero()])
-        data = conormal_sequence(pi)
-        assert data.conormal.ngens == 1
-        # Omega of the point is zero: dX dies under the Jacobian relation
-        assert data.omega.is_zero_module()
 
 
 class TestCanonicalOmega:

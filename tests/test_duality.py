@@ -3,10 +3,12 @@ presentation independence, Frobenius duality."""
 
 import pytest
 
+import fpduality.duality as duality
 import fpduality.groebner as groebner
 from fpduality.complexes import (
     ChainMap,
     FreeComplex,
+    certify_degreewise,
     cohomology,
     hom_transpose_vector,
     invert_monomial_chain_map,
@@ -29,11 +31,12 @@ from fpduality.duality import (
     upper_shriek_smooth,
     verify_frobenius_duality,
     xi_lci_class,
+    xi_smooth_sign,
     xi_via_factorization,
 )
 from fpduality.errors import AlgebraError, NotRegularSequence, RingMismatch
 from fpduality.frobenius import frobenius_pushforward, pushforward_basis, pushforward_vector
-from fpduality.groebner import Ideal, QuotientRing, VectorPoly, combine, unit_vector, vector_from_poly
+from fpduality.groebner import Ideal, QuotientRing, VectorPoly, combine, unit_vector, vector_from_poly, vector_of
 from fpduality.modules import (
     ModuleMap,
     cyclic_module,
@@ -128,6 +131,30 @@ class TestExtPipelines:
         assert hilbert_function(hk, 4) == hilbert_function(hr, 4)
 
 
+class TestPerturbedComparisons:
+    """Negative controls: with each cocycle image multiplied by x, the
+    per-degree certificate refuses the degree that carries cohomology."""
+
+    @pytest.fixture
+    def times_x(self, monkeypatch):
+        def perturbed(h_src, h_tgt, image):
+            return certify_degreewise(h_src, h_tgt, lambda d, v: image(d, v).mul_term((1, 0), 1))
+
+        monkeypatch.setattr(duality, "certify_degreewise", perturbed)
+
+    def test_fli_refuses_a_perturbed_eta(self, times_x):
+        S = ring(2, "x", "y")
+        x, y = S.gens()
+        eta = fli_eta(S, [x, y], rank_one_complex(S, 0))
+        assert eta.certified[2] is False
+
+    def test_ext_pipelines_refuse_a_perturbed_comparison(self, times_x):
+        S = ring(2, "x", "y")
+        x, y = S.gens()
+        _repK, _repR, certified = ext_two_pipelines(S, [x, y], rank_one_complex(S, 0))
+        assert certified[2] is False
+
+
 class TestUpperShriek:
     def test_smooth_d0(self):
         R = ring(2, "x")
@@ -176,32 +203,66 @@ class TestUpperShriek:
 
 class TestXi:
     def test_lci_coordinate_quotient(self):
-        # F_2[x,y] ->> F_2[x,y]/(y), p-basis (x) downstairs
+        # F_2[x,y] ->> F_2[x,y]/(y), p-basis (x) downstairs, split by
+        # theta(dx) = e_x, theta(dy) = 0
         S = ring(2, "x", "y")
         x, y = S.gens()
         A = QuotientRing(S, [y])
         pi = RingMap(S, A, [A.reduce(x), A.reduce(y)], check=False)
-        xi = xi_lci_class(pi, [x])
+        theta = [unit_vector(S, 2, 0), vector_of(S, 2, ())]
+        xi = xi_lci_class(pi, [x], [y], theta)
         assert xi.certified
         lam = xi.data["lambda"]
         assert lam.constant_value() == 1  # unit coefficient in char 2
 
     def test_lci_point_char3(self):
+        # Omega of the point is zero: the splitting is the zero column
         S = ring(3, "X")
         F3 = ring(3)
         pi = RingMap(S, F3, [F3.zero()])
-        xi = xi_lci_class(pi, [])
+        xi = xi_lci_class(pi, [], [S.var("X")], [vector_of(S, 1, ())])
         assert xi.certified
         assert xi.data["lambda"].constant_value() == 1
 
     def test_lci_gabber_step_ring(self):
-        # F_2[x,X] ->> F_2[x,X]/(X^2-x), c = 1, p-basis (X)
+        # F_2[x,X] ->> F_2[x,X]/(X^2-x), c = 1, p-basis (X); dx = 0
+        # downstairs, so theta(dx) = 0 and theta(dX) = e_X
         S = ring(2, "x", "X")
         x, X = S.gens()
         A = QuotientRing(S, [X ** 2 + x])
         pi = RingMap(S, A, [A.reduce(x), A.reduce(X)], check=False)
-        xi = xi_lci_class(pi, [X], rseq=[X ** 2 + x])
+        theta = [vector_of(S, 2, ()), unit_vector(S, 2, 1)]
+        xi = xi_lci_class(pi, [X], [X ** 2 + x], theta)
         assert xi.certified
+
+    def test_lci_refuses_a_splitting_that_is_not_a_section(self):
+        # theta(dX) = 2 e_X on F_3[x,X]/(X^3 - x), where dx = 0, and
+        # theta(dx) = x e_x on F_2[x,y]/(y), where dy = 0: both are well
+        # defined, but beta o theta is 2, or x, not the identity
+        S3 = ring(3, "x", "X")
+        x3, X = S3.gens()
+        S2 = ring(2, "x", "y")
+        x2, y = S2.gens()
+        cases = [
+            (S3, X ** 3 - x3, [X], [vector_of(S3, 2, ()), unit_vector(S3, 2, 1, S3.const(2))]),
+            (S2, y, [x2], [unit_vector(S2, 2, 0, x2), vector_of(S2, 2, ())]),
+        ]
+        for S, r, pbasis, theta in cases:
+            A = QuotientRing(S, [r])
+            pi = RingMap(S, A, [A.reduce(v) for v in S.gens()], check=False)
+            with pytest.raises(AlgebraError, match="supplied splitting is not a section"):
+                xi_lci_class(pi, pbasis, [r], theta)
+
+    def test_lci_refuses_a_splitting_that_is_not_well_defined(self):
+        # dx = 0 on F_2[x,X]/(X^2 - x), so theta(dx) = e_x does not define
+        # a map out of Omega
+        S = ring(2, "x", "X")
+        x, X = S.gens()
+        A = QuotientRing(S, [X ** 2 + x])
+        pi = RingMap(S, A, [A.reduce(x), A.reduce(X)], check=False)
+        theta = [unit_vector(S, 2, 0), unit_vector(S, 2, 1)]
+        with pytest.raises(AlgebraError, match="map not well defined on a source relation"):
+            xi_lci_class(pi, [X], [X ** 2 + x], theta)
 
     def test_identity_factorizations(self):
         R = ring(3, "x")
@@ -533,28 +594,18 @@ class TestTracePairingInverse:
 
 
 class TestXiSmooth:
+    # the reordering sign of a smooth leg, (-1)^(m d) mod p, moving m base
+    # differentials past d fibre ones
     def test_point_to_line(self):
-        from fpduality.duality import xi_smooth
-
-        F2 = ring(2)
-        xi = xi_smooth(F2, 1)
-        assert xi.data["sign"] == 1
-        assert xi.data["fibre_volume"] == "dy1"
+        assert xi_smooth_sign(0, 1, 2) == 1
 
     def test_line_to_plane_sign(self):
-        from fpduality.duality import xi_smooth
-
         # char 2 kills the sign; at p=3 the single transposition survives
-        R2 = ring(2, "x")
-        assert xi_smooth(R2, 1).data["sign"] == 1
-        R3 = ring(3, "x")
-        assert xi_smooth(R3, 1).data["sign"] == 2  # -1 mod 3
+        assert xi_smooth_sign(1, 1, 2) == 1
+        assert xi_smooth_sign(1, 1, 3) == 2  # -1 mod 3
 
     def test_two_fibres(self):
-        from fpduality.duality import xi_smooth
-
-        R3 = ring(3, "x")
-        assert xi_smooth(R3, 2).data["sign"] == 1  # (-1)^{1*2}
+        assert xi_smooth_sign(1, 2, 3) == 1  # (-1)^{1*2}
 
 
 class TestXiChoiceIndependence:
@@ -570,9 +621,11 @@ class TestXiChoiceIndependence:
         F3_model = QuotientRing(S, [u, v])
         pi = RingMap(S, F3_model, [F3_model.zero(), F3_model.zero()], check=False)
         variants = [[u, v], [v, u], [u.scale(2), v]]
+        # Omega of the point is zero: the splitting is the zero map
+        theta = [vector_of(S, 2, ())] * 2
         classes = []
         for rseq in variants:
-            xi = xi_lci_class(pi, [], rseq=rseq)
+            xi = xi_lci_class(pi, [], rseq, theta)
             assert xi.certified
             classes.append(xi)
         # transport each variant class into the first model by lifting the

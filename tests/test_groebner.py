@@ -25,9 +25,7 @@ from fpduality.groebner import (
     elimination_kernel,
     groebner_basis,
     ideal_intersection,
-    ideal_product,
     ideal_quotient,
-    ideal_sum,
     leading_term,
     normal_form,
     syzygies,
@@ -406,13 +404,6 @@ class TestIdealOps:
         x, y = R.gens()
         assert Ideal(R, [x + y]).contains(x ** 2 + y ** 2)
 
-    def test_sum_product(self):
-        R = ring(3, "x", "y")
-        x, y = R.gens()
-        I, J = Ideal(R, [x]), Ideal(R, [y])
-        assert ideal_sum(I, J).contains(x + y)
-        assert ideal_product(I, J).equals(Ideal(R, [x * y]))
-
 
 class TestQuotientRing:
     def test_reduce_and_equality(self):
@@ -421,6 +412,16 @@ class TestQuotientRing:
         x = amb.var("x")
         assert A.reduce(x ** 3).is_zero()
         assert A.reduce((x ** 2 + x) - x).is_zero()
+
+    def test_a_quotient_ring_is_its_ideal(self):
+        # two generating sets of one modulus ideal give one ring
+        amb = ring(2, "x")
+        x = amb.var("x")
+        A, B = QuotientRing(amb, [x ** 2]), QuotientRing(amb, [x ** 2, x ** 3])
+        assert A == B and hash(A) == hash(B)
+        assert A != QuotientRing(amb, [x ** 3])
+        other = ring(2, "y")
+        assert A != QuotientRing(other, [other.var("y") ** 2])
 
     def test_standard_monomials(self):
         amb = ring(2, "x", "y")

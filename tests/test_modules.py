@@ -445,6 +445,14 @@ class TestHelpers:
         assert D.ngens == 3
         assert fp_dimension(M) == 1
 
+    def test_direct_sum_over_one_ring_in_two_presentations(self):
+        amb = ring(3, "x")
+        x = amb.var("x")
+        A, B = QuotientRing(amb, [x ** 2]), QuotientRing(amb, [x ** 2, x ** 3])
+        D = direct_sum([cyclic_module(A), cyclic_module(B)])
+        assert D.ngens == 2
+        assert fp_dimension(D) == 4
+
     def test_direct_sum_refuses_mixed_rings(self):
         amb = ring(3, "x")
         A = QuotientRing(amb, [amb.var("x") ** 2])
